@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -306,13 +307,19 @@ def _bump_fields(center, scale):
 
 
 def _check(name, fn):
-    """Run one verification item; errors become failing entries."""
+    """Run one verification item; errors become failing entries.  A
+    library error keeps its message; any other exception also prints its
+    traceback to stderr, and the entry names its type."""
     try:
         entry = fn()
         entry["name"] = name
         return entry
     except OnePhaseError as e:
         return {"name": name, "passed": False, "error": str(e)}
+    except Exception as e:
+        traceback.print_exc(file=sys.stderr)
+        return {"name": name, "passed": False,
+                "error": f"{type(e).__name__}: {e}"}
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:

@@ -31,6 +31,7 @@ __all__ = [
     "clip_polyline_to_window",
     "polyline_length",
     "densify_polyline",
+    "smoothstep5",
 ]
 
 
@@ -164,6 +165,13 @@ def points_in_polygon(points, polygon) -> np.ndarray:
         x_int = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
     crossings = np.sum(straddle & (x < x_int), axis=-1)
     return (crossings % 2) == 1
+
+
+def smoothstep5(t):
+    """Quintic smoothstep, clipped: 0 for t ≤ 0, 1 for t ≥ 1, and two
+    vanishing derivatives at both ends."""
+    t = np.clip(t, 0.0, 1.0)
+    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
 def polyline_length(poly) -> float:

@@ -13,20 +13,24 @@ of) the positive phase of an exact solution family:
   roots are split as √(ζ/a−1)·√(ζ/a+1) so each factor's argument stays off
   the principal cut on S_a.
 
-* ``ScherkStrip(s)`` — Φ_s(ζ) = ∫₀^ζ e^{φ_s(η)} dη + c_s on the half-strip
+* ``ScherkStrip(s)`` — Φ_s(ζ) = ∫ e^{φ_s(η)} dη on the half-strip
   S_l = {Re ζ > 0, |Im ζ| < l/2}, l = 2πs, where
 
       φ_s(ζ) = −½ log(e^{2π(ζ−b)/l} + 1) + ½ log(e^{−2π(ζ+b)/l} + 1) + πζ/l,
 
-  b = 2s·log(1/s) (so e^{πb/l} = 1/s).  The real constant c_s is fixed by
-  Re Φ_s(ζ) → 0 as ζ → ± i l/2.  Height S_s(z) = Re Φ_s⁻¹(z) on the image
-  half-cell D_s ⊂ {x₁ > 0, |x₂| < π}.
+  b = 2s·log(1/s) (so e^{πb/l} = 1/s).  With e = e^{−ζ/s} and
+  r = e^{−φ_s} = √((e+s²)/(1+s²e)) both Φ_s and the dual primitive
+  Ψ_s = ∫ e^{−φ_s} dζ are elementary in (ζ, e, r); the constants make
+  Re Φ_s and Re Ψ_s vanish at ζ = ± il/2.  Height S_s(z) = Re Φ_s⁻¹(z) on
+  the image half-cell D_s ⊂ {x₁ > 0, |x₂| < π}.
 
 All charts carry ``newton_tol`` and ``max_iter``; inversions are damped
 Newton iterations (vectorized, with family-specific initializations) plus a
 scalar homotopy-continuation fallback for stragglers.  φ′ = 1 + cosh has
 positive real part on the closed strip, and the Scherk/slit derivatives are
 nonvanishing in the model interiors, so the iterations are well posed.
+No chart integrates numerically; the tests check the closed forms against
+`quad`.
 """
 
 from __future__ import annotations
@@ -37,20 +41,12 @@ from dataclasses import dataclass, field
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
-from .quad import adaptive_complex_quad, gauss_nodes, segment_quad
 
 __all__ = [
     "ConformalChart",
     "HHPStrip",
     "SlitHalfPlane",
     "ScherkStrip",
-    "hhp_forward",
-    "hhp_inverse",
-    "slit_forward",
-    "slit_inverse",
-    "scherk_forward",
-    "scherk_inverse",
-    "scherk_offset",
     "scherk_loop_point",
     "scherk_loop_implicit",
     "scherk_loop_x2_extent",
@@ -336,19 +332,21 @@ class ScherkStrip(ConformalChart):
     """Φ_s on S_l = {Re ζ > 0, |Im ζ| < l/2} with l = 2πs, b = 2s log(1/s)."""
 
     s: float = 0.5
-    quad_order: int = 16
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise InvalidInputError("ScherkStrip requires 0 < s < 1")
         self.kind = "scherk_strip"
-        self.l = 2.0 * np.pi * self.s
-        self.b = 2.0 * self.s * np.log(1.0 / self.s)
-        self._c = None
+        s = self.s
+        self.l = 2.0 * np.pi * s
+        self.b = 2.0 * s * np.log(1.0 / s)
+        # Φ_s(ζ) = ζ/s + c_inf + O(e^{−Re ζ/s})
+        self.c_inf = (s * s * np.log((1.0 - s * s) / (1.0 + s * s))
+                      + 2.0 * np.log(2.0 * s) - np.log1p(-s**4))
+        # upper corner ζ* (preimage of the saddle iπ) and dΦ/dτ there
+        self.zeta_c = self.b + 0.5j * self.l
+        self._B = -2j * np.sqrt((1.0 - s**4) / s)
         self._anchors = None
-        self._c_inf = None
-        self._phi_top = None
-        self._corner = None
 
     # -- φ_s and the integrand ------------------------------------------
     def phi(self, zeta):
@@ -361,154 +359,85 @@ class ScherkStrip(ConformalChart):
     def integrand(self, zeta):
         return np.exp(self.phi(zeta))
 
-    def phi_im_axis(self, t):
-        """Im φ_s(it) closed form: t/(2s) − arctan(s² sin(t/s) / (1 + s² cos(t/s)))."""
-        t = np.asarray(t, dtype=float)
-        s = self.s
-        return t / (2.0 * s) - np.arctan(s**2 * np.sin(t / s)
-                                         / (1.0 + s**2 * np.cos(t / s)))
-
-    # -- offset ----------------------------------------------------------
-    @property
-    def offset(self) -> float:
-        """c_s = −Re ∫₀^{il/2} e^{φ_s(η)} dη (adaptive quadrature).
-
-        The integrand is smooth on the whole closed segment — the half-log
-        singularities of φ_s sit at ζ = b ± il/2, off the imaginary axis —
-        so no endpoint substitution is needed here.
-        """
-        if self._c is None:
-            val = adaptive_complex_quad(
-                lambda t: 1j * self.integrand(1j * t), 0.0, self.l / 2.0,
-                tol=1e-13)
-            self._c = -float(val.real)
-        return self._c
-
-    # -- forward map -------------------------------------------------------
-    def _singularities(self):
-        return np.array([self.b + 0.5j * self.l, self.b - 0.5j * self.l])
-
-    def forward(self, zeta, order: int | None = None):
-        """Φ_s(ζ) by composite Gauss–Legendre along the straight segment
-        0 → ζ, with refinement keyed to the distance from the half-log
-        singularities b ± il/2.  Arguments within l/10 of a singular corner
-        are evaluated through the square-root corner chart instead, which is
-        regular right up to (and at) the corner."""
-        zeta = _as_complex(zeta)
-        if np.any(zeta.real < -1e-12):
-            raise DomainError("scherk_forward: Re ζ must be ≥ 0")
-        order = order or self.quad_order
-        flat = zeta.ravel()
-        out = np.empty_like(flat)
-        zeta_c = self.b + 0.5j * self.l
-        zone = self.l / 10.0
-        up = np.abs(flat - zeta_c) <= zone
-        lo = ~up & (np.abs(flat - np.conj(zeta_c)) <= zone)
-        if np.any(up):
-            # δ in the closed strip has Im ≤ 0, so √(−δ) lands in the
-            # closed first τ-quadrant — the chart's domain.
-            out[up] = self._corner_G(np.sqrt(zeta_c - flat[up]))
-        if np.any(lo):
-            out[lo] = np.conj(
-                self._corner_G(np.sqrt(zeta_c - np.conj(flat[lo]))))
-        bulk = ~(up | lo)
-        if np.any(bulk):
-            fb = flat[bulk]
-            sing = self._singularities()
-            # Bucket by required composite refinement (distance of the
-            # segment to the singularities — conservatively the endpoints').
-            dist = np.min(np.abs(fb[:, None] - sing[None, :]), axis=1)
-            npieces = np.clip(
-                (np.abs(fb) / np.maximum(dist, 1e-12)).astype(int) + 4, 4, 256)
-            vals = np.empty_like(fb)
-            for p in np.unique(npieces):
-                m = npieces == p
-                vals[m] = segment_quad(self.integrand,
-                                       np.zeros(int(np.sum(m)), complex),
-                                       fb[m], order=order, pieces=int(p))
-            out[bulk] = vals + self.offset
-        return out.reshape(zeta.shape)
-
     def derivative(self, zeta):
         return self.integrand(zeta)
 
-    # -- anchors and asymptotics ----------------------------------------
-    def _anchor_table(self):
-        if self._anchors is None:
-            l, b = self.l, self.b
-            u = np.concatenate([np.linspace(0.0, 2.0 * b, 17)[1:],
-                                np.linspace(2.0 * b, b + 3.0 * l, 12)[1:]])
-            v = np.linspace(-0.5 * l, 0.5 * l, 27)[1:-1]
-            Z = u[:, None] + 1j * v[None, :]
-            # March column by column: Φ on column 0 from the axis values,
-            # then horizontal segments between columns (all inside S_l).
-            W = np.empty_like(Z)
-            axis_vals = self._axis_values(v)
-            W[0] = axis_vals + segment_quad(self.integrand, 1j * v,
-                                            Z[0], order=self.quad_order, pieces=4)
-            for i in range(1, len(u)):
-                W[i] = W[i - 1] + segment_quad(self.integrand, Z[i - 1], Z[i],
-                                               order=self.quad_order, pieces=4)
-            self._anchors = (Z.ravel(), W.ravel())
-        return self._anchors
+    # -- closed forms ------------------------------------------------------
+    def _from_r(self, zeta_s, e, r):
+        """(Φ_s, Ψ_s) from ζ/s, e = e^{−ζ/s} and r = e^{−φ_s(ζ)}."""
+        s2 = self.s * self.s
+        lg = np.log((1.0 - self.s * r) / (1.0 + self.s * r))
+        rest = (2.0 * np.log(self.s + r) + zeta_s + np.log1p(s2 * e)
+                - np.log1p(-s2 * s2))
+        return s2 * lg + rest, lg + s2 * rest
 
-    def _axis_values(self, v):
-        """Φ_s(iv) for an ascending array of ordinates (cumulative Gauss)."""
-        v = np.asarray(v, dtype=float)
-        vs = np.concatenate([[0.0], v])
-        incs = segment_quad(self.integrand, 1j * vs[:-1], 1j * vs[1:],
-                            order=self.quad_order, pieces=6)
-        return self.offset + np.cumsum(incs)
+    def _closed(self, zeta):
+        """(Φ_s, Ψ_s) at ζ, on the closed strip and across Re ζ = 0.
 
-    @property
-    def asymptotic_offset(self) -> float:
-        """C∞ with Φ_s(ζ) = ζ/s + C∞ + O(e^{−2πRe ζ/l}); real."""
-        if self._c_inf is None:
-            u_far = self.b + 6.0 * self.l
-            val = self.forward(np.array(u_far + 0.0j))
-            self._c_inf = float(val.real) - u_far / self.s
-        return self._c_inf
+        r = √((e + s²)/(1 + s²e)) with e = e^{−ζ/s}.  On the upper half strip
+        Im r ≤ 0, and on the cut {Im ζ = l/2, Re ζ < b} r takes its limit
+        from inside; the lower half follows by Φ_s(ζ̄) = conj Φ_s(ζ).
+        """
+        zeta = _as_complex(zeta)
+        low = zeta.imag < 0.0
+        zu = np.where(low, np.conj(zeta), zeta)
+        s2 = self.s * self.s
+        e = np.exp(-zu / self.s)
+        w = (e + s2) / (1.0 + s2 * e)
+        r = np.conj(np.sqrt(w.real + 1j * np.abs(w.imag)))
+        phi_v, psi_v = self._from_r(zu / self.s, e, r)
+        return (np.where(low, np.conj(phi_v), phi_v),
+                np.where(low, np.conj(psi_v), psi_v))
 
-    # -- corner-local inversion (saddle neighborhood) ----------------------
+    def _phi_closed(self, zeta):
+        return self._closed(zeta)[0]
+
+    def forward(self, zeta):
+        """Φ_s(ζ) = s²·log((1−sr)/(1+sr)) + 2·log(s+r) + ζ/s + log(1+s²e)
+        − log(1−s⁴), with e = e^{−ζ/s} and r = √((e+s²)/(1+s²e))."""
+        zeta = _as_complex(zeta)
+        if np.any(zeta.real < -1e-12):
+            raise DomainError("scherk_forward: Re ζ must be ≥ 0")
+        return self._phi_closed(zeta)
+
+    def dual_primitive(self, zeta):
+        """Ψ_s(ζ) = ∫ e^{−φ_s} dζ = log((1−sr)/(1+sr)) + s²·[2·log(s+r) + ζ/s
+        + log(1+s²e) − log(1−s⁴)], normalized by Re Ψ_s(±il/2) = 0.  Defined
+        a little across Re ζ = 0 as well."""
+        return self._closed(zeta)[1]
+
+    # -- corner chart (saddle neighborhood) --------------------------------
     #
     # Near the corner ζ* = b + il/2 the map has a square-root branch:
-    # Φ_s(ζ* − τ²) = iπ + B·τ·(1 + O(τ²)) with B = −2i·√((1−s⁴)/s).
-    # Newton in τ is regular there (dΦ/dτ → B ≠ 0), and the integrand
-    # e^{φ_s(ζ*−τ²)}·(−2τ) is analytic at τ = 0, so straight τ-space legs
-    # integrate cleanly — the same square-root substitution used for the
-    # boundary-line coordinate, in complex form.
-    def _corner_data(self):
-        if self._corner is None:
-            zeta_c = self.b + 0.5j * self.l
-            tau_ref = np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
-            val_ref = complex(self.forward(np.array(zeta_c - tau_ref**2)))
-            B = -2j * np.sqrt((1.0 - self.s**4) / self.s)
-            self._corner = (zeta_c, tau_ref, val_ref, B)
-        return self._corner
+    # Φ_s(ζ* − τ²) = iπ + B·τ·(1 + O(τ²)) with B = −2i·√((1−s⁴)/s).  In τ
+    # everything is exact: e = −s²·e^x with x = τ²/s, so e + s² =
+    # −s²·expm1(x) and r = −iτ·√(s·h(x)/(1 − s⁴e^x)) with h(x) = expm1(x)/x,
+    # analytic and nonzero for |x| < 2π.
+    def _corner_q(self, tau):
+        """(x, q) with r = −iτq at ζ = ζ* − τ²."""
+        x = tau * tau / self.s
+        nz = x != 0.0
+        h = np.where(nz, np.expm1(x) / np.where(nz, x, 1.0), 1.0)
+        q = np.sqrt(self.s * h / (1.0 - self.s**4 * np.exp(x)))
+        return x, q
+
+    def _corner_G(self, tau):
+        tau = _as_complex(tau)
+        x, q = self._corner_q(tau)
+        e = -self.s**2 * np.exp(x)
+        return self._from_r(self.zeta_c / self.s - x, e, -1j * tau * q)[0]
+
+    def _corner_Gp(self, tau):
+        return -2j / self._corner_q(_as_complex(tau))[1]
 
     @property
     def corner_zone_radius(self) -> float:
         """Image radius around the saddle iπ handled by the τ-chart."""
-        _, _, _, B = self._corner_data()
-        return 0.5 * abs(B) * np.sqrt(self.l / 8.0)
-
-    def _corner_G(self, tau):
-        zeta_c, tau_ref, val_ref, _ = self._corner_data()
-        tau = _as_complex(tau)
-        g = lambda t: -2.0 * t * self.integrand(zeta_c - t * t)
-        inc = segment_quad(g, np.full(tau.shape, tau_ref, dtype=complex),
-                           tau, order=16, pieces=6)
-        return val_ref + inc
-
-    def _corner_Gp(self, tau):
-        zeta_c, _, _, B = self._corner_data()
-        with np.errstate(all="ignore"):
-            val = -2.0 * tau * self.integrand(zeta_c - tau * tau)
-        return np.where(np.abs(tau) > 0.0, val, B)
+        return 0.5 * abs(self._B) * np.sqrt(self.l / 8.0)
 
     def _inverse_corner(self, z):
         """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
-        zeta_c, _, _, B = self._corner_data()
+        # |τ|² ≤ 0.81·l keeps |x| < 2π, where h has no zero
         cap = 0.9 * np.sqrt(self.l)
 
         def project(t):
@@ -517,7 +446,7 @@ class ScherkStrip(ConformalChart):
             r = np.abs(t)
             return np.where(r > cap, t * (cap / np.maximum(r, 1e-300)), t)
 
-        tau0 = (z - 1j * np.pi) / B
+        tau0 = (z - 1j * np.pi) / self._B
         tau, conv = _damped_newton(z, tau0, self._corner_G, self._corner_Gp,
                                    project, self.newton_tol, self.max_iter)
         if not np.all(conv):
@@ -531,18 +460,36 @@ class ScherkStrip(ConformalChart):
             if not np.all(ok):
                 raise ConvergenceError(
                     f"scherk_inverse: {int(np.sum(~ok))} corner point(s) failed",
-                    last_iterate=zeta_c - tau**2)
-        return zeta_c - tau**2
+                    last_iterate=self.zeta_c - tau**2)
+        return self.zeta_c - tau**2
 
     # -- inverse -----------------------------------------------------------
+    def _anchor_table(self):
+        if self._anchors is None:
+            l, b = self.l, self.b
+            u = np.concatenate([np.linspace(0.0, 2.0 * b, 17),
+                                np.linspace(2.0 * b, b + 3.0 * l, 12)[1:]])
+            v = np.linspace(-0.5 * l, 0.5 * l, 27)[1:-1]
+            Z = (u[:, None] + 1j * v[None, :]).ravel()
+            self._anchors = (Z, self._phi_closed(Z))
+        return self._anchors
+
     def inverse(self, z):
         """Φ_s⁻¹(z) for z in the closure of the image half-cell D_s.
 
-        Bulk targets run damped Newton with incremental segment integration
-        (each step updates Φ(ζ_{n+1}) = Φ(ζ_n) + ∫_{ζ_n}^{ζ_{n+1}} e^{φ_s});
-        targets within `corner_zone_radius` of a saddle ±iπ go through the
-        square-root corner chart instead.
+        Damped Newton on the closed form, started from the nearest anchor or,
+        far out, from ζ = s(z − c_inf); targets within `corner_zone_radius`
+        of a saddle ±iπ go through the square-root corner chart instead.
         """
+        return self._invert(z, 0.0)
+
+    def continued_inverse(self, z):
+        """`inverse` of Φ_s continued across Re ζ = 0, for targets within
+        rounding of the loop on either side (Re ζ of either sign)."""
+        return self._invert(z, -0.5 * self.b)
+
+    def _invert(self, z, re_min):
+        """Newton inversion with the iterates kept in Re ζ ≥ re_min."""
         z = _as_complex(z)
         shape = z.shape
         zall = z.ravel()
@@ -556,94 +503,47 @@ class ScherkStrip(ConformalChart):
             # conjugation symmetry: Φ_s(ζ̄) = conj Φ_s(ζ)
             out[lo] = np.conj(self._inverse_corner(np.conj(zall[lo])))
         bulk = ~(up | lo)
-        if np.any(bulk):
-            out[bulk] = self._inverse_bulk(zall[bulk])
-        return out.reshape(shape)
+        if not np.any(bulk):
+            return out.reshape(shape)
+        zf = zall[bulk]
+        half = 0.5 * self.l
 
-    def _inverse_bulk(self, zf):
-        l = self.l
-        margin = 1e-13 * l
+        def project(zt):
+            zt.real = np.maximum(zt.real, re_min)
+            zt.imag = np.clip(zt.imag, -half, half)
+            return zt
 
         anchors_zeta, anchors_w = self._anchor_table()
         far = zf.real > float(np.max(anchors_w.real)) - 2.0
-        zeta = np.empty_like(zf)
-        if np.any(far):
-            zeta[far] = self.s * (zf[far] - self.asymptotic_offset)
-        if np.any(~far):
-            zeta[~far] = anchors_zeta[_nearest_anchor(zf[~far], anchors_w)]
-
-        def project(zt):
-            zt.real = np.maximum(zt.real, 0.0)
-            zt.imag = np.clip(zt.imag, -0.5 * l + margin, 0.5 * l - margin)
-            return zt
-
-        zeta = project(zeta)
-        val = self.forward(zeta)
-        scale = np.maximum(1.0, np.abs(zf))
-        conv = np.zeros(zf.shape, dtype=bool)
-        for _ in range(self.max_iter):
-            res = val - zf
-            conv = np.abs(res) <= self.newton_tol * scale
-            if np.all(conv):
-                break
-            with np.errstate(all="ignore"):
-                step = np.where(~conv, -res / self.integrand(zeta), 0.0)
-            step = np.where(np.isfinite(step), step, 0.0)
-            factor = np.ones(zf.shape)
-            for _h in range(10):
-                cand = project(zeta + factor * step)
-                inc = segment_quad(self.integrand, zeta, cand,
-                                   order=self.quad_order, pieces=3)
-                cand_val = val + inc
-                worse = ~conv & (np.abs(cand_val - zf) > np.abs(res))
-                if not np.any(worse):
-                    break
-                factor = np.where(worse, 0.5 * factor, factor)
-            zeta = np.where(~conv, cand, zeta)
-            val = np.where(~conv, cand_val, val)
+        zeta0 = self.s * (zf - self.c_inf)
+        if not np.all(far):
+            zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], anchors_w)]
+        zeta, conv = _damped_newton(zf, zeta0, self._phi_closed,
+                                    self.derivative, project,
+                                    self.newton_tol, self.max_iter)
         if not np.all(conv):
             bad = ~conv
             u0 = self.b + self.l
-            res_zeta, ok = _homotopy_rescue(
-                zf[bad], complex(self.forward(np.array(u0 + 0j))), complex(u0),
-                self.forward, self.integrand, project,
+            res, ok = _homotopy_rescue(
+                zf[bad], complex(self._phi_closed(np.array(u0 + 0j))),
+                complex(u0), self._phi_closed, self.derivative, project,
                 self.newton_tol, self.max_iter)
-            zeta[bad] = res_zeta
+            zeta[bad] = res
             if not np.all(ok):
                 raise ConvergenceError(
                     f"scherk_inverse: {int(np.sum(~ok))} point(s) failed to converge",
                     last_iterate=zeta)
-        return zeta
+        out[bulk] = zeta
+        return out.reshape(shape)
 
-    # -- boundary line (steepest descent segment → saddle) ----------------
-    def _top_corner_value(self) -> complex:
-        """Φ_s(il/2): offset integral continued to the strip's top edge."""
-        if getattr(self, "_phi_top", None) is None:
-            top = adaptive_complex_quad(
-                lambda t: 1j * self.integrand(1j * t), 0.0, self.l / 2.0,
-                tol=1e-13)
-            self._phi_top = self.offset + top
-        return self._phi_top
-
+    # -- boundary line (top strip edge → saddle) ---------------------------
     def upper_line_x2(self, u: float) -> float:
         """x₂-coordinate Im Φ_s(u + il/2) of the image of the upper strip
-        boundary, 0 ≤ u ≤ b.
-
-        The integrand has the half-log singularity at u = b; the square-root
-        substitution t = b − σ² makes it smooth, so the corner value (the
-        saddle) is directly reachable:
-        ∫₀^u f(t+il/2) dt = ∫_{√(b−u)}^{√b} f(b−σ²+il/2)·2σ dσ.
-        """
+        boundary, 0 ≤ u ≤ b, through the corner chart τ = √(b − u), which
+        stays exact up to the saddle."""
         if not 0.0 <= u <= self.b:
             raise DomainError("upper_line_x2: u must lie in [0, b]")
-        start = self._top_corner_value()
-        if u == 0.0:
-            return float(start.imag)
-        lhalf = 0.5j * self.l
-        seg = adaptive_complex_quad(
-            lambda sg: 2.0 * sg * self.integrand(self.b - sg**2 + lhalf),
-            np.sqrt(self.b - u), np.sqrt(self.b), tol=1e-13)
-        return float((start + seg).imag)
+        return float(self._corner_G(np.array(np.sqrt(self.b - u) + 0j)).imag)
 
     def measure_saddle_height(self, target_x2: float = np.pi) -> float:
         """Measured chart height u* of the saddle point.
@@ -698,40 +598,3 @@ def scherk_loop_implicit(s: float, p):
 def scherk_loop_x2_extent(s: float) -> float:
     """Half-height of the loop on the x₂ axis: (1+s²)·arctan(2s/(1−s²))."""
     return (1.0 + s**2) * np.arctan(2.0 * s / (1.0 - s**2))
-
-
-# ----------------------------------------------------------------------
-# operation-style wrappers (module-level vocabulary)
-# ----------------------------------------------------------------------
-
-_HHP = HHPStrip()
-
-
-def hhp_forward(zeta):
-    """φ(ζ) = ζ + sinh ζ."""
-    return _HHP.forward(zeta)
-
-
-def hhp_inverse(z, newton_tol: float = 1e-12, max_iter: int = 60):
-    chart = HHPStrip(newton_tol=newton_tol, max_iter=max_iter)
-    return chart.inverse(z)
-
-
-def slit_forward(a: float, zeta):
-    return SlitHalfPlane(a=a).forward(zeta)
-
-
-def slit_inverse(a: float, z, newton_tol: float = 1e-12, max_iter: int = 60):
-    return SlitHalfPlane(a=a, newton_tol=newton_tol, max_iter=max_iter).inverse(z)
-
-
-def scherk_offset(s: float) -> float:
-    return ScherkStrip(s=s).offset
-
-
-def scherk_forward(s: float, zeta):
-    return ScherkStrip(s=s).forward(zeta)
-
-
-def scherk_inverse(s: float, z, newton_tol: float = 1e-12, max_iter: int = 60):
-    return ScherkStrip(s=s, newton_tol=newton_tol, max_iter=max_iter).inverse(z)

@@ -1,15 +1,19 @@
 """Quadrature helpers for complex path integrals.
 
-Two layers:
+No chart or mesh routine integrates numerically: the conformal charts and
+the Traizet primitives are closed forms.  What is left here serves the
+path-integral checks and the tests, as an independent oracle for those
+closed forms:
 
-* `segment_quad` / `polyline_quad` — composite Gauss–Legendre along straight
-  segments in the complex plane, vectorized over many segments at once.
-  Used inside Newton chart inversions and mesh-edge accumulation, where the
-  integrand is holomorphic and short segments make fixed order plenty.
+* `gauss_nodes` — Gauss–Legendre nodes and weights on [0, 1], for the
+  composite rule of `traizet._segment_integral` and the radial rule of
+  `variational.weiss_energy`;
+
+* `segment_quad` — composite Gauss–Legendre along straight segments in the
+  complex plane, vectorized over many segments at once;
 
 * `adaptive_complex_quad` — adaptive Gauss–Kronrod (scipy QUADPACK) applied
-  to real and imaginary parts, for one-off high-accuracy integrals
-  (chart offsets, boundary-line coordinates).
+  to real and imaginary parts, for one-off high-accuracy integrals.
 """
 
 from __future__ import annotations
@@ -23,8 +27,6 @@ from scipy.integrate import IntegrationWarning, quad
 __all__ = [
     "gauss_nodes",
     "segment_quad",
-    "segment_quad_adaptive",
-    "polyline_quad",
     "adaptive_complex_quad",
 ]
 
@@ -56,37 +58,6 @@ def segment_quad(f, a, b, order: int = 12, pieces: int = 1):
         vals = f(z)
         total = total + d * np.sum(vals * w, axis=-1)
     return total
-
-
-def segment_quad_adaptive(f, a, b, order: int = 12, tol: float = 1e-12,
-                          max_depth: int = 14):
-    """Scalar adaptive version of segment_quad (bisection on disagreement).
-
-    Compares order and 2x-composite estimates; splits until the difference
-    is below tol (absolute).  Intended for occasional awkward segments (near
-    integrable singularities), not bulk work.
-    """
-    a = complex(a)
-    b = complex(b)
-
-    def recurse(lo, hi, depth):
-        coarse = segment_quad(f, lo, hi, order=order, pieces=1)
-        fine = segment_quad(f, lo, hi, order=order, pieces=2)
-        if abs(fine - coarse) <= tol or depth >= max_depth:
-            return fine
-        mid = (lo + hi) / 2.0
-        return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
-
-    return complex(recurse(a, b, 0))
-
-
-def polyline_quad(f, vertices, order: int = 12, pieces: int = 1):
-    """∫ f dz along a polyline of complex vertices."""
-    vertices = np.asarray(vertices, dtype=complex)
-    if vertices.ndim != 1 or len(vertices) < 2:
-        return 0.0 + 0.0j
-    vals = segment_quad(f, vertices[:-1], vertices[1:], order=order, pieces=pieces)
-    return complex(np.sum(vals))
 
 
 def adaptive_complex_quad(f, t0: float, t1: float, tol: float = 1e-12,

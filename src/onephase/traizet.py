@@ -17,8 +17,10 @@ Contents:
 * `traizet_map` — path-integrated T with straight segments when visible and
   grid-routed polyline paths otherwise;
 * structured `Patch` factories per family (rectangle for the half-plane, an
-  annular band for the disk complement, chart rectangles for hairpin and
-  Scherk) carrying exact per-edge integrals of (2u_z)² dz;
+  annular band for the disk complement, a chart rectangle for the hairpin,
+  and an annulus around the loop for Scherk) carrying per-vertex values of
+  a closed-form holomorphic primitive F of (2u_z)²: z, −R²/z,
+  a(sinh w − w) in the hairpin chart w, and a·Ψ_s(ζ) in the Scherk chart ζ;
 * `build_mesh` — upper sheet from a patch plus the exact X₃-reflection,
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
@@ -27,7 +29,10 @@ Contents:
 * `orthogonality_check` — |angle − π/2| between the upper-sheet tangent
   plane and {X₃ = 0} at free-boundary vertices;
 * `catenoid_overlay` — neck-aligned profile residual of the disk-complement
-  image against √(R² + X₃²).
+  image against the catenoid R·cosh(X₃/R).
+
+Quadrature remains only in the path integrals `traizet_map` and
+`scherk_period`, which check the primitives independently.
 """
 
 from __future__ import annotations
@@ -36,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import format_float, write_csv_atomic, write_text_atomic
+from .common import (format_float, smoothstep5, write_csv_atomic,
+                     write_text_atomic)
 from .conformal import scherk_loop_point, scherk_loop_x2_extent
 from .errors import DomainError, InvalidInputError, TopologyError
 from .quad import gauss_nodes
@@ -279,37 +285,22 @@ def scherk_period(sol, tol: float = 1e-12):
 @dataclass
 class Patch:
     """A structured (nt × ns) planar vertex grid inside the closure of the
-    positive phase, with exact u values, a free-boundary vertex mask, and a
-    vectorized integral of (2u_z)² dz along grid edges (by flat vertex
-    index).  `weld_rows` identifies the last t-row with the first (periodic
-    seam); `base` is the (jt, is) integration origin and `base_sweep`
-    selects whether the initial cumulative sweep runs along the base row or
-    the base column (the latter keeps every quadrature segment of an
-    annular patch out of the zero phase).  `fb_probes` rows hold a
-    free-boundary vertex and its three inward grid neighbors (flat indices)
-    for the boundary-conormal estimate."""
+    positive phase, with exact u values, a free-boundary vertex mask, and
+    the per-vertex values of a holomorphic primitive F of (2u_z)², so the
+    integral of (2u_z)² dz between two vertices is the difference of their
+    F values.  `weld_rows` identifies the last t-row with the first
+    (periodic seam); `base` is the (jt, is) vertex that T maps to the
+    X₁X₂ origin.  `fb_probes` rows hold a free-boundary vertex and its three
+    inward grid neighbors (flat indices) for the boundary-conormal
+    estimate."""
 
     points: np.ndarray
     u_vals: np.ndarray
     fb_mask: np.ndarray
-    edge_integral: callable
+    primitive: np.ndarray
     base: tuple = (0, 0)
     weld_rows: bool = False
-    base_sweep: str = "row"
     fb_probes: np.ndarray = None
-
-
-def _blend5(t):
-    """Quintic smoothstep: 0 → 1 with two vanishing derivatives at both
-    ends."""
-    return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def _gl_edge_integrals(f, c0, c1, order=20):
-    """∫ f dζ along straight segments c0→c1 (vectorized over edges)."""
-    t, wts = gauss_nodes(order)
-    nodes = c0[:, None] + t[None, :] * (c1 - c0)[:, None]
-    return (f(nodes) @ wts) * (c1 - c0)
 
 
 def _probes_from_column(nt: int, ns: int, col: int, inward: int):
@@ -327,7 +318,7 @@ def _probes_from_row(nt: int, ns: int, row: int, inward: int):
 def patch_halfplane(width: float = 2.0, height: float = 2.0,
                     resolution: int = 64) -> Patch:
     """Rectangle [0, width] × [−height/2, height/2]; FB edge on {x₁ = 0};
-    (2u_z)² ≡ 1 integrates to Δz."""
+    (2u_z)² ≡ 1 has the primitive z."""
     ns = resolution + 1
     nt = resolution + 1
     xs = np.linspace(0.0, width, ns)
@@ -337,20 +328,15 @@ def patch_halfplane(width: float = 2.0, height: float = 2.0,
     u = X.copy()
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    zflat = (X + 1j * Y).ravel()
-
-    def edge_integral(f0, f1):
-        return zflat[f1] - zflat[f0]
-
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 edge_integral=edge_integral, base=(nt // 2, 0),
+    return Patch(points=pts, u_vals=u, fb_mask=fb, primitive=X + 1j * Y,
+                 base=(nt // 2, 0),
                  fb_probes=_probes_from_column(nt, ns, 0, 1))
 
 
 def patch_diskcomplement(R: float, outer: float = 2.0,
                          resolution: int = 64) -> Patch:
     """Annular band R ≤ ρ ≤ outer·R around the disk; FB ring at ρ = R;
-    (2u_z)² = R²/z² integrates in closed form to R²(1/z₀ − 1/z₁).
+    (2u_z)² = R²/z² has the primitive −R²/z.
     Periodic in the angular (t) direction."""
     if not outer > 1.0:
         raise InvalidInputError("patch_diskcomplement requires outer > 1")
@@ -365,13 +351,8 @@ def patch_diskcomplement(R: float, outer: float = 2.0,
     u[:, 0] = 0.0
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    zflat = Z.ravel()
-
-    def edge_integral(f0, f1):
-        return R * R * (1.0 / zflat[f0] - 1.0 / zflat[f1])
-
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 edge_integral=edge_integral, base=(0, 0), weld_rows=True,
+    return Patch(points=pts, u_vals=u, fb_mask=fb, primitive=-R * R / Z,
+                 base=(0, 0), weld_rows=True,
                  fb_probes=_probes_from_column(nt, ns, 0, 1))
 
 
@@ -379,8 +360,9 @@ def patch_hairpin(a: float, xi_max: float = 2.5,
                   resolution: int = 64) -> Patch:
     """Chart rectangle for the double hairpin: w = ξ + iη on
     [−ξmax, ξmax] × [−π/2, π/2], z = a(w + sinh w), u = a·Re cosh w; the
-    rows η = ±π/2 are the two catenaries; the chart integrand is
-    a·tanh²(w/2)(1 + cosh w), entire on the strip."""
+    rows η = ±π/2 are the two catenaries.  In the chart (2u_z)² dz =
+    a·tanh²(w/2)(1 + cosh w) dw = a(cosh w − 1) dw, with the primitive
+    a(sinh w − w)."""
     ns = resolution + 1
     nt = max(8, resolution // 2) + 1
     xi = np.linspace(-xi_max, xi_max, ns)
@@ -395,19 +377,10 @@ def patch_hairpin(a: float, xi_max: float = 2.5,
     fb[-1, :] = True
     u[0, :] = 0.0
     u[-1, :] = 0.0
-    wflat = W.ravel()
-
-    def integrand(w):
-        th = np.tanh(w / 2.0)
-        return a * th * th * (1.0 + np.cosh(w))
-
-    def edge_integral(f0, f1):
-        return _gl_edge_integrals(integrand, wflat[f0], wflat[f1])
-
     probes = np.vstack([_probes_from_row(nt, ns, 0, 1),
                         _probes_from_row(nt, ns, nt - 1, -1)])
     return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 edge_integral=edge_integral, base=(nt // 2, ns // 2),
+                 primitive=a * (np.sinh(W) - W), base=(nt // 2, ns // 2),
                  fb_probes=probes)
 
 
@@ -421,9 +394,10 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
     Radial mesh lines leave the loop along its outward planar normal (from
     the implicit loop equation) and blend smoothly into rays toward the
     outer ring, so the inward probe lines measure the pure boundary
-    conormal; the base sweep runs along the outer ring so every quadrature
-    segment stays out of the zero phase.  Edge integrals of (2u_z)² dz use
-    Gauss–Legendre with the analytic gradient."""
+    conormal.  With ζ = Φ_s⁻¹(z/a) on x₁ ≥ 0, 2u_z = e^{−φ_s(ζ)}, so
+    (2u_z)² dz = a·e^{−φ_s} dζ has the primitive F = a·Ψ_s(ζ); on x₁ < 0,
+    F(z) = −conj F(−z̄), and the halves agree on the axis because
+    Re Ψ_s(±il/2) = 0."""
     sol = Scherk(s, a)
     # the loop in polar form about the origin (it is star-shaped)
     ut = np.linspace(-np.pi * s, np.pi * s, 600)
@@ -473,24 +447,26 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
                                * normal[:, None, :])
     ray = inner[:, None, :] * (1.0 - rho[None, :, None]) \
         + outer[:, None, :] * rho[None, :, None]
-    w = _blend5(np.clip(rho / 0.45, 0.0, 1.0))[None, :, None]
+    w = smoothstep5(rho / 0.45)[None, :, None]
     pts = (1.0 - w) * nor + w * ray
-    u = sol.eval_u(pts)
+
+    chart = sol.chart()
+    q = (pts[..., 0] + 1j * pts[..., 1]) / a
+    right = q.real >= 0.0
+    q = np.where(right, q, -np.conj(q))
+    zeta = np.empty_like(q)
+    zeta[:, 1:] = chart.inverse(q[:, 1:])
+    # the interpolated FB ring lies within ~1e-4 of the loop on either
+    # side: continue Φ_s across Re ζ = 0 to reach it
+    zeta[:, 0] = chart.continued_inverse(q[:, 0])
+    u = a * zeta.real
     u[:, 0] = 0.0
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    zflat = (pts[..., 0] + 1j * pts[..., 1]).ravel()
-
-    def integrand(z):
-        p2 = np.stack([z.real, z.imag], axis=-1)
-        return _squared_diff(sol, p2)
-
-    def edge_integral(f0, f1):
-        return _gl_edge_integrals(integrand, zflat[f0], zflat[f1], order=24)
-
+    psi = a * chart.dual_primitive(zeta)
     return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 edge_integral=edge_integral, base=(0, ns - 1),
-                 weld_rows=True, base_sweep="col",
+                 primitive=np.where(right, psi, -np.conj(psi)),
+                 base=(0, ns - 1), weld_rows=True,
                  fb_probes=_probes_from_column(nt, ns, 0, 1))
 
 
@@ -535,51 +511,6 @@ class SurfaceMesh:
         return bnd
 
 
-def _integrate_patch(patch: Patch):
-    """Cumulative edge integrals over the structured grid from the base.
-
-    base_sweep "row": sweep along the base row, then along every column.
-    base_sweep "col": sweep along the base column, then along every row
-    (annular patches use this so no sweep edge crosses the zero phase).
-    """
-    nt, ns, _ = patch.points.shape
-    idx = np.arange(nt * ns).reshape(nt, ns)
-    I = np.zeros((nt, ns), dtype=complex)
-    jb, ib = patch.base
-    if patch.base_sweep == "row":
-        right = patch.edge_integral(idx[jb, :-1], idx[jb, 1:])
-        row = np.concatenate([[0.0], np.cumsum(right)])
-        I[jb, :] = row - row[ib]
-        if jb < nt - 1:
-            up = patch.edge_integral(idx[jb:-1, :].ravel(),
-                                     idx[jb + 1:, :].ravel())
-            I[jb + 1:, :] = I[jb, :][None, :] + np.cumsum(
-                up.reshape(nt - 1 - jb, ns), axis=0)
-        if jb > 0:
-            dn = patch.edge_integral(idx[1:jb + 1, :].ravel(),
-                                     idx[:jb, :].ravel())
-            I[:jb, :] = I[jb, :][None, :] + np.cumsum(
-                dn.reshape(jb, ns)[::-1], axis=0)[::-1]
-    elif patch.base_sweep == "col":
-        down = patch.edge_integral(idx[:-1, ib], idx[1:, ib])
-        col = np.concatenate([[0.0], np.cumsum(down)])
-        I[:, ib] = col - col[jb]
-        if ib < ns - 1:
-            rt = patch.edge_integral(idx[:, ib:-1].ravel(),
-                                     idx[:, ib + 1:].ravel())
-            I[:, ib + 1:] = I[:, ib][:, None] + np.cumsum(
-                rt.reshape(nt, ns - 1 - ib), axis=1)
-        if ib > 0:
-            lf = patch.edge_integral(idx[:, 1:ib + 1].ravel(),
-                                     idx[:, :ib].ravel())
-            I[:, :ib] = I[:, ib][:, None] + np.cumsum(
-                lf.reshape(nt, ib)[:, ::-1], axis=1)[:, ::-1]
-    else:
-        raise InvalidInputError(
-            f"unknown base_sweep {patch.base_sweep!r}")
-    return I
-
-
 def build_mesh(sol, patch: Patch, reflect: bool = True) -> SurfaceMesh:
     """Map a structured patch through T and complete by X₃-reflection.
 
@@ -589,8 +520,8 @@ def build_mesh(sol, patch: Patch, reflect: bool = True) -> SurfaceMesh:
     """
     nt, ns, _ = patch.points.shape
     Z = patch.points[..., 0] + 1j * patch.points[..., 1]
-    I = _integrate_patch(patch)
     jb, ib = patch.base
+    I = patch.primitive - patch.primitive[jb, ib]
     X12 = 0.5 * ((np.conj(Z) - np.conj(Z[jb, ib])) - I)
     X3 = np.asarray(patch.u_vals, dtype=float).copy()
     X3[patch.fb_mask] = 0.0
@@ -795,22 +726,17 @@ def orthogonality_check(mesh: SurfaceMesh):
     return mesh.probes[:, 0], defects
 
 
-def catenoid_overlay(mesh: SurfaceMesh, R: float,
-                     x3_cut: float = None) -> float:
-    """Max residual |√(X₁²+X₂²) − √(R² + X₃²)| over mesh vertices with
-    |X₃| ≤ x3_cut (default 0.045 R, where this profile parametrization and
-    the exact catenoid R·cosh(X₃/R) agree beyond 1e−6), after translating
-    the neck ring (X₃ = 0 vertices) to be centered on the axis."""
-    if x3_cut is None:
-        x3_cut = 0.045 * R
+def catenoid_overlay(mesh: SurfaceMesh, R: float) -> float:
+    """Max residual |√(X₁²+X₂²) − R·cosh(X₃/R)| over all mesh vertices,
+    after translating the neck ring (X₃ = 0 vertices) to be centered on the
+    axis: the disk-complement image is the catenoid of neck radius R."""
     fb = mesh.fb_vertices
     if len(fb) == 0:
         raise InvalidInputError("catenoid_overlay: mesh has no neck ring")
     center = mesh.vertices[fb, :2].mean(axis=0)
-    sel = np.abs(mesh.vertices[:, 2]) <= x3_cut
-    xy = mesh.vertices[sel, :2] - center[None, :]
+    xy = mesh.vertices[:, :2] - center[None, :]
     rho = np.hypot(xy[:, 0], xy[:, 1])
-    target = np.sqrt(R * R + mesh.vertices[sel, 2] ** 2)
+    target = R * np.cosh(mesh.vertices[:, 2] / R)
     return float(np.max(np.abs(rho - target)))
 
 

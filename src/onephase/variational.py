@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .common import Window, format_float, write_json_atomic, write_text_atomic
+from .common import (Window, format_float, smoothstep5, write_json_atomic,
+                     write_text_atomic)
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .quad import gauss_nodes
 from .solutions import Solution
@@ -159,12 +160,6 @@ def ac_energy(fld: ScalarField2D) -> float:
 # inner-variation residual
 # ---------------------------------------------------------------------------
 
-def _smoothstep5(t):
-    """Quintic smoothstep: 0 → 1 on [0, 1] with two flat derivatives."""
-    t = np.clip(t, 0.0, 1.0)
-    return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
-
-
 @dataclass
 class TestVectorField:
     """A C¹ vector field ψ with its divergence and Jacobian, the test object
@@ -185,7 +180,7 @@ class TestVectorField:
         c = np.asarray(center, dtype=float)
 
         def eta(rho):
-            return 1.0 - _smoothstep5((rho - r0) / (r1 - r0))
+            return 1.0 - smoothstep5((rho - r0) / (r1 - r0))
 
         def eta_p(rho):
             t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)
@@ -222,7 +217,7 @@ class TestVectorField:
         dvec = np.asarray(direction, dtype=float)
 
         def eta(rho):
-            return 1.0 - _smoothstep5((rho - r0) / (r1 - r0))
+            return 1.0 - smoothstep5((rho - r0) / (r1 - r0))
 
         def eta_p(rho):
             t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)

@@ -346,8 +346,8 @@ def test_criterion_10_blowdown_trends(stopwatch):
 def test_criterion_11_traizet_minimality(stopwatch):
     """Interior discrete mean curvature ≤ 1e−3 at resolution 128 and
     decreasing under 32 → 64 → 128; orthogonality defect at FB vertices
-    ≤ 1e−3; disk-complement image on the catenoid profile √(R² + X₃²)
-    within 1e−6 (budget: 2 min)."""
+    ≤ 1e−3; disk-complement image on the catenoid R·cosh(X₃/R) within
+    1e−6 (budget: 2 min)."""
     with stopwatch("criterion 11"):
         for sol in (DiskComplement(1.0), Hairpin(1.0), Scherk(0.5, 1.0)):
             sups = []

@@ -93,6 +93,26 @@ class TestVerify:
         assert mesh["resolutions"] == [16, 32]
         assert mesh["max_abs_H"][1] < mesh["max_abs_H"][0]
 
+    def test_unexpected_error_fails_one_entry(self, tmp_path, monkeypatch,
+                                              capsys):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr("onephase.cli.flux_balance", broken)
+        assert run("verify", "--family", "two_plane", "--param", "a=0.5",
+                   "--out", str(tmp_path)) == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert not report["all_passed"]
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert set(by_name) == {"variational_residual", "slope_condition",
+                                "weiss_scaling", "flux_balance",
+                                "circle_max", "mesh_minimality"}
+        assert by_name["flux_balance"] == {
+            "name": "flux_balance", "passed": False,
+            "error": "ZeroDivisionError: division by zero"}
+        assert by_name["variational_residual"]["passed"]
+        assert "ZeroDivisionError" in capsys.readouterr().err
+
     @staticmethod
     def _verify_sweep(tmp_path, family, seed=0):
         """Run `verify` on a small config and return its report; the run

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from onephase.common import (Window, clip_polyline_to_window,
                              densify_polyline, format_float,
                              points_in_polygon, polyline_length,
-                             write_csv_atomic, write_json_atomic,
-                             write_text_atomic)
+                             smoothstep5, write_csv_atomic,
+                             write_json_atomic, write_text_atomic)
 from onephase.errors import InvalidInputError
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
@@ -122,3 +122,14 @@ class TestPolylines:
         assert piece[:, 0].min() >= -1e-12
         assert piece[:, 0].max() <= 1.0 + 1e-12
         assert polyline_length(piece) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSmoothstep5:
+    def test_clipped_ends_and_midpoint(self):
+        t = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+        assert list(smoothstep5(t)) == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+    def test_flat_to_second_order_at_the_ends(self):
+        h = 1e-3
+        assert smoothstep5(h) < 11.0 * h**3
+        assert 1.0 - smoothstep5(1.0 - h) < 11.0 * h**3

@@ -3,11 +3,14 @@ consistency, and the closed-form Scherk loop relations."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onephase.conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
                                 scherk_loop_implicit, scherk_loop_point,
                                 scherk_loop_x2_extent)
 from onephase.errors import DomainError
+from onephase.quad import segment_quad
 
 
 def _strip_points(half_height, n=60, margin=0.08, width=2.5, seed=1):
@@ -120,6 +123,89 @@ class TestScherkStrip:
         chart = ScherkStrip(s=0.5)
         with pytest.raises(DomainError):
             chart.upper_line_x2(chart.b * 1.5)
+
+
+def _assert_round_trip(chart, zeta):
+    zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    back = chart.inverse(chart.forward(zeta))
+    assert np.max(np.abs(back - zeta)) <= 1e-9
+
+
+slopes = st.floats(0.02, 0.98)
+unit = st.floats(0.0, 1.0)
+
+
+class TestScherkRoundTripProperty:
+    """inverse ∘ forward = id over the whole slope range, in the bulk, the
+    far field and the saddle corners."""
+
+    @given(s=slopes, x=unit, y=unit)
+    @settings(max_examples=60, deadline=None)
+    def test_bulk(self, s, x, y):
+        chart = ScherkStrip(s=s)
+        _assert_round_trip(chart, (2.0 * chart.b + chart.l) * x
+                           + 1j * (y - 0.5) * chart.l)
+
+    @given(s=slopes, x=unit, y=unit)
+    @settings(max_examples=60, deadline=None)
+    def test_far_field(self, s, x, y):
+        chart = ScherkStrip(s=s)
+        _assert_round_trip(chart, 2.0 + 48.0 * x + 1j * (y - 0.5) * chart.l)
+
+    @given(s=slopes, log_rho=st.floats(-12.0, 0.0), angle=unit,
+           lower=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_corner_zone(self, s, log_rho, angle, lower):
+        chart = ScherkStrip(s=s)
+        rho = min(chart.l / 10.0, chart.b / 2.0) * 10.0 ** log_rho
+        # ζ* − ρe^{iα} with α ∈ [0, π] stays in the closed strip
+        zeta = chart.zeta_c - rho * np.exp(1j * np.pi * angle)
+        _assert_round_trip(chart, np.conj(zeta) if lower else zeta)
+
+
+class TestScherkClosedForms:
+    """The closed forms against quadrature of their integrands."""
+
+    @pytest.mark.parametrize("s", [0.02, 0.125, 0.5, 0.875, 0.98])
+    def test_real_parts_vanish_at_the_corners(self, s):
+        chart = ScherkStrip(s=s)
+        ends = np.array([0.5j, -0.5j]) * chart.l
+        assert np.max(np.abs(chart.forward(ends).real)) < 1e-14
+        assert np.max(np.abs(chart.dual_primitive(ends).real)) < 1e-14
+
+    @pytest.mark.parametrize("s", [0.02, 0.125, 0.5, 0.875, 0.98])
+    def test_primitives_match_segment_quadrature(self, s):
+        chart = ScherkStrip(s=s)
+        rng = np.random.default_rng(3)
+        zeta = (rng.uniform(0.0, 2.0 * chart.b + chart.l, 40)
+                + 1j * rng.uniform(-0.4, 0.4, 40) * chart.l)
+        zero = np.zeros_like(zeta)
+        phi_q = segment_quad(chart.integrand, zero, zeta, order=20,
+                             pieces=64)
+        psi_q = segment_quad(lambda z: np.exp(-chart.phi(z)), zero, zeta,
+                             order=20, pieces=64)
+        phi0 = chart.forward(np.array(0j))
+        psi0 = chart.dual_primitive(np.array(0j))
+        assert np.max(np.abs(chart.forward(zeta) - phi0 - phi_q)) < 1e-10
+        assert np.max(np.abs(chart.dual_primitive(zeta) - psi0 - psi_q)) \
+            < 1e-10
+
+    @pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+    def test_far_field_constant(self, s):
+        chart = ScherkStrip(s=s)
+        u = chart.b + 8.0 * chart.l
+        val = complex(chart.forward(np.array(u + 0j)))
+        assert val - u / s == pytest.approx(chart.c_inf, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.125, 0.5, 0.875])
+    def test_continued_inverse_reaches_inside_the_loop(self, s):
+        chart = ScherkStrip(s=s)
+        axis = 1j * np.linspace(-0.45, 0.45, 9) * chart.l
+        # 1e-5 into the zero phase: Φ_s′ on the axis is the outward normal
+        z = chart.forward(axis) - 1e-5 * chart.derivative(axis)
+        zeta = chart.continued_inverse(z)
+        assert np.max(np.abs(zeta - (axis - 1e-5))) < 1e-9
+        assert np.max(np.abs(chart._phi_closed(zeta) - z)) < 1e-12
 
 
 class TestScherkLoop:

@@ -5,12 +5,15 @@ free-boundary orthogonality, the catenoid overlay, and file outputs."""
 import numpy as np
 import pytest
 
+from onephase.conformal import scherk_loop_implicit
 from onephase.errors import DomainError, InvalidInputError, TopologyError
-from onephase.solutions import (DiskComplement, HalfPlane, Scherk, TwoPlane,
-                                Window)
-from onephase.traizet import (SurfaceMesh, build_mesh, canonical_mesh,
-                              catenoid_overlay, curvature_csv, mean_curvature,
-                              orthogonality_check, patch_halfplane,
+from onephase.solutions import (DiskComplement, Hairpin, HalfPlane, Scherk,
+                                TwoPlane, Window)
+from onephase.traizet import (SurfaceMesh, _segment_integral, _visible,
+                              build_mesh, canonical_mesh, catenoid_overlay,
+                              curvature_csv, mean_curvature,
+                              orthogonality_check, patch_diskcomplement,
+                              patch_hairpin, patch_halfplane, patch_scherk,
                               scherk_period, traizet_map, wirtinger)
 
 
@@ -95,6 +98,72 @@ class TestScherkPeriod:
     def test_requires_scherk(self, halfplane):
         with pytest.raises(InvalidInputError):
             scherk_period(halfplane)
+
+
+def _patch_cases():
+    return [(HalfPlane(), patch_halfplane(resolution=16)),
+            (DiskComplement(1.0), patch_diskcomplement(1.0, resolution=16)),
+            (Hairpin(1.0), patch_hairpin(1.0, resolution=16)),
+            (Scherk(0.5, 1.0), patch_scherk(0.5, 1.0, resolution=16)),
+            (Scherk(0.875, 1.0), patch_scherk(0.875, 1.0, resolution=16))]
+
+
+class TestPatchPrimitives:
+    """Per-vertex primitives against the path integrals of (2u_z)² dz."""
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_differences_match_segment_integrals(self, case):
+        sol, patch = _patch_cases()[case]
+        pts = patch.points.reshape(-1, 2)
+        F = patch.primitive.ravel()
+        inner = np.nonzero(~patch.fb_mask.ravel())[0]
+        rng = np.random.default_rng(case)
+        pairs = []
+        if isinstance(sol, Scherk):
+            # both halves, and pairs across the axis x₁ = 0
+            left = inner[pts[inner, 0] < 0.0]
+            right = inner[pts[inner, 0] > 0.0]
+            for a, b in ((left, left), (right, right), (left, right)):
+                pairs += list(zip(rng.choice(a, 6), rng.choice(b, 6)))
+        else:
+            pairs = list(zip(rng.choice(inner, 12), rng.choice(inner, 12)))
+        checked = 0
+        for i, j in pairs:
+            if not _visible(sol, pts[i], pts[j]):
+                continue
+            path = _segment_integral(sol, complex(*pts[i]), complex(*pts[j]))
+            assert abs((F[j] - F[i]) - path) < 1e-9, (i, j)
+            checked += 1
+        assert checked >= 4
+
+    def test_scherk_fb_ring_outside_the_loop(self):
+        # FB vertices on the positive side of the loop: the primitive agrees
+        # with the path integral from the inward neighbour
+        sol = Scherk(0.875, 1.0)
+        patch = patch_scherk(0.875, 1.0, resolution=32)
+        ring = patch.points[:, 0]
+        out = np.nonzero(scherk_loop_implicit(0.875, ring) > 0.0)[0]
+        assert len(out) > 0
+        for j in out:
+            z0 = complex(*patch.points[j, 1])
+            z1 = complex(*ring[j])
+            path = _segment_integral(sol, z0, z1)
+            diff = patch.primitive[j, 0] - patch.primitive[j, 1]
+            assert abs(diff - path) < 1e-9, j
+
+    @pytest.mark.parametrize("case", [1, 3, 4])
+    def test_welded_seam_rows_carry_equal_primitives(self, case):
+        _, patch = _patch_cases()[case]
+        assert patch.weld_rows
+        assert np.max(np.abs(patch.primitive[0] - patch.primitive[-1])) \
+            < 1e-13
+
+    def test_scherk_heights_are_the_solution(self):
+        sol = Scherk(0.875, 1.0)
+        patch = patch_scherk(0.875, 1.0, resolution=16)
+        assert np.all(patch.u_vals[:, 0] == 0.0)
+        assert np.array_equal(patch.u_vals[:, 1:],
+                              sol.eval_u(patch.points[:, 1:]))
 
 
 def _sphere_mesh(R=2.0, n_lat=28, n_lon=56):
