@@ -372,38 +372,45 @@ class ScherkStrip(ConformalChart):
         return s2 * lg + rest, lg + s2 * rest
 
     def _closed(self, zeta):
-        """(Φ_s, Ψ_s) at ζ, on the closed strip and across Re ζ = 0.
+        """(Φ_s, Ψ_s) at ζ in the closed strip.
 
         r = √((e + s²)/(1 + s²e)) with e = e^{−ζ/s}.  On the upper half strip
         Im r ≤ 0, and on the cut {Im ζ = l/2, Re ζ < b} r takes its limit
-        from inside; the lower half follows by Φ_s(ζ̄) = conj Φ_s(ζ).
+        from inside; the lower half follows by Φ_s(ζ̄) = conj Φ_s(ζ).  Within
+        l/10 of the corner, where e + s² cancels, e and r come from the
+        corner chart instead.
         """
         zeta = _as_complex(zeta)
-        low = zeta.imag < 0.0
-        zu = np.where(low, np.conj(zeta), zeta)
+        shape = zeta.shape
+        zf = zeta.ravel()
+        low = zf.imag < 0.0
+        zu = np.where(low, np.conj(zf), zf)
         s2 = self.s * self.s
-        e = np.exp(-zu / self.s)
+        zeta_s = zu / self.s
+        e = np.exp(-zeta_s)
         w = (e + s2) / (1.0 + s2 * e)
         r = np.conj(np.sqrt(w.real + 1j * np.abs(w.imag)))
-        phi_v, psi_v = self._from_r(zu / self.s, e, r)
-        return (np.where(low, np.conj(phi_v), phi_v),
-                np.where(low, np.conj(psi_v), psi_v))
-
-    def _phi_closed(self, zeta):
-        return self._closed(zeta)[0]
+        near = np.abs(zu - self.zeta_c) < 0.1 * self.l
+        if np.any(near):
+            d = self.zeta_c - zu[near]
+            zeta_s[near], e[near], r[near] = self._corner_values(
+                np.sqrt(d.real + 1j * np.abs(d.imag)))
+        phi_v, psi_v = self._from_r(zeta_s, e, r)
+        return (np.where(low, np.conj(phi_v), phi_v).reshape(shape),
+                np.where(low, np.conj(psi_v), psi_v).reshape(shape))
 
     def forward(self, zeta):
         """Φ_s(ζ) = s²·log((1−sr)/(1+sr)) + 2·log(s+r) + ζ/s + log(1+s²e)
-        − log(1−s⁴), with e = e^{−ζ/s} and r = √((e+s²)/(1+s²e))."""
+        − log(1−s⁴), with e = e^{−ζ/s} and r = √((e+s²)/(1+s²e)); regular
+        right up to the saddle corners."""
         zeta = _as_complex(zeta)
         if np.any(zeta.real < -1e-12):
             raise DomainError("scherk_forward: Re ζ must be ≥ 0")
-        return self._phi_closed(zeta)
+        return self._closed(zeta)[0]
 
     def dual_primitive(self, zeta):
         """Ψ_s(ζ) = ∫ e^{−φ_s} dζ = log((1−sr)/(1+sr)) + s²·[2·log(s+r) + ζ/s
-        + log(1+s²e) − log(1−s⁴)], normalized by Re Ψ_s(±il/2) = 0.  Defined
-        a little across Re ζ = 0 as well."""
+        + log(1+s²e) − log(1−s⁴)], normalized by Re Ψ_s(±il/2) = 0."""
         return self._closed(zeta)[1]
 
     # -- corner chart (saddle neighborhood) --------------------------------
@@ -421,11 +428,13 @@ class ScherkStrip(ConformalChart):
         q = np.sqrt(self.s * h / (1.0 - self.s**4 * np.exp(x)))
         return x, q
 
-    def _corner_G(self, tau):
-        tau = _as_complex(tau)
+    def _corner_values(self, tau):
+        """(ζ/s, e, r) at ζ = ζ* − τ²."""
         x, q = self._corner_q(tau)
-        e = -self.s**2 * np.exp(x)
-        return self._from_r(self.zeta_c / self.s - x, e, -1j * tau * q)[0]
+        return self.zeta_c / self.s - x, -self.s**2 * np.exp(x), -1j * tau * q
+
+    def _corner_G(self, tau):
+        return self._from_r(*self._corner_values(_as_complex(tau)))[0]
 
     def _corner_Gp(self, tau):
         return -2j / self._corner_q(_as_complex(tau))[1]
@@ -471,7 +480,7 @@ class ScherkStrip(ConformalChart):
                                 np.linspace(2.0 * b, b + 3.0 * l, 12)[1:]])
             v = np.linspace(-0.5 * l, 0.5 * l, 27)[1:-1]
             Z = (u[:, None] + 1j * v[None, :]).ravel()
-            self._anchors = (Z, self._phi_closed(Z))
+            self._anchors = (Z, self.forward(Z))
         return self._anchors
 
     def inverse(self, z):
@@ -481,15 +490,6 @@ class ScherkStrip(ConformalChart):
         far out, from ζ = s(z − c_inf); targets within `corner_zone_radius`
         of a saddle ±iπ go through the square-root corner chart instead.
         """
-        return self._invert(z, 0.0)
-
-    def continued_inverse(self, z):
-        """`inverse` of Φ_s continued across Re ζ = 0, for targets within
-        rounding of the loop on either side (Re ζ of either sign)."""
-        return self._invert(z, -0.5 * self.b)
-
-    def _invert(self, z, re_min):
-        """Newton inversion with the iterates kept in Re ζ ≥ re_min."""
         z = _as_complex(z)
         shape = z.shape
         zall = z.ravel()
@@ -509,7 +509,7 @@ class ScherkStrip(ConformalChart):
         half = 0.5 * self.l
 
         def project(zt):
-            zt.real = np.maximum(zt.real, re_min)
+            zt.real = np.maximum(zt.real, 0.0)
             zt.imag = np.clip(zt.imag, -half, half)
             return zt
 
@@ -518,15 +518,14 @@ class ScherkStrip(ConformalChart):
         zeta0 = self.s * (zf - self.c_inf)
         if not np.all(far):
             zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], anchors_w)]
-        zeta, conv = _damped_newton(zf, zeta0, self._phi_closed,
-                                    self.derivative, project,
-                                    self.newton_tol, self.max_iter)
+        zeta, conv = _damped_newton(zf, zeta0, self.forward, self.derivative,
+                                    project, self.newton_tol, self.max_iter)
         if not np.all(conv):
             bad = ~conv
             u0 = self.b + self.l
             res, ok = _homotopy_rescue(
-                zf[bad], complex(self._phi_closed(np.array(u0 + 0j))),
-                complex(u0), self._phi_closed, self.derivative, project,
+                zf[bad], complex(self.forward(np.array(u0 + 0j))),
+                complex(u0), self.forward, self.derivative, project,
                 self.newton_tol, self.max_iter)
             zeta[bad] = res
             if not np.all(ok):

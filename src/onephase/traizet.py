@@ -399,26 +399,22 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
     F(z) = −conj F(−z̄), and the halves agree on the axis because
     Re Ψ_s(±il/2) = 0."""
     sol = Scherk(s, a)
-    # the loop in polar form about the origin (it is star-shaped)
+    # the right half of the loop is a·Φ_s(iũ), ũ ∈ [−l/2, l/2]; it is
+    # star-shaped about the origin, its polar angle rising from −π/2 to π/2
     ut = np.linspace(-np.pi * s, np.pi * s, 600)
-    right = a * scherk_loop_point(s, ut)
-    th_r = np.arctan2(right[:, 1], right[:, 0])
-    rr = np.hypot(right[:, 0], right[:, 1])
-    order = np.argsort(th_r)
-    th_samp = th_r[order]
-    r_samp = rr[order]
-    # extend by the left-half mirror (θ → π − θ) to cover the full circle
-    th_full = np.concatenate([th_samp, np.pi - th_samp[::-1]])
-    r_full = np.concatenate([r_samp, r_samp[::-1]])
-    order = np.argsort(th_full)
-    th_full = th_full[order]
-    r_full = r_full[order]
+    loop = scherk_loop_point(s, ut)
+    th_loop = np.arctan2(loop[:, 1], loop[:, 0])
 
     nt = (5 * resolution) // 2 + 1       # angular samples (last = first)
     ns = max(8, resolution // 2) + 1     # radial levels, s = 0 on the loop
     theta = np.linspace(-np.pi, np.pi, nt)
-    r_in = np.interp(theta, th_full, r_full, period=2.0 * np.pi)
-    inner = np.stack([r_in * np.cos(theta), r_in * np.sin(theta)], axis=-1)
+    # FB ring on the loop at ũ interpolated in the polar angle; the left
+    # half is the mirror θ → π − θ
+    ut_in = np.interp(np.arctan2(np.sin(theta), np.abs(np.cos(theta))),
+                      th_loop, ut)
+    inner = a * scherk_loop_point(s, ut_in)
+    inner[:, 0] = np.copysign(inner[:, 0], np.cos(theta))
+    r_in = np.hypot(inner[:, 0], inner[:, 1])
 
     loop_top = a * scherk_loop_x2_extent(s)
     Yf = 0.5 * (loop_top + np.pi * a)
@@ -456,11 +452,8 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
     q = np.where(right, q, -np.conj(q))
     zeta = np.empty_like(q)
     zeta[:, 1:] = chart.inverse(q[:, 1:])
-    # the interpolated FB ring lies within ~1e-4 of the loop on either
-    # side: continue Φ_s across Re ζ = 0 to reach it
-    zeta[:, 0] = chart.continued_inverse(q[:, 0])
+    zeta[:, 0] = 1j * ut_in
     u = a * zeta.real
-    u[:, 0] = 0.0
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
     psi = a * chart.dual_primitive(zeta)

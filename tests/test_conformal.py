@@ -197,15 +197,18 @@ class TestScherkClosedForms:
         val = complex(chart.forward(np.array(u + 0j)))
         assert val - u / s == pytest.approx(chart.c_inf, abs=1e-12)
 
-    @pytest.mark.parametrize("s", [0.125, 0.5, 0.875])
-    def test_continued_inverse_reaches_inside_the_loop(self, s):
+    @pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+    @pytest.mark.parametrize("rho", [1e-12, 1e-11, 1e-10])
+    def test_forward_regular_at_the_corners(self, s, rho):
+        # Φ_s(ζ* − τ²) = iπ + B·τ·(1 + O(τ²)): a rounding error ε in Φ_s
+        # shows as ε/|τ| here, so e + s² must not cancel
         chart = ScherkStrip(s=s)
-        axis = 1j * np.linspace(-0.45, 0.45, 9) * chart.l
-        # 1e-5 into the zero phase: Φ_s′ on the axis is the outward normal
-        z = chart.forward(axis) - 1e-5 * chart.derivative(axis)
-        zeta = chart.continued_inverse(z)
-        assert np.max(np.abs(zeta - (axis - 1e-5))) < 1e-9
-        assert np.max(np.abs(chart._phi_closed(zeta) - z)) < 1e-12
+        zeta = chart.zeta_c - rho * np.exp(1j * np.linspace(0.0, np.pi, 7))
+        tau = np.sqrt(chart.zeta_c - zeta)
+        slope = (chart.forward(zeta) - 1j * np.pi) / tau
+        assert np.max(np.abs(slope - chart._B)) < 1e-7
+        lower = chart.forward(np.conj(zeta))
+        assert np.max(np.abs(lower - np.conj(chart.forward(zeta)))) == 0.0
 
 
 class TestScherkLoop:

@@ -136,18 +136,17 @@ class TestPatchPrimitives:
             checked += 1
         assert checked >= 4
 
-    def test_scherk_fb_ring_outside_the_loop(self):
-        # FB vertices on the positive side of the loop: the primitive agrees
-        # with the path integral from the inward neighbour
-        sol = Scherk(0.875, 1.0)
-        patch = patch_scherk(0.875, 1.0, resolution=32)
+    @pytest.mark.parametrize("s", [0.5, 0.875])
+    def test_scherk_fb_ring_on_the_loop(self, s):
+        # ring vertices lie on the loop, and their primitive agrees with
+        # the path integral from the inward neighbour
+        sol = Scherk(s, 1.0)
+        patch = patch_scherk(s, 1.0, resolution=16)
         ring = patch.points[:, 0]
-        out = np.nonzero(scherk_loop_implicit(0.875, ring) > 0.0)[0]
-        assert len(out) > 0
-        for j in out:
+        assert np.max(np.abs(scherk_loop_implicit(s, ring))) < 1e-14
+        for j in range(len(ring)):
             z0 = complex(*patch.points[j, 1])
-            z1 = complex(*ring[j])
-            path = _segment_integral(sol, z0, z1)
+            path = _segment_integral(sol, z0, complex(*ring[j]))
             diff = patch.primitive[j, 0] - patch.primitive[j, 1]
             assert abs(diff - path) < 1e-9, j
 
