@@ -493,24 +493,14 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
         sol = cfg.get_solution()
         boundary = sol.eval_u
 
-    cascade = bool(cfg.params.get("cascade", True))
-    n_cells = round(window.width / h)
-    levels = [h]
-    if cascade:
-        while n_cells % 2 == 0 and n_cells > 32:
-            n_cells //= 2
-            levels.insert(0, levels[0] * 2.0)
-
-    result = None
-    init = None
+    result = minimize_ac(window, h, boundary,
+                         tol=float(cfg.params.get("descent_tol", 1e-3)))
     history_rows = []
-    for level_h in levels:
-        result = minimize_ac(window, level_h, boundary, init=init,
-                             tol=float(cfg.params.get("descent_tol", 1e-3)))
-        for phase, energies in enumerate(result.energy_history):
-            for it, e in enumerate(energies):
-                history_rows.append([format_float(level_h), phase, it, e])
-        init = result.field.interpolate
+    for k, (level_h, energies) in enumerate(zip(result.history_h,
+                                                 result.energy_history)):
+        phase = result.history_h[:k].count(level_h)
+        history_rows += [[format_float(level_h), phase, it, e]
+                         for it, e in enumerate(energies)]
 
     field_path = out / "minimize_field.csv"
     result.field.save(field_path)

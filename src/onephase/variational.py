@@ -17,7 +17,9 @@ Discretization (`ScalarField2D` on a uniform node grid of spacing h):
 β_ε(t) = 3(t/ε)² − 2(t/ε)³ on [0, ε] and anneals ε over a short schedule
 while running projected (v ≥ 0) Barzilai–Borwein descent with monotone
 backtracking; the Euler–Lagrange system per phase is 2Δ_h v = β'_ε(v) at the
-free interior nodes with the given Dirichlet trace.
+free interior nodes with the given Dirichlet trace.  It runs coarse to fine
+with one sparse K per grid, vᵀKv the Dirichlet term; each grid's cleanup is
+one sparse LU solve of K v = 0 on the positive phase.
 
 Diagnostics:
 
@@ -36,15 +38,17 @@ Diagnostics:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import quad_vec
+from scipy.sparse.linalg import splu
 
 from .common import (Window, format_float, smoothstep5, write_json_atomic,
                      write_text_atomic)
-from .errors import ConvergenceError, DomainError, InvalidInputError
+from .errors import DomainError, InvalidInputError
 from .quad import gauss_nodes
 from .solutions import Solution
 
@@ -179,31 +183,20 @@ class TestVectorField:
             raise InvalidInputError("radial_bump requires 0 < r0 < r1")
         c = np.asarray(center, dtype=float)
 
-        def eta(rho):
-            return 1.0 - smoothstep5((rho - r0) / (r1 - r0))
-
-        def eta_p(rho):
-            t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)
-            return -(30.0 * t**2 - 60.0 * t**3 + 30.0 * t**4) / (r1 - r0)
-
         def func(p):
-            d = np.asarray(p, float) - c
-            rho = np.hypot(d[..., 0], d[..., 1])
-            return eta(rho)[..., None] * d
+            d, _, eta, _ = _bump(p, c, r0, r1)
+            return eta[..., None] * d
 
         def div(p):
-            d = np.asarray(p, float) - c
-            rho = np.hypot(d[..., 0], d[..., 1])
-            return 2.0 * eta(rho) + rho * eta_p(rho)
+            _, rho, eta, eta_p = _bump(p, c, r0, r1)
+            return 2.0 * eta + rho * eta_p
 
         def jac(p):
-            d = np.asarray(p, float) - c
-            rho = np.hypot(d[..., 0], d[..., 1])
-            safe = np.maximum(rho, 1e-300)
-            k = (eta_p(rho) / safe)[..., None, None]
+            d, rho, eta, eta_p = _bump(p, c, r0, r1)
+            k = (eta_p / np.maximum(rho, 1e-300))[..., None, None]
             outer = d[..., :, None] * d[..., None, :]
             eye = np.eye(2).reshape((1,) * (d.ndim - 1) + (2, 2))
-            return eta(rho)[..., None, None] * eye + k * outer
+            return eta[..., None, None] * eye + k * outer
 
         return TestVectorField(func=func, div=div, jac=jac)
 
@@ -216,23 +209,13 @@ class TestVectorField:
         c = np.asarray(center, dtype=float)
         dvec = np.asarray(direction, dtype=float)
 
-        def eta(rho):
-            return 1.0 - smoothstep5((rho - r0) / (r1 - r0))
-
-        def eta_p(rho):
-            t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)
-            return -(30.0 * t**2 - 60.0 * t**3 + 30.0 * t**4) / (r1 - r0)
-
         def func(p):
-            d = np.asarray(p, float) - c
-            rho = np.hypot(d[..., 0], d[..., 1])
-            return eta(rho)[..., None] * dvec
+            _, _, eta, _ = _bump(p, c, r0, r1)
+            return eta[..., None] * dvec
 
         def grad_eta(p):
-            d = np.asarray(p, float) - c
-            rho = np.hypot(d[..., 0], d[..., 1])
-            safe = np.maximum(rho, 1e-300)
-            return (eta_p(rho) / safe)[..., None] * d
+            d, rho, _, eta_p = _bump(p, c, r0, r1)
+            return (eta_p / np.maximum(rho, 1e-300))[..., None] * d
 
         def div(p):
             return np.einsum("...k,k->...", grad_eta(p), dvec)
@@ -242,6 +225,16 @@ class TestVectorField:
             return dvec[:, None] * g[..., None, :]
 
         return TestVectorField(func=func, div=div, jac=jac)
+
+
+def _bump(p, center, r0, r1):
+    """d = p − c, ρ = |d|, the cutoff η(ρ) = 1 − smoothstep5((ρ−r0)/(r1−r0))
+    and η′(ρ), shared by the bump fields."""
+    d = np.asarray(p, float) - center
+    rho = np.hypot(d[..., 0], d[..., 1])
+    t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)
+    eta_p = -(30.0 * t**2 - 60.0 * t**3 + 30.0 * t**4) / (r1 - r0)
+    return d, rho, 1.0 - smoothstep5(t), eta_p
 
 
 def variational_residual(sol, psi, window: Window, h: float):
@@ -401,15 +394,25 @@ class OneSidedPlane(Solution):
 # minimization
 # ---------------------------------------------------------------------------
 
+#: annealing schedule ε = factor·h, BB step cap per phase, and the cell count
+#: in x below which the cascade stops halving the grid.
+_EPS_FACTORS = (2.0, 1.0, 0.5)
+_MAX_ITER_PER_PHASE = 20000
+_COARSEST_CELLS = 32
+
+
 @dataclass
 class MinimizeResult:
-    """`energy_history` holds one list per annealing phase — the per-iteration
-    smoothed energies, each non-increasing by construction.  `energy` is the
-    sharp discrete J of the returned (cleaned) field."""
+    """`energy_history` holds one list per annealing phase and level, coarse
+    to fine, of per-iteration smoothed energies (each non-increasing by
+    construction); `history_h[k]` is entry k's grid spacing.  `energy` is the
+    sharp discrete J of the returned (cleaned) field, and `iterations` sums
+    the BB iterations of all levels."""
 
     field: ScalarField2D
     energy: float
     energy_history: list
+    history_h: list
     residual: float
     iterations: int
     converged: bool
@@ -426,135 +429,142 @@ def _beta_prime(v, eps):
     return np.where(inside, (6.0 * t - 6.0 * t * t) / eps, 0.0)
 
 
+def _stiffness(shape):
+    """Sparse K on the row-major node grid of `shape` with
+    vᵀKv = Σ_cells h²|∇_c v|² = Σ_cells ½[(v₁₁−v₀₀)² + (v₁₀−v₀₁)²]:
+    each node couples to its diagonal neighbours only."""
+    m, n = shape
+    col = np.arange(m * n) % n
+    up = np.where(col[:m * n - n - 1] < n - 1, -0.5, 0.0)  # (j,i)–(j+1,i+1)
+    anti = np.where(col[:m * n - n + 1] > 0, -0.5, 0.0)    # (j,i)–(j+1,i−1)
+    return sparse.diags([2.0 * _node_weights(shape).ravel(), up, up, anti,
+                         anti], [0, n + 1, -n - 1, n - 1, 1 - n], format="csr")
+
+
+def _relax(v, fixed, h, tol):
+    """One cascade level of `minimize_ac`, the annealed descent and the
+    cleanup, on the flattened field `v`; the nodes of the 2-D mask `fixed`
+    keep their values.  Returns the flat field, one energy list per phase,
+    the iteration count and the last phase's free residual."""
+    K = _stiffness(fixed.shape)
+    h2 = h * h
+    wh2 = h2 * _node_weights(fixed.shape).ravel()
+    fixed = fixed.ravel()
+
+    # sums, not BLAS dot products: threaded ddot spins idle workers, and its
+    # summation order, so the BB path, depends on the thread count
+    def objective_and_grad(vv, eps):
+        Kv = K @ vv
+        E = float(np.sum(vv * Kv + wh2 * _beta(vv, eps)))
+        G = 2.0 * Kv + wh2 * _beta_prime(vv, eps)
+        G[fixed] = 0.0
+        return E, G
+
+    def free_residual(vv, G):
+        free = ~fixed & ((vv > 0.0) | (G < 0.0))
+        n = int(np.sum(free))
+        return float(np.sqrt(np.sum(G[free] ** 2) / max(n, 1))) / h2
+
+    history, iterations = [], 0
+    for eps in np.multiply(_EPS_FACTORS, h):
+        E, G = objective_and_grad(v, eps)
+        phase = [E]
+        alpha = h2  # first trial step; BB takes over immediately
+        v_prev = G_prev = None
+        for _it in range(_MAX_ITER_PER_PHASE):
+            iterations += 1
+            residual = free_residual(v, G)
+            if residual <= tol:
+                break
+            if v_prev is not None:
+                sv = v - v_prev
+                denom = float(np.sum(sv * (G - G_prev)))
+                if denom > 1e-300:
+                    alpha = float(np.sum(sv * sv)) / denom
+                alpha = float(np.clip(alpha, 1e-3 * h2, 1e6 * h2))
+            # G vanishes on fixed nodes, so each trial step keeps them
+            a = alpha
+            for _bt in range(40):
+                v_new = np.maximum(v - a * G, 0.0)
+                E_new, G_new = objective_and_grad(v_new, eps)
+                if E_new <= E + 1e-12 * max(1.0, abs(E)):
+                    break
+                a *= 0.5
+            else:
+                break  # line search exhausted: stationary to round-off
+            v_prev, G_prev = v, G
+            v, E, G = v_new, E_new, G_new
+            phase.append(E)
+        history.append(phase)
+
+    free = ~fixed & (v >= 0.5 * eps)
+    v = np.where(fixed | free, v, 0.0)
+    idx = np.flatnonzero(free)
+    if idx.size:
+        # minimum degree on Kᵀ+K and 1-column panels: small fill and workspace
+        lu = splu(K[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                  panel_size=1)
+        v[idx] = np.maximum(lu.solve(-(K[idx] @ np.where(free, 0.0, v))),
+                            0.0)  # ≥ 0 up to round-off
+    return v, history, iterations, residual
+
+
 def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
-                eps_factors=(2.0, 1.0, 0.5), max_iter_per_phase: int = 20000,
-                tol: float = 1e-3, polish_iters: int = 400) -> MinimizeResult:
+                tol: float = 1e-3) -> MinimizeResult:
     """Minimize the smoothed discrete J over nonnegative grid fields with a
-    Dirichlet trace on ∂W.
+    Dirichlet trace on ∂W, coarse to fine.
 
     boundary: callable(points (...,2)) → trace values on boundary nodes.
-    init: optional interior initializer — a ScalarField2D-compatible array,
-    a callable, or None for seeded uniform noise (`rng`, default seed 0).
+    init: optional initializer — an array on the (window, h) grid, a
+    callable, or None for seeded uniform noise (`rng`, default seed 0).
 
-    Each annealing phase (ε = factor·h) runs projected Barzilai–Borwein
-    descent with monotone backtracking; the reported residual is the rms
-    projected gradient over free nodes (interior nodes not pinned at the
-    constraint v = 0 with uphill gradient), for the final ε.
+    The grid is halved while both cell counts are even and more than 32
+    cells span the width.  `init` (an array through bilinear interpolation)
+    seeds the coarsest level, and each level's cleaned field the next.  Each
+    level anneals ε over 2h, h, h/2 with projected Barzilai–Borwein descent
+    and monotone backtracking; the residual is the rms projected gradient
+    over free nodes (interior nodes not pinned at v = 0 with uphill
+    gradient), for the finest level's last ε.
 
     Cleanup: the smoothed problem 2Δv = β'_ε(v) has exponential tails where
     the sharp minimizer is exactly zero, so interior nodes below ε_final/2
     (the β midpoint; ≪ the O(h) node values the slope condition forces next
-    to the free boundary) are snapped to 0, and `polish_iters` descent steps
-    on the Dirichlet term alone, with the zero set frozen, re-harmonize the
-    positive phase.
+    to the free boundary) are snapped to 0; one sparse LU solve of K v = 0 on
+    the other interior nodes then makes the positive phase discrete-harmonic.
     """
     xs, ys = window.grid(h)
-    X, Y = np.meshgrid(xs, ys)
-    shape = X.shape
-    bmask = np.zeros(shape, dtype=bool)
-    bmask[0, :] = bmask[-1, :] = True
-    bmask[:, 0] = bmask[:, -1] = True
-    bvals = np.asarray(boundary(np.stack([X, Y], axis=-1)), dtype=float)
-    if np.any(bvals[bmask] < 0.0):
-        raise InvalidInputError("minimize_ac: boundary trace must be ≥ 0")
+    nx, ny = len(xs) - 1, len(ys) - 1
+    levels = [h]
+    while nx % 2 == 0 and ny % 2 == 0 and nx > _COARSEST_CELLS:
+        nx, ny = nx // 2, ny // 2
+        levels.insert(0, 2.0 * levels[0])
+    if init is not None and not callable(init):
+        init = ScalarField2D(window=window, h=h, values=init).interpolate
+    rng = np.random.default_rng(0) if rng is None else rng
 
-    if init is None:
-        rng = np.random.default_rng(0) if rng is None else rng
-        scale = max(float(bvals[bmask].max()), h)
-        v = rng.uniform(0.0, scale, size=shape)
-    elif callable(init):
-        v = np.asarray(init(np.stack([X, Y], axis=-1)), dtype=float).copy()
-    else:
-        v = np.asarray(init, dtype=float).copy()
-        if v.shape != shape:
-            raise InvalidInputError(f"init shape {v.shape} != grid {shape}")
-    v = np.maximum(v, 0.0)
-    v[bmask] = bvals[bmask]
+    energy_history, history_h, iterations = [], [], 0
+    for level_h in levels:
+        pts = np.stack(np.meshgrid(*window.grid(level_h)), axis=-1)
+        fixed = np.ones(pts.shape[:2], dtype=bool)
+        fixed[1:-1, 1:-1] = False
+        bvals = np.asarray(boundary(pts), dtype=float)[fixed]
+        if np.any(bvals < 0.0):
+            raise InvalidInputError("minimize_ac: boundary trace must be ≥ 0")
+        if init is None:
+            v = rng.uniform(0.0, max(float(bvals.max()), level_h),
+                            size=fixed.shape)
+        else:
+            v = np.maximum(np.asarray(init(pts), dtype=float), 0.0)
+        v[fixed] = bvals
+        v, hist, n_iter, residual = _relax(v.ravel(), fixed, level_h, tol)
+        energy_history += hist
+        history_h += [level_h] * len(hist)
+        iterations += n_iter
+        fld = ScalarField2D(window=window, h=level_h,
+                            values=v.reshape(fixed.shape))
+        init = fld.interpolate
 
-    w = _node_weights(shape)
-    h2 = h * h
-
-    def objective_and_grad(vv, eps):
-        ux, uy = _cell_gradients(vv, h)
-        E = float(np.sum(ux**2 + uy**2)) * h2
-        A = h * ux
-        B = h * uy
-        G = np.zeros_like(vv)
-        G[1:, 1:] += A + B
-        G[1:, :-1] += -A + B
-        G[:-1, 1:] += A - B
-        G[:-1, :-1] += -A - B
-        if eps is not None:
-            E += float(np.sum(w * _beta(vv, eps))) * h2
-            G += h2 * w * _beta_prime(vv, eps)
-        G[bmask] = 0.0
-        return E, G
-
-    def free_residual(vv, G):
-        free = ~bmask & ((vv > 0.0) | (G < 0.0))
-        n = int(np.sum(free))
-        return float(np.sqrt(np.sum(G[free] ** 2) / max(n, 1))) / h2
-
-    state = {"total_iter": 0, "residual": np.inf}
-
-    def run_phase(vv, eps, n_iter, frozen=None):
-        E, G = objective_and_grad(vv, eps)
-        if frozen is not None:
-            G[frozen] = 0.0
-        history = [E]
-        alpha = h2  # first trial step; BB takes over immediately
-        v_prev = None
-        G_prev = None
-        for _it in range(n_iter):
-            state["total_iter"] += 1
-            state["residual"] = free_residual(vv, G)
-            if state["residual"] <= tol:
-                break
-            # projected BB step with monotone backtracking
-            if v_prev is not None:
-                sv = (vv - v_prev).ravel()
-                sy = (G - G_prev).ravel()
-                denom = float(sv @ sy)
-                if denom > 1e-300:
-                    alpha = float(sv @ sv) / denom
-                alpha = float(np.clip(alpha, 1e-3 * h2, 1e6 * h2))
-            ok = False
-            a = alpha
-            for _bt in range(40):
-                v_new = np.maximum(vv - a * G, 0.0)
-                v_new[bmask] = bvals[bmask]
-                if frozen is not None:
-                    v_new[frozen] = 0.0
-                E_new, G_new = objective_and_grad(v_new, eps)
-                if frozen is not None:
-                    G_new[frozen] = 0.0
-                if E_new <= E + 1e-12 * max(1.0, abs(E)):
-                    ok = True
-                    break
-                a *= 0.5
-            if not ok:
-                break  # line search exhausted: stationary to round-off
-            v_prev, G_prev = vv, G
-            vv, E, G = v_new, E_new, G_new
-            history.append(E)
-        return vv, history
-
-    energy_history = []
-    for fac in eps_factors:
-        v, hist = run_phase(v, fac * h, max_iter_per_phase)
-        energy_history.append(hist)
-    converged = state["residual"] <= tol
-    smoothed_residual = state["residual"]
-
-    # sharp cleanup: snap the sub-threshold tails to zero and re-harmonize
-    eps_fin = eps_factors[-1] * h
-    frozen = ~bmask & (v < 0.5 * eps_fin)
-    v[frozen] = 0.0
-    if polish_iters > 0:
-        v, _ = run_phase(v, None, polish_iters, frozen=frozen)
-
-    fld = ScalarField2D(window=window, h=h, values=v)
     return MinimizeResult(field=fld, energy=ac_energy(fld),
-                          energy_history=energy_history,
-                          residual=smoothed_residual,
-                          iterations=state["total_iter"], converged=converged)
+                          energy_history=energy_history, history_h=history_h,
+                          residual=residual, iterations=iterations,
+                          converged=residual <= tol)

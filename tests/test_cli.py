@@ -10,7 +10,7 @@ import pytest
 
 from onephase.cli import CLI_FAMILIES, main
 from onephase.solutions import HalfPlane, Window
-from onephase.variational import ScalarField2D
+from onephase.variational import ScalarField2D, minimize_ac
 
 
 def run(*argv):
@@ -158,6 +158,28 @@ class TestMinimize:
         energy = (tmp_path / "minimize_energy.csv").read_text().splitlines()
         assert energy[0] == "h,phase,iteration,energy"
         assert len(energy) > 10
+
+    def test_same_field_as_library(self, tmp_path):
+        assert run("minimize", "--family", "half_plane",
+                   "--resolution", "64", "--out", str(tmp_path)) == 0
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 2.0 / 64,
+                          HalfPlane().eval_u)
+        out = ScalarField2D.load(tmp_path / "minimize_field.csv")
+        assert np.array_equal(out.values, res.field.values)
+        rows = np.loadtxt(tmp_path / "minimize_energy.csv", delimiter=",",
+                          skiprows=1)
+        assert sorted(set(rows[:, 0])) == [1.0 / 32, 1.0 / 16]
+        assert set(rows[:, 1]) == {0.0, 1.0, 2.0}
+        assert len(rows) == sum(map(len, res.energy_history))
+
+    def test_odd_cell_count_in_y(self, tmp_path):
+        # 64 × 33 cells: an even width alone must not halve the grid
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": [-1.0, -1.0, 1.0, 0.03125]}))
+        assert run("minimize", "--config", str(cfg), "--family", "half_plane",
+                   "--param", "h=0.03125", "--out", str(tmp_path)) == 0
+        out = ScalarField2D.load(tmp_path / "minimize_field.csv")
+        assert out.shape == (34, 65)
 
     def test_boundary_field_header_mismatch(self, tmp_path):
         fld = ScalarField2D.from_solution(HalfPlane(),

@@ -2,6 +2,10 @@
 behaviors (exact vs. one-sided competitor), Weiss functional, viscosity
 slopes, and a small minimizer run."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +14,9 @@ from hypothesis import strategies as st
 from onephase.errors import DomainError, InvalidInputError
 from onephase.solutions import HalfPlane, Hairpin, TwoPlane, Wedge, Window
 from onephase.variational import (OneSidedPlane, ScalarField2D,
-                                  TestVectorField, ac_energy, minimize_ac,
-                                  variational_residual, viscosity_slope,
-                                  weiss_energy)
+                                  TestVectorField, _stiffness, ac_energy,
+                                  minimize_ac, variational_residual,
+                                  viscosity_slope, weiss_energy)
 
 
 class TestScalarField:
@@ -188,6 +192,19 @@ class TestViscositySlope:
             viscosity_slope(halfplane, (0.5, 0.0))
 
 
+class TestStiffness:
+    @pytest.mark.parametrize("shape", [(5, 9), (17, 4), (33, 65)])
+    def test_quadratic_form_is_gradient_term(self, shape):
+        m, n = shape
+        h = 0.125
+        w = Window(0.0, 0.0, h * (n - 1), h * (m - 1))
+        # v ≤ 0 leaves ac_energy only its cell-gradient term
+        v = -np.random.default_rng(m * n).uniform(0.0, 1.0, size=shape)
+        expect = ac_energy(ScalarField2D(window=w, h=h, values=v))
+        got = v.ravel() @ (_stiffness(shape) @ v.ravel())
+        assert got == pytest.approx(expect, rel=1e-12)
+
+
 class TestMinimize:
     def test_recovers_half_plane_small_grid(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
@@ -203,6 +220,36 @@ class TestMinimize:
         pts = np.array([[0.5, 0.0], [0.25, -0.4], [0.75, 0.6], [-0.5, 0.0]])
         expect = sol.eval_u(pts)
         assert np.max(np.abs(res.field.interpolate(pts) - expect)) < 2 * h
+
+    def test_positive_phase_is_discrete_harmonic(self):
+        # non-square window whose cascade runs 32×24 → 64×48 cells
+        w = Window(-1.0, -1.0, 1.0, 0.5)
+        res = minimize_ac(w, 1.0 / 32, boundary=HalfPlane().eval_u)
+        assert res.history_h == [1.0 / 16] * 3 + [1.0 / 32] * 3
+        v = res.field.values
+        # K·v by the diagonal-neighbour stencil of the cell-gradient form
+        Kv = 2.0 * v[1:-1, 1:-1] - 0.5 * (v[2:, 2:] + v[:-2, :-2]
+                                          + v[2:, :-2] + v[:-2, 2:])
+        positive = v[1:-1, 1:-1] > 0.0
+        assert positive.sum() > 100
+        assert np.max(np.abs(Kv[positive])) < 1e-10
+
+    def test_same_run_at_any_blas_thread_count(self):
+        # 105² nodes: OpenBLAS threads a dot product of this length
+        code = """if True:
+            import hashlib
+            from onephase.solutions import HalfPlane, Window
+            from onephase.variational import minimize_ac
+            r = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 2.0 / 104,
+                            HalfPlane().eval_u)
+            print(r.iterations, r.residual.hex(), r.energy_history,
+                  hashlib.sha256(r.field.values.tobytes()).hexdigest())
+        """
+        outs = [subprocess.run([sys.executable, "-c", code], check=True,
+                               env=dict(os.environ, OPENBLAS_NUM_THREADS=n),
+                               capture_output=True, text=True).stdout
+                for n in ("1", "2")]
+        assert outs[0] == outs[1]
 
     def test_negative_trace_rejected(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
