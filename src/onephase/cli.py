@@ -43,13 +43,11 @@ from .errors import DomainError, InvalidInputError, OnePhaseError
 from .geometry import (FreeBoundary, classify_flat, annulus_flat_check,
                        circle_max, extract_boundary, flux_balance,
                        random_polygon_in_phase)
-from .solutions import (FAMILIES, Hairpin, RigidMotion, Scherk, Solution,
-                        solution_from_dict)
-from .traizet import canonical_mesh, curvature_csv, mean_curvature, \
-    orthogonality_check
-from .variational import (OneSidedPlane, ScalarField2D, TestVectorField,
-                          minimize_ac, variational_residual, viscosity_slope,
-                          weiss_energy)
+from .solutions import KINDS, Hairpin, Scherk, Solution, solution_from_dict
+from .traizet import CANONICAL_PATCHES, canonical_mesh, curvature_csv, \
+    mean_curvature, orthogonality_check
+from .variational import (ScalarField2D, TestVectorField, minimize_ac,
+                          variational_residual, viscosity_slope, weiss_energy)
 
 __all__ = ["ExperimentConfig", "main",
            "cmd_boundary", "cmd_verify", "cmd_minimize", "cmd_traizet",
@@ -60,16 +58,9 @@ __all__ = ["ExperimentConfig", "main",
 # configuration
 # ---------------------------------------------------------------------------
 
-#: families the CLI can instantiate; extends the serialization registry with
-#: the one-sided competitor (useful to demonstrate a failing residual check).
-CLI_FAMILIES = dict(FAMILIES) | {OneSidedPlane.kind: OneSidedPlane}
-
-#: families with a canonical surface mesh (cmd_traizet / curvature sweeps).
-MESHABLE = {"half_plane", "disk_complement", "hairpin", "scherk"}
-
-#: 1-homogeneous families (Weiss energy is scale-invariant about the origin).
-#: TwoPlane is excluded: its gap width is a fixed length scale.
-HOMOGENEOUS = {"half_plane", "wedge", "one_sided_plane"}
+#: families the CLI can instantiate: the whole registry, so the one-sided
+#: competitor can demonstrate a failing residual check.
+CLI_FAMILIES = KINDS
 
 
 @dataclass
@@ -110,16 +101,7 @@ class ExperimentConfig:
             raise InvalidInputError(
                 "this command needs a solution: pass --family/--param or put "
                 'a {"family": ..., "params": ...} descriptor in the config')
-        d = dict(self.solution)
-        fam = d.get("family")
-        if fam == OneSidedPlane.kind:
-            params = {k: float(v) for k, v in d.get("params", {}).items()}
-            motion = RigidMotion.from_dict(d.get("motion", {}))
-            try:
-                return OneSidedPlane(**params, motion=motion)
-            except TypeError as e:
-                raise InvalidInputError(f"bad parameters for {fam}: {e}") from e
-        return solution_from_dict(d)
+        return solution_from_dict(self.solution)
 
     def tolerance(self, name: str, default: float) -> float:
         """Per-check tolerance: explicit params[name] wins, then the generic
@@ -385,7 +367,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                 "n_points": len(pts)}
 
     def check_weiss():
-        if sol.kind not in HOMOGENEOUS or not sol.motion.is_identity():
+        if not sol.homogeneous or not sol.motion.is_identity():
             return {"skipped": True,
                     "reason": "Weiss scale-invariance holds for homogeneous "
                               "solutions about the origin only"}
@@ -431,7 +413,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         return {"passed": bool(ok), "radius": r, "centers": rows}
 
     def check_mesh():
-        if sol.kind not in MESHABLE:
+        if sol.kind not in CANONICAL_PATCHES:
             return {"skipped": True,
                     "reason": f"no canonical mesh for family {sol.kind}"}
         tol_h = cfg.tolerance("curvature_tol", 1e-3)

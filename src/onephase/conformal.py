@@ -24,11 +24,12 @@ of) the positive phase of an exact solution family:
   Re Φ_s and Re Ψ_s vanish at ζ = ± il/2.  Height S_s(z) = Re Φ_s⁻¹(z) on
   the image half-cell D_s ⊂ {x₁ > 0, |x₂| < π}.
 
-All charts carry ``newton_tol`` and ``max_iter``; inversions are damped
-Newton iterations (vectorized, with family-specific initializations) plus a
-scalar homotopy-continuation fallback for stragglers.  φ′ = 1 + cosh has
-positive real part on the closed strip, and the Scherk/slit derivatives are
-nonvanishing in the model interiors, so the iterations are well posed.
+Every inversion goes through one driver, `_solve`: vectorized damped
+Newton from family-specific initializations, then a scalar
+homotopy-continuation fallback for stragglers, then `ConvergenceError`.
+φ′ = 1 + cosh has positive real part on the closed strip, and the
+Scherk/slit derivatives are nonvanishing in the model interiors, so the
+iterations are well posed.
 No chart integrates numerically; the tests check the closed forms against
 `quad`.
 """
@@ -36,14 +37,13 @@ No chart integrates numerically; the tests check the closed forms against
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 
 __all__ = [
-    "ConformalChart",
     "HHPStrip",
     "SlitHalfPlane",
     "ScherkStrip",
@@ -53,6 +53,12 @@ __all__ = [
 ]
 
 _HALF_PI = np.pi / 2.0
+
+#: Newton residual tolerance |f(ζ) − target| ≤ tol·max(1, |target|), the
+#: iteration cap, and the step halvings per damped update
+_NEWTON_TOL = 1e-12
+_MAX_ITER = 60
+_MAX_HALVINGS = 10
 
 
 def _as_complex(z):
@@ -74,20 +80,18 @@ def _nearest_anchor(targets, anchors):
 # shared Newton driver
 # ----------------------------------------------------------------------
 
-def _damped_newton(targets, z0, f, fprime, project, tol, max_iter,
-                   max_halvings: int = 10):
+def _damped_newton(targets, z0, f, fprime, project):
     """Vectorized damped Newton for f(ζ) = target.
 
     targets, z0: complex arrays of one shape.  `project` folds iterates back
-    into the model domain.  Returns (zeta, converged_mask).  Residual test is
-    |f(ζ) − target| ≤ tol · max(1, |target|).
+    into the model domain.  Returns (zeta, converged_mask).
     """
     target = _as_complex(targets)
     zeta = project(_as_complex(z0).copy())
     res = f(zeta) - target
     scale = np.maximum(1.0, np.abs(target))
-    for _ in range(max_iter):
-        active = np.abs(res) > tol * scale
+    for _ in range(_MAX_ITER):
+        active = np.abs(res) > _NEWTON_TOL * scale
         if not np.any(active):
             break
         with np.errstate(all="ignore"):
@@ -95,7 +99,7 @@ def _damped_newton(targets, z0, f, fprime, project, tol, max_iter,
         step = np.where(np.isfinite(step), step, 0.0)
         # damped update: halve the step until the residual does not grow
         factor = np.ones_like(scale)
-        for _h in range(max_halvings):
+        for _h in range(_MAX_HALVINGS):
             # np.asarray: 0-d operands decay to scalars, which the in-place
             # projections cannot modify
             cand = project(np.asarray(zeta + factor * step))
@@ -106,11 +110,11 @@ def _damped_newton(targets, z0, f, fprime, project, tol, max_iter,
             factor = np.where(worse, factor * 0.5, factor)
         zeta = np.asarray(np.where(active, cand, zeta))
         res = np.asarray(np.where(active, cand_res, res))
-    return zeta, np.abs(res) <= tol * scale
+    return zeta, np.abs(res) <= _NEWTON_TOL * scale
 
 
 def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
-                     project, tol, max_iter):
+                     project):
     """Scalar continuation along the segment anchor→target for stragglers."""
     out = np.empty(bad_targets.shape, dtype=complex)
     ok = np.zeros(bad_targets.shape, dtype=bool)
@@ -118,17 +122,14 @@ def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
         steps = 4
         for _attempt in range(6):
             zeta = complex(anchor_zeta)
-            good = True
             for k in range(1, steps + 1):
                 t = anchor_target + (zt - anchor_target) * (k / steps)
                 zeta_arr, conv = _damped_newton(
-                    np.array(t), np.array(zeta), f, fprime, project,
-                    tol, max_iter)
+                    np.array(t), np.array(zeta), f, fprime, project)
                 if not bool(conv):
-                    good = False
                     break
                 zeta = complex(zeta_arr)
-            if good:
+            else:
                 out[idx] = zeta
                 ok[idx] = True
                 break
@@ -136,25 +137,41 @@ def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
     return out, ok
 
 
+def _solve(targets, starts, f, fprime, project, anchor, what):
+    """ζ with f(ζ) = target for a flat complex array of targets.
+
+    Damped Newton runs from each start in turn (callables of the targets
+    still unconverged), then homotopy continuation from the regular point
+    ζ = `anchor` rescues the stragglers.  Raises ConvergenceError, with the
+    last iterates, if any point still fails.
+    """
+    targets = _as_complex(targets)
+    zeta, conv = _damped_newton(targets, starts[0](targets), f, fprime,
+                                project)
+    for start in starts[1:]:
+        if not np.all(conv):
+            bad = ~conv
+            zeta[bad], conv[bad] = _damped_newton(
+                targets[bad], start(targets[bad]), f, fprime, project)
+    if np.all(conv):
+        return zeta
+    bad = np.flatnonzero(~conv)
+    res, ok = _homotopy_rescue(targets[bad], complex(f(np.array(anchor))),
+                               anchor, f, fprime, project)
+    zeta[bad[ok]] = res[ok]
+    if not np.all(ok):
+        raise ConvergenceError(
+            f"{what}: {int(np.sum(~ok))} point(s) failed to converge",
+            last_iterate=zeta)
+    return zeta
+
+
 # ----------------------------------------------------------------------
 # HHP strip chart: φ(ζ) = ζ + sinh ζ
 # ----------------------------------------------------------------------
 
-@dataclass
-class ConformalChart:
-    """Base chart record: kind tag plus the Newton inversion policy."""
-
-    kind: str = field(init=False, default="abstract")
-    newton_tol: float = 1e-12
-    max_iter: int = 60
-
-
-@dataclass
-class HHPStrip(ConformalChart):
+class HHPStrip:
     """φ(ζ) = ζ + sinh ζ on S = {|Im ζ| < π/2} onto Ω₁."""
-
-    def __post_init__(self):
-        self.kind = "hhp_strip"
 
     @staticmethod
     def forward(zeta):
@@ -186,29 +203,11 @@ class HHPStrip(ConformalChart):
             w.imag = np.clip(w.imag, -_HALF_PI, _HALF_PI)
             return w
 
-        f = lambda w: w + np.sinh(w)
-        fp = lambda w: 1.0 + np.cosh(w)
-
-        w0 = np.where(np.abs(zf) <= 2.5, zf / 2.0, np.arcsinh(zf))
-        w, conv = _damped_newton(zf, w0, f, fp, project,
-                                 self.newton_tol, self.max_iter)
-        if not np.all(conv):
-            # retry the complementary initialization
-            alt = np.where(np.abs(zf) <= 2.5, np.arcsinh(zf), zf / 2.0)
-            w2, conv2 = _damped_newton(zf[~conv], alt[~conv], f, fp, project,
-                                       self.newton_tol, self.max_iter)
-            w[~conv] = w2
-            conv[~conv] = conv2
-        if not np.all(conv):
-            bad = ~conv
-            res, ok = _homotopy_rescue(zf[bad], 0.0 + 0.0j, 0.0 + 0.0j,
-                                       f, fp, project,
-                                       self.newton_tol, self.max_iter)
-            w[bad] = res
-            if not np.all(ok):
-                raise ConvergenceError(
-                    f"hhp_inverse: {int(np.sum(~ok))} point(s) failed to converge",
-                    last_iterate=w.reshape(shape))
+        # z/2 near the neck and arcsinh z far out, then the other way round
+        starts = [lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t)),
+                  lambda t: np.where(np.abs(t) <= 2.5, np.arcsinh(t), t / 2.0)]
+        w = _solve(zf, starts, lambda w: w + np.sinh(w), self.derivative,
+                   project, 0j, "hhp_inverse")
         return w.reshape(shape)
 
 
@@ -217,7 +216,7 @@ class HHPStrip(ConformalChart):
 # ----------------------------------------------------------------------
 
 @dataclass
-class SlitHalfPlane(ConformalChart):
+class SlitHalfPlane:
     """Φ_a on S_a = {Re ζ > 0} ∖ (0, a], the double-hairpin description."""
 
     a: float = 1.0
@@ -225,7 +224,6 @@ class SlitHalfPlane(ConformalChart):
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidInputError("SlitHalfPlane requires a > 0")
-        self.kind = "slit_half_plane"
         self._anchors = None
 
     # -- forward map -----------------------------------------------------
@@ -276,9 +274,16 @@ class SlitHalfPlane(ConformalChart):
             zeta.real = np.maximum(zeta.real, 1e-300)
             return zeta
 
-        f = self.forward
-        fp = self.derivative
+        # rescue along a segment from ζ = 2a, a regular interior point on
+        # the symmetry axis
+        zeta = _solve(zf, [self._start], self.forward, self.derivative,
+                      project, complex(2.0 * a), "slit_inverse")
+        return zeta.reshape(shape)
 
+    def _start(self, zf):
+        """Newton start per target: square-root expansion at the tip, the
+        log asymptote far out, and the nearest anchor in between."""
+        a = self.a
         zeta0 = np.empty_like(zf)
         small = np.abs(zf) <= 0.5 * a
         large = np.abs(zf) > 4.0 * a
@@ -293,23 +298,7 @@ class SlitHalfPlane(ConformalChart):
         if np.any(mid):
             anchors_zeta, anchors_z = self._anchor_table()
             zeta0[mid] = anchors_zeta[_nearest_anchor(zf[mid], anchors_z)]
-
-        zeta, conv = _damped_newton(zf, zeta0, f, fp, project,
-                                    self.newton_tol, self.max_iter)
-        if not np.all(conv):
-            bad = ~conv
-            # rescue along a segment from the image of ζ = 2a (a regular
-            # interior point on the symmetry axis)
-            res, ok = _homotopy_rescue(zf[bad],
-                                       complex(self.forward(np.array(2.0 * a))),
-                                       complex(2.0 * a), f, fp, project,
-                                       self.newton_tol, self.max_iter)
-            zeta[bad] = res
-            if not np.all(ok):
-                raise ConvergenceError(
-                    f"slit_inverse: {int(np.sum(~ok))} point(s) failed to converge",
-                    last_iterate=zeta.reshape(shape))
-        return zeta.reshape(shape)
+        return zeta0
 
 
 # ----------------------------------------------------------------------
@@ -328,7 +317,7 @@ def _log1p_exp(w):
 
 
 @dataclass
-class ScherkStrip(ConformalChart):
+class ScherkStrip:
     """Φ_s on S_l = {Re ζ > 0, |Im ζ| < l/2} with l = 2πs, b = 2s log(1/s)."""
 
     s: float = 0.5
@@ -336,7 +325,6 @@ class ScherkStrip(ConformalChart):
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise InvalidInputError("ScherkStrip requires 0 < s < 1")
-        self.kind = "scherk_strip"
         s = self.s
         self.l = 2.0 * np.pi * s
         self.b = 2.0 * s * np.log(1.0 / s)
@@ -455,21 +443,14 @@ class ScherkStrip(ConformalChart):
             r = np.abs(t)
             return np.where(r > cap, t * (cap / np.maximum(r, 1e-300)), t)
 
-        tau0 = (z - 1j * np.pi) / self._B
-        tau, conv = _damped_newton(z, tau0, self._corner_G, self._corner_Gp,
-                                   project, self.newton_tol, self.max_iter)
-        if not np.all(conv):
-            bad = ~conv
-            anchor_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
-            res, ok = _homotopy_rescue(
-                z[bad], complex(self._corner_G(np.array(anchor_tau))),
-                complex(anchor_tau), self._corner_G, self._corner_Gp,
-                project, self.newton_tol, self.max_iter)
-            tau[bad] = res
-            if not np.all(ok):
-                raise ConvergenceError(
-                    f"scherk_inverse: {int(np.sum(~ok))} corner point(s) failed",
-                    last_iterate=self.zeta_c - tau**2)
+        anchor_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
+        try:
+            tau = _solve(z, [lambda t: (t - 1j * np.pi) / self._B],
+                         self._corner_G, self._corner_Gp, project,
+                         complex(anchor_tau), "scherk_inverse (corner)")
+        except ConvergenceError as e:
+            e.last_iterate = self.zeta_c - e.last_iterate**2
+            raise
         return self.zeta_c - tau**2
 
     # -- inverse -----------------------------------------------------------
@@ -513,27 +494,19 @@ class ScherkStrip(ConformalChart):
             zt.imag = np.clip(zt.imag, -half, half)
             return zt
 
+        out[bulk] = _solve(zf, [self._bulk_start], self.forward,
+                           self.derivative, project,
+                           complex(self.b + self.l), "scherk_inverse")
+        return out.reshape(shape)
+
+    def _bulk_start(self, zf):
+        """Nearest anchor, or far out the asymptote ζ = s(z − c_inf)."""
         anchors_zeta, anchors_w = self._anchor_table()
         far = zf.real > float(np.max(anchors_w.real)) - 2.0
         zeta0 = self.s * (zf - self.c_inf)
         if not np.all(far):
             zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], anchors_w)]
-        zeta, conv = _damped_newton(zf, zeta0, self.forward, self.derivative,
-                                    project, self.newton_tol, self.max_iter)
-        if not np.all(conv):
-            bad = ~conv
-            u0 = self.b + self.l
-            res, ok = _homotopy_rescue(
-                zf[bad], complex(self.forward(np.array(u0 + 0j))),
-                complex(u0), self.forward, self.derivative, project,
-                self.newton_tol, self.max_iter)
-            zeta[bad] = res
-            if not np.all(ok):
-                raise ConvergenceError(
-                    f"scherk_inverse: {int(np.sum(~ok))} point(s) failed to converge",
-                    last_iterate=zeta)
-        out[bulk] = zeta
-        return out.reshape(shape)
+        return zeta0
 
     # -- boundary line (top strip edge → saddle) ---------------------------
     def upper_line_x2(self, u: float) -> float:

@@ -86,17 +86,7 @@ class PolyCurve:
 
     def is_simple(self, tol: float = 1e-12) -> bool:
         """Closed-curve simplicity check (O(n²); diagnostics only)."""
-        v = self.vertices
-        n = len(v) - 1
-        for i in range(n):
-            a, b = v[i], v[i + 1]
-            for j in range(i + 2, n):
-                if self.closed and i == 0 and j == n - 1:
-                    continue
-                c, d = v[j], v[j + 1]
-                if _segments_intersect(a, b, c, d, tol):
-                    return False
-        return True
+        return not _self_intersects(self.vertices, self.closed, tol)
 
 
 @dataclass
@@ -136,6 +126,19 @@ def _segments_intersect(a, b, c, d, tol):
     o1, o2 = orient(a, b, c), orient(a, b, d)
     o3, o4 = orient(c, d, a), orient(c, d, b)
     return (o1 * o2 < -tol) and (o3 * o4 < -tol)
+
+
+def _self_intersects(v, closed, tol) -> bool:
+    """Whether two non-adjacent segments (v[i], v[i+1]) of the polyline v
+    cross (O(n²)); `closed` makes the last and first segments adjacent."""
+    n = len(v) - 1
+    for i in range(n):
+        for j in range(i + 2, n):
+            if closed and i == 0 and j == n - 1:
+                continue
+            if _segments_intersect(v[i], v[i + 1], v[j], v[j + 1], tol):
+                return True
+    return False
 
 
 def _as_polyline_list(obj):
@@ -413,16 +416,11 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
     if len(P) < 3:
         raise InvalidInputError("flux_balance: degenerate polygon")
     n = len(P)
-    for i in range(n):
-        a, b = P[i], P[(i + 1) % n]
-        if np.hypot(*(b - a)) == 0.0:
-            raise InvalidInputError("flux_balance: repeated polygon vertex")
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = P[j], P[(j + 1) % n]
-            if _segments_intersect(a, b, c, d, 0.0):
-                raise InvalidInputError("flux_balance: polygon self-intersects")
+    ring = np.vstack([P, P[:1]])
+    if np.any(np.all(ring[1:] == ring[:-1], axis=1)):
+        raise InvalidInputError("flux_balance: repeated polygon vertex")
+    if _self_intersects(ring, True, 0.0):
+        raise InvalidInputError("flux_balance: polygon self-intersects")
     # orient counterclockwise so the outward normal is (t_y, −t_x)
     area2 = float(np.sum(P[:, 0] * np.roll(P[:, 1], -1)
                          - np.roll(P[:, 0], -1) * P[:, 1]))
@@ -561,14 +559,11 @@ def random_polygon_in_phase(sol, window: Window, rng,
 # ---------------------------------------------------------------------------
 
 def _phase_components(u_vals, active, eps):
-    """4-connected component counts of {u > eps} and {u ≤ eps} restricted to
-    `active` nodes; returns (n_pos, n_zero, labels_pos, labels_zero)."""
+    """4-connected component counts (n_pos, n_zero) of {u > eps} and
+    {u ≤ eps} restricted to `active` nodes."""
     four = ndimage.generate_binary_structure(2, 1)
-    pos = (u_vals > eps) & active
-    zero = (u_vals <= eps) & active
-    lab_pos, n_pos = ndimage.label(pos, structure=four)
-    lab_zero, n_zero = ndimage.label(zero, structure=four)
-    return n_pos, n_zero, lab_pos, lab_zero
+    return (ndimage.label((u_vals > eps) & active, structure=four)[1],
+            ndimage.label((u_vals <= eps) & active, structure=four)[1])
 
 
 def _eval_on(sol_or_field, pts):
@@ -682,8 +677,8 @@ def classify_flat(sol_or_field, delta: float, eps: float = 1e-9,
         u = _eval_on(sol_or_field, np.stack([X, Y], axis=-1))
         return _phase_components(u, active, eps)
 
-    n_pos1, n_zero1, _, _ = counts_on_ball(1.0)
-    n_pos2, n_zero2, _, _ = counts_on_ball(2.0)
+    n_pos1, n_zero1 = counts_on_ball(1.0)
+    n_pos2, n_zero2 = counts_on_ball(2.0)
 
     graphs = {}
     arc_ok = True

@@ -15,6 +15,11 @@ F(u) = ∂Ω⁺(u), up to a rigid motion and a dilation carried by the instance:
                          row of ovals on the x₂-axis, asymptotic to the wedge
                          of slope s; saddle value 2s·log(1/s) per unit scale.
 
+``OneSidedPlane(s)``, u = s·x₁⁺, is the competitor that is not a solution for
+s ≠ 1: harmonic where positive, but |∇u| = s on F.  It sits in the registry
+`KINDS` so it serializes like the families, but not in `FAMILIES`, the exact
+solutions.
+
 Conventions
 -----------
 * Points are real arrays of shape (..., 2); values have shape (...).
@@ -51,6 +56,8 @@ __all__ = [
     "Hairpin",
     "DiskComplement",
     "Scherk",
+    "OneSidedPlane",
+    "KINDS",
     "FAMILIES",
     "solution_from_dict",
     "load_solution",
@@ -111,6 +118,11 @@ class Solution(ABC):
     motion: RigidMotion = field(default_factory=RigidMotion, kw_only=True)
 
     kind = "abstract"
+    #: False for a competitor that fails the free-boundary condition
+    exact_solution = True
+    #: 1-homogeneous about the origin, so the Weiss energy is scale-invariant
+    #: there.  Not TwoPlane: its gap width is a fixed length scale.
+    homogeneous = False
 
     # ---- body-frame hooks (family-specific) --------------------------------
     @abstractmethod
@@ -240,6 +252,7 @@ class HalfPlane(Solution):
     """u = x₁⁺; F = {x₁ = 0}; the blow-up model of any regular point."""
 
     kind = "half_plane"
+    homogeneous = True
 
     def _u_body(self, p):
         return np.maximum(p[..., 0], 0.0)
@@ -264,6 +277,33 @@ class HalfPlane(Solution):
 
     def _rescaled_params(self, lam):
         return {}
+
+
+@dataclass
+class OneSidedPlane(HalfPlane):
+    """u = s·x₁⁺ — a valid competitor but an exact solution only at s = 1;
+    its inner variation concentrates (s²−1)·length on {x₁ = 0}."""
+
+    s: float = 1.0
+
+    kind = "one_sided_plane"
+    exact_solution = False
+
+    def __post_init__(self):
+        if not self.s > 0:
+            raise InvalidInputError("OneSidedPlane requires s > 0")
+
+    def _u_body(self, p):
+        return self.s * super()._u_body(p)
+
+    def _grad_body(self, p, boundary_limit):
+        return self.s * super()._grad_body(p, boundary_limit)
+
+    def _params(self):
+        return {"s": float(self.s)}
+
+    def _rescaled_params(self, lam):
+        return {"s": self.s}
 
 
 @dataclass
@@ -317,6 +357,7 @@ class Wedge(Solution):
     s: float = 0.5
 
     kind = "wedge"
+    homogeneous = True
 
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
@@ -634,13 +675,15 @@ class Scherk(Solution):
 # registry and serialization
 # ---------------------------------------------------------------------------
 
-FAMILIES = {cls.kind: cls for cls in
-            (HalfPlane, TwoPlane, Wedge, Hairpin, DiskComplement, Scherk)}
+#: every serializable kind; `FAMILIES` keeps the exact solutions among them
+KINDS = {cls.kind: cls for cls in (HalfPlane, TwoPlane, Wedge, Hairpin,
+                                   DiskComplement, Scherk, OneSidedPlane)}
+FAMILIES = {k: cls for k, cls in KINDS.items() if cls.exact_solution}
 
 
 def solution_from_dict(d: dict) -> Solution:
     try:
-        cls = FAMILIES[d["family"]]
+        cls = KINDS[d["family"]]
     except KeyError as e:
         raise InvalidInputError(f"unknown family {d.get('family')!r}") from e
     params = {k: float(v) for k, v in d.get("params", {}).items()}

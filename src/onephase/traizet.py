@@ -46,7 +46,7 @@ from .common import (format_float, smoothstep5, write_csv_atomic,
 from .conformal import scherk_loop_point, scherk_loop_x2_extent
 from .errors import DomainError, InvalidInputError, TopologyError
 from .quad import gauss_nodes
-from .solutions import DiskComplement, Hairpin, HalfPlane, Scherk
+from .solutions import Scherk
 
 __all__ = [
     "wirtinger",
@@ -58,6 +58,7 @@ __all__ = [
     "patch_scherk",
     "SurfaceMesh",
     "build_mesh",
+    "CANONICAL_PATCHES",
     "canonical_mesh",
     "mean_curvature",
     "orthogonality_check",
@@ -577,22 +578,25 @@ def build_mesh(sol, patch: Patch, reflect: bool = True) -> SurfaceMesh:
                        probes=probes)
 
 
+#: standard patch per meshable kind: rectangle for P, annular band for the
+#: disk complement, chart rectangle for the hairpin, and the period-cell
+#: annulus around the loop for Scherk.  Keyed by kind, not type: the
+#: one-sided plane subclasses HalfPlane but is no solution, so has no mesh.
+CANONICAL_PATCHES = {
+    "half_plane": lambda sol, n: patch_halfplane(resolution=n),
+    "disk_complement": lambda sol, n: patch_diskcomplement(sol.R,
+                                                           resolution=n),
+    "hairpin": lambda sol, n: patch_hairpin(sol.a, resolution=n),
+    "scherk": lambda sol, n: patch_scherk(sol.s, sol.a, resolution=n),
+}
+
+
 def canonical_mesh(sol, resolution: int = 64) -> SurfaceMesh:
-    """Standard reflected mesh per family: rectangle for P, annular band
-    for the disk complement, chart rectangle for the hairpin, and the
-    period-cell annulus around the loop for Scherk."""
-    if isinstance(sol, HalfPlane):
-        return build_mesh(sol, patch_halfplane(resolution=resolution))
-    if isinstance(sol, DiskComplement):
-        return build_mesh(sol, patch_diskcomplement(sol.R,
-                                                    resolution=resolution))
-    if isinstance(sol, Hairpin):
-        return build_mesh(sol, patch_hairpin(sol.a, resolution=resolution))
-    if isinstance(sol, Scherk):
-        return build_mesh(sol, patch_scherk(sol.s, sol.a,
-                                            resolution=resolution))
-    raise InvalidInputError(
-        f"no canonical mesh for family {type(sol).__name__}")
+    """Reflected mesh of the family's patch in `CANONICAL_PATCHES`."""
+    if sol.kind not in CANONICAL_PATCHES:
+        raise InvalidInputError(
+            f"no canonical mesh for family {type(sol).__name__}")
+    return build_mesh(sol, CANONICAL_PATCHES[sol.kind](sol, resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -624,41 +628,33 @@ def mean_curvature(mesh: SurfaceMesh):
     verts = mesh.vertices
     tris = mesh.triangles
     n = len(verts)
+    # before the per-corner arrays below exist, to keep the peak memory down
+    normals = _vertex_normals(mesh)
+    interior = ~mesh.boundary_vertices()
     lap = np.zeros_like(verts)
     area = np.zeros(n)
     p = verts[tris]  # (m, 3, 3)
+    # per corner k: the edges to the next two corners, |e1 × e2|, e1·e2 and
+    # the cotangent of the angle there (its sign marks an obtuse corner)
+    e1 = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
+    e2 = [p[:, (k + 2) % 3] - p[:, k] for k in range(3)]
+    cross = [np.linalg.norm(np.cross(a, b), axis=1) for a, b in zip(e1, e2)]
+    dot = [np.einsum("ij,ij->i", a, b) for a, b in zip(e1, e2)]
+    cot = [d / np.where(c > 0, c, 1.0) for d, c in zip(dot, cross)]
     for k in range(3):
         i0 = tris[:, k]
         i1 = tris[:, (k + 1) % 3]
         i2 = tris[:, (k + 2) % 3]
-        e1 = p[:, (k + 1) % 3] - p[:, k]
-        e2 = p[:, (k + 2) % 3] - p[:, k]
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        dot = np.einsum("ij,ij->i", e1, e2)
-        cot = dot / np.where(cross > 0, cross, 1.0)
         # cot of the angle at vertex k weights the opposite edge (i1, i2)
         d = verts[i2] - verts[i1]
-        np.add.at(lap, i1, cot[:, None] * d)
-        np.add.at(lap, i2, -cot[:, None] * d)
-        # Meyer mixed area, distributed to vertex k.  Cotangents at the two
-        # other corners carry the angle signs, so the obtuseness test reads
-        # directly off them (cot < 0 ⟺ obtuse there).
-        tri_area = 0.5 * cross
-        l1 = np.einsum("ij,ij->i", e1, e1)
-        l2 = np.einsum("ij,ij->i", e2, e2)
-        c1 = np.cross(p[:, k] - p[:, (k + 1) % 3],
-                      p[:, (k + 2) % 3] - p[:, (k + 1) % 3])
-        cot1 = np.einsum("ij,ij->i", p[:, k] - p[:, (k + 1) % 3],
-                         p[:, (k + 2) % 3] - p[:, (k + 1) % 3]) \
-            / np.where(np.linalg.norm(c1, axis=1) > 0,
-                       np.linalg.norm(c1, axis=1), 1.0)
-        c2 = np.cross(p[:, k] - p[:, (k + 2) % 3],
-                      p[:, (k + 1) % 3] - p[:, (k + 2) % 3])
-        cot2 = np.einsum("ij,ij->i", p[:, k] - p[:, (k + 2) % 3],
-                         p[:, (k + 1) % 3] - p[:, (k + 2) % 3]) \
-            / np.where(np.linalg.norm(c2, axis=1) > 0,
-                       np.linalg.norm(c2, axis=1), 1.0)
-        obtuse_here = dot < 0
+        np.add.at(lap, i1, cot[k][:, None] * d)
+        np.add.at(lap, i2, -cot[k][:, None] * d)
+        # Meyer mixed area at vertex k, from its own corner's |e1 × e2|
+        tri_area = 0.5 * cross[k]
+        l1 = np.einsum("ij,ij->i", e1[k], e1[k])
+        l2 = np.einsum("ij,ij->i", e2[k], e2[k])
+        cot1, cot2 = cot[(k + 1) % 3], cot[(k + 2) % 3]
+        obtuse_here = dot[k] < 0
         any_obtuse = obtuse_here | (cot1 < 0) | (cot2 < 0)
         # non-obtuse: Voronoi area  (|e2|² cot∠i1 + |e1|² cot∠i2) / 8
         voronoi = (l2 * cot1 + l1 * cot2) / 8.0
@@ -668,9 +664,6 @@ def mean_curvature(mesh: SurfaceMesh):
                            voronoi)
         np.add.at(area, i0, contrib)
 
-    normals = _vertex_normals(mesh)
-    bnd = mesh.boundary_vertices()
-    interior = ~bnd
     H = np.full(n, np.nan)
     safe = interior & (area > 0)
     # Δx = −2 H n̂, so a sphere with outward normals reports H = 1/R

@@ -50,7 +50,7 @@ from .common import (Window, format_float, smoothstep5, write_json_atomic,
                      write_text_atomic)
 from .errors import DomainError, InvalidInputError
 from .quad import gauss_nodes
-from .solutions import Solution
+from .solutions import OneSidedPlane  # re-exported from the registry
 
 __all__ = [
     "ScalarField2D",
@@ -341,53 +341,6 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
     f = (u_of(pts) - u0) / taus
     # f(τ) = α + βτ + γτ² on the stencil (τ, τ/2, τ/4)
     return float((8.0 * f[2] - 6.0 * f[1] + f[0]) / 3.0)
-
-
-# ---------------------------------------------------------------------------
-# fixtures
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OneSidedPlane(Solution):
-    """u = s·x₁⁺ — a valid competitor but an exact solution only at s = 1;
-    its inner variation concentrates (s²−1)·length on {x₁ = 0}.  Not part
-    of the family registry."""
-
-    s: float = 1.0
-
-    kind = "one_sided_plane"
-
-    def __post_init__(self):
-        if not self.s > 0:
-            raise InvalidInputError("OneSidedPlane requires s > 0")
-
-    def _u_body(self, p):
-        return self.s * np.maximum(p[..., 0], 0.0)
-
-    def _grad_body(self, p, boundary_limit):
-        x = p[..., 0]
-        g = np.zeros_like(p)
-        mask = (x >= 0.0) if boundary_limit else (x > 0.0)
-        g[..., 0] = np.where(mask, self.s, 0.0)
-        return g
-
-    def _fb_dist_body(self, p):
-        return np.abs(p[..., 0])
-
-    def _positive_body(self, p):
-        return p[..., 0] > 0.0
-
-    def _fb_polylines_body(self, bbox, step):
-        y = np.arange(bbox[1], bbox[3] + step, step)
-        out = np.zeros((len(y), 2))
-        out[:, 1] = y
-        return [out]
-
-    def _params(self):
-        return {"s": float(self.s)}
-
-    def _rescaled_params(self, lam):
-        return {"s": self.s}
 
 
 # ---------------------------------------------------------------------------

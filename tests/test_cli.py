@@ -234,6 +234,12 @@ class TestTraizet:
         assert run("traizet", "--family", "two_plane",
                    "--out", str(tmp_path)) == 2
 
+    def test_one_sided_plane_has_no_mesh(self, tmp_path, capsys):
+        # a HalfPlane subclass: meshing by type would mesh u = x₁ for any s
+        assert run("traizet", "--family", "one_sided_plane",
+                   "--out", str(tmp_path)) == 2
+        assert "no canonical mesh" in capsys.readouterr().err
+
 
 class TestClassify:
     def test_case_b_two_plane_centered(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from onephase.conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
                                 scherk_loop_implicit, scherk_loop_point,
                                 scherk_loop_x2_extent)
-from onephase.errors import DomainError
+from onephase.errors import ConvergenceError, DomainError
 from onephase.quad import segment_quad
 
 
@@ -243,3 +243,73 @@ class TestScherkLoop:
         p1 = scherk_loop_point(s, np.pi * s)
         assert p0[0] == pytest.approx(0.0, abs=1e-12)
         assert p1[0] == pytest.approx(0.0, abs=1e-12)
+
+
+class TestInverseFailure:
+    """A derivative a million times too large shrinks every Newton step, so
+    neither Newton nor the homotopy rescue converges: each inverse must raise
+    ConvergenceError with the failed point count and its last iterates in ζ,
+    which stay near the Newton start."""
+
+    @staticmethod
+    def _stiffen(monkeypatch, cls, name):
+        true = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda self, zeta: 1e6 * true(self, zeta))
+
+    def test_hhp(self, monkeypatch):
+        monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
+            lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+        z = np.array([0.3 + 0.2j, 4.0 - 1.0j, -2.0 + 0.5j])
+        with pytest.raises(ConvergenceError,
+                           match="hhp_inverse: 3 point") as info:
+            HHPStrip().inverse(z)
+        it = info.value.last_iterate
+        assert it.shape == z.shape
+        assert np.all(np.abs(it.imag) <= np.pi / 2)
+        # the second start (arcsinh near the neck, z/2 far out) ran last
+        start = np.where(np.abs(z) <= 2.5, np.arcsinh(z), z / 2.0)
+        assert np.allclose(it, start, atol=1e-3)
+
+    def test_slit(self, monkeypatch):
+        self._stiffen(monkeypatch, SlitHalfPlane, "derivative")
+        chart = SlitHalfPlane(a=1.0)
+        z = np.array([0.2 + 0.1j, 2.0 + 1.0j, 8.0 - 3.0j, 0.5 + 2.5j])
+        with pytest.raises(ConvergenceError,
+                           match="slit_inverse: 4 point") as info:
+            chart.inverse(z)
+        it = info.value.last_iterate
+        assert it.shape == z.shape
+        assert np.all(it.real > 0.0)
+        assert np.allclose(it, chart._start(z), atol=1e-3)
+
+    def test_scherk_bulk(self, monkeypatch):
+        self._stiffen(monkeypatch, ScherkStrip, "derivative")
+        chart = ScherkStrip(s=0.5)
+        z = np.array([0.5 + 0.1j, 2.0 - 1.0j, 6.0 + 2.0j])
+        with pytest.raises(ConvergenceError,
+                           match="scherk_inverse: 3 point") as info:
+            chart.inverse(z)
+        it = info.value.last_iterate
+        assert it.shape == z.shape
+        assert np.all(it.real >= 0.0)
+        assert np.all(np.abs(it.imag) <= 0.5 * chart.l)
+        assert np.allclose(it, chart._bulk_start(z), atol=1e-3)
+
+    def test_scherk_corner(self, monkeypatch):
+        self._stiffen(monkeypatch, ScherkStrip, "_corner_Gp")
+        chart = ScherkStrip(s=0.5)
+        # targets below-right of the saddle iπ, where the start τ₀ = (z−iπ)/B
+        # already lies in the projected quadrant
+        rho = chart.corner_zone_radius * np.array([0.2, 0.5, 0.9])
+        z = 1j * np.pi + rho * np.exp(-0.25j * np.pi)
+        with pytest.raises(ConvergenceError,
+                           match=r"scherk_inverse \(corner\): 3 point") as info:
+            chart.inverse(z)
+        it = info.value.last_iterate
+        assert it.shape == z.shape
+        tau0 = (z - 1j * np.pi) / chart._B
+        assert np.all(tau0.real > 0.0) and np.all(tau0.imag > 0.0)
+        # ζ = ζ* − τ², not τ
+        assert np.allclose(it, chart.zeta_c - tau0**2, atol=1e-3)
+        assert np.all(np.abs(it.imag) <= 0.5 * chart.l + 1e-12)

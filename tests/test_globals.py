@@ -1,9 +1,11 @@
-"""Static guard: every global name a function of `onephase` loads must exist.
+"""Static guard: every global name a function of `onephase` loads must exist,
+and so must every name a module exports.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
 nested code objects, and checks each LOAD_GLOBAL against the imported
-module's globals and the builtins — standard library only."""
+module's globals and the builtins — standard library only.  A stale
+`__all__` entry fails only on `import *`, so each is looked up too."""
 
 import builtins
 import dis
@@ -50,3 +52,10 @@ def test_modules_found():
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_global_load_resolves(module_name):
     assert unresolved_globals(module_name) == []
+
+
+@pytest.mark.parametrize("module_name", ["onephase"] + MODULES)
+def test_every_export_resolves(module_name):
+    module = importlib.import_module(module_name)
+    exports = getattr(module, "__all__", [])
+    assert [name for name in exports if not hasattr(module, name)] == []

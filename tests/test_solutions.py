@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from onephase.common import Window
 from onephase.errors import InvalidInputError, NoSaddleError
-from onephase.solutions import (FAMILIES, DiskComplement, Hairpin, HalfPlane,
-                                RigidMotion, Scherk, TwoPlane, Wedge,
+from onephase.solutions import (FAMILIES, KINDS, DiskComplement, Hairpin,
+                                HalfPlane, OneSidedPlane, RigidMotion, Scherk,
+                                TwoPlane, Wedge, load_solution,
                                 solution_from_dict)
 
 ALL = [HalfPlane(), TwoPlane(0.5), Wedge(0.7), Hairpin(1.0),
@@ -227,3 +228,16 @@ class TestSerialization:
     def test_registry_complete(self):
         assert set(FAMILIES) == {"half_plane", "two_plane", "wedge",
                                  "hairpin", "disk_complement", "scherk"}
+
+    def test_one_sided_plane_round_trip(self, tmp_path):
+        # `verify` writes this descriptor into its report
+        path = tmp_path / "sol.json"
+        OneSidedPlane(s=0.5).save(path)
+        back = load_solution(path)
+        assert type(back) is OneSidedPlane and back.s == 0.5
+
+    def test_registry_flags(self):
+        assert set(KINDS) - set(FAMILIES) == {"one_sided_plane"}
+        assert not OneSidedPlane.exact_solution
+        assert {k for k, cls in KINDS.items() if cls.homogeneous} == {
+            "half_plane", "wedge", "one_sided_plane"}
