@@ -212,7 +212,7 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
     written = []
 
     def emit_one(sol, name):
-        window = cfg.get_window(_boundary_window(sol))
+        window = cfg.get_window(sol.boundary_window())
         pieces = sol.free_boundary_curves(window, step=step)
         path = out / f"boundary_{name}.csv"
         FreeBoundary(pieces).save(path)
@@ -230,38 +230,9 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _boundary_window(sol) -> tuple:
-    """Default window wide enough to show the family's shape."""
-    if sol.kind == "hairpin":
-        a = sol.a
-        return (-4.0 * max(a, 1.0), -2.0 * (np.pi / 2 + np.cosh(2.0)) * a,
-                4.0 * max(a, 1.0), 2.0 * (np.pi / 2 + np.cosh(2.0)) * a)
-    if sol.kind == "scherk":
-        a = sol.a
-        return (-4.0 * a, -2.2 * np.pi * a, 4.0 * a, 2.2 * np.pi * a)
-    if sol.kind == "disk_complement":
-        R = sol.R
-        return (-2.0 * R, -2.0 * R, 2.0 * R, 2.0 * R)
-    return (-2.0, -2.0, 2.0, 2.0)
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _verify_window(sol) -> tuple:
-    """Default square window for the verification suite, sized so the free
-    boundary passes through it (square so any h = side/N divides both
-    extents)."""
-    L = 2.0
-    if sol.kind == "hairpin":
-        L = 2.0 * sol.a * (np.pi / 2 + 1.0)
-    elif sol.kind == "scherk":
-        L = 2.0 * np.pi * sol.a
-    elif sol.kind == "disk_complement":
-        L = 2.0 * sol.R
-    return (-L, -L, L, L)
-
 
 def _fb_sample_points(sol, window: Window, n: int = 10):
     """Up to n free-boundary points in `window`, evenly spread along the
@@ -307,7 +278,7 @@ def _check(name, fn):
 def cmd_verify(cfg: ExperimentConfig) -> int:
     sol = cfg.get_solution()
     out = _outdir(cfg)
-    window = cfg.get_window(default=_verify_window(sol))
+    window = cfg.get_window(default=sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
     checks = []
 

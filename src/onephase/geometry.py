@@ -578,17 +578,19 @@ def _fb_polylines(sol_or_field, window: Window, step: float):
     return [c.vertices for c in extract_boundary(sol_or_field).components]
 
 
-def _split_runs(points, keep):
-    """Contiguous runs of `points` where `keep` is True (≥ 2 points each)."""
+def _split_runs(points, keep, cut=None):
+    """Contiguous runs of `points` where `keep` is True (≥ 2 points each);
+    cut[k] also ends a run between points k and k + 1."""
     pieces = []
     start = None
     for k in range(len(points)):
-        if keep[k] and start is None:
-            start = k
-        elif not keep[k] and start is not None:
+        if start is not None and (not keep[k]
+                                  or (cut is not None and cut[k - 1])):
             if k - start >= 2:
                 pieces.append(points[start:k])
             start = None
+        if keep[k] and start is None:
+            start = k
     if start is not None and len(points) - start >= 2:
         pieces.append(points[start:])
     return pieces
@@ -766,6 +768,38 @@ def _golden_min(f, a, b, tol):
     return 0.5 * (a + b)
 
 
+#: polar grid of the annulus search (angles × radii) and its coarse
+#: rotations; every coarse rotation is a whole number of grid angles.
+_ANNULUS_ANGLES = 720
+_ANNULUS_RADII = 24
+_COARSE_ANGLES = 360
+
+
+def _annulus_grid(r_in, r):
+    """Polar grid on B_r ∖ B_{r_in}, equal steps in ρ²; shape (angles,
+    radii, 2)."""
+    rho = np.sqrt(np.linspace(r_in**2, r**2, _ANNULUS_RADII))
+    th = np.linspace(0.0, 2.0 * np.pi, _ANNULUS_ANGLES, endpoint=False)
+    Rg, Tg = np.meshgrid(rho, th)
+    return np.stack([Rg * np.cos(Tg), Rg * np.sin(Tg)], axis=-1)
+
+
+def _rotate(pts, theta):
+    ct, st = np.cos(theta), np.sin(theta)
+    return np.stack([ct * pts[..., 0] - st * pts[..., 1],
+                     st * pts[..., 0] + ct * pts[..., 1]], axis=-1)
+
+
+def _coarse_flatness(U0, Pref):
+    """max |U(ρ_θ ·) − Pref| over the grid at each coarse rotation
+    θ_k = 2πk/_COARSE_ANGLES, from U0, the values on the unrotated grid:
+    θ_k moves grid angle j onto angle j + k·step, so the rotated values are
+    U0 rolled back by k·step rows."""
+    step = _ANNULUS_ANGLES // _COARSE_ANGLES
+    return np.array([np.max(np.abs(np.roll(U0, -step * k, axis=0) - Pref))
+                     for k in range(_COARSE_ANGLES)])
+
+
 def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
                        eps: float = 1e-9, n_grid: int = 241,
                        seed_point=None) -> list:
@@ -775,7 +809,8 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
     exactly two strands, each connecting the inner circle to the outer one.
     For each scale r, finds the rotation ρ minimizing the sup distance of
     u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{inner_factor·δ}
-    (360-angle coarse search, then golden-section refinement to 1e−4 rad),
+    (360-angle coarse search, read off one evaluation of u·1_T on the polar
+    grid, then golden-section refinement to 1e−4 rad),
     where T is the positive-phase component containing `seed_point` (or the
     largest one touching the inner region when omitted).  Reports per scale
     the rotation, the flatness sup, and the max slope of the strand graph
@@ -794,7 +829,15 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
     for poly in _fb_polylines(sol, Window(-1.0, -1.0, 1.0, 1.0), step):
         for outer_piece in _clip_to_disk(poly, 1.0, step):
             rr = np.hypot(outer_piece[:, 0], outer_piece[:, 1])
-            for piece in _split_runs(outer_piece, rr >= delta - 2.0 * step):
+            # a segment can cross the inner disk between two vertices
+            # outside it: that ends the strand too
+            a, d = outer_piece[:-1], np.diff(outer_piece, axis=0)
+            t = np.clip(-np.sum(a * d, axis=1)
+                        / np.maximum(np.sum(d * d, axis=1), 1e-300), 0.0, 1.0)
+            near = a + t[:, None] * d
+            cut = np.hypot(near[:, 0], near[:, 1]) < delta - 2.0 * step
+            for piece in _split_runs(outer_piece, rr >= delta - 2.0 * step,
+                                     cut):
                 pr = np.hypot(piece[:, 0], piece[:, 1])
                 touches_inner = np.abs(pr - delta).min() <= 4.0 * step
                 touches_outer = pr.max() >= 1.0 - 4.0 * step
@@ -867,24 +910,15 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
     reports = []
     for r in sorted(scales):
         r_in = inner_factor * delta
-        nr = 24
-        nth = 720
-        rho = np.sqrt(np.linspace(r_in**2, r**2, nr))
-        th = np.linspace(0.0, 2.0 * np.pi, nth, endpoint=False)
-        Rg, Tg = np.meshgrid(rho, th)
-        base = np.stack([Rg * np.cos(Tg), Rg * np.sin(Tg)], axis=-1)
+        base = _annulus_grid(r_in, r)
         Pref = np.maximum(base[..., 0], 0.0)
 
         def flat(theta):
-            ct, st = np.cos(theta), np.sin(theta)
-            rot = np.stack([ct * base[..., 0] - st * base[..., 1],
-                            st * base[..., 0] + ct * base[..., 1]], axis=-1)
-            return float(np.max(np.abs(u_T(rot) - Pref)))
+            return float(np.max(np.abs(u_T(_rotate(base, theta)) - Pref)))
 
-        coarse = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-        vals = [flat(t) for t in coarse]
-        k = int(np.argmin(vals))
-        width = 2.0 * np.pi / 360.0
+        coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
+        k = int(np.argmin(_coarse_flatness(u_T(base), Pref)))
+        width = 2.0 * np.pi / _COARSE_ANGLES
         theta_best = _golden_min(flat, coarse[k] - width, coarse[k] + width,
                                  1e-4)
 

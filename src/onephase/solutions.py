@@ -173,6 +173,11 @@ class Solution(ABC):
         p = self.motion.to_body(_as_points(points))
         return self._positive_body(p)
 
+    def fb_distance(self, points):
+        """Distance to F(u): exact for the piecewise-linear families and
+        the disk complement, a first-order estimate for the others."""
+        return self._fb_dist_body(self.motion.to_body(_as_points(points)))
+
     def free_boundary_curves(self, window: Window, step: float | None = None):
         """World-frame free boundary polylines clipped to `window`."""
         if step is None:
@@ -221,6 +226,17 @@ class Solution(ABC):
 
     def saddle_value(self) -> float:
         raise NoSaddleError(f"{self.kind} has no saddle point")
+
+    # ---- default windows of the CLI commands ------------------------------
+    def boundary_window(self) -> tuple:
+        """Default `boundary` window, wide enough to show the family's
+        shape."""
+        return (-2.0, -2.0, 2.0, 2.0)
+
+    def verify_window(self) -> tuple:
+        """Default `verify` window, sized so the free boundary passes through
+        it; square, so any h = side/N divides both extents."""
+        return (-2.0, -2.0, 2.0, 2.0)
 
     # ---- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
@@ -466,6 +482,15 @@ class Hairpin(Solution):
         """u at the neck point z = 0 (the saddle of the hairpin)."""
         return float(self.a)
 
+    def boundary_window(self):
+        a = self.a
+        return (-4.0 * max(a, 1.0), -2.0 * (np.pi / 2 + np.cosh(2.0)) * a,
+                4.0 * max(a, 1.0), 2.0 * (np.pi / 2 + np.cosh(2.0)) * a)
+
+    def verify_window(self):
+        L = 2.0 * self.a * (np.pi / 2 + 1.0)
+        return (-L, -L, L, L)
+
     def _params(self):
         return {"a": float(self.a)}
 
@@ -533,6 +558,14 @@ class DiskComplement(Solution):
         n = max(int(np.ceil(2.0 * np.pi * self.R / step)), 16)
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         return [self.R * np.stack([np.cos(t), np.sin(t)], axis=-1)]
+
+    def boundary_window(self):
+        R = self.R
+        return (-2.0 * R, -2.0 * R, 2.0 * R, 2.0 * R)
+
+    def verify_window(self):
+        L = 2.0 * self.R
+        return (-L, -L, L, L)
 
     def _params(self):
         return {"R": float(self.R)}
@@ -663,6 +696,14 @@ class Scherk(Solution):
 
     def chart(self) -> ScherkStrip:
         return self._chart
+
+    def boundary_window(self):
+        a = self.a
+        return (-4.0 * a, -2.2 * np.pi * a, 4.0 * a, 2.2 * np.pi * a)
+
+    def verify_window(self):
+        L = 2.0 * np.pi * self.a
+        return (-L, -L, L, L)
 
     def _params(self):
         return {"s": float(self.s), "a": float(self.a)}

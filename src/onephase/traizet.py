@@ -530,14 +530,10 @@ def build_mesh(sol, patch: Patch, reflect: bool = True) -> SurfaceMesh:
         vid = vid.copy()
         vid[-1, :] = vid[0, :]
 
-    tris = []
-    for j in range(nt - 1):
-        for i in range(ns - 1):
-            v00, v01 = vid[j, i], vid[j, i + 1]
-            v10, v11 = vid[j + 1, i], vid[j + 1, i + 1]
-            tris.append((v00, v01, v11))
-            tris.append((v00, v11, v10))
-    tris = np.array(tris, dtype=int)
+    # per quad (j, i), in row-major order: (v00, v01, v11), (v00, v11, v10)
+    v00, v01 = vid[:-1, :-1], vid[:-1, 1:]
+    v10, v11 = vid[1:, :-1], vid[1:, 1:]
+    tris = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
 
     # drop vertices orphaned by row welding
     used = np.zeros(nt * ns, dtype=bool)

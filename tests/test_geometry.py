@@ -3,10 +3,14 @@ trichotomy classifier, the annulus probe, and circle maxima."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onephase.common import densify_polyline, points_in_polygon
 from onephase.errors import (DomainError, InvalidInputError, TopologyError)
-from onephase.geometry import (FreeBoundary, PolyCurve, _dist_to_polygon_edges,
+from onephase.geometry import (_COARSE_ANGLES, FreeBoundary, PolyCurve,
+                               _annulus_grid, _coarse_flatness,
+                               _dist_to_polygon_edges, _rotate,
                                annulus_flat_check, circle_max, classify_flat,
                                curve_curvature, extract_boundary, flux_balance,
                                hausdorff, random_polygon_in_phase)
@@ -335,6 +339,28 @@ class TestAnnulusFlatCheck:
         for rep in reports:
             assert rep.max_graph_slope <= 1e-6
             assert rep.flatness <= 1e-6
+
+    @given(angle=st.floats(0.0, 2.0 * np.pi, exclude_max=True))
+    @example(angle=3.0)  # F crosses the inner disk between two vertices
+    @settings(max_examples=10, deadline=None)
+    def test_rotation_recovered(self, angle):
+        sol = HalfPlane(motion=RigidMotion(angle=angle))
+        for rep in annulus_flat_check(sol, delta=0.01, scales=[0.1, 0.4]):
+            miss = (rep.rotation - angle + np.pi) % (2.0 * np.pi) - np.pi
+            assert abs(miss) <= 1e-4
+            assert rep.flatness <= 1e-6
+            assert rep.max_graph_slope <= 1e-6
+
+    def test_coarse_search_rolls_the_grid(self):
+        # rotating by a coarse angle permutes the polar grid's angles
+        sol = DiskComplement(0.1, motion=RigidMotion(shift=(0.15, -0.1)))
+        base = _annulus_grid(0.02, 0.4)
+        pref = np.maximum(base[..., 0], 0.0)
+        rolled = _coarse_flatness(sol.eval_u(base), pref)
+        coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
+        direct = [np.max(np.abs(sol.eval_u(_rotate(base, t)) - pref))
+                  for t in coarse]
+        assert np.max(np.abs(rolled - direct)) <= 1e-12
 
     def test_precondition_violated(self):
         with pytest.raises(TopologyError):

@@ -241,3 +241,36 @@ class TestSerialization:
         assert not OneSidedPlane.exact_solution
         assert {k for k, cls in KINDS.items() if cls.homogeneous} == {
             "half_plane", "wedge", "one_sided_plane"}
+
+
+# ---------------------------------------------------------------------------
+# default CLI windows
+# ---------------------------------------------------------------------------
+
+_SQUARE2 = (-2.0, -2.0, 2.0, 2.0)
+
+
+@pytest.mark.parametrize("sol, boundary, verify", [
+    (HalfPlane(), _SQUARE2, _SQUARE2),
+    (TwoPlane(0.5), _SQUARE2, _SQUARE2),
+    (Wedge(0.7), _SQUARE2, _SQUARE2),
+    (OneSidedPlane(0.5), _SQUARE2, _SQUARE2),
+    (Hairpin(1.0), (-4.0, -10.665984035757056, 4.0, 10.665984035757056),
+     (-5.141592653589793,) * 2 + (5.141592653589793,) * 2),
+    (Hairpin(0.25), (-4.0, -2.666496008939264, 4.0, 2.666496008939264),
+     (-1.2853981633974483,) * 2 + (1.2853981633974483,) * 2),
+    (Hairpin(2.0), (-8.0, -21.331968071514112, 8.0, 21.331968071514112),
+     (-10.283185307179586,) * 2 + (10.283185307179586,) * 2),
+    (DiskComplement(1.0), _SQUARE2, _SQUARE2),
+    (DiskComplement(1.5), (-3.0, -3.0, 3.0, 3.0), (-3.0, -3.0, 3.0, 3.0)),
+    (Scherk(0.5, 1.0), (-4.0, -6.911503837897546, 4.0, 6.911503837897546),
+     (-6.283185307179586,) * 2 + (6.283185307179586,) * 2),
+    (Scherk(0.125, 2.0), (-8.0, -13.823007675795091, 8.0, 13.823007675795091),
+     (-12.566370614359172,) * 2 + (12.566370614359172,) * 2),
+], ids=["half_plane", "two_plane", "wedge", "one_sided_plane", "hairpin-1",
+        "hairpin-0.25", "hairpin-2", "disk-1", "disk-1.5", "scherk-0.5-1",
+        "scherk-0.125-2"])
+def test_default_windows(sol, boundary, verify):
+    # the `boundary` and `verify` defaults; their files depend on them
+    assert tuple(float(v) for v in sol.boundary_window()) == boundary
+    assert tuple(float(v) for v in sol.verify_window()) == verify

@@ -238,6 +238,26 @@ class TestMeshStructure:
         assert np.all(mesh.triangle_sheet == 1)
         assert np.all(mesh.vertices[:, 2] >= -1e-15)
 
+    @pytest.mark.parametrize("patch", [
+        patch_diskcomplement(1.0, resolution=16),
+        patch_scherk(0.5, 1.0, resolution=16)], ids=["disk", "scherk"])
+    def test_triangles_match_quad_loop(self, patch):
+        # welded patches: the last row's ids repeat the first, and the
+        # orphaned vertices are dropped and renumbered
+        nt, ns, _ = patch.points.shape
+        vid = np.arange(nt * ns).reshape(nt, ns)
+        vid[-1, :] = vid[0, :]
+        tris = []
+        for j in range(nt - 1):
+            for i in range(ns - 1):
+                tris.append((vid[j, i], vid[j, i + 1], vid[j + 1, i + 1]))
+                tris.append((vid[j, i], vid[j + 1, i + 1], vid[j + 1, i]))
+        tris = np.array(tris)
+        remap = np.cumsum(np.isin(np.arange(nt * ns), tris)) - 1
+        mesh = build_mesh(None, patch, reflect=False)  # reads only the patch
+        assert patch.weld_rows
+        assert np.array_equal(mesh.triangles, remap[tris])
+
     def _euler(self, mesh):
         tri = mesh.triangles
         edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],

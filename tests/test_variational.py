@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase.errors import DomainError, InvalidInputError
-from onephase.solutions import HalfPlane, Hairpin, TwoPlane, Wedge, Window
+from onephase.quad import gauss_nodes
+from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
+                                RigidMotion, Scherk, TwoPlane, Wedge, Window)
 from onephase.variational import (OneSidedPlane, ScalarField2D,
-                                  TestVectorField, _stiffness, ac_energy,
-                                  minimize_ac, variational_residual,
-                                  viscosity_slope, weiss_energy)
+                                  TestVectorField, _circle_integrals,
+                                  _stiffness, ac_energy, minimize_ac,
+                                  variational_residual, viscosity_slope,
+                                  weiss_energy)
 
 
 class TestScalarField:
@@ -146,6 +149,53 @@ class TestResidual:
         assert abs(r) < 1e-3
 
 
+def _adaptive_circle_integrals(sol, c, radii):
+    """∫(|∇u|² + 1_{u>0}) dθ and ∫u² dθ on each circle by adaptive
+    bisection, knowing nothing of where F is: an interval is done when its
+    10- and 20-point Gauss–Legendre values agree to 1e−13 and its ends lie
+    in the same phase (else a jump can hide between an end and the first
+    node), or when it is narrower than 1e−12.  Every round refines all open
+    intervals of all circles in one batch."""
+    n = len(radii)
+    x10, w10 = gauss_nodes(10)
+    x20, w20 = gauss_nodes(20)
+    x = np.concatenate([x10, x20, [0.0, 1.0]])
+    circ = np.repeat(np.arange(n), 64)
+    lo = np.tile(np.arange(64) * (2.0 * np.pi / 64), n)
+    width = np.full(len(circ), 2.0 * np.pi / 64)
+    total = np.zeros((2, n))
+    while len(circ):
+        th = lo[:, None] + width[:, None] * x
+        rho = radii[circ][:, None]
+        pts = np.stack([c[0] + rho * np.cos(th), c[1] + rho * np.sin(th)],
+                       axis=-1)
+        g = sol.eval_grad(pts)
+        pos = sol.in_positive_phase(pts)
+        f = np.stack([g[..., 0] ** 2 + g[..., 1] ** 2 + pos,
+                      sol.eval_u(pts) ** 2])
+        coarse = width * (f[..., :10] @ w10)
+        fine = width * (f[..., 10:30] @ w20)
+        done = ((np.all(np.abs(fine - coarse) <= 1e-13, axis=0)
+                 & (pos[:, -2] == pos[:, -1])) | (width < 1e-12))
+        for k in range(2):
+            total[k] += np.bincount(circ[done], fine[k, done], minlength=n)
+        circ, lo, width = (np.repeat(v[~done], 2) for v in (circ, lo, width))
+        width = width / 2.0
+        lo = lo + width * np.tile([0.0, 1.0], len(lo) // 2)
+    return total
+
+
+def _weiss_oracle(sol, center, r):
+    """W by the same 48-node radial rule, with adaptive angular integrals."""
+    t, tw = gauss_nodes(48)
+    bulk, boundary = _adaptive_circle_integrals(
+        sol, np.asarray(center, dtype=float), r * np.append(t, 1.0))
+    return float(np.dot(tw * t, bulk[:-1])) - float(boundary[-1]) / r**2
+
+
+_NECK = (0.0, np.pi / 2 + 1.0)
+
+
 class TestWeiss:
     def test_half_plane_density(self, halfplane):
         assert weiss_energy(halfplane, (0.0, 0.0), 1.0) == pytest.approx(
@@ -171,6 +221,32 @@ class TestWeiss:
         vals = [weiss_energy(hairpin, x0, r) for r in (0.5, 1.0, 1.5, 2.0)]
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 5e-7
+
+    @pytest.mark.parametrize("sol, center, r", [
+        (Hairpin(1.0), _NECK, 0.5), (Hairpin(1.0), _NECK, 1.0),
+        (Hairpin(1.0), _NECK, 1.5), (Hairpin(1.0), _NECK, 2.0),
+        (DiskComplement(1.0), (0.3, 0.2), 1.0),
+        (Scherk(0.5, 1.0), (0.5, 1.0), 1.0)],
+        ids=["neck-0.5", "neck-1", "neck-1.5", "neck-2", "disk", "scherk"])
+    def test_matches_adaptive_oracle(self, sol, center, r):
+        assert weiss_energy(sol, center, r) == pytest.approx(
+            _weiss_oracle(sol, center, r), rel=1e-7)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3, 1.234, 4.0])
+    def test_grazing_circle_closed_form(self, angle):
+        # the unit circle about (−(1−d), 0) meets {x₁ > 0} in |θ| < α; as
+        # d → 0 that arc shrinks below one cell of the crossing grid
+        motion = RigidMotion(angle=angle)
+        sol = HalfPlane(motion=motion)
+        for d in 10.0 ** -np.arange(0.0, 8.5, 0.5):
+            c0 = 1.0 - d
+            al = np.arccos(c0)
+            center = motion.to_world(np.array([-c0, 0.0]))
+            bulk, boundary = _circle_integrals(sol, center, [1.0])
+            assert abs(bulk[0] - 4.0 * al) <= 1e-10, d
+            assert abs(boundary[0] - (al + np.sin(al) * np.cos(al)
+                                      - 4.0 * c0 * np.sin(al)
+                                      + 2.0 * c0**2 * al)) <= 1e-10, d
 
 
 class TestViscositySlope:
