@@ -238,16 +238,22 @@ def _clip_segment(a, b, w: Window):
         (a[1] - w.y0, d[1]),
         (w.y1 - a[1], -d[1]),
     ):
-        # inside condition: q + t*dq >= 0 on [t0, t1]
+        # inside condition: q + t*dq >= 0 on [t0, t1].  q is compared
+        # against t·dq, and the crossing −q/dq is formed only when it lies
+        # in [t0, t1]: for a subnormal dq the quotient overflows.
         if dq == 0.0:
             if q < 0:
                 return None
-            continue
-        t = -q / dq
-        if dq > 0:
-            t0 = max(t0, t)
+        elif dq > 0:
+            if -q > t1 * dq:
+                return None
+            if -q > t0 * dq:
+                t0 = -q / dq
         else:
-            t1 = min(t1, t)
+            if q < -t0 * dq:
+                return None
+            if q < -t1 * dq:
+                t1 = -q / dq
         if t0 > t1:
             return None
     return a + t0 * d, a + t1 * d

@@ -505,7 +505,7 @@ class SurfaceMesh:
         return bnd
 
 
-def build_mesh(sol, patch: Patch, reflect: bool = True) -> SurfaceMesh:
+def build_mesh(patch: Patch, reflect: bool = True) -> SurfaceMesh:
     """Map a structured patch through T and complete by X₃-reflection.
 
     Free-boundary vertices get X₃ = 0 exactly and are shared between the
@@ -592,7 +592,7 @@ def canonical_mesh(sol, resolution: int = 64) -> SurfaceMesh:
     if sol.kind not in CANONICAL_PATCHES:
         raise InvalidInputError(
             f"no canonical mesh for family {type(sol).__name__}")
-    return build_mesh(sol, CANONICAL_PATCHES[sol.kind](sol, resolution))
+    return build_mesh(CANONICAL_PATCHES[sol.kind](sol, resolution))
 
 
 # ---------------------------------------------------------------------------

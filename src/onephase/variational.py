@@ -14,12 +14,19 @@ Discretization (`ScalarField2D` on a uniform node grid of spacing h):
 * measure term — trapezoid-weighted node indicator h²·Σ w_n·1{v_n > 0}.
 
 `minimize_ac` relaxes the indicator to the cubic smoothstep
-β_ε(t) = 3(t/ε)² − 2(t/ε)³ on [0, ε] and anneals ε over a short schedule
-while running projected (v ≥ 0) Barzilai–Borwein descent with monotone
-backtracking; the Euler–Lagrange system per phase is 2Δ_h v = β'_ε(v) at the
-free interior nodes with the given Dirichlet trace.  It runs coarse to fine
-with one sparse K per grid, vᵀKv the Dirichlet term; each grid's cleanup is
-one sparse LU solve of K v = 0 on the positive phase.
+β_ε(t) = 3(t/ε)² − 2(t/ε)³ on [0, ε] and anneals ε over a short schedule;
+the Euler–Lagrange system per phase is 2Δ_h v = β'_ε(v) at the free
+interior nodes with the given Dirichlet trace.  It runs coarse to fine with
+one sparse K per grid, vᵀKv the Dirichlet term.  Each phase takes projected
+(v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982): nodes held
+at 0 by an uphill gradient take no step, and the others solve the convex
+model 2K + diag(h²w·max(β″_ε, 0)) inexactly, by a few conjugate-gradient
+steps preconditioned with a sparse LU of that matrix that is refactored
+only when it goes stale.  A monotone halving and doubling line search keeps
+each phase's energy non-increasing.  The step count per level stays about
+flat as h halves: about 20 per level for half-plane data from 33² to 257²
+nodes.  Each grid's cleanup is one sparse LU solve of K v = 0 on the
+positive phase.
 
 Diagnostics:
 
@@ -456,20 +463,25 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
 # minimization
 # ---------------------------------------------------------------------------
 
-#: annealing schedule ε = factor·h, BB step cap per phase, and the cell count
-#: in x below which the cascade stops halving the grid.
+#: annealing schedule ε = factor·h, Newton step cap per phase, the PCG
+#: relative tolerance and the PCG steps tried before the model matrix is
+#: factored again, and the cell count in x below which the cascade stops
+#: halving the grid.
 _EPS_FACTORS = (2.0, 1.0, 0.5)
-_MAX_ITER_PER_PHASE = 20000
+_MAX_NEWTON_STEPS = 200
+_PCG_RTOL = 0.1
+_PCG_STEPS = 10
 _COARSEST_CELLS = 32
 
 
 @dataclass
 class MinimizeResult:
     """`energy_history` holds one list per annealing phase and level, coarse
-    to fine, of per-iteration smoothed energies (each non-increasing by
-    construction); `history_h[k]` is entry k's grid spacing.  `energy` is the
-    sharp discrete J of the returned (cleaned) field, and `iterations` sums
-    the BB iterations of all levels."""
+    to fine: the smoothed energy at the start of the phase and after each
+    accepted Newton step (each list non-increasing by construction);
+    `history_h[k]` is entry k's grid spacing.  `energy` is the sharp
+    discrete J of the returned (cleaned) field, and `iterations` sums the
+    Newton steps of all levels, one per residual evaluation."""
 
     field: ScalarField2D
     energy: float
@@ -491,6 +503,14 @@ def _beta_prime(v, eps):
     return np.where(inside, (6.0 * t - 6.0 * t * t) / eps, 0.0)
 
 
+def _beta_second_clipped(v, eps):
+    """max(β″_ε(v), 0), the convex part of the smoothstep's curvature; at
+    v = 0 it is the limit from the right, the side a feasible step takes."""
+    t = v / eps
+    inside = (t >= 0.0) & (t < 0.5)
+    return np.where(inside, (6.0 - 12.0 * t) / (eps * eps), 0.0)
+
+
 def _stiffness(shape):
     """Sparse K on the row-major node grid of `shape` with
     vᵀKv = Σ_cells h²|∇_c v|² = Σ_cells ½[(v₁₁−v₀₀)² + (v₁₀−v₀₁)²]:
@@ -503,18 +523,55 @@ def _stiffness(shape):
                          anti], [0, n + 1, -n - 1, n - 1, 1 - n], format="csr")
 
 
+def _splu(A):
+    # minimum degree on Aᵀ+A and 1-column panels: small fill and workspace
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+
+
+def _pcg(apply, factor, idx, mask, b):
+    """Preconditioned CG for apply(x) = b on the nodes of `mask`, at most
+    _PCG_STEPS steps, stopping at relative residual _PCG_RTOL.  The
+    preconditioner solves with `factor`, the LU of an earlier model matrix
+    on the nodes `idx`, and is the identity elsewhere; its result is cut
+    back to `mask`, which keeps it symmetric positive definite there.
+    Returns the iterate and whether it reached the tolerance."""
+    def precond(r):
+        z = r.copy()
+        z[idx] = factor.solve(r[idx])
+        z[~mask] = 0.0
+        return z
+
+    x = np.zeros_like(b)
+    r = b.copy()
+    stop = _PCG_RTOL * np.sqrt(np.sum(b * b))
+    z = precond(r)
+    p = z
+    rz = np.sum(r * z)
+    for _ in range(_PCG_STEPS):
+        Ap = apply(p)
+        alpha = rz / np.sum(p * Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        if np.sqrt(np.sum(r * r)) <= stop:
+            return x, True
+        z = precond(r)
+        rz, rz_old = np.sum(r * z), rz
+        p = z + (rz / rz_old) * p
+    return x, False
+
+
 def _relax(v, fixed, h, tol):
-    """One cascade level of `minimize_ac`, the annealed descent and the
-    cleanup, on the flattened field `v`; the nodes of the 2-D mask `fixed`
-    keep their values.  Returns the flat field, one energy list per phase,
-    the iteration count and the last phase's free residual."""
+    """One cascade level of `minimize_ac`, the annealed projected Newton
+    descent and the cleanup, on the flattened field `v`; the nodes of the
+    2-D mask `fixed` keep their values.  Returns the flat field, one energy
+    list per phase, the step count and the last phase's free residual."""
     K = _stiffness(fixed.shape)
     h2 = h * h
     wh2 = h2 * _node_weights(fixed.shape).ravel()
     fixed = fixed.ravel()
 
     # sums, not BLAS dot products: threaded ddot spins idle workers, and its
-    # summation order, so the BB path, depends on the thread count
+    # summation order, so the Newton path, depends on the thread count
     def objective_and_grad(vv, eps):
         Kv = K @ vv
         E = float(np.sum(vv * Kv + wh2 * _beta(vv, eps)))
@@ -527,45 +584,67 @@ def _relax(v, fixed, h, tol):
         n = int(np.sum(free))
         return float(np.sqrt(np.sum(G[free] ** 2) / max(n, 1))) / h2
 
+    model_lu = None  # (splu, nodes) of the model matrix last factored
+
+    def newton_direction(vv, G, eps):
+        nonlocal model_lu
+        # nodes pinned at 0 by an uphill gradient take no step.  v = 0 with
+        # G = 0 stays in the solve: held there, the positive phase would
+        # spread into a zero region by one ring of nodes per step.
+        inactive = ~fixed & ((vv > 0.0) | (G <= 0.0))
+        curv = wh2 * _beta_second_clipped(vv, eps)
+
+        def apply(x):  # the model matrix 2K + diag(curv) on `inactive`
+            return np.where(inactive, 2.0 * (K @ x) + curv * x, 0.0)
+
+        b = np.where(inactive, G, 0.0)
+        if model_lu is not None:
+            d, ok = _pcg(apply, *model_lu, inactive, b)
+            if ok:
+                return d
+        idx = np.flatnonzero(inactive)
+        model_lu = None  # release the old factor before building the new one
+        model_lu = (_splu(2.0 * K[idx][:, idx] + sparse.diags(curv[idx])),
+                    idx)
+        return _pcg(apply, *model_lu, inactive, b)[0]
+
     history, iterations = [], 0
     for eps in np.multiply(_EPS_FACTORS, h):
         E, G = objective_and_grad(v, eps)
         phase = [E]
-        alpha = h2  # first trial step; BB takes over immediately
-        v_prev = G_prev = None
-        for _it in range(_MAX_ITER_PER_PHASE):
+        for _it in range(_MAX_NEWTON_STEPS):
             iterations += 1
             residual = free_residual(v, G)
             if residual <= tol:
                 break
-            if v_prev is not None:
-                sv = v - v_prev
-                denom = float(np.sum(sv * (G - G_prev)))
-                if denom > 1e-300:
-                    alpha = float(np.sum(sv * sv)) / denom
-                alpha = float(np.clip(alpha, 1e-3 * h2, 1e6 * h2))
-            # G vanishes on fixed nodes, so each trial step keeps them
-            a = alpha
+            d = newton_direction(v, G, eps)
+            # d vanishes on fixed nodes, so each trial step keeps them
+            a = 1.0
             for _bt in range(40):
-                v_new = np.maximum(v - a * G, 0.0)
+                v_new = np.maximum(v - a * d, 0.0)
                 E_new, G_new = objective_and_grad(v_new, eps)
                 if E_new <= E + 1e-12 * max(1.0, abs(E)):
                     break
                 a *= 0.5
             else:
                 break  # line search exhausted: stationary to round-off
-            v_prev, G_prev = v, G
+            if a == 1.0:  # the full step passed: longer ones may too
+                for _dbl in range(40):
+                    v_try = np.maximum(v - 2.0 * a * d, 0.0)
+                    E_try, G_try = objective_and_grad(v_try, eps)
+                    if not E_try < E_new:
+                        break
+                    a, v_new, E_new, G_new = 2.0 * a, v_try, E_try, G_try
             v, E, G = v_new, E_new, G_new
             phase.append(E)
         history.append(phase)
+    model_lu = None  # freed before the cleanup factor is built
 
     free = ~fixed & (v >= 0.5 * eps)
     v = np.where(fixed | free, v, 0.0)
     idx = np.flatnonzero(free)
     if idx.size:
-        # minimum degree on Kᵀ+K and 1-column panels: small fill and workspace
-        lu = splu(K[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                  panel_size=1)
+        lu = _splu(K[idx][:, idx])
         v[idx] = np.maximum(lu.solve(-(K[idx] @ np.where(free, 0.0, v))),
                             0.0)  # ≥ 0 up to round-off
     return v, history, iterations, residual
@@ -583,10 +662,18 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     The grid is halved while both cell counts are even and more than 32
     cells span the width.  `init` (an array through bilinear interpolation)
     seeds the coarsest level, and each level's cleaned field the next.  Each
-    level anneals ε over 2h, h, h/2 with projected Barzilai–Borwein descent
-    and monotone backtracking; the residual is the rms projected gradient
-    over free nodes (interior nodes not pinned at v = 0 with uphill
-    gradient), for the finest level's last ε.
+    level anneals ε over 2h, h, h/2.  Each phase runs projected Newton steps
+    until the residual reaches `tol`, at most _MAX_NEWTON_STEPS of them:
+    interior nodes with v = 0 and an uphill gradient G > 0 are held, and
+    the others move along the solution of
+    (2K + diag(h²w·max(β″_ε(v), 0)))·d = G, solved to relative residual
+    _PCG_RTOL by conjugate gradients preconditioned with a sparse LU of the
+    model matrix, which is refactored when _PCG_STEPS steps do not reach
+    that tolerance.  The step v ← max(v − a·d, 0) starts at a = 1, halves
+    until the energy does not rise, and doubles while it still falls when
+    a = 1 passed at once.  The residual is the rms projected gradient over
+    free nodes (interior nodes not pinned at v = 0 with uphill gradient),
+    for the finest level's last ε.
 
     Cleanup: the smoothed problem 2Δv = β'_ε(v) has exponential tails where
     the sharp minimizer is exactly zero, so interior nodes below ε_final/2

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ class TestPolylines:
         assert piece[:, 0].min() >= -1e-12
         assert piece[:, 0].max() <= 1.0 + 1e-12
         assert polyline_length(piece) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x0, dx, expect", [
+        (-1.0, 5e-324, [[[0.0, -1.0], [0.0, 1.0]]]),
+        (-1.0, -5e-324, [[[0.0, -1.0], [0.0, 1.0]]]),
+        (-1.0, 1e-310, [[[0.0, -1.0], [0.0, 1.0]]]),
+        (0.5, 5e-324, []),
+        (0.5, -5e-324, []),
+    ])
+    def test_clip_subnormal_direction(self, x0, dx, expect):
+        # the x sides' crossing −q/dx overflows for a subnormal dx
+        w = Window(x0, -1.0, 1.0, 1.0)
+        poly = np.array([[0.0, -2.0], [dx, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pieces = clip_polyline_to_window(poly, w)
+        assert len(pieces) == len(expect)
+        for piece, ref in zip(pieces, expect):
+            assert np.allclose(piece, ref, rtol=0.0, atol=1e-300)
 
 
 class TestSmoothstep5:

@@ -232,9 +232,8 @@ class TestMeshStructure:
         x3 = np.sort(mesh.vertices[:, 2])
         assert np.allclose(x3, -x3[::-1], atol=1e-12)
 
-    def test_no_reflect_single_sheet(self, halfplane):
-        mesh = build_mesh(halfplane, patch_halfplane(resolution=12),
-                          reflect=False)
+    def test_no_reflect_single_sheet(self):
+        mesh = build_mesh(patch_halfplane(resolution=12), reflect=False)
         assert np.all(mesh.triangle_sheet == 1)
         assert np.all(mesh.vertices[:, 2] >= -1e-15)
 
@@ -254,7 +253,7 @@ class TestMeshStructure:
                 tris.append((vid[j, i], vid[j + 1, i + 1], vid[j + 1, i]))
         tris = np.array(tris)
         remap = np.cumsum(np.isin(np.arange(nt * ns), tris)) - 1
-        mesh = build_mesh(None, patch, reflect=False)  # reads only the patch
+        mesh = build_mesh(patch, reflect=False)
         assert patch.weld_rows
         assert np.array_equal(mesh.triangles, remap[tris])
 
@@ -306,8 +305,8 @@ class TestCatenoid:
         rho = np.hypot(xy[:, 0], xy[:, 1])
         assert np.max(np.abs(rho - np.cosh(mesh.vertices[:, 2]))) < 1e-10
 
-    def test_requires_neck(self, halfplane):
-        mesh = build_mesh(halfplane, patch_halfplane(resolution=8))
+    def test_requires_neck(self):
+        mesh = build_mesh(patch_halfplane(resolution=8))
         mesh.vertex_source[:, 2] = 1.0  # no FB vertices
         with pytest.raises(InvalidInputError):
             catenoid_overlay(mesh, R=1.0)

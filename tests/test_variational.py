@@ -310,6 +310,30 @@ class TestMinimize:
         assert positive.sum() > 100
         assert np.max(np.abs(Kv[positive])) < 1e-10
 
+    def test_newton_steps_do_not_grow_with_the_grid(self):
+        # the cascade runs h = 1/16 → 1/32 → 1/64
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 64,
+                          HalfPlane().eval_u)
+        assert res.converged
+        assert max(map(len, res.energy_history)) <= 30
+        steps = {}
+        for level_h, phase in zip(res.history_h, res.energy_history):
+            steps[level_h] = steps.get(level_h, 0) + len(phase) - 1
+        assert steps[1.0 / 64] <= 2 * steps[1.0 / 16]
+
+    def test_hairpin_reaches_recorded_energy(self):
+        # a curved free boundary with zero-phase tongues beside the neck;
+        # the reference is the sharp energy perfbench/reference.json records
+        # for this run
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 64,
+                          Hairpin(0.25).eval_u)
+        assert res.converged
+        for phase in res.energy_history:
+            arr = np.asarray(phase)
+            assert np.all(np.diff(arr) <= 1e-11 * max(1.0, abs(arr[0])))
+        e_ref = 4.8179897823187705
+        assert res.energy <= e_ref + 1e-3 * abs(e_ref)
+
     def test_same_run_at_any_blas_thread_count(self):
         # 105² nodes: OpenBLAS threads a dot product of this length
         code = """if True:
