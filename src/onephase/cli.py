@@ -30,6 +30,7 @@ Exit codes: 0 success, 1 check/convergence failure, 2 config or I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -234,12 +235,12 @@ def cmd_boundary(cfg: ExperimentConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _fb_sample_points(sol, window: Window, n: int = 10):
-    """Up to n free-boundary points in `window`, evenly spread along the
-    curves; clip-generated endpoints are dropped (they are chord points, not
-    points of the analytic boundary)."""
+def _fb_sample_points(curves, n: int = 10):
+    """Up to n points of the free-boundary polylines `curves`, evenly spread
+    along them; clip-generated endpoints are dropped (they are chord points,
+    not points of the analytic boundary)."""
     pts = []
-    for poly in sol.free_boundary_curves(window):
+    for poly in curves:
         interior = poly[1:-1] if len(poly) > 4 else poly
         take = max(1, min(n, len(interior)))
         idx = np.linspace(0, len(interior) - 1, take).astype(int)
@@ -281,6 +282,9 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     window = cfg.get_window(default=sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
     checks = []
+    # traced and clipped once, on first use; a failure is not kept, so each
+    # check that samples the free boundary reports it
+    fb_curves = functools.cache(lambda: sol.free_boundary_curves(window))
 
     def check_residual():
         hc = window.width / 32.0
@@ -288,7 +292,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             raise InvalidInputError(
                 "variational_residual needs a window whose sides are "
                 "commensurable (use a square window)")
-        fb = _fb_sample_points(sol, window)
+        fb = _fb_sample_points(fb_curves())
         center = np.array([0.5 * (window.x0 + window.x1),
                            0.5 * (window.y0 + window.y1)])
         c = fb[np.argmin(np.hypot(*(fb - center).T))]
@@ -327,7 +331,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         tol_chart = cfg.tolerance("slope_chart_tol", 1e-6)
         tol_fd = cfg.tolerance("slope_fd_tol", 5e-3)
         offset = float(cfg.params.get("slope_fd_offset", 1e-4))
-        pts = _fb_sample_points(sol, window)
+        pts = _fb_sample_points(fb_curves())
         g = sol.eval_grad(pts, boundary_limit=True)
         chart_dev = float(np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - 1.0)))
         fd_dev = max(abs(viscosity_slope(sol, p, r=offset) - 1.0)
@@ -370,7 +374,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         r = 0.25 * min(window.width, window.height)
         centers = [np.array([0.5 * (window.x0 + window.x1),
                              0.5 * (window.y0 + window.y1)])]
-        centers.extend(_fb_sample_points(sol, window, n=2))
+        centers.extend(_fb_sample_points(fb_curves(), n=2))
         rows = []
         ok = True
         for c in centers:
@@ -495,9 +499,7 @@ def cmd_traizet(cfg: ExperimentConfig) -> int:
     obj_path = out / f"traizet_{sol.kind}.obj"
     mesh.save_obj(obj_path)
     csv_path = out / f"traizet_{sol.kind}_curvature.csv"
-    curvature_csv(mesh, csv_path)
-
-    H, interior = mean_curvature(mesh)
+    H, interior = curvature_csv(mesh, csv_path)
     _, defects = orthogonality_check(mesh)
     report = {"command": "traizet", "solution": sol.to_dict(),
               "resolution": cfg.resolution,

@@ -200,60 +200,44 @@ def densify_polyline(poly, step: float) -> np.ndarray:
 
 def clip_polyline_to_window(poly, window: Window):
     """Clip a polyline to a window, splitting it into the pieces that lie
-    inside.  Segment/boundary intersection points are inserted exactly
-    (Liang–Barsky per segment).  Returns a list of (k, 2) arrays.
+    inside.  Returns a list of (k, 2) arrays.
+
+    Each segment is clipped by Liang–Barsky, in one array pass over all
+    segments, so the crossings with the window sides are exact.  A clipped
+    segment continues the piece before it when the segment before it
+    survived too and ended, to np.allclose's default rtol with atol 1e-14,
+    where this one starts.
     """
     poly = np.asarray(poly, dtype=float)
-    pieces = []
-    current: list[np.ndarray] = []
-
-    def flush():
-        nonlocal current
-        if len(current) >= 2:
-            pieces.append(np.asarray(current))
-        current = []
-
-    for a, b in zip(poly[:-1], poly[1:]):
-        seg = _clip_segment(a, b, window)
-        if seg is None:
-            flush()
-            continue
-        pa, pb = seg
-        if current and np.allclose(current[-1], pa, atol=1e-14):
-            current.append(pb)
-        else:
-            flush()
-            current = [pa, pb]
-    flush()
-    return pieces
-
-
-def _clip_segment(a, b, w: Window):
-    """Liang–Barsky: the portion of segment [a,b] inside w, or None."""
-    d = b - a
-    t0, t1 = 0.0, 1.0
+    a, d = poly[:-1], np.diff(poly, axis=0)
+    t0, t1 = np.zeros(len(a)), np.ones(len(a))
+    alive = np.ones(len(a), dtype=bool)
     for q, dq in (
-        (a[0] - w.x0, d[0]),
-        (w.x1 - a[0], -d[0]),
-        (a[1] - w.y0, d[1]),
-        (w.y1 - a[1], -d[1]),
+        (a[:, 0] - window.x0, d[:, 0]),
+        (window.x1 - a[:, 0], -d[:, 0]),
+        (a[:, 1] - window.y0, d[:, 1]),
+        (window.y1 - a[:, 1], -d[:, 1]),
     ):
         # inside condition: q + t*dq >= 0 on [t0, t1].  q is compared
         # against t·dq, and the crossing −q/dq is formed only when it lies
         # in [t0, t1]: for a subnormal dq the quotient overflows.
-        if dq == 0.0:
-            if q < 0:
-                return None
-        elif dq > 0:
-            if -q > t1 * dq:
-                return None
-            if -q > t0 * dq:
-                t0 = -q / dq
-        else:
-            if q < -t0 * dq:
-                return None
-            if q < -t1 * dq:
-                t1 = -q / dq
-        if t0 > t1:
-            return None
-    return a + t0 * d, a + t1 * d
+        zero, pos = dq == 0.0, dq > 0
+        neg = ~zero & ~pos
+        alive &= ~(zero & (q < 0))
+        alive &= ~(pos & (-q > t1 * dq))
+        np.divide(-q, dq, out=t0, where=alive & pos & (-q > t0 * dq))
+        alive &= ~(neg & (q < -t0 * dq))
+        np.divide(-q, dq, out=t1, where=alive & neg & (q < -t1 * dq))
+        alive &= ~(t0 > t1)
+    keep = np.flatnonzero(alive)
+    if len(keep) == 0:
+        return []
+    pa = a[keep] + t0[keep, None] * d[keep]
+    pb = a[keep] + t1[keep, None] * d[keep]
+    new = np.ones(len(keep), dtype=bool)
+    new[1:] = ((np.diff(keep) != 1)
+               | ~np.all(np.isclose(pb[:-1], pa[1:], atol=1e-14), axis=1))
+    starts = np.flatnonzero(new)
+    # each piece is its first segment's start followed by every segment's end
+    pts = np.insert(pb, starts, pa[starts], axis=0)
+    return np.split(pts, starts[1:] + np.arange(1, len(starts)))

@@ -37,12 +37,12 @@ Quadrature remains only in the path integrals `traizet_map` and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .common import (format_float, smoothstep5, write_csv_atomic,
-                     write_text_atomic)
+from .common import smoothstep5, write_text_atomic
 from .conformal import scherk_loop_point, scherk_loop_x2_extent
 from .errors import DomainError, InvalidInputError, TopologyError
 from .quad import gauss_nodes
@@ -487,21 +487,24 @@ class SurfaceMesh:
         return np.nonzero(self.vertex_source[:, 2] == 0)[0]
 
     def save_obj(self, path) -> None:
-        lines = []
-        for vx, vy, vz in self.vertices:
-            lines.append(f"v {format_float(vx)} {format_float(vy)} "
-                         f"{format_float(vz)}")
-        for i, j, k in self.triangles:
-            lines.append(f"f {i + 1} {j + 1} {k + 1}")
-        write_text_atomic(str(path), "\n".join(lines) + "\n")
+        """Wavefront OBJ: one `v` line per vertex ('%.17g'), then one `f`
+        line per triangle (1-based)."""
+        v = ("v %.17g %.17g %.17g\n" * len(self.vertices)
+             % tuple(self.vertices.ravel().tolist()))
+        f = ("f %d %d %d\n" * len(self.triangles)
+             % tuple((self.triangles + 1).ravel().tolist()))
+        write_text_atomic(str(path), v + f)
 
     def boundary_vertices(self):
-        tri = self.triangles
-        edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
-                                        tri[:, [2, 0]]]), axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        bnd = np.zeros(len(self.vertices), dtype=bool)
-        bnd[uniq[counts == 1].ravel()] = True
+        """Mask of the vertices on an edge that only one triangle has."""
+        n = len(self.vertices)
+        i, j = self.triangles, np.roll(self.triangles, -1, axis=1)
+        key, count = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
+                               return_counts=True)
+        edges = key[count == 1]
+        bnd = np.zeros(n, dtype=bool)
+        bnd[edges // n] = True
+        bnd[edges % n] = True
         return bnd
 
 
@@ -607,9 +610,10 @@ def _vertex_normals(mesh: SurfaceMesh, sheet=None):
     b = verts[tris[:, 1]]
     c = verts[tris[:, 2]]
     fn = np.cross(b - a, c - a)  # area-weighted
-    normals = np.zeros_like(verts)
-    for k in range(3):
-        np.add.at(normals, tris[:, k], fn)
+    corner = tris.T.ravel()
+    normals = np.stack([np.bincount(corner, weights=np.tile(fn[:, k], 3),
+                                    minlength=len(verts))
+                        for k in range(3)], axis=1)
     norm = np.linalg.norm(normals, axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         normals = normals / np.where(norm > 0, norm, 1.0)[:, None]
@@ -620,45 +624,54 @@ def mean_curvature(mesh: SurfaceMesh):
     """Signed discrete mean curvature at interior vertices: the cotangent
     Laplacian of position dotted with the (area-weighted) vertex normal over
     Meyer mixed areas (Voronoi, barycentric fallback at obtuse triangles).
-    Boundary vertices get NaN.  Returns (H, interior_mask)."""
+    Boundary vertices get NaN.  Returns (H, interior_mask).
+
+    Every per-vertex sum is one np.bincount per coordinate over all corners,
+    corner k = 0, 1, 2 in turn; bincount adds in input order, so each sum
+    is taken in a fixed order."""
     verts = mesh.vertices
     tris = mesh.triangles
     n = len(verts)
     # before the per-corner arrays below exist, to keep the peak memory down
     normals = _vertex_normals(mesh)
     interior = ~mesh.boundary_vertices()
-    lap = np.zeros_like(verts)
-    area = np.zeros(n)
     p = verts[tris]  # (m, 3, 3)
-    # per corner k: the edges to the next two corners, |e1 × e2|, e1·e2 and
-    # the cotangent of the angle there (its sign marks an obtuse corner)
-    e1 = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
-    e2 = [p[:, (k + 2) % 3] - p[:, k] for k in range(3)]
-    cross = [np.linalg.norm(np.cross(a, b), axis=1) for a, b in zip(e1, e2)]
-    dot = [np.einsum("ij,ij->i", a, b) for a, b in zip(e1, e2)]
+    # E[k] runs from corner k to corner k+1 (indices mod 3).  At corner k
+    # the edges to the next two corners are e1 = E[k] and e2 = −E[k+2], and
+    # the opposite edge is E[k+1].  Negating a difference is exact, so the
+    # terms in e2 below are those in E[k+2] with their signs flipped.
+    E = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
+    del p
+    # per corner k: |e1 × e2|, e1·e2 and the cotangent of the angle there
+    # (its sign marks an obtuse corner); sq[k] = |E[k]|²
+    cross = [np.linalg.norm(np.cross(E[k], E[(k + 2) % 3]), axis=1)
+             for k in range(3)]
+    dot = [-np.einsum("ij,ij->i", E[k], E[(k + 2) % 3]) for k in range(3)]
+    sq = [np.einsum("ij,ij->i", e, e) for e in E]
     cot = [d / np.where(c > 0, c, 1.0) for d, c in zip(dot, cross)]
+    # cot of the angle at corner k weights the opposite edge (i1, i2):
+    # +cot·E[k+1] at i1 = tris[:, k+1], −cot·E[k+1] at i2 = tris[:, k+2]
+    ends = tris[:, [1, 2, 2, 0, 0, 1]].T.ravel()
+    lap = np.empty_like(verts)
+    for c in range(3):
+        w = [cot[k] * E[(k + 1) % 3][:, c] for k in range(3)]
+        lap[:, c] = np.bincount(ends, minlength=n, weights=np.concatenate(
+            [w[0], -w[0], w[1], -w[1], w[2], -w[2]]))
+    # Meyer mixed area at corner k, from its own |e1 × e2|
+    contrib = []
     for k in range(3):
-        i0 = tris[:, k]
-        i1 = tris[:, (k + 1) % 3]
-        i2 = tris[:, (k + 2) % 3]
-        # cot of the angle at vertex k weights the opposite edge (i1, i2)
-        d = verts[i2] - verts[i1]
-        np.add.at(lap, i1, cot[k][:, None] * d)
-        np.add.at(lap, i2, -cot[k][:, None] * d)
-        # Meyer mixed area at vertex k, from its own corner's |e1 × e2|
         tri_area = 0.5 * cross[k]
-        l1 = np.einsum("ij,ij->i", e1[k], e1[k])
-        l2 = np.einsum("ij,ij->i", e2[k], e2[k])
         cot1, cot2 = cot[(k + 1) % 3], cot[(k + 2) % 3]
         obtuse_here = dot[k] < 0
         any_obtuse = obtuse_here | (cot1 < 0) | (cot2 < 0)
         # non-obtuse: Voronoi area  (|e2|² cot∠i1 + |e1|² cot∠i2) / 8
-        voronoi = (l2 * cot1 + l1 * cot2) / 8.0
-        contrib = np.where(any_obtuse,
-                           np.where(obtuse_here, tri_area / 2.0,
-                                    tri_area / 4.0),
-                           voronoi)
-        np.add.at(area, i0, contrib)
+        voronoi = (sq[(k + 2) % 3] * cot1 + sq[k] * cot2) / 8.0
+        contrib.append(np.where(any_obtuse,
+                                np.where(obtuse_here, tri_area / 2.0,
+                                         tri_area / 4.0),
+                                voronoi))
+    area = np.bincount(tris.T.ravel(), weights=np.concatenate(contrib),
+                       minlength=n)
 
     H = np.full(n, np.nan)
     safe = interior & (area > 0)
@@ -722,11 +735,13 @@ def catenoid_overlay(mesh: SurfaceMesh, R: float) -> float:
     return float(np.max(np.abs(rho - target)))
 
 
-def curvature_csv(mesh: SurfaceMesh, path) -> None:
-    """Per-vertex mean curvature report: vertex index, H, is_boundary."""
+def curvature_csv(mesh: SurfaceMesh, path):
+    """Per-vertex mean curvature report: vertex index, H ('%.17g', `nan` on
+    the boundary), is_boundary.  Returns the (H, interior) of
+    `mean_curvature` that it wrote."""
     H, interior = mean_curvature(mesh)
-    rows = []
-    for k in range(len(H)):
-        rows.append([k, "nan" if np.isnan(H[k]) else format_float(H[k]),
-                     int(not interior[k])])
-    write_csv_atomic(str(path), ["vertex", "H", "is_boundary"], rows)
+    cells = zip(range(len(H)), H.tolist(), (~interior).astype(int).tolist())
+    write_text_atomic(str(path), "vertex,H,is_boundary\n"
+                      + "%d,%.17g,%d\n" * len(H)
+                      % tuple(itertools.chain.from_iterable(cells)))
+    return H, interior

@@ -20,6 +20,73 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e300, max_value=1e300)
 
 
+def _clip_oracle(poly, window):
+    """Per-segment clip, joined segment by segment: the loop that
+    `clip_polyline_to_window` replaces by one array pass."""
+    pieces = []
+    current = []
+
+    def flush():
+        nonlocal current
+        if len(current) >= 2:
+            pieces.append(np.asarray(current))
+        current = []
+
+    for a, b in zip(poly[:-1], poly[1:]):
+        seg = _clip_segment_oracle(a, b, window)
+        if seg is None:
+            flush()
+            continue
+        pa, pb = seg
+        if current and np.allclose(current[-1], pa, atol=1e-14):
+            current.append(pb)
+        else:
+            flush()
+            current = [pa, pb]
+    flush()
+    return pieces
+
+
+def _clip_segment_oracle(a, b, w):
+    """Liang–Barsky: the portion of segment [a,b] inside w, or None."""
+    d = b - a
+    t0, t1 = 0.0, 1.0
+    for q, dq in (
+        (a[0] - w.x0, d[0]),
+        (w.x1 - a[0], -d[0]),
+        (a[1] - w.y0, d[1]),
+        (w.y1 - a[1], -d[1]),
+    ):
+        if dq == 0.0:
+            if q < 0:
+                return None
+        elif dq > 0:
+            if -q > t1 * dq:
+                return None
+            if -q > t0 * dq:
+                t0 = -q / dq
+        else:
+            if q < -t0 * dq:
+                return None
+            if q < -t1 * dq:
+                t1 = -q / dq
+        if t0 > t1:
+            return None
+    return a + t0 * d, a + t1 * d
+
+
+# window sides, zero and subnormals, so that vertices land exactly on a side,
+# segments run parallel to an axis and direction components are subnormal
+clip_coords = st.one_of(
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 5e-324, -5e-324,
+                     1e-310, -1e-310]),
+    st.floats(min_value=-3.0, max_value=3.0))
+clip_windows = st.sampled_from([Window(-1.0, -1.0, 1.0, 1.0),
+                                Window(0.0, -1.0, 1.0, 1.0),
+                                Window(-0.5, 0.0, 2.0, 0.5),
+                                Window(5e-324, -1e-310, 1.0, 2.0)])
+
+
 class TestWindow:
     def test_degenerate_raises(self):
         with pytest.raises(InvalidInputError):
@@ -141,6 +208,32 @@ class TestPolylines:
         assert len(pieces) == len(expect)
         for piece, ref in zip(pieces, expect):
             assert np.allclose(piece, ref, rtol=0.0, atol=1e-300)
+
+
+    @given(st.lists(st.tuples(st.tuples(clip_coords, clip_coords),
+                              st.integers(1, 3)), max_size=30),
+           clip_windows)
+    @settings(max_examples=300, deadline=None)
+    def test_clip_matches_per_segment_oracle(self, verts, w):
+        # each vertex is repeated 1–3 times
+        poly = np.array([p for p, k in verts for _ in range(k)],
+                        dtype=float).reshape(-1, 2)
+        pieces = clip_polyline_to_window(poly, w)
+        ref = _clip_oracle(poly, w)
+        assert len(pieces) == len(ref)
+        for piece, r in zip(pieces, ref):
+            assert np.array_equal(piece, r)
+
+    def test_clip_matches_oracle_on_long_walks(self, rng):
+        w = Window(-1.0, -1.0, 1.0, 1.0)
+        for _ in range(20):
+            step = rng.normal(scale=0.05, size=(1500, 2))
+            poly = np.cumsum(step, axis=0) + rng.uniform(-1.0, 1.0, 2)
+            pieces = clip_polyline_to_window(poly, w)
+            ref = _clip_oracle(poly, w)
+            assert len(pieces) == len(ref) > 0
+            for piece, r in zip(pieces, ref):
+                assert np.array_equal(piece, r)
 
 
 class TestSmoothstep5:

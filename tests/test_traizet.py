@@ -190,6 +190,69 @@ def _sphere_mesh(R=2.0, n_lat=28, n_lon=56):
                        triangle_sheet=np.ones(len(tris), dtype=int))
 
 
+def _mean_curvature_oracle(mesh):
+    """Scatter-add mean curvature: `mean_curvature` as one np.add.at per
+    corner and term, with boundary edges found by np.unique over edge rows.
+    The array version must agree with it bit for bit."""
+    verts = mesh.vertices
+    tris = mesh.triangles
+    n = len(verts)
+    a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
+    fn = np.cross(b - a, c - a)
+    normals = np.zeros_like(verts)
+    for k in range(3):
+        np.add.at(normals, tris[:, k], fn)
+    norm = np.linalg.norm(normals, axis=1)
+    normals = normals / np.where(norm > 0, norm, 1.0)[:, None]
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                    tris[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    interior = np.ones(n, dtype=bool)
+    interior[uniq[counts == 1].ravel()] = False
+    lap = np.zeros_like(verts)
+    area = np.zeros(n)
+    p = verts[tris]
+    e1 = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
+    e2 = [p[:, (k + 2) % 3] - p[:, k] for k in range(3)]
+    cross = [np.linalg.norm(np.cross(u, v), axis=1) for u, v in zip(e1, e2)]
+    dot = [np.einsum("ij,ij->i", u, v) for u, v in zip(e1, e2)]
+    cot = [d / np.where(c > 0, c, 1.0) for d, c in zip(dot, cross)]
+    for k in range(3):
+        i0 = tris[:, k]
+        i1 = tris[:, (k + 1) % 3]
+        i2 = tris[:, (k + 2) % 3]
+        d = verts[i2] - verts[i1]
+        np.add.at(lap, i1, cot[k][:, None] * d)
+        np.add.at(lap, i2, -cot[k][:, None] * d)
+        tri_area = 0.5 * cross[k]
+        l1 = np.einsum("ij,ij->i", e1[k], e1[k])
+        l2 = np.einsum("ij,ij->i", e2[k], e2[k])
+        cot1, cot2 = cot[(k + 1) % 3], cot[(k + 2) % 3]
+        obtuse_here = dot[k] < 0
+        any_obtuse = obtuse_here | (cot1 < 0) | (cot2 < 0)
+        voronoi = (l2 * cot1 + l1 * cot2) / 8.0
+        contrib = np.where(any_obtuse,
+                           np.where(obtuse_here, tri_area / 2.0,
+                                    tri_area / 4.0),
+                           voronoi)
+        np.add.at(area, i0, contrib)
+    H = np.full(n, np.nan)
+    safe = interior & (area > 0)
+    H[safe] = -(np.einsum("ij,ij->i", lap[safe], normals[safe])
+                / (4.0 * area[safe]))
+    return H, interior
+
+
+def _jittered_halfplane_mesh(rng):
+    """Half-plane mesh with every vertex moved by up to 0.4 of a mesh step,
+    so that it has acute and obtuse triangles."""
+    mesh = build_mesh(patch_halfplane(resolution=24))
+    step = 2.0 / 24
+    mesh.vertices = mesh.vertices + rng.uniform(-0.4 * step, 0.4 * step,
+                                                mesh.vertices.shape)
+    return mesh
+
+
 class TestMeanCurvature:
     def test_sphere_calibration(self):
         R = 2.0
@@ -218,6 +281,33 @@ class TestMeanCurvature:
     def test_half_plane_is_flat(self, halfplane):
         H, interior = mean_curvature(canonical_mesh(halfplane, resolution=24))
         assert np.max(np.abs(H[interior])) < 1e-10
+
+
+    @pytest.mark.parametrize("name", ["halfplane", "disk", "hairpin",
+                                      "scherk", "sphere", "jittered"])
+    def test_matches_scatter_add_oracle(self, name, request, rng):
+        if name == "sphere":
+            mesh = _sphere_mesh()
+        elif name == "jittered":
+            mesh = _jittered_halfplane_mesh(rng)
+        else:
+            mesh = canonical_mesh(request.getfixturevalue(name),
+                                  resolution=32)
+        H, interior = mean_curvature(mesh)
+        H_ref, interior_ref = _mean_curvature_oracle(mesh)
+        # bit for bit, the sign of zero and the NaN of boundary vertices too
+        assert np.array_equal(H.view(np.int64), H_ref.view(np.int64))
+        assert np.array_equal(interior, interior_ref)
+        assert interior.any() and not interior.all()
+
+    def test_jittered_mesh_has_every_meyer_branch(self, rng):
+        mesh = _jittered_halfplane_mesh(rng)
+        p = mesh.vertices[mesh.triangles]
+        dots = np.stack([np.einsum("ij,ij->i", p[:, k - 2] - p[:, k],
+                                   p[:, k - 1] - p[:, k])
+                         for k in range(3)], axis=1)
+        obtuse = (dots < 0).any(axis=1)
+        assert obtuse.any() and not obtuse.all()
 
 
 class TestMeshStructure:
