@@ -104,17 +104,25 @@ class ExperimentConfig:
                 'a {"family": ..., "params": ...} descriptor in the config')
         return solution_from_dict(self.solution)
 
+    def number(self, name: str, default: float) -> float:
+        """params[name] as a float, `default` when absent; a value that is
+        no number is a config error."""
+        v = self.params.get(name, default)
+        try:
+            return float(v)
+        except (TypeError, ValueError):
+            raise InvalidInputError(
+                f"{name} must be a number, got {v!r}") from None
+
     def tolerance(self, name: str, default: float) -> float:
         """Per-check tolerance: explicit params[name] wins, then the generic
         --tol override, then the check's default."""
-        if name in self.params:
-            v = float(self.params[name])
-            if not v > 0:
-                raise InvalidInputError(f"{name} must be > 0, got {v}")
-            return v
-        if self.tol is not None:
-            return self.tol
-        return default
+        if name not in self.params:
+            return default if self.tol is None else self.tol
+        v = self.number(name, default)
+        if not v > 0:
+            raise InvalidInputError(f"{name} must be > 0, got {v}")
+        return v
 
 
 def load_config(path) -> dict:
@@ -330,7 +338,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     def check_slope():
         tol_chart = cfg.tolerance("slope_chart_tol", 1e-6)
         tol_fd = cfg.tolerance("slope_fd_tol", 5e-3)
-        offset = float(cfg.params.get("slope_fd_offset", 1e-4))
+        offset = cfg.number("slope_fd_offset", 1e-4)
         pts = _fb_sample_points(fb_curves())
         g = sol.eval_grad(pts, boundary_limit=True)
         chart_dev = float(np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - 1.0)))
@@ -356,8 +364,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     def check_flux():
         tol = cfg.tolerance("flux_tol", 1e-7)
-        step = float(cfg.params.get("flux_step", 1e-3))
-        n_poly = int(cfg.params.get("n_polygons", 5))
+        step = cfg.number("flux_step", 1e-3)
+        n_poly = int(cfg.number("n_polygons", 5))
         worst = 0.0
         lemma = True
         for _ in range(n_poly):
@@ -434,7 +442,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 def cmd_minimize(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     window = cfg.get_window(default=(-1.0, -1.0, 1.0, 1.0))
-    h = float(cfg.params.get("h", window.width / cfg.resolution))
+    h = cfg.number("h", window.width / cfg.resolution)
 
     if "boundary_field" in cfg.params:
         fld = _load_field(cfg.params["boundary_field"])
@@ -451,7 +459,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
         boundary = sol.eval_u
 
     result = minimize_ac(window, h, boundary,
-                         tol=float(cfg.params.get("descent_tol", 1e-3)))
+                         tol=cfg.number("descent_tol", 1e-3))
     history_rows = []
     for k, (level_h, energies) in enumerate(zip(result.history_h,
                                                  result.energy_history)):
@@ -523,12 +531,11 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     mode = cfg.params.get("mode", "trichotomy")
     if mode == "trichotomy":
-        delta = float(cfg.params.get("delta", 0.1))
-        rep = classify_flat(sol, delta,
-                            eps=float(cfg.params.get("eps", 1e-9)))
+        delta = cfg.number("delta", 0.1)
+        rep = classify_flat(sol, delta, eps=cfg.number("eps", 1e-9))
         body = rep.to_dict()
     elif mode == "annulus":
-        delta = float(cfg.params.get("delta", 0.01))
+        delta = cfg.number("delta", 0.01)
         scales = [float(s) for s in
                   cfg.params.get("scales", [0.05, 0.1, 0.2, 0.4])]
         seed_point = cfg.params.get("seed_point")

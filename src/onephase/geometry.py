@@ -3,7 +3,8 @@
 Contents:
 
 * `extract_boundary` — oriented marching squares (positive phase on the
-  left of travel), saddle cells disambiguated by the cell-center value;
+  left of travel) on integer edge ids: one case table, with saddle cells
+  split by the cell-center value, and one successor array of crossings;
 * `hausdorff` — symmetric Hausdorff distance between polyline sets over
   densified vertices;
 * `curve_curvature` — signed circumradius (Menger) curvature per vertex;
@@ -158,144 +159,74 @@ def _as_polyline_list(obj):
 # marching squares
 # ---------------------------------------------------------------------------
 
+#: oriented marching-squares segments per cell case (bit 1: bottom-left,
+#: 2: bottom-right, 4: top-right, 8: top-left node above the level): up to
+#: two "FT" pairs, each running from side F to side T (Bottom, Right, Top,
+#: Left; "-" for none, −1) with the positive set on its left.  Rows 16 and
+#: 17 are the saddles 5 and 10 with the cell center above the level.
+_CASES = np.array([[["BRTL".find(side) for side in seg] for seg in row.split()]
+                   for row in ("-- --", "BL --", "RB --", "RL --", "TR --",
+                               "BL TR", "TB --", "TL --", "LT --", "BT --",
+                               "RB LT", "RT --", "LR --", "BR --", "LB --",
+                               "-- --", "TL BR", "LB RT")])
+
+
 def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
     """Marching-squares contour of {v > level}, oriented with the positive
     set on the left of travel.  Saddle cells (two opposite corners inside)
     are split according to the cell-center average.  Returns an empty
-    FreeBoundary when the field has no sign change of (v − level)."""
-    v = fld.values
-    w = fld.window
-    h = fld.h
+    FreeBoundary when the field has no sign change of (v − level).
+
+    Every grid edge has an integer id: the horizontal edges (j, i)–(j, i+1)
+    row-major first, then the vertical edges (j, i)–(j+1, i).  `_CASES`
+    turns each cell into directed (from, to) edge-id pairs.  One adjacent
+    cell leaves a crossing and the other enters it, so the pairs form one
+    successor array.  Chains start at the ids no pair enters, then loops at
+    their lowest id, both in id order."""
+    v, w, h = fld.values, fld.window, fld.h
     inside = v > level
-    if inside.all() or (~inside).all():
-        return FreeBoundary([])
     ny, nx = v.shape
+    nh = ny * (nx - 1)
+    pts = np.empty((nh + (ny - 1) * nx, 2))
+    j, i = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    t = (level - v[j, i]) / (v[j, i + 1] - v[j, i])
+    pts[j * (nx - 1) + i] = np.stack([w.x0 + (i + t) * h, w.y0 + j * h], -1)
+    j, i = np.nonzero(inside[:-1, :] != inside[1:, :])
+    t = (level - v[j, i]) / (v[j + 1, i] - v[j, i])
+    pts[nh + j * nx + i] = np.stack([w.x0 + i * h, w.y0 + (j + t) * h], -1)
 
-    # crossing coordinates per grid edge, indexed by the lower/left node
-    def interp(v0, v1):
-        return (level - v0) / (v1 - v0)
+    case = (inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:]
+            + 8 * inside[1:, :-1])
+    j, i = np.nonzero((case > 0) & (case < 15))
+    case = case[j, i]
+    center = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i] + v[j + 1, i + 1])
+    saddle = ((case == 5) | (case == 10)) & (center > level)
+    case[saddle] = 16 + (case[saddle] == 10)
+    pairs = _CASES[case]
+    cell, k = np.nonzero(pairs[..., 0] >= 0)
+    j, i = j[cell], i[cell]
+    bottom = j * (nx - 1) + i
+    left = nh + j * nx + i
+    sides = np.stack([bottom, left + 1, bottom + nx - 1, left], axis=1)
+    src, dst = np.take_along_axis(sides, pairs[cell, k], axis=1).T
+    succ = np.full(len(pts), -1)
+    succ[src] = dst
 
-    # horizontal edges: (j, i)-(j, i+1); vertical edges: (j, i)-(j+1, i)
-    hcross = {}
-    vcross = {}
-    diff_h = inside[:, :-1] != inside[:, 1:]
-    diff_v = inside[:-1, :] != inside[1:, :]
-    for j, i in zip(*np.nonzero(diff_h)):
-        t = interp(v[j, i], v[j, i + 1])
-        hcross[(j, i)] = (w.x0 + (i + t) * h, w.y0 + j * h)
-    for j, i in zip(*np.nonzero(diff_v)):
-        t = interp(v[j, i], v[j + 1, i])
-        vcross[(j, i)] = (w.x0 + i * h, w.y0 + (j + t) * h)
-
-    # per-cell directed segments between edge keys ("h"/"v", j, i)
-    bl = inside[:-1, :-1]
-    br = inside[:-1, 1:]
-    tl = inside[1:, :-1]
-    tr = inside[1:, 1:]
-    case = (bl.astype(int) + 2 * br.astype(int) + 4 * tr.astype(int)
-            + 8 * tl.astype(int))
-    segments = []  # (start_key, end_key)
-
-    def bot(j, i):
-        return ("h", j, i)
-
-    def top(j, i):
-        return ("h", j + 1, i)
-
-    def left(j, i):
-        return ("v", j, i)
-
-    def right(j, i):
-        return ("v", j, i + 1)
-
-    # directed so that {v > level} lies on the left of travel
-    TABLE = {
-        1: lambda j, i: [(bot(j, i), left(j, i))],
-        2: lambda j, i: [(right(j, i), bot(j, i))],
-        4: lambda j, i: [(top(j, i), right(j, i))],
-        8: lambda j, i: [(left(j, i), top(j, i))],
-        3: lambda j, i: [(right(j, i), left(j, i))],
-        6: lambda j, i: [(top(j, i), bot(j, i))],
-        12: lambda j, i: [(left(j, i), right(j, i))],
-        9: lambda j, i: [(bot(j, i), top(j, i))],
-        7: lambda j, i: [(top(j, i), left(j, i))],
-        11: lambda j, i: [(right(j, i), top(j, i))],
-        13: lambda j, i: [(bot(j, i), right(j, i))],
-        14: lambda j, i: [(left(j, i), bot(j, i))],
-    }
-    for j, i in zip(*np.nonzero((case > 0) & (case < 15))):
-        c = case[j, i]
-        if c in (5, 10):
-            center = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i]
-                             + v[j + 1, i + 1])
-            if c == 5:  # BL and TR inside
-                if center > level:
-                    segs = [(top(j, i), left(j, i)), (bot(j, i), right(j, i))]
-                else:
-                    segs = [(bot(j, i), left(j, i)), (top(j, i), right(j, i))]
-            else:  # BR and TL inside
-                if center > level:
-                    segs = [(left(j, i), bot(j, i)), (right(j, i), top(j, i))]
-                else:
-                    segs = [(right(j, i), bot(j, i)), (left(j, i), top(j, i))]
-            segments.extend(segs)
-        else:
-            segments.extend(TABLE[c](j, i))
-
-    coords = {}
-    for (j, i), p in hcross.items():
-        coords[("h", j, i)] = p
-    for (j, i), p in vcross.items():
-        coords[("v", j, i)] = p
-
-    # chain directed segments into polylines
-    nxt = {}
-    indeg = {}
-    for a, b in segments:
-        nxt.setdefault(a, []).append(b)
-        indeg[b] = indeg.get(b, 0) + 1
-        indeg.setdefault(a, indeg.get(a, 0))
-
-    def pop_next(key):
-        lst = nxt.get(key)
-        if not lst:
-            return None
-        return lst.pop()
-
-    comps = []
-
-    def walk(start):
-        chain = [start]
-        cur = start
-        while True:
-            nk = pop_next(cur)
-            if nk is None:
-                break
-            chain.append(nk)
-            cur = nk
-            if cur == start:
-                break
-        return chain
-
-    # open chains first (starts with no incoming segment), then loops
-    starts = sorted(k for k in nxt if indeg.get(k, 0) == 0 and nxt[k])
-    for s in starts:
-        while nxt.get(s):
-            comps.append((walk(s), False))
-    loop_starts = sorted(k for k in nxt if nxt[k])
-    for s in loop_starts:
-        while nxt.get(s):
-            chain = walk(s)
-            comps.append((chain, chain[0] == chain[-1]))
-
+    # open chains first, from the ids no segment enters; then the loops
+    starts = np.concatenate([np.setdiff1d(src, dst), np.sort(src)])
+    nxt = succ.tolist()
     curves = []
-    for chain, closed in comps:
-        pts = np.array([coords[k] for k in chain])
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
-        pts = pts[keep]
-        if len(pts) >= 2:
-            curves.append(PolyCurve(pts, closed=closed))
+    for start in starts.tolist():
+        chain = [start]
+        while nxt[chain[-1]] >= 0:
+            chain.append(nxt[chain[-1]])
+            nxt[chain[-2]] = -1
+        if len(chain) == 1:
+            continue
+        p = pts[chain]
+        p = p[np.r_[True, np.any(p[1:] != p[:-1], axis=1)]]
+        if len(p) >= 2:
+            curves.append(PolyCurve(p, closed=chain[0] == chain[-1]))
     return FreeBoundary(curves)
 
 
@@ -357,13 +288,17 @@ def curve_curvature(curve) -> np.ndarray:
     return out
 
 
-def circle_max(sol, center, r: float, samples: int = 720):
-    """Max of u over `samples` points of ∂B_r(center); returns
-    (max_value, max_value / r)."""
+#: sample points of `circle_max` on its circle
+_CIRCLE_SAMPLES = 720
+
+
+def circle_max(sol, center, r: float):
+    """Max of u over `_CIRCLE_SAMPLES` equally spaced points of
+    ∂B_r(center); returns (max_value, max_value / r)."""
     if not r > 0:
         raise InvalidInputError("circle_max requires r > 0")
     c = np.asarray(center, dtype=float)
-    th = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    th = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_SAMPLES, endpoint=False)
     pts = c[None, :] + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
     m = float(np.max(sol.eval_u(pts)))
     return m, m / r
@@ -566,18 +501,6 @@ def _phase_components(u_vals, active, eps):
             ndimage.label((u_vals <= eps) & active, structure=four)[1])
 
 
-def _eval_on(sol_or_field, pts):
-    if hasattr(sol_or_field, "eval_u"):
-        return sol_or_field.eval_u(pts)
-    return sol_or_field.interpolate(pts)
-
-
-def _fb_polylines(sol_or_field, window: Window, step: float):
-    if hasattr(sol_or_field, "free_boundary_curves"):
-        return sol_or_field.free_boundary_curves(window, step=step)
-    return [c.vertices for c in extract_boundary(sol_or_field).components]
-
-
 def _split_runs(points, keep, cut=None):
     """Contiguous runs of `points` where `keep` is True (≥ 2 points each);
     cut[k] also ends a run between points k and k + 1."""
@@ -638,8 +561,12 @@ def _graph_from_strand(poly, lo, hi, n=101):
     return samp, np.interp(samp, ys, xs)
 
 
-def classify_flat(sol_or_field, delta: float, eps: float = 1e-9,
-                  n_grid: int = 161) -> FlatnessReport:
+#: nodes per side of the grids on which `classify_flat` counts components
+_TRICHOTOMY_NODES = 161
+
+
+def classify_flat(sol_or_field, delta: float,
+                  eps: float = 1e-9) -> FlatnessReport:
     """Flat trichotomy on B₃ under the hypothesis that F(u) is δ-close in
     Hausdorff distance to the vertical segment {(0, x₂): |x₂| < 3}.
 
@@ -650,13 +577,21 @@ def classify_flat(sol_or_field, delta: float, eps: float = 1e-9,
     components, attached to the top/bottom arcs α_±(2).
 
     Classification is by 4-connected component counting of {u > eps} and
-    {u ≤ eps} on node grids over B₁ and B₂; the δ-precondition is checked
-    against the measured Hausdorff distance with 10% slack.
+    {u ≤ eps} on `_TRICHOTOMY_NODES`² node grids over B₁ and B₂; the
+    δ-precondition is checked against the measured Hausdorff distance with
+    10% slack.  A `ScalarField2D` is read by bilinear interpolation, and its
+    free boundary by `extract_boundary`.
     """
     if not delta > 0:
         raise InvalidInputError("classify_flat requires delta > 0")
-    step = 6.0 / (n_grid - 1) / 2.0
-    fb = _fb_polylines(sol_or_field, Window(-3.0, -3.0, 3.0, 3.0), step)
+    step = 6.0 / (_TRICHOTOMY_NODES - 1) / 2.0
+    if isinstance(sol_or_field, ScalarField2D):
+        fb = [c.vertices for c in extract_boundary(sol_or_field).components]
+        u_at = sol_or_field.interpolate
+    else:
+        fb = sol_or_field.free_boundary_curves(Window(-3.0, -3.0, 3.0, 3.0),
+                                               step=step)
+        u_at = sol_or_field.eval_u
     fb_in_b3 = []
     for poly in fb:
         fb_in_b3.extend(_clip_to_disk(poly, 3.0, step))
@@ -673,10 +608,10 @@ def classify_flat(sol_or_field, delta: float, eps: float = 1e-9,
             f"delta = {delta:.4g} (with 10% slack)")
 
     def counts_on_ball(R):
-        xs = np.linspace(-R, R, n_grid)
+        xs = np.linspace(-R, R, _TRICHOTOMY_NODES)
         X, Y = np.meshgrid(xs, xs)
         active = X**2 + Y**2 <= R * R
-        u = _eval_on(sol_or_field, np.stack([X, Y], axis=-1))
+        u = u_at(np.stack([X, Y], axis=-1))
         return _phase_components(u, active, eps)
 
     n_pos1, n_zero1 = counts_on_ball(1.0)
@@ -773,6 +708,12 @@ def _golden_min(f, a, b, tol):
 _ANNULUS_ANGLES = 720
 _ANNULUS_RADII = 24
 _COARSE_ANGLES = 360
+#: the probe's grid over [−1, 1]² (nodes per side) on which the positive
+#: components are labelled, at threshold u > _ANNULUS_EPS; the flatness is
+#: measured outside B_{_ANNULUS_INNER·δ}
+_ANNULUS_NODES = 241
+_ANNULUS_EPS = 1e-9
+_ANNULUS_INNER = 2.0
 
 
 def _annulus_grid(r_in, r):
@@ -800,33 +741,41 @@ def _coarse_flatness(U0, Pref):
                      for k in range(_COARSE_ANGLES)])
 
 
-def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
-                       eps: float = 1e-9, n_grid: int = 241,
-                       seed_point=None) -> list:
+def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     """Removable-singularity flatness probe on the annulus B₁ ∖ B_δ.
 
     Precondition (A): the free boundary inside the annulus consists of
     exactly two strands, each connecting the inner circle to the outer one.
     For each scale r, finds the rotation ρ minimizing the sup distance of
-    u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{inner_factor·δ}
+    u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}
     (360-angle coarse search, read off one evaluation of u·1_T on the polar
     grid, then golden-section refinement to 1e−4 rad),
-    where T is the positive-phase component containing `seed_point` (or the
-    largest one touching the inner region when omitted).  Reports per scale
-    the rotation, the flatness sup, and the max slope of the strand graph
-    x₁ = g(x₂) in the rotated frame.
+    where T is the positive-phase component containing `seed_point`, a
+    point of [−1, 1]² (or the largest one touching the inner region when
+    omitted).  Reports per scale the rotation, the flatness sup, and the
+    max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
     if not 0 < delta < 1:
         raise InvalidInputError("annulus_flat_check requires 0 < delta < 1")
     scales = [float(r) for r in scales]
-    if not scales or min(scales) <= inner_factor * delta or max(scales) > 1.0:
+    r_in = _ANNULUS_INNER * delta
+    if not scales or min(scales) <= r_in or max(scales) > 1.0:
         raise InvalidInputError(
-            "annulus_flat_check: scales must lie in (inner_factor·delta, 1]")
+            "annulus_flat_check: scales must lie in "
+            f"({_ANNULUS_INNER:g}·delta, 1]")
+    try:
+        sp = None if seed_point is None else np.asarray(seed_point, float)
+    except (TypeError, ValueError):
+        sp = np.empty(0)
+    if sp is not None and (sp.shape != (2,) or not np.all(np.abs(sp) <= 1.0)):
+        raise InvalidInputError("annulus_flat_check: seed_point must be a "
+                                f"point of [-1, 1]², got {seed_point!r}")
 
-    step = 2.0 / (n_grid - 1) / 2.0
+    step = 2.0 / (_ANNULUS_NODES - 1) / 2.0
     # topology precondition (A)
     strands = []
-    for poly in _fb_polylines(sol, Window(-1.0, -1.0, 1.0, 1.0), step):
+    for poly in sol.free_boundary_curves(Window(-1.0, -1.0, 1.0, 1.0),
+                                         step=step):
         for outer_piece in _clip_to_disk(poly, 1.0, step):
             rr = np.hypot(outer_piece[:, 0], outer_piece[:, 1])
             # a segment can cross the inner disk between two vertices
@@ -850,26 +799,26 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
             f"(of {len(strands)} in the annulus)")
 
     # positive-phase components on the annulus grid
-    xs = np.linspace(-1.0, 1.0, n_grid)
+    xs = np.linspace(-1.0, 1.0, _ANNULUS_NODES)
+    grid_h = xs[1] - xs[0]
     X, Y = np.meshgrid(xs, xs)
     R2 = X**2 + Y**2
     active = (R2 <= 1.0) & (R2 >= delta * delta)
     U = sol.eval_u(np.stack([X, Y], axis=-1))
     four = ndimage.generate_binary_structure(2, 1)
-    labels, n_comp = ndimage.label((U > eps) & active, structure=four)
+    labels, n_comp = ndimage.label((U > _ANNULUS_EPS) & active,
+                                   structure=four)
     if n_comp == 0:
         raise TopologyError("annulus_flat_check: no positive phase on annulus")
-    if seed_point is not None:
-        sp = np.asarray(seed_point, dtype=float)
-        i = int(round((sp[0] + 1.0) / (xs[1] - xs[0])))
-        j = int(round((sp[1] + 1.0) / (xs[1] - xs[0])))
+    if sp is not None:
+        i, j = np.rint((sp + 1.0) / grid_h).astype(int)
         t_label = int(labels[j, i])
         if t_label == 0:
             raise InvalidInputError("annulus_flat_check: seed_point not in "
                                     "the positive phase")
     else:
         # largest component with nodes near the inner circle
-        inner_band = active & (R2 <= (inner_factor * delta) ** 2 * 4.0)
+        inner_band = active & (R2 <= 4.0 * r_in**2)
         best, t_label = -1, 0
         for lab in range(1, n_comp + 1):
             if not np.any((labels == lab) & inner_band):
@@ -880,7 +829,6 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
         if t_label == 0:
             raise TopologyError("annulus_flat_check: no positive component "
                                 "touches the inner region")
-    grid_h = xs[1] - xs[0]
 
     def u_T(pts):
         """u·1_T: evaluate u, zeroing points outside component T (membership
@@ -889,8 +837,8 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
         vals = sol.eval_u(pts)
         fi = (pts[..., 0] + 1.0) / grid_h
         fj = (pts[..., 1] + 1.0) / grid_h
-        i0 = np.clip(np.round(fi).astype(int), 1, n_grid - 2)
-        j0 = np.clip(np.round(fj).astype(int), 1, n_grid - 2)
+        i0 = np.clip(np.round(fi).astype(int), 1, _ANNULUS_NODES - 2)
+        j0 = np.clip(np.round(fj).astype(int), 1, _ANNULUS_NODES - 2)
         member = np.zeros(pts.shape[:-1], dtype=bool)
         bestd = np.full(pts.shape[:-1], np.inf)
         for dj in (-1, 0, 1):
@@ -902,14 +850,13 @@ def annulus_flat_check(sol, delta: float, scales, inner_factor: float = 2.0,
                 closer = ispos & (d2 < bestd)
                 member = np.where(closer, labels[jj, ii] == t_label, member)
                 bestd = np.where(closer, d2, bestd)
-        return np.where(member & (vals > eps), vals, 0.0)
+        return np.where(member & (vals > _ANNULUS_EPS), vals, 0.0)
 
     # strand points belonging to T's boundary (either strand may bound it)
     strand_pts = np.vstack(connecting)
 
     reports = []
     for r in sorted(scales):
-        r_in = inner_factor * delta
         base = _annulus_grid(r_in, r)
         Pref = np.maximum(base[..., 0], 0.0)
 

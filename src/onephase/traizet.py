@@ -92,18 +92,19 @@ def _squared_diff(sol, pts):
     return w * w
 
 
-def _segment_integral(sol, z0, z1, tol=1e-10, order=12, max_pieces=512):
-    """∫ (2u_z)² dz along the straight segment z0 → z1, composite Gauss with
-    piece doubling until the value stabilizes below tol."""
-    t, wts = gauss_nodes(order)
+def _segment_integral(sol, z0, z1, tol=1e-10):
+    """∫ (2u_z)² dz along the straight segment z0 → z1, composite 12-point
+    Gauss with piece doubling from 4 to at most 512 pieces, until the value
+    stabilizes below tol."""
+    t, wts = gauss_nodes(12)
     dz = z1 - z0
     prev = None
     pieces = 4
-    while pieces <= max_pieces:
+    while pieces <= 512:
         offs = (np.arange(pieces)[:, None] + t[None, :]) / pieces
         zs = z0 + offs.ravel() * dz
         pts = np.stack([zs.real, zs.imag], axis=-1)
-        vals = _squared_diff(sol, pts).reshape(pieces, order)
+        vals = _squared_diff(sol, pts).reshape(pieces, len(t))
         total = complex(np.sum(vals @ wts) * dz / pieces)
         if prev is not None and abs(total - prev) <= tol:
             return total
@@ -299,9 +300,9 @@ class Patch:
     u_vals: np.ndarray
     fb_mask: np.ndarray
     primitive: np.ndarray
+    fb_probes: np.ndarray
     base: tuple = (0, 0)
     weld_rows: bool = False
-    fb_probes: np.ndarray = None
 
 
 def _probes_from_column(nt: int, ns: int, col: int, inward: int):
@@ -316,14 +317,13 @@ def _probes_from_row(nt: int, ns: int, row: int, inward: int):
     return np.stack(rows, axis=1)
 
 
-def patch_halfplane(width: float = 2.0, height: float = 2.0,
-                    resolution: int = 64) -> Patch:
-    """Rectangle [0, width] × [−height/2, height/2]; FB edge on {x₁ = 0};
-    (2u_z)² ≡ 1 has the primitive z."""
+def patch_halfplane(resolution: int = 64) -> Patch:
+    """Square [0, 2] × [−1, 1]; FB edge on {x₁ = 0}; (2u_z)² ≡ 1 has the
+    primitive z."""
     ns = resolution + 1
     nt = resolution + 1
-    xs = np.linspace(0.0, width, ns)
-    ys = np.linspace(-height / 2.0, height / 2.0, nt)
+    xs = np.linspace(0.0, 2.0, ns)
+    ys = np.linspace(-1.0, 1.0, nt)
     X, Y = np.meshgrid(xs, ys)
     pts = np.stack([X, Y], axis=-1)
     u = X.copy()
@@ -334,16 +334,13 @@ def patch_halfplane(width: float = 2.0, height: float = 2.0,
                  fb_probes=_probes_from_column(nt, ns, 0, 1))
 
 
-def patch_diskcomplement(R: float, outer: float = 2.0,
-                         resolution: int = 64) -> Patch:
-    """Annular band R ≤ ρ ≤ outer·R around the disk; FB ring at ρ = R;
+def patch_diskcomplement(R: float, resolution: int = 64) -> Patch:
+    """Annular band R ≤ ρ ≤ 2R around the disk; FB ring at ρ = R;
     (2u_z)² = R²/z² has the primitive −R²/z.
     Periodic in the angular (t) direction."""
-    if not outer > 1.0:
-        raise InvalidInputError("patch_diskcomplement requires outer > 1")
     ns = max(4, resolution // 4) + 1
     nt = resolution + 1
-    rho = R * np.linspace(1.0, outer, ns)
+    rho = R * np.linspace(1.0, 2.0, ns)
     th = np.linspace(0.0, 2.0 * np.pi, nt)
     TH, RHO = np.meshgrid(th, rho, indexing="ij")
     Z = RHO * np.exp(1j * TH)
@@ -357,16 +354,15 @@ def patch_diskcomplement(R: float, outer: float = 2.0,
                  fb_probes=_probes_from_column(nt, ns, 0, 1))
 
 
-def patch_hairpin(a: float, xi_max: float = 2.5,
-                  resolution: int = 64) -> Patch:
+def patch_hairpin(a: float, resolution: int = 64) -> Patch:
     """Chart rectangle for the double hairpin: w = ξ + iη on
-    [−ξmax, ξmax] × [−π/2, π/2], z = a(w + sinh w), u = a·Re cosh w; the
+    [−2.5, 2.5] × [−π/2, π/2], z = a(w + sinh w), u = a·Re cosh w; the
     rows η = ±π/2 are the two catenaries.  In the chart (2u_z)² dz =
     a·tanh²(w/2)(1 + cosh w) dw = a(cosh w − 1) dw, with the primitive
     a(sinh w − w)."""
     ns = resolution + 1
     nt = max(8, resolution // 2) + 1
-    xi = np.linspace(-xi_max, xi_max, ns)
+    xi = np.linspace(-2.5, 2.5, ns)
     eta = np.linspace(-np.pi / 2.0, np.pi / 2.0, nt)
     XI, ETA = np.meshgrid(xi, eta)
     W = XI + 1j * ETA
@@ -385,11 +381,10 @@ def patch_hairpin(a: float, xi_max: float = 2.5,
                  fb_probes=probes)
 
 
-def patch_scherk(s: float, a: float, resolution: int = 64,
-                 outer_pow: float = 4.0) -> Patch:
+def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
     """One Scherk period cell meshed as a smooth structured annulus between
     the central zero-phase loop (FB inner ring) and a superellipse
-    |x₁/Xf|^p + |x₂/Yf|^p = 1 inscribed in the cell {|x₂| < πa}.  A smooth
+    |x₁/Xf|⁴ + |x₂/Yf|⁴ = 1 inscribed in the cell {|x₂| < πa}.  A smooth
     annulus keeps the cotangent-curvature stencils regular (the conformal
     chart parametrization degenerates at the saddle corners and would not).
     Radial mesh lines leave the loop along its outward planar normal (from
@@ -420,9 +415,8 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
     loop_top = a * scherk_loop_x2_extent(s)
     Yf = 0.5 * (loop_top + np.pi * a)
     Xf = max(3.0 * a, 2.0 * float(r_in.max()))
-    p = outer_pow
-    r_out = (np.abs(np.cos(theta) / Xf) ** p
-             + np.abs(np.sin(theta) / Yf) ** p) ** (-1.0 / p)
+    r_out = (np.abs(np.cos(theta) / Xf) ** 4.0
+             + np.abs(np.sin(theta) / Yf) ** 4.0) ** (-1.0 / 4.0)
     if not np.all(r_out > 1.1 * r_in):
         raise InvalidInputError("patch_scherk: outer ring too close to the "
                                 "loop for this s")
@@ -472,15 +466,16 @@ def patch_scherk(s: float, a: float, resolution: int = 64,
 class SurfaceMesh:
     """Reflected bigraph mesh.  vertex_source rows are (x₁, x₂, sheet) with
     sheet +1 (upper), −1 (lower reflection), 0 (shared free-boundary
-    vertex); triangle_sheet tags each face ±1.  probes rows (optional) hold
-    a free-boundary vertex index followed by its three inward upper-sheet
-    neighbors along a mesh line, for the boundary-conormal estimate."""
+    vertex); triangle_sheet tags each face ±1.  probes rows hold a
+    free-boundary vertex index followed by its three inward upper-sheet
+    neighbors along a mesh line, for the boundary-conormal estimate; every
+    mesh built from a patch has them."""
 
     vertices: np.ndarray
     triangles: np.ndarray
     vertex_source: np.ndarray
     triangle_sheet: np.ndarray
-    probes: np.ndarray = None
+    probes: np.ndarray
 
     @property
     def fb_vertices(self):
@@ -546,11 +541,8 @@ def build_mesh(patch: Patch, reflect: bool = True) -> SurfaceMesh:
     verts = verts[used]
     source = source[used]
     tris = remap[tris]
-    probes = None
-    if patch.fb_probes is not None:
-        probes = remap[vid.ravel()[patch.fb_probes.ravel()]].reshape(-1, 4)
-        probes = probes[np.all(probes >= 0, axis=1)]
-        probes = np.unique(probes, axis=0)
+    probes = remap[vid.ravel()[patch.fb_probes.ravel()]].reshape(-1, 4)
+    probes = np.unique(probes[np.all(probes >= 0, axis=1)], axis=0)
 
     if not reflect:
         return SurfaceMesh(vertices=verts, triangles=tris,
@@ -602,10 +594,9 @@ def canonical_mesh(sol, resolution: int = 64) -> SurfaceMesh:
 # discrete curvature and orthogonality
 # ---------------------------------------------------------------------------
 
-def _vertex_normals(mesh: SurfaceMesh, sheet=None):
+def _vertex_normals(mesh: SurfaceMesh):
     verts = mesh.vertices
-    tris = mesh.triangles if sheet is None else \
-        mesh.triangles[mesh.triangle_sheet == sheet]
+    tris = mesh.triangles
     a = verts[tris[:, 0]]
     b = verts[tris[:, 1]]
     c = verts[tris[:, 2]]
@@ -685,18 +676,13 @@ def orthogonality_check(mesh: SurfaceMesh):
     """|angle − π/2| between the surface tangent plane and the symmetry
     plane {X₃ = 0} at free-boundary vertices.  The tangent plane meets
     {X₃ = 0} orthogonally iff the boundary conormal (the surface direction
-    leaving the free boundary) is vertical, so when the mesh carries inward
-    probe lines the defect is the angle between the cubic-fit conormal and
-    the X₃ axis (third-order in the mesh step).  Without probes it falls
-    back to arcsin of the X₃-component of the one-sided vertex normal
-    (first-order).  Returns (fb_vertex_indices, defects)."""
+    leaving the free boundary) is vertical, so the defect is the angle
+    between the X₃ axis and the conormal fitted by a cubic through each
+    inward probe line (third-order in the mesh step); every mesh built from
+    a patch has them.  Returns (fb_vertex_indices, defects)."""
     fb = mesh.fb_vertices
     if len(fb) == 0:
         return fb, np.zeros(0)
-    if mesh.probes is None or len(mesh.probes) == 0:
-        normals = _vertex_normals(mesh, sheet=1)
-        nz = np.abs(normals[fb, 2])
-        return fb, np.arcsin(np.clip(nz, 0.0, 1.0))
     P = mesh.vertices[mesh.probes]            # (m, 4, 3)
     # chord-length parameters t₀ = 0 < t₁ < t₂ < t₃
     seg = np.linalg.norm(np.diff(P, axis=1), axis=2)

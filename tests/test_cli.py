@@ -321,6 +321,15 @@ class TestConfigHandling:
     def test_missing_solution(self, tmp_path):
         assert run("verify", "--out", str(tmp_path)) == 2
 
+    def test_non_numeric_classify_param(self, tmp_path):
+        assert run("classify", "--family", "half_plane",
+                   "--param", "mode=annulus", "--param", "delta=abc",
+                   "--out", str(tmp_path)) == 2
+
+    def test_non_numeric_minimize_param(self, tmp_path):
+        assert run("minimize", "--family", "half_plane", "--param", "h=abc",
+                   "--out", str(tmp_path)) == 2
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

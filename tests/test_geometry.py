@@ -15,7 +15,7 @@ from onephase.geometry import (_COARSE_ANGLES, FreeBoundary, PolyCurve,
                                curve_curvature, extract_boundary, flux_balance,
                                hausdorff, random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
-                                RigidMotion, TwoPlane, Wedge, Window)
+                                RigidMotion, Scherk, TwoPlane, Wedge, Window)
 from onephase.variational import ScalarField2D
 
 
@@ -55,6 +55,174 @@ class TestPolyCurve:
         assert not back.components[1].closed
         assert np.allclose(back.components[0].vertices,
                            fb.components[0].vertices)
+
+
+def _extract_boundary_oracle(fld, level=0.0):
+    """Marching squares on tuple-keyed edges ("h"|"v", j, i), a lambda per
+    cell case and a dict of successor lists: the contour code that
+    `extract_boundary` replaced.  It must agree with it bit for bit."""
+    v = fld.values
+    w = fld.window
+    h = fld.h
+    inside = v > level
+    if inside.all() or (~inside).all():
+        return FreeBoundary([])
+    ny, nx = v.shape
+
+    # crossing coordinates per grid edge, indexed by the lower/left node
+    def interp(v0, v1):
+        return (level - v0) / (v1 - v0)
+
+    # horizontal edges: (j, i)-(j, i+1); vertical edges: (j, i)-(j+1, i)
+    hcross = {}
+    vcross = {}
+    diff_h = inside[:, :-1] != inside[:, 1:]
+    diff_v = inside[:-1, :] != inside[1:, :]
+    for j, i in zip(*np.nonzero(diff_h)):
+        t = interp(v[j, i], v[j, i + 1])
+        hcross[(j, i)] = (w.x0 + (i + t) * h, w.y0 + j * h)
+    for j, i in zip(*np.nonzero(diff_v)):
+        t = interp(v[j, i], v[j + 1, i])
+        vcross[(j, i)] = (w.x0 + i * h, w.y0 + (j + t) * h)
+
+    # per-cell directed segments between edge keys ("h"/"v", j, i)
+    bl = inside[:-1, :-1]
+    br = inside[:-1, 1:]
+    tl = inside[1:, :-1]
+    tr = inside[1:, 1:]
+    case = (bl.astype(int) + 2 * br.astype(int) + 4 * tr.astype(int)
+            + 8 * tl.astype(int))
+    segments = []  # (start_key, end_key)
+
+    def bot(j, i):
+        return ("h", j, i)
+
+    def top(j, i):
+        return ("h", j + 1, i)
+
+    def left(j, i):
+        return ("v", j, i)
+
+    def right(j, i):
+        return ("v", j, i + 1)
+
+    # directed so that {v > level} lies on the left of travel
+    TABLE = {
+        1: lambda j, i: [(bot(j, i), left(j, i))],
+        2: lambda j, i: [(right(j, i), bot(j, i))],
+        4: lambda j, i: [(top(j, i), right(j, i))],
+        8: lambda j, i: [(left(j, i), top(j, i))],
+        3: lambda j, i: [(right(j, i), left(j, i))],
+        6: lambda j, i: [(top(j, i), bot(j, i))],
+        12: lambda j, i: [(left(j, i), right(j, i))],
+        9: lambda j, i: [(bot(j, i), top(j, i))],
+        7: lambda j, i: [(top(j, i), left(j, i))],
+        11: lambda j, i: [(right(j, i), top(j, i))],
+        13: lambda j, i: [(bot(j, i), right(j, i))],
+        14: lambda j, i: [(left(j, i), bot(j, i))],
+    }
+    for j, i in zip(*np.nonzero((case > 0) & (case < 15))):
+        c = case[j, i]
+        if c in (5, 10):
+            center = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i]
+                             + v[j + 1, i + 1])
+            if c == 5:  # BL and TR inside
+                if center > level:
+                    segs = [(top(j, i), left(j, i)), (bot(j, i), right(j, i))]
+                else:
+                    segs = [(bot(j, i), left(j, i)), (top(j, i), right(j, i))]
+            else:  # BR and TL inside
+                if center > level:
+                    segs = [(left(j, i), bot(j, i)), (right(j, i), top(j, i))]
+                else:
+                    segs = [(right(j, i), bot(j, i)), (left(j, i), top(j, i))]
+            segments.extend(segs)
+        else:
+            segments.extend(TABLE[c](j, i))
+
+    coords = {}
+    for (j, i), p in hcross.items():
+        coords[("h", j, i)] = p
+    for (j, i), p in vcross.items():
+        coords[("v", j, i)] = p
+
+    # chain directed segments into polylines
+    nxt = {}
+    indeg = {}
+    for a, b in segments:
+        nxt.setdefault(a, []).append(b)
+        indeg[b] = indeg.get(b, 0) + 1
+        indeg.setdefault(a, indeg.get(a, 0))
+
+    def pop_next(key):
+        lst = nxt.get(key)
+        if not lst:
+            return None
+        return lst.pop()
+
+    comps = []
+
+    def walk(start):
+        chain = [start]
+        cur = start
+        while True:
+            nk = pop_next(cur)
+            if nk is None:
+                break
+            chain.append(nk)
+            cur = nk
+            if cur == start:
+                break
+        return chain
+
+    # open chains first (starts with no incoming segment), then loops
+    starts = sorted(k for k in nxt if indeg.get(k, 0) == 0 and nxt[k])
+    for s in starts:
+        while nxt.get(s):
+            comps.append((walk(s), False))
+    loop_starts = sorted(k for k in nxt if nxt[k])
+    for s in loop_starts:
+        while nxt.get(s):
+            chain = walk(s)
+            comps.append((chain, chain[0] == chain[-1]))
+
+    curves = []
+    for chain, closed in comps:
+        pts = np.array([coords[k] for k in chain])
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = np.any(pts[1:] != pts[:-1], axis=1)
+        pts = pts[keep]
+        if len(pts) >= 2:
+            curves.append(PolyCurve(pts, closed=closed))
+    return FreeBoundary(curves)
+
+
+def _assert_same_boundary(got, want):
+    """Equal component order, closed flags and vertices, bit for bit."""
+    assert len(got) == len(want)
+    for g, w in zip(got.components, want.components):
+        assert g.closed == w.closed
+        assert g.vertices.shape == w.vertices.shape
+        assert np.array_equal(g.vertices.view(np.int64),
+                              w.vertices.view(np.int64))
+
+
+@st.composite
+def _contour_fields(draw):
+    """Node values on a 2×2 to 24×24 grid: integers (ties at the levels 0
+    and 1, and checkerboard saddles), Gaussians rounded to one decimal (ties
+    at 0.3 and −0.5), plain Gaussians, or Gaussians with half the nodes 0."""
+    shape = (draw(st.integers(2, 24)), draw(st.integers(2, 24)))
+    kind = draw(st.sampled_from(["integer", "rounded", "normal", "half_zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=shape)
+    if kind == "integer":
+        values = rng.integers(-2, 3, size=shape).astype(float)
+    elif kind == "rounded":
+        values = np.round(values, 1)
+    elif kind == "half_zero":
+        values[rng.random(shape) < 0.5] = 0.0
+    return values
 
 
 class TestExtractBoundary:
@@ -102,6 +270,35 @@ class TestExtractBoundary:
         fld = ScalarField2D(window=w, h=0.25,
                             values=np.ones((len(ys), len(xs))))
         assert len(extract_boundary(fld)) == 0
+
+    @given(values=_contour_fields(),
+           level=st.sampled_from([0.0, 0.3, -0.5, 1.0]))
+    # saddle cases 5 and 10 with the cell center below and above the level
+    @example(values=np.array([[1.0, -1.0], [-1.0, 1.0]]), level=0.0)
+    @example(values=np.array([[2.0, -1.0], [-1.0, 2.0]]), level=0.0)
+    @example(values=np.array([[-1.0, 1.0], [1.0, -1.0]]), level=0.0)
+    @example(values=np.array([[-1.0, 2.0], [2.0, -1.0]]), level=0.0)
+    # loops and open chains through a grid of saddles, with nodes on the level
+    @example(values=np.array([[0.0, 1.0, 0.0, 1.0], [1.0, -1.0, 2.0, 0.0],
+                              [0.0, 2.0, -1.0, 1.0]]), level=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_random_fields(self, values, level):
+        ny, nx = values.shape
+        h = 0.1
+        w = Window(-0.3, 0.2, -0.3 + (nx - 1) * h, 0.2 + (ny - 1) * h)
+        fld = ScalarField2D(window=w, h=h, values=values)
+        _assert_same_boundary(extract_boundary(fld, level),
+                              _extract_boundary_oracle(fld, level))
+
+    @pytest.mark.parametrize("sol", [
+        HalfPlane(), TwoPlane(0.5), Wedge(1.0), DiskComplement(0.5),
+        Hairpin(0.25), Scherk(0.5, 0.25)], ids=lambda sol: sol.kind)
+    def test_matches_oracle_on_family_fields(self, sol):
+        fld = ScalarField2D.from_solution(sol, Window(-1.0, -1.0, 1.0, 1.0),
+                                          1.0 / 128)
+        fb = extract_boundary(fld)
+        assert len(fb) > 0
+        _assert_same_boundary(fb, _extract_boundary_oracle(fld))
 
 
 class TestHausdorff:
@@ -323,6 +520,16 @@ class TestClassifyFlat:
         with pytest.raises(InvalidInputError):
             classify_flat(halfplane, delta=0.0)
 
+    def test_case_a_half_plane_field(self, halfplane):
+        w = Window(-3.5, -3.5, 3.5, 3.5)
+        fld = ScalarField2D.from_solution(halfplane, w, 1.0 / 40)
+        assert classify_flat(fld, delta=0.1).case == "A"
+
+    def test_case_b_two_plane_field(self, twoplane):
+        w = Window(-3.5, -3.5, 3.5, 3.5)
+        fld = ScalarField2D.from_solution(twoplane, w, 1.0 / 40)
+        assert classify_flat(fld, delta=0.6).case == "B"
+
 
 class TestAnnulusFlatCheck:
     def test_half_plane_and_wedge_flat(self):
@@ -365,6 +572,23 @@ class TestAnnulusFlatCheck:
     def test_precondition_violated(self):
         with pytest.raises(TopologyError):
             annulus_flat_check(TwoPlane(a=0.5), delta=0.01, scales=[0.1])
+
+    def test_seed_point_outside_unit_square(self, halfplane):
+        # (-1.5, 0.3) once wrapped to a grid node near x = 0.5, and (5, 0)
+        # once indexed past the label grid
+        for seed in [(-1.5, 0.3), (5.0, 0.0)]:
+            with pytest.raises(InvalidInputError):
+                annulus_flat_check(halfplane, delta=0.01, scales=[0.4],
+                                   seed_point=seed)
+
+    def test_seed_point_picks_component(self, halfplane):
+        seeded = annulus_flat_check(halfplane, delta=0.01, scales=[0.4],
+                                    seed_point=(0.5, 0.0))
+        default = annulus_flat_check(halfplane, delta=0.01, scales=[0.4])
+        assert [r.to_dict() for r in seeded] == [r.to_dict() for r in default]
+        with pytest.raises(InvalidInputError):
+            annulus_flat_check(halfplane, delta=0.01, scales=[0.4],
+                               seed_point=(-0.5, 0.0))
 
     def test_invalid_scales(self, halfplane):
         with pytest.raises(InvalidInputError):

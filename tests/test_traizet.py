@@ -187,7 +187,8 @@ def _sphere_mesh(R=2.0, n_lat=28, n_lon=56):
     tris = np.array(tris, dtype=int)
     source = np.ones((len(verts), 3))
     return SurfaceMesh(vertices=verts, triangles=tris, vertex_source=source,
-                       triangle_sheet=np.ones(len(tris), dtype=int))
+                       triangle_sheet=np.ones(len(tris), dtype=int),
+                       probes=np.zeros((0, 4), dtype=int))
 
 
 def _mean_curvature_oracle(mesh):
