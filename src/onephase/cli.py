@@ -114,6 +114,22 @@ class ExperimentConfig:
             raise InvalidInputError(
                 f"{name} must be a number, got {v!r}") from None
 
+    def numbers(self, name: str, default: list) -> list:
+        """params[name] as a non-empty list of finite floats, `default` when
+        absent; anything else, one number included, is a config error."""
+        v = self.params.get(name, default)
+        try:
+            if isinstance(v, (str, bytes)):
+                raise TypeError
+            vals = [float(x) for x in v]
+        except (TypeError, ValueError):
+            vals = []
+        if not vals or not np.all(np.isfinite(vals)):
+            raise InvalidInputError(
+                f"{name} must be a non-empty list of finite numbers, "
+                f"got {v!r}")
+        return vals
+
     def tolerance(self, name: str, default: float) -> float:
         """Per-check tolerance: explicit params[name] wins, then the generic
         --tol override, then the check's default."""
@@ -137,6 +153,15 @@ def load_config(path) -> dict:
     return raw
 
 
+def _config_int(raw: dict, name: str, default: int) -> int:
+    v = raw.get(name, default)
+    try:
+        return int(v)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"{name} must be an integer, got {v!r}") from None
+
+
 def config_from_args(args) -> ExperimentConfig:
     """Merge (defaults ← config file ← flags) into a validated config."""
     raw = load_config(args.config) if args.config else {}
@@ -150,10 +175,10 @@ def config_from_args(args) -> ExperimentConfig:
         command=args.command,
         solution=raw.get("solution"),
         window=raw.get("window"),
-        resolution=int(raw.get("resolution", 64)),
+        resolution=_config_int(raw, "resolution", 64),
         tol=raw.get("tol"),
         out=str(raw.get("out", ".")),
-        seed=int(raw.get("seed", 0)),
+        seed=_config_int(raw, "seed", 0),
         params=dict(raw.get("params", {})),
     )
     if args.out is not None:
@@ -289,6 +314,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     window = cfg.get_window(default=sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
+    res_list = [int(r) for r in
+                cfg.numbers("mesh_resolutions", [32, 64, 128])]
     checks = []
     # traced and clipped once, on first use; a failure is not kept, so each
     # check that samples the free boundary reports it
@@ -401,8 +428,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                     "reason": f"no canonical mesh for family {sol.kind}"}
         tol_h = cfg.tolerance("curvature_tol", 1e-3)
         tol_orth = cfg.tolerance("orthogonality_tol", 1e-3)
-        res_list = cfg.params.get("mesh_resolutions", [32, 64, 128])
-        res_list = [int(r) for r in res_list]
         maxes = []
         for res in res_list:
             mesh = canonical_mesh(sol, resolution=res)
@@ -536,8 +561,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
         body = rep.to_dict()
     elif mode == "annulus":
         delta = cfg.number("delta", 0.01)
-        scales = [float(s) for s in
-                  cfg.params.get("scales", [0.05, 0.1, 0.2, 0.4])]
+        scales = cfg.numbers("scales", [0.05, 0.1, 0.2, 0.4])
         seed_point = cfg.params.get("seed_point")
         reports = annulus_flat_check(sol, delta, scales,
                                      seed_point=seed_point)

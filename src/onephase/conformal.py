@@ -20,9 +20,10 @@ of) the positive phase of an exact solution family:
 
   b = 2s·log(1/s) (so e^{πb/l} = 1/s).  With e = e^{−ζ/s} and
   r = e^{−φ_s} = √((e+s²)/(1+s²e)) both Φ_s and the dual primitive
-  Ψ_s = ∫ e^{−φ_s} dζ are elementary in (ζ, e, r); the constants make
-  Re Φ_s and Re Ψ_s vanish at ζ = ± il/2.  Height S_s(z) = Re Φ_s⁻¹(z) on
-  the image half-cell D_s ⊂ {x₁ > 0, |x₂| < π}.
+  Ψ_s = ∫ e^{−φ_s} dζ are elementary in (ζ, e, r), with Φ_s′ = 1/r and
+  Ψ_s′ = r; the constants make Re Φ_s and Re Ψ_s vanish at ζ = ± il/2.
+  Height S_s(z) = Re Φ_s⁻¹(z) on the image half-cell
+  D_s ⊂ {x₁ > 0, |x₂| < π}.
 
 Every inversion goes through one driver, `_solve`: vectorized damped
 Newton from family-specific initializations, then a scalar
@@ -30,8 +31,8 @@ homotopy-continuation fallback for stragglers, then `ConvergenceError`.
 φ′ = 1 + cosh has positive real part on the closed strip, and the
 Scherk/slit derivatives are nonvanishing in the model interiors, so the
 iterations are well posed.
-No chart integrates numerically; the tests check the closed forms against
-`quad`.
+No chart integrates numerically, and no chart evaluates φ_s: the tests
+integrate `ScherkStrip.integrand` with `quad` to check the closed forms.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 
@@ -65,15 +66,16 @@ def _as_complex(z):
     return np.asarray(z, dtype=complex)
 
 
-def _nearest_anchor(targets, anchors):
-    """Index of the nearest anchor per target, without forming the full
-    pairwise distance matrix (targets may number in the hundreds of
-    thousands when meshes are built)."""
-    from scipy.spatial import cKDTree
-    pts = np.stack([targets.real, targets.imag], axis=-1)
-    table = np.stack([anchors.real, anchors.imag], axis=-1)
-    _, idx = cKDTree(table).query(pts)
-    return idx
+def _anchor_tree(anchors):
+    """k-d tree over the anchor images, built once per chart: targets may
+    number in the hundreds of thousands when meshes are built, so the full
+    pairwise distance matrix is never formed."""
+    return cKDTree(np.stack([anchors.real, anchors.imag], axis=-1))
+
+
+def _nearest_anchor(targets, tree):
+    """Index of the nearest anchor per target."""
+    return tree.query(np.stack([targets.real, targets.imag], axis=-1))[1]
 
 
 # ----------------------------------------------------------------------
@@ -84,33 +86,53 @@ def _damped_newton(targets, z0, f, fprime, project):
     """Vectorized damped Newton for f(ζ) = target.
 
     targets, z0: complex arrays of one shape.  `project` folds iterates back
-    into the model domain.  Returns (zeta, converged_mask).
+    into the model domain.  Returns (zeta, converged_mask).  f′ and the
+    steps are evaluated only at the points still above the tolerance, and
+    each step halving only at the points whose residual grew; a point's
+    arithmetic does not depend on which others are still active.
     """
     target = _as_complex(targets)
     zeta = project(_as_complex(z0).copy())
-    res = f(zeta) - target
-    scale = np.maximum(1.0, np.abs(target))
+    shape = zeta.shape
+    if not shape:
+        # one point: f and f′ still see 0-d arrays, whose numpy-scalar
+        # arithmetic may round differently from a length-1 array's
+        f, fprime = _on_0d(f), _on_0d(fprime)
+    res = (f(zeta) - target).ravel()
+    zeta = zeta.ravel()
+    target = target.ravel()
+    tol = _NEWTON_TOL * np.maximum(1.0, np.abs(target))
+    active = np.flatnonzero(np.abs(res) > tol)
     for _ in range(_MAX_ITER):
-        active = np.abs(res) > _NEWTON_TOL * scale
-        if not np.any(active):
+        if active.size == 0:
             break
+        z, r, t = zeta[active], res[active], target[active]
         with np.errstate(all="ignore"):
-            step = np.where(active, -res / fprime(zeta), 0.0)
+            step = -r / fprime(z)
         step = np.where(np.isfinite(step), step, 0.0)
         # damped update: halve the step until the residual does not grow
-        factor = np.ones_like(scale)
+        factor = np.ones(active.size)
+        cand = np.empty_like(z)
+        cand_res = np.empty_like(z)
+        todo = np.arange(active.size)
         for _h in range(_MAX_HALVINGS):
-            # np.asarray: 0-d operands decay to scalars, which the in-place
-            # projections cannot modify
-            cand = project(np.asarray(zeta + factor * step))
-            cand_res = f(cand) - target
-            worse = active & (np.abs(cand_res) > np.abs(res))
+            c = project(z[todo] + factor[todo] * step[todo])
+            cand[todo] = c
+            cand_res[todo] = f(c) - t[todo]
+            worse = np.abs(cand_res[todo]) > np.abs(r[todo])
             if not np.any(worse):
                 break
-            factor = np.where(worse, factor * 0.5, factor)
-        zeta = np.asarray(np.where(active, cand, zeta))
-        res = np.asarray(np.where(active, cand_res, res))
-    return zeta, np.abs(res) <= _NEWTON_TOL * scale
+            todo = todo[worse]
+            factor[todo] *= 0.5
+        zeta[active] = cand
+        res[active] = cand_res
+        active = active[np.abs(cand_res) > tol[active]]
+    return zeta.reshape(shape), (np.abs(res) <= tol).reshape(shape)
+
+
+def _on_0d(g):
+    """g evaluated on the 0-d form of a length-1 array."""
+    return lambda w: np.reshape(g(w.reshape(())), 1)
 
 
 def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
@@ -198,17 +220,18 @@ class HHPStrip:
             raise DomainError("hhp_inverse: z outside the hairpin phase closure")
         shape = z.shape
         zf = z.ravel()
-
-        def project(w):
-            w.imag = np.clip(w.imag, -_HALF_PI, _HALF_PI)
-            return w
-
         # z/2 near the neck and arcsinh z far out, then the other way round
         starts = [lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t)),
                   lambda t: np.where(np.abs(t) <= 2.5, np.arcsinh(t), t / 2.0)]
         w = _solve(zf, starts, lambda w: w + np.sinh(w), self.derivative,
-                   project, 0j, "hhp_inverse")
+                   self._project, 0j, "hhp_inverse")
         return w.reshape(shape)
+
+    @staticmethod
+    def _project(w):
+        """Clip Newton iterates into the closed strip (in place)."""
+        w.imag = np.clip(w.imag, -_HALF_PI, _HALF_PI)
+        return w
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +281,7 @@ class SlitHalfPlane:
             Z = (xi[:, None] + 1j * eta[None, :]).ravel()
             Z = Z[np.abs(Z - a) > 0.05 * a]
             W = self.forward(Z)
-            self._anchors = (Z, W)
+            self._anchors = (Z, W, _anchor_tree(W))
         return self._anchors
 
     def inverse(self, z):
@@ -269,16 +292,17 @@ class SlitHalfPlane:
         a = self.a
         if np.any(zf.real < -1e-9 * a):
             raise DomainError("slit_inverse: z must satisfy x₁ ≥ 0")
-
-        def project(zeta):
-            zeta.real = np.maximum(zeta.real, 1e-300)
-            return zeta
-
         # rescue along a segment from ζ = 2a, a regular interior point on
         # the symmetry axis
         zeta = _solve(zf, [self._start], self.forward, self.derivative,
-                      project, complex(2.0 * a), "slit_inverse")
+                      self._project, complex(2.0 * a), "slit_inverse")
         return zeta.reshape(shape)
+
+    @staticmethod
+    def _project(zeta):
+        """Keep Newton iterates in Re ζ > 0 (in place)."""
+        zeta.real = np.maximum(zeta.real, 1e-300)
+        return zeta
 
     def _start(self, zf):
         """Newton start per target: square-root expansion at the tip, the
@@ -296,8 +320,8 @@ class SlitHalfPlane:
             est = np.where(est.real <= 0.1 * a, 0.1 * a + 1j * est.imag, est)
             zeta0[large] = zl - a * np.log(2.0 * est / a)
         if np.any(mid):
-            anchors_zeta, anchors_z = self._anchor_table()
-            zeta0[mid] = anchors_zeta[_nearest_anchor(zf[mid], anchors_z)]
+            anchors_zeta, _, tree = self._anchor_table()
+            zeta0[mid] = anchors_zeta[_nearest_anchor(zf[mid], tree)]
         return zeta0
 
 
@@ -336,7 +360,7 @@ class ScherkStrip:
         self._B = -2j * np.sqrt((1.0 - s**4) / s)
         self._anchors = None
 
-    # -- φ_s and the integrand ------------------------------------------
+    # -- φ_s and the integrand (the quadrature oracle of the closed forms) --
     def phi(self, zeta):
         zeta = _as_complex(zeta)
         l, b = self.l, self.b
@@ -347,9 +371,6 @@ class ScherkStrip:
     def integrand(self, zeta):
         return np.exp(self.phi(zeta))
 
-    def derivative(self, zeta):
-        return self.integrand(zeta)
-
     # -- closed forms ------------------------------------------------------
     def _from_r(self, zeta_s, e, r):
         """(Φ_s, Ψ_s) from ζ/s, e = e^{−ζ/s} and r = e^{−φ_s(ζ)}."""
@@ -359,18 +380,16 @@ class ScherkStrip:
                 - np.log1p(-s2 * s2))
         return s2 * lg + rest, lg + s2 * rest
 
-    def _closed(self, zeta):
-        """(Φ_s, Ψ_s) at ζ in the closed strip.
-
-        r = √((e + s²)/(1 + s²e)) with e = e^{−ζ/s}.  On the upper half strip
-        Im r ≤ 0, and on the cut {Im ζ = l/2, Re ζ < b} r takes its limit
-        from inside; the lower half follows by Φ_s(ζ̄) = conj Φ_s(ζ).  Within
-        l/10 of the corner, where e + s² cancels, e and r come from the
-        corner chart instead.
+    def _values(self, zeta):
+        """(ζ/s, e, r, low) on the flattened ζ in the closed strip, folded
+        into the upper half: e = e^{−ζ/s} and r = √((e + s²)/(1 + s²e)) =
+        e^{−φ_s} are taken at ζ̄ where `low` (Im ζ < 0), and the values at ζ
+        follow by Φ_s(ζ̄) = conj Φ_s(ζ).  On the upper half strip Im r ≤ 0,
+        and on the cut {Im ζ = l/2, Re ζ < b} r takes its limit from
+        inside.  Within l/10 of the corner, where e + s² cancels, e and r
+        come from the corner chart instead.
         """
-        zeta = _as_complex(zeta)
-        shape = zeta.shape
-        zf = zeta.ravel()
+        zf = _as_complex(zeta).ravel()
         low = zf.imag < 0.0
         zu = np.where(low, np.conj(zf), zf)
         s2 = self.s * self.s
@@ -383,9 +402,28 @@ class ScherkStrip:
             d = self.zeta_c - zu[near]
             zeta_s[near], e[near], r[near] = self._corner_values(
                 np.sqrt(d.real + 1j * np.abs(d.imag)))
+        return zeta_s, e, r, low
+
+    @staticmethod
+    def _unfold(v, low, shape):
+        return np.where(low, np.conj(v), v).reshape(shape)
+
+    def _closed(self, zeta):
+        """(Φ_s, Ψ_s) at ζ in the closed strip."""
+        shape = np.shape(zeta)
+        zeta_s, e, r, low = self._values(zeta)
         phi_v, psi_v = self._from_r(zeta_s, e, r)
-        return (np.where(low, np.conj(phi_v), phi_v).reshape(shape),
-                np.where(low, np.conj(psi_v), psi_v).reshape(shape))
+        return self._unfold(phi_v, low, shape), self._unfold(psi_v, low, shape)
+
+    def derivative(self, zeta):
+        """Φ_s′ = e^{φ_s} = 1/r."""
+        _, _, r, low = self._values(zeta)
+        return self._unfold(1.0 / r, low, np.shape(zeta))
+
+    def dual_derivative(self, zeta):
+        """Ψ_s′ = e^{−φ_s} = r."""
+        _, _, r, low = self._values(zeta)
+        return self._unfold(r, low, np.shape(zeta))
 
     def forward(self, zeta):
         """Φ_s(ζ) = s²·log((1−sr)/(1+sr)) + 2·log(s+r) + ζ/s + log(1+s²e)
@@ -432,21 +470,21 @@ class ScherkStrip:
         """Image radius around the saddle iπ handled by the τ-chart."""
         return 0.5 * abs(self._B) * np.sqrt(self.l / 8.0)
 
-    def _inverse_corner(self, z):
-        """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
+    def _project_corner(self, t):
+        """Fold τ iterates into the closed first quadrant and cap |τ|."""
         # |τ|² ≤ 0.81·l keeps |x| < 2π, where h has no zero
         cap = 0.9 * np.sqrt(self.l)
+        t = np.where(t.real < 0.0, -t, t)          # τ and −τ are the same ζ
+        t = np.where(t.imag < 0.0, np.conj(t), t)  # mirror into the strip
+        r = np.abs(t)
+        return np.where(r > cap, t * (cap / np.maximum(r, 1e-300)), t)
 
-        def project(t):
-            t = np.where(t.real < 0.0, -t, t)          # τ and −τ are the same ζ
-            t = np.where(t.imag < 0.0, np.conj(t), t)  # mirror into the strip
-            r = np.abs(t)
-            return np.where(r > cap, t * (cap / np.maximum(r, 1e-300)), t)
-
+    def _inverse_corner(self, z):
+        """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
         anchor_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
         try:
             tau = _solve(z, [lambda t: (t - 1j * np.pi) / self._B],
-                         self._corner_G, self._corner_Gp, project,
+                         self._corner_G, self._corner_Gp, self._project_corner,
                          complex(anchor_tau), "scherk_inverse (corner)")
         except ConvergenceError as e:
             e.last_iterate = self.zeta_c - e.last_iterate**2
@@ -461,7 +499,8 @@ class ScherkStrip:
                                 np.linspace(2.0 * b, b + 3.0 * l, 12)[1:]])
             v = np.linspace(-0.5 * l, 0.5 * l, 27)[1:-1]
             Z = (u[:, None] + 1j * v[None, :]).ravel()
-            self._anchors = (Z, self.forward(Z))
+            W = self.forward(Z)
+            self._anchors = (Z, W, _anchor_tree(W))
         return self._anchors
 
     def inverse(self, z):
@@ -486,26 +525,25 @@ class ScherkStrip:
         bulk = ~(up | lo)
         if not np.any(bulk):
             return out.reshape(shape)
-        zf = zall[bulk]
-        half = 0.5 * self.l
-
-        def project(zt):
-            zt.real = np.maximum(zt.real, 0.0)
-            zt.imag = np.clip(zt.imag, -half, half)
-            return zt
-
-        out[bulk] = _solve(zf, [self._bulk_start], self.forward,
-                           self.derivative, project,
+        out[bulk] = _solve(zall[bulk], [self._bulk_start], self.forward,
+                           self.derivative, self._project_bulk,
                            complex(self.b + self.l), "scherk_inverse")
         return out.reshape(shape)
 
+    def _project_bulk(self, zt):
+        """Clip Newton iterates into the closed half-strip (in place)."""
+        half = 0.5 * self.l
+        zt.real = np.maximum(zt.real, 0.0)
+        zt.imag = np.clip(zt.imag, -half, half)
+        return zt
+
     def _bulk_start(self, zf):
         """Nearest anchor, or far out the asymptote ζ = s(z − c_inf)."""
-        anchors_zeta, anchors_w = self._anchor_table()
+        anchors_zeta, anchors_w, tree = self._anchor_table()
         far = zf.real > float(np.max(anchors_w.real)) - 2.0
         zeta0 = self.s * (zf - self.c_inf)
         if not np.all(far):
-            zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], anchors_w)]
+            zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], tree)]
         return zeta0
 
     # -- boundary line (top strip edge → saddle) ---------------------------
@@ -516,28 +554,6 @@ class ScherkStrip:
         if not 0.0 <= u <= self.b:
             raise DomainError("upper_line_x2: u must lie in [0, b]")
         return float(self._corner_G(np.array(np.sqrt(self.b - u) + 0j)).imag)
-
-    def measure_saddle_height(self, target_x2: float = np.pi) -> float:
-        """Measured chart height u* of the saddle point.
-
-        Since Φ_s′ blows up like an inverse square root at the corner
-        b + il/2, the preimage of x₂ = target − ε satisfies
-        u(ε) = u* − K ε² + O(ε³); two roots and a Richardson step remove
-        the ε² term.  Roots are found in the substituted variable
-        σ = √(b − u), where x₂ depends on σ with a nonzero slope.
-        """
-        sqrt_b = np.sqrt(self.b)
-
-        def root_for(e):
-            g = lambda sg: self.upper_line_x2(self.b - sg**2) - (target_x2 - e)
-            sg = brentq(g, 0.0, sqrt_b * (1.0 - 1e-12),
-                        xtol=1e-15, rtol=8.9e-16)
-            return self.b - sg**2
-
-        eps = 1e-4
-        t1 = root_for(eps)
-        t2 = root_for(2.0 * eps)
-        return (4.0 * t1 - t2) / 3.0
 
 
 # ----------------------------------------------------------------------

@@ -716,6 +716,48 @@ _ANNULUS_EPS = 1e-9
 _ANNULUS_INNER = 2.0
 
 
+#: a point's rounded grid node is its nearest one when both fractional
+#: offsets are below this; the margin below 1/2 exceeds the rounding of the
+#: squared node distances, so no neighbour can tie with the rounded node
+_NEAREST_NODE = 0.5 - 2.0**-40
+
+
+def _component_member(code, fi, fj):
+    """Whether the nearest positive node lies in component T, for points at
+    fractional grid coordinates (fi, fj).
+
+    `code` is 0 at a node off the positive phase, 1 on another positive
+    component and 2 on T.  The nearest positive node is sought among the
+    3×3 nodes around the rounded node, clipped into the grid's interior;
+    ties go to the first node in row-major order.  When the rounded node is
+    positive, unclipped and strictly nearest it is taken directly, and the
+    search runs only on the other points.
+    """
+    n = code.shape[0]
+    ri, rj = np.round(fi), np.round(fj)
+    i0 = np.clip(ri.astype(int), 1, n - 2)
+    j0 = np.clip(rj.astype(int), 1, n - 2)
+    c0 = code[j0, i0]
+    member = c0 == 2
+    slow = np.flatnonzero(~((c0 > 0) & (i0 == ri) & (j0 == rj)
+                            & (np.abs(fi - ri) < _NEAREST_NODE)
+                            & (np.abs(fj - rj) < _NEAREST_NODE)))
+    fi, fj, i0, j0 = fi[slow], fj[slow], i0[slow], j0[slow]
+    found = np.zeros(slow.size, dtype=bool)
+    bestd = np.full(slow.size, np.inf)
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            ii = i0 + di
+            jj = j0 + dj
+            d2 = (fi - ii) ** 2 + (fj - jj) ** 2
+            c = code[jj, ii]
+            closer = (c > 0) & (d2 < bestd)
+            found = np.where(closer, c == 2, found)
+            bestd = np.where(closer, d2, bestd)
+    member[slow] = found
+    return member
+
+
 def _annulus_grid(r_in, r):
     """Polar grid on B_r ∖ B_{r_in}, equal steps in ρ²; shape (angles,
     radii, 2)."""
@@ -830,27 +872,20 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
             raise TopologyError("annulus_flat_check: no positive component "
                                 "touches the inner region")
 
+    code = (labels > 0).astype(np.int8) + (labels == t_label)
+
     def u_T(pts):
         """u·1_T: evaluate u, zeroing points outside component T (membership
         via the nearest positive grid node)."""
         pts = np.asarray(pts, dtype=float)
         vals = sol.eval_u(pts)
-        fi = (pts[..., 0] + 1.0) / grid_h
-        fj = (pts[..., 1] + 1.0) / grid_h
-        i0 = np.clip(np.round(fi).astype(int), 1, _ANNULUS_NODES - 2)
-        j0 = np.clip(np.round(fj).astype(int), 1, _ANNULUS_NODES - 2)
-        member = np.zeros(pts.shape[:-1], dtype=bool)
-        bestd = np.full(pts.shape[:-1], np.inf)
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                ii = i0 + di
-                jj = j0 + dj
-                d2 = (fi - ii) ** 2 + (fj - jj) ** 2
-                ispos = labels[jj, ii] > 0
-                closer = ispos & (d2 < bestd)
-                member = np.where(closer, labels[jj, ii] == t_label, member)
-                bestd = np.where(closer, d2, bestd)
-        return np.where(member & (vals > _ANNULUS_EPS), vals, 0.0)
+        pos = vals > _ANNULUS_EPS
+        p = pts[pos]
+        member = _component_member(code, (p[:, 0] + 1.0) / grid_h,
+                                   (p[:, 1] + 1.0) / grid_h)
+        out = np.zeros_like(vals)
+        out[pos] = np.where(member, vals[pos], 0.0)
+        return out
 
     # strand points belonging to T's boundary (either strand may bound it)
     strand_pts = np.vstack(connecting)

@@ -651,7 +651,7 @@ class Scherk(Solution):
         if np.any(inside):
             z = qf[..., 0][inside] + 1j * qf[..., 1][inside]
             zeta = self._chart.inverse(z)
-            fp = np.exp(-self._chart.phi(zeta))
+            fp = self._chart.dual_derivative(zeta)
             # unfold the x₁ reflection (sign 0 on the axis: keep +)
             sgn = np.where(sign1[inside] == 0.0, 1.0, sign1[inside])
             g[..., 0][inside] = sgn * fp.real

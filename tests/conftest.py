@@ -1,10 +1,12 @@
-"""Shared fixtures: one instance per family, a seeded generator, and a
-wall-clock reporter used by the acceptance suite."""
+"""Shared fixtures: one instance per family, a seeded generator, a
+wall-clock reporter used by the acceptance suite, and the measured Scherk
+saddle height."""
 
 import time
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane, Scherk,
                                 TwoPlane, Wedge)
@@ -70,3 +72,32 @@ def stopwatch():
             return _Ctx()
 
     return _Watch()
+
+
+def _measure_saddle_height(chart, target_x2=np.pi):
+    """Measured chart height u* of the saddle point of a `ScherkStrip`.
+
+    Since Φ_s′ blows up like an inverse square root at the corner
+    b + il/2, the preimage of x₂ = target − ε satisfies
+    u(ε) = u* − K ε² + O(ε³); two roots and a Richardson step remove
+    the ε² term.  Roots are found in the substituted variable
+    σ = √(b − u), where x₂ depends on σ with a nonzero slope.
+    """
+    b = chart.b
+
+    def root_for(e):
+        g = lambda sg: chart.upper_line_x2(b - sg**2) - (target_x2 - e)
+        sg = brentq(g, 0.0, np.sqrt(b) * (1.0 - 1e-12),
+                    xtol=1e-15, rtol=8.9e-16)
+        return b - sg**2
+
+    eps = 1e-4
+    t1 = root_for(eps)
+    t2 = root_for(2.0 * eps)
+    return (4.0 * t1 - t2) / 3.0
+
+
+@pytest.fixture(scope="session")
+def measure_saddle_height():
+    """The saddle-height measurement, a function of a `ScherkStrip`."""
+    return _measure_saddle_height

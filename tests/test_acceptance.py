@@ -97,7 +97,8 @@ def test_criterion_03_slope_condition(stopwatch):
             assert np.max(np.abs(fd - 1.0)) < 5e-3, sol.kind
 
 
-def test_criterion_04_scherk_printed_relations(stopwatch):
+def test_criterion_04_scherk_printed_relations(stopwatch,
+                                               measure_saddle_height):
     """Loop half-perimeter 2πsa, saddle value 2as·log(1/s), and the loop
     implicit equation, for s ∈ {1/8, 1/2, 7/8}, a = 1 (budget: 5 s)."""
     with stopwatch("criterion 4"):
@@ -114,7 +115,7 @@ def test_criterion_04_scherk_printed_relations(stopwatch):
             # saddle value: closed form and the measured chart route
             target = 2.0 * a * s * np.log(1.0 / s)
             assert abs(sol.saddle_value() - target) < 1e-12
-            measured = a * ScherkStrip(s=s).measure_saddle_height()
+            measured = a * measure_saddle_height(ScherkStrip(s=s))
             assert abs(measured - target) < 1e-6, s
 
             # implicit equation on the solution's own loop polyline

@@ -330,6 +330,26 @@ class TestConfigHandling:
         assert run("minimize", "--family", "half_plane", "--param", "h=abc",
                    "--out", str(tmp_path)) == 2
 
+    def test_list_param_given_as_one_number(self, tmp_path):
+        assert run("classify", "--family", "half_plane",
+                   "--param", "mode=annulus", "--param", "scales=0.4",
+                   "--out", str(tmp_path)) == 2
+
+    def test_mesh_resolutions_given_as_one_number(self, tmp_path):
+        # rejected before any check runs: no report is written
+        assert run("verify", "--family", "half_plane",
+                   "--param", "mesh_resolutions=32",
+                   "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "verify_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["resolution", "seed"])
+    def test_non_integer_config_value(self, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "half_plane", "params": {}}, key: "abc"}))
+        assert run("minimize", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

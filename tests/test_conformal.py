@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onephase import conformal
 from onephase.conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
                                 scherk_loop_implicit, scherk_loop_point,
                                 scherk_loop_x2_extent)
 from onephase.errors import ConvergenceError, DomainError
 from onephase.quad import segment_quad
+from onephase.solutions import Scherk
 
 
 def _strip_points(half_height, n=60, margin=0.08, width=2.5, seed=1):
@@ -113,10 +115,11 @@ class TestScherkStrip:
         d = chart.derivative(1j * t)
         assert np.allclose(np.abs(d), 1.0, atol=1e-12)
 
-    def test_saddle_measurement_matches_closed_form(self):
+    def test_saddle_measurement_matches_closed_form(self,
+                                                   measure_saddle_height):
         for s in (0.25, 0.5):
             chart = ScherkStrip(s=s)
-            measured = chart.measure_saddle_height()
+            measured = measure_saddle_height(chart)
             assert measured == pytest.approx(chart.b, abs=1e-8)
 
     def test_upper_line_domain(self):
@@ -313,3 +316,286 @@ class TestInverseFailure:
         # ζ = ζ* − τ², not τ
         assert np.allclose(it, chart.zeta_c - tau0**2, atol=1e-3)
         assert np.all(np.abs(it.imag) <= 0.5 * chart.l + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# the Newton driver against its full-array predecessor
+# ----------------------------------------------------------------------
+
+def _damped_newton_oracle(targets, z0, f, fprime, project):
+    """The damped Newton driver that evaluated f and f′ at every point on
+    every iteration and halving, converged or not."""
+    target = np.asarray(targets, dtype=complex)
+    zeta = project(np.asarray(z0, dtype=complex).copy())
+    res = f(zeta) - target
+    scale = np.maximum(1.0, np.abs(target))
+    for _ in range(conformal._MAX_ITER):
+        active = np.abs(res) > conformal._NEWTON_TOL * scale
+        if not np.any(active):
+            break
+        with np.errstate(all="ignore"):
+            step = np.where(active, -res / fprime(zeta), 0.0)
+        step = np.where(np.isfinite(step), step, 0.0)
+        factor = np.ones_like(scale)
+        for _h in range(conformal._MAX_HALVINGS):
+            # np.asarray: 0-d operands decay to scalars, which the in-place
+            # projections cannot modify
+            cand = project(np.asarray(zeta + factor * step))
+            cand_res = f(cand) - target
+            worse = active & (np.abs(cand_res) > np.abs(res))
+            if not np.any(worse):
+                break
+            factor = np.where(worse, factor * 0.5, factor)
+        zeta = np.asarray(np.where(active, cand, zeta))
+        res = np.asarray(np.where(active, cand_res, res))
+    return zeta, np.abs(res) <= conformal._NEWTON_TOL * scale
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).reshape(-1).view(np.int64)
+
+
+@pytest.fixture
+def newton_spy(monkeypatch):
+    """Runs the oracle beside every `_damped_newton` call, requires the same
+    (ζ, converged) to the bit, and records per call whether a step was
+    halved, whether a point failed, and whether the input was 0-d."""
+    driver = conformal._damped_newton
+    seen = []
+
+    def both(targets, z0, f, fprime, project):
+        zeta, conv = driver(targets, z0, f, fprime, project)
+        calls = {"f": 0, "fprime": 0}
+
+        def counted(name, fn):
+            def g(z):
+                calls[name] += 1
+                return fn(z)
+            return g
+
+        zeta_o, conv_o = _damped_newton_oracle(
+            targets, z0, counted("f", f), counted("fprime", fprime), project)
+        assert zeta.shape == zeta_o.shape and conv.shape == conv_o.shape
+        assert np.array_equal(_bits(zeta), _bits(zeta_o))
+        assert np.array_equal(conv, conv_o)
+        seen.append({"halved": calls["f"] > calls["fprime"] + 1,
+                     "failed": not np.all(conv),
+                     "scalar": np.ndim(targets) == 0})
+        return zeta, conv
+
+    monkeypatch.setattr(conformal, "_damped_newton", both)
+    return seen
+
+
+def _hhp_targets(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-6.0, 6.0, n)
+    y = rng.uniform(-1.0, 1.0, n) * (np.pi / 2 + np.cosh(x))
+    return x + 1j * y
+
+
+def _slit_targets(chart, n, seed):
+    rng = np.random.default_rng(seed)
+    a = chart.a
+    zeta = rng.uniform(0.01, 6.0, n) * a + 1j * rng.uniform(-6.0, 6.0, n) * a
+    zeta = zeta[~((zeta.real <= a) & (np.abs(zeta.imag) < 0.02 * a))]
+    return chart.forward(zeta)
+
+
+def _scherk_points(n, seed):
+    """Points of [−2, 2] × [−2π, 2π] and a cluster around the saddle
+    (0, π), so both the bulk and the corner chart run."""
+    rng = np.random.default_rng(seed)
+    cloud = rng.uniform([-2.0, -2.0 * np.pi], [2.0, 2.0 * np.pi], (n, 2))
+    saddle = np.array([0.0, np.pi]) + rng.normal(0.0, 0.05, (n // 4, 2))
+    return np.vstack([cloud, saddle])
+
+
+def _newton_case(case, n=1500, seed=4):
+    """(targets, poor starts, f, f′, project) for one chart's Newton pair;
+    starts far from the roots make the driver halve its steps."""
+    rng = np.random.default_rng(seed)
+    if case == "hhp":
+        chart = HHPStrip()
+        return (_hhp_targets(n, seed), np.zeros(n, dtype=complex),
+                lambda w: w + np.sinh(w), chart.derivative, chart._project)
+    if case == "slit":
+        chart = SlitHalfPlane(a=0.5)
+        targets = _slit_targets(chart, n, seed)
+        return (targets, np.full(targets.shape, 1.0 + 0j), chart.forward,
+                chart.derivative, chart._project)
+    chart = ScherkStrip(s=0.5)
+    if case == "scherk_bulk":
+        zeta = (rng.uniform(0.0, 3.0, n)
+                + 1j * rng.uniform(-0.5, 0.5, n) * chart.l)
+        return (chart.forward(zeta), np.full(n, chart.b + chart.l),
+                chart.forward, chart.derivative, chart._project_bulk)
+    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, n)
+    z = 1j * np.pi + rho * np.exp(1j * rng.uniform(-np.pi, 0.0, n))
+    tau0 = 0.9 * np.sqrt(chart.l) * np.exp(0.5j * np.pi
+                                           * rng.uniform(0.0, 1.0, n))
+    return (z, tau0, chart._corner_G, chart._corner_Gp,
+            chart._project_corner)
+
+
+NEWTON_CASES = ["hhp", "slit", "scherk_bulk", "scherk_corner"]
+
+
+class TestDampedNewton:
+    """The active-set driver against the full-array oracle, bit for bit, on
+    every f/f′ pair the charts pass it."""
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_poor_starts_halve_steps(self, newton_spy, case):
+        targets, z0, f, fprime, project = _newton_case(case)
+        conformal._damped_newton(targets, z0, f, fprime, project)
+        assert newton_spy[0]["halved"]
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_work_shrinks_to_unconverged_points(self, case):
+        targets, z0, f, fprime, project = _newton_case(case)
+        calls = []
+
+        def counted(name, fn):
+            def g(z):
+                calls.append((name, np.size(z)))
+                return fn(z)
+            return g
+
+        conformal._damped_newton(targets, z0, counted("f", f),
+                                 counted("fprime", fprime), project)
+        # split into iterations: f′ at the active points, then f at the
+        # step and at each halving
+        iters, active = [], []
+        for name, size in calls[1:]:
+            if name == "fprime":
+                iters.append([])
+                active.append(size)
+            else:
+                iters[-1].append(size)
+        assert calls[0] == ("f", len(targets))
+        assert active == sorted(active, reverse=True) and active[-1] < active[0]
+        for a, sizes in zip(active, iters):
+            assert sizes[0] == a and sizes == sorted(sizes, reverse=True)
+        # a halving reaches only the points whose residual grew
+        assert any(len(sizes) > 1 and sizes[1] < a
+                   for a, sizes in zip(active, iters))
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_zero_dim_input(self, newton_spy, case):
+        targets, z0, f, fprime, project = _newton_case(case, n=8)
+        for t, start in zip(targets, z0):
+            zeta, conv = conformal._damped_newton(np.array(t),
+                                                  np.array(start), f,
+                                                  fprime, project)
+            assert zeta.shape == () and conv.shape == ()
+        assert all(c["scalar"] for c in newton_spy)
+
+    def test_chart_inversions(self, newton_spy):
+        HHPStrip().inverse(_hhp_targets(2000, 1))
+        for a in (0.25, 1.0):
+            chart = SlitHalfPlane(a=a)
+            chart.inverse(_slit_targets(chart, 1000, 2))
+        for s in (0.05, 0.5, 0.95):
+            sol = Scherk(s, 1.0)
+            pts = _scherk_points(1000, 3)
+            sol.eval_u(pts)
+            sol.eval_grad(pts, boundary_limit=True)
+        # hhp, two slit calls, and a bulk and a corner call per evaluation
+        assert len(newton_spy) >= 15
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    def test_never_converging(self, newton_spy, monkeypatch, case):
+        stiff = TestInverseFailure._stiffen
+        if case == "hhp":
+            monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
+                lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+            run = lambda: HHPStrip().inverse(np.array([0.3 + 0.2j, 4.0 - 1j]))
+        elif case == "slit":
+            stiff(monkeypatch, SlitHalfPlane, "derivative")
+            run = lambda: SlitHalfPlane(a=1.0).inverse(
+                np.array([0.2 + 0.1j, 8.0 - 3.0j]))
+        elif case == "scherk_bulk":
+            stiff(monkeypatch, ScherkStrip, "derivative")
+            run = lambda: ScherkStrip(s=0.5).inverse(
+                np.array([0.5 + 0.1j, 6.0 + 2.0j]))
+        else:
+            stiff(monkeypatch, ScherkStrip, "_corner_Gp")
+            chart = ScherkStrip(s=0.5)
+            z = 1j * np.pi + (chart.corner_zone_radius
+                              * np.array([0.2, 0.9]) * np.exp(-0.25j * np.pi))
+            run = lambda: chart.inverse(z)
+        with pytest.raises(ConvergenceError):
+            run()
+        assert any(c["failed"] and not c["scalar"] for c in newton_spy)
+        # the homotopy rescue drives 0-d targets
+        assert any(c["failed"] and c["scalar"] for c in newton_spy)
+
+
+# ----------------------------------------------------------------------
+# closed-form Scherk derivatives against φ_s
+# ----------------------------------------------------------------------
+
+def _scherk_derivative_points(chart):
+    """Bulk points, the cut Im ζ = ±l/2 with Re ζ < b, and rings just inside
+    and outside the corner chart's switch |ζ − ζ*| = l/10, in Re ζ ≥ 0."""
+    rng = np.random.default_rng(7)
+    l, b = chart.l, chart.b
+    bulk = (rng.uniform(0.0, 2.0 * b + l, 400)
+            + 1j * rng.uniform(-0.5, 0.5, 400) * l)
+    cut = np.linspace(0.0, b, 40, endpoint=False) + 0.5j * l
+    alpha = np.linspace(0.0, np.pi, 61)
+    rings = np.concatenate([chart.zeta_c - 0.1 * l * f * np.exp(1j * alpha)
+                            for f in (0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.1)])
+    rings = rings[rings.real >= 0.0]
+    upper = np.concatenate([cut, rings])
+    return np.concatenate([bulk, upper, np.conj(upper)])
+
+
+class TestScherkDerivatives:
+    @pytest.mark.parametrize("s", [0.02, 0.125, 0.5, 0.875, 0.98])
+    def test_match_phi(self, s):
+        chart = ScherkStrip(s=s)
+        zeta = _scherk_derivative_points(chart)
+        near = np.abs(zeta - chart.zeta_c) < 0.1 * chart.l
+        near |= np.abs(zeta - np.conj(chart.zeta_c)) < 0.1 * chart.l
+        assert near.any() and not near.all()
+        d_phi = chart.derivative(zeta)
+        d_psi = chart.dual_derivative(zeta)
+        assert np.max(np.abs(d_phi / chart.integrand(zeta) - 1.0)) < 1e-13
+        assert np.max(np.abs(d_psi / np.exp(-chart.phi(zeta)) - 1.0)) < 1e-13
+
+    def test_shapes(self):
+        chart = ScherkStrip(s=0.5)
+        zeta = np.array([[0.5 + 0.3j, 1.0 - 0.8j], [2.0 + 0j, 0.1 + 1.0j]])
+        assert chart.derivative(zeta).shape == (2, 2)
+        assert chart.dual_derivative(np.array(0.5 + 0.3j)).shape == ()
+        assert np.allclose(chart.derivative(zeta)
+                           * chart.dual_derivative(zeta), 1.0, atol=1e-14)
+
+
+class TestScherkPhiRoute:
+    """u and ∇u against the route through φ_s: the oracle driver with
+    Φ_s′ = e^{φ_s} in Newton and Ψ_s′ = e^{−φ_s} in the gradient.
+
+    Near a saddle, e^{−φ_s} cancels in 1 + e^{2π(ζ−b)/l} and loses digits
+    like ε/|ζ − ζ*|, while r comes from the corner chart; there the two
+    gradients part by up to 3e-13 within 1e-3 of the saddle, so ∇u is
+    compared from 1e-2 on (which still covers the corner chart's zone)."""
+
+    @pytest.mark.parametrize("s", [0.05, 0.125, 0.5, 0.875, 0.95])
+    def test_eval_matches_phi_route(self, monkeypatch, s):
+        pts = _scherk_points(3000, 5)
+        pts = pts[np.hypot(pts[:, 0], np.abs(pts[:, 1]) - np.pi) >= 1e-2]
+        sol = Scherk(s, 1.0)
+        u, g = sol.eval_u(pts), sol.eval_grad(pts, boundary_limit=True)
+        monkeypatch.setattr(conformal, "_damped_newton",
+                            _damped_newton_oracle)
+        monkeypatch.setattr(ScherkStrip, "derivative",
+                            lambda self, zeta: self.integrand(zeta))
+        monkeypatch.setattr(ScherkStrip, "dual_derivative",
+                            lambda self, zeta: np.exp(-self.phi(zeta)))
+        sol = Scherk(s, 1.0)
+        assert np.max(np.abs(u - sol.eval_u(pts))) <= 1e-13
+        assert np.max(np.abs(g - sol.eval_grad(pts, boundary_limit=True))) \
+            <= 1e-13

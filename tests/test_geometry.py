@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from onephase.common import densify_polyline, points_in_polygon
 from onephase.errors import (DomainError, InvalidInputError, TopologyError)
-from onephase.geometry import (_COARSE_ANGLES, FreeBoundary, PolyCurve,
+from onephase.geometry import (_ANNULUS_EPS, _ANNULUS_NODES,
+                               _COARSE_ANGLES, FreeBoundary, PolyCurve,
                                _annulus_grid, _coarse_flatness,
-                               _dist_to_polygon_edges, _rotate,
+                               _component_member, _dist_to_polygon_edges,
+                               _rotate,
                                annulus_flat_check, circle_max, classify_flat,
                                curve_curvature, extract_boundary, flux_balance,
                                hausdorff, random_polygon_in_phase)
@@ -531,7 +533,87 @@ class TestClassifyFlat:
         assert classify_flat(fld, delta=0.6).case == "B"
 
 
+def _member_oracle(labels, t_label, fi, fj):
+    """Component membership by the nearest positive node of the 3×3 block,
+    evaluated at every point."""
+    n = labels.shape[0]
+    i0 = np.clip(np.round(fi).astype(int), 1, n - 2)
+    j0 = np.clip(np.round(fj).astype(int), 1, n - 2)
+    member = np.zeros(fi.shape, dtype=bool)
+    bestd = np.full(fi.shape, np.inf)
+    for dj in (-1, 0, 1):
+        for di in (-1, 0, 1):
+            ii = i0 + di
+            jj = j0 + dj
+            d2 = (fi - ii) ** 2 + (fj - jj) ** 2
+            ispos = labels[jj, ii] > 0
+            closer = ispos & (d2 < bestd)
+            member = np.where(closer, labels[jj, ii] == t_label, member)
+            bestd = np.where(closer, d2, bestd)
+    return member
+
+
+def _annulus_labels(sol, delta=0.01):
+    from scipy import ndimage
+    xs = np.linspace(-1.0, 1.0, _ANNULUS_NODES)
+    X, Y = np.meshgrid(xs, xs)
+    R2 = X**2 + Y**2
+    active = (R2 <= 1.0) & (R2 >= delta * delta)
+    U = sol.eval_u(np.stack([X, Y], axis=-1))
+    labels, n_comp = ndimage.label((U > _ANNULUS_EPS) & active)
+    return labels, n_comp
+
+
+def _aligned_points(rng, n, count):
+    """Grid coordinates on nodes, on exact midpoints between nodes (ties),
+    and a few ulps either side of the rounded node's fast-path margin."""
+    k = rng.integers(0, n, (count, 2)).astype(float)
+    offsets = np.array([0.0, 0.5, -0.5, 0.5 - 2.0**-39, 0.5 - 2.0**-41,
+                        -(0.5 - 2.0**-39), -(0.5 - 2.0**-41), 0.25])
+    return k + offsets[rng.integers(0, len(offsets), (count, 2))]
+
+
+def _membership_points(rng):
+    """Grid coordinates: random points (some outside the grid, so the block
+    is clipped), rotated polar grids of the probe, and aligned points."""
+    n = _ANNULUS_NODES - 1
+    rand = rng.uniform(-3.0, n + 3.0, (4000, 2))
+    polar = np.concatenate([
+        _rotate(_annulus_grid(0.02, r), t).reshape(-1, 2)
+        for r in (0.1, 0.4, 1.0) for t in np.linspace(0.0, 6.0, 7)])
+    polar = (polar + 1.0) * (n / 2.0)
+    return np.vstack([rand, polar, _aligned_points(rng, n, 2000)])
+
+
 class TestAnnulusFlatCheck:
+    @pytest.mark.parametrize("sol", [
+        HalfPlane(motion=RigidMotion(angle=0.3)), TwoPlane(a=0.5),
+        Hairpin(a=0.05), Scherk(0.3, 0.2)], ids=lambda sol: sol.kind)
+    def test_membership_matches_block_oracle(self, sol):
+        labels, n_comp = _annulus_labels(sol)
+        assert n_comp >= 1
+        pts = _membership_points(np.random.default_rng(n_comp))
+        fi, fj = pts[:, 0], pts[:, 1]
+        for t_label in range(1, n_comp + 1):
+            code = (labels > 0).astype(np.int8) + (labels == t_label)
+            got = _component_member(code, fi, fj)
+            assert np.array_equal(got, _member_oracle(labels, t_label,
+                                                      fi, fj))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_membership_matches_block_oracle_on_random_labels(self, seed):
+        # diagonal neighbours in other components make every tie count
+        rng = np.random.default_rng(seed)
+        n = 9
+        labels = rng.integers(0, 4, (n, n))
+        pts = np.vstack([rng.uniform(-2.0, n + 1.0, (3000, 2)),
+                         _aligned_points(rng, n - 1, 3000)])
+        for t_label in (1, 2, 3):
+            code = (labels > 0).astype(np.int8) + (labels == t_label)
+            got = _component_member(code, pts[:, 0], pts[:, 1])
+            assert np.array_equal(got, _member_oracle(labels, t_label,
+                                                      pts[:, 0], pts[:, 1]))
+
     def test_half_plane_and_wedge_flat(self):
         for sol in (HalfPlane(), Wedge(s=1.0)):
             reports = annulus_flat_check(sol, delta=0.01,
