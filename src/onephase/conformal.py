@@ -28,6 +28,9 @@ of) the positive phase of an exact solution family:
 Every inversion goes through one driver, `_solve`: vectorized damped
 Newton from family-specific initializations, then a scalar
 homotopy-continuation fallback for stragglers, then `ConvergenceError`.
+`HHPStrip.inverse` and `ScherkStrip.inverse` keep a one-entry memo of their
+last solve, keyed on the shape and bits of the targets (−0.0 is not 0.0), so
+a family's u and ∇u at the same points share one solve.
 φ′ = 1 + cosh has positive real part on the closed strip, and the
 Scherk/slit derivatives are nonvanishing in the model interiors, so the
 iterations are well posed.
@@ -130,6 +133,18 @@ def _damped_newton(targets, z0, f, fprime, project):
     return zeta.reshape(shape), (np.abs(res) <= tol).reshape(shape)
 
 
+def _remembered(chart, z, solve):
+    """solve(z), or a copy of the ζ of `chart`'s last solve if z has its
+    shape and bits.  One entry per chart; a solve that raises leaves none."""
+    key = (z.shape, z.tobytes())
+    if chart._last is not None and chart._last[0] == key:
+        return chart._last[1].copy()
+    chart._last = None
+    zeta = solve(z)
+    chart._last = (key, zeta.copy())
+    return zeta
+
+
 def _on_0d(g):
     """g evaluated on the 0-d form of a length-1 array."""
     return lambda w: np.reshape(g(w.reshape(())), 1)
@@ -195,6 +210,8 @@ def _solve(targets, starts, f, fprime, project, anchor, what):
 class HHPStrip:
     """φ(ζ) = ζ + sinh ζ on S = {|Im ζ| < π/2} onto Ω₁."""
 
+    _last = None  # (targets key, ζ) of the last solve, set per instance
+
     @staticmethod
     def forward(zeta):
         zeta = _as_complex(zeta)
@@ -214,8 +231,11 @@ class HHPStrip:
         return np.abs(z.imag) <= _HALF_PI + np.cosh(x) + tol
 
     def inverse(self, z):
-        """φ⁻¹(z) for z in the closure of Ω₁ (vectorized)."""
-        z = _as_complex(z)
+        """φ⁻¹(z) for z in the closure of Ω₁ (vectorized); a repeat of the
+        last targets' shape and bits returns a copy of their ζ."""
+        return _remembered(self, _as_complex(z), self._inverse)
+
+    def _inverse(self, z):
         if not np.all(self.contains_image(z, tol=1e-9 * (1.0 + np.abs(z)))):
             raise DomainError("hhp_inverse: z outside the hairpin phase closure")
         shape = z.shape
@@ -359,6 +379,7 @@ class ScherkStrip:
         self.zeta_c = self.b + 0.5j * self.l
         self._B = -2j * np.sqrt((1.0 - s**4) / s)
         self._anchors = None
+        self._last = None
 
     # -- φ_s and the integrand (the quadrature oracle of the closed forms) --
     def phi(self, zeta):
@@ -508,9 +529,12 @@ class ScherkStrip:
 
         Damped Newton on the closed form, started from the nearest anchor or,
         far out, from ζ = s(z − c_inf); targets within `corner_zone_radius`
-        of a saddle ±iπ go through the square-root corner chart instead.
+        of a saddle ±iπ go through the square-root corner chart instead.  A
+        repeat of the last targets' shape and bits returns a copy of their ζ.
         """
-        z = _as_complex(z)
+        return _remembered(self, _as_complex(z), self._inverse)
+
+    def _inverse(self, z):
         shape = z.shape
         zall = z.ravel()
         r_zone = self.corner_zone_radius

@@ -28,6 +28,7 @@ Conventions
   ``boundary_tol`` of F(u) get 0 by default; with ``boundary_limit=True``
   they get the limit of ∇u from the positive phase (for the two-sided wedge,
   the limit from {x₁ > 0}).
+* ``eval_u`` and ``eval_grad`` at the same points share one chart solve.
 * ``free_boundary_curves`` returns world-frame polylines of F(u) clipped to
   a window; closed components repeat their first vertex when unclipped.
 * ``rescale(lam)`` returns the family member representing u_λ(x) = u(λx)/λ.
@@ -164,9 +165,9 @@ class Solution(ABC):
     def eval_grad(self, points, boundary_limit: bool = False):
         p = self.motion.to_body(_as_points(points))
         g = self._grad_body(p, boundary_limit)
-        near = self._fb_dist_body(p) <= BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
         if not boundary_limit:
-            g = np.where(near[..., None], 0.0, g)
+            tol = BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
+            g = np.where((self._fb_dist_body(p) <= tol)[..., None], 0.0, g)
         return self.motion.vector_to_world(g)
 
     def in_positive_phase(self, points):

@@ -12,7 +12,8 @@ from onephase.conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
                                 scherk_loop_x2_extent)
 from onephase.errors import ConvergenceError, DomainError
 from onephase.quad import segment_quad
-from onephase.solutions import Scherk
+from onephase.solutions import Hairpin, Scherk
+from onephase.variational import weiss_energy
 
 
 def _strip_points(half_height, n=60, margin=0.08, width=2.5, seed=1):
@@ -498,9 +499,10 @@ class TestDampedNewton:
             chart.inverse(_slit_targets(chart, 1000, 2))
         for s in (0.05, 0.5, 0.95):
             sol = Scherk(s, 1.0)
-            pts = _scherk_points(1000, 3)
-            sol.eval_u(pts)
-            sol.eval_grad(pts, boundary_limit=True)
+            sol.eval_u(_scherk_points(1000, 3))
+            # its own cloud: at eval_u's points the chart's memo would
+            # answer without a solve
+            sol.eval_grad(_scherk_points(1000, 4), boundary_limit=True)
         # hhp, two slit calls, and a bulk and a corner call per evaluation
         assert len(newton_spy) >= 15
 
@@ -530,6 +532,174 @@ class TestDampedNewton:
         assert any(c["failed"] and not c["scalar"] for c in newton_spy)
         # the homotopy rescue drives 0-d targets
         assert any(c["failed"] and c["scalar"] for c in newton_spy)
+
+
+# ----------------------------------------------------------------------
+# the one-entry memo of the chart inverses
+# ----------------------------------------------------------------------
+
+MEMO_CASES = ([("scherk", s, zone) for s in (0.05, 0.5, 0.95)
+               for zone in ("bulk", "corner")] + [("hairpin", 1.0, "bulk")])
+
+
+def _memo_case(case, n=200, seed=0):
+    """(chart, targets A, targets B, one target with a signed-zero part,
+    the name of the f′ that a failure test stiffens) for one memo case;
+    A and B are different target sets of one shape."""
+    family, s, zone = case
+    rng = np.random.default_rng(seed)
+    if family == "hairpin":
+        chart = HHPStrip()
+        return (chart, _hhp_targets(n, seed), _hhp_targets(n, seed + 1),
+                complex(1.5, 0.0), "derivative")
+    chart = ScherkStrip(s=s)
+    if zone == "bulk":
+        zeta = (rng.uniform(0.05, 3.0, (2, n)) * max(s, chart.b)
+                + 1j * rng.uniform(-0.45, 0.45, (2, n)) * chart.l)
+        z = chart.forward(zeta)
+        far = (np.abs(np.abs(z.imag) - np.pi) > 2 * chart.corner_zone_radius)
+        z = np.where(far, z, 2.0 + 0.5j)
+        return (chart, z[0], z[1], complex(float(chart.forward(1.0).real),
+                                           0.0), "derivative")
+    # both saddle zones, approached from inside the half-cell
+    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, (2, n))
+    z = 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, (2, n)))
+    z[:, ::2] = np.conj(z[:, ::2])
+    return (chart, z[0], z[1],
+            complex(0.0, np.pi - 0.5 * chart.corner_zone_radius), "_corner_Gp")
+
+
+def _with_sign(z, k):
+    """z with its zero part (real or imaginary) given the sign of k."""
+    zero = np.copysign(0.0, k)
+    return complex(zero, z.imag) if z.real == 0.0 else complex(z.real, zero)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the chart solves (`conformal._solve` calls)."""
+    seen = []
+    solve = conformal._solve
+
+    def counted(*args):
+        seen.append(args[-1])
+        return solve(*args)
+
+    monkeypatch.setattr(conformal, "_solve", counted)
+    return seen
+
+
+def _new_chart(chart):
+    return HHPStrip() if isinstance(chart, HHPStrip) else ScherkStrip(chart.s)
+
+
+@pytest.mark.parametrize("case", MEMO_CASES,
+                         ids=lambda c: "-".join(map(str, c)))
+class TestInverseMemo:
+    """A chart inverse answers a repeat of its last targets (same shape,
+    same bits) with a copy of the stored ζ, and solves anything else."""
+
+    def test_bit_equal_to_fresh_chart(self, solves, case):
+        chart, a, _, _, _ = _memo_case(case)
+        first = chart.inverse(a)
+        n = len(solves)
+        again = chart.inverse(a)
+        assert len(solves) == n  # answered by the memo
+        expected = _new_chart(chart).inverse(a)
+        assert np.array_equal(_bits(first), _bits(expected))
+        assert np.array_equal(_bits(again), _bits(expected))
+
+    def test_input_mutated_in_place(self, solves, case):
+        chart, a, b, _, _ = _memo_case(case)
+        z = a.copy()
+        chart.inverse(z)
+        n = len(solves)
+        z[:] = b
+        got = chart.inverse(z)
+        assert len(solves) > n
+        assert np.array_equal(_bits(got), _bits(_new_chart(chart).inverse(b)))
+
+    def test_signed_zero_solved_separately(self, solves, case):
+        chart, a, _, zero, _ = _memo_case(case)
+        plus, minus = a.copy(), a.copy()
+        plus[0], minus[0] = _with_sign(zero, 1.0), _with_sign(zero, -1.0)
+        assert np.array_equal(plus, minus)  # equal under ==, not in bits
+        assert not np.array_equal(_bits(plus), _bits(minus))
+        chart.inverse(plus)
+        n = len(solves)
+        got = chart.inverse(minus)
+        assert len(solves) > n
+        assert np.array_equal(_bits(got),
+                              _bits(_new_chart(chart).inverse(minus)))
+
+    def test_returned_zeta_is_a_copy(self, case):
+        chart, a, _, _, _ = _memo_case(case)
+        expected = _new_chart(chart).inverse(a)
+        for _ in range(2):  # the solve's result, then the memo's
+            got = chart.inverse(a)
+            assert np.array_equal(_bits(got), _bits(expected))
+            got[:] = np.nan
+        assert np.array_equal(_bits(chart.inverse(a)), _bits(expected))
+
+    def test_shapes(self, solves, case):
+        chart, a, _, _, _ = _memo_case(case)
+        fresh = _new_chart(chart)
+        for z in (np.array(a[3]), a[:120].reshape(8, 15), a[:120]):
+            n = len(solves)
+            got = chart.inverse(z)
+            assert len(solves) > n  # a new shape is a new key
+            assert got.shape == z.shape
+            assert np.array_equal(_bits(got), _bits(fresh.inverse(z)))
+            again = chart.inverse(z)
+            assert again.shape == z.shape
+            assert np.array_equal(_bits(again), _bits(got))
+
+    def test_one_entry(self, solves, case):
+        chart, a, b, _, _ = _memo_case(case)
+        counts = []
+        for z in (a, b, a):
+            n = len(solves)
+            chart.inverse(z)
+            counts.append(len(solves) - n)
+        assert all(c > 0 for c in counts)  # A is solved twice
+
+    def test_failed_solve_leaves_no_entry(self, monkeypatch, case):
+        chart, a, b, _, fprime = _memo_case(case, n=2)
+        chart.inverse(a)
+        if isinstance(chart, HHPStrip):
+            monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
+                lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+        else:
+            TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fprime)
+        for z in (b, b, a):  # neither B nor the earlier A is remembered
+            with pytest.raises(ConvergenceError):
+                chart.inverse(z)
+
+
+def test_scherk_eval_grad_reuses_eval_u_solve(newton_spy):
+    sol = Scherk(0.5, 1.0)
+    pts = _scherk_points(1000, 3)
+    sol.eval_u(pts)
+    n = len(newton_spy)
+    assert n >= 2  # the bulk and the corner chart
+    sol.eval_grad(pts)
+    assert len(newton_spy) == n
+
+
+def test_weiss_energy_solves_arc_nodes_once(newton_spy, monkeypatch):
+    added = []
+    inverse = HHPStrip.inverse
+
+    def counted(self, z):
+        n = len(newton_spy)
+        w = inverse(self, z)
+        added.append(len(newton_spy) - n)
+        return w
+
+    monkeypatch.setattr(HHPStrip, "inverse", counted)
+    weiss_energy(Hairpin(1.0), (0.0, np.pi / 2 + 1.0), 0.5)
+    # eval_grad's call solves the arc nodes, eval_u's call reuses them
+    assert len(added) == 2 and added[0] > 0 and added[1] == 0
 
 
 # ----------------------------------------------------------------------
