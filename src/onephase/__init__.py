@@ -16,8 +16,9 @@ variational  the functional: discrete energy, minimizer, inner-variation
              residual, Weiss energy, viscosity slopes
 geometry     free-boundary extraction and quantitative checks: Hausdorff,
              curvature, flux balance, flat trichotomy, annulus flatness
-traizet      the correspondence with minimal surfaces: path-integrated
-             immersion, reflected meshes, discrete mean curvature
+traizet      the correspondence with minimal surfaces: the immersion from
+             each family's closed-form primitive, reflected meshes,
+             discrete mean curvature
 cli          batch front end (`onephase <command>`)
 """
 
@@ -35,8 +36,7 @@ from .geometry import (FreeBoundary, annulus_flat_check, circle_max,
                        classify_flat, extract_boundary, flux_balance,
                        hausdorff)
 from .traizet import (build_mesh, canonical_mesh, mean_curvature,
-                      orthogonality_check, scherk_period, traizet_map,
-                      wirtinger)
+                      orthogonality_check, traizet_map, wirtinger)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "variational_residual", "weiss_energy", "viscosity_slope",
     "FreeBoundary", "extract_boundary", "hausdorff", "flux_balance",
     "circle_max", "classify_flat", "annulus_flat_check",
-    "wirtinger", "traizet_map", "scherk_period", "build_mesh",
+    "wirtinger", "traizet_map", "build_mesh",
     "canonical_mesh", "mean_curvature", "orthogonality_check",
     "__version__",
 ]

@@ -85,10 +85,6 @@ class PolyCurve:
     def length(self) -> float:
         return polyline_length(self.vertices)
 
-    def is_simple(self, tol: float = 1e-12) -> bool:
-        """Closed-curve simplicity check (O(n²); diagnostics only)."""
-        return not _self_intersects(self.vertices, self.closed, tol)
-
 
 @dataclass
 class FreeBoundary:

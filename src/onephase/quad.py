@@ -1,13 +1,13 @@
 """Gauss–Legendre quadrature.
 
 No chart or mesh routine integrates numerically: the conformal charts and
-the Traizet primitives are closed forms.  What is left here serves the
-path-integral checks and the tests, as an independent oracle for those
+the Traizet primitives are closed forms.  Only `variational` uses this
+module in the package; the tests use it as an independent oracle for those
 closed forms:
 
 * `gauss_nodes` — Gauss–Legendre nodes and weights on [0, 1], for the
-  composite rule of `traizet._segment_integral` and the radial and arc
-  rules of `variational.weiss_energy`;
+  radial and arc rules of `variational.weiss_energy` and the tests'
+  path integrals;
 
 * `segment_quad` — composite Gauss–Legendre along straight segments in the
   complex plane, vectorized over many segments at once.

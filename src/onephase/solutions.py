@@ -29,6 +29,9 @@ Conventions
   they get the limit of ∇u from the positive phase (for the two-sided wedge,
   the limit from {x₁ > 0}).
 * ``eval_u`` and ``eval_grad`` at the same points share one chart solve.
+* ``primitive`` is the closed-form F(z) with F′ = (2u_z)² on the closure of
+  the positive phase, and ``component`` labels that phase's components; the
+  wedge and the one-sided plane have no F.
 * ``free_boundary_curves`` returns world-frame polylines of F(u) clipped to
   a window; closed components repeat their first vertex when unclipped.
 * ``rescale(lam)`` returns the family member representing u_λ(x) = u(λx)/λ.
@@ -46,7 +49,7 @@ import numpy as np
 from .common import Window, clip_polyline_to_window, write_json_atomic
 from .conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
                         scherk_loop_implicit, scherk_loop_point)
-from .errors import InvalidInputError, NoSaddleError
+from .errors import DomainError, InvalidInputError, NoSaddleError
 
 __all__ = [
     "RigidMotion",
@@ -124,6 +127,8 @@ class Solution(ABC):
     #: 1-homogeneous about the origin, so the Weiss energy is scale-invariant
     #: there.  Not TwoPlane: its gap width is a fixed length scale.
     homogeneous = False
+    #: body-frame F(p) with F′ = (2u_z)², or None
+    _primitive_body = None
 
     # ---- body-frame hooks (family-specific) --------------------------------
     @abstractmethod
@@ -166,9 +171,32 @@ class Solution(ABC):
         p = self.motion.to_body(_as_points(points))
         g = self._grad_body(p, boundary_limit)
         if not boundary_limit:
-            tol = BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
-            g = np.where((self._fb_dist_body(p) <= tol)[..., None], 0.0, g)
+            g = np.where(self._on_fb(p)[..., None], 0.0, g)
         return self.motion.vector_to_world(g)
+
+    def _on_fb(self, p):
+        """Body points within the boundary tolerance of F(u)."""
+        tol = BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
+        return self._fb_dist_body(p) <= tol
+
+    def primitive(self, points):
+        """F(z), z = x₁ + ix₂, with F′ = (2u_z)² on the closure of the
+        positive phase; the motion z = e^{iθ}ζ + c gives F = e^{−iθ}F_body(ζ).
+        Raises DomainError at a zero-phase point off the boundary tolerance,
+        and InvalidInputError for a kind without a primitive."""
+        if self._primitive_body is None:
+            raise InvalidInputError(
+                f"no Traizet primitive for family {type(self).__name__}")
+        p = self.motion.to_body(_as_points(points))
+        if not np.all(self._positive_body(p) | self._on_fb(p)):
+            raise DomainError("primitive: point in the open zero phase")
+        F = self._primitive_body(p)
+        angle = self.motion.angle
+        return F * np.exp(-1j * angle) if angle else F
+
+    def component(self, points):
+        """Label of the positive-phase component holding each point."""
+        return np.zeros(_as_points(points).shape[:-1], dtype=int)
 
     def in_positive_phase(self, points):
         p = self.motion.to_body(_as_points(points))
@@ -286,6 +314,10 @@ class HalfPlane(Solution):
     def _positive_body(self, p):
         return p[..., 0] > 0.0
 
+    def _primitive_body(self, p):
+        # (2u_z)² ≡ 1
+        return p[..., 0] + 1j * p[..., 1]
+
     def _fb_polylines_body(self, bbox, step):
         return [_vertical_line(0.0, bbox, step)]
 
@@ -305,6 +337,7 @@ class OneSidedPlane(HalfPlane):
 
     kind = "one_sided_plane"
     exact_solution = False
+    _primitive_body = None  # no solution: not the half-plane's z
 
     def __post_init__(self):
         if not self.s > 0:
@@ -355,6 +388,14 @@ class TwoPlane(Solution):
     def _positive_body(self, p):
         x = p[..., 0]
         return (x > 0.0) | (x < -self.a)
+
+    # (2u_z)² ≡ 1 on both half-planes
+    _primitive_body = HalfPlane._primitive_body
+
+    def component(self, points):
+        # the sign of body x₁, measured from the middle of the gap
+        x = self.motion.to_body(_as_points(points))[..., 0]
+        return np.where(x > -0.5 * self.a, 1, -1)
 
     def _fb_polylines_body(self, bbox, step):
         return [_vertical_line(0.0, bbox, step),
@@ -469,6 +510,16 @@ class Hairpin(Solution):
     def _positive_body(self, p):
         return np.abs(p[..., 1]) < self._bound(p[..., 0])
 
+    def primitive_in_chart(self, w):
+        """F at the chart point w = φ⁻¹(z/a): (2u_z)² dz = a(cosh w − 1) dw."""
+        return self.a * (np.sinh(w) - w)
+
+    def _primitive_body(self, p):
+        # points on F up to rounding: clip vertically onto the catenary
+        bound = self._bound(p[..., 0])
+        z = (p[..., 0] + 1j * np.clip(p[..., 1], -bound, bound)) / self.a
+        return self.primitive_in_chart(self._chart.inverse(z))
+
     def _fb_polylines_body(self, bbox, step):
         ymax = max(abs(bbox[1]), abs(bbox[3])) / self.a - np.pi / 2.0
         xlim = self.a * np.arccosh(max(ymax, 1.0)) + 2.0 * step
@@ -555,6 +606,10 @@ class DiskComplement(Solution):
     def _positive_body(self, p):
         return np.hypot(p[..., 0], p[..., 1]) > self.R
 
+    def _primitive_body(self, p):
+        # (2u_z)² = R²/z² has no residue
+        return -self.R * self.R / (p[..., 0] + 1j * p[..., 1])
+
     def _fb_polylines_body(self, bbox, step):
         n = max(int(np.ceil(2.0 * np.pi * self.R / step)), 16)
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
@@ -609,18 +664,13 @@ class Scherk(Solution):
         x2 = np.clip(x2, -np.pi, np.pi)  # guard the seam against fp overshoot
         return np.stack([x1, x2], axis=-1), np.sign(q[..., 0])
 
-    def _model_zero_phase(self, qf):
-        return scherk_loop_implicit(self.s, qf) <= 0.0
-
     def _u_body(self, p):
-        q = p / self.a
-        qf, _ = self._fold(q)
-        inside = ~self._model_zero_phase(qf)
+        qf, _ = self._fold(p / self.a)
+        inside = scherk_loop_implicit(self.s, qf) > 0.0
         u = np.zeros(p.shape[:-1])
         if np.any(inside):
             z = qf[..., 0][inside] + 1j * qf[..., 1][inside]
-            zeta = self._chart.inverse(z)
-            u[inside] = self.a * zeta.real
+            u[inside] = self.a * self._chart.inverse(z).real
         return u
 
     def _model_fb_project(self, qf):
@@ -670,6 +720,28 @@ class Scherk(Solution):
     def _positive_body(self, p):
         qf, _ = self._fold(p / self.a)
         return scherk_loop_implicit(self.s, qf) > 0.0
+
+    def primitive_in_chart(self, zeta, right):
+        """F in the central cell at the chart point ζ of a folded point, on
+        x₁ ≥ 0 where `right`: (2u_z)² dz = a·e^{−φ_s} dζ has the primitive
+        a·Ψ_s(ζ), and F(z) = −conj F(−z̄) on x₁ < 0 (Re Ψ_s(±il/2) = 0)."""
+        psi = self.a * self._chart.dual_primitive(zeta)
+        return np.where(right, psi, -np.conj(psi))
+
+    def _primitive_body(self, p):
+        q = p / self.a
+        qf, sign1 = self._fold(q)
+        # points on F up to rounding: project onto the loop
+        off = scherk_loop_implicit(self.s, qf) <= 0.0
+        if np.any(off):
+            qf = np.where(off[..., None], self._model_fb_project(qf), qf)
+        chart = self._chart
+        zeta = chart.inverse(qf[..., 0] + 1j * qf[..., 1])
+        # cell k = round(x₂/2πa) adds k seam jumps 2i·a·Im Ψ_s(ζ*), as Im F
+        # is constant along the seam
+        jump = 2j * self.a * chart.dual_primitive(chart.zeta_c).imag
+        k = np.round(q[..., 1] / (2.0 * np.pi))
+        return self.primitive_in_chart(zeta, sign1 >= 0.0) + k * jump
 
     def _fb_polylines_body(self, bbox, step):
         period = 2.0 * np.pi * self.a

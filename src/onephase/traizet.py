@@ -14,13 +14,13 @@ T is single-valued and path independent.
 Contents:
 
 * `wirtinger` — ∂u/∂z = ½(u_x − i u_y) from the analytic gradient;
-* `traizet_map` — path-integrated T with straight segments when visible and
-  grid-routed polyline paths otherwise;
+* `traizet_map` — T from the family's closed-form primitive F of (2u_z)²
+  (`Solution.primitive`): z, −R²/z, a(sinh w − w) in the hairpin chart w,
+  and a·Ψ_s(ζ) in the Scherk chart ζ, mirrored and shifted per period;
 * structured `Patch` factories per family (rectangle for the half-plane, an
   annular band for the disk complement, a chart rectangle for the hairpin,
   and an annulus around the loop for Scherk) carrying per-vertex values of
-  a closed-form holomorphic primitive F of (2u_z)²: z, −R²/z,
-  a(sinh w − w) in the hairpin chart w, and a·Ψ_s(ζ) in the Scherk chart ζ;
+  that F;
 * `build_mesh` — upper sheet from a patch plus the exact X₃-reflection,
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
@@ -31,8 +31,8 @@ Contents:
 * `catenoid_overlay` — neck-aligned profile residual of the disk-complement
   image against the catenoid R·cosh(X₃/R).
 
-Quadrature remains only in the path integrals `traizet_map` and
-`scherk_period`, which check the primitives independently.
+Nothing here integrates numerically: (2u_z)² dz has no period around a
+zero-phase component, so T is a difference of F values.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ import numpy as np
 from .common import smoothstep5, write_text_atomic
 from .conformal import scherk_loop_point, scherk_loop_x2_extent
 from .errors import DomainError, InvalidInputError, TopologyError
-from .quad import gauss_nodes
-from .solutions import Scherk
+from .solutions import DiskComplement, Hairpin, HalfPlane, Scherk
 
 __all__ = [
     "wirtinger",
@@ -63,7 +62,6 @@ __all__ = [
     "mean_curvature",
     "orthogonality_check",
     "catenoid_overlay",
-    "scherk_period",
     "curvature_csv",
 ]
 
@@ -85,199 +83,26 @@ def wirtinger(sol, z):
     return 0.5 * (g[..., 0] - 1j * g[..., 1])
 
 
-def _squared_diff(sol, pts):
-    """(2 ∂u/∂z)² at interior quadrature points, via the a.e. gradient."""
-    g = sol.eval_grad(pts)
-    w = g[..., 0] - 1j * g[..., 1]
-    return w * w
+def traizet_map(sol, base, z):
+    """T(z) = (X₁, X₂, u(z)) with T(base) = (0, 0, u(base)) and
+    X₁ + iX₂ = ½(conj(z − base) − (F(z) − F(base))), F = `sol.primitive`.
 
-
-def _segment_integral(sol, z0, z1, tol=1e-10):
-    """∫ (2u_z)² dz along the straight segment z0 → z1, composite 12-point
-    Gauss with piece doubling from 4 to at most 512 pieces, until the value
-    stabilizes below tol."""
-    t, wts = gauss_nodes(12)
-    dz = z1 - z0
-    prev = None
-    pieces = 4
-    while pieces <= 512:
-        offs = (np.arange(pieces)[:, None] + t[None, :]) / pieces
-        zs = z0 + offs.ravel() * dz
-        pts = np.stack([zs.real, zs.imag], axis=-1)
-        vals = _squared_diff(sol, pts).reshape(pieces, len(t))
-        total = complex(np.sum(vals @ wts) * dz / pieces)
-        if prev is not None and abs(total - prev) <= tol:
-            return total
-        prev = total
-        pieces *= 2
-    return prev
-
-
-def _grid_route(sol, p0, p1, resolution):
-    """8-connected BFS through positive-phase grid nodes from p0 to p1.
-
-    Prefers nodes with u at least one grid cell (u is 1-Lipschitz, so this
-    keeps the route a cell away from the free boundary); falls back to bare
-    positivity when clearance closes off every path.  Returns the waypoint
-    list, or None if even the fallback grid is disconnected."""
-    lo = np.minimum(p0, p1)
-    hi = np.maximum(p0, p1)
-    span = max(float(np.max(hi - lo)), 1e-6)
-    lo = lo - 0.35 * span
-    hi = hi + 0.35 * span
-    n = int(resolution)
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
-    spacing = (xs[1] - xs[0]) if n > 1 else span
-    X, Y = np.meshgrid(xs, ys)
-    u = np.asarray(sol.eval_u(np.stack([X, Y], axis=-1)), dtype=float)
-
-    def node_of(p):
-        i = int(round((p[0] - lo[0]) / (xs[1] - xs[0])))
-        j = int(round((p[1] - lo[1]) / (ys[1] - ys[0])))
-        return (max(0, min(n - 1, j)), max(0, min(n - 1, i)))
-
-    def bfs(pos):
-        def nearest_pos(node):
-            if pos[node]:
-                return node
-            jj, ii = np.nonzero(pos)
-            if len(jj) == 0:
-                return None
-            k = np.argmin((jj - node[0]) ** 2 + (ii - node[1]) ** 2)
-            return (int(jj[k]), int(ii[k]))
-
-        start = nearest_pos(node_of(p0))
-        goal = nearest_pos(node_of(p1))
-        if start is None or goal is None:
-            return None
-        prev = {start: None}
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
-            if cur == goal:
-                break
-            j, i = cur
-            for dj in (-1, 0, 1):
-                for di in (-1, 0, 1):
-                    if dj == 0 and di == 0:
-                        continue
-                    nj, ni = j + dj, i + di
-                    if 0 <= nj < n and 0 <= ni < n and pos[nj, ni] \
-                            and (nj, ni) not in prev:
-                        prev[(nj, ni)] = cur
-                        queue.append((nj, ni))
-        if goal not in prev:
-            return None
-        path = []
-        cur = goal
-        while cur is not None:
-            path.append(np.array([xs[cur[1]], ys[cur[0]]]))
-            cur = prev[cur]
-        return path[::-1]
-
-    route = bfs(u > spacing)
-    if route is None:
-        route = bfs(u > 0.0)
-    return route
-
-
-def _visible(sol, p0, p1, step=None):
-    """Certify that the open segment p0 → p1 stays in the positive phase.
-
-    Since |∇u| ≤ 1, u is 1-Lipschitz, so u > step/2 at samples spaced by
-    `step` guarantees u > 0 between them.  Near the segment endpoints the
-    threshold relaxes proportionally to the distance from the endpoint (so
-    endpoints may sit on the free boundary itself); a *tangential* approach
-    to the free boundary there cannot be certified by sampling and is the
-    caller's responsibility."""
-    length = float(np.hypot(*(p1 - p0)))
-    if length == 0.0:
-        return True
-    if step is None:
-        step = length / 64.0
-    n = max(8, int(np.ceil(length / step)))
-    t = np.linspace(0.0, 1.0, n + 1)[1:-1]
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    u = np.asarray(sol.eval_u(pts), dtype=float)
-    d_end = np.minimum(t, 1.0 - t) * length
-    thresh = np.minimum(0.5 * length / n, 0.45 * d_end)
-    return bool(np.all(u > thresh))
-
-
-def traizet_map(sol, base, z, resolution: int = 96, tol: float = 1e-10):
-    """T(z) = (X₁, X₂, u(z)) with T(base) = (0, 0, u(base)).
-
-    base and z must lie in the closure of the same positive-phase component;
-    the integration path is the straight segment when it stays in the
-    positive phase, else a grid-routed polyline (grid `resolution` per axis)
-    simplified by greedy visibility shortcuts.
+    base and z must lie in the closure of one positive-phase component: an
+    endpoint in the open zero phase raises DomainError, endpoints in two
+    components TopologyError, and a family without a primitive (the wedge,
+    the one-sided plane) InvalidInputError.
     """
-    p0 = np.asarray(base, dtype=float)
-    p1 = np.asarray(z, dtype=float)
-    u_end = float(sol.eval_u(p1))
-    if np.allclose(p0, p1):
-        return np.array([0.0, 0.0, u_end])
-    span = max(float(np.max(np.abs(p1 - p0))), 1e-6)
-    spacing = 1.7 * span / max(int(resolution) - 1, 1)
-    if _visible(sol, p0, p1, step=0.5 * spacing):
-        waypoints = [p0, p1]
-    else:
-        route = _grid_route(sol, p0, p1, resolution)
-        if route is None:
-            raise TopologyError("traizet_map: no positive-phase path from "
-                                "base to z at this resolution")
-        nodes = [p0] + route + [p1]
-        # greedy shortcutting
-        waypoints = [p0]
-        k = 0
-        while k < len(nodes) - 1:
-            far = k + 1
-            for m in range(len(nodes) - 1, k, -1):
-                if _visible(sol, nodes[k], nodes[m], step=0.5 * spacing):
-                    far = m
-                    break
-            waypoints.append(nodes[far])
-            k = far
-    integral = 0.0 + 0.0j
-    for a, b in zip(waypoints[:-1], waypoints[1:]):
-        z0 = complex(a[0], a[1])
-        z1 = complex(b[0], b[1])
-        integral += _segment_integral(sol, z0, z1, tol=tol)
-    zc0 = complex(p0[0], p0[1])
-    zc1 = complex(p1[0], p1[1])
-    x12 = 0.5 * ((np.conj(zc1) - np.conj(zc0)) - integral)
+    pts = np.stack([np.asarray(base, dtype=float), np.asarray(z, dtype=float)])
+    F = sol.primitive(pts)
+    label = sol.component(pts)
+    if label[0] != label[1]:
+        raise TopologyError("traizet_map: base and z lie in different "
+                            "positive-phase components")
+    # the same points as `primitive`, so a charted family solves once
+    u_end = float(sol.eval_u(pts)[1])
+    d = pts[1] - pts[0]
+    x12 = 0.5 * (complex(d[0], -d[1]) - (F[1] - F[0]))
     return np.array([x12.real, x12.imag, u_end])
-
-
-def scherk_period(sol, tol: float = 1e-12):
-    """Loop integral −½ ∮ (2u_z)² dz around the central zero-phase oval of
-    a Scherk solution, over a positive-phase rectangle between the loop and
-    the saddles.  A vanishing value certifies that the map is single-valued
-    around the oval, so that the translation T(z + 2πi a) − T(z) is the same
-    for every z (the simple period of the surface)."""
-    if not isinstance(sol, Scherk):
-        raise InvalidInputError("scherk_period expects a Scherk solution")
-    half_w = 1.5 * sol.a
-    half_h = 0.5 * (scherk_loop_x2_extent(sol.s) + np.pi) * sol.a
-    corners_body = np.array([[half_w, -half_h], [half_w, half_h],
-                             [-half_w, half_h], [-half_w, -half_h]])
-    corners = sol.motion.to_world(corners_body)
-    t = np.linspace(0.0, 1.0, 201)[:, None]
-    for k in range(4):
-        seg = corners[k][None, :] * (1 - t) + corners[(k + 1) % 4][None, :] * t
-        if not np.all(sol.in_positive_phase(seg)):
-            raise DomainError("scherk_period: contour leaves the positive "
-                              "phase; oval too wide for the rectangle")
-    total = 0.0 + 0.0j
-    for k in range(4):
-        a = corners[k]
-        b = corners[(k + 1) % 4]
-        total += _segment_integral(sol, complex(a[0], a[1]),
-                                   complex(b[0], b[1]), tol=tol)
-    return -0.5 * total
 
 
 # ---------------------------------------------------------------------------
@@ -305,21 +130,13 @@ class Patch:
     weld_rows: bool = False
 
 
-def _probes_from_column(nt: int, ns: int, col: int, inward: int):
-    idx = np.arange(nt * ns).reshape(nt, ns)
-    cols = [idx[:, col + k * inward] for k in range(4)]
-    return np.stack(cols, axis=1)
-
-
-def _probes_from_row(nt: int, ns: int, row: int, inward: int):
-    idx = np.arange(nt * ns).reshape(nt, ns)
-    rows = [idx[row + k * inward, :] for k in range(4)]
-    return np.stack(rows, axis=1)
+def _probes(vid, col: int, inward: int):
+    """Probe rows from the free-boundary column `col` of the vertex ids."""
+    return np.stack([vid[:, col + k * inward] for k in range(4)], axis=1)
 
 
 def patch_halfplane(resolution: int = 64) -> Patch:
-    """Square [0, 2] × [−1, 1]; FB edge on {x₁ = 0}; (2u_z)² ≡ 1 has the
-    primitive z."""
+    """Square [0, 2] × [−1, 1]; FB edge on {x₁ = 0}."""
     ns = resolution + 1
     nt = resolution + 1
     xs = np.linspace(0.0, 2.0, ns)
@@ -329,15 +146,14 @@ def patch_halfplane(resolution: int = 64) -> Patch:
     u = X.copy()
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    return Patch(points=pts, u_vals=u, fb_mask=fb, primitive=X + 1j * Y,
-                 base=(nt // 2, 0),
-                 fb_probes=_probes_from_column(nt, ns, 0, 1))
+    return Patch(points=pts, u_vals=u, fb_mask=fb,
+                 primitive=HalfPlane().primitive(pts), base=(nt // 2, 0),
+                 fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
 
 
 def patch_diskcomplement(R: float, resolution: int = 64) -> Patch:
     """Annular band R ≤ ρ ≤ 2R around the disk; FB ring at ρ = R;
-    (2u_z)² = R²/z² has the primitive −R²/z.
-    Periodic in the angular (t) direction."""
+    periodic in the angular (t) direction."""
     ns = max(4, resolution // 4) + 1
     nt = resolution + 1
     rho = R * np.linspace(1.0, 2.0, ns)
@@ -349,17 +165,16 @@ def patch_diskcomplement(R: float, resolution: int = 64) -> Patch:
     u[:, 0] = 0.0
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    return Patch(points=pts, u_vals=u, fb_mask=fb, primitive=-R * R / Z,
+    return Patch(points=pts, u_vals=u, fb_mask=fb,
+                 primitive=DiskComplement(R).primitive(pts),
                  base=(0, 0), weld_rows=True,
-                 fb_probes=_probes_from_column(nt, ns, 0, 1))
+                 fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
 
 
 def patch_hairpin(a: float, resolution: int = 64) -> Patch:
     """Chart rectangle for the double hairpin: w = ξ + iη on
     [−2.5, 2.5] × [−π/2, π/2], z = a(w + sinh w), u = a·Re cosh w; the
-    rows η = ±π/2 are the two catenaries.  In the chart (2u_z)² dz =
-    a·tanh²(w/2)(1 + cosh w) dw = a(cosh w − 1) dw, with the primitive
-    a(sinh w − w)."""
+    rows η = ±π/2 are the two catenaries."""
     ns = resolution + 1
     nt = max(8, resolution // 2) + 1
     xi = np.linspace(-2.5, 2.5, ns)
@@ -374,10 +189,11 @@ def patch_hairpin(a: float, resolution: int = 64) -> Patch:
     fb[-1, :] = True
     u[0, :] = 0.0
     u[-1, :] = 0.0
-    probes = np.vstack([_probes_from_row(nt, ns, 0, 1),
-                        _probes_from_row(nt, ns, nt - 1, -1)])
+    vid = np.arange(nt * ns).reshape(nt, ns).T
+    probes = np.vstack([_probes(vid, 0, 1), _probes(vid, nt - 1, -1)])
     return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 primitive=a * (np.sinh(W) - W), base=(nt // 2, ns // 2),
+                 primitive=Hairpin(a).primitive_in_chart(W),
+                 base=(nt // 2, ns // 2),
                  fb_probes=probes)
 
 
@@ -390,10 +206,8 @@ def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
     Radial mesh lines leave the loop along its outward planar normal (from
     the implicit loop equation) and blend smoothly into rays toward the
     outer ring, so the inward probe lines measure the pure boundary
-    conormal.  With ζ = Φ_s⁻¹(z/a) on x₁ ≥ 0, 2u_z = e^{−φ_s(ζ)}, so
-    (2u_z)² dz = a·e^{−φ_s} dζ has the primitive F = a·Ψ_s(ζ); on x₁ < 0,
-    F(z) = −conj F(−z̄), and the halves agree on the axis because
-    Re Ψ_s(±il/2) = 0."""
+    conormal.  F comes from the chart points ζ = Φ_s⁻¹(z/a) of the folded
+    vertices, through `Scherk.primitive_in_chart`."""
     sol = Scherk(s, a)
     # the right half of the loop is a·Φ_s(iũ), ũ ∈ [−l/2, l/2]; it is
     # star-shaped about the origin, its polar angle rising from −π/2 to π/2
@@ -441,21 +255,19 @@ def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
     w = smoothstep5(rho / 0.45)[None, :, None]
     pts = (1.0 - w) * nor + w * ray
 
-    chart = sol.chart()
     q = (pts[..., 0] + 1j * pts[..., 1]) / a
     right = q.real >= 0.0
     q = np.where(right, q, -np.conj(q))
     zeta = np.empty_like(q)
-    zeta[:, 1:] = chart.inverse(q[:, 1:])
+    zeta[:, 1:] = sol.chart().inverse(q[:, 1:])
     zeta[:, 0] = 1j * ut_in
     u = a * zeta.real
     fb = np.zeros((nt, ns), dtype=bool)
     fb[:, 0] = True
-    psi = a * chart.dual_primitive(zeta)
     return Patch(points=pts, u_vals=u, fb_mask=fb,
-                 primitive=np.where(right, psi, -np.conj(psi)),
+                 primitive=sol.primitive_in_chart(zeta, right),
                  base=(0, ns - 1), weld_rows=True,
-                 fb_probes=_probes_from_column(nt, ns, 0, 1))
+                 fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Static guard: every global name a function of `onephase` loads must exist,
-and so must every name a module exports.
+"""Static guards: every global name a function of `onephase` loads must
+exist, and so must every name a module exports; and quadrature stays out of
+the chart and Traizet layers.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -7,6 +8,7 @@ nested code objects, and checks each LOAD_GLOBAL against the imported
 module's globals and the builtins — standard library only.  A stale
 `__all__` entry fails only on `import *`, so each is looked up too."""
 
+import ast
 import builtins
 import dis
 import importlib
@@ -59,3 +61,25 @@ def test_every_export_resolves(module_name):
     module = importlib.import_module(module_name)
     exports = getattr(module, "__all__", [])
     assert [name for name in exports if not hasattr(module, name)] == []
+
+
+def _imports_quad(module_name):
+    """Whether the module's source imports from `onephase.quad`, at any
+    depth and in either spelling."""
+    path = Path(importlib.import_module(module_name).__file__)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+            if (node.level == 1 and "quad" in names) \
+                    or node.module == "onephase.quad":
+                return True
+        elif isinstance(node, ast.Import):
+            if any(a.name == "onephase.quad" for a in node.names):
+                return True
+    return False
+
+
+def test_only_the_variational_layer_uses_quadrature():
+    # the charts and the Traizet map are closed forms; the tests keep the
+    # quadrature routes that check them
+    assert [m for m in MODULES if _imports_quad(m)] == ["onephase.variational"]

@@ -1,20 +1,199 @@
-"""Wirtinger derivative oracles, path-independence of the integrated map,
-Scherk periods, mesh construction/welding, sphere-calibrated mean curvature,
-free-boundary orthogonality, the catenoid overlay, and file outputs."""
+"""Wirtinger derivative oracles, the closed-form Traizet map against the
+path-integral oracle route, Scherk periods, mesh construction/welding,
+sphere-calibrated mean curvature, free-boundary orthogonality, the catenoid
+overlay, and file outputs."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from onephase.conformal import scherk_loop_implicit
+import onephase.conformal
+from onephase.conformal import (scherk_loop_implicit, scherk_loop_point,
+                                scherk_loop_x2_extent)
 from onephase.errors import DomainError, InvalidInputError, TopologyError
-from onephase.solutions import (DiskComplement, Hairpin, HalfPlane, Scherk,
-                                TwoPlane, Window)
-from onephase.traizet import (SurfaceMesh, _segment_integral, _visible,
-                              build_mesh, canonical_mesh, catenoid_overlay,
-                              curvature_csv, mean_curvature,
+from onephase.quad import gauss_nodes
+from onephase.solutions import (BOUNDARY_TOL, DiskComplement, Hairpin,
+                                HalfPlane, OneSidedPlane, RigidMotion, Scherk,
+                                TwoPlane, Wedge)
+from onephase.traizet import (SurfaceMesh, build_mesh, canonical_mesh,
+                              catenoid_overlay, curvature_csv, mean_curvature,
                               orthogonality_check, patch_diskcomplement,
                               patch_hairpin, patch_halfplane, patch_scherk,
-                              scherk_period, traizet_map, wirtinger)
+                              traizet_map, wirtinger)
+
+
+# ---------------------------------------------------------------------------
+# the oracle route: ∫ (2u_z)² dz by quadrature along positive-phase paths,
+# independent of the closed-form primitives
+# ---------------------------------------------------------------------------
+
+def _squared_diff(sol, pts):
+    """(2 ∂u/∂z)² at interior quadrature points, via the a.e. gradient."""
+    g = sol.eval_grad(pts)
+    w = g[..., 0] - 1j * g[..., 1]
+    return w * w
+
+
+def _segment_integral(sol, z0, z1, tol=1e-10):
+    """∫ (2u_z)² dz along the straight segment z0 → z1, composite 12-point
+    Gauss with piece doubling from 4 to at most 512 pieces, until the value
+    stabilizes below tol."""
+    t, wts = gauss_nodes(12)
+    dz = z1 - z0
+    prev = None
+    pieces = 4
+    while pieces <= 512:
+        offs = (np.arange(pieces)[:, None] + t[None, :]) / pieces
+        zs = z0 + offs.ravel() * dz
+        pts = np.stack([zs.real, zs.imag], axis=-1)
+        vals = _squared_diff(sol, pts).reshape(pieces, len(t))
+        total = complex(np.sum(vals @ wts) * dz / pieces)
+        if prev is not None and abs(total - prev) <= tol:
+            return total
+        prev = total
+        pieces *= 2
+    return prev
+
+
+def _grid_route(sol, p0, p1, resolution):
+    """8-connected BFS through positive-phase grid nodes from p0 to p1.
+
+    Prefers nodes with u at least one grid cell (u is 1-Lipschitz, so this
+    keeps the route a cell away from the free boundary); falls back to bare
+    positivity when clearance closes off every path.  Returns the waypoint
+    list, or None if even the fallback grid is disconnected."""
+    lo = np.minimum(p0, p1)
+    hi = np.maximum(p0, p1)
+    span = max(float(np.max(hi - lo)), 1e-6)
+    lo = lo - 0.35 * span
+    hi = hi + 0.35 * span
+    n = int(resolution)
+    xs = np.linspace(lo[0], hi[0], n)
+    ys = np.linspace(lo[1], hi[1], n)
+    spacing = xs[1] - xs[0]
+    X, Y = np.meshgrid(xs, ys)
+    u = np.asarray(sol.eval_u(np.stack([X, Y], axis=-1)), dtype=float)
+
+    def node_of(p):
+        i = int(round((p[0] - lo[0]) / (xs[1] - xs[0])))
+        j = int(round((p[1] - lo[1]) / (ys[1] - ys[0])))
+        return (max(0, min(n - 1, j)), max(0, min(n - 1, i)))
+
+    def bfs(pos):
+        def nearest_pos(node):
+            if pos[node]:
+                return node
+            jj, ii = np.nonzero(pos)
+            if len(jj) == 0:
+                return None
+            k = np.argmin((jj - node[0]) ** 2 + (ii - node[1]) ** 2)
+            return (int(jj[k]), int(ii[k]))
+
+        start = nearest_pos(node_of(p0))
+        goal = nearest_pos(node_of(p1))
+        if start is None or goal is None:
+            return None
+        prev = {start: None}
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            cur = queue[qi]
+            qi += 1
+            if cur == goal:
+                break
+            j, i = cur
+            for dj in (-1, 0, 1):
+                for di in (-1, 0, 1):
+                    nj, ni = j + dj, i + di
+                    if 0 <= nj < n and 0 <= ni < n and pos[nj, ni] \
+                            and (nj, ni) not in prev:
+                        prev[(nj, ni)] = cur
+                        queue.append((nj, ni))
+        if goal not in prev:
+            return None
+        path = []
+        cur = goal
+        while cur is not None:
+            path.append(np.array([xs[cur[1]], ys[cur[0]]]))
+            cur = prev[cur]
+        return path[::-1]
+
+    route = bfs(u > spacing)
+    if route is None:
+        route = bfs(u > 0.0)
+    return route
+
+
+def _visible(sol, p0, p1, step=None):
+    """Certify that the open segment p0 → p1 stays in the positive phase.
+
+    Since |∇u| ≤ 1, u is 1-Lipschitz, so u > step/2 at samples spaced by
+    `step` guarantees u > 0 between them.  Near the segment endpoints the
+    threshold relaxes proportionally to the distance from the endpoint (so
+    endpoints may sit on the free boundary itself); a *tangential* approach
+    to the free boundary there cannot be certified by sampling and is the
+    caller's responsibility."""
+    length = float(np.hypot(*(p1 - p0)))
+    if length == 0.0:
+        return True
+    if step is None:
+        step = length / 64.0
+    n = max(8, int(np.ceil(length / step)))
+    t = np.linspace(0.0, 1.0, n + 1)[1:-1]
+    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+    u = np.asarray(sol.eval_u(pts), dtype=float)
+    d_end = np.minimum(t, 1.0 - t) * length
+    thresh = np.minimum(0.5 * length / n, 0.45 * d_end)
+    return bool(np.all(u > thresh))
+
+
+def _oracle_x12(sol, base, z, resolution=96, tol=1e-10):
+    """X₁ + iX₂ of T(z) − T(base) by quadrature: the straight segment when
+    it stays in the positive phase, else a grid-routed polyline (grid
+    `resolution` per axis) simplified by greedy visibility shortcuts."""
+    p0 = np.asarray(base, dtype=float)
+    p1 = np.asarray(z, dtype=float)
+    span = max(float(np.max(np.abs(p1 - p0))), 1e-6)
+    spacing = 1.7 * span / max(int(resolution) - 1, 1)
+    if _visible(sol, p0, p1, step=0.5 * spacing):
+        waypoints = [p0, p1]
+    else:
+        route = _grid_route(sol, p0, p1, resolution)
+        assert route is not None, "no positive-phase route"
+        nodes = [p0] + route + [p1]
+        waypoints = [p0]
+        k = 0
+        while k < len(nodes) - 1:
+            far = k + 1
+            for m in range(len(nodes) - 1, k, -1):
+                if _visible(sol, nodes[k], nodes[m], step=0.5 * spacing):
+                    far = m
+                    break
+            waypoints.append(nodes[far])
+            k = far
+    integral = sum(_segment_integral(sol, complex(*a), complex(*b), tol=tol)
+                   for a, b in zip(waypoints[:-1], waypoints[1:]))
+    d = p1 - p0
+    return 0.5 * (complex(d[0], -d[1]) - integral)
+
+
+def _oracle_scherk_period(sol, tol=1e-12):
+    """Loop integral −½ ∮ (2u_z)² dz around the central zero-phase oval of
+    a Scherk solution, over a positive-phase rectangle between the loop and
+    the saddles.  A vanishing value certifies that T is single-valued around
+    the oval."""
+    half_w = 1.5 * sol.a
+    half_h = 0.5 * (scherk_loop_x2_extent(sol.s) + np.pi) * sol.a
+    corners = sol.motion.to_world(np.array(
+        [[half_w, -half_h], [half_w, half_h], [-half_w, half_h],
+         [-half_w, -half_h]]))
+    t = np.linspace(0.0, 1.0, 201)[:, None]
+    total = 0.0 + 0.0j
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        assert np.all(sol.in_positive_phase(a * (1 - t) + b * t))
+        total += _segment_integral(sol, complex(*a), complex(*b), tol=tol)
+    return -0.5 * total
 
 
 def _disk_expected(z0, z1, R=1.0):
@@ -73,9 +252,10 @@ class TestTraizetMap:
     def test_disk_routed_path_matches_primitive(self, disk, pair):
         p0, p1 = pair
         z0, z1 = complex(*p0), complex(*p1)
-        out = traizet_map(disk, p0, p1, resolution=96)
+        out = traizet_map(disk, p0, p1)
         expect = _disk_expected(z0, z1)
         assert abs(complex(out[0], out[1]) - expect) < 1e-8
+        assert abs(_oracle_x12(disk, p0, p1) - expect) < 1e-8
 
     def test_route_reversal_antisymmetric(self, disk):
         p0, p1 = (-2.0, 0.1), (2.0, 0.2)
@@ -86,18 +266,178 @@ class TestTraizetMap:
     def test_disconnected_phase_raises(self):
         sol = TwoPlane(a=1.0)
         with pytest.raises(TopologyError):
-            traizet_map(sol, (0.5, 0.0), (-1.5, 0.0), resolution=48)
+            traizet_map(sol, (0.5, 0.0), (-1.5, 0.0))
+
+    @pytest.mark.parametrize("sol, z", [
+        (DiskComplement(1.0), (0.0, 0.0)),
+        (DiskComplement(1.0), (1.0 - 1e-6, 0.0)),
+        (TwoPlane(a=1.0), (-0.5, 0.3)),
+        (Hairpin(1.0), (0.0, 3.0)),
+        (Scherk(0.5, 1.0), (0.0, 0.0)),
+    ], ids=["disk-centre", "disk-inside-F", "two-plane-gap", "hairpin",
+            "scherk-oval"])
+    def test_zero_phase_endpoint_raises(self, sol, z):
+        base = (2.0, 0.0)
+        with pytest.raises(DomainError):
+            traizet_map(sol, base, z)
+        with pytest.raises(DomainError):
+            traizet_map(sol, z, base)
+
+    def test_endpoints_on_free_boundary_are_valid(self):
+        # within the boundary tolerance of F, on either side
+        disk = DiskComplement(1.0)
+        for r in (1.0, 1.0 - 0.5 * BOUNDARY_TOL, 1.0 + 0.5 * BOUNDARY_TOL):
+            out = traizet_map(disk, (2.0, 0.0), (0.0, r))
+            expect = _disk_expected(2.0 + 0j, complex(0.0, r))
+            assert abs(complex(out[0], out[1]) - expect) < 1e-8
+        hairpin = Hairpin(1.0)
+        top = np.pi / 2.0 + np.cosh(0.3)
+        for x2 in (top, top * (1.0 + 0.5 * BOUNDARY_TOL)):
+            out = traizet_map(hairpin, (0.3, 0.0), (0.3, x2))
+            expect = _oracle_x12(hairpin, (0.3, 0.0), (0.3, top))
+            assert abs(complex(out[0], out[1]) - expect) < 1e-9
+            assert abs(out[2]) < 1e-12
+        scherk = Scherk(0.5, 1.0)
+        ring = scherk_loop_point(0.5, 0.4 * np.pi * 0.5)
+        for x in (ring, ring * (1.0 - 1e-10), ring * (1.0 + 1e-10)):
+            out = traizet_map(scherk, (2.0, 0.5), x)
+            expect = _oracle_x12(scherk, (2.0, 0.5), ring)
+            assert abs(complex(out[0], out[1]) - expect) < 1e-9
+
+    @pytest.mark.parametrize("sol", [Wedge(0.5), OneSidedPlane(0.5)],
+                             ids=["wedge", "one-sided-plane"])
+    def test_family_without_primitive_raises(self, sol):
+        with pytest.raises(InvalidInputError):
+            traizet_map(sol, (1.0, 0.0), (-1.0, 0.3))
+        with pytest.raises(InvalidInputError):
+            traizet_map(sol, (1.0, 0.0), (2.0, 0.3))
+        with pytest.raises(InvalidInputError):
+            sol.primitive(np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("sol, pair", [
+        (Hairpin(1.0), ((0.3, 0.1), (-2.0, 1.5))),
+        (Scherk(0.5, 1.0), ((2.0, 0.5), (-1.5, 5.0))),
+    ], ids=["hairpin", "scherk"])
+    def test_one_chart_solve_per_call(self, sol, pair, monkeypatch):
+        calls = []
+        solve = onephase.conformal._solve
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(onephase.conformal, "_solve", counted)
+        traizet_map(sol, *pair)
+        assert calls == [2]
+
+
+def _motions():
+    return st.builds(
+        RigidMotion,
+        angle=st.floats(-np.pi, np.pi),
+        shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+
+
+@st.composite
+def _family_pairs(draw, kind):
+    """A member of family `kind` under a rigid motion and two world points
+    at least 0.05 from F in one positive-phase component.  Scherk pairs
+    start right of the axis in the central cell and end on either side of
+    the axis, up to one cell away."""
+    motion = draw(_motions())
+    unit = st.floats(0.0, 1.0)
+    sign = st.sampled_from([-1.0, 1.0])
+    if kind in ("half_plane", "two_plane"):
+        sol = (HalfPlane(motion=motion) if kind == "half_plane"
+               else TwoPlane(a=draw(st.floats(0.2, 2.0)), motion=motion))
+        side = draw(sign) if kind == "two_plane" else 1.0
+        off = 0.0 if side > 0 else -sol.a
+
+        def point():
+            return (off + side * (0.05 + 2.0 * draw(unit)),
+                    4.0 * draw(unit) - 2.0)
+    elif kind == "disk":
+        sol = DiskComplement(R=draw(st.floats(0.3, 2.0)), motion=motion)
+
+        def point():
+            r = sol.R + 0.05 + 2.0 * draw(unit)
+            th = 2.0 * np.pi * draw(unit)
+            return (r * np.cos(th), r * np.sin(th))
+    elif kind == "hairpin":
+        sol = Hairpin(a=draw(st.floats(0.3, 2.0)), motion=motion)
+
+        def point():
+            x1 = sol.a * (3.0 * draw(unit) - 1.5)
+            h = sol._bound(x1) - 0.1
+            return (x1, h * (2.0 * draw(unit) - 1.0))
+    else:
+        sol = Scherk(s=draw(st.floats(0.125, 0.875)),
+                     a=draw(st.floats(0.5, 1.5)), motion=motion)
+
+        def point(side=None, cell=None):
+            side = draw(sign) if side is None else side
+            cell = draw(st.integers(-1, 1)) if cell is None else cell
+            while True:
+                x1 = side * sol.a * 2.0 * draw(unit)
+                x2 = sol.a * np.pi * (2.0 * draw(unit) - 1.0 + 2.0 * cell)
+                w = sol.motion.to_world(np.array([x1, x2]))
+                if sol.in_positive_phase(w) and sol.fb_distance(w) >= 0.05:
+                    return w
+        return sol, point(1.0, 0), point()
+    return sol, motion.to_world(np.array(point())), \
+        motion.to_world(np.array(point()))
+
+
+class TestClosedFormAgainstOracle:
+    @pytest.mark.parametrize("kind", ["half_plane", "two_plane", "disk",
+                                      "hairpin", "scherk"])
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_traizet_map_matches_oracle_route(self, kind, data):
+        sol, base, z = data.draw(_family_pairs(kind))
+        out = traizet_map(sol, base, z)
+        assert abs(complex(out[0], out[1]) - _oracle_x12(sol, base, z)) \
+            < 1e-9
+        assert out[2] == pytest.approx(float(sol.eval_u(z)), abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.125, 0.5, 0.875])
+    def test_scherk_primitive_continuous_across_axis_and_seam(self, s):
+        sol = Scherk(s, 1.2)
+        a, eps = sol.a, 1e-10
+        # the positive part of the axis, between the loop top and a saddle
+        lo = a * scherk_loop_x2_extent(s)
+        x2 = np.linspace(lo + 0.01 * a, np.pi * a, 9)
+        axis = [np.stack([np.full_like(x2, sgn * eps), sgn2 * x2], axis=-1)
+                for sgn in (1.0, -1.0) for sgn2 in (1.0, -1.0)]
+        F = [sol.primitive(p) for p in axis]
+        assert np.max(np.abs(F[0] - F[2])) < 1e-9
+        assert np.max(np.abs(F[1] - F[3])) < 1e-9
+        # the seams x₂ = ±πa, on both sides of the axis
+        x1 = a * np.linspace(-3.0, 3.0, 13)
+        for seam in (np.pi * a, -np.pi * a):
+            below = sol.primitive(np.stack([x1, np.full_like(x1, seam - eps)],
+                                           axis=-1))
+            above = sol.primitive(np.stack([x1, np.full_like(x1, seam + eps)],
+                                           axis=-1))
+            assert np.max(np.abs(above - below)) < 1e-9
+
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_seam_jump_matches_a_period_of_the_oracle(self, s):
+        # T(z + 2πia) − T(z) from one path integral up a vertical line
+        sol = Scherk(s, 1.0)
+        p0 = np.array([1.5, -np.pi])
+        p1 = p0 + np.array([0.0, 2.0 * np.pi])
+        out = traizet_map(sol, p0, p1)
+        path = _segment_integral(sol, complex(*p0), complex(*p1))
+        assert abs(complex(out[0], out[1])
+                   - 0.5 * (-2j * np.pi - path)) < 1e-9
 
 
 class TestScherkPeriod:
     @pytest.mark.parametrize("s", [0.25, 0.5])
     def test_period_vanishes(self, s):
-        per = scherk_period(Scherk(s=s, a=1.0))
+        per = _oracle_scherk_period(Scherk(s=s, a=1.0))
         assert abs(per) < 1e-9
-
-    def test_requires_scherk(self, halfplane):
-        with pytest.raises(InvalidInputError):
-            scherk_period(halfplane)
 
 
 def _patch_cases():
@@ -135,6 +475,14 @@ class TestPatchPrimitives:
             assert abs((F[j] - F[i]) - path) < 1e-9, (i, j)
             checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_patch_primitive_is_the_family_primitive(self, case):
+        # the builders' chart-coordinate forms against `Solution.primitive`,
+        # which solves the chart again to Newton's 1e-12 relative residual
+        sol, patch = _patch_cases()[case]
+        F = sol.primitive(patch.points)
+        assert np.max(np.abs(F - patch.primitive)) < 1e-10
 
     @pytest.mark.parametrize("s", [0.5, 0.875])
     def test_scherk_fb_ring_on_the_loop(self, s):
