@@ -104,10 +104,12 @@ class ExperimentConfig:
                 'a {"family": ..., "params": ...} descriptor in the config')
         return solution_from_dict(self.solution)
 
-    def number(self, name: str, default: float) -> float:
+    def number(self, name: str, default: float | None) -> float | None:
         """params[name] as a float, `default` when absent; a value that is
         no number is a config error."""
-        v = self.params.get(name, default)
+        if name not in self.params:
+            return default
+        v = self.params[name]
         try:
             return float(v)
         except (TypeError, ValueError):
@@ -242,7 +244,7 @@ def _slug(x: float) -> str:
 def cmd_boundary(cfg: ExperimentConfig) -> int:
     """Free-boundary polyline CSVs (component, vertex, x, y)."""
     out = _outdir(cfg)
-    step = cfg.params.get("step")
+    step = cfg.number("step", None)
     written = []
 
     def emit_one(sol, name):
@@ -314,8 +316,17 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     window = cfg.get_window(default=sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
+    # read before any check runs, so that a bad value is a config error
     res_list = [int(r) for r in
                 cfg.numbers("mesh_resolutions", [32, 64, 128])]
+    if min(res_list) < 8:
+        raise InvalidInputError(
+            f"mesh_resolutions must each be >= 8, got {res_list}")
+    n_poly = cfg.number("n_polygons", 5)
+    if not 1 <= n_poly < np.inf:
+        raise InvalidInputError(
+            f"n_polygons must be finite and >= 1, got {n_poly}")
+    n_poly = int(n_poly)
     checks = []
     # traced and clipped once, on first use; a failure is not kept, so each
     # check that samples the free boundary reports it
@@ -392,7 +403,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     def check_flux():
         tol = cfg.tolerance("flux_tol", 1e-7)
         step = cfg.number("flux_step", 1e-3)
-        n_poly = int(cfg.number("n_polygons", 5))
         worst = 0.0
         lemma = True
         for _ in range(n_poly):

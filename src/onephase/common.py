@@ -75,6 +75,9 @@ class Window:
         extents to within 1e-9 relative, otherwise the grid would silently
         misrepresent the window.
         """
+        if not 0 < h < np.inf:
+            raise InvalidInputError(
+                f"grid spacing h must be finite and > 0, got {h}")
         nx = round(self.width / h)
         ny = round(self.height / h)
         if abs(nx * h - self.width) > 1e-9 * max(1.0, self.width) or nx < 1:

@@ -26,8 +26,9 @@ of) the positive phase of an exact solution family:
   D_s ⊂ {x₁ > 0, |x₂| < π}.
 
 Every inversion goes through one driver, `_solve`: vectorized damped
-Newton from family-specific initializations, then a scalar
-homotopy-continuation fallback for stragglers, then `ConvergenceError`.
+Newton from one closed-form start per chart, read off the map's local or
+far-field expansion, then a scalar homotopy-continuation fallback for
+stragglers, then `ConvergenceError`.
 `HHPStrip.inverse` and `ScherkStrip.inverse` keep a one-entry memo of their
 last solve, keyed on the shape and bits of the targets (−0.0 is not 0.0), so
 a family's u and ∇u at the same points share one solve.
@@ -42,8 +43,6 @@ from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass
-
-from scipy.spatial import cKDTree
 
 from .errors import ConvergenceError, DomainError, InvalidInputError
 
@@ -67,18 +66,6 @@ _MAX_HALVINGS = 10
 
 def _as_complex(z):
     return np.asarray(z, dtype=complex)
-
-
-def _anchor_tree(anchors):
-    """k-d tree over the anchor images, built once per chart: targets may
-    number in the hundreds of thousands when meshes are built, so the full
-    pairwise distance matrix is never formed."""
-    return cKDTree(np.stack([anchors.real, anchors.imag], axis=-1))
-
-
-def _nearest_anchor(targets, tree):
-    """Index of the nearest anchor per target."""
-    return tree.query(np.stack([targets.real, targets.imag], axis=-1))[1]
 
 
 # ----------------------------------------------------------------------
@@ -174,27 +161,20 @@ def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
     return out, ok
 
 
-def _solve(targets, starts, f, fprime, project, anchor, what):
+def _solve(targets, start, f, fprime, project, base, what):
     """ζ with f(ζ) = target for a flat complex array of targets.
 
-    Damped Newton runs from each start in turn (callables of the targets
-    still unconverged), then homotopy continuation from the regular point
-    ζ = `anchor` rescues the stragglers.  Raises ConvergenceError, with the
-    last iterates, if any point still fails.
+    Damped Newton runs from `start(targets)`, then homotopy continuation
+    from the regular point ζ = `base` rescues the stragglers.  Raises
+    ConvergenceError, with the last iterates, if any point still fails.
     """
     targets = _as_complex(targets)
-    zeta, conv = _damped_newton(targets, starts[0](targets), f, fprime,
-                                project)
-    for start in starts[1:]:
-        if not np.all(conv):
-            bad = ~conv
-            zeta[bad], conv[bad] = _damped_newton(
-                targets[bad], start(targets[bad]), f, fprime, project)
+    zeta, conv = _damped_newton(targets, start(targets), f, fprime, project)
     if np.all(conv):
         return zeta
     bad = np.flatnonzero(~conv)
-    res, ok = _homotopy_rescue(targets[bad], complex(f(np.array(anchor))),
-                               anchor, f, fprime, project)
+    res, ok = _homotopy_rescue(targets[bad], complex(f(np.array(base))),
+                               base, f, fprime, project)
     zeta[bad[ok]] = res[ok]
     if not np.all(ok):
         raise ConvergenceError(
@@ -238,14 +218,12 @@ class HHPStrip:
     def _inverse(self, z):
         if not np.all(self.contains_image(z, tol=1e-9 * (1.0 + np.abs(z)))):
             raise DomainError("hhp_inverse: z outside the hairpin phase closure")
-        shape = z.shape
-        zf = z.ravel()
-        # z/2 near the neck and arcsinh z far out, then the other way round
-        starts = [lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t)),
-                  lambda t: np.where(np.abs(t) <= 2.5, np.arcsinh(t), t / 2.0)]
-        w = _solve(zf, starts, lambda w: w + np.sinh(w), self.derivative,
-                   self._project, 0j, "hhp_inverse")
-        return w.reshape(shape)
+        # z/2 near the neck, where φ(ζ) ≈ 2ζ, and arcsinh z far out; both
+        # lie in the strip
+        start = lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t))
+        return _solve(z.ravel(), start, lambda w: w + np.sinh(w),
+                      self.derivative, self._project, 0j,
+                      "hhp_inverse").reshape(z.shape)
 
     @staticmethod
     def _project(w):
@@ -267,7 +245,6 @@ class SlitHalfPlane:
     def __post_init__(self):
         if not self.a > 0:
             raise InvalidInputError("SlitHalfPlane requires a > 0")
-        self._anchors = None
 
     # -- forward map -----------------------------------------------------
     def _sqrt_factors(self, zeta):
@@ -285,38 +262,20 @@ class SlitHalfPlane:
         return self.a * (w1 + np.log(t + w1))
 
     def derivative(self, zeta):
-        zeta = _as_complex(zeta)
-        t = zeta / self.a
+        t = _as_complex(zeta) / self.a
         return np.sqrt(t + 1.0) / np.sqrt(t - 1.0)
 
     # -- inverse map -------------------------------------------------------
-    def _anchor_table(self):
-        if self._anchors is None:
-            a = self.a
-            xi = a * np.concatenate([np.geomspace(0.05, 1.0, 8),
-                                     np.geomspace(1.2, 60.0, 16)])
-            # even count: no η = 0 row (it would sit on the slit, where the
-            # branch is ambiguous and the tip ζ = a has Φ' = ∞)
-            eta = a * np.sinh(np.linspace(-4.5, 4.5, 24))
-            Z = (xi[:, None] + 1j * eta[None, :]).ravel()
-            Z = Z[np.abs(Z - a) > 0.05 * a]
-            W = self.forward(Z)
-            self._anchors = (Z, W, _anchor_tree(W))
-        return self._anchors
-
     def inverse(self, z):
         """Φ_a⁻¹(z) for z in the closure of D_a = Ω_a ∩ {x₁ ≥ 0}."""
         z = _as_complex(z)
-        shape = z.shape
-        zf = z.ravel()
-        a = self.a
-        if np.any(zf.real < -1e-9 * a):
+        if np.any(z.real < -1e-9 * self.a):
             raise DomainError("slit_inverse: z must satisfy x₁ ≥ 0")
         # rescue along a segment from ζ = 2a, a regular interior point on
         # the symmetry axis
-        zeta = _solve(zf, [self._start], self.forward, self.derivative,
-                      self._project, complex(2.0 * a), "slit_inverse")
-        return zeta.reshape(shape)
+        return _solve(z.ravel(), self._start, self.forward, self.derivative,
+                      self._project, complex(2.0 * self.a),
+                      "slit_inverse").reshape(z.shape)
 
     @staticmethod
     def _project(zeta):
@@ -325,24 +284,19 @@ class SlitHalfPlane:
         return zeta
 
     def _start(self, zf):
-        """Newton start per target: square-root expansion at the tip, the
-        log asymptote far out, and the nearest anchor in between."""
+        """Newton start per target, in S_a: the square-root expansion at the
+        tip for |z| ≤ a/2, and the log asymptote everywhere else."""
         a = self.a
         zeta0 = np.empty_like(zf)
         small = np.abs(zf) <= 0.5 * a
-        large = np.abs(zf) > 4.0 * a
-        mid = ~(small | large)
         # saddle-local square-root expansion: Φ_a(ζ) ≈ 2√(2a)·√(ζ−a)
         zeta0[small] = a + zf[small] ** 2 / (8.0 * a)
-        if np.any(large):
-            zl = zf[large]
-            est = zl - a * np.log(2.0 * zl / a)
-            est = np.where(est.real <= 0.1 * a, 0.1 * a + 1j * est.imag, est)
-            zeta0[large] = zl - a * np.log(2.0 * est / a)
-        if np.any(mid):
-            anchors_zeta, _, tree = self._anchor_table()
-            zeta0[mid] = anchors_zeta[_nearest_anchor(zf[mid], tree)]
-        return zeta0
+        # Φ_a(ζ) ≈ ζ + a·log(2ζ/a), solved by two fixed-point steps
+        zl = zf[~small]
+        est = zl - a * np.log(2.0 * zl / a)
+        est = np.where(est.real <= 0.1 * a, 0.1 * a + 1j * est.imag, est)
+        zeta0[~small] = zl - a * np.log(2.0 * est / a)
+        return self._project(zeta0)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +332,6 @@ class ScherkStrip:
         # upper corner ζ* (preimage of the saddle iπ) and dΦ/dτ there
         self.zeta_c = self.b + 0.5j * self.l
         self._B = -2j * np.sqrt((1.0 - s**4) / s)
-        self._anchors = None
         self._last = None
 
     # -- φ_s and the integrand (the quadrature oracle of the closed forms) --
@@ -502,35 +455,25 @@ class ScherkStrip:
 
     def _inverse_corner(self, z):
         """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
-        anchor_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
+        base_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
         try:
-            tau = _solve(z, [lambda t: (t - 1j * np.pi) / self._B],
+            tau = _solve(z, lambda t: (t - 1j * np.pi) / self._B,
                          self._corner_G, self._corner_Gp, self._project_corner,
-                         complex(anchor_tau), "scherk_inverse (corner)")
+                         complex(base_tau), "scherk_inverse (corner)")
         except ConvergenceError as e:
             e.last_iterate = self.zeta_c - e.last_iterate**2
             raise
         return self.zeta_c - tau**2
 
     # -- inverse -----------------------------------------------------------
-    def _anchor_table(self):
-        if self._anchors is None:
-            l, b = self.l, self.b
-            u = np.concatenate([np.linspace(0.0, 2.0 * b, 17),
-                                np.linspace(2.0 * b, b + 3.0 * l, 12)[1:]])
-            v = np.linspace(-0.5 * l, 0.5 * l, 27)[1:-1]
-            Z = (u[:, None] + 1j * v[None, :]).ravel()
-            W = self.forward(Z)
-            self._anchors = (Z, W, _anchor_tree(W))
-        return self._anchors
-
     def inverse(self, z):
         """Φ_s⁻¹(z) for z in the closure of the image half-cell D_s.
 
-        Damped Newton on the closed form, started from the nearest anchor or,
-        far out, from ζ = s(z − c_inf); targets within `corner_zone_radius`
-        of a saddle ±iπ go through the square-root corner chart instead.  A
-        repeat of the last targets' shape and bits returns a copy of their ζ.
+        Damped Newton on the closed form, started from one step of the
+        far-field expansion (`_bulk_start`); targets within
+        `corner_zone_radius` of a saddle ±iπ go through the square-root
+        corner chart instead.  A repeat of the last targets' shape and bits
+        returns a copy of their ζ.
         """
         return _remembered(self, _as_complex(z), self._inverse)
 
@@ -547,11 +490,10 @@ class ScherkStrip:
             # conjugation symmetry: Φ_s(ζ̄) = conj Φ_s(ζ)
             out[lo] = np.conj(self._inverse_corner(np.conj(zall[lo])))
         bulk = ~(up | lo)
-        if not np.any(bulk):
-            return out.reshape(shape)
-        out[bulk] = _solve(zall[bulk], [self._bulk_start], self.forward,
-                           self.derivative, self._project_bulk,
-                           complex(self.b + self.l), "scherk_inverse")
+        if np.any(bulk):
+            out[bulk] = _solve(zall[bulk], self._bulk_start, self.forward,
+                               self.derivative, self._project_bulk,
+                               complex(self.b + self.l), "scherk_inverse")
         return out.reshape(shape)
 
     def _project_bulk(self, zt):
@@ -562,13 +504,13 @@ class ScherkStrip:
         return zt
 
     def _bulk_start(self, zf):
-        """Nearest anchor, or far out the asymptote ζ = s(z − c_inf)."""
-        anchors_zeta, anchors_w, tree = self._anchor_table()
-        far = zf.real > float(np.max(anchors_w.real)) - 2.0
-        zeta0 = self.s * (zf - self.c_inf)
-        if not np.all(far):
-            zeta0[~far] = anchors_zeta[_nearest_anchor(zf[~far], tree)]
-        return zeta0
+        """One step of the far-field expansion Φ_s(ζ) = ζ/s + c_inf
+        + (1−s⁴)/(2s²)·e^{−ζ/s} + O(e^{−2ζ/s}), from ζ₀ = s(z − c_inf); both
+        are projected into the closed half-strip, so |e^{−ζ₀/s}| ≤ 1."""
+        s = self.s
+        zeta0 = self._project_bulk(s * (zf - self.c_inf))
+        return self._project_bulk(
+            zeta0 - (1.0 - s**4) / (2.0 * s) * np.exp(-zeta0 / s))
 
     # -- boundary line (top strip edge → saddle) ---------------------------
     def upper_line_x2(self, u: float) -> float:

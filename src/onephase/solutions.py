@@ -86,21 +86,23 @@ class RigidMotion:
     angle: float = 0.0
     shift: tuple = (0.0, 0.0)
 
-    def _rot(self, sign: float):
+    def _rotate(self, p, sign: float):
+        """R_{sign·θ}·p elementwise, so a point rounds alone as in a batch."""
         c, s = np.cos(sign * self.angle), np.sin(sign * self.angle)
-        return np.array([[c, -s], [s, c]])
+        x, y = p[..., 0], p[..., 1]
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
     def to_body(self, points):
         p = _as_points(points) - np.asarray(self.shift, dtype=float)
-        return p @ self._rot(-1.0).T
+        return self._rotate(p, -1.0)
 
     def to_world(self, points):
-        p = _as_points(points)
-        return p @ self._rot(1.0).T + np.asarray(self.shift, dtype=float)
+        return (self._rotate(_as_points(points), 1.0)
+                + np.asarray(self.shift, dtype=float))
 
     def vector_to_world(self, vectors):
         """Push a body-frame vector field (gradient) to world frame."""
-        return np.asarray(vectors, dtype=float) @ self._rot(1.0).T
+        return self._rotate(np.asarray(vectors, dtype=float), 1.0)
 
     def is_identity(self) -> bool:
         return self.angle == 0.0 and tuple(self.shift) == (0.0, 0.0)
@@ -211,6 +213,9 @@ class Solution(ABC):
         """World-frame free boundary polylines clipped to `window`."""
         if step is None:
             step = max(window.width, window.height) / 1000.0
+        if not 0 < step < np.inf:
+            raise InvalidInputError(
+                f"boundary step must be finite and > 0, got {step}")
         corners = np.array([[window.x0, window.y0], [window.x1, window.y0],
                             [window.x1, window.y1], [window.x0, window.y1]])
         bc = self.motion.to_body(corners)

@@ -342,6 +342,29 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("step", ["abc", "0", "-1"])
+    def test_bad_boundary_step(self, tmp_path, step):
+        assert run("boundary", "--family", "half_plane",
+                   "--param", f"step={step}", "--out", str(tmp_path)) == 2
+
+    def test_zero_minimize_spacing(self, tmp_path):
+        assert run("minimize", "--family", "half_plane", "--param", "h=0",
+                   "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("params", [
+        {"n_polygons": 0}, {"n_polygons": -2},
+        {"mesh_resolutions": [0]}, {"mesh_resolutions": [-8]},
+        {"mesh_resolutions": [16, 4]}])
+    def test_verify_sweep_floor(self, tmp_path, params):
+        # rejected before any check runs: no report is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "hairpin", "params": {}},
+            "params": params}))
+        assert run("verify", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "verify_report.json").exists()
+
     @pytest.mark.parametrize("key", ["resolution", "seed"])
     def test_non_integer_config_value(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"

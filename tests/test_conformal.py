@@ -1,6 +1,8 @@
 """Chart forward/inverse round-trips, branch correctness, derivative
 consistency, and the closed-form Scherk loop relations."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,8 +273,8 @@ class TestInverseFailure:
         it = info.value.last_iterate
         assert it.shape == z.shape
         assert np.all(np.abs(it.imag) <= np.pi / 2)
-        # the second start (arcsinh near the neck, z/2 far out) ran last
-        start = np.where(np.abs(z) <= 2.5, np.arcsinh(z), z / 2.0)
+        # the only start: z/2 near the neck, arcsinh z far out
+        start = np.where(np.abs(z) <= 2.5, z / 2.0, np.arcsinh(z))
         assert np.allclose(it, start, atol=1e-3)
 
     def test_slit(self, monkeypatch):
@@ -532,6 +534,109 @@ class TestDampedNewton:
         assert any(c["failed"] and not c["scalar"] for c in newton_spy)
         # the homotopy rescue drives 0-d targets
         assert any(c["failed"] and c["scalar"] for c in newton_spy)
+
+
+# ----------------------------------------------------------------------
+# one closed-form Newton start per chart
+# ----------------------------------------------------------------------
+
+def _log_uniform(rng, lo, hi, n):
+    return 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), n)
+
+
+def _scherk_cloud(chart, seed, n=100):
+    """ζ of the half-strip near the loop (Re ζ from 1e-12 to 1), within
+    1e-14 of the seam and of the axis above the loop, around a saddle
+    corner, in the bulk, and in the far field out to x₁ = 300."""
+    rng = np.random.default_rng(seed)
+    l, b, s = chart.l, chart.b, chart.s
+    im = lambda: rng.uniform(-0.5, 0.5, n) * l
+    edge = lambda: ((0.5 * l - _log_uniform(rng, 1e-14, 0.1 * l, n))
+                    * rng.choice([-1.0, 1.0], n))
+    corner = chart.zeta_c - (min(0.1 * l, 0.5 * b)
+                             * _log_uniform(rng, 1e-12, 1.0, n)
+                             * np.exp(1j * np.pi * rng.uniform(0, 1, n)))
+    return np.concatenate([
+        _log_uniform(rng, 1e-12, 1.0, n) + 1j * im(),
+        rng.uniform(b, 3.0 * b + 3.0 * l, n) + 1j * edge(),
+        rng.uniform(0.0, b, n) + 1j * edge(),
+        np.where(rng.uniform(0, 1, n) < 0.5, corner, np.conj(corner)),
+        rng.uniform(0.0, 2.0 * b + l, n) + 1j * im(),
+        rng.uniform(0.0, s * (300.0 - chart.c_inf), n) + 1j * im()])
+
+
+def _hhp_cloud(seed, n=200):
+    """ζ of the strip with |Re φ(ζ)| out to 300, in the bulk and within
+    1e-14 of the edges (the catenaries)."""
+    rng = np.random.default_rng(seed)
+    sigma = lambda: rng.uniform(-6.4, 6.4, n)
+    edge = ((np.pi / 2 - _log_uniform(rng, 1e-14, 0.1, n))
+            * rng.choice([-1.0, 1.0], n))
+    return np.concatenate([sigma() + 1j * rng.uniform(-1, 1, n) * np.pi / 2,
+                           sigma() + 1j * edge])
+
+
+def _slit_cloud(a, seed, n=200):
+    """ζ of S_a: the bulk out to |ζ| ≈ 60a, and the tip ζ = a up to
+    1e-8·a close."""
+    rng = np.random.default_rng(seed)
+    bulk = (rng.uniform(0.0, 60.0, n) * a
+            + 1j * np.sinh(rng.uniform(-5.0, 5.0, n)) * a)
+    bulk = bulk[~((bulk.real <= a) & (np.abs(bulk.imag) < 1e-3 * a))]
+    tip = a + (_log_uniform(rng, 1e-8, 1.0, n) * a
+               * np.exp(1j * rng.uniform(-0.5, 0.5, n) * np.pi))
+    return np.concatenate([bulk, tip])
+
+
+def _assert_one_start(chart, z):
+    """Newton converges from the chart's start alone, and forward(inverse)
+    returns z within the Newton tolerance, plus the rounding of ζ itself
+    times |f′(ζ)|, which blows up at a saddle corner or the slit's tip."""
+    with mock.patch.object(conformal, "_homotopy_rescue",
+                           side_effect=AssertionError("rescue reached")):
+        zeta = chart.inverse(z)
+    tol = (conformal._NEWTON_TOL * np.maximum(1.0, np.abs(z))
+           + 4.0 * np.finfo(float).eps * np.abs(zeta)
+           * np.abs(chart.derivative(zeta)))
+    assert np.all(np.abs(chart.forward(zeta) - z) <= tol)
+
+
+class TestOneStart:
+    """Each chart converges from its one closed-form start, with no
+    homotopy rescue, over the slope range, near every boundary piece and
+    out in the far field."""
+
+    @given(s=slopes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_scherk(self, s, seed):
+        chart = ScherkStrip(s=s)
+        _assert_one_start(chart, chart.forward(_scherk_cloud(chart, seed)))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_hhp(self, seed):
+        chart = HHPStrip()
+        _assert_one_start(chart, chart.forward(_hhp_cloud(seed)))
+
+    @given(a=st.sampled_from([0.05, 0.25, 1.0, 4.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_slit(self, a, seed):
+        chart = SlitHalfPlane(a=a)
+        _assert_one_start(chart, chart.forward(_slit_cloud(a, seed)))
+
+    @given(s=slopes, t=st.floats(4.0, 10.0), y=st.floats(-0.5, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_far_field_expansion(self, s, t, y):
+        # Φ_s(ζ) = ζ/s + c_inf + (1−s⁴)/(2s²)·e^{−ζ/s} + O(e^{−2ζ/s}); the
+        # series runs in e/s², so |e| = s²·e^{−t}.  Measured over s and t,
+        # the remainder stays below 0.19·|e|²/s⁴.
+        chart = ScherkStrip(s=s)
+        zeta = s * (t + 2.0 * np.log(1.0 / s)) + 1j * y * chart.l
+        e = np.exp(-zeta / s)
+        rest = (chart.forward(zeta) - zeta / s - chart.c_inf
+                - (1.0 - s**4) / (2.0 * s * s) * e)
+        assert abs(rest) <= abs(e) ** 2 / (4.0 * s**4)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Static guards: every global name a function of `onephase` loads must
-exist, and so must every name a module exports; and quadrature stays out of
-the chart and Traizet layers.
+exist, and so must every name a module exports; quadrature stays out of the
+chart and Traizet layers, and scipy out of the chart layer.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -63,23 +63,34 @@ def test_every_export_resolves(module_name):
     assert [name for name in exports if not hasattr(module, name)] == []
 
 
-def _imports_quad(module_name):
-    """Whether the module's source imports from `onephase.quad`, at any
-    depth and in either spelling."""
+def _imported(module_name):
+    """The absolute names of the modules the source imports, at any depth
+    and in either spelling."""
     path = Path(importlib.import_module(module_name).__file__)
+    names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] + [a.name for a in node.names]
-            if (node.level == 1 and "quad" in names) \
-                    or node.module == "onephase.quad":
-                return True
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # relative: `from . import quad` or `from .quad import x`
+            names |= ({f"onephase.{node.module}"} if node.module else
+                      {f"onephase.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
         elif isinstance(node, ast.Import):
-            if any(a.name == "onephase.quad" for a in node.names):
-                return True
-    return False
+            names |= {a.name for a in node.names}
+    return names
 
 
 def test_only_the_variational_layer_uses_quadrature():
     # the charts and the Traizet map are closed forms; the tests keep the
     # quadrature routes that check them
-    assert [m for m in MODULES if _imports_quad(m)] == ["onephase.variational"]
+    assert [m for m in MODULES
+            if "onephase.quad" in _imported(m)] == ["onephase.variational"]
+
+
+@pytest.mark.parametrize("module_name", ["onephase.common",
+                                         "onephase.conformal",
+                                         "onephase.solutions"])
+def test_chart_layer_imports_no_scipy(module_name):
+    # every Newton start is closed-form, so no chart needs a spatial index
+    assert sorted(m for m in _imported(module_name)
+                  if m.split(".")[0] == "scipy") == []

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onephase.common import Window
@@ -175,6 +175,19 @@ class TestMotions:
         world = m.to_world(pts)
         assert np.allclose(moved.eval_u(world), HalfPlane().eval_u(pts),
                            atol=1e-12)
+
+    @given(angle=angles, x=shifts, y=shifts)
+    @settings(max_examples=40, deadline=None)
+    @example(angle=1.0, x=-1.65592685, y=1.12267816)
+    def test_point_alone_matches_batch(self, angle, x, y):
+        # a point's value may not depend on what it is evaluated with
+        m = RigidMotion(angle=angle, shift=(0.25, -0.5))
+        p = np.array([x, y])
+        batch = np.array([p, p, [0.1, 0.2]])
+        for f in (m.to_body, m.to_world, m.vector_to_world):
+            assert f(p).tobytes() == f(batch)[0].tobytes()
+        sol = HalfPlane(motion=m)
+        assert sol.eval_u(p).tobytes() == sol.eval_u(batch)[0].tobytes()
 
     def test_gradient_rotates(self):
         m = RigidMotion(angle=np.pi / 3.0, shift=(0.5, -0.25))
