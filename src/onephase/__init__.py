@@ -36,7 +36,7 @@ from .geometry import (FreeBoundary, annulus_flat_check, circle_max,
                        classify_flat, extract_boundary, flux_balance,
                        hausdorff)
 from .traizet import (build_mesh, canonical_mesh, mean_curvature,
-                      orthogonality_check, traizet_map, wirtinger)
+                      orthogonality_check, traizet_map)
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "variational_residual", "weiss_energy", "viscosity_slope",
     "FreeBoundary", "extract_boundary", "hausdorff", "flux_balance",
     "circle_max", "classify_flat", "annulus_flat_check",
-    "wirtinger", "traizet_map", "build_mesh",
+    "traizet_map", "build_mesh",
     "canonical_mesh", "mean_curvature", "orthogonality_check",
     "__version__",
 ]

@@ -327,6 +327,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         raise InvalidInputError(
             f"n_polygons must be finite and >= 1, got {n_poly}")
     n_poly = int(n_poly)
+    fd_offset = cfg.number("slope_fd_offset", 1e-4)
+    flux_step = cfg.number("flux_step", 1e-3)
+    for name, v in (("slope_fd_offset", fd_offset), ("flux_step", flux_step)):
+        if not 0 < v < np.inf:
+            raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
     checks = []
     # traced and clipped once, on first use; a failure is not kept, so each
     # check that samples the free boundary reports it
@@ -376,11 +381,10 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     def check_slope():
         tol_chart = cfg.tolerance("slope_chart_tol", 1e-6)
         tol_fd = cfg.tolerance("slope_fd_tol", 5e-3)
-        offset = cfg.number("slope_fd_offset", 1e-4)
         pts = _fb_sample_points(fb_curves())
         g = sol.eval_grad(pts, boundary_limit=True)
         chart_dev = float(np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - 1.0)))
-        fd_dev = max(abs(viscosity_slope(sol, p, r=offset) - 1.0)
+        fd_dev = max(abs(viscosity_slope(sol, p, r=fd_offset) - 1.0)
                      for p in pts)
         return {"passed": bool(chart_dev <= tol_chart and fd_dev <= tol_fd),
                 "chart_deviation": chart_dev, "chart_tol": tol_chart,
@@ -402,12 +406,11 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     def check_flux():
         tol = cfg.tolerance("flux_tol", 1e-7)
-        step = cfg.number("flux_step", 1e-3)
         worst = 0.0
         lemma = True
         for _ in range(n_poly):
             poly = random_polygon_in_phase(sol, window, rng)
-            rep = flux_balance(sol, poly, step=step)
+            rep = flux_balance(sol, poly, step=flux_step)
             worst = max(worst, abs(rep.net_flux))
             lemma = lemma and rep.lemma_holds
         return {"passed": bool(worst <= tol and lemma),

@@ -423,7 +423,9 @@ class ScherkStrip:
     def _corner_q(self, tau):
         """(x, q) with r = −iτq at ζ = ζ* − τ²."""
         x = tau * tau / self.s
-        nz = x != 0.0
+        # h = 1 + x/2 + … is 1 below 1e-300, where numpy's complex division
+        # by a subnormal x would overflow
+        nz = np.abs(x) > 1e-300
         h = np.where(nz, np.expm1(x) / np.where(nz, x, 1.0), 1.0)
         q = np.sqrt(self.s * h / (1.0 - self.s**4 * np.exp(x)))
         return x, q

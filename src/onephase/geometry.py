@@ -23,6 +23,9 @@ Contents:
   and outer circles, find per scale r the rotation making the chosen
   positive-phase component closest to the half-plane profile and report
   the best-fit boundary graph with its maximal slope.
+
+scipy (`cKDTree`, `ndimage`) is imported inside the functions that use it,
+so a command that runs none of them starts without it.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .common import (Window, densify_polyline, format_float, points_in_polygon,
                      polyline_length, write_csv_atomic)
@@ -234,6 +235,7 @@ def hausdorff(a, b, densify_step: float = None) -> float:
     """Symmetric Hausdorff distance between two polyline sets, computed on
     vertices after densification (default step: 1/2 of the coarsest mean
     segment length)."""
+    from scipy.spatial import cKDTree
     A = _as_polyline_list(a)
     B = _as_polyline_list(b)
     if not A or not B:
@@ -492,6 +494,7 @@ def random_polygon_in_phase(sol, window: Window, rng,
 def _phase_components(u_vals, active, eps):
     """4-connected component counts (n_pos, n_zero) of {u > eps} and
     {u ≤ eps} restricted to `active` nodes."""
+    from scipy import ndimage
     four = ndimage.generate_binary_structure(2, 1)
     return (ndimage.label((u_vals > eps) & active, structure=four)[1],
             ndimage.label((u_vals <= eps) & active, structure=four)[1])
@@ -578,6 +581,7 @@ def classify_flat(sol_or_field, delta: float,
     10% slack.  A `ScalarField2D` is read by bilinear interpolation, and its
     free boundary by `extract_boundary`.
     """
+    from scipy.spatial import cKDTree
     if not delta > 0:
         raise InvalidInputError("classify_flat requires delta > 0")
     step = 6.0 / (_TRICHOTOMY_NODES - 1) / 2.0
@@ -793,6 +797,7 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     omitted).  Reports per scale the rotation, the flatness sup, and the
     max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
+    from scipy import ndimage
     if not 0 < delta < 1:
         raise InvalidInputError("annulus_flat_check requires 0 < delta < 1")
     scales = [float(r) for r in scales]

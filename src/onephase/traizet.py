@@ -13,7 +13,6 @@ T is single-valued and path independent.
 
 Contents:
 
-* `wirtinger` — ∂u/∂z = ½(u_x − i u_y) from the analytic gradient;
 * `traizet_map` — T from the family's closed-form primitive F of (2u_z)²
   (`Solution.primitive`): z, −R²/z, a(sinh w − w) in the hairpin chart w,
   and a·Ψ_s(ζ) in the Scherk chart ζ, mirrored and shifted per period;
@@ -27,9 +26,7 @@ Contents:
 * `mean_curvature` — cotangent Laplacian dotted with the vertex normal over
   Voronoi mixed areas (barycentric fallback for obtuse triangles);
 * `orthogonality_check` — |angle − π/2| between the upper-sheet tangent
-  plane and {X₃ = 0} at free-boundary vertices;
-* `catenoid_overlay` — neck-aligned profile residual of the disk-complement
-  image against the catenoid R·cosh(X₃/R).
+  plane and {X₃ = 0} at free-boundary vertices.
 
 Nothing here integrates numerically: (2u_z)² dz has no period around a
 zero-phase component, so T is a difference of F values.
@@ -44,11 +41,10 @@ import numpy as np
 
 from .common import smoothstep5, write_text_atomic
 from .conformal import scherk_loop_point, scherk_loop_x2_extent
-from .errors import DomainError, InvalidInputError, TopologyError
+from .errors import InvalidInputError, TopologyError
 from .solutions import DiskComplement, Hairpin, HalfPlane, Scherk
 
 __all__ = [
-    "wirtinger",
     "traizet_map",
     "Patch",
     "patch_halfplane",
@@ -61,7 +57,6 @@ __all__ = [
     "canonical_mesh",
     "mean_curvature",
     "orthogonality_check",
-    "catenoid_overlay",
     "curvature_csv",
 ]
 
@@ -69,19 +64,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the differential
 # ---------------------------------------------------------------------------
-
-def wirtinger(sol, z):
-    """∂u/∂z = ½(u_x − i u_y) at points of the open positive phase.
-
-    Accepts a point (2,) or an array (..., 2); raises DomainError if any
-    point lies outside the positive phase.
-    """
-    p = np.asarray(z, dtype=float)
-    if not np.all(sol.in_positive_phase(p)):
-        raise DomainError("wirtinger: point outside the positive phase")
-    g = sol.eval_grad(p)
-    return 0.5 * (g[..., 0] - 1j * g[..., 1])
-
 
 def traizet_map(sol, base, z):
     """T(z) = (X₁, X₂, u(z)) with T(base) = (0, 0, u(base)) and
@@ -517,20 +499,6 @@ def orthogonality_check(mesh: SurfaceMesh):
     horiz = np.hypot(tangent[:, 0], tangent[:, 1])
     defects = np.arctan2(horiz, np.abs(tangent[:, 2]))
     return mesh.probes[:, 0], defects
-
-
-def catenoid_overlay(mesh: SurfaceMesh, R: float) -> float:
-    """Max residual |√(X₁²+X₂²) − R·cosh(X₃/R)| over all mesh vertices,
-    after translating the neck ring (X₃ = 0 vertices) to be centered on the
-    axis: the disk-complement image is the catenoid of neck radius R."""
-    fb = mesh.fb_vertices
-    if len(fb) == 0:
-        raise InvalidInputError("catenoid_overlay: mesh has no neck ring")
-    center = mesh.vertices[fb, :2].mean(axis=0)
-    xy = mesh.vertices[:, :2] - center[None, :]
-    rho = np.hypot(xy[:, 0], xy[:, 1])
-    target = R * np.cosh(mesh.vertices[:, 2] / R)
-    return float(np.max(np.abs(rho - target)))
 
 
 def curvature_csv(mesh: SurfaceMesh, path):

@@ -40,6 +40,9 @@ Diagnostics:
 * `viscosity_slope` — the one-sided linear growth coefficient
   α = lim u(x₀ + τν)/τ along an inward direction ν, by Richardson
   extrapolation in τ.
+
+scipy (`sparse`, `splu`) is imported inside the minimizer's functions, so a
+command that never minimizes starts without it.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .common import (Window, format_float, smoothstep5, write_json_atomic,
                      write_text_atomic)
@@ -515,6 +516,7 @@ def _stiffness(shape):
     """Sparse K on the row-major node grid of `shape` with
     vᵀKv = Σ_cells h²|∇_c v|² = Σ_cells ½[(v₁₁−v₀₀)² + (v₁₀−v₀₁)²]:
     each node couples to its diagonal neighbours only."""
+    from scipy import sparse
     m, n = shape
     col = np.arange(m * n) % n
     up = np.where(col[:m * n - n - 1] < n - 1, -0.5, 0.0)  # (j,i)–(j+1,i+1)
@@ -524,6 +526,7 @@ def _stiffness(shape):
 
 
 def _splu(A):
+    from scipy.sparse.linalg import splu
     # minimum degree on Aᵀ+A and 1-column panels: small fill and workspace
     return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
 
@@ -565,6 +568,7 @@ def _relax(v, fixed, h, tol):
     descent and the cleanup, on the flattened field `v`; the nodes of the
     2-D mask `fixed` keep their values.  Returns the flat field, one energy
     list per phase, the step count and the last phase's free residual."""
+    from scipy import sparse
     K = _stiffness(fixed.shape)
     h2 = h * h
     wh2 = h2 * _node_weights(fixed.shape).ravel()

@@ -1,6 +1,6 @@
 """Shared fixtures: one instance per family, a seeded generator, a
-wall-clock reporter used by the acceptance suite, and the measured Scherk
-saddle height."""
+wall-clock reporter used by the acceptance suite, the measured Scherk
+saddle height, and the catenoid overlay of a disk-complement mesh."""
 
 import time
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from onephase.errors import InvalidInputError
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane, Scherk,
                                 TwoPlane, Wedge)
 
@@ -101,3 +102,23 @@ def _measure_saddle_height(chart, target_x2=np.pi):
 def measure_saddle_height():
     """The saddle-height measurement, a function of a `ScherkStrip`."""
     return _measure_saddle_height
+
+
+def _catenoid_overlay(mesh, R):
+    """Max residual |√(X₁²+X₂²) − R·cosh(X₃/R)| over all mesh vertices,
+    after translating the neck ring (X₃ = 0 vertices) to be centered on the
+    axis: the disk-complement image is the catenoid of neck radius R."""
+    fb = mesh.fb_vertices
+    if len(fb) == 0:
+        raise InvalidInputError("catenoid_overlay: mesh has no neck ring")
+    center = mesh.vertices[fb, :2].mean(axis=0)
+    xy = mesh.vertices[:, :2] - center[None, :]
+    rho = np.hypot(xy[:, 0], xy[:, 1])
+    target = R * np.cosh(mesh.vertices[:, 2] / R)
+    return float(np.max(np.abs(rho - target)))
+
+
+@pytest.fixture(scope="session")
+def catenoid_overlay():
+    """The catenoid overlay, a function of a `SurfaceMesh` and R."""
+    return _catenoid_overlay

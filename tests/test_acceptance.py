@@ -15,8 +15,8 @@ from onephase.geometry import (annulus_flat_check, classify_flat,
                                random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
                                 RigidMotion, Scherk, TwoPlane, Wedge, Window)
-from onephase.traizet import (canonical_mesh, catenoid_overlay,
-                              mean_curvature, orthogonality_check)
+from onephase.traizet import (canonical_mesh, mean_curvature,
+                              orthogonality_check)
 from onephase.variational import (OneSidedPlane, ScalarField2D,
                                   TestVectorField, minimize_ac,
                                   variational_residual, viscosity_slope,
@@ -344,7 +344,7 @@ def test_criterion_10_blowdown_trends(stopwatch):
         assert dists[0] > dists[1] > dists[2], dists
 
 
-def test_criterion_11_traizet_minimality(stopwatch):
+def test_criterion_11_traizet_minimality(stopwatch, catenoid_overlay):
     """Interior discrete mean curvature ≤ 1e−3 at resolution 128 and
     decreasing under 32 → 64 → 128; orthogonality defect at FB vertices
     ≤ 1e−3; disk-complement image on the catenoid R·cosh(X₃/R) within

@@ -365,6 +365,14 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
+    @pytest.mark.parametrize("key", ["slope_fd_offset", "flux_step"])
+    def test_bad_verify_step(self, tmp_path, key, value):
+        # rejected before any check runs: no report is written
+        assert run("verify", "--family", "half_plane",
+                   "--param", f"{key}={value}", "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "verify_report.json").exists()
+
     @pytest.mark.parametrize("key", ["resolution", "seed"])
     def test_non_integer_config_value(self, tmp_path, key):
         cfg = tmp_path / "cfg.json"

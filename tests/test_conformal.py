@@ -216,6 +216,17 @@ class TestScherkClosedForms:
         lower = chart.forward(np.conj(zeta))
         assert np.max(np.abs(lower - np.conj(chart.forward(zeta)))) == 0.0
 
+    @pytest.mark.parametrize("s", [0.02, 0.5, 0.98])
+    def test_inverse_next_to_the_corners(self, s):
+        # τ² is subnormal here, so the corner chart must not divide by it
+        # (a RuntimeWarning from onephase fails the test)
+        chart = ScherkStrip(s=s)
+        d = np.array([1e-150, 1e-155, 1e-158, 1e-160, 1e-165])
+        zeta = chart.inverse(np.concatenate([1j * np.pi + d,
+                                             -1j * np.pi + d]))
+        assert np.max(np.abs(zeta[:5] - chart.zeta_c)) < 1e-12
+        assert np.max(np.abs(zeta[5:] - np.conj(chart.zeta_c))) < 1e-12
+
 
 class TestScherkLoop:
     @pytest.mark.parametrize("s", [0.125, 0.5, 0.875])

@@ -1,6 +1,8 @@
 """Static guards: every global name a function of `onephase` loads must
 exist, and so must every name a module exports; quadrature stays out of the
-chart and Traizet layers, and scipy out of the chart layer.
+chart and Traizet layers, and scipy out of the chart layer.  scipy is
+imported only inside the functions that use it, so `import onephase` and a
+command that runs none of them load no scipy module.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -12,7 +14,10 @@ import ast
 import builtins
 import dis
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +99,54 @@ def test_chart_layer_imports_no_scipy(module_name):
     # every Newton start is closed-form, so no chart needs a spatial index
     assert sorted(m for m in _imported(module_name)
                   if m.split(".")[0] == "scipy") == []
+
+
+def _module_level_imports(tree):
+    """Import nodes outside any function body: at top level, or in a class
+    body or an if/try block that runs on import."""
+    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return
+    if isinstance(tree, (ast.Import, ast.ImportFrom)):
+        yield tree
+    for child in ast.iter_child_nodes(tree):
+        yield from _module_level_imports(child)
+
+
+@pytest.mark.parametrize("module_name", ["onephase"] + MODULES)
+def test_scipy_imported_inside_functions_only(module_name):
+    path = Path(importlib.import_module(module_name).__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [(node.lineno, ast.unparse(node))
+             for node in _module_level_imports(tree)
+             for name in ([node.module] if isinstance(node, ast.ImportFrom)
+                          else [a.name for a in node.names])
+             if name and name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+SRC = Path(onephase.__file__).resolve().parent.parent
+
+
+def _scipy_loaded_after(code):
+    """The scipy modules a fresh interpreter has loaded after running
+    `code` with this checkout's src/ on its path (the test process itself
+    has scipy loaded already)."""
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+         "'scipy'))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=120, check=True)
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_loaded_after("import onephase, onephase.cli") == []
+
+
+def test_boundary_command_loads_no_scipy(tmp_path):
+    code = ("import onephase.cli\n"
+            "assert onephase.cli.main(['boundary', '--family', 'half_plane',"
+            f" '--out', {str(tmp_path)!r}]) == 0")
+    assert _scipy_loaded_after(code) == []
+    assert (tmp_path / "boundary_half_plane.csv").exists()

@@ -17,10 +17,10 @@ from onephase.solutions import (BOUNDARY_TOL, DiskComplement, Hairpin,
                                 HalfPlane, OneSidedPlane, RigidMotion, Scherk,
                                 TwoPlane, Wedge)
 from onephase.traizet import (SurfaceMesh, build_mesh, canonical_mesh,
-                              catenoid_overlay, curvature_csv, mean_curvature,
+                              curvature_csv, mean_curvature,
                               orthogonality_check, patch_diskcomplement,
                               patch_hairpin, patch_halfplane, patch_scherk,
-                              traizet_map, wirtinger)
+                              traizet_map)
 
 
 # ---------------------------------------------------------------------------
@@ -61,13 +61,29 @@ def _grid_route(sol, p0, p1, resolution):
 
     Prefers nodes with u at least one grid cell (u is 1-Lipschitz, so this
     keeps the route a cell away from the free boundary); falls back to bare
-    positivity when clearance closes off every path.  Returns the waypoint
-    list, or None if even the fallback grid is disconnected."""
+    positivity when clearance closes off every path.  The box reaches past
+    the zero phase between the endpoints: for a Scherk solution πa above
+    and below both (in the body frame), which holds a saddle gap beside the
+    oval; for a hairpin to the axis x₂ = 0 at each endpoint's x₁, since
+    the positive phase holds the vertical segment from a point to the axis.
+    Returns the waypoint list, or None if even the fallback grid is
+    disconnected."""
     lo = np.minimum(p0, p1)
     hi = np.maximum(p0, p1)
     span = max(float(np.max(hi - lo)), 1e-6)
     lo = lo - 0.35 * span
     hi = hi + 0.35 * span
+    b = sol.motion.to_body(np.array([p0, p1]))
+    reach = []
+    if isinstance(sol, Scherk):
+        reach = [[x1, x2 + dx2] for x1 in (b[:, 0].min(), b[:, 0].max())
+                 for x2 in b[:, 1] for dx2 in (-np.pi * sol.a, np.pi * sol.a)]
+    elif isinstance(sol, Hairpin):
+        reach = [[x1, 0.0] for x1 in b[:, 0]]
+    if reach:
+        reach = sol.motion.to_world(np.array(reach))
+        lo = np.minimum(lo, reach.min(axis=0))
+        hi = np.maximum(hi, reach.max(axis=0))
     n = int(resolution)
     xs = np.linspace(lo[0], hi[0], n)
     ys = np.linspace(lo[1], hi[1], n)
@@ -194,6 +210,16 @@ def _oracle_scherk_period(sol, tol=1e-12):
         assert np.all(sol.in_positive_phase(a * (1 - t) + b * t))
         total += _segment_integral(sol, complex(*a), complex(*b), tol=tol)
     return -0.5 * total
+
+
+def wirtinger(sol, z):
+    """∂u/∂z = ½(u_x − i u_y) at points of the open positive phase, from
+    the analytic gradient; DomainError if any point lies outside it."""
+    p = np.asarray(z, dtype=float)
+    if not np.all(sol.in_positive_phase(p)):
+        raise DomainError("wirtinger: point outside the positive phase")
+    g = sol.eval_grad(p)
+    return 0.5 * (g[..., 0] - 1j * g[..., 1])
 
 
 def _disk_expected(z0, z1, R=1.0):
@@ -731,7 +757,7 @@ class TestOrthogonality:
 
 
 class TestCatenoid:
-    def test_overlay_band(self, disk):
+    def test_overlay_band(self, disk, catenoid_overlay):
         mesh = canonical_mesh(disk, resolution=64)
         assert catenoid_overlay(mesh, R=1.0) < 1e-5
 
@@ -744,7 +770,7 @@ class TestCatenoid:
         rho = np.hypot(xy[:, 0], xy[:, 1])
         assert np.max(np.abs(rho - np.cosh(mesh.vertices[:, 2]))) < 1e-10
 
-    def test_requires_neck(self):
+    def test_requires_neck(self, catenoid_overlay):
         mesh = build_mesh(patch_halfplane(resolution=8))
         mesh.vertex_source[:, 2] = 1.0  # no FB vertices
         with pytest.raises(InvalidInputError):
