@@ -59,11 +59,6 @@ __all__ = ["ExperimentConfig", "main",
 # configuration
 # ---------------------------------------------------------------------------
 
-#: families the CLI can instantiate: the whole registry, so the one-sided
-#: competitor can demonstrate a failing residual check.
-CLI_FAMILIES = KINDS
-
-
 @dataclass
 class ExperimentConfig:
     """One experiment record: command, solution descriptor, window,
@@ -83,15 +78,19 @@ class ExperimentConfig:
         if self.resolution < 8:
             raise InvalidInputError(
                 f"resolution must be >= 8, got {self.resolution}")
-        if self.tol is not None and not self.tol > 0:
-            raise InvalidInputError(f"tol must be > 0, got {self.tol}")
-        if self.window is not None:
-            w = tuple(float(v) for v in self.window)
-            if len(w) != 4:
+        if self.tol is not None:
+            tol = _floats([self.tol])
+            if tol is None or not tol[0] > 0:
                 raise InvalidInputError(
-                    "window must be [x0, y0, x1, y1]")
+                    f"tol must be a number > 0, got {self.tol!r}")
+            self.tol = tol[0]
+        if self.window is not None:
+            w = _floats(self.window)
+            if w is None or len(w) != 4:
+                raise InvalidInputError(
+                    f"window must be [x0, y0, x1, y1], got {self.window!r}")
             Window(*w)  # raises on degeneracy
-            object.__setattr__(self, "window", w)
+            self.window = tuple(w)
         return self
 
     def get_window(self, default=(-2.0, -2.0, 2.0, 2.0)) -> Window:
@@ -120,12 +119,7 @@ class ExperimentConfig:
         """params[name] as a non-empty list of finite floats, `default` when
         absent; anything else, one number included, is a config error."""
         v = self.params.get(name, default)
-        try:
-            if isinstance(v, (str, bytes)):
-                raise TypeError
-            vals = [float(x) for x in v]
-        except (TypeError, ValueError):
-            vals = []
+        vals = _floats(v)
         if not vals or not np.all(np.isfinite(vals)):
             raise InvalidInputError(
                 f"{name} must be a non-empty list of finite numbers, "
@@ -141,6 +135,16 @@ class ExperimentConfig:
         if not v > 0:
             raise InvalidInputError(f"{name} must be > 0, got {v}")
         return v
+
+
+def _floats(v) -> list | None:
+    """v as a list of floats, or None if v is no sequence of numbers."""
+    if isinstance(v, (str, bytes)):
+        return None
+    try:
+        return [float(x) for x in v]
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def load_config(path) -> dict:
@@ -173,15 +177,24 @@ def config_from_args(args) -> ExperimentConfig:
     if unknown:
         raise InvalidInputError(
             f"unknown config keys: {sorted(unknown)} (known: {sorted(known)})")
+    solution, params = raw.get("solution"), raw.get("params", {})
+    if solution is not None and not (
+            isinstance(solution, dict)
+            and isinstance(solution.get("params", {}), dict)):
+        raise InvalidInputError(
+            'solution must be an object {"family": ..., "params": {...}}, '
+            f"got {solution!r}")
+    if not isinstance(params, dict):
+        raise InvalidInputError(f"params must be an object, got {params!r}")
     cfg = ExperimentConfig(
         command=args.command,
-        solution=raw.get("solution"),
+        solution=solution,
         window=raw.get("window"),
         resolution=_config_int(raw, "resolution", 64),
         tol=raw.get("tol"),
         out=str(raw.get("out", ".")),
         seed=_config_int(raw, "seed", 0),
-        params=dict(raw.get("params", {})),
+        params=dict(params),
     )
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
@@ -190,10 +203,9 @@ def config_from_args(args) -> ExperimentConfig:
     if args.tol is not None:
         cfg = replace(cfg, tol=args.tol)
     if args.family is not None:
-        if args.family not in CLI_FAMILIES:
+        if args.family not in KINDS:
             raise InvalidInputError(
-                f"unknown family {args.family!r}; known: "
-                f"{sorted(CLI_FAMILIES)}")
+                f"unknown family {args.family!r}; known: {sorted(KINDS)}")
         cfg = replace(cfg, solution={"family": args.family, "params": {}})
     for kv in args.param or []:
         if "=" not in kv:
@@ -211,8 +223,8 @@ def config_from_args(args) -> ExperimentConfig:
     return cfg.validate()
 
 
-def _family_param_names(family: str) -> set:
-    cls = CLI_FAMILIES.get(family)
+def _family_param_names(family) -> set:
+    cls = KINDS.get(family) if isinstance(family, str) else None
     if cls is None:
         return set()
     fields = getattr(cls, "__dataclass_fields__", {})
@@ -617,7 +629,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the default check tolerances")
         p.add_argument("--family",
                        help="solution family "
-                            f"({', '.join(sorted(CLI_FAMILIES))})")
+                            f"({', '.join(sorted(KINDS))})")
         p.add_argument("--param", action="append", metavar="K=V",
                        help="solution parameter (a=, s=, R=) or free-form "
                             "command parameter; repeatable")

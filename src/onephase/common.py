@@ -5,8 +5,8 @@ Conventions used throughout the package:
 * points are ndarrays of shape (..., 2), float64;
 * a *polyline* is an (n, 2) array of consecutive vertices;
 * a *window* is an axis-aligned rectangle [x0, x1] x [y0, y1];
-* floats are serialized with at most 17 significant digits ('%.17g'),
-  which round-trips IEEE double exactly, and files are written atomically
+* floats round-trip IEEE double exactly: CSV cells are written with
+  '%.17g' and JSON numbers by Python's repr; files are written atomically
   (temp file + rename) so re-runs are byte-identical.
 """
 
@@ -116,8 +116,8 @@ def write_text_atomic(path: str, text: str):
 
 
 class _FloatEncoder(json.JSONEncoder):
-    """JSON encoder that caps float precision at 17 significant digits and
-    understands numpy scalars/arrays."""
+    """JSON encoder that also takes numpy scalars and arrays, as Python
+    floats, ints and lists; floats are written by `json`'s own repr."""
 
     def default(self, o):
         if isinstance(o, (np.floating,)):

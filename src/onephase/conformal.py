@@ -25,10 +25,10 @@ of) the positive phase of an exact solution family:
   Height S_s(z) = Re Φ_s⁻¹(z) on the image half-cell
   D_s ⊂ {x₁ > 0, |x₂| < π}.
 
-Every inversion goes through one driver, `_solve`: vectorized damped
-Newton from one closed-form start per chart, read off the map's local or
-far-field expansion, then a scalar homotopy-continuation fallback for
-stragglers, then `ConvergenceError`.
+Every inversion goes through one driver, `_solve`: one vectorized damped
+Newton run from the chart's closed-form start, read off the map's local or
+far-field expansion; a point that misses the tolerance raises
+`ConvergenceError`.
 `HHPStrip.inverse` and `ScherkStrip.inverse` keep a one-entry memo of their
 last solve, keyed on the shape and bits of the targets (−0.0 is not 0.0), so
 a family's u and ∇u at the same points share one solve.
@@ -75,22 +75,15 @@ def _as_complex(z):
 def _damped_newton(targets, z0, f, fprime, project):
     """Vectorized damped Newton for f(ζ) = target.
 
-    targets, z0: complex arrays of one shape.  `project` folds iterates back
-    into the model domain.  Returns (zeta, converged_mask).  f′ and the
-    steps are evaluated only at the points still above the tolerance, and
-    each step halving only at the points whose residual grew; a point's
-    arithmetic does not depend on which others are still active.
+    targets, z0: flat complex arrays of one length.  `project` folds
+    iterates back into the model domain.  Returns (zeta, converged_mask).
+    f′ and the steps are evaluated only at the points still above the
+    tolerance, and each step halving only at the points whose residual grew;
+    a point's arithmetic does not depend on which others are still active.
     """
     target = _as_complex(targets)
     zeta = project(_as_complex(z0).copy())
-    shape = zeta.shape
-    if not shape:
-        # one point: f and f′ still see 0-d arrays, whose numpy-scalar
-        # arithmetic may round differently from a length-1 array's
-        f, fprime = _on_0d(f), _on_0d(fprime)
-    res = (f(zeta) - target).ravel()
-    zeta = zeta.ravel()
-    target = target.ravel()
+    res = f(zeta) - target
     tol = _NEWTON_TOL * np.maximum(1.0, np.abs(target))
     active = np.flatnonzero(np.abs(res) > tol)
     for _ in range(_MAX_ITER):
@@ -117,7 +110,7 @@ def _damped_newton(targets, z0, f, fprime, project):
         zeta[active] = cand
         res[active] = cand_res
         active = active[np.abs(cand_res) > tol[active]]
-    return zeta.reshape(shape), (np.abs(res) <= tol).reshape(shape)
+    return zeta, np.abs(res) <= tol
 
 
 def _remembered(chart, z, solve):
@@ -132,53 +125,18 @@ def _remembered(chart, z, solve):
     return zeta
 
 
-def _on_0d(g):
-    """g evaluated on the 0-d form of a length-1 array."""
-    return lambda w: np.reshape(g(w.reshape(())), 1)
-
-
-def _homotopy_rescue(bad_targets, anchor_target, anchor_zeta, f, fprime,
-                     project):
-    """Scalar continuation along the segment anchor→target for stragglers."""
-    out = np.empty(bad_targets.shape, dtype=complex)
-    ok = np.zeros(bad_targets.shape, dtype=bool)
-    for idx, zt in np.ndenumerate(bad_targets):
-        steps = 4
-        for _attempt in range(6):
-            zeta = complex(anchor_zeta)
-            for k in range(1, steps + 1):
-                t = anchor_target + (zt - anchor_target) * (k / steps)
-                zeta_arr, conv = _damped_newton(
-                    np.array(t), np.array(zeta), f, fprime, project)
-                if not bool(conv):
-                    break
-                zeta = complex(zeta_arr)
-            else:
-                out[idx] = zeta
-                ok[idx] = True
-                break
-            steps *= 2
-    return out, ok
-
-
-def _solve(targets, start, f, fprime, project, base, what):
+def _solve(targets, start, f, fprime, project, what):
     """ζ with f(ζ) = target for a flat complex array of targets.
 
-    Damped Newton runs from `start(targets)`, then homotopy continuation
-    from the regular point ζ = `base` rescues the stragglers.  Raises
-    ConvergenceError, with the last iterates, if any point still fails.
+    One damped Newton run from the chart's closed-form `start(targets)`.
+    Raises ConvergenceError, with the last iterates, if any point misses
+    the tolerance.
     """
     targets = _as_complex(targets)
     zeta, conv = _damped_newton(targets, start(targets), f, fprime, project)
-    if np.all(conv):
-        return zeta
-    bad = np.flatnonzero(~conv)
-    res, ok = _homotopy_rescue(targets[bad], complex(f(np.array(base))),
-                               base, f, fprime, project)
-    zeta[bad[ok]] = res[ok]
-    if not np.all(ok):
+    if not np.all(conv):
         raise ConvergenceError(
-            f"{what}: {int(np.sum(~ok))} point(s) failed to converge",
+            f"{what}: {int(np.sum(~conv))} point(s) failed to converge",
             last_iterate=zeta)
     return zeta
 
@@ -222,7 +180,7 @@ class HHPStrip:
         # lie in the strip
         start = lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t))
         return _solve(z.ravel(), start, lambda w: w + np.sinh(w),
-                      self.derivative, self._project, 0j,
+                      self.derivative, self._project,
                       "hhp_inverse").reshape(z.shape)
 
     @staticmethod
@@ -271,11 +229,8 @@ class SlitHalfPlane:
         z = _as_complex(z)
         if np.any(z.real < -1e-9 * self.a):
             raise DomainError("slit_inverse: z must satisfy x₁ ≥ 0")
-        # rescue along a segment from ζ = 2a, a regular interior point on
-        # the symmetry axis
         return _solve(z.ravel(), self._start, self.forward, self.derivative,
-                      self._project, complex(2.0 * self.a),
-                      "slit_inverse").reshape(z.shape)
+                      self._project, "slit_inverse").reshape(z.shape)
 
     @staticmethod
     def _project(zeta):
@@ -457,11 +412,10 @@ class ScherkStrip:
 
     def _inverse_corner(self, z):
         """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
-        base_tau = 0.5 * np.exp(0.25j * np.pi) * np.sqrt(self.l / 8.0)
         try:
             tau = _solve(z, lambda t: (t - 1j * np.pi) / self._B,
                          self._corner_G, self._corner_Gp, self._project_corner,
-                         complex(base_tau), "scherk_inverse (corner)")
+                         "scherk_inverse (corner)")
         except ConvergenceError as e:
             e.last_iterate = self.zeta_c - e.last_iterate**2
             raise
@@ -495,7 +449,7 @@ class ScherkStrip:
         if np.any(bulk):
             out[bulk] = _solve(zall[bulk], self._bulk_start, self.forward,
                                self.derivative, self._project_bulk,
-                               complex(self.b + self.l), "scherk_inverse")
+                               "scherk_inverse")
         return out.reshape(shape)
 
     def _project_bulk(self, zt):

@@ -113,8 +113,24 @@ class RigidMotion:
 
     @staticmethod
     def from_dict(d: dict) -> "RigidMotion":
-        return RigidMotion(angle=float(d.get("angle", 0.0)),
-                           shift=tuple(float(v) for v in d.get("shift", (0.0, 0.0))))
+        """The motion of a {"angle": θ, "shift": [t₁, t₂]} object; anything
+        but a finite angle and exactly two finite shift numbers is an
+        InvalidInputError."""
+        if not isinstance(d, dict):
+            raise InvalidInputError(f"motion must be an object, got {d!r}")
+        angle, shift = d.get("angle", 0.0), d.get("shift", (0.0, 0.0))
+        try:
+            if isinstance(shift, (str, bytes)):
+                raise TypeError
+            angle, shift = float(angle), tuple(float(v) for v in shift)
+            ok = len(shift) == 2 and np.all(np.isfinite((angle, *shift)))
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise InvalidInputError(
+                "motion needs a finite angle and a shift of two finite "
+                f"numbers, got {d!r}")
+        return RigidMotion(angle=angle, shift=shift)
 
 
 @dataclass
@@ -279,10 +295,6 @@ class Solution(ABC):
 
     def save(self, path) -> None:
         write_json_atomic(path, self.to_dict())
-
-    def __repr__(self):
-        ps = ", ".join(f"{k}={v:.6g}" for k, v in self._params().items())
-        return f"{type(self).__name__}({ps})" if ps else f"{type(self).__name__}()"
 
 
 # ---------------------------------------------------------------------------
@@ -801,11 +813,23 @@ FAMILIES = {k: cls for k, cls in KINDS.items() if cls.exact_solution}
 
 
 def solution_from_dict(d: dict) -> Solution:
+    """The solution a {"family", "params", "motion"} descriptor names; a
+    malformed descriptor is an InvalidInputError."""
+    if not isinstance(d, dict):
+        raise InvalidInputError(f"a solution must be an object, got {d!r}")
     try:
         cls = KINDS[d["family"]]
-    except KeyError as e:
+    except (KeyError, TypeError) as e:  # TypeError: an unhashable family
         raise InvalidInputError(f"unknown family {d.get('family')!r}") from e
-    params = {k: float(v) for k, v in d.get("params", {}).items()}
+    params = d.get("params", {})
+    try:
+        if not isinstance(params, dict):
+            raise TypeError
+        params = {k: float(v) for k, v in params.items()}
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"params of {d['family']} must map names to numbers, "
+            f"got {params!r}") from None
     motion = RigidMotion.from_dict(d.get("motion", {}))
     try:
         return cls(**params, motion=motion)

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from onephase.cli import CLI_FAMILIES, main
-from onephase.solutions import HalfPlane, Window
+from onephase.cli import main
+from onephase.solutions import KINDS, HalfPlane, Window
 from onephase.variational import ScalarField2D, minimize_ac
 
 
@@ -128,7 +128,7 @@ class TestVerify:
         assert code in (0, 1)
         return json.loads((out / "verify_report.json").read_text())
 
-    @pytest.mark.parametrize("family", sorted(CLI_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(KINDS))
     def test_every_family_reports_flux(self, tmp_path, family):
         # all_passed is not asserted: at these mesh resolutions the curved
         # families miss the curvature tolerance, and the default wedge and
@@ -333,6 +333,34 @@ class TestConfigHandling:
     def test_list_param_given_as_one_number(self, tmp_path):
         assert run("classify", "--family", "half_plane",
                    "--param", "mode=annulus", "--param", "scales=0.4",
+                   "--out", str(tmp_path)) == 2
+
+    def test_non_numeric_family_param(self, tmp_path):
+        assert run("boundary", "--family", "hairpin", "--param", "a=x",
+                   "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("solution", [
+        "abc",
+        {"family": "hairpin", "params": [1]},
+        {"family": "half_plane", "motion": {"angle": "x"}},
+        {"family": "half_plane", "motion": {"angle": "nan"}},
+        {"family": "half_plane", "motion": {"shift": [1]}},
+    ], ids=["not_an_object", "params_list", "angle_text", "angle_nan",
+            "shift_one_number"])
+    def test_malformed_solution(self, tmp_path, solution):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solution": solution}))
+        assert run("boundary", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("raw", [
+        {"tol": "abc"}, {"window": "abc"}, {"window": 5}, {"params": [1, 2]},
+    ], ids=["tol_text", "window_text", "window_number", "params_list"])
+    def test_malformed_config_value(self, tmp_path, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"solution": {"family": "half_plane"}, **raw}))
+        assert run("boundary", "--config", str(cfg),
                    "--out", str(tmp_path)) == 2
 
     def test_mesh_resolutions_given_as_one_number(self, tmp_path):

@@ -1,8 +1,6 @@
 """Chart forward/inverse round-trips, branch correctness, derivative
 consistency, and the closed-form Scherk loop relations."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -264,9 +262,9 @@ class TestScherkLoop:
 
 class TestInverseFailure:
     """A derivative a million times too large shrinks every Newton step, so
-    neither Newton nor the homotopy rescue converges: each inverse must raise
-    ConvergenceError with the failed point count and its last iterates in ζ,
-    which stay near the Newton start."""
+    Newton does not converge: each inverse must raise ConvergenceError with
+    the failed point count and its last iterates in ζ, which stay near the
+    Newton start."""
 
     @staticmethod
     def _stiffen(monkeypatch, cls, name):
@@ -352,16 +350,14 @@ def _damped_newton_oracle(targets, z0, f, fprime, project):
         step = np.where(np.isfinite(step), step, 0.0)
         factor = np.ones_like(scale)
         for _h in range(conformal._MAX_HALVINGS):
-            # np.asarray: 0-d operands decay to scalars, which the in-place
-            # projections cannot modify
-            cand = project(np.asarray(zeta + factor * step))
+            cand = project(zeta + factor * step)
             cand_res = f(cand) - target
             worse = active & (np.abs(cand_res) > np.abs(res))
             if not np.any(worse):
                 break
             factor = np.where(worse, factor * 0.5, factor)
-        zeta = np.asarray(np.where(active, cand, zeta))
-        res = np.asarray(np.where(active, cand_res, res))
+        zeta = np.where(active, cand, zeta)
+        res = np.where(active, cand_res, res)
     return zeta, np.abs(res) <= conformal._NEWTON_TOL * scale
 
 
@@ -373,7 +369,7 @@ def _bits(a):
 def newton_spy(monkeypatch):
     """Runs the oracle beside every `_damped_newton` call, requires the same
     (ζ, converged) to the bit, and records per call whether a step was
-    halved, whether a point failed, and whether the input was 0-d."""
+    halved and whether a point failed."""
     driver = conformal._damped_newton
     seen = []
 
@@ -393,8 +389,7 @@ def newton_spy(monkeypatch):
         assert np.array_equal(_bits(zeta), _bits(zeta_o))
         assert np.array_equal(conv, conv_o)
         seen.append({"halved": calls["f"] > calls["fprime"] + 1,
-                     "failed": not np.all(conv),
-                     "scalar": np.ndim(targets) == 0})
+                     "failed": not np.all(conv)})
         return zeta, conv
 
     monkeypatch.setattr(conformal, "_damped_newton", both)
@@ -495,16 +490,6 @@ class TestDampedNewton:
         assert any(len(sizes) > 1 and sizes[1] < a
                    for a, sizes in zip(active, iters))
 
-    @pytest.mark.parametrize("case", NEWTON_CASES)
-    def test_zero_dim_input(self, newton_spy, case):
-        targets, z0, f, fprime, project = _newton_case(case, n=8)
-        for t, start in zip(targets, z0):
-            zeta, conv = conformal._damped_newton(np.array(t),
-                                                  np.array(start), f,
-                                                  fprime, project)
-            assert zeta.shape == () and conv.shape == ()
-        assert all(c["scalar"] for c in newton_spy)
-
     def test_chart_inversions(self, newton_spy):
         HHPStrip().inverse(_hhp_targets(2000, 1))
         for a in (0.25, 1.0):
@@ -542,9 +527,23 @@ class TestDampedNewton:
             run = lambda: chart.inverse(z)
         with pytest.raises(ConvergenceError):
             run()
-        assert any(c["failed"] and not c["scalar"] for c in newton_spy)
-        # the homotopy rescue drives 0-d targets
-        assert any(c["failed"] and c["scalar"] for c in newton_spy)
+        assert any(c["failed"] for c in newton_spy)
+
+    @pytest.mark.parametrize("fprime", ["derivative", "_corner_Gp"])
+    def test_one_newton_run_per_chart_solve(self, newton_spy, monkeypatch,
+                                            fprime):
+        """Failed points are not retried.  With the bulk's f′ stiffened the
+        corner solve converges and the bulk solve fails in its one run; with
+        the corner's, the corner solve fails in its one run and raises
+        before the bulk solve starts."""
+        TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fprime)
+        chart = ScherkStrip(s=0.5)
+        corner = 1j * np.pi + (0.2 * chart.corner_zone_radius
+                               * np.exp(-0.25j * np.pi))
+        with pytest.raises(ConvergenceError):
+            chart.inverse(np.array([corner, 0.5 + 0.1j, 6.0 + 2.0j]))
+        failed = [c["failed"] for c in newton_spy]
+        assert failed == ([False, True] if fprime == "derivative" else [True])
 
 
 # ----------------------------------------------------------------------
@@ -603,9 +602,7 @@ def _assert_one_start(chart, z):
     """Newton converges from the chart's start alone, and forward(inverse)
     returns z within the Newton tolerance, plus the rounding of ζ itself
     times |f′(ζ)|, which blows up at a saddle corner or the slit's tip."""
-    with mock.patch.object(conformal, "_homotopy_rescue",
-                           side_effect=AssertionError("rescue reached")):
-        zeta = chart.inverse(z)
+    zeta = chart.inverse(z)
     tol = (conformal._NEWTON_TOL * np.maximum(1.0, np.abs(z))
            + 4.0 * np.finfo(float).eps * np.abs(zeta)
            * np.abs(chart.derivative(zeta)))
@@ -613,9 +610,8 @@ def _assert_one_start(chart, z):
 
 
 class TestOneStart:
-    """Each chart converges from its one closed-form start, with no
-    homotopy rescue, over the slope range, near every boundary piece and
-    out in the far field."""
+    """Each chart converges from its one closed-form start over the slope
+    range, near every boundary piece and out in the far field."""
 
     @given(s=slopes, seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

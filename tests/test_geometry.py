@@ -394,6 +394,21 @@ class TestFluxBalance:
         with pytest.raises(InvalidInputError):
             flux_balance(halfplane, np.array([[0.0, 0.0], [1.0, 0.0]]))
 
+    def test_closed_ring_same_as_open_polygon(self, halfplane):
+        square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+        ring = np.vstack([square, square[:1]])
+        assert (flux_balance(halfplane, ring, step=2e-3).to_dict()
+                == flux_balance(halfplane, square, step=2e-3).to_dict())
+
+    @pytest.mark.parametrize("poly", [
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+        [[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+    ], ids=["repeated_vertex", "two_distinct_open", "two_distinct_closed"])
+    def test_repeated_or_too_few_vertices_rejected(self, halfplane, poly):
+        with pytest.raises(InvalidInputError):
+            flux_balance(halfplane, np.array(poly))
+
 
 def _dist_to_edges_loop(points, polygon):
     """Reference: one segment at a time, closing edge included."""

@@ -238,6 +238,24 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             solution_from_dict({"family": "hairpin", "params": {"b": 1.0}})
 
+    @pytest.mark.parametrize("d", [
+        "abc", {"family": ["hairpin"]},
+        {"family": "hairpin", "params": [1]},
+        {"family": "hairpin", "params": {"a": "x"}},
+        {"family": "half_plane", "motion": 5},
+        {"family": "half_plane", "motion": {"angle": "x"}},
+        {"family": "half_plane", "motion": {"angle": float("inf")}},
+        {"family": "half_plane", "motion": {"shift": [1]}},
+        {"family": "half_plane", "motion": {"shift": [1, 2, 3]}},
+        {"family": "half_plane", "motion": {"shift": "12"}},
+        {"family": "half_plane", "motion": {"shift": [0, float("nan")]}},
+    ], ids=["not_an_object", "family_list", "params_list", "param_text",
+            "motion_number", "angle_text", "angle_inf", "shift_one",
+            "shift_three", "shift_text", "shift_nan"])
+    def test_malformed_descriptor_rejected(self, d):
+        with pytest.raises(InvalidInputError):
+            solution_from_dict(d)
+
     def test_registry_complete(self):
         assert set(FAMILIES) == {"half_plane", "two_plane", "wedge",
                                  "hairpin", "disk_complement", "scherk"}

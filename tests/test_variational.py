@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from onephase import variational
 from onephase.errors import DomainError, InvalidInputError
 from onephase.quad import gauss_nodes
 from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
@@ -296,6 +297,28 @@ class TestMinimize:
         pts = np.array([[0.5, 0.0], [0.25, -0.4], [0.75, 0.6], [-0.5, 0.0]])
         expect = sol.eval_u(pts)
         assert np.max(np.abs(res.field.interpolate(pts) - expect)) < 2 * h
+
+    def test_line_search_backtracks(self, monkeypatch):
+        """Directions four times too long make the line search halve its
+        step, and a first direction reversed and stretched 10⁶-fold, an
+        ascent direction, exhausts it, so that phase takes no step.  The
+        accepted energies still never rise, and the run converges."""
+        true = variational._pcg
+        calls = []
+
+        def pcg(*args):
+            d, ok = true(*args)
+            calls.append(d)
+            return (-1e6 if len(calls) == 1 else 4.0) * d, ok
+
+        monkeypatch.setattr(variational, "_pcg", pcg)
+        # one cascade level: 32 cells span the width
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 16,
+                          HalfPlane().eval_u)
+        assert res.converged
+        assert len(res.energy_history[0]) == 1
+        for phase in res.energy_history:
+            assert np.all(np.diff(phase) <= 1e-11 * max(1.0, abs(phase[0])))
 
     def test_positive_phase_is_discrete_harmonic(self):
         # non-square window whose cascade runs 32×24 → 64×48 cells
