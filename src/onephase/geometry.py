@@ -24,8 +24,10 @@ Contents:
   positive-phase component closest to the half-plane profile and report
   the best-fit boundary graph with its maximal slope.
 
-scipy (`cKDTree`, `ndimage`) is imported inside the functions that use it,
-so a command that runs none of them starts without it.
+The layer runs on numpy alone: `_label4` counts 4-connected components
+and `_nearest_distance` answers nearest-point queries, so no command that
+classifies or measures imports SciPy.  SciPy stays only in the minimizer's
+sparse LU (`variational`).
 """
 
 from __future__ import annotations
@@ -235,7 +237,6 @@ def hausdorff(a, b, densify_step: float = None) -> float:
     """Symmetric Hausdorff distance between two polyline sets, computed on
     vertices after densification (default step: 1/2 of the coarsest mean
     segment length)."""
-    from scipy.spatial import cKDTree
     A = _as_polyline_list(a)
     B = _as_polyline_list(b)
     if not A or not B:
@@ -248,9 +249,20 @@ def hausdorff(a, b, densify_step: float = None) -> float:
         densify_step = 0.5 * max(seglens)
     PA = np.vstack([densify_polyline(ps, densify_step) for ps in A])
     PB = np.vstack([densify_polyline(ps, densify_step) for ps in B])
-    da = cKDTree(PB).query(PA)[0]
-    db = cKDTree(PA).query(PB)[0]
-    return float(max(da.max(), db.max()))
+    return float(max(_nearest_distance(PA, PB).max(),
+                     _nearest_distance(PB, PA).max()))
+
+
+def _nearest_distance(P, Q):
+    """Distance from each point of P to the nearest point of Q, by brute
+    force over blocks of rows of P holding about 2¹⁶ pairs each."""
+    rows = max(1, (1 << 16) // len(Q))
+    out = np.empty(len(P))
+    for k in range(0, len(P), rows):
+        dx = P[k:k + rows, 0, None] - Q[:, 0]
+        dy = P[k:k + rows, 1, None] - Q[:, 1]
+        out[k:k + rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+    return out
 
 
 def curve_curvature(curve) -> np.ndarray:
@@ -491,13 +503,45 @@ def random_polygon_in_phase(sol, window: Window, rng,
 # flat trichotomy
 # ---------------------------------------------------------------------------
 
+def _label4(mask):
+    """4-connected components of a 2-D boolean mask: (labels, n), with int32
+    labels 0 off the mask and 1..n on it.
+
+    Numbering contract, that of SciPy's `ndimage.label` with the cross
+    structure: components are numbered in the raster (row-major) order of
+    their first node.  `annulus_flat_check` relies on it, since it breaks
+    size ties by label and reads labels at grid nodes.
+
+    Each row's runs get ids in raster order; runs in adjacent rows that
+    share a column are joined, the smaller id becoming the root, so each
+    component's root is its first run."""
+    m = np.asarray(mask, dtype=bool)
+    starts = m.copy()
+    starts[:, 1:] &= ~m[:, :-1]
+    run = np.cumsum(starts).reshape(m.shape) - 1
+    n_runs = int(starts.sum())
+    # an overlap of two runs begins where one of them starts
+    first_overlap = m[:-1] & m[1:] & (starts[:-1] | starts[1:])
+    a, b = run[:-1][first_overlap], run[1:][first_overlap]
+    root = np.arange(n_runs)
+    ra, rb = a, b
+    while not np.array_equal(ra, rb):
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+        ra, rb = root[a], root[b]
+    is_root = root == np.arange(n_runs)
+    labels = np.zeros(m.shape, np.int32)
+    labels[m] = np.cumsum(is_root)[root][run[m]]
+    return labels, int(is_root.sum())
+
+
 def _phase_components(u_vals, active, eps):
     """4-connected component counts (n_pos, n_zero) of {u > eps} and
     {u ≤ eps} restricted to `active` nodes."""
-    from scipy import ndimage
-    four = ndimage.generate_binary_structure(2, 1)
-    return (ndimage.label((u_vals > eps) & active, structure=four)[1],
-            ndimage.label((u_vals <= eps) & active, structure=four)[1])
+    return (_label4((u_vals > eps) & active)[1],
+            _label4((u_vals <= eps) & active)[1])
 
 
 def _split_runs(points, keep, cut=None):
@@ -581,7 +625,6 @@ def classify_flat(sol_or_field, delta: float,
     10% slack.  A `ScalarField2D` is read by bilinear interpolation, and its
     free boundary by `extract_boundary`.
     """
-    from scipy.spatial import cKDTree
     if not delta > 0:
         raise InvalidInputError("classify_flat requires delta > 0")
     step = 6.0 / (_TRICHOTOMY_NODES - 1) / 2.0
@@ -600,7 +643,7 @@ def classify_flat(sol_or_field, delta: float,
     pts = np.vstack(fb_in_b3)
     d_to_seg = np.hypot(pts[:, 0], np.maximum(np.abs(pts[:, 1]) - 3.0, 0.0))
     seg = np.stack([np.zeros(601), np.linspace(-3.0, 3.0, 601)], axis=-1)
-    d_from_seg = cKDTree(pts).query(seg)[0]
+    d_from_seg = _nearest_distance(seg, pts)
     haus = float(max(d_to_seg.max(), d_from_seg.max()))
     if haus > 1.1 * delta:
         raise DomainError(
@@ -777,9 +820,10 @@ def _coarse_flatness(U0, Pref):
     """max |U(ρ_θ ·) − Pref| over the grid at each coarse rotation
     θ_k = 2πk/_COARSE_ANGLES, from U0, the values on the unrotated grid:
     θ_k moves grid angle j onto angle j + k·step, so the rotated values are
-    U0 rolled back by k·step rows."""
+    U0 rolled back by k·step rows, a window of U0 stacked on itself."""
     step = _ANNULUS_ANGLES // _COARSE_ANGLES
-    return np.array([np.max(np.abs(np.roll(U0, -step * k, axis=0) - Pref))
+    twice = np.concatenate([U0, U0])
+    return np.array([np.max(np.abs(twice[step * k:step * k + len(U0)] - Pref))
                      for k in range(_COARSE_ANGLES)])
 
 
@@ -797,7 +841,6 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     omitted).  Reports per scale the rotation, the flatness sup, and the
     max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
-    from scipy import ndimage
     if not 0 < delta < 1:
         raise InvalidInputError("annulus_flat_check requires 0 < delta < 1")
     scales = [float(r) for r in scales]
@@ -848,9 +891,7 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     R2 = X**2 + Y**2
     active = (R2 <= 1.0) & (R2 >= delta * delta)
     U = sol.eval_u(np.stack([X, Y], axis=-1))
-    four = ndimage.generate_binary_structure(2, 1)
-    labels, n_comp = ndimage.label((U > _ANNULUS_EPS) & active,
-                                   structure=four)
+    labels, n_comp = _label4((U > _ANNULUS_EPS) & active)
     if n_comp == 0:
         raise TopologyError("annulus_flat_check: no positive phase on annulus")
     if sp is not None:

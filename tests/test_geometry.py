@@ -1,5 +1,7 @@
-"""Marching squares, Hausdorff distance, curvature, flux balance, the flat
-trichotomy classifier, the annulus probe, and circle maxima."""
+"""Marching squares, Hausdorff distance and nearest distances, curvature,
+flux balance, the 4-connected labeler, the flat trichotomy classifier, the
+annulus probe, and circle maxima.  scipy (`cKDTree`, `ndimage.label`) is the
+reference for the numpy nearest-distance query and labeler."""
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from onephase.geometry import (_ANNULUS_EPS, _ANNULUS_NODES,
                                _COARSE_ANGLES, FreeBoundary, PolyCurve,
                                _annulus_grid, _coarse_flatness,
                                _component_member, _dist_to_polygon_edges,
-                               _rotate, _self_intersects,
+                               _label4, _nearest_distance, _rotate,
+                               _self_intersects,
                                annulus_flat_check, circle_max, classify_flat,
                                curve_curvature, extract_boundary, flux_balance,
                                hausdorff, random_polygon_in_phase)
@@ -324,6 +327,45 @@ class TestHausdorff:
             hausdorff([], _circle())
 
 
+@st.composite
+def _point_set_pairs(draw):
+    """Two random planar point sets, of 1 to 2000 and 1 to 400 points (so
+    the first may span several blocks of the query), at a common scale
+    between 1e-3 and 1e3, the second offset from the first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    P = rng.normal(size=(draw(st.integers(1, 2000)), 2)) * scale
+    Q = (rng.normal(size=(draw(st.integers(1, 400)), 2))
+         + rng.normal(size=2)) * scale
+    return P, Q
+
+
+def _hausdorff_oracle(a, b, step):
+    from scipy.spatial import cKDTree
+    PA = np.vstack([densify_polyline(p, step) for p in a])
+    PB = np.vstack([densify_polyline(p, step) for p in b])
+    return float(max(cKDTree(PB).query(PA)[0].max(),
+                     cKDTree(PA).query(PB)[0].max()))
+
+
+class TestNearestDistance:
+    @given(pair=_point_set_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_kdtree(self, pair):
+        from scipy.spatial import cKDTree
+        P, Q = pair
+        assert np.array_equal(_nearest_distance(P, Q), cKDTree(Q).query(P)[0])
+
+    @given(pair=_point_set_pairs(), step=st.floats(0.05, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_hausdorff_bit_equal_to_kdtree(self, pair, step):
+        P, Q = pair[0][:60], pair[1][:60]
+        scale = np.max(np.abs(np.vstack([P, Q])))
+        a, b = [P[:len(P) // 2 + 1], P[len(P) // 2:]], [Q]
+        assert hausdorff(a, b, densify_step=step * scale) == \
+            _hausdorff_oracle(a, b, step * scale)
+
+
 class TestCurvature:
     @pytest.mark.parametrize("R", [0.5, 1.0, 3.0])
     def test_circle_signed(self, R):
@@ -501,6 +543,61 @@ class TestRandomPolygon:
         w = Window(-1.0, -1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             random_polygon_in_phase(sol, w, rng, max_tries=25)
+
+
+def _spiral(n):
+    """One 4-connected spiral path on an n×n grid, with a blank line
+    between its turns."""
+    m = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    m[0, 0] = True
+    legs = [n - 1, n - 1] + [k for k in range(n - 1, 0, -2) for _ in (0, 1)]
+    for leg, (dr, dc) in zip(legs, [(0, 1), (1, 0), (0, -1), (-1, 0)] * n):
+        for _ in range(leg):
+            r, c = r + dr, c + dc
+            m[r, c] = True
+    return m
+
+
+def _checkerboard(rows, cols):
+    return np.add.outer(np.arange(rows), np.arange(cols)) % 2 == 0
+
+
+@st.composite
+def _masks(draw):
+    """Random boolean masks of 1×1 to 60×60 nodes at any fill density."""
+    shape = (draw(st.integers(1, 60)), draw(st.integers(1, 60)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.0, 1.0))
+
+
+class TestLabel4:
+    @given(mask=_masks())
+    @example(mask=_spiral(31))
+    @example(mask=~_spiral(31))
+    @example(mask=_checkerboard(41, 37))
+    @example(mask=~_checkerboard(41, 37))
+    @example(mask=np.tile(np.arange(30) % 2 == 0, (25, 1)))
+    @example(mask=np.ones((23, 17), dtype=bool))
+    @example(mask=np.zeros((23, 17), dtype=bool))
+    @example(mask=np.arange(50)[None, :] % 3 > 0)
+    @example(mask=np.arange(50)[:, None] % 3 > 0)
+    @example(mask=np.eye(12, dtype=bool))
+    @example(mask=np.ones((1, 1), dtype=bool))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_ndimage_label(self, mask):
+        from scipy import ndimage
+        want = ndimage.label(mask, structure=ndimage.generate_binary_structure(
+            2, 1))
+        labels, n = _label4(mask)
+        assert n == want[1]
+        assert labels.dtype == want[0].dtype
+        assert np.array_equal(labels, want[0])
+
+    def test_spiral_is_one_component(self):
+        labels, n = _label4(_spiral(61))
+        assert n == 1
+        assert labels[0, 0] == 1
 
 
 class TestClassifyFlat:

@@ -1,8 +1,9 @@
 """Static guards: every global name a function of `onephase` loads must
 exist, and so must every name a module exports; quadrature stays out of the
-chart and Traizet layers, and scipy out of the chart layer.  scipy is
-imported only inside the functions that use it, so `import onephase` and a
-command that runs none of them load no scipy module.
+chart and Traizet layers, and scipy out of the chart and geometry layers.
+scipy is imported only inside the functions that use it (the minimizer's
+sparse LU), so `import onephase` and a command that never minimizes, such as
+`boundary` or `classify`, load no scipy module.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -14,6 +15,7 @@ import ast
 import builtins
 import dis
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -94,9 +96,11 @@ def test_only_the_variational_layer_uses_quadrature():
 
 @pytest.mark.parametrize("module_name", ["onephase.common",
                                          "onephase.conformal",
+                                         "onephase.geometry",
                                          "onephase.solutions"])
 def test_chart_layer_imports_no_scipy(module_name):
-    # every Newton start is closed-form, so no chart needs a spatial index
+    # every Newton start is closed-form, so no chart needs a spatial index;
+    # geometry labels components and finds nearest points with numpy
     assert sorted(m for m in _imported(module_name)
                   if m.split(".")[0] == "scipy") == []
 
@@ -150,3 +154,20 @@ def test_boundary_command_loads_no_scipy(tmp_path):
             f" '--out', {str(tmp_path)!r}]) == 0")
     assert _scipy_loaded_after(code) == []
     assert (tmp_path / "boundary_half_plane.csv").exists()
+
+
+@pytest.mark.parametrize("params", [
+    {"solution": {"family": "hairpin", "params": {"a": 0.05}},
+     "params": {"mode": "trichotomy", "delta": 0.25}},
+    {"solution": {"family": "half_plane"},
+     "params": {"mode": "annulus", "delta": 0.01,
+                "scales": [0.05, 0.1, 0.2, 0.4]}}],
+    ids=["trichotomy", "annulus"])
+def test_classify_command_loads_no_scipy(tmp_path, params):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(params), encoding="utf-8")
+    code = ("import onephase.cli\n"
+            "assert onephase.cli.main(['classify', '--config', "
+            f"{str(config)!r}, '--out', {str(tmp_path)!r}]) == 0")
+    assert _scipy_loaded_after(code) == []
+    assert (tmp_path / "classify_report.json").exists()

@@ -65,7 +65,9 @@ def _grid_route(sol, p0, p1, resolution):
     the zero phase between the endpoints: for a Scherk solution πa above
     and below both (in the body frame), which holds a saddle gap beside the
     oval; for a hairpin to the axis x₂ = 0 at each endpoint's x₁, since
-    the positive phase holds the vertical segment from a point to the axis.
+    the positive phase holds the vertical segment from a point to the axis;
+    for a disk complement to R + span on each side of the centre, so that
+    near-antipodal points see a way round the disk.
     Returns the waypoint list, or None if even the fallback grid is
     disconnected."""
     lo = np.minimum(p0, p1)
@@ -80,6 +82,9 @@ def _grid_route(sol, p0, p1, resolution):
                  for x2 in b[:, 1] for dx2 in (-np.pi * sol.a, np.pi * sol.a)]
     elif isinstance(sol, Hairpin):
         reach = [[x1, 0.0] for x1 in b[:, 0]]
+    elif isinstance(sol, DiskComplement):
+        reach = [[sx * (sol.R + span), sy * (sol.R + span)]
+                 for sx in (-1.0, 1.0) for sy in (-1.0, 1.0)]
     if reach:
         reach = sol.motion.to_world(np.array(reach))
         lo = np.minimum(lo, reach.min(axis=0))
@@ -425,6 +430,22 @@ class TestClosedFormAgainstOracle:
         assert abs(complex(out[0], out[1]) - _oracle_x12(sol, base, z)) \
             < 1e-9
         assert out[2] == pytest.approx(float(sol.eval_u(z)), abs=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    @pytest.mark.parametrize("base, z", [((0.0, -1.05), (0.0, 1.05)),
+                                         ((-1.05, 0.0), (1.05, 0.0)),
+                                         ((0.8, 0.8), (-0.8, -0.8))],
+                             ids=["vertical", "horizontal", "diagonal"])
+    def test_oracle_routes_round_the_disk(self, angle, base, z):
+        # near-antipodal points: the segment between them crosses the disk,
+        # and so does the box they span widened by 0.35·span
+        motion = RigidMotion(angle=angle, shift=(1.0, -0.5))
+        sol = DiskComplement(R=1.0, motion=motion)
+        base, z = motion.to_world(np.array([base, z]))
+        assert _grid_route(sol, base, z, 96) is not None
+        out = traizet_map(sol, base, z)
+        assert abs(complex(out[0], out[1]) - _oracle_x12(sol, base, z)) \
+            < 1e-9
 
     @pytest.mark.parametrize("s", [0.125, 0.5, 0.875])
     def test_scherk_primitive_continuous_across_axis_and_seam(self, s):
