@@ -24,6 +24,9 @@ Configuration is one JSON file (``--config``) with optional flag overrides;
 every command is deterministic given its config (sampling uses a seeded
 generator), so reruns produce byte-identical CSV/JSON/OBJ.
 
+A configured window [x0, y0, x1, y1] must have every coordinate within
+±WINDOW_LIMIT = 1e6, far past every family's length scale.
+
 Exit codes: 0 success, 1 check/convergence failure, 2 config or I/O failure.
 """
 
@@ -59,6 +62,11 @@ __all__ = ["ExperimentConfig", "main",
 # configuration
 # ---------------------------------------------------------------------------
 
+#: bound on |coordinate| of a configured window; a window out to 1e150
+#: overflows the free-boundary sampling, whose offsets are step × coordinate
+WINDOW_LIMIT = 1e6
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment record: command, solution descriptor, window,
@@ -89,6 +97,10 @@ class ExperimentConfig:
             if w is None or len(w) != 4:
                 raise InvalidInputError(
                     f"window must be [x0, y0, x1, y1], got {self.window!r}")
+            if not all(abs(v) <= WINDOW_LIMIT for v in w):
+                raise InvalidInputError(
+                    f"window {self.window!r} has a coordinate beyond "
+                    f"±{WINDOW_LIMIT:g}")
             Window(*w)  # raises on degeneracy
             self.window = tuple(w)
         return self

@@ -45,6 +45,9 @@ class Window:
     y1: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.as_tuple())):
+            raise InvalidInputError(
+                f"window bounds must be finite, got {self.as_tuple()}")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise InvalidInputError(
                 f"degenerate window [{self.x0},{self.x1}]x[{self.y0},{self.y1}]"

@@ -1,17 +1,10 @@
 """Branch-correct conformal charts and their Newton inversions.
 
-Three model charts, each biholomorphic from a simple model domain onto (half
+Two model charts, each biholomorphic from a simple model domain onto (half
 of) the positive phase of an exact solution family:
 
 * ``HHPStrip`` — φ(ζ) = ζ + sinh ζ on the strip S = {|Im ζ| < π/2}, onto the
   hairpin phase Ω₁ = {|x₂| < π/2 + cosh x₁}.  Height H(z) = Re cosh(φ⁻¹(z)).
-
-* ``SlitHalfPlane(a)`` — the closed form
-  Φ_a(ζ) = a[((ζ/a)²−1)^{1/2} + log(ζ/a + ((ζ/a)²−1)^{1/2})]
-  from S_a = {Re ζ > 0} ∖ (0, a] onto D_a = Ω_a ∩ {x₁ > 0}, with
-  Φ_a′(ζ) = ((ζ+a)/(ζ−a))^{1/2}.  Height H_a(z) = Re Φ_a⁻¹(z); the square
-  roots are split as √(ζ/a−1)·√(ζ/a+1) so each factor's argument stays off
-  the principal cut on S_a.
 
 * ``ScherkStrip(s)`` — Φ_s(ζ) = ∫ e^{φ_s(η)} dη on the half-strip
   S_l = {Re ζ > 0, |Im ζ| < l/2}, l = 2πs, where
@@ -23,17 +16,21 @@ of) the positive phase of an exact solution family:
   Ψ_s = ∫ e^{−φ_s} dζ are elementary in (ζ, e, r), with Φ_s′ = 1/r and
   Ψ_s′ = r; the constants make Re Φ_s and Re Ψ_s vanish at ζ = ± il/2.
   Height S_s(z) = Re Φ_s⁻¹(z) on the image half-cell
-  D_s ⊂ {x₁ > 0, |x₂| < π}.
+  D_s ⊂ {x₁ > 0, |x₂| < π}.  The logs of Φ_s and Ψ_s are evaluated as
+  log|·| + i·arg(·) in real arithmetic, since numpy's complex log runs
+  one point at a time.
 
 Every inversion goes through one driver, `_solve`: one vectorized damped
 Newton run from the chart's closed-form start, read off the map's local or
 far-field expansion; a point that misses the tolerance raises
-`ConvergenceError`.
+`ConvergenceError`.  Each chart hands the driver one callable that returns
+the map and its derivative from one evaluation, so a Newton iterate costs
+one evaluation of the chart.
 `HHPStrip.inverse` and `ScherkStrip.inverse` keep a one-entry memo of their
 last solve, keyed on the shape and bits of the targets (−0.0 is not 0.0), so
 a family's u and ∇u at the same points share one solve.
 φ′ = 1 + cosh has positive real part on the closed strip, and the
-Scherk/slit derivatives are nonvanishing in the model interiors, so the
+Scherk derivative is nonvanishing in the model interior, so the
 iterations are well posed.
 No chart integrates numerically, and no chart evaluates φ_s: the tests
 integrate `ScherkStrip.integrand` with `quad` to check the closed forms.
@@ -48,7 +45,6 @@ from .errors import ConvergenceError, DomainError, InvalidInputError
 
 __all__ = [
     "HHPStrip",
-    "SlitHalfPlane",
     "ScherkStrip",
     "scherk_loop_point",
     "scherk_loop_implicit",
@@ -72,44 +68,53 @@ def _as_complex(z):
 # shared Newton driver
 # ----------------------------------------------------------------------
 
-def _damped_newton(targets, z0, f, fprime, project):
+def _damped_newton(targets, z0, fdf, project):
     """Vectorized damped Newton for f(ζ) = target.
 
-    targets, z0: flat complex arrays of one length.  `project` folds
-    iterates back into the model domain.  Returns (zeta, converged_mask).
-    f′ and the steps are evaluated only at the points still above the
-    tolerance, and each step halving only at the points whose residual grew;
-    a point's arithmetic does not depend on which others are still active.
+    targets, z0: flat complex arrays of one length.  `fdf(ζ)` returns
+    (f(ζ), f′(ζ)) from one evaluation, and `project` folds iterates back
+    into the model domain.  Returns (zeta, converged_mask).
+    Each iterate costs one `fdf` call: the step at an iterate uses the f′
+    of the call that gave its residual, kept only at the points still
+    above the tolerance.  Steps are taken only there, and each step halving
+    only at the points whose residual grew; a point's arithmetic does not
+    depend on which others are still active.
     """
     target = _as_complex(targets)
     zeta = project(_as_complex(z0).copy())
-    res = f(zeta) - target
+    res, fp = fdf(zeta)
+    res -= target
     tol = _NEWTON_TOL * np.maximum(1.0, np.abs(target))
     active = np.flatnonzero(np.abs(res) > tol)
+    fp = fp[active]
     for _ in range(_MAX_ITER):
         if active.size == 0:
             break
-        z, r, t = zeta[active], res[active], target[active]
         with np.errstate(all="ignore"):
-            step = -r / fprime(z)
+            step = -res[active] / fp
         step = np.where(np.isfinite(step), step, 0.0)
-        # damped update: halve the step until the residual does not grow
+        res_abs = np.abs(res[active])
+        # damped update: halve the step until the residual does not grow;
+        # zeta and res change only after it
         factor = np.ones(active.size)
-        cand = np.empty_like(z)
-        cand_res = np.empty_like(z)
+        cand = np.empty_like(step)
+        cand_res = np.empty_like(step)
         todo = np.arange(active.size)
         for _h in range(_MAX_HALVINGS):
-            c = project(z[todo] + factor[todo] * step[todo])
+            at = active[todo]
+            c = project(zeta[at] + factor[todo] * step[todo])
             cand[todo] = c
-            cand_res[todo] = f(c) - t[todo]
-            worse = np.abs(cand_res[todo]) > np.abs(r[todo])
+            f_c, fp[todo] = fdf(c)
+            cand_res[todo] = f_c - target[at]
+            worse = np.abs(cand_res[todo]) > res_abs[todo]
             if not np.any(worse):
                 break
             todo = todo[worse]
             factor[todo] *= 0.5
         zeta[active] = cand
         res[active] = cand_res
-        active = active[np.abs(cand_res) > tol[active]]
+        keep = np.abs(cand_res) > tol[active]
+        active, fp = active[keep], fp[keep]
     return zeta, np.abs(res) <= tol
 
 
@@ -125,15 +130,16 @@ def _remembered(chart, z, solve):
     return zeta
 
 
-def _solve(targets, start, f, fprime, project, what):
-    """ζ with f(ζ) = target for a flat complex array of targets.
+def _solve(targets, start, fdf, project, what):
+    """ζ with f(ζ) = target for a flat complex array of targets, where
+    `fdf(ζ)` gives (f(ζ), f′(ζ)).
 
     One damped Newton run from the chart's closed-form `start(targets)`.
     Raises ConvergenceError, with the last iterates, if any point misses
     the tolerance.
     """
     targets = _as_complex(targets)
-    zeta, conv = _damped_newton(targets, start(targets), f, fprime, project)
+    zeta, conv = _damped_newton(targets, start(targets), fdf, project)
     if not np.all(conv):
         raise ConvergenceError(
             f"{what}: {int(np.sum(~conv))} point(s) failed to converge",
@@ -162,6 +168,11 @@ class HHPStrip:
         return 1.0 + np.cosh(_as_complex(zeta))
 
     @staticmethod
+    def _fdf(w):
+        """(φ, φ′) at Newton iterates w."""
+        return w + np.sinh(w), 1.0 + np.cosh(w)
+
+    @staticmethod
     def contains_image(z, tol: float = 0.0):
         """Membership of z in (a tol-neighborhood of) Ω₁ = {|x₂| < π/2 + cosh x₁}."""
         z = _as_complex(z)
@@ -179,8 +190,7 @@ class HHPStrip:
         # z/2 near the neck, where φ(ζ) ≈ 2ζ, and arcsinh z far out; both
         # lie in the strip
         start = lambda t: np.where(np.abs(t) <= 2.5, t / 2.0, np.arcsinh(t))
-        return _solve(z.ravel(), start, lambda w: w + np.sinh(w),
-                      self.derivative, self._project,
+        return _solve(z.ravel(), start, self._fdf, self._project,
                       "hhp_inverse").reshape(z.shape)
 
     @staticmethod
@@ -188,70 +198,6 @@ class HHPStrip:
         """Clip Newton iterates into the closed strip (in place)."""
         w.imag = np.clip(w.imag, -_HALF_PI, _HALF_PI)
         return w
-
-
-# ----------------------------------------------------------------------
-# Slit half-plane chart (hairpin route 2)
-# ----------------------------------------------------------------------
-
-@dataclass
-class SlitHalfPlane:
-    """Φ_a on S_a = {Re ζ > 0} ∖ (0, a], the double-hairpin description."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidInputError("SlitHalfPlane requires a > 0")
-
-    # -- forward map -----------------------------------------------------
-    def _sqrt_factors(self, zeta):
-        """√(ζ/a − 1)·√(ζ/a + 1); each factor principal, product analytic
-        on S_a (arguments only reach the cut on the excluded slit)."""
-        t = _as_complex(zeta) / self.a
-        return np.sqrt(t - 1.0) * np.sqrt(t + 1.0)
-
-    def forward(self, zeta):
-        zeta = _as_complex(zeta)
-        if np.any(zeta.real < -1e-12 * self.a):
-            raise DomainError("slit_forward: Re ζ must be ≥ 0")
-        t = zeta / self.a
-        w1 = self._sqrt_factors(zeta)
-        return self.a * (w1 + np.log(t + w1))
-
-    def derivative(self, zeta):
-        t = _as_complex(zeta) / self.a
-        return np.sqrt(t + 1.0) / np.sqrt(t - 1.0)
-
-    # -- inverse map -------------------------------------------------------
-    def inverse(self, z):
-        """Φ_a⁻¹(z) for z in the closure of D_a = Ω_a ∩ {x₁ ≥ 0}."""
-        z = _as_complex(z)
-        if np.any(z.real < -1e-9 * self.a):
-            raise DomainError("slit_inverse: z must satisfy x₁ ≥ 0")
-        return _solve(z.ravel(), self._start, self.forward, self.derivative,
-                      self._project, "slit_inverse").reshape(z.shape)
-
-    @staticmethod
-    def _project(zeta):
-        """Keep Newton iterates in Re ζ > 0 (in place)."""
-        zeta.real = np.maximum(zeta.real, 1e-300)
-        return zeta
-
-    def _start(self, zf):
-        """Newton start per target, in S_a: the square-root expansion at the
-        tip for |z| ≤ a/2, and the log asymptote everywhere else."""
-        a = self.a
-        zeta0 = np.empty_like(zf)
-        small = np.abs(zf) <= 0.5 * a
-        # saddle-local square-root expansion: Φ_a(ζ) ≈ 2√(2a)·√(ζ−a)
-        zeta0[small] = a + zf[small] ** 2 / (8.0 * a)
-        # Φ_a(ζ) ≈ ζ + a·log(2ζ/a), solved by two fixed-point steps
-        zl = zf[~small]
-        est = zl - a * np.log(2.0 * zl / a)
-        est = np.where(est.real <= 0.1 * a, 0.1 * a + 1j * est.imag, est)
-        zeta0[~small] = zl - a * np.log(2.0 * est / a)
-        return self._project(zeta0)
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +213,14 @@ def _log1p_exp(w):
     out[big] = w[big] + np.log(1.0 + np.exp(-w[big]))
     out[~big] = np.log(1.0 + np.exp(w[~big]))
     return out
+
+
+def _log_ratio(x, y):
+    """(Re, Im) of log((1 − w)/(1 + w)) = −2·artanh(w) at w = x + iy with
+    |w| < 1, in real arithmetic."""
+    y2 = y * y
+    return (0.5 * np.log(((1.0 - x) ** 2 + y2) / ((1.0 + x) ** 2 + y2)),
+            -np.arctan2(2.0 * y, 1.0 - x * x - y2))
 
 
 @dataclass
@@ -301,13 +255,45 @@ class ScherkStrip:
         return np.exp(self.phi(zeta))
 
     # -- closed forms ------------------------------------------------------
-    def _from_r(self, zeta_s, e, r):
-        """(Φ_s, Ψ_s) from ζ/s, e = e^{−ζ/s} and r = e^{−φ_s(ζ)}."""
-        s2 = self.s * self.s
-        lg = np.log((1.0 - self.s * r) / (1.0 + self.s * r))
-        rest = (2.0 * np.log(self.s + r) + zeta_s + np.log1p(s2 * e)
-                - np.log1p(-s2 * s2))
-        return s2 * lg + rest, lg + s2 * rest
+    def _from_r(self, zeta_s, e, r, dual=False):
+        """Φ_s, or Ψ_s if `dual`, from ζ/s, e = e^{−ζ/s} and r = e^{−φ_s(ζ)}.
+
+        Φ_s = s²L + R and Ψ_s = L + s²R, with L = log((1−sr)/(1+sr)) and
+        R = 2·log(s+r) + ζ/s + log(1+s²e) − log(1−s⁴).  Each log is taken
+        as log|·| + i·arg(·) in real arithmetic: numpy runs the complex log
+        and log1p one point at a time, at tens of times the cost of a real
+        log or arctan2.
+        """
+        s = self.s
+        s2 = s * s
+        # R, accumulated in place in the parts of the result
+        out = np.empty(np.shape(r), dtype=complex)
+        re, im = out.real, out.imag
+        a = s + r.real
+        np.log(a * a + r.imag ** 2, out=re)
+        np.arctan2(r.imag, a, out=im)
+        im *= 2.0
+        re += zeta_s.real
+        im += zeta_s.imag
+        # log(1 + s²e) = ½·log(d² + t²) + i·arg(d + it); a log1p of
+        # 2s²·Re e + s⁴|e|² loses ~100 ulp near the corners, where the
+        # argument nears 1 − s⁴
+        d = 1.0 + s2 * e.real
+        t = s2 * e.imag
+        re += 0.5 * np.log(d * d + t * t)
+        im += np.arctan2(t, d)
+        re -= np.log1p(-s2 * s2)
+        del a, d, t  # before L's temporaries, which set a solve's peak memory
+        lg_re, lg_im = _log_ratio(s * r.real, s * r.imag)
+        if dual:  # Ψ_s = s²R + L
+            re *= s2
+            im *= s2
+        else:     # Φ_s = R + s²L
+            lg_re *= s2
+            lg_im *= s2
+        re += lg_re
+        im += lg_im
+        return out
 
     def _values(self, zeta):
         """(ζ/s, e, r, low) on the flattened ζ in the closed strip, folded
@@ -329,7 +315,7 @@ class ScherkStrip:
         near = np.abs(zu - self.zeta_c) < 0.1 * self.l
         if np.any(near):
             d = self.zeta_c - zu[near]
-            zeta_s[near], e[near], r[near] = self._corner_values(
+            zeta_s[near], e[near], r[near], _ = self._corner_values(
                 np.sqrt(d.real + 1j * np.abs(d.imag)))
         return zeta_s, e, r, low
 
@@ -337,12 +323,11 @@ class ScherkStrip:
     def _unfold(v, low, shape):
         return np.where(low, np.conj(v), v).reshape(shape)
 
-    def _closed(self, zeta):
-        """(Φ_s, Ψ_s) at ζ in the closed strip."""
-        shape = np.shape(zeta)
+    def _bulk_fdf(self, zeta):
+        """(Φ_s, Φ_s′ = 1/r) at Newton iterates ζ, from one `_values` call."""
         zeta_s, e, r, low = self._values(zeta)
-        phi_v, psi_v = self._from_r(zeta_s, e, r)
-        return self._unfold(phi_v, low, shape), self._unfold(psi_v, low, shape)
+        return (self._unfold(self._from_r(zeta_s, e, r), low, zeta.shape),
+                self._unfold(1.0 / r, low, zeta.shape))
 
     def derivative(self, zeta):
         """Φ_s′ = e^{φ_s} = 1/r."""
@@ -361,12 +346,15 @@ class ScherkStrip:
         zeta = _as_complex(zeta)
         if np.any(zeta.real < -1e-12):
             raise DomainError("scherk_forward: Re ζ must be ≥ 0")
-        return self._closed(zeta)[0]
+        zeta_s, e, r, low = self._values(zeta)
+        return self._unfold(self._from_r(zeta_s, e, r), low, zeta.shape)
 
     def dual_primitive(self, zeta):
         """Ψ_s(ζ) = ∫ e^{−φ_s} dζ = log((1−sr)/(1+sr)) + s²·[2·log(s+r) + ζ/s
         + log(1+s²e) − log(1−s⁴)], normalized by Re Ψ_s(±il/2) = 0."""
-        return self._closed(zeta)[1]
+        zeta_s, e, r, low = self._values(zeta)
+        return self._unfold(self._from_r(zeta_s, e, r, dual=True), low,
+                            np.shape(zeta))
 
     # -- corner chart (saddle neighborhood) --------------------------------
     #
@@ -375,26 +363,21 @@ class ScherkStrip:
     # everything is exact: e = −s²·e^x with x = τ²/s, so e + s² =
     # −s²·expm1(x) and r = −iτ·√(s·h(x)/(1 − s⁴e^x)) with h(x) = expm1(x)/x,
     # analytic and nonzero for |x| < 2π.
-    def _corner_q(self, tau):
-        """(x, q) with r = −iτq at ζ = ζ* − τ²."""
+    def _corner_values(self, tau):
+        """(ζ/s, e, r, q) at ζ = ζ* − τ², where r = −iτq."""
         x = tau * tau / self.s
         # h = 1 + x/2 + … is 1 below 1e-300, where numpy's complex division
         # by a subnormal x would overflow
         nz = np.abs(x) > 1e-300
         h = np.where(nz, np.expm1(x) / np.where(nz, x, 1.0), 1.0)
-        q = np.sqrt(self.s * h / (1.0 - self.s**4 * np.exp(x)))
-        return x, q
+        ex = np.exp(x)
+        q = np.sqrt(self.s * h / (1.0 - self.s**4 * ex))
+        return self.zeta_c / self.s - x, -self.s**2 * ex, -1j * tau * q, q
 
-    def _corner_values(self, tau):
-        """(ζ/s, e, r) at ζ = ζ* − τ²."""
-        x, q = self._corner_q(tau)
-        return self.zeta_c / self.s - x, -self.s**2 * np.exp(x), -1j * tau * q
-
-    def _corner_G(self, tau):
-        return self._from_r(*self._corner_values(_as_complex(tau)))[0]
-
-    def _corner_Gp(self, tau):
-        return -2j / self._corner_q(_as_complex(tau))[1]
+    def _corner_fdf(self, tau):
+        """(G, G′) at τ for G(τ) = Φ_s(ζ* − τ²): G′ = −2τ·Φ_s′ = −2i/q."""
+        zeta_s, e, r, q = self._corner_values(tau)
+        return self._from_r(zeta_s, e, r), -2j / q
 
     @property
     def corner_zone_radius(self) -> float:
@@ -414,7 +397,7 @@ class ScherkStrip:
         """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
         try:
             tau = _solve(z, lambda t: (t - 1j * np.pi) / self._B,
-                         self._corner_G, self._corner_Gp, self._project_corner,
+                         self._corner_fdf, self._project_corner,
                          "scherk_inverse (corner)")
         except ConvergenceError as e:
             e.last_iterate = self.zeta_c - e.last_iterate**2
@@ -447,9 +430,8 @@ class ScherkStrip:
             out[lo] = np.conj(self._inverse_corner(np.conj(zall[lo])))
         bulk = ~(up | lo)
         if np.any(bulk):
-            out[bulk] = _solve(zall[bulk], self._bulk_start, self.forward,
-                               self.derivative, self._project_bulk,
-                               "scherk_inverse")
+            out[bulk] = _solve(zall[bulk], self._bulk_start, self._bulk_fdf,
+                               self._project_bulk, "scherk_inverse")
         return out.reshape(shape)
 
     def _project_bulk(self, zt):
@@ -475,7 +457,8 @@ class ScherkStrip:
         stays exact up to the saddle."""
         if not 0.0 <= u <= self.b:
             raise DomainError("upper_line_x2: u must lie in [0, b]")
-        return float(self._corner_G(np.array(np.sqrt(self.b - u) + 0j)).imag)
+        tau = np.array(np.sqrt(self.b - u) + 0j)
+        return float(self._corner_fdf(tau)[0].imag)
 
 
 # ----------------------------------------------------------------------

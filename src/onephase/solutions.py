@@ -47,8 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .common import Window, clip_polyline_to_window, write_json_atomic
-from .conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
-                        scherk_loop_implicit, scherk_loop_point)
+from .conformal import (HHPStrip, ScherkStrip, scherk_loop_implicit,
+                        scherk_loop_point)
 from .errors import DomainError, InvalidInputError, NoSaddleError
 
 __all__ = [
@@ -565,26 +565,6 @@ class Hairpin(Solution):
 
     def _rescaled_params(self, lam):
         return {"a": self.a / lam}
-
-    def slit_chart(self) -> SlitHalfPlane:
-        """The closed-form description of the same phase on {x₁ > 0}."""
-        return SlitHalfPlane(a=self.a)
-
-    def eval_u_slit(self, points):
-        """u through the slit chart: Re Φ_a⁻¹(z) on {x₁ ≥ 0} (zero phase → 0).
-
-        Independent route used for cross-validation against ``eval_u``.
-        """
-        p = self.motion.to_body(_as_points(points))
-        if np.any(p[..., 0] < -1e-12):
-            raise InvalidInputError("eval_u_slit requires body-frame x₁ ≥ 0")
-        z = p[..., 0] + 1j * p[..., 1]
-        inside = np.abs(p[..., 1]) <= self._bound(p[..., 0])
-        u = np.zeros(p.shape[:-1])
-        if np.any(inside):
-            zeta = self.slit_chart().inverse(z[inside])
-            u[inside] = zeta.real
-        return u
 
 
 # ---------------------------------------------------------------------------

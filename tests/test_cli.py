@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from onephase.cli import main
+from onephase.cli import WINDOW_LIMIT, main
 from onephase.solutions import KINDS, HalfPlane, Window
 from onephase.variational import ScalarField2D, minimize_ac
 
@@ -362,6 +362,31 @@ class TestConfigHandling:
             {"solution": {"family": "half_plane"}, **raw}))
         assert run("boundary", "--config", str(cfg),
                    "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("window", [
+        [-1.0, -1.0, 1e300, 1.0], [-1.0, -1.0, 1e150, 1.0],
+        [-1.0, -1.0, float(np.nextafter(WINDOW_LIMIT, np.inf)), 1.0],
+        [-2.0 * WINDOW_LIMIT, -1.0, 1.0, 1.0]],
+        ids=["1e300", "1e150", "just_past", "left"])
+    def test_window_beyond_limit(self, tmp_path, capsys, window):
+        # rejected as a window before any boundary is sampled
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": window}))
+        assert run("boundary", "--family", "half_plane", "--config",
+                   str(cfg), "--out", str(tmp_path)) == 2
+        assert "window" in capsys.readouterr().err
+        assert not (tmp_path / "boundary_half_plane.csv").exists()
+
+    @pytest.mark.parametrize("window", [
+        [-1.0, -1.0, WINDOW_LIMIT, 1.0],
+        [-WINDOW_LIMIT, -WINDOW_LIMIT, WINDOW_LIMIT, WINDOW_LIMIT]],
+        ids=["right", "square"])
+    def test_window_at_limit(self, tmp_path, window):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": window}))
+        assert run("boundary", "--family", "half_plane", "--config",
+                   str(cfg), "--out", str(tmp_path)) == 0
+        assert (tmp_path / "boundary_half_plane.csv").exists()
 
     def test_mesh_resolutions_given_as_one_number(self, tmp_path):
         # rejected before any check runs: no report is written

@@ -94,6 +94,14 @@ class TestWindow:
         with pytest.raises(InvalidInputError):
             Window(1.0, 0.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("i", range(4))
+    def test_non_finite_bounds_raise(self, i, bad):
+        bounds = [-1.0, -1.0, 1.0, 1.0]
+        bounds[i] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            Window(*bounds)
+
     def test_grid_exact_division(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
         xs, ys = w.grid(0.25)

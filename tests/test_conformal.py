@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase import conformal
-from onephase.conformal import (HHPStrip, ScherkStrip, SlitHalfPlane,
-                                scherk_loop_implicit, scherk_loop_point,
-                                scherk_loop_x2_extent)
+from onephase.conformal import (HHPStrip, ScherkStrip, scherk_loop_implicit,
+                                scherk_loop_point, scherk_loop_x2_extent)
 from onephase.errors import ConvergenceError, DomainError
 from onephase.quad import segment_quad
 from onephase.solutions import Hairpin, Scherk
 from onephase.variational import weiss_energy
+
+from slit_chart import SlitHalfPlane
 
 
 def _strip_points(half_height, n=60, margin=0.08, width=2.5, seed=1):
@@ -260,6 +261,11 @@ class TestScherkLoop:
         assert p1[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _stiffen_hhp(monkeypatch):
+    monkeypatch.setattr(HHPStrip, "_fdf", staticmethod(
+        lambda w: (w + np.sinh(w), 1e6 * (1.0 + np.cosh(w)))))
+
+
 class TestInverseFailure:
     """A derivative a million times too large shrinks every Newton step, so
     Newton does not converge: each inverse must raise ConvergenceError with
@@ -268,13 +274,17 @@ class TestInverseFailure:
 
     @staticmethod
     def _stiffen(monkeypatch, cls, name):
+        """Scale the f′ of the chart's (f, f′) callable `name` by 1e6."""
         true = getattr(cls, name)
-        monkeypatch.setattr(cls, name,
-                            lambda self, zeta: 1e6 * true(self, zeta))
+
+        def stiff(self, zeta):
+            f, fp = true(self, zeta)
+            return f, 1e6 * fp
+
+        monkeypatch.setattr(cls, name, stiff)
 
     def test_hhp(self, monkeypatch):
-        monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
-            lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+        _stiffen_hhp(monkeypatch)
         z = np.array([0.3 + 0.2j, 4.0 - 1.0j, -2.0 + 0.5j])
         with pytest.raises(ConvergenceError,
                            match="hhp_inverse: 3 point") as info:
@@ -287,7 +297,7 @@ class TestInverseFailure:
         assert np.allclose(it, start, atol=1e-3)
 
     def test_slit(self, monkeypatch):
-        self._stiffen(monkeypatch, SlitHalfPlane, "derivative")
+        self._stiffen(monkeypatch, SlitHalfPlane, "_fdf")
         chart = SlitHalfPlane(a=1.0)
         z = np.array([0.2 + 0.1j, 2.0 + 1.0j, 8.0 - 3.0j, 0.5 + 2.5j])
         with pytest.raises(ConvergenceError,
@@ -299,7 +309,7 @@ class TestInverseFailure:
         assert np.allclose(it, chart._start(z), atol=1e-3)
 
     def test_scherk_bulk(self, monkeypatch):
-        self._stiffen(monkeypatch, ScherkStrip, "derivative")
+        self._stiffen(monkeypatch, ScherkStrip, "_bulk_fdf")
         chart = ScherkStrip(s=0.5)
         z = np.array([0.5 + 0.1j, 2.0 - 1.0j, 6.0 + 2.0j])
         with pytest.raises(ConvergenceError,
@@ -312,7 +322,7 @@ class TestInverseFailure:
         assert np.allclose(it, chart._bulk_start(z), atol=1e-3)
 
     def test_scherk_corner(self, monkeypatch):
-        self._stiffen(monkeypatch, ScherkStrip, "_corner_Gp")
+        self._stiffen(monkeypatch, ScherkStrip, "_corner_fdf")
         chart = ScherkStrip(s=0.5)
         # targets below-right of the saddle iπ, where the start τ₀ = (z−iπ)/B
         # already lies in the projected quadrant
@@ -373,18 +383,18 @@ def newton_spy(monkeypatch):
     driver = conformal._damped_newton
     seen = []
 
-    def both(targets, z0, f, fprime, project):
-        zeta, conv = driver(targets, z0, f, fprime, project)
+    def both(targets, z0, fdf, project):
+        zeta, conv = driver(targets, z0, fdf, project)
         calls = {"f": 0, "fprime": 0}
 
-        def counted(name, fn):
+        def counted(name, part):
             def g(z):
                 calls[name] += 1
-                return fn(z)
+                return fdf(z)[part]
             return g
 
         zeta_o, conv_o = _damped_newton_oracle(
-            targets, z0, counted("f", f), counted("fprime", fprime), project)
+            targets, z0, counted("f", 0), counted("fprime", 1), project)
         assert zeta.shape == zeta_o.shape and conv.shape == conv_o.shape
         assert np.array_equal(_bits(zeta), _bits(zeta_o))
         assert np.array_equal(conv, conv_o)
@@ -421,30 +431,29 @@ def _scherk_points(n, seed):
 
 
 def _newton_case(case, n=1500, seed=4):
-    """(targets, poor starts, f, f′, project) for one chart's Newton pair;
-    starts far from the roots make the driver halve its steps."""
+    """(targets, poor starts, (f, f′) callable, project) for one chart's
+    Newton pair; starts far from the roots make the driver halve its steps."""
     rng = np.random.default_rng(seed)
     if case == "hhp":
         chart = HHPStrip()
         return (_hhp_targets(n, seed), np.zeros(n, dtype=complex),
-                lambda w: w + np.sinh(w), chart.derivative, chart._project)
+                chart._fdf, chart._project)
     if case == "slit":
         chart = SlitHalfPlane(a=0.5)
         targets = _slit_targets(chart, n, seed)
-        return (targets, np.full(targets.shape, 1.0 + 0j), chart.forward,
-                chart.derivative, chart._project)
+        return (targets, np.full(targets.shape, 1.0 + 0j), chart._fdf,
+                chart._project)
     chart = ScherkStrip(s=0.5)
     if case == "scherk_bulk":
         zeta = (rng.uniform(0.0, 3.0, n)
                 + 1j * rng.uniform(-0.5, 0.5, n) * chart.l)
         return (chart.forward(zeta), np.full(n, chart.b + chart.l),
-                chart.forward, chart.derivative, chart._project_bulk)
+                chart._bulk_fdf, chart._project_bulk)
     rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, n)
     z = 1j * np.pi + rho * np.exp(1j * rng.uniform(-np.pi, 0.0, n))
     tau0 = 0.9 * np.sqrt(chart.l) * np.exp(0.5j * np.pi
                                            * rng.uniform(0.0, 1.0, n))
-    return (z, tau0, chart._corner_G, chart._corner_Gp,
-            chart._project_corner)
+    return (z, tau0, chart._corner_fdf, chart._project_corner)
 
 
 NEWTON_CASES = ["hhp", "slit", "scherk_bulk", "scherk_corner"]
@@ -456,23 +465,37 @@ class TestDampedNewton:
 
     @pytest.mark.parametrize("case", NEWTON_CASES)
     def test_poor_starts_halve_steps(self, newton_spy, case):
-        targets, z0, f, fprime, project = _newton_case(case)
-        conformal._damped_newton(targets, z0, f, fprime, project)
+        targets, z0, fdf, project = _newton_case(case)
+        conformal._damped_newton(targets, z0, fdf, project)
         assert newton_spy[0]["halved"]
 
     @pytest.mark.parametrize("case", NEWTON_CASES)
     def test_work_shrinks_to_unconverged_points(self, case):
-        targets, z0, f, fprime, project = _newton_case(case)
-        calls = []
+        targets, z0, fdf, project = _newton_case(case)
+        sizes = []
 
-        def counted(name, fn):
-            def g(z):
-                calls.append((name, np.size(z)))
-                return fn(z)
-            return g
+        def counted(z):
+            sizes.append(np.size(z))
+            return fdf(z)
 
-        conformal._damped_newton(targets, z0, counted("f", f),
-                                 counted("fprime", fprime), project)
+        conformal._damped_newton(targets, z0, counted, project)
+        # the full-array oracle marks each iteration by its f′ call, here
+        # given the count of points above the tolerance; its f calls, one
+        # per step and halving, take the driver's call sizes in order
+        tol = conformal._NEWTON_TOL * np.maximum(1.0, np.abs(targets))
+        calls, left = [], iter(sizes)
+
+        def f(z):
+            calls.append(("f", next(left)))
+            return fdf(z)[0]
+
+        def fprime(z):
+            above = np.abs(fdf(z)[0] - targets) > tol
+            calls.append(("fprime", int(np.sum(above))))
+            return fdf(z)[1]
+
+        _damped_newton_oracle(targets, z0, f, fprime, project)
+        assert next(left, None) is None
         # split into iterations: f′ at the active points, then f at the
         # step and at each halving
         iters, active = [], []
@@ -508,19 +531,18 @@ class TestDampedNewton:
     def test_never_converging(self, newton_spy, monkeypatch, case):
         stiff = TestInverseFailure._stiffen
         if case == "hhp":
-            monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
-                lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+            _stiffen_hhp(monkeypatch)
             run = lambda: HHPStrip().inverse(np.array([0.3 + 0.2j, 4.0 - 1j]))
         elif case == "slit":
-            stiff(monkeypatch, SlitHalfPlane, "derivative")
+            stiff(monkeypatch, SlitHalfPlane, "_fdf")
             run = lambda: SlitHalfPlane(a=1.0).inverse(
                 np.array([0.2 + 0.1j, 8.0 - 3.0j]))
         elif case == "scherk_bulk":
-            stiff(monkeypatch, ScherkStrip, "derivative")
+            stiff(monkeypatch, ScherkStrip, "_bulk_fdf")
             run = lambda: ScherkStrip(s=0.5).inverse(
                 np.array([0.5 + 0.1j, 6.0 + 2.0j]))
         else:
-            stiff(monkeypatch, ScherkStrip, "_corner_Gp")
+            stiff(monkeypatch, ScherkStrip, "_corner_fdf")
             chart = ScherkStrip(s=0.5)
             z = 1j * np.pi + (chart.corner_zone_radius
                               * np.array([0.2, 0.9]) * np.exp(-0.25j * np.pi))
@@ -529,21 +551,23 @@ class TestDampedNewton:
             run()
         assert any(c["failed"] for c in newton_spy)
 
-    @pytest.mark.parametrize("fprime", ["derivative", "_corner_Gp"])
+    # ids: the f′ that is stiffened, the bulk's or the corner's
+    @pytest.mark.parametrize("fdf", ["_bulk_fdf", "_corner_fdf"],
+                             ids=["derivative", "_corner_Gp"])
     def test_one_newton_run_per_chart_solve(self, newton_spy, monkeypatch,
-                                            fprime):
+                                            fdf):
         """Failed points are not retried.  With the bulk's f′ stiffened the
         corner solve converges and the bulk solve fails in its one run; with
         the corner's, the corner solve fails in its one run and raises
         before the bulk solve starts."""
-        TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fprime)
+        TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fdf)
         chart = ScherkStrip(s=0.5)
         corner = 1j * np.pi + (0.2 * chart.corner_zone_radius
                                * np.exp(-0.25j * np.pi))
         with pytest.raises(ConvergenceError):
             chart.inverse(np.array([corner, 0.5 + 0.1j, 6.0 + 2.0j]))
         failed = [c["failed"] for c in newton_spy]
-        assert failed == ([False, True] if fprime == "derivative" else [True])
+        assert failed == ([False, True] if fdf == "_bulk_fdf" else [True])
 
 
 # ----------------------------------------------------------------------
@@ -609,6 +633,59 @@ def _assert_one_start(chart, z):
     assert np.all(np.abs(chart.forward(zeta) - z) <= tol)
 
 
+def _from_r_oracle(chart, zeta_s, e, r):
+    """(Φ_s, Ψ_s) by the complex logs of the closed form."""
+    s = chart.s
+    s2 = s * s
+    lg = np.log((1.0 - s * r) / (1.0 + s * r))
+    rest = (2.0 * np.log(s + r) + zeta_s + np.log1p(s2 * e)
+            - np.log1p(-s2 * s2))
+    return s2 * lg + rest, lg + s2 * rest
+
+
+class TestScherkRealArithmetic:
+    """The closed forms in real arithmetic, against their complex logs, and
+    one chart evaluation per Newton iterate."""
+
+    @given(s=slopes, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_from_r_matches_complex_logs(self, s, seed):
+        chart = ScherkStrip(s=s)
+        zeta_s, e, r, _ = chart._values(_scherk_cloud(chart, seed))
+        for dual, want in zip((False, True),
+                              _from_r_oracle(chart, zeta_s, e, r)):
+            got = chart._from_r(zeta_s, e, r, dual=dual)
+            assert np.all(np.abs(got - want)
+                          <= 4e-15 * np.maximum(1.0, np.abs(want)))
+
+    def test_bulk_solve_evaluates_once_per_iterate(self, monkeypatch):
+        chart = ScherkStrip(s=0.5)
+        rng = np.random.default_rng(6)
+        z = chart.forward(rng.uniform(0.05, 3.0, 300)
+                          + 1j * rng.uniform(-0.3, 0.3, 300) * chart.l)
+        values, driver = ScherkStrip._values, conformal._damped_newton
+        value_sizes, residual_sizes = [], []
+
+        def counted_values(self, zeta):
+            value_sizes.append(np.size(zeta))
+            return values(self, zeta)
+
+        def spy(targets, z0, fdf, project):
+            def counted(zeta):
+                residual_sizes.append(np.size(zeta))
+                return fdf(zeta)
+            return driver(targets, z0, counted, project)
+
+        monkeypatch.setattr(ScherkStrip, "_values", counted_values)
+        monkeypatch.setattr(ScherkStrip, "derivative",
+                            lambda self, zeta: pytest.fail("f′ evaluated "
+                                                           "apart from f"))
+        monkeypatch.setattr(conformal, "_damped_newton", spy)
+        chart.inverse(z)
+        assert len(residual_sizes) > 2
+        assert value_sizes == residual_sizes
+
+
 class TestOneStart:
     """Each chart converges from its one closed-form start over the slope
     range, near every boundary piece and out in the far field."""
@@ -656,14 +733,15 @@ MEMO_CASES = ([("scherk", s, zone) for s in (0.05, 0.5, 0.95)
 
 def _memo_case(case, n=200, seed=0):
     """(chart, targets A, targets B, one target with a signed-zero part,
-    the name of the f′ that a failure test stiffens) for one memo case;
+    the name of the (f, f′) callable whose f′ a failure test stiffens) for
+    one memo case;
     A and B are different target sets of one shape."""
     family, s, zone = case
     rng = np.random.default_rng(seed)
     if family == "hairpin":
         chart = HHPStrip()
         return (chart, _hhp_targets(n, seed), _hhp_targets(n, seed + 1),
-                complex(1.5, 0.0), "derivative")
+                complex(1.5, 0.0), "_fdf")
     chart = ScherkStrip(s=s)
     if zone == "bulk":
         zeta = (rng.uniform(0.05, 3.0, (2, n)) * max(s, chart.b)
@@ -672,13 +750,14 @@ def _memo_case(case, n=200, seed=0):
         far = (np.abs(np.abs(z.imag) - np.pi) > 2 * chart.corner_zone_radius)
         z = np.where(far, z, 2.0 + 0.5j)
         return (chart, z[0], z[1], complex(float(chart.forward(1.0).real),
-                                           0.0), "derivative")
+                                           0.0), "_bulk_fdf")
     # both saddle zones, approached from inside the half-cell
     rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, (2, n))
     z = 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, (2, n)))
     z[:, ::2] = np.conj(z[:, ::2])
     return (chart, z[0], z[1],
-            complex(0.0, np.pi - 0.5 * chart.corner_zone_radius), "_corner_Gp")
+            complex(0.0, np.pi - 0.5 * chart.corner_zone_radius),
+            "_corner_fdf")
 
 
 def _with_sign(z, k):
@@ -776,13 +855,12 @@ class TestInverseMemo:
         assert all(c > 0 for c in counts)  # A is solved twice
 
     def test_failed_solve_leaves_no_entry(self, monkeypatch, case):
-        chart, a, b, _, fprime = _memo_case(case, n=2)
+        chart, a, b, _, fdf = _memo_case(case, n=2)
         chart.inverse(a)
         if isinstance(chart, HHPStrip):
-            monkeypatch.setattr(HHPStrip, "derivative", staticmethod(
-                lambda zeta: 1e6 * (1.0 + np.cosh(zeta))))
+            _stiffen_hhp(monkeypatch)
         else:
-            TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fprime)
+            TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fdf)
         for z in (b, b, a):  # neither B nor the earlier A is remembered
             with pytest.raises(ConvergenceError):
                 chart.inverse(z)
@@ -871,10 +949,13 @@ class TestScherkPhiRoute:
         pts = pts[np.hypot(pts[:, 0], np.abs(pts[:, 1]) - np.pi) >= 1e-2]
         sol = Scherk(s, 1.0)
         u, g = sol.eval_u(pts), sol.eval_grad(pts, boundary_limit=True)
-        monkeypatch.setattr(conformal, "_damped_newton",
-                            _damped_newton_oracle)
-        monkeypatch.setattr(ScherkStrip, "derivative",
-                            lambda self, zeta: self.integrand(zeta))
+        monkeypatch.setattr(
+            conformal, "_damped_newton",
+            lambda targets, z0, fdf, project: _damped_newton_oracle(
+                targets, z0, lambda z: fdf(z)[0], lambda z: fdf(z)[1],
+                project))
+        monkeypatch.setattr(ScherkStrip, "_bulk_fdf", lambda self, zeta: (
+            self.forward(zeta), self.integrand(zeta)))
         monkeypatch.setattr(ScherkStrip, "dual_derivative",
                             lambda self, zeta: np.exp(-self.phi(zeta)))
         sol = Scherk(s, 1.0)

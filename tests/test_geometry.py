@@ -421,6 +421,28 @@ class TestFluxBalance:
         assert rep.fb_measure == 0.0
         assert abs(rep.net_flux) < 1e-9
 
+    @pytest.mark.parametrize("name", ["halfplane", "hairpin", "scherk"])
+    def test_one_gradient_call(self, name, request, monkeypatch):
+        # every edge's positive-phase Gauss nodes go to one eval_grad call
+        sol = request.getfixturevalue(name)
+        grad, calls = sol.eval_grad, []
+        monkeypatch.setattr(sol, "eval_grad",
+                            lambda p: calls.append(len(p)) or grad(p))
+        # the left edge and the top and bottom corners lie in the zero phase
+        rect = np.array([[-0.5, -3.0], [3.0, -3.0], [3.0, 3.0], [-0.5, 3.0]])
+        rep = flux_balance(sol, rect, step=1e-2)
+        assert len(calls) == 1
+        assert 0.0 < rep.rest_measure < 19.0 and rep.fb_measure > 0.0
+
+    def test_no_positive_node(self, disk, monkeypatch):
+        monkeypatch.setattr(disk, "eval_grad", lambda p: pytest.fail())
+        square = 0.5 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0],
+                                 [-1.0, 1.0]])
+        rep = flux_balance(disk, square, step=1e-2)
+        assert rep.to_dict() == {"net_flux": 0.0, "fb_measure": 0.0,
+                                 "rest_measure": 0.0, "lipschitz_bound": 0.0,
+                                 "lemma_holds": True}
+
     def test_orientation_independent(self, halfplane):
         square = np.array([[-0.4, -0.4], [0.6, -0.4], [0.6, 0.4], [-0.4, 0.4]])
         r1 = flux_balance(halfplane, square, step=2e-3)
