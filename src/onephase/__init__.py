@@ -28,7 +28,7 @@ from .errors import (ConvergenceError, DomainError, InvalidInputError,
                      ZeroPhaseError)
 from .solutions import (FAMILIES, DiskComplement, Hairpin, HalfPlane,
                         RigidMotion, Scherk, Solution, TwoPlane, Wedge,
-                        load_solution, solution_from_dict)
+                        solution_from_dict)
 from .variational import (ScalarField2D, TestVectorField, ac_energy,
                           minimize_ac, variational_residual, viscosity_slope,
                           weiss_energy)
@@ -46,7 +46,6 @@ __all__ = [
     "NoSaddleError", "ConvergenceError", "TopologyError",
     "Solution", "RigidMotion", "HalfPlane", "TwoPlane", "Wedge", "Hairpin",
     "DiskComplement", "Scherk", "FAMILIES", "solution_from_dict",
-    "load_solution",
     "ScalarField2D", "TestVectorField", "ac_energy", "minimize_ac",
     "variational_residual", "weiss_energy", "viscosity_slope",
     "FreeBoundary", "extract_boundary", "hausdorff", "flux_balance",

@@ -450,16 +450,6 @@ class ScherkStrip:
         return self._project_bulk(
             zeta0 - (1.0 - s**4) / (2.0 * s) * np.exp(-zeta0 / s))
 
-    # -- boundary line (top strip edge → saddle) ---------------------------
-    def upper_line_x2(self, u: float) -> float:
-        """x₂-coordinate Im Φ_s(u + il/2) of the image of the upper strip
-        boundary, 0 ≤ u ≤ b, through the corner chart τ = √(b − u), which
-        stays exact up to the saddle."""
-        if not 0.0 <= u <= self.b:
-            raise DomainError("upper_line_x2: u must lie in [0, b]")
-        tau = np.array(np.sqrt(self.b - u) + 0j)
-        return float(self._corner_fdf(tau)[0].imag)
-
 
 # ----------------------------------------------------------------------
 # closed-form Scherk loop (free boundary of one zero-phase component)

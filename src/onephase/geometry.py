@@ -7,7 +7,6 @@ Contents:
   split by the cell-center value, and one successor array of crossings;
 * `hausdorff` — symmetric Hausdorff distance between polyline sets over
   densified vertices;
-* `curve_curvature` — signed circumradius (Menger) curvature per vertex;
 * `flux_balance` — the divergence-theorem identity on a polygonal region:
   ∮ ν·∇u vanishes, and the free boundary length inside is at most the
   Lipschitz constant times the remaining boundary length;
@@ -47,7 +46,6 @@ __all__ = [
     "FreeBoundary",
     "extract_boundary",
     "hausdorff",
-    "curve_curvature",
     "FluxReport",
     "flux_balance",
     "random_polygon_in_phase",
@@ -262,39 +260,6 @@ def _nearest_distance(P, Q):
         dx = P[k:k + rows, 0, None] - Q[:, 0]
         dy = P[k:k + rows, 1, None] - Q[:, 1]
         out[k:k + rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
-    return out
-
-
-def curve_curvature(curve) -> np.ndarray:
-    """Signed Menger (circumradius) curvature at each vertex; positive when
-    the curve bends left.  Endpoint vertices of open curves get NaN;
-    collinear triples get 0."""
-    if isinstance(curve, PolyCurve):
-        pts = curve.vertices
-        closed = curve.closed
-    else:
-        pts = np.asarray(curve, dtype=float)
-        closed = len(pts) > 2 and np.allclose(pts[0], pts[-1])
-    if len(pts) < 3:
-        raise InvalidInputError("curve_curvature needs at least 3 vertices")
-    if closed:
-        ring = np.vstack([pts[-2:-1], pts])  # drop duplicate seam point
-        prev, cur, nxt_ = ring[:-2], ring[1:-1], ring[2:]
-    else:
-        prev, cur, nxt_ = pts[:-2], pts[1:-1], pts[2:]
-    e1 = cur - prev
-    e2 = nxt_ - cur
-    e3 = nxt_ - prev
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    denom = (np.hypot(e1[:, 0], e1[:, 1]) * np.hypot(e2[:, 0], e2[:, 1])
-             * np.hypot(e3[:, 0], e3[:, 1]))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kappa = np.where(denom > 0, 2.0 * cross / np.where(denom > 0, denom, 1.0),
-                         0.0)
-    if closed:
-        return kappa
-    out = np.full(len(pts), np.nan)
-    out[1:-1] = kappa
     return out
 
 

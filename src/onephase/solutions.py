@@ -39,10 +39,8 @@ Conventions
 
 from __future__ import annotations
 
-import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +62,6 @@ __all__ = [
     "KINDS",
     "FAMILIES",
     "solution_from_dict",
-    "load_solution",
 ]
 
 BOUNDARY_TOL = 1e-9
@@ -538,8 +535,12 @@ class Hairpin(Solution):
         return self.primitive_in_chart(self._chart.inverse(z))
 
     def _fb_polylines_body(self, bbox, step):
+        # the catenaries meet the bbox only for cosh(x₁/a) ≤ ymax; sample
+        # them a little past that, by at most a, so that no chord spans
+        # more than a factor e·ymax in x₂ (a chord from a·cosh(700) to the
+        # window would round its near end away when clipped)
         ymax = max(abs(bbox[1]), abs(bbox[3])) / self.a - np.pi / 2.0
-        xlim = self.a * np.arccosh(max(ymax, 1.0)) + 2.0 * step
+        xlim = self.a * np.arccosh(max(ymax, 1.0)) + min(2.0 * step, self.a)
         xlim = min(xlim, max(abs(bbox[0]), abs(bbox[2])) + 2.0 * step)
         n = max(int(np.ceil(2.0 * xlim / step)), 8)
         x = np.linspace(-xlim, xlim, n + 1)
@@ -815,7 +816,3 @@ def solution_from_dict(d: dict) -> Solution:
         return cls(**params, motion=motion)
     except TypeError as e:
         raise InvalidInputError(f"bad parameters for {d['family']}: {e}") from e
-
-
-def load_solution(path) -> Solution:
-    return solution_from_dict(json.loads(Path(path).read_text()))

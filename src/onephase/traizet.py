@@ -24,7 +24,10 @@ Contents:
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
 * `mean_curvature` — cotangent Laplacian dotted with the vertex normal over
-  Voronoi mixed areas (barycentric fallback for obtuse triangles);
+  Voronoi mixed areas (barycentric fallback for obtuse triangles), in one
+  pass over fixed-size blocks of triangles that keeps three arrays per
+  triangle quantity, so its memory grows by 72 bytes per triangle; every
+  sum and rounding order is pinned, so H is reproducible bit for bit;
 * `orthogonality_check` — |angle − π/2| between the upper-sheet tangent
   plane and {X₃ = 0} at free-boundary vertices.
 
@@ -288,9 +291,14 @@ class SurfaceMesh:
         """Mask of the vertices on an edge that only one triangle has."""
         n = len(self.vertices)
         i, j = self.triangles, np.roll(self.triangles, -1, axis=1)
-        key, count = np.unique(np.minimum(i, j) * n + np.maximum(i, j),
-                               return_counts=True)
-        edges = key[count == 1]
+        # edge keys min·n + max, built in place and sorted: an edge that
+        # only one triangle has differs from both of its neighbours
+        key = np.minimum(i, j).ravel()
+        key *= n
+        key += np.maximum(i, j, out=j).ravel()
+        key.sort()
+        new = np.concatenate([[True], key[1:] != key[:-1], [True]])
+        edges = key[new[:-1] & new[1:]]
         bnd = np.zeros(n, dtype=bool)
         bnd[edges // n] = True
         bnd[edges % n] = True
@@ -388,21 +396,59 @@ def canonical_mesh(sol, resolution: int = 64) -> SurfaceMesh:
 # discrete curvature and orthogonality
 # ---------------------------------------------------------------------------
 
-def _vertex_normals(mesh: SurfaceMesh):
-    verts = mesh.vertices
-    tris = mesh.triangles
-    a = verts[tris[:, 0]]
-    b = verts[tris[:, 1]]
-    c = verts[tris[:, 2]]
-    fn = np.cross(b - a, c - a)  # area-weighted
-    corner = tris.T.ravel()
-    normals = np.stack([np.bincount(corner, weights=np.tile(fn[:, k], 3),
-                                    minlength=len(verts))
-                        for k in range(3)], axis=1)
-    norm = np.linalg.norm(normals, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        normals = normals / np.where(norm > 0, norm, 1.0)[:, None]
-    return normals
+#: triangles per block of `mean_curvature`'s pass
+_CHUNK = 8192
+
+
+def _dot3(u, v):
+    """Dot products of vectors given by their coordinates, in np.einsum's
+    order for "ij,ij->i" on rows of three: (u₀v₀ + u₂v₂) + u₁v₁."""
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def _triangle_terms(x, tris, fn, cot, contrib):
+    """One block of `mean_curvature`'s pass: the area-weighted face normal
+    fn[c] per coordinate c, and the cotangent cot[k] and Meyer mixed area
+    contrib[k] per corner k.  x[c] holds coordinate c of every vertex."""
+    # E[k] runs from corner k to corner k+1 (indices mod 3).  At corner k
+    # the edges to the next two corners are e1 = E[k] and e2 = −E[k+2], and
+    # the opposite edge is E[k+1].  Negating a difference is exact, so the
+    # terms in e2 below are those in E[k+2] with their signs flipped, and
+    # the face normal (p₁ − p₀) × (p₂ − p₀) is −E[0] × E[2].
+    E = [[], [], []]
+    for c in range(3):
+        p = [x[c].take(t) for t in tris.T]
+        for k in range(3):
+            E[k].append(p[(k + 1) % 3] - p[k])
+    # per corner k: |e1 × e2| (np.cross's formula, summed as np.linalg.norm
+    # sums), e1·e2 and the cotangent of the angle there (its sign marks an
+    # obtuse corner); sq[k] = |E[k]|²
+    cross, dot = [], []
+    for k in range(3):
+        u, v = E[k], E[(k + 2) % 3]
+        w = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0]]
+        if k == 0:
+            np.negative(w, out=fn)
+        cross.append(np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]))
+        dot.append(-_dot3(u, v))
+        del w
+    sq = [_dot3(e, e) for e in E]
+    del E
+    for k in range(3):
+        np.divide(dot[k], np.where(cross[k] > 0, cross[k], 1.0), out=cot[k])
+    # Meyer mixed area at corner k, from its own |e1 × e2|
+    for k in range(3):
+        tri_area = 0.5 * cross[k]
+        cot1, cot2 = cot[(k + 1) % 3], cot[(k + 2) % 3]
+        obtuse_here = dot[k] < 0
+        any_obtuse = obtuse_here | (cot1 < 0) | (cot2 < 0)
+        # non-obtuse: Voronoi area  (|e2|² cot∠i1 + |e1|² cot∠i2) / 8
+        voronoi = (sq[(k + 2) % 3] * cot1 + sq[k] * cot2) / 8.0
+        contrib[k] = np.where(any_obtuse,
+                              np.where(obtuse_here, tri_area / 2.0,
+                                       tri_area / 4.0),
+                              voronoi)
 
 
 def mean_curvature(mesh: SurfaceMesh):
@@ -411,58 +457,53 @@ def mean_curvature(mesh: SurfaceMesh):
     Meyer mixed areas (Voronoi, barycentric fallback at obtuse triangles).
     Boundary vertices get NaN.  Returns (H, interior_mask).
 
-    Every per-vertex sum is one np.bincount per coordinate over all corners,
-    corner k = 0, 1, 2 in turn; bincount adds in input order, so each sum
-    is taken in a fixed order."""
-    verts = mesh.vertices
+    Its temporary memory is 72 bytes per triangle, a few arrays per vertex
+    and a fixed amount per block.  One pass over blocks of `_CHUNK`
+    triangles, with coordinates first, keeps three arrays of each triangle
+    quantity: the face normal, the cotangents and the Meyer areas; every
+    other temporary lives for one block.  np.add.at then adds the terms of
+    each per-vertex sum in a fixed order, corner 0 of every triangle, then
+    corner 1, then corner 2, the triangles in order.  The cross products,
+    lengths and dot products round as np.cross, np.linalg.norm and
+    np.einsum do on rows of three (the tests' oracle uses them), so H does
+    not depend on the block length."""
     tris = mesh.triangles
-    n = len(verts)
-    # before the per-corner arrays below exist, to keep the peak memory down
-    normals = _vertex_normals(mesh)
+    n, m = len(mesh.vertices), len(tris)
+    # before the per-triangle arrays exist, to keep the peak memory down
     interior = ~mesh.boundary_vertices()
-    p = verts[tris]  # (m, 3, 3)
-    # E[k] runs from corner k to corner k+1 (indices mod 3).  At corner k
-    # the edges to the next two corners are e1 = E[k] and e2 = −E[k+2], and
-    # the opposite edge is E[k+1].  Negating a difference is exact, so the
-    # terms in e2 below are those in E[k+2] with their signs flipped.
-    E = [p[:, (k + 1) % 3] - p[:, k] for k in range(3)]
-    del p
-    # per corner k: |e1 × e2|, e1·e2 and the cotangent of the angle there
-    # (its sign marks an obtuse corner); sq[k] = |E[k]|²
-    cross = [np.linalg.norm(np.cross(E[k], E[(k + 2) % 3]), axis=1)
-             for k in range(3)]
-    dot = [-np.einsum("ij,ij->i", E[k], E[(k + 2) % 3]) for k in range(3)]
-    sq = [np.einsum("ij,ij->i", e, e) for e in E]
-    cot = [d / np.where(c > 0, c, 1.0) for d, c in zip(dot, cross)]
+    x = np.ascontiguousarray(mesh.vertices.T)
+    blocks = [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
+    fn, cot, contrib = np.empty((3, m)), np.empty((3, m)), np.empty((3, m))
+    for b in blocks:
+        _triangle_terms(x, tris[b], fn[:, b], cot[:, b], contrib[:, b])
+
+    # each per-triangle array goes as soon as its sums are taken
+    area = np.zeros(n)
+    for k, b in itertools.product(range(3), blocks):
+        np.add.at(area, tris[b, k], contrib[k, b])
+    del contrib
+    normals = np.zeros((3, n))
+    for k, b, c in itertools.product(range(3), blocks, range(3)):
+        np.add.at(normals[c], tris[b, k], fn[c, b])
+    del fn
+    norm = np.linalg.norm(normals, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals /= np.where(norm > 0, norm, 1.0)
     # cot of the angle at corner k weights the opposite edge (i1, i2):
-    # +cot·E[k+1] at i1 = tris[:, k+1], −cot·E[k+1] at i2 = tris[:, k+2]
-    ends = tris[:, [1, 2, 2, 0, 0, 1]].T.ravel()
-    lap = np.empty_like(verts)
-    for c in range(3):
-        w = [cot[k] * E[(k + 1) % 3][:, c] for k in range(3)]
-        lap[:, c] = np.bincount(ends, minlength=n, weights=np.concatenate(
-            [w[0], -w[0], w[1], -w[1], w[2], -w[2]]))
-    # Meyer mixed area at corner k, from its own |e1 × e2|
-    contrib = []
+    # +cot·E[k+1] at i1 = tris[:, k+1], then −cot·E[k+1] at i2 = tris[:, k+2]
+    lap = np.zeros((3, n))
     for k in range(3):
-        tri_area = 0.5 * cross[k]
-        cot1, cot2 = cot[(k + 1) % 3], cot[(k + 2) % 3]
-        obtuse_here = dot[k] < 0
-        any_obtuse = obtuse_here | (cot1 < 0) | (cot2 < 0)
-        # non-obtuse: Voronoi area  (|e2|² cot∠i1 + |e1|² cot∠i2) / 8
-        voronoi = (sq[(k + 2) % 3] * cot1 + sq[k] * cot2) / 8.0
-        contrib.append(np.where(any_obtuse,
-                                np.where(obtuse_here, tri_area / 2.0,
-                                         tri_area / 4.0),
-                                voronoi))
-    area = np.bincount(tris.T.ravel(), weights=np.concatenate(contrib),
-                       minlength=n)
+        i1, i2 = tris[:, (k + 1) % 3], tris[:, (k + 2) % 3]
+        for scatter, at in ((np.add.at, i1), (np.subtract.at, i2)):
+            for b, c in itertools.product(blocks, range(3)):
+                scatter(lap[c], at[b],
+                        cot[k, b] * (x[c].take(i2[b]) - x[c].take(i1[b])))
+    del cot, x
 
     H = np.full(n, np.nan)
     safe = interior & (area > 0)
     # Δx = −2 H n̂, so a sphere with outward normals reports H = 1/R
-    H[safe] = -(np.einsum("ij,ij->i", lap[safe], normals[safe])
-                / (4.0 * area[safe]))
+    H[safe] = -(_dot3(lap, normals)[safe] / (4.0 * area[safe]))
     return H, interior
 
 

@@ -102,13 +102,6 @@ class ScalarField2D:
         xs, ys = self.window.grid(self.h)
         return np.meshgrid(xs, ys)
 
-    @staticmethod
-    def from_solution(sol, window: Window, h: float) -> "ScalarField2D":
-        xs, ys = window.grid(h)
-        X, Y = np.meshgrid(xs, ys)
-        vals = sol.eval_u(np.stack([X, Y], axis=-1))
-        return ScalarField2D(window=window, h=h, values=vals)
-
     def interpolate(self, points):
         """Bilinear interpolation at points of shape (..., 2)."""
         p = np.asarray(points, dtype=float)

@@ -12,6 +12,8 @@ from onephase.errors import InvalidInputError
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane, Scherk,
                                 TwoPlane, Wedge)
 
+from helpers import upper_line_x2
+
 
 @pytest.fixture
 def rng():
@@ -87,7 +89,7 @@ def _measure_saddle_height(chart, target_x2=np.pi):
     b = chart.b
 
     def root_for(e):
-        g = lambda sg: chart.upper_line_x2(b - sg**2) - (target_x2 - e)
+        g = lambda sg: upper_line_x2(chart, b - sg**2) - (target_x2 - e)
         sg = brentq(g, 0.0, np.sqrt(b) * (1.0 - 1e-12),
                     xtol=1e-15, rtol=8.9e-16)
         return b - sg**2

@@ -10,7 +10,10 @@ import pytest
 
 from onephase.cli import WINDOW_LIMIT, main
 from onephase.solutions import KINDS, HalfPlane, Window
-from onephase.variational import ScalarField2D, minimize_ac
+from onephase.variational import (ScalarField2D, minimize_ac,
+                                  variational_residual)
+
+from helpers import field_from_solution
 
 
 def run(*argv):
@@ -49,6 +52,39 @@ class TestBoundary:
         f1 = (d1 / "boundary_hairpin.csv").read_bytes()
         f2 = (d2 / "boundary_hairpin.csv").read_bytes()
         assert f1 == f2
+
+    @pytest.mark.parametrize("a, x1", [(1.0, 1e5), (0.05, 1e4)])
+    def test_hairpin_on_a_wide_window(self, tmp_path, a, x1):
+        """A window 10⁵·a wide, inside the window limit: every vertex lies
+        in the window, on the catenaries |x₂| = a(π/2 + cosh(x₁/a)) or, at
+        a piece's ends, on a window edge between the last vertex and the
+        catenary's own crossing of that edge."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "hairpin", "params": {"a": a}},
+            "window": [-1, -1, x1, 1]}))
+        assert run("boundary", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 0
+        rows = (tmp_path / "boundary_hairpin.csv").read_text().splitlines()
+        data = np.array([[float(t) for t in r.split(",")] for r in rows[1:]])
+        if a == 1.0:
+            # the catenaries stay at |x₂| ≥ π/2 + 1, above the window
+            assert len(data) == 0
+            return
+        # one piece on each catenary
+        assert sorted(np.sign(data[data[:, 1] == 0, 3])) == [-1.0, 1.0]
+        bound = lambda x: a * (np.pi / 2.0 + np.cosh(x / a))
+        crossing = a * np.arccosh(1.0 / a - np.pi / 2.0)
+        for comp in np.unique(data[:, 0]):
+            piece = data[data[:, 0] == comp][:, 2:]
+            assert np.all((piece[:, 0] >= -1.0) & (piece[:, 0] <= x1))
+            assert np.all(np.abs(piece[:, 1]) <= 1.0)
+            mid = piece[1:-1]
+            assert np.allclose(np.abs(mid[:, 1]), bound(mid[:, 0]),
+                               rtol=1e-12, atol=0.0)
+            for end, nb in ((piece[0], piece[1]), (piece[-1], piece[-2])):
+                assert abs(end[1]) == 1.0
+                assert abs(nb[0]) < abs(end[0]) <= crossing
 
     def test_param_routed_to_family(self, tmp_path):
         assert run("boundary", "--family", "disk_complement",
@@ -112,6 +148,28 @@ class TestVerify:
             "error": "ZeroDivisionError: division by zero"}
         assert by_name["variational_residual"]["passed"]
         assert "ZeroDivisionError" in capsys.readouterr().err
+
+    def test_residual_grid_sampled_once_per_h(self, tmp_path, monkeypatch):
+        """One variational_residual call per h serves all three bump
+        fields, and the report holds what one call per field gives."""
+        calls = []
+
+        def spy(sol, psi, window, h):
+            calls.append((sol, psi, window, h))
+            return variational_residual(sol, psi, window, h)
+
+        monkeypatch.setattr("onephase.cli.variational_residual", spy)
+        assert run("verify", "--family", "hairpin", "--param", "a=0.25",
+                   "--out", str(tmp_path)) == 0
+        assert len(calls) == 3
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        rows = {c["name"]: c for c in report["checks"]}[
+            "variational_residual"]["fields"]
+        assert [r["field"] for r in rows] == ["radial", "e1", "e2"]
+        for k, row in enumerate(rows):
+            assert row["residuals"] == [
+                variational_residual(sol, psi[k], window, h)
+                for sol, psi, window, h in calls]
 
     @staticmethod
     def _verify_sweep(tmp_path, family, seed=0):
@@ -182,8 +240,8 @@ class TestMinimize:
         assert out.shape == (34, 65)
 
     def test_boundary_field_header_mismatch(self, tmp_path):
-        fld = ScalarField2D.from_solution(HalfPlane(),
-                                          Window(-2.0, -2.0, 2.0, 2.0), 0.25)
+        fld = field_from_solution(HalfPlane(), Window(-2.0, -2.0, 2.0, 2.0),
+                                  0.25)
         fpath = tmp_path / "trace.csv"
         fld.save(fpath)
         code = run("minimize", "--resolution", "32",
@@ -193,8 +251,8 @@ class TestMinimize:
 
     def test_boundary_field_matching(self, tmp_path):
         h = 2.0 / 32
-        fld = ScalarField2D.from_solution(HalfPlane(),
-                                          Window(-1.0, -1.0, 1.0, 1.0), h)
+        fld = field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0),
+                                  h)
         fpath = tmp_path / "trace.csv"
         fld.save(fpath)
         assert run("minimize", "--resolution", "32",

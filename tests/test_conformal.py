@@ -14,6 +14,7 @@ from onephase.quad import segment_quad
 from onephase.solutions import Hairpin, Scherk
 from onephase.variational import weiss_energy
 
+from helpers import upper_line_x2
 from slit_chart import SlitHalfPlane
 
 
@@ -127,7 +128,7 @@ class TestScherkStrip:
     def test_upper_line_domain(self):
         chart = ScherkStrip(s=0.5)
         with pytest.raises(DomainError):
-            chart.upper_line_x2(chart.b * 1.5)
+            upper_line_x2(chart, chart.b * 1.5)
 
 
 def _assert_round_trip(chart, zeta):

@@ -17,11 +17,13 @@ from onephase.geometry import (_ANNULUS_EPS, _ANNULUS_NODES,
                                _label4, _nearest_distance, _rotate,
                                _self_intersects,
                                annulus_flat_check, circle_max, classify_flat,
-                               curve_curvature, extract_boundary, flux_balance,
-                               hausdorff, random_polygon_in_phase)
+                               extract_boundary, flux_balance, hausdorff,
+                               random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
                                 RigidMotion, Scherk, TwoPlane, Wedge, Window)
 from onephase.variational import ScalarField2D
+
+from helpers import curve_curvature, field_from_solution
 
 
 def _circle(R=1.0, n=64, ccw=True, center=(0.0, 0.0)):
@@ -234,7 +236,7 @@ class TestExtractBoundary:
     def test_half_plane_line(self, halfplane):
         w = Window(-1.0, -1.0, 1.0, 1.0)
         h = 1.0 / 64
-        fld = ScalarField2D.from_solution(halfplane, w, h)
+        fld = field_from_solution(halfplane, w, h)
         fb = extract_boundary(fld)
         assert len(fb) == 1
         verts = fb.components[0].vertices
@@ -244,7 +246,7 @@ class TestExtractBoundary:
 
     def test_circle_contour(self, disk):
         w = Window(-2.0, -2.0, 2.0, 2.0)
-        fld = ScalarField2D.from_solution(disk, w, 1.0 / 32)
+        fld = field_from_solution(disk, w, 1.0 / 32)
         fb = extract_boundary(fld)
         assert len(fb) == 1
         assert fb.components[0].closed
@@ -253,14 +255,14 @@ class TestExtractBoundary:
 
     def test_level_offset(self, halfplane):
         w = Window(-1.0, -1.0, 1.0, 1.0)
-        fld = ScalarField2D.from_solution(halfplane, w, 1.0 / 64)
+        fld = field_from_solution(halfplane, w, 1.0 / 64)
         fb = extract_boundary(fld, level=0.3)
         verts = np.vstack([c.vertices for c in fb.components])
         assert np.allclose(verts[:, 0], 0.3, atol=1e-9)
 
     def test_positive_left_orientation(self, disk):
         w = Window(-2.0, -2.0, 2.0, 2.0)
-        fld = ScalarField2D.from_solution(disk, w, 1.0 / 32)
+        fld = field_from_solution(disk, w, 1.0 / 32)
         comp = extract_boundary(fld).components[0].vertices
         mid = 0.5 * (comp[:-1] + comp[1:])
         tang = np.diff(comp, axis=0)
@@ -299,8 +301,8 @@ class TestExtractBoundary:
         HalfPlane(), TwoPlane(0.5), Wedge(1.0), DiskComplement(0.5),
         Hairpin(0.25), Scherk(0.5, 0.25)], ids=lambda sol: sol.kind)
     def test_matches_oracle_on_family_fields(self, sol):
-        fld = ScalarField2D.from_solution(sol, Window(-1.0, -1.0, 1.0, 1.0),
-                                          1.0 / 128)
+        fld = field_from_solution(sol, Window(-1.0, -1.0, 1.0, 1.0),
+                                  1.0 / 128)
         fb = extract_boundary(fld)
         assert len(fb) > 0
         _assert_same_boundary(fb, _extract_boundary_oracle(fld))
@@ -658,12 +660,12 @@ class TestClassifyFlat:
 
     def test_case_a_half_plane_field(self, halfplane):
         w = Window(-3.5, -3.5, 3.5, 3.5)
-        fld = ScalarField2D.from_solution(halfplane, w, 1.0 / 40)
+        fld = field_from_solution(halfplane, w, 1.0 / 40)
         assert classify_flat(fld, delta=0.1).case == "A"
 
     def test_case_b_two_plane_field(self, twoplane):
         w = Window(-3.5, -3.5, 3.5, 3.5)
-        fld = ScalarField2D.from_solution(twoplane, w, 1.0 / 40)
+        fld = field_from_solution(twoplane, w, 1.0 / 40)
         assert classify_flat(fld, delta=0.6).case == "B"
 
 

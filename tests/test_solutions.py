@@ -2,6 +2,7 @@
 serialization round-trips."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,13 @@ from onephase.common import Window
 from onephase.errors import InvalidInputError, NoSaddleError
 from onephase.solutions import (FAMILIES, KINDS, DiskComplement, Hairpin,
                                 HalfPlane, OneSidedPlane, RigidMotion, Scherk,
-                                TwoPlane, Wedge, load_solution,
-                                solution_from_dict)
+                                TwoPlane, Wedge, solution_from_dict)
+
+
+def load_solution(path):
+    """The solution that `Solution.save` wrote to path."""
+    return solution_from_dict(json.loads(Path(path).read_text()))
+
 
 ALL = [HalfPlane(), TwoPlane(0.5), Wedge(0.7), Hairpin(1.0),
        DiskComplement(1.0), Scherk(0.5, 1.0)]

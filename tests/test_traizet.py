@@ -3,6 +3,8 @@ path-integral oracle route, Scherk periods, mesh construction/welding,
 sphere-calibrated mean curvature, free-boundary orthogonality, the catenoid
 overlay, and file outputs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from onephase.quad import gauss_nodes
 from onephase.solutions import (BOUNDARY_TOL, DiskComplement, Hairpin,
                                 HalfPlane, OneSidedPlane, RigidMotion, Scherk,
                                 TwoPlane, Wedge)
-from onephase.traizet import (SurfaceMesh, build_mesh, canonical_mesh,
+from onephase.traizet import (_CHUNK, SurfaceMesh, build_mesh, canonical_mesh,
                               curvature_csv, mean_curvature,
                               orthogonality_check, patch_diskcomplement,
                               patch_hairpin, patch_halfplane, patch_scherk,
@@ -639,14 +641,52 @@ def _mean_curvature_oracle(mesh):
     return H, interior
 
 
-def _jittered_halfplane_mesh(rng):
+def _jittered_halfplane_mesh(rng, resolution=24):
     """Half-plane mesh with every vertex moved by up to 0.4 of a mesh step,
     so that it has acute and obtuse triangles."""
-    mesh = build_mesh(patch_halfplane(resolution=24))
-    step = 2.0 / 24
+    mesh = build_mesh(patch_halfplane(resolution=resolution))
+    step = 2.0 / resolution
     mesh.vertices = mesh.vertices + rng.uniform(-0.4 * step, 0.4 * step,
                                                 mesh.vertices.shape)
     return mesh
+
+
+#: meshes for the oracle comparison beyond the canonical ones at
+#: resolution 32: "<family>@<resolution>" (family a fixture name or
+#: scherk_<s>), the first 1, chunk − 1, chunk and chunk + 1 triangles of a
+#: jittered mesh (the unused vertices stay interior, with NaN curvature),
+#: and a mesh with zero-area triangles
+_ORACLE_MESHES = [f"{f}@{r}" for r in (64, 128)
+                  for f in ("halfplane", "disk", "hairpin", "scherk")] + [
+    f"scherk_{s}@{r}" for s in (0.125, 0.875) for r in (32, 64, 128)] + [
+    "first_1", "first_chunk-1", "first_chunk", "first_chunk+1", "zero_area"]
+
+
+def _oracle_mesh(name, request, rng):
+    if name == "sphere":
+        return _sphere_mesh()
+    if name == "jittered":
+        return _jittered_halfplane_mesh(rng)
+    if name.startswith("first_"):
+        count = {"1": 1, "chunk-1": _CHUNK - 1, "chunk": _CHUNK,
+                 "chunk+1": _CHUNK + 1}[name[len("first_"):]]
+        mesh = _jittered_halfplane_mesh(rng, resolution=48)
+        assert len(mesh.triangles) > count
+        mesh.triangles = mesh.triangles[:count]
+        return mesh
+    if name == "zero_area":
+        mesh = _jittered_halfplane_mesh(rng)
+        # an interior triangle's third vertex onto its first: both
+        # triangles on that edge have zero area
+        i0, _, i2 = mesh.triangles[len(mesh.triangles) // 4]
+        mesh.vertices[i2] = mesh.vertices[i0]
+        return mesh
+    family, _, res = name.partition("@")
+    if family.startswith("scherk_"):
+        sol = Scherk(float(family[len("scherk_"):]), 1.0)
+    else:
+        sol = request.getfixturevalue(family)
+    return canonical_mesh(sol, resolution=int(res or 32))
 
 
 class TestMeanCurvature:
@@ -680,21 +720,37 @@ class TestMeanCurvature:
 
 
     @pytest.mark.parametrize("name", ["halfplane", "disk", "hairpin",
-                                      "scherk", "sphere", "jittered"])
+                                      "scherk", "sphere", "jittered",
+                                      *_ORACLE_MESHES])
     def test_matches_scatter_add_oracle(self, name, request, rng):
-        if name == "sphere":
-            mesh = _sphere_mesh()
-        elif name == "jittered":
-            mesh = _jittered_halfplane_mesh(rng)
-        else:
-            mesh = canonical_mesh(request.getfixturevalue(name),
-                                  resolution=32)
+        mesh = _oracle_mesh(name, request, rng)
         H, interior = mean_curvature(mesh)
         H_ref, interior_ref = _mean_curvature_oracle(mesh)
         # bit for bit, the sign of zero and the NaN of boundary vertices too
         assert np.array_equal(H.view(np.int64), H_ref.view(np.int64))
         assert np.array_equal(interior, interior_ref)
         assert interior.any() and not interior.all()
+
+    def test_zero_area_mesh_has_a_zero_area_triangle(self, request, rng):
+        mesh = _oracle_mesh("zero_area", request, rng)
+        p = mesh.vertices[mesh.triangles]
+        area2 = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]),
+                               axis=1)
+        assert np.count_nonzero(area2 == 0.0) == 2
+
+    def test_memory_is_bounded(self, halfplane):
+        """The blocked pass takes at most half the traced peak of the
+        scatter-add oracle, which holds every per-corner array at once."""
+        mesh = canonical_mesh(halfplane, resolution=128)
+        peaks = []
+        for f in (mean_curvature, _mean_curvature_oracle):
+            tracemalloc.start()
+            try:
+                f(mesh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.5 * peaks[1]
 
     def test_jittered_mesh_has_every_meyer_branch(self, rng):
         mesh = _jittered_halfplane_mesh(rng)

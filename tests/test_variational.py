@@ -22,11 +22,13 @@ from onephase.variational import (OneSidedPlane, ScalarField2D,
                                   variational_residual, viscosity_slope,
                                   weiss_energy)
 
+from helpers import field_from_solution
+
 
 class TestScalarField:
     def test_from_solution_matches_eval(self, halfplane):
         w = Window(-1.0, -1.0, 1.0, 1.0)
-        fld = ScalarField2D.from_solution(halfplane, w, h=0.25)
+        fld = field_from_solution(halfplane, w, h=0.25)
         X, Y = fld.nodes()
         assert np.allclose(fld.values,
                            halfplane.eval_u(np.stack([X, Y], axis=-1)))
@@ -48,7 +50,7 @@ class TestScalarField:
 
     def test_save_load_round_trip(self, tmp_path, halfplane):
         w = Window(-1.0, -1.0, 1.0, 1.0)
-        fld = ScalarField2D.from_solution(halfplane, w, h=0.5)
+        fld = field_from_solution(halfplane, w, h=0.5)
         path = tmp_path / "field.csv"
         fld.save(path)
         back = ScalarField2D.load(path)
@@ -70,7 +72,7 @@ class TestEnergy:
         # grad term = |{x₁>0}| = 2 exactly (grid aligned with the FB);
         # indicator term = trapezoid measure of the open column set = 2 − h
         w = Window(-1.0, -1.0, 1.0, 1.0)
-        fld = ScalarField2D.from_solution(HalfPlane(), w, h=h)
+        fld = field_from_solution(HalfPlane(), w, h=h)
         assert ac_energy(fld) == pytest.approx(4.0 - h, abs=1e-12)
 
     def test_positive_constant_counts_full_measure(self):
