@@ -19,7 +19,8 @@ Contents:
 * structured `Patch` factories per family (rectangle for the half-plane, an
   annular band for the disk complement, a chart rectangle for the hairpin,
   and an annulus around the loop for Scherk) carrying per-vertex values of
-  that F;
+  that F and probe rows whose roots are the free-boundary vertices, the
+  one record of the free boundary that the mesh keeps;
 * `build_mesh` — upper sheet from a patch plus the exact X₃-reflection,
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
@@ -97,18 +98,17 @@ def traizet_map(sol, base, z):
 @dataclass
 class Patch:
     """A structured (nt × ns) planar vertex grid inside the closure of the
-    positive phase, with exact u values, a free-boundary vertex mask, and
-    the per-vertex values of a holomorphic primitive F of (2u_z)², so the
-    integral of (2u_z)² dz between two vertices is the difference of their
-    F values.  `weld_rows` identifies the last t-row with the first
-    (periodic seam); `base` is the (jt, is) vertex that T maps to the
-    X₁X₂ origin.  `fb_probes` rows hold a free-boundary vertex and its three
-    inward grid neighbors (flat indices) for the boundary-conormal
-    estimate."""
+    positive phase, with exact u values and the per-vertex values of a
+    holomorphic primitive F of (2u_z)², so the integral of (2u_z)² dz
+    between two vertices is the difference of their F values.
+    `weld_rows` identifies the last t-row with the first (periodic seam);
+    `base` is the (jt, is) vertex that T maps to the X₁X₂ origin.
+    `fb_probes` rows hold a free-boundary vertex and its three inward grid
+    neighbors (flat indices) for the boundary-conormal estimate; their
+    first column lists the free-boundary vertices."""
 
     points: np.ndarray
     u_vals: np.ndarray
-    fb_mask: np.ndarray
     primitive: np.ndarray
     fb_probes: np.ndarray
     base: tuple = (0, 0)
@@ -128,10 +128,7 @@ def patch_halfplane(resolution: int = 64) -> Patch:
     ys = np.linspace(-1.0, 1.0, nt)
     X, Y = np.meshgrid(xs, ys)
     pts = np.stack([X, Y], axis=-1)
-    u = X.copy()
-    fb = np.zeros((nt, ns), dtype=bool)
-    fb[:, 0] = True
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
+    return Patch(points=pts, u_vals=X,
                  primitive=HalfPlane().primitive(pts), base=(nt // 2, 0),
                  fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
 
@@ -148,9 +145,7 @@ def patch_diskcomplement(R: float, resolution: int = 64) -> Patch:
     pts = np.stack([Z.real, Z.imag], axis=-1)
     u = R * np.log(RHO / R)
     u[:, 0] = 0.0
-    fb = np.zeros((nt, ns), dtype=bool)
-    fb[:, 0] = True
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
+    return Patch(points=pts, u_vals=u,
                  primitive=DiskComplement(R).primitive(pts),
                  base=(0, 0), weld_rows=True,
                  fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
@@ -169,14 +164,11 @@ def patch_hairpin(a: float, resolution: int = 64) -> Patch:
     Z = a * (W + np.sinh(W))
     pts = np.stack([Z.real, Z.imag], axis=-1)
     u = a * np.real(np.cosh(W))
-    fb = np.zeros((nt, ns), dtype=bool)
-    fb[0, :] = True
-    fb[-1, :] = True
     u[0, :] = 0.0
     u[-1, :] = 0.0
     vid = np.arange(nt * ns).reshape(nt, ns).T
     probes = np.vstack([_probes(vid, 0, 1), _probes(vid, nt - 1, -1)])
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
+    return Patch(points=pts, u_vals=u,
                  primitive=Hairpin(a).primitive_in_chart(W),
                  base=(nt // 2, ns // 2),
                  fb_probes=probes)
@@ -246,10 +238,7 @@ def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
     zeta = np.empty_like(q)
     zeta[:, 1:] = sol.chart().inverse(q[:, 1:])
     zeta[:, 0] = 1j * ut_in
-    u = a * zeta.real
-    fb = np.zeros((nt, ns), dtype=bool)
-    fb[:, 0] = True
-    return Patch(points=pts, u_vals=u, fb_mask=fb,
+    return Patch(points=pts, u_vals=a * zeta.real,
                  primitive=sol.primitive_in_chart(zeta, right),
                  base=(0, ns - 1), weld_rows=True,
                  fb_probes=_probes(np.arange(nt * ns).reshape(nt, ns), 0, 1))
@@ -261,22 +250,21 @@ def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
 
 @dataclass
 class SurfaceMesh:
-    """Reflected bigraph mesh.  vertex_source rows are (x₁, x₂, sheet) with
-    sheet +1 (upper), −1 (lower reflection), 0 (shared free-boundary
-    vertex); triangle_sheet tags each face ±1.  probes rows hold a
+    """Reflected bigraph mesh: the upper sheet's vertices, then the mirror
+    images of those off the free boundary; the upper sheet's triangles,
+    then their mirror images with flipped orientation.  probes rows hold a
     free-boundary vertex index followed by its three inward upper-sheet
-    neighbors along a mesh line, for the boundary-conormal estimate; every
-    mesh built from a patch has them."""
+    neighbors along a mesh line, for the boundary-conormal estimate; they
+    are sorted, and their first column is the free-boundary vertices, the
+    ones shared by the two sheets, at X₃ = 0."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    vertex_source: np.ndarray
-    triangle_sheet: np.ndarray
     probes: np.ndarray
 
     @property
     def fb_vertices(self):
-        return np.nonzero(self.vertex_source[:, 2] == 0)[0]
+        return self.probes[:, 0]
 
     def save_obj(self, path) -> None:
         """Wavefront OBJ: one `v` line per vertex ('%.17g'), then one `f`
@@ -305,70 +293,48 @@ class SurfaceMesh:
         return bnd
 
 
-def build_mesh(patch: Patch, reflect: bool = True) -> SurfaceMesh:
+def build_mesh(patch: Patch) -> SurfaceMesh:
     """Map a structured patch through T and complete by X₃-reflection.
 
-    Free-boundary vertices get X₃ = 0 exactly and are shared between the
-    sheets; the lower sheet is the exact reflection with flipped face
-    orientation.
+    Free-boundary vertices, the roots of `patch.fb_probes`, get X₃ = 0
+    exactly and are shared between the sheets; the lower sheet is the
+    exact reflection with flipped face orientation.  A welded patch's last
+    row is its first, so its vertices are not kept.
     """
     nt, ns, _ = patch.points.shape
-    Z = patch.points[..., 0] + 1j * patch.points[..., 1]
-    jb, ib = patch.base
-    I = patch.primitive - patch.primitive[jb, ib]
-    X12 = 0.5 * ((np.conj(Z) - np.conj(Z[jb, ib])) - I)
-    X3 = np.asarray(patch.u_vals, dtype=float).copy()
-    X3[patch.fb_mask] = 0.0
-    verts = np.stack([X12.real, X12.imag, X3], axis=-1).reshape(-1, 3)
-    source = np.zeros((nt * ns, 3))
-    source[:, 0] = patch.points[..., 0].ravel()
-    source[:, 1] = patch.points[..., 1].ravel()
-    source[:, 2] = np.where(patch.fb_mask.ravel(), 0.0, 1.0)
-
     vid = np.arange(nt * ns).reshape(nt, ns)
+    rows = nt
     if patch.weld_rows:
-        vid = vid.copy()
         vid[-1, :] = vid[0, :]
+        rows -= 1
+    n_up = rows * ns
+    probes = np.unique(vid.ravel()[patch.fb_probes], axis=0)
+    fb = probes[:, 0]
+    mirrored = np.ones(n_up, dtype=bool)
+    mirrored[fb] = False
+
+    Z = patch.points[:rows, :, 0] + 1j * patch.points[:rows, :, 1]
+    jb, ib = patch.base
+    I = patch.primitive[:rows] - patch.primitive[jb, ib]
+    X12 = 0.5 * ((np.conj(Z) - np.conj(Z[jb, ib])) - I)
+    verts = np.empty((2 * n_up - len(fb), 3))
+    up = verts[:n_up]
+    up[:, 0] = X12.real.ravel()
+    up[:, 1] = X12.imag.ravel()
+    up[:, 2] = np.asarray(patch.u_vals, dtype=float)[:rows].ravel()
+    up[fb, 2] = 0.0
+    np.compress(mirrored, up, axis=0, out=verts[n_up:])
+    np.negative(verts[n_up:, 2], out=verts[n_up:, 2])
 
     # per quad (j, i), in row-major order: (v00, v01, v11), (v00, v11, v10)
     v00, v01 = vid[:-1, :-1], vid[:-1, 1:]
     v10, v11 = vid[1:, :-1], vid[1:, 1:]
-    tris = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
-
-    # drop vertices orphaned by row welding
-    used = np.zeros(nt * ns, dtype=bool)
-    used[tris.ravel()] = True
-    remap = -np.ones(nt * ns, dtype=int)
-    remap[used] = np.arange(int(used.sum()))
-    verts = verts[used]
-    source = source[used]
-    tris = remap[tris]
-    probes = remap[vid.ravel()[patch.fb_probes.ravel()]].reshape(-1, 4)
-    probes = np.unique(probes[np.all(probes >= 0, axis=1)], axis=0)
-
-    if not reflect:
-        return SurfaceMesh(vertices=verts, triangles=tris,
-                           vertex_source=source,
-                           triangle_sheet=np.ones(len(tris), dtype=int),
-                           probes=probes)
-
-    fb = source[:, 2] == 0.0
-    n_up = len(verts)
-    dup = ~fb
-    lower_ids = np.where(fb, np.arange(n_up), -1)
-    lower_ids[dup] = n_up + np.arange(int(dup.sum()))
-    lower_verts = verts[dup] * np.array([1.0, 1.0, -1.0])
-    lower_source = source[dup].copy()
-    lower_source[:, 2] = -1.0
-    all_verts = np.vstack([verts, lower_verts])
-    all_source = np.vstack([source, lower_source])
-    lower_tris = lower_ids[tris][:, ::-1]
-    all_tris = np.vstack([tris, lower_tris])
-    sheet = np.concatenate([np.ones(len(tris), dtype=int),
-                            -np.ones(len(tris), dtype=int)])
-    return SurfaceMesh(vertices=all_verts, triangles=all_tris,
-                       vertex_source=all_source, triangle_sheet=sheet,
-                       probes=probes)
+    upper = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
+    # the mirror image of an upper vertex: itself on the free boundary
+    image = np.arange(n_up)
+    image[mirrored] = np.arange(n_up, len(verts))
+    tris = np.concatenate([upper, image[upper[:, ::-1]]])
+    return SurfaceMesh(vertices=verts, triangles=tris, probes=probes)
 
 
 #: standard patch per meshable kind: rectangle for P, annular band for the
@@ -512,12 +478,10 @@ def orthogonality_check(mesh: SurfaceMesh):
     plane {X₃ = 0} at free-boundary vertices.  The tangent plane meets
     {X₃ = 0} orthogonally iff the boundary conormal (the surface direction
     leaving the free boundary) is vertical, so the defect is the angle
-    between the X₃ axis and the conormal fitted by a cubic through each
-    inward probe line (third-order in the mesh step); every mesh built from
-    a patch has them.  Returns (fb_vertex_indices, defects)."""
-    fb = mesh.fb_vertices
-    if len(fb) == 0:
-        return fb, np.zeros(0)
+    between the X₃ axis and the conormal fitted by a cubic through the
+    inward probe line of each row of `mesh.probes` (third-order in the
+    mesh step).  Returns (mesh.fb_vertices, defects), both empty for a
+    mesh without probes."""
     P = mesh.vertices[mesh.probes]            # (m, 4, 3)
     # chord-length parameters t₀ = 0 < t₁ < t₂ < t₃
     seg = np.linalg.norm(np.diff(P, axis=1), axis=2)
@@ -539,7 +503,7 @@ def orthogonality_check(mesh: SurfaceMesh):
         tangent += (num / denom)[:, None] * P[:, k]
     horiz = np.hypot(tangent[:, 0], tangent[:, 1])
     defects = np.arctan2(horiz, np.abs(tangent[:, 2]))
-    return mesh.probes[:, 0], defects
+    return mesh.fb_vertices, defects
 
 
 def curvature_csv(mesh: SurfaceMesh, path):

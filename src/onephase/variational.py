@@ -58,7 +58,6 @@ from .common import (Window, format_float, smoothstep5, write_json_atomic,
 from .errors import DomainError, InvalidInputError
 from .quad import gauss_nodes
 from .solutions import BOUNDARY_TOL
-from .solutions import OneSidedPlane  # re-exported from the registry
 
 __all__ = [
     "ScalarField2D",
@@ -67,7 +66,6 @@ __all__ = [
     "variational_residual",
     "weiss_energy",
     "viscosity_slope",
-    "OneSidedPlane",
     "MinimizeResult",
     "minimize_ac",
 ]

@@ -14,13 +14,13 @@ from onephase.geometry import (annulus_flat_check, classify_flat,
                                extract_boundary, flux_balance, hausdorff,
                                random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
-                                RigidMotion, Scherk, TwoPlane, Wedge, Window)
+                                OneSidedPlane, RigidMotion, Scherk, TwoPlane,
+                                Wedge, Window)
 from onephase.traizet import (canonical_mesh, mean_curvature,
                               orthogonality_check)
-from onephase.variational import (OneSidedPlane, ScalarField2D,
-                                  TestVectorField, minimize_ac,
-                                  variational_residual, viscosity_slope,
-                                  weiss_energy)
+from onephase.variational import (ScalarField2D, TestVectorField,
+                                  minimize_ac, variational_residual,
+                                  viscosity_slope, weiss_energy)
 
 from slit_chart import SlitHalfPlane, eval_u_slit
 

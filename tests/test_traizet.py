@@ -18,11 +18,11 @@ from onephase.quad import gauss_nodes
 from onephase.solutions import (BOUNDARY_TOL, DiskComplement, Hairpin,
                                 HalfPlane, OneSidedPlane, RigidMotion, Scherk,
                                 TwoPlane, Wedge)
-from onephase.traizet import (_CHUNK, SurfaceMesh, build_mesh, canonical_mesh,
-                              curvature_csv, mean_curvature,
-                              orthogonality_check, patch_diskcomplement,
-                              patch_hairpin, patch_halfplane, patch_scherk,
-                              traizet_map)
+from onephase.traizet import (_CHUNK, CANONICAL_PATCHES, SurfaceMesh,
+                              build_mesh, canonical_mesh, curvature_csv,
+                              mean_curvature, orthogonality_check,
+                              patch_diskcomplement, patch_hairpin,
+                              patch_halfplane, patch_scherk, traizet_map)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +505,7 @@ class TestPatchPrimitives:
         sol, patch = _patch_cases()[case]
         pts = patch.points.reshape(-1, 2)
         F = patch.primitive.ravel()
-        inner = np.nonzero(~patch.fb_mask.ravel())[0]
+        inner = np.setdiff1d(np.arange(len(pts)), patch.fb_probes[:, 0])
         rng = np.random.default_rng(case)
         pairs = []
         if isinstance(sol, Scherk):
@@ -582,9 +582,7 @@ def _sphere_mesh(R=2.0, n_lat=28, n_lon=56):
             tris.append((v00, v10, v01))
             tris.append((v10, v11, v01))
     tris = np.array(tris, dtype=int)
-    source = np.ones((len(verts), 3))
-    return SurfaceMesh(vertices=verts, triangles=tris, vertex_source=source,
-                       triangle_sheet=np.ones(len(tris), dtype=int),
+    return SurfaceMesh(vertices=verts, triangles=tris,
                        probes=np.zeros((0, 4), dtype=int))
 
 
@@ -774,10 +772,45 @@ class TestMeshStructure:
         x3 = np.sort(mesh.vertices[:, 2])
         assert np.allclose(x3, -x3[::-1], atol=1e-12)
 
-    def test_no_reflect_single_sheet(self):
-        mesh = build_mesh(patch_halfplane(resolution=12), reflect=False)
-        assert np.all(mesh.triangle_sheet == 1)
-        assert np.all(mesh.vertices[:, 2] >= -1e-15)
+    @pytest.mark.parametrize("resolution", [16, 33])
+    @pytest.mark.parametrize("fixture", ["halfplane", "disk", "hairpin",
+                                         "scherk"])
+    def test_reflected_sheet_structure(self, fixture, resolution, request):
+        # the upper sheet, then the mirror images of its vertices off the
+        # free boundary and of its triangles, flipped
+        sol = request.getfixturevalue(fixture)
+        patch = CANONICAL_PATCHES[sol.kind](sol, resolution)
+        mesh = build_mesh(patch)
+        nt, ns, _ = patch.points.shape
+        n_up = (nt - patch.weld_rows) * ns
+        fb = mesh.fb_vertices
+        assert np.array_equal(fb, np.flatnonzero(mesh.vertices[:, 2] == 0))
+        assert np.all(np.diff(fb) > 0)
+        assert len(mesh.vertices) == 2 * n_up - len(fb)
+        off = np.ones(n_up, dtype=bool)
+        off[fb] = False
+        image = np.arange(n_up)
+        image[off] = np.arange(n_up, len(mesh.vertices))
+        m = len(mesh.triangles) // 2
+        assert len(mesh.triangles) == 2 * m
+        upper = mesh.triangles[:m]
+        assert upper.max() < n_up
+        assert np.array_equal(mesh.triangles[m:], image[upper][:, ::-1])
+        mirror = mesh.vertices[:n_up][off]
+        mirror[:, 2] = -mirror[:, 2]
+        assert np.array_equal(mesh.vertices[n_up:].view(np.int64),
+                              mirror.view(np.int64))
+
+    def test_build_memory_is_bounded(self, halfplane):
+        # a 2.4 MB mesh: room for one sheet's temporaries, not for stacked
+        # copies of both sheets and a full-size renumbering (9.45 MB)
+        tracemalloc.start()
+        try:
+            canonical_mesh(halfplane, resolution=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7e6
 
     @pytest.mark.parametrize("patch", [
         patch_diskcomplement(1.0, resolution=16),
@@ -795,9 +828,9 @@ class TestMeshStructure:
                 tris.append((vid[j, i], vid[j + 1, i + 1], vid[j + 1, i]))
         tris = np.array(tris)
         remap = np.cumsum(np.isin(np.arange(nt * ns), tris)) - 1
-        mesh = build_mesh(patch, reflect=False)
+        mesh = build_mesh(patch)
         assert patch.weld_rows
-        assert np.array_equal(mesh.triangles, remap[tris])
+        assert np.array_equal(mesh.triangles[:len(tris)], remap[tris])
 
     def _euler(self, mesh):
         tri = mesh.triangles
@@ -849,7 +882,7 @@ class TestCatenoid:
 
     def test_requires_neck(self, catenoid_overlay):
         mesh = build_mesh(patch_halfplane(resolution=8))
-        mesh.vertex_source[:, 2] = 1.0  # no FB vertices
+        mesh.probes = mesh.probes[:0]  # no FB vertices
         with pytest.raises(InvalidInputError):
             catenoid_overlay(mesh, R=1.0)
 

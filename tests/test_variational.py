@@ -15,12 +15,12 @@ from onephase import variational
 from onephase.errors import DomainError, InvalidInputError
 from onephase.quad import gauss_nodes
 from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
-                                RigidMotion, Scherk, TwoPlane, Wedge, Window)
-from onephase.variational import (OneSidedPlane, ScalarField2D,
-                                  TestVectorField, _circle_integrals,
-                                  _stiffness, ac_energy, minimize_ac,
-                                  variational_residual, viscosity_slope,
-                                  weiss_energy)
+                                OneSidedPlane, RigidMotion, Scherk, TwoPlane,
+                                Wedge, Window)
+from onephase.variational import (ScalarField2D, TestVectorField,
+                                  _circle_integrals, _stiffness, ac_energy,
+                                  minimize_ac, variational_residual,
+                                  viscosity_slope, weiss_energy)
 
 from helpers import field_from_solution
 
