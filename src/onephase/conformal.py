@@ -20,15 +20,20 @@ of) the positive phase of an exact solution family:
   log|·| + i·arg(·) in real arithmetic, since numpy's complex log runs
   one point at a time.
 
-Every inversion goes through one driver, `_solve`: one vectorized damped
+Every inversion goes through one driver, `_solve`: a vectorized damped
 Newton run from the chart's closed-form start, read off the map's local or
 far-field expansion; a point that misses the tolerance raises
 `ConvergenceError`.  Each chart hands the driver one callable that returns
 the map and its derivative from one evaluation, so a Newton iterate costs
 one evaluation of the chart.
+The driver runs on blocks of consecutive targets (`_blocks`: 4096 to 8191
+of them, or the whole call below 4096), and the Scherk maps evaluate the
+same blocks, so a call's temporaries stay those of one block however many
+points it has.  A point's arithmetic does not depend on the other points
+of its block, so the results are bit-identical to one run over all points.
 `HHPStrip.inverse` and `ScherkStrip.inverse` keep a one-entry memo of their
-last solve, keyed on the shape and bits of the targets (−0.0 is not 0.0), so
-a family's u and ∇u at the same points share one solve.
+last solve, keyed on the shape and bits of the whole call's targets (−0.0 is
+not 0.0), so a family's u and ∇u at the same points share one solve.
 φ′ = 1 + cosh has positive real part on the closed strip, and the
 Scherk derivative is nonvanishing in the model interior, so the
 iterations are well posed.
@@ -58,10 +63,21 @@ _HALF_PI = np.pi / 2.0
 _NEWTON_TOL = 1e-12
 _MAX_ITER = 60
 _MAX_HALVINGS = 10
+#: the fewest points per Newton run and per blocked Scherk map evaluation
+_BLOCK = 4096
 
 
 def _as_complex(z):
     return np.asarray(z, dtype=complex)
+
+
+def _blocks(n):
+    """⌊n/_BLOCK⌋ slices (one at least) of near-equal runs of consecutive
+    points, each of _BLOCK to 2·_BLOCK − 1 points unless n < _BLOCK.  A call
+    just above _BLOCK points takes one run, not a second for its remainder:
+    a Newton run costs a fixed time per iterate, whatever its size."""
+    k = max(1, n // _BLOCK)
+    return [slice(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 # ----------------------------------------------------------------------
@@ -134,12 +150,20 @@ def _solve(targets, start, fdf, project, what):
     """ζ with f(ζ) = target for a flat complex array of targets, where
     `fdf(ζ)` gives (f(ζ), f′(ζ)).
 
-    One damped Newton run from the chart's closed-form `start(targets)`.
-    Raises ConvergenceError, with the last iterates, if any point misses
-    the tolerance.
+    One damped Newton run from the chart's closed-form `start(targets)` on
+    each of the `_blocks` of the targets, so the temporaries of a solve do
+    not grow with the call.  A point's iterates do not depend on the other
+    points of its run, so ζ is bit-identical to one run over all targets.
+    The charts' memo sits above this and keys on the whole call.  Every
+    block is solved; then ConvergenceError, with the last iterates of all
+    targets, if any point missed the tolerance.
     """
     targets = _as_complex(targets)
-    zeta, conv = _damped_newton(targets, start(targets), fdf, project)
+    zeta = np.empty_like(targets)
+    conv = np.empty(targets.shape, dtype=bool)
+    for b in _blocks(targets.size):
+        zeta[b], conv[b] = _damped_newton(targets[b], start(targets[b]), fdf,
+                                          project)
     if not np.all(conv):
         raise ConvergenceError(
             f"{what}: {int(np.sum(~conv))} point(s) failed to converge",
@@ -320,24 +344,33 @@ class ScherkStrip:
         return zeta_s, e, r, low
 
     @staticmethod
-    def _unfold(v, low, shape):
-        return np.where(low, np.conj(v), v).reshape(shape)
+    def _unfold(v, low):
+        return np.where(low, np.conj(v), v)
 
     def _bulk_fdf(self, zeta):
-        """(Φ_s, Φ_s′ = 1/r) at Newton iterates ζ, from one `_values` call."""
+        """(Φ_s, Φ_s′ = 1/r) at the flat array of Newton iterates ζ, from
+        one `_values` call."""
         zeta_s, e, r, low = self._values(zeta)
-        return (self._unfold(self._from_r(zeta_s, e, r), low, zeta.shape),
-                self._unfold(1.0 / r, low, zeta.shape))
+        return (self._unfold(self._from_r(zeta_s, e, r), low),
+                self._unfold(1.0 / r, low))
+
+    def _blocked(self, zeta, value):
+        """value(ζ/s, e, r) at the flattened ζ, one of its `_blocks` at a
+        time, unfolded from the upper half and shaped as ζ."""
+        zf = _as_complex(zeta).ravel()
+        out = np.empty_like(zf)
+        for b in _blocks(zf.size):
+            zeta_s, e, r, low = self._values(zf[b])
+            out[b] = self._unfold(value(zeta_s, e, r), low)
+        return out.reshape(np.shape(zeta))
 
     def derivative(self, zeta):
         """Φ_s′ = e^{φ_s} = 1/r."""
-        _, _, r, low = self._values(zeta)
-        return self._unfold(1.0 / r, low, np.shape(zeta))
+        return self._blocked(zeta, lambda zeta_s, e, r: 1.0 / r)
 
     def dual_derivative(self, zeta):
         """Ψ_s′ = e^{−φ_s} = r."""
-        _, _, r, low = self._values(zeta)
-        return self._unfold(r, low, np.shape(zeta))
+        return self._blocked(zeta, lambda zeta_s, e, r: r)
 
     def forward(self, zeta):
         """Φ_s(ζ) = s²·log((1−sr)/(1+sr)) + 2·log(s+r) + ζ/s + log(1+s²e)
@@ -346,15 +379,13 @@ class ScherkStrip:
         zeta = _as_complex(zeta)
         if np.any(zeta.real < -1e-12):
             raise DomainError("scherk_forward: Re ζ must be ≥ 0")
-        zeta_s, e, r, low = self._values(zeta)
-        return self._unfold(self._from_r(zeta_s, e, r), low, zeta.shape)
+        return self._blocked(zeta, self._from_r)
 
     def dual_primitive(self, zeta):
         """Ψ_s(ζ) = ∫ e^{−φ_s} dζ = log((1−sr)/(1+sr)) + s²·[2·log(s+r) + ζ/s
         + log(1+s²e) − log(1−s⁴)], normalized by Re Ψ_s(±il/2) = 0."""
-        zeta_s, e, r, low = self._values(zeta)
-        return self._unfold(self._from_r(zeta_s, e, r, dual=True), low,
-                            np.shape(zeta))
+        return self._blocked(
+            zeta, lambda zeta_s, e, r: self._from_r(zeta_s, e, r, dual=True))
 
     # -- corner chart (saddle neighborhood) --------------------------------
     #
@@ -394,15 +425,27 @@ class ScherkStrip:
         return np.where(r > cap, t * (cap / np.maximum(r, 1e-300)), t)
 
     def _inverse_corner(self, z):
-        """Invert targets near the upper saddle via the τ = √(ζ*−ζ) chart."""
+        """Invert targets near a saddle ±iπ via the τ = √(ζ*−ζ) chart of the
+        upper one; the lower by conjugation symmetry, Φ_s(ζ̄) = conj Φ_s(ζ)."""
+        low = z.imag < 0.0
+
+        def to_zeta(tau):
+            zeta = self.zeta_c - tau**2
+            return np.where(low, np.conj(zeta), zeta)
+
         try:
-            tau = _solve(z, lambda t: (t - 1j * np.pi) / self._B,
+            tau = _solve(np.where(low, np.conj(z), z),
+                         lambda t: (t - 1j * np.pi) / self._B,
                          self._corner_fdf, self._project_corner,
                          "scherk_inverse (corner)")
         except ConvergenceError as e:
-            e.last_iterate = self.zeta_c - e.last_iterate**2
+            e.last_iterate = to_zeta(e.last_iterate)
             raise
-        return self.zeta_c - tau**2
+        return to_zeta(tau)
+
+    def _inverse_bulk(self, z):
+        return _solve(z, self._bulk_start, self._bulk_fdf, self._project_bulk,
+                      "scherk_inverse")
 
     # -- inverse -----------------------------------------------------------
     def inverse(self, z):
@@ -412,27 +455,31 @@ class ScherkStrip:
         far-field expansion (`_bulk_start`); targets within
         `corner_zone_radius` of a saddle ±iπ go through the square-root
         corner chart instead.  A repeat of the last targets' shape and bits
-        returns a copy of their ζ.
+        returns a copy of their ζ.  If a zone's solve fails, the other is
+        still solved, and the ConvergenceError carries the last iterates
+        in ζ of all targets, in their shape.
         """
         return _remembered(self, _as_complex(z), self._inverse)
 
     def _inverse(self, z):
-        shape = z.shape
         zall = z.ravel()
         r_zone = self.corner_zone_radius
-        up = np.abs(zall - 1j * np.pi) <= r_zone
-        lo = np.abs(zall + 1j * np.pi) <= r_zone
+        corner = ((np.abs(zall - 1j * np.pi) <= r_zone)
+                  | (np.abs(zall + 1j * np.pi) <= r_zone))
         out = np.empty_like(zall)
-        if np.any(up):
-            out[up] = self._inverse_corner(zall[up])
-        if np.any(lo):
-            # conjugation symmetry: Φ_s(ζ̄) = conj Φ_s(ζ)
-            out[lo] = np.conj(self._inverse_corner(np.conj(zall[lo])))
-        bulk = ~(up | lo)
-        if np.any(bulk):
-            out[bulk] = _solve(zall[bulk], self._bulk_start, self._bulk_fdf,
-                               self._project_bulk, "scherk_inverse")
-        return out.reshape(shape)
+        failed = []
+        for zone, solve in ((corner, self._inverse_corner),
+                            (~corner, self._inverse_bulk)):
+            if np.any(zone):
+                try:
+                    out[zone] = solve(zall[zone])
+                except ConvergenceError as e:
+                    out[zone] = e.last_iterate
+                    failed.append(str(e))
+        if failed:
+            raise ConvergenceError("; ".join(failed),
+                                   last_iterate=out.reshape(z.shape))
+        return out.reshape(z.shape)
 
     def _project_bulk(self, zt):
         """Clip Newton iterates into the closed half-strip (in place)."""

@@ -662,12 +662,29 @@ class Scherk(Solution):
         x2 = np.clip(x2, -np.pi, np.pi)  # guard the seam against fp overshoot
         return np.stack([x1, x2], axis=-1), np.sign(q[..., 0])
 
-    def _u_body(self, p):
-        qf, _ = self._fold(p / self.a)
+    def _chart_targets(self, p, boundary_limit=False):
+        """(z, inside, sign): the chart targets z = x₁ + ix₂ of the folded
+        model points of p that lie in the positive phase, that mask, and the
+        sign of x₁ there (+ on the axis).  With `boundary_limit`, points of F
+        up to the boundary tolerance count as inside, projected onto it.
+        Only these leave, so the folded points are freed before a solve."""
+        qf, sign1 = self._fold(p / self.a)
         inside = scherk_loop_implicit(self.s, qf) > 0.0
+        if boundary_limit:
+            scale = 1.0 + np.abs(qf).max(axis=-1)
+            near = ~inside & (self._fb_dist_body(p)
+                              <= BOUNDARY_TOL * self.a * scale)
+            if np.any(near):
+                qf = np.where(near[..., None], self._model_fb_project(qf), qf)
+                inside = inside | near
+        sign = sign1[inside]
+        return (qf[..., 0][inside] + 1j * qf[..., 1][inside], inside,
+                np.where(sign == 0.0, 1.0, sign))
+
+    def _u_body(self, p):
+        z, inside, _ = self._chart_targets(p)
         u = np.zeros(p.shape[:-1])
-        if np.any(inside):
-            z = qf[..., 0][inside] + 1j * qf[..., 1][inside]
+        if z.size:
             u[inside] = self.a * self._chart.inverse(z).real
         return u
 
@@ -685,25 +702,11 @@ class Scherk(Solution):
         return out
 
     def _grad_body(self, p, boundary_limit):
-        q = p / self.a
-        qf, sign1 = self._fold(q)
-        G = scherk_loop_implicit(self.s, qf)
-        inside = G > 0.0
-        if boundary_limit:
-            scale = 1.0 + np.abs(qf).max(axis=-1)
-            near = ~inside & (self._fb_dist_body(p)
-                              <= BOUNDARY_TOL * self.a * scale)
-            if np.any(near):
-                qf = np.where(near[..., None], self._model_fb_project(qf), qf)
-                inside = inside | near
+        z, inside, sign = self._chart_targets(p, boundary_limit)
         g = np.zeros_like(p)
-        if np.any(inside):
-            z = qf[..., 0][inside] + 1j * qf[..., 1][inside]
-            zeta = self._chart.inverse(z)
-            fp = self._chart.dual_derivative(zeta)
-            # unfold the x₁ reflection (sign 0 on the axis: keep +)
-            sgn = np.where(sign1[inside] == 0.0, 1.0, sign1[inside])
-            g[..., 0][inside] = sgn * fp.real
+        if z.size:
+            fp = self._chart.dual_derivative(self._chart.inverse(z))
+            g[..., 0][inside] = sign * fp.real  # unfold the x₁ reflection
             g[..., 1][inside] = -fp.imag
         return g
 

@@ -1,6 +1,8 @@
 """Helpers that only the tests call: a solution sampled on a window's grid,
-the Scherk chart's upper strip boundary line, and the Menger curvature of
-a polyline."""
+the Scherk chart's upper strip boundary line, the Menger curvature of a
+polyline, and the traced memory peak of a call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -58,3 +60,13 @@ def curve_curvature(curve) -> np.ndarray:
     out = np.full(len(pts), np.nan)
     out[1:-1] = kappa
     return out
+
+
+def traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of one call fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

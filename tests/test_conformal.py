@@ -340,6 +340,40 @@ class TestInverseFailure:
         assert np.allclose(it, chart.zeta_c - tau0**2, atol=1e-3)
         assert np.all(np.abs(it.imag) <= 0.5 * chart.l + 1e-12)
 
+    def test_scherk_corner_and_bulk(self, monkeypatch):
+        # the bulk target still converges, and the error holds ζ for every
+        # target, in their shape
+        self._stiffen(monkeypatch, ScherkStrip, "_corner_fdf")
+        chart = ScherkStrip(s=0.5)
+        rho = chart.corner_zone_radius * np.array([0.2, 0.5, 0.9])
+        corner = 1j * np.pi + rho * np.exp(-0.25j * np.pi)
+        z = np.array([[corner[0], 2.0 - 1.0j], [corner[1], corner[2]]])
+        with pytest.raises(ConvergenceError,
+                           match=r"scherk_inverse \(corner\): 3 point") as info:
+            chart.inverse(z)
+        it = info.value.last_iterate
+        assert it.shape == z.shape
+        tau0 = (corner - 1j * np.pi) / chart._B
+        assert np.allclose(it.ravel()[[0, 2, 3]], chart.zeta_c - tau0**2,
+                           atol=1e-3)
+        assert abs(chart.forward(it[0, 1]) - z[0, 1]) <= 1e-11
+
+    def test_scherk_lower_corner(self, monkeypatch):
+        # the mirror images of test_scherk_corner's targets, below the
+        # saddle −iπ: their iterates are the mirror images too
+        self._stiffen(monkeypatch, ScherkStrip, "_corner_fdf")
+        rho = ScherkStrip(s=0.5).corner_zone_radius * np.array([0.2, 0.5, 0.9])
+        z = 1j * np.pi + rho * np.exp(-0.25j * np.pi)
+        its = []
+        for targets in (z, np.conj(z)):
+            with pytest.raises(ConvergenceError,
+                               match=r"scherk_inverse \(corner\): 3 point") \
+                    as info:
+                ScherkStrip(s=0.5).inverse(targets)
+            its.append(info.value.last_iterate)
+        assert np.all(its[1].imag < 0.0)
+        assert np.array_equal(_bits(its[1]), _bits(np.conj(its[0])))
+
 
 # ----------------------------------------------------------------------
 # the Newton driver against its full-array predecessor
@@ -559,16 +593,105 @@ class TestDampedNewton:
                                             fdf):
         """Failed points are not retried.  With the bulk's f′ stiffened the
         corner solve converges and the bulk solve fails in its one run; with
-        the corner's, the corner solve fails in its one run and raises
-        before the bulk solve starts."""
+        the corner's, the corner solve fails in its one run and the bulk
+        solve still runs once, so the error carries ζ for every target."""
         TestInverseFailure._stiffen(monkeypatch, ScherkStrip, fdf)
         chart = ScherkStrip(s=0.5)
         corner = 1j * np.pi + (0.2 * chart.corner_zone_radius
                                * np.exp(-0.25j * np.pi))
         with pytest.raises(ConvergenceError):
-            chart.inverse(np.array([corner, 0.5 + 0.1j, 6.0 + 2.0j]))
+            chart.inverse(np.array([corner, 2.0 - 1.0j, 6.0 + 2.0j]))
         failed = [c["failed"] for c in newton_spy]
-        assert failed == ([False, True] if fdf == "_bulk_fdf" else [True])
+        assert failed == ([False, True] if fdf == "_bulk_fdf"
+                          else [True, False])
+
+
+# ----------------------------------------------------------------------
+# blocked solves and maps
+# ----------------------------------------------------------------------
+
+def _with_block(block, f, *args):
+    """f(*args) with the chart layer's blocks of `block` points."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(conformal, "_BLOCK", block)
+        return f(*args)
+
+
+def _scherk_mixed_targets(chart, seed, n):
+    """n targets of the image half-cell, each in the bulk or in the zone of
+    the upper or the lower saddle."""
+    rng = np.random.default_rng(seed)
+    zeta = (rng.uniform(0.05, 3.0, n) * max(chart.s, chart.b)
+            + 1j * rng.uniform(-0.45, 0.45, n) * chart.l)
+    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, n)
+    corner = 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, n))
+    corner = np.where(rng.uniform(size=n) < 0.5, corner, np.conj(corner))
+    return np.where(rng.uniform(size=n) < 0.5, chart.forward(zeta), corner)
+
+
+#: one block for any test size, as one Newton run over all points
+_ONE_BATCH = 2**62
+up_to_4_blocks = st.integers(0, 4 * 7 + 3)
+
+
+class TestBlocks:
+    """Blocks of points are invisible: with blocks of 7, every chart
+    inverse and Scherk map gives the bits of one batch over all points."""
+
+    @given(n=up_to_4_blocks, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_hhp_inverse(self, n, seed):
+        z = _hhp_targets(n, seed)
+        got, want = (_with_block(b, HHPStrip().inverse, z)
+                     for b in (7, _ONE_BATCH))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @given(s=slopes, n=up_to_4_blocks, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scherk_inverse(self, s, n, seed):
+        z = _scherk_mixed_targets(ScherkStrip(s=s), seed, n)
+        got, want = (_with_block(b, ScherkStrip(s=s).inverse, z)
+                     for b in (7, _ONE_BATCH))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @given(s=slopes, n=up_to_4_blocks, seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scherk_maps(self, s, n, seed):
+        chart = ScherkStrip(s=s)
+        zeta = np.random.default_rng(seed).permutation(
+            _scherk_cloud(chart, seed, n=6))[:n]
+        for f in (chart.forward, chart.derivative, chart.dual_derivative,
+                  chart.dual_primitive):
+            got, want = (_with_block(b, f, zeta) for b in (7, _ONE_BATCH))
+            assert got.shape == zeta.shape
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_work_runs_in_blocks(self, monkeypatch):
+        monkeypatch.setattr(conformal, "_BLOCK", 7)
+        runs, values = [], []
+        driver, values_of = conformal._damped_newton, ScherkStrip._values
+        monkeypatch.setattr(conformal, "_damped_newton",
+                            lambda t, *a: runs.append(t.size) or driver(t, *a))
+        monkeypatch.setattr(ScherkStrip, "_values", lambda self, z: (
+            values.append(z.size) or values_of(self, z)))
+        HHPStrip().inverse(_hhp_targets(30, 1))
+        chart = ScherkStrip(s=0.5)
+        chart.forward(_scherk_cloud(chart, 1, n=5))
+        # ⌊30/7⌋ = 4 runs of 7 or 8 points: no run for a remainder of 2
+        assert runs == values == [7, 8, 7, 8]
+
+    def test_failure_spans_all_blocks(self, monkeypatch):
+        # every block is solved; the count and the iterates are of them all
+        _stiffen_hhp(monkeypatch)
+        z = _hhp_targets(30, 2)
+        errors = []
+        for b in (7, _ONE_BATCH):
+            with pytest.raises(ConvergenceError,
+                               match="hhp_inverse: 30 point") as info:
+                _with_block(b, HHPStrip().inverse, z)
+            errors.append(info.value.last_iterate)
+        assert errors[0].shape == z.shape
+        assert np.array_equal(_bits(errors[0]), _bits(errors[1]))
 
 
 # ----------------------------------------------------------------------

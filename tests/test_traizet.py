@@ -3,8 +3,6 @@ path-integral oracle route, Scherk periods, mesh construction/welding,
 sphere-calibrated mean curvature, free-boundary orthogonality, the catenoid
 overlay, and file outputs."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +21,8 @@ from onephase.traizet import (_CHUNK, CANONICAL_PATCHES, SurfaceMesh,
                               mean_curvature, orthogonality_check,
                               patch_diskcomplement, patch_hairpin,
                               patch_halfplane, patch_scherk, traizet_map)
+
+from helpers import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -740,14 +740,8 @@ class TestMeanCurvature:
         """The blocked pass takes at most half the traced peak of the
         scatter-add oracle, which holds every per-corner array at once."""
         mesh = canonical_mesh(halfplane, resolution=128)
-        peaks = []
-        for f in (mean_curvature, _mean_curvature_oracle):
-            tracemalloc.start()
-            try:
-                f(mesh)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [traced_peak(lambda: f(mesh))
+                 for f in (mean_curvature, _mean_curvature_oracle)]
         assert peaks[0] <= 0.5 * peaks[1]
 
     def test_jittered_mesh_has_every_meyer_branch(self, rng):
@@ -804,13 +798,16 @@ class TestMeshStructure:
     def test_build_memory_is_bounded(self, halfplane):
         # a 2.4 MB mesh: room for one sheet's temporaries, not for stacked
         # copies of both sheets and a full-size renumbering (9.45 MB)
-        tracemalloc.start()
-        try:
-            canonical_mesh(halfplane, resolution=128)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7e6
+        assert traced_peak(lambda: canonical_mesh(halfplane,
+                                                  resolution=128)) <= 7e6
+
+    def test_scherk_build_memory_is_bounded(self, scherk):
+        # the chart solve of the patch runs in blocks (9.61 MB when it ran
+        # over all 20,000 vertices at once); the small mesh first takes the
+        # one-time import of numpy.ma by np.unique out of the peak
+        canonical_mesh(scherk, resolution=8)
+        assert traced_peak(lambda: canonical_mesh(scherk,
+                                                  resolution=128)) <= 8e6
 
     @pytest.mark.parametrize("patch", [
         patch_diskcomplement(1.0, resolution=16),
