@@ -237,10 +237,7 @@ def config_from_args(args) -> ExperimentConfig:
 
 def _family_param_names(family) -> set:
     cls = KINDS.get(family) if isinstance(family, str) else None
-    if cls is None:
-        return set()
-    fields = getattr(cls, "__dataclass_fields__", {})
-    return {k for k in fields if k != "motion"}
+    return set() if cls is None else set(cls.param_names())
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:

@@ -23,9 +23,11 @@ of) the positive phase of an exact solution family:
 Every inversion goes through one driver, `_solve`: a vectorized damped
 Newton run from the chart's closed-form start, read off the map's local or
 far-field expansion; a point that misses the tolerance raises
-`ConvergenceError`.  Each chart hands the driver one callable that returns
-the map and its derivative from one evaluation, so a Newton iterate costs
-one evaluation of the chart.
+`ConvergenceError`.  Before any solve, an inverse raises `DomainError` if a
+target lies off the closure of the chart's image (Ω₁, or D_s) by more than
+1e-9·(1 + |z|).  Each chart hands the driver one callable that returns the
+map and its derivative from one evaluation, so a Newton iterate costs one
+evaluation of the chart.
 The driver runs on blocks of consecutive targets (`_blocks`: 4096 to 8191
 of them, or the whole call below 4096), and the Scherk maps evaluate the
 same blocks, so a call's temporaries stay those of one block however many
@@ -53,6 +55,7 @@ __all__ = [
     "ScherkStrip",
     "scherk_loop_point",
     "scherk_loop_implicit",
+    "scherk_loop_gradient",
     "scherk_loop_x2_extent",
 ]
 
@@ -449,7 +452,8 @@ class ScherkStrip:
 
     # -- inverse -----------------------------------------------------------
     def inverse(self, z):
-        """Φ_s⁻¹(z) for z in the closure of the image half-cell D_s.
+        """Φ_s⁻¹(z) for z in the closure of the image half-cell D_s
+        (Re z ≥ 0, |Im z| ≤ π, outside the loop; DomainError otherwise).
 
         Damped Newton on the closed form, started from one step of the
         far-field expansion (`_bulk_start`); targets within
@@ -463,6 +467,11 @@ class ScherkStrip:
 
     def _inverse(self, z):
         zall = z.ravel()
+        tol = 1e-9 * (1.0 + np.abs(zall))
+        G = scherk_loop_implicit(self.s, np.stack([zall.real, zall.imag], -1))
+        if not np.all((zall.real >= -tol) & (G >= -tol)
+                      & (np.abs(zall.imag) <= np.pi + tol)):
+            raise DomainError("scherk_inverse: z outside the closure of D_s")
         r_zone = self.corner_zone_radius
         corner = ((np.abs(zall - 1j * np.pi) <= r_zone)
                   | (np.abs(zall + 1j * np.pi) <= r_zone))
@@ -523,6 +532,14 @@ def scherk_loop_implicit(s: float, p):
     x1 = np.clip(np.abs(p[..., 0]) / (1.0 - s**2), 0.0, 700.0)
     return ((1.0 - s**2) * np.cosh(x1)
             - (1.0 + s**2) * np.cos(p[..., 1] / (1.0 + s**2)))
+
+
+def scherk_loop_gradient(s: float, p):
+    """∇ of `scherk_loop_implicit`: (sinh(x₁/(1−s²)), sin(x₂/(1+s²))), an
+    outward normal on the loop."""
+    p = np.asarray(p, dtype=float)
+    x1 = np.clip(p[..., 0] / (1.0 - s**2), -700.0, 700.0)
+    return np.stack([np.sinh(x1), np.sin(p[..., 1] / (1.0 + s**2))], axis=-1)
 
 
 def scherk_loop_x2_extent(s: float) -> float:

@@ -33,20 +33,24 @@ Conventions
   the positive phase, and ``component`` labels that phase's components; the
   wedge and the one-sided plane have no F.
 * ``free_boundary_curves`` returns world-frame polylines of F(u) clipped to
-  a window; closed components repeat their first vertex when unclipped.
-* ``rescale(lam)`` returns the family member representing u_λ(x) = u(λx)/λ.
+  a window, built with the positive phase on their left; closed components
+  repeat their first vertex when unclipped.
+* A family's parameters are its dataclass fields but ``motion``
+  (``param_names()``).  ``_length`` names the one that carries the length
+  scale, or is None: the base class checks it is > 0, and ``rescale(lam)``,
+  the member representing u_λ(x) = u(λx)/λ, divides it by λ.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .common import Window, clip_polyline_to_window, write_json_atomic
-from .conformal import (HHPStrip, ScherkStrip, scherk_loop_implicit,
-                        scherk_loop_point)
+from .conformal import (HHPStrip, ScherkStrip, scherk_loop_gradient,
+                        scherk_loop_implicit, scherk_loop_point)
 from .errors import DomainError, InvalidInputError, NoSaddleError
 
 __all__ = [
@@ -144,6 +148,18 @@ class Solution(ABC):
     homogeneous = False
     #: body-frame F(p) with F′ = (2u_z)², or None
     _primitive_body = None
+    #: the parameter a dilation divides, checked > 0; None if scale-free
+    _length = None
+
+    def __post_init__(self):
+        if self._length is not None and not getattr(self, self._length) > 0:
+            raise InvalidInputError(
+                f"{type(self).__name__} requires {self._length} > 0")
+
+    @classmethod
+    def param_names(cls) -> tuple:
+        """The family's parameters: its dataclass fields but the motion."""
+        return tuple(f.name for f in fields(cls) if f.name != "motion")
 
     # ---- body-frame hooks (family-specific) --------------------------------
     @abstractmethod
@@ -166,15 +182,9 @@ class Solution(ABC):
 
     @abstractmethod
     def _fb_polylines_body(self, bbox, step: float):
-        """Analytic boundary polylines covering the body-frame bbox."""
-        ...
-
-    @abstractmethod
-    def _params(self) -> dict:
-        ...
-
-    @abstractmethod
-    def _rescaled_params(self, lam: float) -> dict:
+        """Analytic boundary polylines covering the body-frame bbox, with the
+        positive phase on their left (either way where it is on both sides);
+        a rigid motion keeps that orientation in the world frame."""
         ...
 
     # ---- public API -------------------------------------------------------
@@ -223,7 +233,7 @@ class Solution(ABC):
         return self._fb_dist_body(self.motion.to_body(_as_points(points)))
 
     def free_boundary_curves(self, window: Window, step: float | None = None):
-        """World-frame free boundary polylines clipped to `window`."""
+        """World-frame F(u) polylines in `window`, positive phase left."""
         if step is None:
             step = max(window.width, window.height) / 1000.0
         if not 0 < step < np.inf:
@@ -238,7 +248,6 @@ class Solution(ABC):
         pieces = []
         for poly in self._fb_polylines_body(bbox, step):
             world = self.motion.to_world(poly)
-            world = self._orient_positive_left(world, step)
             closed = bool(np.allclose(world[0], world[-1], atol=1e-12))
             clipped = clip_polyline_to_window(world, window)
             if (closed and len(clipped) >= 2
@@ -248,28 +257,15 @@ class Solution(ABC):
             pieces.extend(clipped)
         return pieces
 
-    def _orient_positive_left(self, poly, step):
-        """Reverse the polyline if the positive phase is on its right."""
-        mid = 0.5 * (poly[:-1] + poly[1:])
-        tang = np.diff(poly, axis=0)
-        norm = np.hypot(tang[:, 0], tang[:, 1])
-        ok = norm > 0
-        mid, tang = mid[ok], tang[ok] / norm[ok, None]
-        eps = 0.1 * step * (1.0 + np.abs(mid).max())
-        left = mid + eps * np.stack([-tang[:, 1], tang[:, 0]], axis=-1)
-        right = mid - eps * np.stack([-tang[:, 1], tang[:, 0]], axis=-1)
-        on_left = float(np.mean(self.in_positive_phase(left)))
-        on_right = float(np.mean(self.in_positive_phase(right)))
-        return poly[::-1] if on_right > on_left else poly
-
     def rescale(self, lam: float) -> "Solution":
         """The family member representing u_λ(x) = u(λx)/λ."""
         if not lam > 0:
             raise InvalidInputError("rescale requires λ > 0")
-        params = self._rescaled_params(lam)
+        length = ({} if self._length is None
+                  else {self._length: getattr(self, self._length) / lam})
         shift = (self.motion.shift[0] / lam, self.motion.shift[1] / lam)
-        return type(self)(**params,
-                          motion=replace(self.motion, shift=shift))
+        return replace(self, **length,
+                       motion=replace(self.motion, shift=shift))
 
     def saddle_value(self) -> float:
         raise NoSaddleError(f"{self.kind} has no saddle point")
@@ -287,7 +283,8 @@ class Solution(ABC):
 
     # ---- serialization ------------------------------------------------------
     def to_dict(self) -> dict:
-        return {"family": self.kind, "params": self._params(),
+        params = {k: float(getattr(self, k)) for k in self.param_names()}
+        return {"family": self.kind, "params": params,
                 "motion": self.motion.to_dict()}
 
     def save(self, path) -> None:
@@ -333,13 +330,7 @@ class HalfPlane(Solution):
         return p[..., 0] + 1j * p[..., 1]
 
     def _fb_polylines_body(self, bbox, step):
-        return [_vertical_line(0.0, bbox, step)]
-
-    def _params(self):
-        return {}
-
-    def _rescaled_params(self, lam):
-        return {}
+        return [_vertical_line(0.0, bbox, step)[::-1]]
 
 
 @dataclass
@@ -363,12 +354,6 @@ class OneSidedPlane(HalfPlane):
     def _grad_body(self, p, boundary_limit):
         return self.s * super()._grad_body(p, boundary_limit)
 
-    def _params(self):
-        return {"s": float(self.s)}
-
-    def _rescaled_params(self, lam):
-        return {"s": self.s}
-
 
 @dataclass
 class TwoPlane(Solution):
@@ -377,10 +362,7 @@ class TwoPlane(Solution):
     a: float = 1.0
 
     kind = "two_plane"
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidInputError("TwoPlane requires gap a > 0")
+    _length = "a"
 
     def _u_body(self, p):
         x = p[..., 0]
@@ -412,14 +394,8 @@ class TwoPlane(Solution):
         return np.where(x > -0.5 * self.a, 1, -1)
 
     def _fb_polylines_body(self, bbox, step):
-        return [_vertical_line(0.0, bbox, step),
+        return [_vertical_line(0.0, bbox, step)[::-1],
                 _vertical_line(-self.a, bbox, step)]
-
-    def _params(self):
-        return {"a": float(self.a)}
-
-    def _rescaled_params(self, lam):
-        return {"a": self.a / lam}
 
 
 @dataclass
@@ -457,12 +433,6 @@ class Wedge(Solution):
     def _fb_polylines_body(self, bbox, step):
         return [_vertical_line(0.0, bbox, step)]
 
-    def _params(self):
-        return {"s": float(self.s)}
-
-    def _rescaled_params(self, lam):
-        return {"s": self.s}
-
 
 # ---------------------------------------------------------------------------
 # hairpin
@@ -477,10 +447,10 @@ class Hairpin(Solution):
     a: float = 1.0
 
     kind = "hairpin"
+    _length = "a"
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise InvalidInputError("Hairpin requires neck scale a > 0")
+        super().__post_init__()
         self._chart = HHPStrip()
 
     def _bound(self, x1):
@@ -546,7 +516,7 @@ class Hairpin(Solution):
         x = np.linspace(-xlim, xlim, n + 1)
         upper = np.stack([x, self._bound(x)], axis=-1)
         lower = np.stack([x, -self._bound(x)], axis=-1)
-        return [upper, lower]
+        return [upper[::-1], lower]
 
     def saddle_value(self) -> float:
         """u at the neck point z = 0 (the saddle of the hairpin)."""
@@ -561,12 +531,6 @@ class Hairpin(Solution):
         L = 2.0 * self.a * (np.pi / 2 + 1.0)
         return (-L, -L, L, L)
 
-    def _params(self):
-        return {"a": float(self.a)}
-
-    def _rescaled_params(self, lam):
-        return {"a": self.a / lam}
-
 
 # ---------------------------------------------------------------------------
 # disk complement
@@ -579,10 +543,7 @@ class DiskComplement(Solution):
     R: float = 1.0
 
     kind = "disk_complement"
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise InvalidInputError("DiskComplement requires R > 0")
+    _length = "R"
 
     def _u_body(self, p):
         r = np.hypot(p[..., 0], p[..., 1])
@@ -611,7 +572,7 @@ class DiskComplement(Solution):
     def _fb_polylines_body(self, bbox, step):
         n = max(int(np.ceil(2.0 * np.pi * self.R / step)), 16)
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
-        return [self.R * np.stack([np.cos(t), np.sin(t)], axis=-1)]
+        return [self.R * np.stack([np.cos(t), np.sin(t)], axis=-1)[::-1]]
 
     def boundary_window(self):
         R = self.R
@@ -620,12 +581,6 @@ class DiskComplement(Solution):
     def verify_window(self):
         L = 2.0 * self.R
         return (-L, -L, L, L)
-
-    def _params(self):
-        return {"R": float(self.R)}
-
-    def _rescaled_params(self, lam):
-        return {"R": self.R / lam}
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +601,12 @@ class Scherk(Solution):
     a: float = 1.0
 
     kind = "scherk"
+    _length = "a"
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
             raise InvalidInputError("Scherk requires slope 0 < s < 1")
-        if not self.a > 0:
-            raise InvalidInputError("Scherk requires scale a > 0")
+        super().__post_init__()
         self._chart = ScherkStrip(s=self.s)
 
     # -- model-cell folding: (x₁, x₂) → (|x₁|, x₂ mod 2π in [−π, π]) --------
@@ -691,13 +646,10 @@ class Scherk(Solution):
     def _model_fb_project(self, qf):
         """One Newton projection step onto the oval {G = 0} (for points
         already within rounding of it)."""
-        s = self.s
-        G = scherk_loop_implicit(s, qf)
-        d1 = np.sinh(np.clip(qf[..., 0] / (1.0 - s**2), -700.0, 700.0))
-        d2 = np.sin(qf[..., 1] / (1.0 + s**2))
-        n2 = np.maximum(d1**2 + d2**2, 1e-30)
-        step = (G / n2)[..., None] * np.stack([d1, d2], axis=-1)
-        out = qf - step
+        G = scherk_loop_implicit(self.s, qf)
+        dG = scherk_loop_gradient(self.s, qf)
+        n2 = np.maximum(dG[..., 0]**2 + dG[..., 1]**2, 1e-30)
+        out = qf - (G / n2)[..., None] * dG
         out[..., 0] = np.abs(out[..., 0])
         return out
 
@@ -713,10 +665,9 @@ class Scherk(Solution):
     def _fb_dist_body(self, p):
         qf, _ = self._fold(p / self.a)
         G = scherk_loop_implicit(self.s, qf)
-        dG1 = np.abs(np.sinh(np.clip(qf[..., 0] / (1.0 - self.s**2),
-                                     -700.0, 700.0)))
-        dG2 = np.abs(np.sin(qf[..., 1] / (1.0 + self.s**2)))
-        return self.a * np.abs(G) / np.maximum(np.hypot(dG1, dG2), 1e-12)
+        dG = scherk_loop_gradient(self.s, qf)
+        return (self.a * np.abs(G)
+                / np.maximum(np.hypot(dG[..., 0], dG[..., 1]), 1e-12))
 
     def _positive_body(self, p):
         qf, _ = self._fold(p / self.a)
@@ -754,7 +705,7 @@ class Scherk(Solution):
         right = self.a * scherk_loop_point(self.s, ut)
         left = right[::-1].copy()
         left[:, 0] *= -1.0
-        loop = np.vstack([right, left[1:]])  # closed: ends repeat start
+        loop = np.vstack([right, left[1:]])[::-1]  # closed, clockwise
         out = []
         for k in range(k_lo, k_hi + 1):
             c = loop.copy()
@@ -778,12 +729,6 @@ class Scherk(Solution):
     def verify_window(self):
         L = 2.0 * np.pi * self.a
         return (-L, -L, L, L)
-
-    def _params(self):
-        return {"s": float(self.s), "a": float(self.a)}
-
-    def _rescaled_params(self, lam):
-        return {"s": self.s, "a": self.a / lam}
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import smoothstep5, write_text_atomic
-from .conformal import scherk_loop_point, scherk_loop_x2_extent
+from .conformal import (scherk_loop_gradient, scherk_loop_point,
+                        scherk_loop_x2_extent)
 from .errors import InvalidInputError, TopologyError
 from .solutions import DiskComplement, Hairpin, HalfPlane, Scherk
 
@@ -213,12 +214,9 @@ def patch_scherk(s: float, a: float, resolution: int = 64) -> Patch:
                                 "loop for this s")
     outer = np.stack([r_out * np.cos(theta), r_out * np.sin(theta)],
                      axis=-1)
-    # outward loop normal from ∇ of the implicit equation
-    # (1−s²)cosh(x₁/(1−s²)) − (1+s²)cos(x₂/(1+s²))
-    gx = np.sinh(inner[:, 0] / (a * (1.0 - s * s)))
-    gy = np.sin(inner[:, 1] / (a * (1.0 + s * s)))
-    gn = np.hypot(gx, gy)
-    normal = np.stack([gx / gn, gy / gn], axis=-1)
+    # outward loop normal from ∇ of the implicit loop equation
+    normal = scherk_loop_gradient(s, inner / a)
+    normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
 
     # radial levels clustered toward the loop, where the surface bends most
     xi = np.linspace(0.0, 1.0, ns)

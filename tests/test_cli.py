@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from onephase.cli import WINDOW_LIMIT, main
+from onephase.cli import WINDOW_LIMIT, build_parser, config_from_args, main
 from onephase.solutions import KINDS, HalfPlane, Window
 from onephase.variational import (ScalarField2D, minimize_ac,
                                   variational_residual)
@@ -85,6 +85,17 @@ class TestBoundary:
             for end, nb in ((piece[0], piece[1]), (piece[-1], piece[-2])):
                 assert abs(end[1]) == 1.0
                 assert abs(nb[0]) < abs(end[0]) <= crossing
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_param_names_routed_to_family(self, kind):
+        names = KINDS[kind].param_names()
+        argv = ["boundary", "--family", kind, "--param", "step=0.01"]
+        for name in names:
+            argv += ["--param", f"{name}=0.5"]
+        cfg = config_from_args(build_parser().parse_args(argv))
+        assert cfg.solution["params"] == dict.fromkeys(names, 0.5)
+        assert cfg.params == {"step": 0.01}
+        assert cfg.get_solution().to_dict()["params"] == cfg.solution["params"]
 
     def test_param_routed_to_family(self, tmp_path):
         assert run("boundary", "--family", "disk_complement",

@@ -312,7 +312,7 @@ class TestInverseFailure:
     def test_scherk_bulk(self, monkeypatch):
         self._stiffen(monkeypatch, ScherkStrip, "_bulk_fdf")
         chart = ScherkStrip(s=0.5)
-        z = np.array([0.5 + 0.1j, 2.0 - 1.0j, 6.0 + 2.0j])
+        z = np.array([1.0 + 0.1j, 2.0 - 1.0j, 6.0 + 2.0j])
         with pytest.raises(ConvergenceError,
                            match="scherk_inverse: 3 point") as info:
             chart.inverse(z)
@@ -321,6 +321,27 @@ class TestInverseFailure:
         assert np.all(it.real >= 0.0)
         assert np.all(np.abs(it.imag) <= 0.5 * chart.l)
         assert np.allclose(it, chart._bulk_start(z), atol=1e-3)
+
+    def test_scherk_target_outside_half_cell(self, newton_spy):
+        # 0.5 + 0.1i lies inside the loop of s = ½; no Newton run starts
+        with pytest.raises(DomainError, match="scherk_inverse"):
+            ScherkStrip(s=0.5).inverse(np.array([0.5 + 0.1j, 6.0 + 2.0j]))
+        for z in (-0.1 + 1.0j, 2.0 + 3.2j, 2.0 - 3.2j):
+            with pytest.raises(DomainError, match="scherk_inverse"):
+                ScherkStrip(s=0.5).inverse(np.array([z]))
+        assert newton_spy == []
+
+    def test_scherk_corner_zone_inside_loop(self, newton_spy):
+        # at s = 0.95 the loop reaches into the corner zone; Newton can
+        # converge there to a ζ with Re ζ < 0, a negative u
+        chart = ScherkStrip(s=0.95)
+        z = _corner_zone_draw(chart, np.random.default_rng(0), (2, 200))
+        inside = z[_inside_loop(chart, z)]
+        assert inside.size > 0
+        for t in (inside, np.conj(inside[:1]), inside[:1]):
+            with pytest.raises(DomainError, match="scherk_inverse"):
+                chart.inverse(t)
+        assert newton_spy == []
 
     def test_scherk_corner(self, monkeypatch):
         self._stiffen(monkeypatch, ScherkStrip, "_corner_fdf")
@@ -575,7 +596,7 @@ class TestDampedNewton:
         elif case == "scherk_bulk":
             stiff(monkeypatch, ScherkStrip, "_bulk_fdf")
             run = lambda: ScherkStrip(s=0.5).inverse(
-                np.array([0.5 + 0.1j, 6.0 + 2.0j]))
+                np.array([1.0 + 0.1j, 6.0 + 2.0j]))
         else:
             stiff(monkeypatch, ScherkStrip, "_corner_fdf")
             chart = ScherkStrip(s=0.5)
@@ -617,14 +638,36 @@ def _with_block(block, f, *args):
         return f(*args)
 
 
+def _corner_zone_draw(chart, rng, shape):
+    """Targets within `corner_zone_radius` below-right of the saddle iπ."""
+    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, shape)
+    return 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi,
+                                                        shape))
+
+
+def _inside_loop(chart, z):
+    """Targets strictly inside the zero-phase loop, outside D_s."""
+    return scherk_loop_implicit(chart.s, np.stack([z.real, z.imag], -1)) < 0
+
+
+def _corner_zone_targets(chart, rng, shape):
+    """`_corner_zone_draw` kept to D_s: near s = 1 the loop reaches into
+    the zone, and the draws inside it are drawn again."""
+    z = _corner_zone_draw(chart, rng, shape)
+    inside = _inside_loop(chart, z)
+    while np.any(inside):
+        z[inside] = _corner_zone_draw(chart, rng, int(np.sum(inside)))
+        inside = _inside_loop(chart, z)
+    return z
+
+
 def _scherk_mixed_targets(chart, seed, n):
     """n targets of the image half-cell, each in the bulk or in the zone of
     the upper or the lower saddle."""
     rng = np.random.default_rng(seed)
     zeta = (rng.uniform(0.05, 3.0, n) * max(chart.s, chart.b)
             + 1j * rng.uniform(-0.45, 0.45, n) * chart.l)
-    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, n)
-    corner = 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, n))
+    corner = _corner_zone_targets(chart, rng, n)
     corner = np.where(rng.uniform(size=n) < 0.5, corner, np.conj(corner))
     return np.where(rng.uniform(size=n) < 0.5, chart.forward(zeta), corner)
 
@@ -876,8 +919,7 @@ def _memo_case(case, n=200, seed=0):
         return (chart, z[0], z[1], complex(float(chart.forward(1.0).real),
                                            0.0), "_bulk_fdf")
     # both saddle zones, approached from inside the half-cell
-    rho = chart.corner_zone_radius * rng.uniform(0.0, 1.0, (2, n))
-    z = 1j * np.pi + rho * np.exp(-1j * rng.uniform(0.0, 0.5 * np.pi, (2, n)))
+    z = _corner_zone_targets(chart, rng, (2, n))
     z[:, ::2] = np.conj(z[:, ::2])
     return (chart, z[0], z[1],
             complex(0.0, np.pi - 0.5 * chart.corner_zone_radius),

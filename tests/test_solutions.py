@@ -2,6 +2,7 @@
 serialization round-trips."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,11 @@ def load_solution(path):
 
 ALL = [HalfPlane(), TwoPlane(0.5), Wedge(0.7), Hairpin(1.0),
        DiskComplement(1.0), Scherk(0.5, 1.0)]
+#: one member of every registered kind, by kind
+SAMPLES = {sol.kind: sol for sol in ALL + [OneSidedPlane(0.5)]}
+#: lengths below the boundary step of a (−2, 2)² window, 4e-3, each with
+#: a tenth of it
+TINY = [(TwoPlane(1e-3), 1e-4), (DiskComplement(1e-4), 1e-5)]
 
 angles = st.floats(min_value=-np.pi, max_value=np.pi,
                    allow_nan=False, allow_infinity=False)
@@ -180,16 +186,37 @@ class TestConsistency:
             u = sol.eval_u(poly)
             assert np.max(np.abs(u)) <= 1e-9
 
-    @pytest.mark.parametrize("sol", ALL, ids=lambda s: s.kind)
-    def test_fb_orientation_positive_left(self, sol):
-        w = Window(-3.0, -3.0, 3.0, 3.0)
-        for poly in sol.free_boundary_curves(w):
+    @staticmethod
+    def _assert_positive_left(sol, window, offset):
+        """The positive phase lies `offset` left of the window's polylines
+        of F(u), at the default step."""
+        curves = sol.free_boundary_curves(window)
+        assert curves, "no free boundary in the window"
+        for poly in curves:
             mid = 0.5 * (poly[:-1] + poly[1:])
             tang = np.diff(poly, axis=0)
             tang /= np.hypot(tang[:, 0], tang[:, 1])[:, None]
-            left = mid + 1e-4 * np.stack([-tang[:, 1], tang[:, 0]], axis=-1)
+            left = mid + offset * np.stack([-tang[:, 1], tang[:, 0]], axis=-1)
             frac = np.mean(sol.in_positive_phase(left))
             assert frac > 0.97
+
+    @pytest.mark.parametrize("sol, window, offset", [
+        *[pytest.param(sol, Window(-3.0, -3.0, 3.0, 3.0), 1e-4, id=sol.kind)
+          for sol in ALL],
+        *[pytest.param(sol, Window(-2.0, -2.0, 2.0, 2.0), tenth,
+                       id=f"tiny_{sol.kind}") for sol, tenth in TINY]])
+    def test_fb_orientation_positive_left(self, sol, window, offset):
+        self._assert_positive_left(sol, window, offset)
+
+    @pytest.mark.parametrize("sol, tenth", [
+        pytest.param(sol, tenth, id=f"tiny_{sol.kind}")
+        for sol, tenth in TINY])
+    @given(angle=angles, x=st.floats(-1.5, 1.5), y=st.floats(-1.5, 1.5))
+    @settings(max_examples=25, deadline=None)
+    def test_fb_orientation_positive_left_moved(self, sol, tenth, angle, x, y):
+        moved = replace(sol, motion=RigidMotion(angle=angle, shift=(x, y)))
+        self._assert_positive_left(moved, Window(-2.0, -2.0, 2.0, 2.0),
+                                   tenth)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +259,26 @@ class TestMotions:
                       [np.sin(m.angle), np.cos(m.angle)]])
         assert np.allclose(gw, gb @ R.T, atol=1e-10)
 
-    @pytest.mark.parametrize("sol", ALL, ids=lambda s: s.kind)
-    def test_rescale_identity(self, sol):
-        lam = 2.0
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rescale_identity(self, kind):
+        sol, lam = SAMPLES[kind], 2.0
         scaled = sol.rescale(lam)
         pts = np.array([[0.4, 0.3], [1.2, -0.7], [2.5, 1.9]])
         u_scaled = scaled.eval_u(pts)
         u_ref = sol.eval_u(lam * pts) / lam
         assert np.allclose(u_scaled, u_ref, atol=1e-12)
+        # only the length is divided, and it is one of the parameters
+        for name in sol.param_names():
+            want = getattr(sol, name) / (lam if name == sol._length else 1.0)
+            assert getattr(scaled, name) == want
+        assert sol._length in sol.param_names() + (None,)
+
+    @pytest.mark.parametrize("cls", [TwoPlane, Hairpin, DiskComplement,
+                                     Scherk], ids=lambda c: c.kind)
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan")])
+    def test_length_must_be_positive(self, cls, length):
+        with pytest.raises(InvalidInputError, match=f"{cls._length} > 0"):
+            cls(**{cls._length: length})
 
     def test_rescale_validates(self, hairpin):
         with pytest.raises(InvalidInputError):
@@ -251,9 +290,12 @@ class TestMotions:
 # ---------------------------------------------------------------------------
 
 class TestSerialization:
-    @pytest.mark.parametrize("sol", ALL, ids=lambda s: s.kind)
-    def test_round_trip(self, sol, tmp_path):
-        moved = type(sol)(**sol._params(),
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_round_trip(self, kind, tmp_path):
+        sol = SAMPLES[kind]
+        params = sol.to_dict()["params"]
+        assert tuple(params) == sol.param_names()
+        moved = type(sol)(**params,
                           motion=RigidMotion(angle=0.3, shift=(1.0, -2.0)))
         path = tmp_path / "sol.json"
         moved.save(path)
