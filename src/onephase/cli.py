@@ -468,6 +468,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         tol_orth = cfg.tolerance("orthogonality_tol", 1e-3)
         maxes = []
         for res in res_list:
+            mesh = H = interior = None  # free the last before the next
             mesh = canonical_mesh(sol, resolution=res)
             H, interior = mean_curvature(mesh)
             maxes.append(float(np.max(np.abs(H[interior]))))

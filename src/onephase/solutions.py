@@ -182,9 +182,9 @@ class Solution(ABC):
 
     @abstractmethod
     def _fb_polylines_body(self, bbox, step: float):
-        """Analytic boundary polylines covering the body-frame bbox, with the
-        positive phase on their left (either way where it is on both sides);
-        a rigid motion keeps that orientation in the world frame."""
+        """Analytic polylines of F(u) covering the window's body-frame bbox
+        (`_padded` where they cross it), positive phase on their left (either
+        way where it is on both sides), as a rigid motion keeps it."""
         ...
 
     # ---- public API -------------------------------------------------------
@@ -242,9 +242,7 @@ class Solution(ABC):
         corners = np.array([[window.x0, window.y0], [window.x1, window.y0],
                             [window.x1, window.y1], [window.x0, window.y1]])
         bc = self.motion.to_body(corners)
-        pad = 2.0 * step + 1e-9 * (1.0 + np.abs(bc).max())
-        bbox = (bc[:, 0].min() - pad, bc[:, 1].min() - pad,
-                bc[:, 0].max() + pad, bc[:, 1].max() + pad)
+        bbox = (*bc.min(axis=0), *bc.max(axis=0))
         pieces = []
         for poly in self._fb_polylines_body(bbox, step):
             world = self.motion.to_world(poly)
@@ -295,7 +293,14 @@ class Solution(ABC):
 # piecewise-linear families
 # ---------------------------------------------------------------------------
 
+def _padded(bbox, step: float):
+    """bbox grown by 2·step and a rounding margin on every side."""
+    pad = 2.0 * step + 1e-9 * (1.0 + max(abs(b) for b in bbox))
+    return (bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad)
+
+
 def _vertical_line(x: float, bbox, step: float):
+    bbox = _padded(bbox, step)
     y = np.arange(bbox[1], bbox[3] + step, step)
     out = np.empty((len(y), 2))
     out[:, 0] = x
@@ -509,6 +514,7 @@ class Hairpin(Solution):
         # them a little past that, by at most a, so that no chord spans
         # more than a factor e·ymax in x₂ (a chord from a·cosh(700) to the
         # window would round its near end away when clipped)
+        bbox = _padded(bbox, step)
         ymax = max(abs(bbox[1]), abs(bbox[3])) / self.a - np.pi / 2.0
         xlim = self.a * np.arccosh(max(ymax, 1.0)) + min(2.0 * step, self.a)
         xlim = min(xlim, max(abs(bbox[0]), abs(bbox[2])) + 2.0 * step)
@@ -696,9 +702,15 @@ class Scherk(Solution):
         return self.primitive_in_chart(zeta, sign1 >= 0.0) + k * jump
 
     def _fb_polylines_body(self, bbox, step):
+        # only the loops whose x₂ extent meets the bbox's, up to the motion's
+        # rounding: no chord of the others leaves their hull for the window
+        m = self.motion
+        tol = 1e-9 * (1.0 + max(map(abs, bbox[1::2])) + np.hypot(*m.shift)
+                      + abs(np.sin(m.angle)) * max(map(abs, bbox[::2])))
+        y0, y1 = bbox[1] - tol, bbox[3] + tol
         period = 2.0 * np.pi * self.a
-        k_lo = int(np.floor((bbox[1] - np.pi * self.a) / period))
-        k_hi = int(np.ceil((bbox[3] + np.pi * self.a) / period))
+        k_lo = int(np.floor((y0 - np.pi * self.a) / period))
+        k_hi = int(np.ceil((y1 + np.pi * self.a) / period))
         # arclength along the loop equals a·|Δũ| (|Φ_s′| = 1 on the axis)
         n = max(int(np.ceil(self._chart.l * self.a / step)), 32)
         ut = np.linspace(-0.5 * self._chart.l, 0.5 * self._chart.l, n + 1)
@@ -710,7 +722,7 @@ class Scherk(Solution):
         for k in range(k_lo, k_hi + 1):
             c = loop.copy()
             c[:, 1] += period * k
-            if c[:, 1].max() < bbox[1] or c[:, 1].min() > bbox[3]:
+            if c[:, 1].max() < y0 or c[:, 1].min() > y1:
                 continue
             out.append(c)
         return out

@@ -25,10 +25,10 @@ Contents:
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
 * `mean_curvature` — cotangent Laplacian dotted with the vertex normal over
-  Voronoi mixed areas (barycentric fallback for obtuse triangles), in one
-  pass over fixed-size blocks of triangles that keeps three arrays per
-  triangle quantity, so its memory grows by 72 bytes per triangle; every
-  sum and rounding order is pinned, so H is reproducible bit for bit;
+  Voronoi mixed areas (barycentric fallback for obtuse triangles), in two
+  passes over fixed-size blocks of triangles, the second recomputing the
+  cotangents, so its memory grows by 48 bytes per triangle; every sum and
+  rounding order is pinned, so H is reproducible bit for bit;
 * `orthogonality_check` — |angle − π/2| between the upper-sheet tangent
   plane and {X₃ = 0} at free-boundary vertices.
 
@@ -254,7 +254,8 @@ class SurfaceMesh:
     free-boundary vertex index followed by its three inward upper-sheet
     neighbors along a mesh line, for the boundary-conormal estimate; they
     are sorted, and their first column is the free-boundary vertices, the
-    ones shared by the two sheets, at X₃ = 0."""
+    ones shared by the two sheets, at X₃ = 0.  `build_mesh` gives float64
+    vertices (n, 3) and int32 triangles (m, 3) and probes (k, 4)."""
 
     vertices: np.ndarray
     triangles: np.ndarray
@@ -277,9 +278,10 @@ class SurfaceMesh:
         """Mask of the vertices on an edge that only one triangle has."""
         n = len(self.vertices)
         i, j = self.triangles, np.roll(self.triangles, -1, axis=1)
-        # edge keys min·n + max, built in place and sorted: an edge that
-        # only one triangle has differs from both of its neighbours
-        key = np.minimum(i, j).ravel()
+        # edge keys min·n + max, built in place in int64 (n² overflows
+        # int32 from 46,341 vertices) and sorted: an edge that only one
+        # triangle has differs from both of its neighbours
+        key = np.minimum(i, j, dtype=np.int64).ravel()
         key *= n
         key += np.maximum(i, j, out=j).ravel()
         key.sort()
@@ -300,7 +302,7 @@ def build_mesh(patch: Patch) -> SurfaceMesh:
     row is its first, so its vertices are not kept.
     """
     nt, ns, _ = patch.points.shape
-    vid = np.arange(nt * ns).reshape(nt, ns)
+    vid = np.arange(nt * ns, dtype=np.int32).reshape(nt, ns)
     rows = nt
     if patch.weld_rows:
         vid[-1, :] = vid[0, :]
@@ -329,7 +331,7 @@ def build_mesh(patch: Patch) -> SurfaceMesh:
     v10, v11 = vid[1:, :-1], vid[1:, 1:]
     upper = np.stack([v00, v01, v11, v00, v11, v10], axis=-1).reshape(-1, 3)
     # the mirror image of an upper vertex: itself on the free boundary
-    image = np.arange(n_up)
+    image = np.arange(n_up, dtype=np.int32)
     image[mirrored] = np.arange(n_up, len(verts))
     tris = np.concatenate([upper, image[upper[:, ::-1]]])
     return SurfaceMesh(vertices=verts, triangles=tris, probes=probes)
@@ -360,7 +362,7 @@ def canonical_mesh(sol, resolution: int = 64) -> SurfaceMesh:
 # discrete curvature and orthogonality
 # ---------------------------------------------------------------------------
 
-#: triangles per block of `mean_curvature`'s pass
+#: triangles per block of `mean_curvature`'s passes
 _CHUNK = 8192
 
 
@@ -371,9 +373,10 @@ def _dot3(u, v):
 
 
 def _triangle_terms(x, tris, fn, cot, contrib):
-    """One block of `mean_curvature`'s pass: the area-weighted face normal
+    """One block of a `mean_curvature` pass: the area-weighted face normal
     fn[c] per coordinate c, and the cotangent cot[k] and Meyer mixed area
-    contrib[k] per corner k.  x[c] holds coordinate c of every vertex."""
+    contrib[k] per corner k; fn or contrib None skips it.  x[c] holds
+    coordinate c of every vertex."""
     # E[k] runs from corner k to corner k+1 (indices mod 3).  At corner k
     # the edges to the next two corners are e1 = E[k] and e2 = −E[k+2], and
     # the opposite edge is E[k+1].  Negating a difference is exact, so the
@@ -386,21 +389,23 @@ def _triangle_terms(x, tris, fn, cot, contrib):
             E[k].append(p[(k + 1) % 3] - p[k])
     # per corner k: |e1 × e2| (np.cross's formula, summed as np.linalg.norm
     # sums), e1·e2 and the cotangent of the angle there (its sign marks an
-    # obtuse corner); sq[k] = |E[k]|²
+    # obtuse corner)
     cross, dot = [], []
     for k in range(3):
         u, v = E[k], E[(k + 2) % 3]
         w = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
              u[0] * v[1] - u[1] * v[0]]
-        if k == 0:
+        if k == 0 and fn is not None:
             np.negative(w, out=fn)
         cross.append(np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]))
         dot.append(-_dot3(u, v))
         del w
-    sq = [_dot3(e, e) for e in E]
-    del E
     for k in range(3):
         np.divide(dot[k], np.where(cross[k] > 0, cross[k], 1.0), out=cot[k])
+    if contrib is None:
+        return
+    sq = [_dot3(e, e) for e in E]        # sq[k] = |E[k]|²
+    del E
     # Meyer mixed area at corner k, from its own |e1 × e2|
     for k in range(3):
         tri_area = 0.5 * cross[k]
@@ -421,25 +426,27 @@ def mean_curvature(mesh: SurfaceMesh):
     Meyer mixed areas (Voronoi, barycentric fallback at obtuse triangles).
     Boundary vertices get NaN.  Returns (H, interior_mask).
 
-    Its temporary memory is 72 bytes per triangle, a few arrays per vertex
-    and a fixed amount per block.  One pass over blocks of `_CHUNK`
-    triangles, with coordinates first, keeps three arrays of each triangle
-    quantity: the face normal, the cotangents and the Meyer areas; every
-    other temporary lives for one block.  np.add.at then adds the terms of
-    each per-vertex sum in a fixed order, corner 0 of every triangle, then
-    corner 1, then corner 2, the triangles in order.  The cross products,
-    lengths and dot products round as np.cross, np.linalg.norm and
-    np.einsum do on rows of three (the tests' oracle uses them), so H does
-    not depend on the block length."""
+    Its temporary memory is 48 bytes per triangle, a few arrays per vertex
+    and a fixed amount per block.  Two passes over blocks of `_CHUNK`
+    triangles, with coordinates first, each keep what their sums need: the
+    first the face normals and the Meyer areas, freed once the normal and
+    area sums are taken, the second the cotangents, recomputed by the same
+    arithmetic; every other temporary lives for one block.  np.add.at then
+    adds the terms of each per-vertex sum in a fixed order, corner 0 of
+    every triangle, then corner 1, then corner 2, the triangles in order.
+    The cross products, lengths and dot products round as np.cross,
+    np.linalg.norm and np.einsum do on rows of three (the tests' oracle
+    uses them), so H does not depend on the block length."""
     tris = mesh.triangles
     n, m = len(mesh.vertices), len(tris)
     # before the per-triangle arrays exist, to keep the peak memory down
     interior = ~mesh.boundary_vertices()
     x = np.ascontiguousarray(mesh.vertices.T)
     blocks = [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
-    fn, cot, contrib = np.empty((3, m)), np.empty((3, m)), np.empty((3, m))
+    fn, contrib = np.empty((3, m)), np.empty((3, m))
     for b in blocks:
-        _triangle_terms(x, tris[b], fn[:, b], cot[:, b], contrib[:, b])
+        _triangle_terms(x, tris[b], fn[:, b], np.empty_like(fn[:, b]),
+                        contrib[:, b])
 
     # each per-triangle array goes as soon as its sums are taken
     area = np.zeros(n)
@@ -453,6 +460,9 @@ def mean_curvature(mesh: SurfaceMesh):
     norm = np.linalg.norm(normals, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         normals /= np.where(norm > 0, norm, 1.0)
+    cot = np.empty((3, m))
+    for b in blocks:
+        _triangle_terms(x, tris[b], None, cot[:, b], None)
     # cot of the angle at corner k weights the opposite edge (i1, i2):
     # +cot·E[k+1] at i1 = tris[:, k+1], then −cot·E[k+1] at i2 = tris[:, k+2]
     lap = np.zeros((3, n))

@@ -62,8 +62,11 @@ def curve_curvature(curve) -> np.ndarray:
     return out
 
 
-def traced_peak(fn) -> int:
-    """The tracemalloc peak, in bytes, of one call fn()."""
+def traced_peak(fn, warm=None) -> int:
+    """The tracemalloc peak, in bytes, of one call fn(), after an untraced
+    call warm() that takes one-time costs (imports, caches) out of it."""
+    if warm is not None:
+        warm()
     tracemalloc.start()
     try:
         fn()

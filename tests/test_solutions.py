@@ -2,6 +2,7 @@
 serialization round-trips."""
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from onephase.common import Window
 from onephase.errors import InvalidInputError, NoSaddleError
 from onephase.solutions import (FAMILIES, KINDS, DiskComplement, Hairpin,
                                 HalfPlane, OneSidedPlane, RigidMotion, Scherk,
-                                TwoPlane, Wedge, solution_from_dict)
+                                TwoPlane, Wedge, _padded,
+                                solution_from_dict)
 
 from helpers import traced_peak
 
@@ -217,6 +219,61 @@ class TestConsistency:
         moved = replace(sol, motion=RigidMotion(angle=angle, shift=(x, y)))
         self._assert_positive_left(moved, Window(-2.0, -2.0, 2.0, 2.0),
                                    tenth)
+
+
+class _EveryLoop(Scherk):
+    """Scherk with the loops of every period across the window's body
+    bbox grown by 2·step and the rounding margin, as Scherk built them
+    before it kept only the loops that meet the window's bbox."""
+
+    def _fb_polylines_body(self, bbox, step):
+        return super()._fb_polylines_body(_padded(bbox, step), step)
+
+
+class TestScherkLoops:
+    """A loop that misses the window's body bbox in x₂ lies outside the
+    window, since each chord of a closed loop stays in its hull; Scherk
+    builds only the others, with the same pieces as every loop gives."""
+
+    @staticmethod
+    def _assert_same_pieces(sol, window):
+        oracle = _EveryLoop(sol.s, sol.a, motion=sol.motion)
+        pieces = sol.free_boundary_curves(window)
+        expect = oracle.free_boundary_curves(window)
+        assert [p.tobytes() for p in pieces] == [p.tobytes() for p in expect]
+        return pieces
+
+    def test_wide_flat_window_builds_one_period(self, monkeypatch):
+        built = []
+        polylines = Scherk._fb_polylines_body
+
+        def spy(self, bbox, step):
+            loops = polylines(self, bbox, step)
+            built.append(len(loops))
+            return loops
+
+        monkeypatch.setattr(Scherk, "_fb_polylines_body", spy)
+        window = Window(-1.0, -1.0, 1e5, 1.0)
+        pieces = self._assert_same_pieces(Scherk(), window)
+        # the oracle's bbox is padded by 2·step = 200 in x₂: 65 loops
+        assert built[0] <= 2 and built[1] == 65
+        assert len(pieces) == 2
+
+    def test_huge_window_returns(self):
+        start = time.perf_counter()
+        pieces = Scherk().free_boundary_curves(Window(-1.0, -1.0, 1e150, 1.0))
+        assert time.perf_counter() - start < 2.0
+        assert len(pieces) == 2
+
+    @given(angle=angles, x=shifts, y=shifts,
+           x0=st.floats(-20.0, 20.0), y0=st.floats(-20.0, 20.0),
+           w=st.floats(0.05, 40.0), h=st.floats(0.05, 40.0),
+           a=st.floats(0.25, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_moved_windows_match_every_loop(self, angle, x, y, x0, y0, w, h,
+                                            a):
+        sol = Scherk(0.5, a, motion=RigidMotion(angle=angle, shift=(x, y)))
+        self._assert_same_pieces(sol, Window(x0, y0, x0 + w, y0 + h))
 
 
 # ---------------------------------------------------------------------------

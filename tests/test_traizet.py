@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onephase.conformal
+from onephase.cli import main
 from onephase.conformal import (scherk_loop_implicit, scherk_loop_point,
                                 scherk_loop_x2_extent)
 from onephase.errors import DomainError, InvalidInputError, TopologyError
@@ -562,6 +563,12 @@ class TestPatchPrimitives:
                               sol.eval_u(patch.points[:, 1:]))
 
 
+def _warm_mesh(sol):
+    """A small mesh of sol, to take the one-time import of numpy.ma by
+    np.unique and sol's lazy chart data out of a traced peak."""
+    return lambda: canonical_mesh(sol, resolution=8)
+
+
 def _sphere_mesh(R=2.0, n_lat=28, n_lon=56):
     """Closed-seam latitude band of a sphere (poles excluded): top/bottom
     rings are mesh boundary, everything else interior."""
@@ -744,6 +751,25 @@ class TestMeanCurvature:
                  for f in (mean_curvature, _mean_curvature_oracle)]
         assert peaks[0] <= 0.5 * peaks[1]
 
+    @pytest.mark.parametrize("fixture, bound", [("halfplane", 8e6),
+                                                ("scherk", 9e6)])
+    def test_pipeline_memory_is_bounded(self, fixture, bound, request):
+        """Mesh and curvature at resolution 128: int32 indices and a second
+        pass for the cotangents hold 48 bytes per triangle, not 72 (9.45 and
+        11.43 MB with int64 indices and one pass)."""
+        sol = request.getfixturevalue(fixture)
+        assert traced_peak(
+            lambda: mean_curvature(canonical_mesh(sol, resolution=128)),
+            warm=_warm_mesh(sol)) <= bound
+
+    def test_verify_mesh_sweep_memory_is_bounded(self, halfplane, tmp_path):
+        """`verify`'s mesh check frees each mesh of its sweep (32, 64, 128)
+        before it builds the next, so it holds no more than the last mesh's
+        pipeline (9.61 MB traced for the whole command before)."""
+        argv = ["verify", "--family", "half_plane", "--out", str(tmp_path)]
+        assert traced_peak(lambda: main(argv), warm=lambda: main(argv)) \
+            <= 8e6
+
     def test_jittered_mesh_has_every_meyer_branch(self, rng):
         mesh = _jittered_halfplane_mesh(rng)
         p = mesh.vertices[mesh.triangles]
@@ -796,18 +822,39 @@ class TestMeshStructure:
                               mirror.view(np.int64))
 
     def test_build_memory_is_bounded(self, halfplane):
-        # a 2.4 MB mesh: room for one sheet's temporaries, not for stacked
-        # copies of both sheets and a full-size renumbering (9.45 MB)
-        assert traced_peak(lambda: canonical_mesh(halfplane,
-                                                  resolution=128)) <= 7e6
+        # a 1.6 MB mesh with int32 indices: room for one sheet's
+        # temporaries, not for stacked copies of both sheets and a
+        # full-size renumbering (9.45 MB), nor for int64 indices (5.70 MB)
+        assert traced_peak(
+            lambda: canonical_mesh(halfplane, resolution=128),
+            warm=_warm_mesh(halfplane)) <= 5e6
 
     def test_scherk_build_memory_is_bounded(self, scherk):
         # the chart solve of the patch runs in blocks (9.61 MB when it ran
-        # over all 20,000 vertices at once); the small mesh first takes the
-        # one-time import of numpy.ma by np.unique out of the peak
-        canonical_mesh(scherk, resolution=8)
-        assert traced_peak(lambda: canonical_mesh(scherk,
-                                                  resolution=128)) <= 8e6
+        # over all 20,000 vertices at once)
+        assert traced_peak(lambda: canonical_mesh(scherk, resolution=128),
+                           warm=_warm_mesh(scherk)) <= 8e6
+
+    @pytest.mark.parametrize("fixture", ["halfplane", "disk", "hairpin",
+                                         "scherk"])
+    def test_indices_are_int32(self, fixture, request):
+        mesh = canonical_mesh(request.getfixturevalue(fixture), resolution=16)
+        assert mesh.triangles.dtype == np.int32
+        assert mesh.probes.dtype == np.int32
+
+    def test_boundary_vertices_beyond_int32_edge_keys(self, halfplane):
+        """80,601 vertices: an edge key min·n + max passes 2³¹ from
+        min = 26,643 on, so it must not be formed in int32."""
+        mesh = canonical_mesh(halfplane, resolution=200)
+        n = len(mesh.vertices)
+        assert n * n > 2 ** 31
+        tris = mesh.triangles
+        edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                        tris[:, [2, 0]]]), axis=1)
+        uniq, counts = np.unique(edges, axis=0, return_counts=True)
+        expect = np.zeros(n, dtype=bool)
+        expect[uniq[counts == 1].ravel()] = True
+        assert np.array_equal(mesh.boundary_vertices(), expect)
 
     @pytest.mark.parametrize("patch", [
         patch_diskcomplement(1.0, resolution=16),

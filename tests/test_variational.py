@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase import variational
+from onephase.common import format_float
 from onephase.errors import DomainError, InvalidInputError
 from onephase.quad import gauss_nodes
 from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
@@ -57,6 +58,19 @@ class TestScalarField:
         assert back.window.as_tuple() == fld.window.as_tuple()
         assert back.h == fld.h
         assert np.array_equal(back.values, fld.values)
+
+    def test_save_matches_per_value_format(self, tmp_path):
+        # one '%.17g' per value, joined by commas, one line per row
+        w = Window(0.0, 0.0, 1.0, 0.5)
+        vals = np.zeros((3, 5))
+        vals[0, 1], vals[1, 2], vals[2, 4] = -0.0, 1e-300, -np.pi
+        vals[1, 0] = 2.0 ** 60
+        path = tmp_path / "field.csv"
+        ScalarField2D(window=w, h=0.25, values=vals).save(path)
+        expect = "".join(",".join(format_float(v) for v in row) + "\n"
+                         for row in vals)
+        assert path.read_bytes() == expect.encode()
+        assert path.read_text().splitlines()[0] == "0,-0,0,0,0"
 
 
 class TestEnergy:
