@@ -21,12 +21,13 @@ one sparse K per grid, vᵀKv the Dirichlet term.  Each phase takes projected
 (v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982): nodes held
 at 0 by an uphill gradient take no step, and the others solve the convex
 model 2K + diag(h²w·max(β″_ε, 0)) inexactly, by a few conjugate-gradient
-steps preconditioned with a sparse LU of that matrix that is refactored
-only when it goes stale.  A monotone halving and doubling line search keeps
-each phase's energy non-increasing.  The step count per level stays about
-flat as h halves: about 20 per level for half-plane data from 33² to 257²
-nodes.  Each grid's cleanup is one sparse LU solve of K v = 0 on the
-positive phase.
+steps preconditioned with a single-precision sparse LU of that matrix that
+is refactored only when it goes stale; the CG iterate itself is double.
+A monotone halving and doubling line search keeps each phase's energy
+non-increasing.  The step count per level stays about flat as h halves:
+about 20 per level for half-plane data from 33² to 257² nodes.  Each grid's
+cleanup is one double-precision sparse LU solve of K v = 0 on the positive
+phase: its solution is the returned field.
 
 Diagnostics:
 
@@ -518,21 +519,34 @@ def _stiffness(shape):
 
 
 def _splu(A):
+    """The solve of a sparse LU of A, in A's precision: float32 for the
+    Newton model (a preconditioner), float64 for the cleanup (the answer).
+    The right-hand side is cast to that precision and the solution
+    returned in it."""
     from scipy.sparse.linalg import splu
     # minimum degree on Aᵀ+A and 1-column panels: small fill and workspace
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
+    dtype = A.dtype
+    return lambda b: lu.solve(b.astype(dtype, copy=False))
 
 
-def _pcg(apply, factor, idx, mask, b):
+def _pcg(apply, solve, idx, mask, b):
     """Preconditioned CG for apply(x) = b on the nodes of `mask`, at most
     _PCG_STEPS steps, stopping at relative residual _PCG_RTOL.  The
-    preconditioner solves with `factor`, the LU of an earlier model matrix
-    on the nodes `idx`, and is the identity elsewhere; its result is cut
-    back to `mask`, which keeps it symmetric positive definite there.
-    Returns the iterate and whether it reached the tolerance."""
+    preconditioner is `solve`, a single-precision LU solve with an earlier
+    model matrix on the nodes `idx`, and the identity elsewhere; its result
+    goes into a float64 vector and is cut back to `mask`, which keeps it
+    symmetric positive definite there up to float32 round-off, far below
+    _PCG_RTOL.  Returns the iterate and whether it reached the
+    tolerance."""
     def precond(r):
         z = r.copy()
-        z[idx] = factor.solve(r[idx])
+        rhs = r[idx]
+        # scaled by a power of two, exactly, so that its largest entry is
+        # 2⁶⁴: the solution's fast-decaying tails in the zero phase then stay
+        # clear of float32's subnormals, which slow the triangular solves
+        scale = np.ldexp(1.0, 64 - np.frexp(np.max(np.abs(rhs)))[1])
+        z[idx] = solve(rhs * scale) / scale
         z[~mask] = 0.0
         return z
 
@@ -580,7 +594,7 @@ def _relax(v, fixed, h, tol):
         n = int(np.sum(free))
         return float(np.sqrt(np.sum(G[free] ** 2) / max(n, 1))) / h2
 
-    model_lu = None  # (splu, nodes) of the model matrix last factored
+    model_lu = None  # (solve, nodes) of the model matrix last factored
 
     def newton_direction(vv, G, eps):
         nonlocal model_lu
@@ -600,8 +614,11 @@ def _relax(v, fixed, h, tol):
                 return d
         idx = np.flatnonzero(inactive)
         model_lu = None  # release the old factor before building the new one
-        model_lu = (_splu(2.0 * K[idx][:, idx] + sparse.diags(curv[idx])),
-                    idx)
+        # a float32 CSC, with no float64 copy alive while it is factored: a
+        # preconditioner for a CG stopped at relative residual 0.1 needs no
+        # more precision
+        model_lu = (_splu((2.0 * K[idx][:, idx] + sparse.diags(curv[idx]))
+                          .astype(np.float32).tocsc()), idx)
         return _pcg(apply, *model_lu, inactive, b)[0]
 
     history, iterations = [], 0
@@ -639,9 +656,9 @@ def _relax(v, fixed, h, tol):
     free = ~fixed & (v >= 0.5 * eps)
     v = np.where(fixed | free, v, 0.0)
     idx = np.flatnonzero(free)
-    if idx.size:
-        lu = _splu(K[idx][:, idx])
-        v[idx] = np.maximum(lu.solve(-(K[idx] @ np.where(free, 0.0, v))),
+    if idx.size:  # in double precision: this solution is the answer
+        solve = _splu(K[idx][:, idx])
+        v[idx] = np.maximum(solve(-(K[idx] @ np.where(free, 0.0, v))),
                             0.0)  # ≥ 0 up to round-off
     return v, history, iterations, residual
 
@@ -651,7 +668,8 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     """Minimize the smoothed discrete J over nonnegative grid fields with a
     Dirichlet trace on ∂W, coarse to fine.
 
-    boundary: callable(points (...,2)) → trace values on boundary nodes.
+    boundary: callable(points (n, 2)) → the n trace values, finite and ≥ 0;
+    it is called once per level, on that level's boundary nodes only.
     init: optional initializer — an array on the (window, h) grid, a
     callable, or None for seeded uniform noise (`rng`, default seed 0).
 
@@ -663,19 +681,21 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     interior nodes with v = 0 and an uphill gradient G > 0 are held, and
     the others move along the solution of
     (2K + diag(h²w·max(β″_ε(v), 0)))·d = G, solved to relative residual
-    _PCG_RTOL by conjugate gradients preconditioned with a sparse LU of the
-    model matrix, which is refactored when _PCG_STEPS steps do not reach
-    that tolerance.  The step v ← max(v − a·d, 0) starts at a = 1, halves
-    until the energy does not rise, and doubles while it still falls when
-    a = 1 passed at once.  The residual is the rms projected gradient over
-    free nodes (interior nodes not pinned at v = 0 with uphill gradient),
-    for the finest level's last ε.
+    _PCG_RTOL by conjugate gradients preconditioned with a single-precision
+    sparse LU of the model matrix, which is refactored when _PCG_STEPS
+    steps do not reach that tolerance.  The step v ← max(v − a·d, 0)
+    starts at a = 1, halves until the energy does not rise, and doubles
+    while it still falls when a = 1 passed at once.  The residual is the
+    rms projected gradient over free nodes (interior nodes not pinned at
+    v = 0 with uphill gradient), for the finest level's last ε.
 
     Cleanup: the smoothed problem 2Δv = β'_ε(v) has exponential tails where
     the sharp minimizer is exactly zero, so interior nodes below ε_final/2
     (the β midpoint; ≪ the O(h) node values the slope condition forces next
-    to the free boundary) are snapped to 0; one sparse LU solve of K v = 0 on
-    the other interior nodes then makes the positive phase discrete-harmonic.
+    to the free boundary) are snapped to 0; one double-precision sparse LU
+    solve of K v = 0 on the other interior nodes then makes the positive
+    phase discrete-harmonic.  So the returned field depends on the Newton
+    path only through that zero set.
     """
     xs, ys = window.grid(h)
     nx, ny = len(xs) - 1, len(ys) - 1
@@ -692,7 +712,15 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
         pts = np.stack(np.meshgrid(*window.grid(level_h)), axis=-1)
         fixed = np.ones(pts.shape[:2], dtype=bool)
         fixed[1:-1, 1:-1] = False
-        bvals = np.asarray(boundary(pts), dtype=float)[fixed]
+        bpts = pts[fixed]
+        bvals = np.asarray(boundary(bpts), dtype=float)
+        if bvals.shape != (len(bpts),):
+            raise InvalidInputError(
+                f"minimize_ac: boundary trace has shape {bvals.shape} on "
+                f"{len(bpts)} boundary nodes")
+        if not np.all(np.isfinite(bvals)):
+            raise InvalidInputError("minimize_ac: boundary trace must be "
+                                    "finite")
         if np.any(bvals < 0.0):
             raise InvalidInputError("minimize_ac: boundary trace must be ≥ 0")
         if init is None:

@@ -270,6 +270,18 @@ class TestMinimize:
                    "--param", f"boundary_field={fpath}",
                    "--out", str(tmp_path)) == 0
 
+    def test_boundary_field_with_nan_exits_2(self, tmp_path, capsys):
+        h = 2.0 / 32
+        fld = field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0),
+                                  h)
+        fld.values[0, 20] = np.nan  # one node of the bottom edge
+        fpath = tmp_path / "trace.csv"
+        fld.save(fpath)
+        assert run("minimize", "--resolution", "32",
+                   "--param", f"boundary_field={fpath}",
+                   "--out", str(tmp_path)) == 2
+        assert "boundary trace must be finite" in capsys.readouterr().err
+
     def test_zero_trace_gives_zero_field(self, tmp_path):
         h = 2.0 / 32
         w = Window(-1.0, -1.0, 1.0, 1.0)

@@ -3,7 +3,7 @@ exist, and so must every name a module exports; quadrature stays out of the
 chart and Traizet layers, and scipy out of the chart and geometry layers.
 scipy is imported only inside the functions that use it (the minimizer's
 sparse LU), so `import onephase` and a command that never minimizes, such as
-`boundary` or `classify`, load no scipy module.
+`boundary`, `classify`, `verify` or `traizet`, load no scipy module.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -171,3 +171,17 @@ def test_classify_command_loads_no_scipy(tmp_path, params):
             f"{str(config)!r}, '--out', {str(tmp_path)!r}]) == 0")
     assert _scipy_loaded_after(code) == []
     assert (tmp_path / "classify_report.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "half_plane"],
+    ["traizet", "--family", "hairpin"],
+    ["traizet", "--family", "scherk", "--resolution", "32"]],
+    ids=["verify_half_plane", "traizet_hairpin", "traizet_scherk"])
+def test_mesh_commands_load_no_scipy(tmp_path, argv):
+    # scipy's import alone costs about 29 MB of resident memory
+    code = ("import onephase.cli\n"
+            "assert onephase.cli.main("
+            f"{argv + ['--out', str(tmp_path)]!r}) == 0")
+    assert _scipy_loaded_after(code) == []
+    assert list(tmp_path.glob("*_report.json"))

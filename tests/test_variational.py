@@ -401,6 +401,125 @@ class TestMinimize:
             minimize_ac(w, 0.25, boundary=lambda p: np.abs(p[..., 0]),
                         init=np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_trace_rejected(self, bad):
+        def trace(p):
+            v = HalfPlane().eval_u(p)
+            v[5] = bad
+            return v
+
+        with pytest.raises(InvalidInputError, match="finite"):
+            minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 0.25, boundary=trace)
+
+    def test_trace_of_wrong_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="shape"):
+            minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 0.25,
+                        boundary=lambda p: HalfPlane().eval_u(p)[:-1])
+
+    def test_trace_is_read_on_boundary_nodes_only(self):
+        # the cascade runs h = 1/16 → 1/32; a chart solve is pointwise, so
+        # the boundary nodes alone get the values of a whole-grid call
+        sol, w = Hairpin(0.25), Window(-1.0, -1.0, 1.0, 1.0)
+        calls = []
+
+        def trace(p):
+            calls.append(np.array(p))
+            return sol.eval_u(p)
+
+        assert minimize_ac(w, 1.0 / 32, boundary=trace).converged
+        assert len(calls) == 2
+        for p, level_h in zip(calls, (1.0 / 16, 1.0 / 32)):
+            pts = np.stack(np.meshgrid(*w.grid(level_h)), axis=-1)
+            ny, nx = pts.shape[0] - 1, pts.shape[1] - 1
+            fixed = np.ones((ny + 1, nx + 1), dtype=bool)
+            fixed[1:-1, 1:-1] = False
+            assert p.shape == (2 * (nx + ny), 2)
+            assert np.array_equal(p, pts[fixed])
+            assert np.array_equal(sol.eval_u(p), sol.eval_u(pts)[fixed])
+
+
+class TestPrecisionSplit:
+    """The Newton model matrix is factored in float32, as a preconditioner
+    for CG stopped at relative residual 0.1; the cleanup, whose solution is
+    the returned field, in float64."""
+
+    @staticmethod
+    def _run(monkeypatch, sol, h, upcast):
+        """minimize_ac on [−1, 1]², with each factor upcast to float64 if
+        `upcast`.  Returns the result, (caller, dtype) per factorization,
+        the PCG steps (model-matrix products) of each Newton direction, one
+        `_beta_second_clipped` call each, and the subnormal entries of the
+        float32 solves."""
+        true_splu, true_pcg = variational._splu, variational._pcg
+        true_curv = variational._beta_second_clipped
+        dtypes, steps, subnormal = [], [], [0]
+
+        def splu(A):
+            dtypes.append((sys._getframe(1).f_code.co_name, A.dtype))
+            solve = true_splu(A.astype(np.float64) if upcast else A)
+
+            def counted(b):
+                z = solve(b)
+                if z.dtype == np.float32:
+                    subnormal[0] += int(np.sum(
+                        (z != 0) & (np.abs(z) < np.finfo(np.float32).tiny)))
+                return z
+            return counted
+
+        def curv(*args):
+            steps.append(0)
+            return true_curv(*args)
+
+        def pcg(apply, *args):
+            def counted(x):
+                steps[-1] += 1
+                return apply(x)
+            return true_pcg(counted, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(variational, "_splu", splu)
+            m.setattr(variational, "_beta_second_clipped", curv)
+            m.setattr(variational, "_pcg", pcg)
+            res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), h, sol.eval_u)
+        return res, dtypes, steps, subnormal[0]
+
+    def test_model_single_cleanup_double(self, monkeypatch):
+        # the cascade runs h = 1/16 → 1/32: one cleanup per level
+        _, dtypes, _, _ = self._run(monkeypatch, HalfPlane(), 1.0 / 32,
+                                    False)
+        by_caller = {}
+        for caller, dtype in dtypes:
+            by_caller.setdefault(caller, []).append(dtype)
+        assert set(by_caller) == {"newton_direction", "_relax"}
+        assert set(by_caller["newton_direction"]) == {np.dtype(np.float32)}
+        assert by_caller["_relax"] == [np.dtype(np.float64)] * 2
+
+    @pytest.mark.parametrize("sol", [HalfPlane(), Hairpin(0.25)],
+                             ids=["half_plane", "hairpin_0.25"])
+    def test_same_result_as_double_factors(self, monkeypatch, sol):
+        single = self._run(monkeypatch, sol, 1.0 / 32, False)[0]
+        double = self._run(monkeypatch, sol, 1.0 / 32, True)[0]
+        assert np.array_equal(single.field.values, double.field.values)
+        assert single.energy == double.energy
+        assert single.iterations == double.iterations
+        # only round-off moves: the residual and the smoothed energies
+        assert single.residual == pytest.approx(double.residual, rel=1e-3)
+        assert list(map(len, single.energy_history)) == \
+            list(map(len, double.energy_history))
+        for a, b in zip(single.energy_history, double.energy_history):
+            assert np.allclose(a, b, rtol=1e-5, atol=0.0)
+
+    def test_pcg_steps_per_direction_at_h_1_128(self, monkeypatch):
+        _, _, single, subnormal = self._run(monkeypatch, HalfPlane(),
+                                            1.0 / 128, False)
+        _, _, double, _ = self._run(monkeypatch, HalfPlane(), 1.0 / 128,
+                                    True)
+        assert len(single) == len(double)
+        assert max(np.subtract(single, double)) <= 1
+        # the power-of-two scaling of each right-hand side keeps the
+        # zero phase's decaying tails out of float32's slow subnormals
+        assert subnormal == 0
+
 
 class TestOneSidedPlane:
     def test_values_and_phase(self):
