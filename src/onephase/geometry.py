@@ -25,8 +25,7 @@ Contents:
 
 The layer runs on numpy alone: `_label4` counts 4-connected components
 and `_nearest_distance` answers nearest-point queries, so no command that
-classifies or measures imports SciPy.  SciPy stays only in the minimizer's
-sparse LU (`variational`).
+classifies or measures imports SciPy.
 """
 
 from __future__ import annotations

@@ -9,25 +9,28 @@ whose critical points solve the one-phase problem: Δv = 0 in {v > 0} and
 
 Discretization (`ScalarField2D` on a uniform node grid of spacing h):
 
-* gradient term — constant per cell from the four corner values
-  (ux = mean of the two x-differences, uy likewise), summed as h²·|∇_c v|²;
+* gradient term — the P1 energy averaged over both diagonal triangulations
+  of each cell: ½ Σ_cells of the squared differences on the cell's four
+  axis edges, so edges along the window boundary carry weight ½ and the
+  others weight 1.  Its matrix is the 5-point Laplacian K₅, (4, −1) on the
+  interior nodes, an M-matrix that couples both sublattices of the grid;
 * measure term — trapezoid-weighted node indicator h²·Σ w_n·1{v_n > 0}.
 
 `minimize_ac` relaxes the indicator to the cubic smoothstep
 β_ε(t) = 3(t/ε)² − 2(t/ε)³ on [0, ε] and anneals ε over a short schedule;
-the Euler–Lagrange system per phase is 2Δ_h v = β'_ε(v) at the free
-interior nodes with the given Dirichlet trace.  It runs coarse to fine with
-one sparse K per grid, vᵀKv the Dirichlet term.  Each phase takes projected
-(v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982): nodes held
-at 0 by an uphill gradient take no step, and the others solve the convex
-model 2K + diag(h²w·max(β″_ε, 0)) inexactly, by a few conjugate-gradient
-steps preconditioned with a single-precision sparse LU of that matrix that
-is refactored only when it goes stale; the CG iterate itself is double.
-A monotone halving and doubling line search keeps each phase's energy
-non-increasing.  The step count per level stays about flat as h halves:
-about 20 per level for half-plane data from 33² to 257² nodes.  Each grid's
-cleanup is one double-precision sparse LU solve of K v = 0 on the positive
-phase: its solution is the returned field.
+the Euler–Lagrange system per phase is 2K₅v + h²β'_ε(v) = 0 at the free
+interior nodes with the given Dirichlet trace.  It runs coarse to fine, and
+K₅ is applied as a numpy stencil: no matrix is built.  Each phase takes
+projected (v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982):
+nodes held at 0 by an uphill gradient take no step, and the others solve
+the convex model 2K₅ + diag(h²·max(β″_ε, 0)) inexactly, by a few
+conjugate-gradient steps, each preconditioned with one geometric multigrid
+V-cycle (`_Multigrid`).  A monotone halving and doubling line search keeps
+each phase's energy non-increasing.  The step count per level stays about
+flat as h halves, and so do the CG steps per Newton direction, about 2.
+Each grid's cleanup solves K₅v = 0 on the positive phase by the same
+multigrid CG, to relative residual 1e-13: its solution is the returned
+field.
 
 Diagnostics:
 
@@ -42,8 +45,7 @@ Diagnostics:
   α = lim u(x₀ + τν)/τ along an inward direction ν, by Richardson
   extrapolation in τ.
 
-scipy (`sparse`, `splu`) is imported inside the minimizer's functions, so a
-command that never minimizes starts without it.
+The module runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from .common import Window, smoothstep5, write_json_atomic, write_text_atomic
-from .errors import DomainError, InvalidInputError
+from .errors import ConvergenceError, DomainError, InvalidInputError
 from .quad import gauss_nodes
 from .solutions import BOUNDARY_TOL
 
@@ -101,7 +103,9 @@ class ScalarField2D:
         return np.meshgrid(xs, ys)
 
     def interpolate(self, points):
-        """Bilinear interpolation at points of shape (..., 2)."""
+        """Bilinear interpolation at points of shape (..., 2).  A corner
+        of zero weight adds 0 even where its value is not finite, so a NaN
+        at a node does not reach a point on a neighbouring cell edge."""
         p = np.asarray(points, dtype=float)
         w = self.window
         fx = np.clip((p[..., 0] - w.x0) / self.h, 0.0, self.values.shape[1] - 1.0)
@@ -111,8 +115,15 @@ class ScalarField2D:
         tx = fx - i0
         ty = fy - j0
         v = self.values
-        return ((1 - tx) * (1 - ty) * v[j0, i0] + tx * (1 - ty) * v[j0, i0 + 1]
-                + (1 - tx) * ty * v[j0 + 1, i0] + tx * ty * v[j0 + 1, i0 + 1])
+
+        def corner(weight, value):
+            with np.errstate(invalid="ignore"):  # 0·inf
+                return np.where((weight == 0.0) & ~np.isfinite(value), 0.0,
+                                weight * value)
+        return (corner((1 - tx) * (1 - ty), v[j0, i0])
+                + corner(tx * (1 - ty), v[j0, i0 + 1])
+                + corner((1 - tx) * ty, v[j0 + 1, i0])
+                + corner(tx * ty, v[j0 + 1, i0 + 1]))
 
     # -- CSV with a JSON sidecar describing the grid -------------------------
     def save(self, path) -> None:
@@ -135,11 +146,27 @@ class ScalarField2D:
                              values=vals)
 
 
-def _cell_gradients(values: np.ndarray, h: float):
-    v = values
-    ux = (v[1:, 1:] - v[1:, :-1] + v[:-1, 1:] - v[:-1, :-1]) / (2.0 * h)
-    uy = (v[1:, 1:] - v[:-1, 1:] + v[1:, :-1] - v[:-1, :-1]) / (2.0 * h)
-    return ux, uy
+def _dirichlet(v: np.ndarray) -> float:
+    """Σ over the grid's axis edges of w_e·(v_a − v_b)², with w_e = ½ on
+    edges along the window boundary and 1 elsewhere: the P1 Dirichlet
+    energy averaged over both diagonal triangulations, which is ½ Σ_cells
+    of the squared differences on the cell's four edges."""
+    dx = v[:, 1:] - v[:, :-1]
+    dy = v[1:, :] - v[:-1, :]
+    dx *= dx
+    dy *= dy
+    return float(np.sum(dx[1:-1]) + np.sum(dy[:, 1:-1])
+                 + 0.5 * (np.sum(dx[0]) + np.sum(dx[-1]) + np.sum(dy[:, 0])
+                          + np.sum(dy[:, -1])))
+
+
+def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = the sum of the four axis neighbours at each interior node of
+    the node array v; K₅v = 4v − out there."""
+    np.add(v[:-2, 1:-1], v[2:, 1:-1], out=out)
+    out += v[1:-1, :-2]
+    out += v[1:-1, 2:]
+    return out
 
 
 def _node_weights(shape):
@@ -152,13 +179,11 @@ def _node_weights(shape):
 
 
 def ac_energy(fld: ScalarField2D) -> float:
-    """Discrete J(v): cell-gradient Dirichlet term plus trapezoid-weighted
-    node indicator of {v > 0}."""
-    ux, uy = _cell_gradients(fld.values, fld.h)
-    grad_term = float(np.sum(ux**2 + uy**2)) * fld.h**2
+    """Discrete J(v): the 5-point Dirichlet term `_dirichlet` plus the
+    trapezoid-weighted node indicator of {v > 0}."""
     w = _node_weights(fld.values.shape)
     meas_term = float(np.sum(w * (fld.values > 0.0))) * fld.h**2
-    return grad_term + meas_term
+    return _dirichlet(fld.values) + meas_term
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +483,22 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
 # ---------------------------------------------------------------------------
 
 #: annealing schedule ε = factor·h, Newton step cap per phase, the PCG
-#: relative tolerance and the PCG steps tried before the model matrix is
-#: factored again, and the cell count in x below which the cascade stops
-#: halving the grid.
+#: relative tolerance and step cap of a Newton direction and of the
+#: cleanup, and the cell count in x below which the cascade stops halving
+#: the grid.
 _EPS_FACTORS = (2.0, 1.0, 0.5)
 _MAX_NEWTON_STEPS = 200
 _PCG_RTOL = 0.1
 _PCG_STEPS = 10
+_CLEANUP_RTOL = 1e-13
+_CLEANUP_STEPS = 200
 _COARSEST_CELLS = 32
+#: multigrid: the most unknowns of the coarsest level, which is solved
+#: exactly; the weighted-Jacobi factor; the coarse-diagonal entry c of a
+#: held node, against the 8 on the diagonal of 2K₅.
+_MG_COARSEST = 16
+_JACOBI_OMEGA = 0.8
+_HELD = 64.0
 
 
 @dataclass
@@ -487,14 +520,10 @@ class MinimizeResult:
 
 
 def _beta(v, eps):
+    """β_ε(v) = 3t² − 2t³ and β′_ε(v) = 6t(1 − t)/ε, with t = v/ε clipped
+    to [0, 1], so that β′ vanishes outside (0, ε)."""
     t = np.clip(v / eps, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def _beta_prime(v, eps):
-    t = v / eps
-    inside = (t > 0.0) & (t < 1.0)
-    return np.where(inside, (6.0 * t - 6.0 * t * t) / eps, 0.0)
+    return t * t * (3.0 - 2.0 * t), (6.0 / eps) * t * (1.0 - t)
 
 
 def _beta_second_clipped(v, eps):
@@ -505,58 +534,161 @@ def _beta_second_clipped(v, eps):
     return np.where(inside, (6.0 - 12.0 * t) / (eps * eps), 0.0)
 
 
-def _stiffness(shape):
-    """Sparse K on the row-major node grid of `shape` with
-    vᵀKv = Σ_cells h²|∇_c v|² = Σ_cells ½[(v₁₁−v₀₀)² + (v₁₀−v₀₁)²]:
-    each node couples to its diagonal neighbours only."""
-    from scipy import sparse
-    m, n = shape
-    col = np.arange(m * n) % n
-    up = np.where(col[:m * n - n - 1] < n - 1, -0.5, 0.0)  # (j,i)–(j+1,i+1)
-    anti = np.where(col[:m * n - n + 1] > 0, -0.5, 0.0)    # (j,i)–(j+1,i−1)
-    return sparse.diags([2.0 * _node_weights(shape).ravel(), up, up, anti,
-                         anti], [0, n + 1, -n - 1, n - 1, 1 - n], format="csr")
+def _spd_inverse(a):
+    """The inverse of the symmetric positive definite matrix `a` by
+    Gauss–Jordan sweeps, pivots in order.  Only elementwise numpy runs, no
+    BLAS or LAPACK call, so its bits do not depend on the thread count."""
+    a = a.copy()
+    for k in range(len(a)):
+        d = a[k, k]
+        col = a[:, k] / d
+        a -= np.multiply.outer(col, a[k])
+        a[k] = col
+        a[:, k] = col
+        a[k, k] = -1.0 / d
+    return -0.5 * (a + a.T)  # the sweeps leave −a⁻¹, symmetric to round-off
 
 
-def _splu(A):
-    """The solve of a sparse LU of A, in A's precision: float32 for the
-    Newton model (a preconditioner), float64 for the cleanup (the answer).
-    The right-hand side is cast to that precision and the solution
-    returned in it."""
-    from scipy.sparse.linalg import splu
-    # minimum degree on Aᵀ+A and 1-column panels: small fill and workspace
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1)
-    dtype = A.dtype
-    return lambda b: lu.solve(b.astype(dtype, copy=False))
+class _Multigrid:
+    """V(1,1) cycles for A = 2K₅ + diag(c) on the interior nodes of a node
+    grid, restricted to the nodes of a mask (geometric multigrid: Brandt
+    1977; Trottenberg, Oosterlee and Schüller, *Multigrid*, 2001).
+
+    Each level keeps its vectors in node arrays whose boundary ring is 0.
+    A level with m interior rows coarsens to m // 2, coarse node I on fine
+    node 2I + 1 (interior indices), and likewise in x.  Prolongation P is
+    bilinear and restriction is Pᵀ.  An even count is embedded in the next
+    odd one, whose extra row is the fine boundary, held.  A coarse level's
+    operator is 2K₅ again plus diag(Pᵀc), the lumped Galerkin diagonal.
+    Nodes outside the mask are zeroed on the finest level and enter that
+    diagonal with c = _HELD, and so does every level's boundary ring.  The
+    grid coarsens at least once, and on until at most _MG_COARSEST unknowns
+    are left, which `_spd_inverse` solves exactly.  One weighted-Jacobi
+    sweep smooths before the coarse correction and one after, so the cycle
+    is a symmetric positive definite preconditioner on the mask.
+
+    `setup` builds every level's diagonal for one operator; `apply` and
+    `vcycle` then take node arrays with a zero ring."""
+
+    def __init__(self, shape):
+        shapes = [shape]
+        m, n = shape[0] - 2, shape[1] - 2
+        while len(shapes) == 1 or m * n > _MG_COARSEST:
+            m, n = m // 2, n // 2
+            shapes.append((m + 2, n + 2))
+        inner = [(a - 2, b - 2) for a, b in shapes]
+        # iterates and right-hand sides; `vcycle` brings the finest ones
+        self.x = [None] + [np.zeros(s) for s in shapes[1:]]
+        self.b = [None] + [np.empty(s) for s in inner[1:]]
+        self.r = [np.zeros(s) for s in shapes]      # residuals, corrections
+        self.c = [np.full(s, _HELD) for s in shapes]
+        self.diag = [np.empty(s) for s in inner]    # 8 + c
+        self.dinv = [np.empty(s) for s in inner]    # ω / (8 + c)
+        self.s = [np.empty(s) for s in inner]       # stencil scratch
+        # restriction and prolongation pass through a half-coarsened array
+        self.t = [np.zeros((c[0], f[1])) for f, c in zip(shapes, shapes[1:])]
+        self.out = np.zeros(shape)
+        self.mask = None
+        self.inv = None
+        m, n = inner[-1]
+        node = np.arange(m * n).reshape(m, n)
+        self.offdiag = np.zeros((m * n, m * n))
+        for p, q in ((node[1:], node[:-1]), (node[:, 1:], node[:, :-1])):
+            self.offdiag[p, q] = self.offdiag[q, p] = -2.0
+
+    def setup(self, c, mask):
+        """Use c (interior nodes) and the boolean mask of the free nodes."""
+        self.mask = mask
+        np.add(c, 8.0, out=self.diag[0])
+        self.c[0][1:-1, 1:-1] = np.where(mask, c, _HELD)
+        for k in range(1, len(self.c)):
+            self._restrict(k - 1, self.c[k - 1], self.c[k][1:-1, 1:-1])
+            np.add(self.c[k][1:-1, 1:-1], 8.0, out=self.diag[k])
+        for diag, dinv in zip(self.diag, self.dinv):
+            np.divide(_JACOBI_OMEGA, diag, out=dinv)
+        self.dinv[0] *= mask
+        self.inv = _spd_inverse(self.offdiag + np.diag(self.diag[-1].ravel()))
+
+    def _operate(self, k, x, out):
+        """out = A x on level k's interior nodes, masked on the finest."""
+        s = _neighbour_sum(x, self.s[k])
+        s *= 2.0
+        np.multiply(self.diag[k], x[1:-1, 1:-1], out=out)
+        out -= s
+        if k == 0:
+            out *= self.mask
+        return out
+
+    def _restrict(self, k, fine, out):
+        """out = Pᵀ fine, from level k's node array to level k + 1's
+        interior."""
+        mc, nc = out.shape
+        t = self.t[k][1:-1]
+        np.add(fine[1:2 * mc:2], fine[3:2 * mc + 2:2], out=t)
+        t *= 0.5
+        t += fine[2:2 * mc + 1:2]
+        np.add(t[:, 1:2 * nc:2], t[:, 3:2 * nc + 2:2], out=out)
+        out *= 0.5
+        out += t[:, 2:2 * nc + 1:2]
+
+    def _prolong(self, k, coarse, out):
+        """out = P coarse, from level k + 1's node array to level k's
+        interior."""
+        t = self.t[k][:, 1:-1]  # its first and last rows stay 0
+        m, n = out.shape
+        q = (n + 1) // 2
+        np.copyto(t[1:-1, 1::2], coarse[1:-1, 1:-1])
+        np.add(coarse[1:-1, :q], coarse[1:-1, 1:q + 1], out=t[1:-1, 0::2])
+        t[1:-1, 0::2] *= 0.5
+        q = (m + 1) // 2
+        np.copyto(out[1::2], t[1:-1])
+        np.add(t[:q], t[1:q + 1], out=out[0::2])
+        out[0::2] *= 0.5
+
+    def apply(self, x):
+        """A x, masked, as a node array with a zero ring; the array is
+        reused by the next call."""
+        self._operate(0, x, self.out[1:-1, 1:-1])
+        return self.out
+
+    def vcycle(self, b):
+        """One V(1,1) cycle from 0 for A x = b; returns a new node array."""
+        xs = [np.zeros_like(b)] + self.x[1:]
+        bs = [b[1:-1, 1:-1]] + self.b[1:]
+        last = len(xs) - 1
+        for k in range(last):
+            x, r = xs[k][1:-1, 1:-1], self.r[k][1:-1, 1:-1]
+            np.multiply(self.dinv[k], bs[k], out=x)
+            np.subtract(bs[k], self._operate(k, xs[k], r), out=r)
+            self._restrict(k, self.r[k], bs[k + 1])
+        xs[last][1:-1, 1:-1] = np.sum(self.inv * bs[last].ravel(),
+                                      axis=1).reshape(bs[last].shape)
+        for k in reversed(range(last)):
+            x, r = xs[k][1:-1, 1:-1], self.r[k][1:-1, 1:-1]
+            self._prolong(k, xs[k + 1], r)
+            if k == 0:
+                r *= self.mask
+            x += r
+            np.subtract(bs[k], self._operate(k, xs[k], r), out=r)
+            r *= self.dinv[k]
+            x += r
+        return xs[0]
 
 
-def _pcg(apply, solve, idx, mask, b):
-    """Preconditioned CG for apply(x) = b on the nodes of `mask`, at most
-    _PCG_STEPS steps, stopping at relative residual _PCG_RTOL.  The
-    preconditioner is `solve`, a single-precision LU solve with an earlier
-    model matrix on the nodes `idx`, and the identity elsewhere; its result
-    goes into a float64 vector and is cut back to `mask`, which keeps it
-    symmetric positive definite there up to float32 round-off, far below
-    _PCG_RTOL.  Returns the iterate and whether it reached the
-    tolerance."""
-    def precond(r):
-        z = r.copy()
-        rhs = r[idx]
-        # scaled by a power of two, exactly, so that its largest entry is
-        # 2⁶⁴: the solution's fast-decaying tails in the zero phase then stay
-        # clear of float32's subnormals, which slow the triangular solves
-        scale = np.ldexp(1.0, 64 - np.frexp(np.max(np.abs(rhs)))[1])
-        z[idx] = solve(rhs * scale) / scale
-        z[~mask] = 0.0
-        return z
-
+def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS):
+    """Preconditioned CG for apply(x) = b from x = 0, at most `steps`
+    steps, stopping at relative residual `rtol`.  In `minimize_ac` the
+    operator is a masked 2K₅ + diag(c) and `precond` one multigrid V-cycle
+    for it.  Returns the iterate and whether it reached the tolerance."""
     x = np.zeros_like(b)
     r = b.copy()
-    stop = _PCG_RTOL * np.sqrt(np.sum(b * b))
+    stop = rtol * np.sqrt(np.sum(b * b))
+    if stop == 0.0:
+        return x, True
     z = precond(r)
     p = z
     rz = np.sum(r * z)
-    for _ in range(_PCG_STEPS):
+    for _ in range(steps):
         Ap = apply(p)
         alpha = rz / np.sum(p * Ap)
         x += alpha * p
@@ -569,57 +701,44 @@ def _pcg(apply, solve, idx, mask, b):
     return x, False
 
 
-def _relax(v, fixed, h, tol):
+def _relax(v, h, tol):
     """One cascade level of `minimize_ac`, the annealed projected Newton
-    descent and the cleanup, on the flattened field `v`; the nodes of the
-    2-D mask `fixed` keep their values.  Returns the flat field, one energy
-    list per phase, the step count and the last phase's free residual."""
-    from scipy import sparse
-    K = _stiffness(fixed.shape)
+    descent and the cleanup, on the node array `v`, whose boundary ring
+    keeps its values.  Returns the field, one energy list per phase, the
+    step count and the last phase's free residual."""
     h2 = h * h
-    wh2 = h2 * _node_weights(fixed.shape).ravel()
-    fixed = fixed.ravel()
+    wh2 = h2 * _node_weights(v.shape)
+    mg = _Multigrid(v.shape)
+    nb = np.empty((v.shape[0] - 2, v.shape[1] - 2))
 
     # sums, not BLAS dot products: threaded ddot spins idle workers, and its
     # summation order, so the Newton path, depends on the thread count
     def objective_and_grad(vv, eps):
-        Kv = K @ vv
-        E = float(np.sum(vv * Kv + wh2 * _beta(vv, eps)))
-        G = 2.0 * Kv + wh2 * _beta_prime(vv, eps)
-        G[fixed] = 0.0
+        beta, beta_prime = _beta(vv, eps)
+        E = _dirichlet(vv) + float(np.sum(wh2 * beta))
+        G = np.zeros_like(vv)  # 0 on the boundary ring, which is held
+        g = G[1:-1, 1:-1]
+        np.multiply(vv[1:-1, 1:-1], 8.0, out=g)  # 2K₅v + h²β′_ε(v)
+        g -= 2.0 * _neighbour_sum(vv, nb)
+        g += h2 * beta_prime[1:-1, 1:-1]
         return E, G
 
     def free_residual(vv, G):
-        free = ~fixed & ((vv > 0.0) | (G < 0.0))
+        g = G[1:-1, 1:-1]
+        free = (vv[1:-1, 1:-1] > 0.0) | (g < 0.0)
         n = int(np.sum(free))
-        return float(np.sqrt(np.sum(G[free] ** 2) / max(n, 1))) / h2
-
-    model_lu = None  # (solve, nodes) of the model matrix last factored
+        return float(np.sqrt(np.sum(g[free] ** 2) / max(n, 1))) / h2
 
     def newton_direction(vv, G, eps):
-        nonlocal model_lu
         # nodes pinned at 0 by an uphill gradient take no step.  v = 0 with
         # G = 0 stays in the solve: held there, the positive phase would
         # spread into a zero region by one ring of nodes per step.
-        inactive = ~fixed & ((vv > 0.0) | (G <= 0.0))
-        curv = wh2 * _beta_second_clipped(vv, eps)
-
-        def apply(x):  # the model matrix 2K + diag(curv) on `inactive`
-            return np.where(inactive, 2.0 * (K @ x) + curv * x, 0.0)
-
-        b = np.where(inactive, G, 0.0)
-        if model_lu is not None:
-            d, ok = _pcg(apply, *model_lu, inactive, b)
-            if ok:
-                return d
-        idx = np.flatnonzero(inactive)
-        model_lu = None  # release the old factor before building the new one
-        # a float32 CSC, with no float64 copy alive while it is factored: a
-        # preconditioner for a CG stopped at relative residual 0.1 needs no
-        # more precision
-        model_lu = (_splu((2.0 * K[idx][:, idx] + sparse.diags(curv[idx]))
-                          .astype(np.float32).tocsc()), idx)
-        return _pcg(apply, *model_lu, inactive, b)[0]
+        inner, g = vv[1:-1, 1:-1], G[1:-1, 1:-1]
+        inactive = (inner > 0.0) | (g <= 0.0)
+        mg.setup(h2 * _beta_second_clipped(inner, eps), inactive)
+        b = np.zeros_like(G)
+        b[1:-1, 1:-1] = np.where(inactive, g, 0.0)
+        return _pcg(mg.apply, mg.vcycle, b)[0]
 
     history, iterations = [], 0
     for eps in np.multiply(_EPS_FACTORS, h):
@@ -631,7 +750,7 @@ def _relax(v, fixed, h, tol):
             if residual <= tol:
                 break
             d = newton_direction(v, G, eps)
-            # d vanishes on fixed nodes, so each trial step keeps them
+            # d vanishes on the boundary ring, so each trial step keeps it
             a = 1.0
             for _bt in range(40):
                 v_new = np.maximum(v - a * d, 0.0)
@@ -651,15 +770,24 @@ def _relax(v, fixed, h, tol):
             v, E, G = v_new, E_new, G_new
             phase.append(E)
         history.append(phase)
-    model_lu = None  # freed before the cleanup factor is built
 
-    free = ~fixed & (v >= 0.5 * eps)
-    v = np.where(fixed | free, v, 0.0)
-    idx = np.flatnonzero(free)
-    if idx.size:  # in double precision: this solution is the answer
-        solve = _splu(K[idx][:, idx])
-        v[idx] = np.maximum(solve(-(K[idx] @ np.where(free, 0.0, v))),
-                            0.0)  # ≥ 0 up to round-off
+    # the cleanup: K₅v = 0 on the nodes at or above ε/2, which start from 0,
+    # so that the answer depends on the Newton path only through that set
+    free = v[1:-1, 1:-1] >= 0.5 * eps
+    v = v.copy()
+    v[1:-1, 1:-1] = 0.0
+    if np.any(free):
+        mg.setup(np.zeros(free.shape), free)
+        b = np.zeros_like(v)  # −2K₅ of the boundary data, on the free nodes
+        b[1:-1, 1:-1] = np.where(free, 2.0 * _neighbour_sum(v, nb), 0.0)
+        x, ok = _pcg(mg.apply, mg.vcycle, b, _CLEANUP_RTOL, _CLEANUP_STEPS)
+        if not ok:
+            r = b - mg.apply(x)
+            raise ConvergenceError(
+                "minimize_ac: the cleanup's CG stopped at relative residual "
+                f"{np.sqrt(np.sum(r * r) / np.sum(b * b)):.3e} after "
+                f"{_CLEANUP_STEPS} steps", last_iterate=x)
+        v[1:-1, 1:-1] = np.maximum(x[1:-1, 1:-1], 0.0)  # ≥ 0 up to round-off
     return v, history, iterations, residual
 
 
@@ -680,22 +808,24 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     until the residual reaches `tol`, at most _MAX_NEWTON_STEPS of them:
     interior nodes with v = 0 and an uphill gradient G > 0 are held, and
     the others move along the solution of
-    (2K + diag(h²w·max(β″_ε(v), 0)))·d = G, solved to relative residual
-    _PCG_RTOL by conjugate gradients preconditioned with a single-precision
-    sparse LU of the model matrix, which is refactored when _PCG_STEPS
-    steps do not reach that tolerance.  The step v ← max(v − a·d, 0)
-    starts at a = 1, halves until the energy does not rise, and doubles
-    while it still falls when a = 1 passed at once.  The residual is the
-    rms projected gradient over free nodes (interior nodes not pinned at
-    v = 0 with uphill gradient), for the finest level's last ε.
+    (2K₅ + diag(h²·max(β″_ε(v), 0)))·d = G, solved to relative residual
+    _PCG_RTOL by at most _PCG_STEPS conjugate-gradient steps, each
+    preconditioned with one multigrid V(1,1) cycle.  The step
+    v ← max(v − a·d, 0) starts at a = 1, halves until the energy does not
+    rise, and doubles while it still falls when a = 1 passed at once.  The
+    residual is the rms projected gradient over free nodes (interior nodes
+    not pinned at v = 0 with uphill gradient), for the finest level's last
+    ε.
 
-    Cleanup: the smoothed problem 2Δv = β'_ε(v) has exponential tails where
-    the sharp minimizer is exactly zero, so interior nodes below ε_final/2
-    (the β midpoint; ≪ the O(h) node values the slope condition forces next
-    to the free boundary) are snapped to 0; one double-precision sparse LU
-    solve of K v = 0 on the other interior nodes then makes the positive
-    phase discrete-harmonic.  So the returned field depends on the Newton
-    path only through that zero set.
+    Cleanup: the smoothed problem has exponential tails where the sharp
+    minimizer is exactly zero, so interior nodes below ε_final/2 (the β
+    midpoint; ≪ the O(h) node values the slope condition forces next to
+    the free boundary) are snapped to 0.  K₅v = 0 is then solved on the
+    other interior nodes, from 0, by the same multigrid CG to relative
+    residual _CLEANUP_RTOL, which makes the positive phase
+    discrete-harmonic.  So the returned field depends on the Newton path
+    only through that zero set.  If _CLEANUP_STEPS steps do not reach the
+    tolerance, `ConvergenceError` reports the residual.
     """
     xs, ys = window.grid(h)
     nx, ny = len(xs) - 1, len(ys) - 1
@@ -729,12 +859,11 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
         else:
             v = np.maximum(np.asarray(init(pts), dtype=float), 0.0)
         v[fixed] = bvals
-        v, hist, n_iter, residual = _relax(v.ravel(), fixed, level_h, tol)
+        v, hist, n_iter, residual = _relax(v, level_h, tol)
         energy_history += hist
         history_h += [level_h] * len(hist)
         iterations += n_iter
-        fld = ScalarField2D(window=window, h=level_h,
-                            values=v.reshape(fixed.shape))
+        fld = ScalarField2D(window=window, h=level_h, values=v)
         init = fld.interpolate
 
     return MinimizeResult(field=fld, energy=ac_energy(fld),

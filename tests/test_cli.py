@@ -282,6 +282,22 @@ class TestMinimize:
                    "--out", str(tmp_path)) == 2
         assert "boundary trace must be finite" in capsys.readouterr().err
 
+    def test_nan_inside_a_boundary_field_is_not_read(self, tmp_path):
+        # only the boundary nodes are read, and a zero bilinear weight
+        # keeps the NaN at interior node (1, 20) off boundary node (0, 20)
+        h = 2.0 / 32
+        fld = field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0),
+                                  h)
+        fld.values[1, 20] = np.nan
+        fpath = tmp_path / "trace.csv"
+        fld.save(fpath)
+        assert run("minimize", "--resolution", "32",
+                   "--param", f"boundary_field={fpath}",
+                   "--out", str(tmp_path)) == 0
+        out = ScalarField2D.load(tmp_path / "minimize_field.csv")
+        assert np.all(np.isfinite(out.values))
+        assert out.values[0, 20] == fld.values[0, 20]
+
     def test_zero_trace_gives_zero_field(self, tmp_path):
         h = 2.0 / 32
         w = Window(-1.0, -1.0, 1.0, 1.0)

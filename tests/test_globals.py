@@ -1,9 +1,9 @@
 """Static guards: every global name a function of `onephase` loads must
 exist, and so must every name a module exports; quadrature stays out of the
-chart and Traizet layers, and scipy out of the chart and geometry layers.
-scipy is imported only inside the functions that use it (the minimizer's
-sparse LU), so `import onephase` and a command that never minimizes, such as
-`boundary`, `classify`, `verify` or `traizet`, load no scipy module.
+chart and Traizet layers.  No module imports scipy: the minimizer solves its
+5-point systems by multigrid-preconditioned CG in numpy, so `import
+onephase` and every command, `minimize` included, load no scipy module.
+The tests keep scipy as an oracle.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -105,27 +105,12 @@ def test_chart_layer_imports_no_scipy(module_name):
                   if m.split(".")[0] == "scipy") == []
 
 
-def _module_level_imports(tree):
-    """Import nodes outside any function body: at top level, or in a class
-    body or an if/try block that runs on import."""
-    if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        return
-    if isinstance(tree, (ast.Import, ast.ImportFrom)):
-        yield tree
-    for child in ast.iter_child_nodes(tree):
-        yield from _module_level_imports(child)
-
-
 @pytest.mark.parametrize("module_name", ["onephase"] + MODULES)
 def test_scipy_imported_inside_functions_only(module_name):
-    path = Path(importlib.import_module(module_name).__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [(node.lineno, ast.unparse(node))
-             for node in _module_level_imports(tree)
-             for name in ([node.module] if isinstance(node, ast.ImportFrom)
-                          else [a.name for a in node.names])
-             if name and name.split(".")[0] == "scipy"]
-    assert found == []
+    # the name dates from when the minimizer imported scipy inside its
+    # functions; now no module imports it at any depth
+    assert sorted(m for m in _imported(module_name)
+                  if m.split(".")[0] == "scipy") == []
 
 
 SRC = Path(onephase.__file__).resolve().parent.parent
@@ -185,3 +170,13 @@ def test_mesh_commands_load_no_scipy(tmp_path, argv):
             f"{argv + ['--out', str(tmp_path)]!r}) == 0")
     assert _scipy_loaded_after(code) == []
     assert list(tmp_path.glob("*_report.json"))
+
+
+def test_minimize_command_loads_no_scipy(tmp_path):
+    # the minimizer's sparse LU and its import cost about 45 MB of peak
+    # resident memory; its multigrid runs in numpy
+    code = ("import onephase.cli\n"
+            "assert onephase.cli.main(['minimize', '--family', 'half_plane', "
+            f"'--resolution', '32', '--out', {str(tmp_path)!r}]) == 0")
+    assert _scipy_loaded_after(code) == []
+    assert (tmp_path / "minimize_report.json").exists()

@@ -1,6 +1,8 @@
 """Discrete energy oracles, test-field calculus consistency, residual
 behaviors (exact vs. one-sided competitor), Weiss functional, viscosity
-slopes, and a small minimizer run."""
+slopes, the multigrid preconditioner, and minimizer runs.  scipy's sparse
+matrices and `splu` are the oracle for the 5-point stiffness and for the
+cleanup solve."""
 
 import os
 import subprocess
@@ -13,15 +15,17 @@ from hypothesis import strategies as st
 
 from onephase import variational
 from onephase.common import format_float
-from onephase.errors import DomainError, InvalidInputError
+from onephase.errors import ConvergenceError, DomainError, InvalidInputError
+from onephase.geometry import _label4
 from onephase.quad import gauss_nodes
 from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge, Window)
-from onephase.variational import (ScalarField2D, TestVectorField,
-                                  _circle_integrals, _stiffness, ac_energy,
-                                  minimize_ac, variational_residual,
-                                  viscosity_slope, weiss_energy)
+from onephase.variational import (ScalarField2D, TestVectorField, _Multigrid,
+                                  _circle_integrals, _neighbour_sum, _pcg,
+                                  ac_energy, minimize_ac,
+                                  variational_residual, viscosity_slope,
+                                  weiss_energy)
 
 from helpers import field_from_solution
 
@@ -43,6 +47,38 @@ class TestScalarField:
         pts = rng.uniform(0.0, 1.0, (40, 2))
         expect = 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 1.0
         assert np.allclose(fld.interpolate(pts), expect, atol=1e-13)
+
+    def test_interpolate_skips_zero_weight_corners(self):
+        # a NaN at interior node (1, 20) must not reach boundary node
+        # (0, 20) or the bottom edge beside it through a zero weight
+        w = Window(-1.0, -1.0, 1.0, 1.0)
+        fld = field_from_solution(HalfPlane(), w, 1.0 / 16)
+        X, Y = fld.nodes()
+        fld.values[1, 20] = np.nan
+        fld.values[1, 22] = np.inf
+        pts = np.array([[X[0, 20], Y[0, 20]],
+                        [X[0, 20] + 0.3 / 16, Y[0, 20]],
+                        [X[0, 22], Y[0, 22]], [X[2, 20], Y[2, 20]]])
+        got = fld.interpolate(pts)
+        assert np.allclose(got, HalfPlane().eval_u(pts), rtol=0.0,
+                           atol=1e-15)
+        assert np.isnan(fld.interpolate([X[1, 20], Y[1, 20] + 0.01]))
+
+    def test_interpolate_bits_of_the_bilinear_formula(self):
+        w = Window(-1.0, -1.0, 1.0, 1.0)
+        fld = ScalarField2D(window=w, h=0.125, values=np.random.default_rng(
+            2).normal(size=(17, 17)))
+        X, Y = fld.nodes()
+        pts = np.concatenate([
+            np.random.default_rng(3).uniform(-1.2, 1.2, (500, 2)),
+            np.stack([X, Y], axis=-1).reshape(-1, 2)])
+        fx = np.clip((pts[:, 0] + 1.0) / 0.125, 0.0, 16.0)
+        fy = np.clip((pts[:, 1] + 1.0) / 0.125, 0.0, 16.0)
+        i, j = np.minimum(fx.astype(int), 15), np.minimum(fy.astype(int), 15)
+        tx, ty, v = fx - i, fy - j, fld.values
+        expect = ((1 - tx) * (1 - ty) * v[j, i] + tx * (1 - ty) * v[j, i + 1]
+                  + (1 - tx) * ty * v[j + 1, i] + tx * ty * v[j + 1, i + 1])
+        assert np.array_equal(fld.interpolate(pts), expect)
 
     def test_shape_validation(self):
         w = Window(0.0, 0.0, 1.0, 1.0)
@@ -285,17 +321,59 @@ class TestViscositySlope:
             viscosity_slope(halfplane, (0.5, 0.0))
 
 
+def _stiffness(shape):
+    """K₅ on the row-major node grid of `shape`, assembled edge by edge:
+    vᵀK₅v = Σ over axis edges of w_e·(v_a − v_b)², w_e = ½ along the
+    window boundary."""
+    from scipy import sparse
+    node = np.arange(shape[0] * shape[1]).reshape(shape)
+    rows, cols, weights = [], [], []
+    for a, b in ((node[:, :-1], node[:, 1:]), (node[:-1], node[1:])):
+        w = np.ones(a.shape)
+        if a.shape[0] < shape[0]:  # vertical edges: the side columns
+            w[:, 0] = w[:, -1] = 0.5
+        else:  # horizontal edges: the top and bottom rows
+            w[0] = w[-1] = 0.5
+        rows += [a.ravel(), b.ravel(), a.ravel(), b.ravel()]
+        cols += [a.ravel(), b.ravel(), b.ravel(), a.ravel()]
+        weights += [w.ravel(), w.ravel(), -w.ravel(), -w.ravel()]
+    n = node.size
+    return sparse.csr_matrix((np.concatenate(weights), (np.concatenate(rows),
+                              np.concatenate(cols))), shape=(n, n))
+
+
+def _k5_interior(v):
+    """K₅v at the interior nodes: 4v minus the four axis neighbours."""
+    return 4.0 * v[1:-1, 1:-1] - _neighbour_sum(v, np.empty(
+        (v.shape[0] - 2, v.shape[1] - 2)))
+
+
 class TestStiffness:
     @pytest.mark.parametrize("shape", [(5, 9), (17, 4), (33, 65)])
     def test_quadratic_form_is_gradient_term(self, shape):
         m, n = shape
         h = 0.125
         w = Window(0.0, 0.0, h * (n - 1), h * (m - 1))
-        # v ≤ 0 leaves ac_energy only its cell-gradient term
+        # v ≤ 0 leaves ac_energy only its Dirichlet term
         v = -np.random.default_rng(m * n).uniform(0.0, 1.0, size=shape)
         expect = ac_energy(ScalarField2D(window=w, h=h, values=v))
-        got = v.ravel() @ (_stiffness(shape) @ v.ravel())
-        assert got == pytest.approx(expect, rel=1e-12)
+        K = _stiffness(shape)
+        assert v.ravel() @ (K @ v.ravel()) == pytest.approx(expect,
+                                                             rel=1e-12)
+        # on the interior nodes the minimizer's stencil is K₅'s rows
+        Kv = (K @ v.ravel()).reshape(shape)[1:-1, 1:-1]
+        assert np.allclose(_k5_interior(v), Kv, rtol=0.0, atol=1e-13)
+
+    def test_checkerboard_costs_energy(self):
+        # the 5-point term couples the two sublattices of the node grid
+        w = Window(0.0, 0.0, 1.0, 1.0)
+        xs, ys = w.grid(1.0 / 32)
+        i, j = np.meshgrid(np.arange(len(xs)), np.arange(len(ys)))
+        one = ScalarField2D(window=w, h=1.0 / 32, values=np.ones(i.shape))
+        board = ScalarField2D(window=w, h=1.0 / 32,
+                              values=1.0 + (-1.0) ** (i + j))
+        assert ac_energy(one) == pytest.approx(1.0, abs=1e-14)
+        assert ac_energy(board) > ac_energy(one) + 1.0
 
 
 class TestMinimize:
@@ -342,9 +420,8 @@ class TestMinimize:
         res = minimize_ac(w, 1.0 / 32, boundary=HalfPlane().eval_u)
         assert res.history_h == [1.0 / 16] * 3 + [1.0 / 32] * 3
         v = res.field.values
-        # K·v by the diagonal-neighbour stencil of the cell-gradient form
-        Kv = 2.0 * v[1:-1, 1:-1] - 0.5 * (v[2:, 2:] + v[:-2, :-2]
-                                          + v[2:, :-2] + v[:-2, 2:])
+        Kv = 4.0 * v[1:-1, 1:-1] - (v[2:, 1:-1] + v[:-2, 1:-1]
+                                    + v[1:-1, 2:] + v[1:-1, :-2])
         positive = v[1:-1, 1:-1] > 0.0
         assert positive.sum() > 100
         assert np.max(np.abs(Kv[positive])) < 1e-10
@@ -438,87 +515,146 @@ class TestMinimize:
             assert np.array_equal(sol.eval_u(p), sol.eval_u(pts)[fixed])
 
 
-class TestPrecisionSplit:
-    """The Newton model matrix is factored in float32, as a preconditioner
-    for CG stopped at relative residual 0.1; the cleanup, whose solution is
-    the returned field, in float64."""
+def _k5_max_on_positive_phase(v):
+    positive = v[1:-1, 1:-1] > 0.0
+    return float(np.max(np.abs(_k5_interior(v)[positive])))
+
+
+class TestMultigrid:
+    """The Newton directions and the cleanup solve masked 2K₅ + diag(c)
+    systems by CG preconditioned with one multigrid V(1,1) cycle."""
 
     @staticmethod
-    def _run(monkeypatch, sol, h, upcast):
-        """minimize_ac on [−1, 1]², with each factor upcast to float64 if
-        `upcast`.  Returns the result, (caller, dtype) per factorization,
-        the PCG steps (model-matrix products) of each Newton direction, one
-        `_beta_second_clipped` call each, and the subnormal entries of the
-        float32 solves."""
-        true_splu, true_pcg = variational._splu, variational._pcg
-        true_curv = variational._beta_second_clipped
-        dtypes, steps, subnormal = [], [], [0]
+    def _system(shape, rng):
+        """A mask with a disk-shaped hole, c = 24 on half the nodes (the
+        zero phase's h²β″ at ε = h/2), and a random masked vector maker."""
+        m, n = shape[0] - 2, shape[1] - 2
+        Y, X = np.mgrid[0:m, 0:n]
+        mask = (X - n / 2) ** 2 + (Y - m / 2) ** 2 > (min(m, n) / 4) ** 2
+        c = np.where(X > n / 2, 24.0, 0.0)
 
-        def splu(A):
-            dtypes.append((sys._getframe(1).f_code.co_name, A.dtype))
-            solve = true_splu(A.astype(np.float64) if upcast else A)
+        def vector():
+            b = np.zeros(shape)
+            b[1:-1, 1:-1] = np.where(mask, rng.normal(size=(m, n)), 0.0)
+            return b
+        return c, mask, vector
 
-            def counted(b):
-                z = solve(b)
-                if z.dtype == np.float32:
-                    subnormal[0] += int(np.sum(
-                        (z != 0) & (np.abs(z) < np.finfo(np.float32).tiny)))
-                return z
-            return counted
+    @pytest.mark.parametrize("shape", [(33, 33), (129, 129), (35, 66),
+                                       (106, 106), (6, 40)])
+    def test_vcycle_is_symmetric_and_held_nodes_stay_zero(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        c, mask, vector = self._system(shape, rng)
+        mg = _Multigrid(shape)
+        mg.setup(c, mask)
+        for _ in range(3):
+            u, w = vector(), vector()
+            Mu, Mw = mg.vcycle(u), mg.vcycle(w)
+            assert abs(np.sum(w * Mu) - np.sum(u * Mw)) <= \
+                1e-14 * abs(np.sum(w * Mu))
+            assert np.sum(u * Mu) > 0.0
+            assert np.all(Mu[1:-1, 1:-1][~mask] == 0.0)
+            assert np.all(Mu[[0, -1]] == 0.0)
+            assert np.all(Mu[:, [0, -1]] == 0.0)
 
-        def curv(*args):
-            steps.append(0)
-            return true_curv(*args)
-
-        def pcg(apply, *args):
-            def counted(x):
-                steps[-1] += 1
-                return apply(x)
-            return true_pcg(counted, *args)
-
-        with monkeypatch.context() as m:
-            m.setattr(variational, "_splu", splu)
-            m.setattr(variational, "_beta_second_clipped", curv)
-            m.setattr(variational, "_pcg", pcg)
-            res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), h, sol.eval_u)
-        return res, dtypes, steps, subnormal[0]
-
-    def test_model_single_cleanup_double(self, monkeypatch):
-        # the cascade runs h = 1/16 → 1/32: one cleanup per level
-        _, dtypes, _, _ = self._run(monkeypatch, HalfPlane(), 1.0 / 32,
-                                    False)
-        by_caller = {}
-        for caller, dtype in dtypes:
-            by_caller.setdefault(caller, []).append(dtype)
-        assert set(by_caller) == {"newton_direction", "_relax"}
-        assert set(by_caller["newton_direction"]) == {np.dtype(np.float32)}
-        assert by_caller["_relax"] == [np.dtype(np.float64)] * 2
+    @pytest.mark.parametrize("shape", [(129, 129), (35, 66), (106, 106)])
+    def test_pcg_reaches_round_off(self, shape):
+        rng = np.random.default_rng(7)
+        c, mask, vector = self._system(shape, rng)
+        mg = _Multigrid(shape)
+        mg.setup(c, mask)
+        b = vector()
+        x, ok = _pcg(mg.apply, mg.vcycle, b, 1e-12, 40)
+        assert ok
+        r = b - mg.apply(x)
+        assert np.sqrt(np.sum(r * r)) <= 1e-12 * np.sqrt(np.sum(b * b))
 
     @pytest.mark.parametrize("sol", [HalfPlane(), Hairpin(0.25)],
                              ids=["half_plane", "hairpin_0.25"])
-    def test_same_result_as_double_factors(self, monkeypatch, sol):
-        single = self._run(monkeypatch, sol, 1.0 / 32, False)[0]
-        double = self._run(monkeypatch, sol, 1.0 / 32, True)[0]
-        assert np.array_equal(single.field.values, double.field.values)
-        assert single.energy == double.energy
-        assert single.iterations == double.iterations
-        # only round-off moves: the residual and the smoothed energies
-        assert single.residual == pytest.approx(double.residual, rel=1e-3)
-        assert list(map(len, single.energy_history)) == \
-            list(map(len, double.energy_history))
-        for a, b in zip(single.energy_history, double.energy_history):
-            assert np.allclose(a, b, rtol=1e-5, atol=0.0)
+    def test_pcg_steps_per_newton_direction(self, monkeypatch, sol):
+        """At most 4 PCG steps (operator products) per Newton direction on
+        each level of the cascade h = 1/16 → 1/128."""
+        true_pcg = variational._pcg
+        steps = {}
 
-    def test_pcg_steps_per_direction_at_h_1_128(self, monkeypatch):
-        _, _, single, subnormal = self._run(monkeypatch, HalfPlane(),
-                                            1.0 / 128, False)
-        _, _, double, _ = self._run(monkeypatch, HalfPlane(), 1.0 / 128,
-                                    True)
-        assert len(single) == len(double)
-        assert max(np.subtract(single, double)) <= 1
-        # the power-of-two scaling of each right-hand side keeps the
-        # zero phase's decaying tails out of float32's slow subnormals
-        assert subnormal == 0
+        def pcg(apply, precond, b, *tol):
+            def counted(x):
+                if not tol:  # a Newton direction, not the cleanup
+                    counts[-1] += 1
+                return apply(x)
+            counts = steps.setdefault(2.0 / (b.shape[1] - 1), [])
+            counts.append(0)
+            return true_pcg(counted, precond, b, *tol)
+
+        monkeypatch.setattr(variational, "_pcg", pcg)
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 128,
+                          sol.eval_u)
+        assert res.converged
+        assert sorted(steps) == [1.0 / 128, 1.0 / 64, 1.0 / 32, 1.0 / 16]
+        for level_h in (1.0 / 32, 1.0 / 64, 1.0 / 128):
+            newton = steps[level_h][:-1]  # the last call is the cleanup
+            assert len(newton) > 5
+            assert max(newton) <= 4, level_h
+
+    def test_cleanup_matches_splu(self):
+        from scipy.sparse.linalg import splu
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 32,
+                          Hairpin(0.25).eval_u)
+        v = res.field.values
+        free = np.zeros(v.shape, dtype=bool)
+        free[1:-1, 1:-1] = v[1:-1, 1:-1] > 0.0
+        K = _stiffness(v.shape).tocsr()
+        idx, rest = np.flatnonzero(free), np.flatnonzero(~free)
+        rhs = -(K[idx][:, rest] @ v.ravel()[rest])
+        expect = splu(K[idx][:, idx].tocsc()).solve(rhs)
+        assert idx.size > 500
+        assert np.max(np.abs(v.ravel()[idx] - expect)) <= \
+            1e-12 * np.max(np.abs(expect))
+
+    def test_cleanup_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(variational, "_CLEANUP_STEPS", 2)
+        with pytest.raises(ConvergenceError, match="relative residual"):
+            minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 16,
+                        HalfPlane().eval_u)
+
+    @pytest.mark.parametrize("window, h", [
+        (Window(-1.0, -1.0, 1.0, 0.03125), 1.0 / 32),
+        (Window(-1.0, -1.0, 1.0, 1.0), 2.0 / 104)],
+        ids=["64x33_cells", "104x104_cells"])
+    def test_grids_that_do_not_coarsen_evenly(self, window, h):
+        # 32 interior rows; 103 interior nodes, which coarsen to 12
+        res = minimize_ac(window, h, Hairpin(0.25).eval_u)
+        assert res.converged
+        assert np.sum(res.field.values > 0.0) > 100
+        assert _k5_max_on_positive_phase(res.field.values) <= 1e-10
+
+
+def _sign_topology(v):
+    """(components of {v > 0}, components of {v = 0}, isolated interior
+    nodes): 4-connected, and a node is isolated when its sign status
+    differs from that of all four axis neighbours."""
+    pos = v > 0.0
+    inner = pos[1:-1, 1:-1]
+    isolated = ((inner != pos[:-2, 1:-1]) & (inner != pos[2:, 1:-1])
+                & (inner != pos[1:-1, :-2]) & (inner != pos[1:-1, 2:]))
+    return _label4(pos)[1], _label4(~pos)[1], int(np.sum(isolated))
+
+
+class TestPhaseTopology:
+    """The minimizer's phases have the exact solution's component counts:
+    a discrete Dirichlet term blind to the checkerboard splits the grid
+    into two sublattices, which breaks both phases into pieces."""
+
+    @pytest.mark.parametrize("sol, h, counts", [
+        (DiskComplement(0.5), 1.0 / 64, (1, 1)),
+        (TwoPlane(0.5), 1.0 / 32, (2, 1))],
+        ids=["disk_R0.5_res128", "two_plane_a0.5_res64"])
+    def test_component_counts_match_exact(self, sol, h, counts):
+        w = Window(-1.0, -1.0, 1.0, 1.0)
+        res = minimize_ac(w, h, sol.eval_u)
+        assert res.converged
+        exact = field_from_solution(sol, w, h).values
+        assert _sign_topology(exact) == counts + (0,)
+        assert _sign_topology(res.field.values) == counts + (0,)
 
 
 class TestOneSidedPlane:
