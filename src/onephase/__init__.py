@@ -24,8 +24,7 @@ cli          batch front end (`onephase <command>`)
 
 from .common import Window
 from .errors import (ConvergenceError, DomainError, InvalidInputError,
-                     NoSaddleError, OnePhaseError, TopologyError,
-                     ZeroPhaseError)
+                     NoSaddleError, OnePhaseError, TopologyError)
 from .solutions import (FAMILIES, DiskComplement, Hairpin, HalfPlane,
                         RigidMotion, Scherk, Solution, TwoPlane, Wedge,
                         solution_from_dict)
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Window",
-    "OnePhaseError", "InvalidInputError", "DomainError", "ZeroPhaseError",
+    "OnePhaseError", "InvalidInputError", "DomainError",
     "NoSaddleError", "ConvergenceError", "TopologyError",
     "Solution", "RigidMotion", "HalfPlane", "TwoPlane", "Wedge", "Hairpin",
     "DiskComplement", "Scherk", "FAMILIES", "solution_from_dict",

@@ -1,24 +1,32 @@
 """Batch command-line front end.
 
     onephase <command> [--config PATH] [--out DIR] [--resolution N]
-                       [--tol X] [--family NAME] [--param k=v ...]
+                       [--family NAME] [--param k=v ...]
 
-Commands
---------
+Commands, with the parameters each reads in brackets (``--param k=v`` or
+the config's "params"; any other name is a config error)
+------------------------------------------------------------------------
 boundary   Write free-boundary polylines as CSV.  Without a configured
            solution, emits the reference datasets: hairpin a ∈ {1/4, 1, 2}
-           and Scherk s ∈ {1/8, 1/2, 7/8}.
+           and Scherk s ∈ {1/8, 1/2, 7/8}.  [step]
 verify     Run the verification suite on one solution (inner-variation
            residual, slope condition, Weiss scaling, flux balance, circle
            maxima, mesh mean-curvature/orthogonality sweeps) and write a
-           machine-readable pass/fail report.
+           machine-readable pass/fail report; its bounds are fixed.
+           [mesh_resolutions, n_polygons, slope_fd_offset, flux_step]
 minimize   Minimize the discrete functional with a Dirichlet trace taken
            from a named solution or a saved field; write the converged
            field, its extracted free boundary, and the energy log.
+           [h, boundary_field]
 traizet    Build the reflected minimal-surface mesh for a solution and
-           write it as OBJ plus a per-vertex mean-curvature CSV.
+           write it as OBJ plus a per-vertex mean-curvature CSV.  [none]
 classify   Run the flat trichotomy (mode "trichotomy") or the annulus
            flatness probe (mode "annulus") and write a JSON report.
+           [mode, delta, scales, seed_point]
+
+A ``--param`` named after a parameter of the chosen family (a=, s=, R=)
+sets the solution instead.  resolution, seed, n_polygons and each of
+mesh_resolutions must be whole numbers.
 
 Configuration is one JSON file (``--config``) with optional flag overrides;
 every command is deterministic given its config (sampling uses a seeded
@@ -70,14 +78,13 @@ WINDOW_LIMIT = 1e6
 @dataclass
 class ExperimentConfig:
     """One experiment record: command, solution descriptor, window,
-    resolution, tolerance override, output directory, seed, and free-form
-    per-command parameters."""
+    resolution, output directory, seed, and the command's parameters
+    (names from `PARAMS`)."""
 
     command: str = ""
     solution: dict | None = None
     window: tuple | None = None
     resolution: int = 64
-    tol: float | None = None
     out: str = "."
     seed: int = 0
     params: dict = field(default_factory=dict)
@@ -86,12 +93,6 @@ class ExperimentConfig:
         if self.resolution < 8:
             raise InvalidInputError(
                 f"resolution must be >= 8, got {self.resolution}")
-        if self.tol is not None:
-            tol = _floats([self.tol])
-            if tol is None or not tol[0] > 0:
-                raise InvalidInputError(
-                    f"tol must be a number > 0, got {self.tol!r}")
-            self.tol = tol[0]
         if self.window is not None:
             w = _floats(self.window)
             if w is None or len(w) != 4:
@@ -138,16 +139,6 @@ class ExperimentConfig:
                 f"got {v!r}")
         return vals
 
-    def tolerance(self, name: str, default: float) -> float:
-        """Per-check tolerance: explicit params[name] wins, then the generic
-        --tol override, then the check's default."""
-        if name not in self.params:
-            return default if self.tol is None else self.tol
-        v = self.number(name, default)
-        if not v > 0:
-            raise InvalidInputError(f"{name} must be > 0, got {v}")
-        return v
-
 
 def _floats(v) -> list | None:
     """v as a list of floats, or None if v is no sequence of numbers."""
@@ -171,20 +162,24 @@ def load_config(path) -> dict:
     return raw
 
 
-def _config_int(raw: dict, name: str, default: int) -> int:
-    v = raw.get(name, default)
+def _whole(name: str, v) -> int:
+    """v as an int; a value that is not a whole number, 16.9 included, is
+    a config error."""
     try:
-        return int(v)
+        n = int(v)
+        whole = n == float(v)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidInputError(
-            f"{name} must be an integer, got {v!r}") from None
+        whole = False
+    if not whole:
+        raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+    return n
 
 
 def config_from_args(args) -> ExperimentConfig:
     """Merge (defaults ← config file ← flags) into a validated config."""
     raw = load_config(args.config) if args.config else {}
-    known = {"command", "solution", "window", "resolution", "tol", "out",
-             "seed", "params"}
+    known = {"command", "solution", "window", "resolution", "out", "seed",
+             "params"}
     unknown = set(raw) - known
     if unknown:
         raise InvalidInputError(
@@ -202,18 +197,15 @@ def config_from_args(args) -> ExperimentConfig:
         command=args.command,
         solution=solution,
         window=raw.get("window"),
-        resolution=_config_int(raw, "resolution", 64),
-        tol=raw.get("tol"),
+        resolution=_whole("resolution", raw.get("resolution", 64)),
         out=str(raw.get("out", ".")),
-        seed=_config_int(raw, "seed", 0),
+        seed=_whole("seed", raw.get("seed", 0)),
         params=dict(params),
     )
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     if args.resolution is not None:
         cfg = replace(cfg, resolution=args.resolution)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
     if args.family is not None:
         if args.family not in KINDS:
             raise InvalidInputError(
@@ -232,6 +224,11 @@ def config_from_args(args) -> ExperimentConfig:
             cfg.solution.setdefault("params", {})[k] = val
         else:
             cfg.params[k] = val
+    unknown = set(cfg.params) - set(PARAMS[cfg.command])
+    if unknown:
+        raise InvalidInputError(
+            f"unknown {cfg.command} parameters: {sorted(unknown)} "
+            f"(known: {sorted(PARAMS[cfg.command])})")
     return cfg.validate()
 
 
@@ -338,16 +335,14 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     window = cfg.get_window(default=sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
     # read before any check runs, so that a bad value is a config error
-    res_list = [int(r) for r in
+    res_list = [_whole("mesh_resolutions", r) for r in
                 cfg.numbers("mesh_resolutions", [32, 64, 128])]
     if min(res_list) < 8:
         raise InvalidInputError(
             f"mesh_resolutions must each be >= 8, got {res_list}")
-    n_poly = cfg.number("n_polygons", 5)
-    if not 1 <= n_poly < np.inf:
-        raise InvalidInputError(
-            f"n_polygons must be finite and >= 1, got {n_poly}")
-    n_poly = int(n_poly)
+    n_poly = _whole("n_polygons", cfg.number("n_polygons", 5))
+    if n_poly < 1:
+        raise InvalidInputError(f"n_polygons must be >= 1, got {n_poly}")
     fd_offset = cfg.number("slope_fd_offset", 1e-4)
     flux_step = cfg.number("flux_step", 1e-3)
     for name, v in (("slope_fd_offset", fd_offset), ("flux_step", flux_step)):
@@ -404,8 +399,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                         f"all residuals <= {floor:g}"}
 
     def check_slope():
-        tol_chart = cfg.tolerance("slope_chart_tol", 1e-6)
-        tol_fd = cfg.tolerance("slope_fd_tol", 5e-3)
+        tol_chart, tol_fd = 1e-6, 5e-3  # criterion 3
         pts = _fb_sample_points(fb_curves())
         g = sol.eval_grad(pts, boundary_limit=True)
         chart_dev = float(np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - 1.0)))
@@ -421,7 +415,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
             return {"skipped": True,
                     "reason": "Weiss scale-invariance holds for homogeneous "
                               "solutions about the origin only"}
-        tol = cfg.tolerance("weiss_tol", 1e-5)
+        tol = 1e-5  # criterion 6
         radii = [0.25, 0.5, 1.0]
         vals = [weiss_energy(sol, (0.0, 0.0), r) for r in radii]
         spread = (max(vals) - min(vals)) / abs(np.mean(vals))
@@ -430,7 +424,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                 "tolerance": tol}
 
     def check_flux():
-        tol = cfg.tolerance("flux_tol", 1e-7)
+        tol = 1e-7  # criterion 7
         worst = 0.0
         lemma = True
         for _ in range(n_poly):
@@ -443,7 +437,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
                 "lemma_holds": lemma, "n_polygons": n_poly}
 
     def check_circle_max():
-        tol = cfg.tolerance("circle_tol", 1e-6)
+        tol = 1e-6
         r = 0.25 * min(window.width, window.height)
         centers = [np.array([0.5 * (window.x0 + window.x1),
                              0.5 * (window.y0 + window.y1)])]
@@ -464,8 +458,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         if sol.kind not in CANONICAL_PATCHES:
             return {"skipped": True,
                     "reason": f"no canonical mesh for family {sol.kind}"}
-        tol_h = cfg.tolerance("curvature_tol", 1e-3)
-        tol_orth = cfg.tolerance("orthogonality_tol", 1e-3)
+        tol_h = tol_orth = 1e-3  # criterion 11
         maxes = []
         for res in res_list:
             mesh = H = interior = None  # free the last before the next
@@ -522,8 +515,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
         sol = cfg.get_solution()
         boundary = sol.eval_u
 
-    result = minimize_ac(window, h, boundary,
-                         tol=cfg.number("descent_tol", 1e-3))
+    result = minimize_ac(window, h, boundary)
     history_rows = []
     for k, (level_h, energies) in enumerate(zip(result.history_h,
                                                  result.energy_history)):
@@ -596,7 +588,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     mode = cfg.params.get("mode", "trichotomy")
     if mode == "trichotomy":
         delta = cfg.number("delta", 0.1)
-        rep = classify_flat(sol, delta, eps=cfg.number("eps", 1e-9))
+        rep = classify_flat(sol, delta)
         body = rep.to_dict()
     elif mode == "annulus":
         delta = cfg.number("delta", 0.01)
@@ -624,6 +616,13 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
 COMMANDS = {"boundary": cmd_boundary, "verify": cmd_verify,
             "minimize": cmd_minimize, "traizet": cmd_traizet,
             "classify": cmd_classify}
+#: the names in "params" (or --param) that each command reads
+PARAMS = {"boundary": ("step",),
+          "verify": ("mesh_resolutions", "n_polygons", "slope_fd_offset",
+                     "flux_step"),
+          "minimize": ("h", "boundary_field"),
+          "traizet": (),
+          "classify": ("mode", "delta", "scales", "seed_point")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -639,20 +638,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default '.')")
         p.add_argument("--resolution", type=int,
                        help="grid/mesh resolution (default 64)")
-        p.add_argument("--tol", type=float,
-                       help="override the default check tolerances")
         p.add_argument("--family",
                        help="solution family "
                             f"({', '.join(sorted(KINDS))})")
         p.add_argument("--param", action="append", metavar="K=V",
-                       help="solution parameter (a=, s=, R=) or free-form "
-                            "command parameter; repeatable")
+                       help="solution parameter (a=, s=, R=) or one of "
+                            f"{name}'s parameters: "
+                            f"{', '.join(PARAMS[name]) or 'none'}; "
+                            "repeatable")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
+        if extra:
+            raise InvalidInputError(f"unknown arguments: {' '.join(extra)}")
         cfg = config_from_args(args)
     except InvalidInputError as e:
         print(f"config error: {e}", file=sys.stderr)

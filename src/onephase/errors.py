@@ -21,11 +21,6 @@ class DomainError(OnePhaseError):
     positive phase)."""
 
 
-class ZeroPhaseError(DomainError):
-    """Evaluation of a positive-phase-only quantity strictly inside the
-    zero phase {u = 0}."""
-
-
 class NoSaddleError(DomainError):
     """The solution family has no interior saddle point."""
 

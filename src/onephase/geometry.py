@@ -574,12 +574,13 @@ def _graph_from_strand(poly, lo, hi, n=101):
     return samp, np.interp(samp, ys, xs)
 
 
-#: nodes per side of the grids on which `classify_flat` counts components
+#: nodes per side of the grids on which `classify_flat` counts components,
+#: and the threshold u > _TRICHOTOMY_EPS of the positive phase there
 _TRICHOTOMY_NODES = 161
+_TRICHOTOMY_EPS = 1e-9
 
 
-def classify_flat(sol_or_field, delta: float,
-                  eps: float = 1e-9) -> FlatnessReport:
+def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
     """Flat trichotomy on B₃ under the hypothesis that F(u) is δ-close in
     Hausdorff distance to the vertical segment {(0, x₂): |x₂| < 3}.
 
@@ -589,11 +590,12 @@ def classify_flat(sol_or_field, delta: float,
     Case C — positive phase connected in B₂, zero phase splits into two
     components, attached to the top/bottom arcs α_±(2).
 
-    Classification is by 4-connected component counting of {u > eps} and
-    {u ≤ eps} on `_TRICHOTOMY_NODES`² node grids over B₁ and B₂; the
-    δ-precondition is checked against the measured Hausdorff distance with
-    10% slack.  A `ScalarField2D` is read by bilinear interpolation, and its
-    free boundary by `extract_boundary`.
+    Classification is by 4-connected component counting of
+    {u > `_TRICHOTOMY_EPS`} and {u ≤ `_TRICHOTOMY_EPS`} on
+    `_TRICHOTOMY_NODES`² node grids over B₁ and B₂; the δ-precondition is
+    checked against the measured Hausdorff distance with 10% slack.  A
+    `ScalarField2D` is read by bilinear interpolation, and its free
+    boundary by `extract_boundary`.
     """
     if not delta > 0:
         raise InvalidInputError("classify_flat requires delta > 0")
@@ -625,7 +627,7 @@ def classify_flat(sol_or_field, delta: float,
         X, Y = np.meshgrid(xs, xs)
         active = X**2 + Y**2 <= R * R
         u = u_at(np.stack([X, Y], axis=-1))
-        return _phase_components(u, active, eps)
+        return _phase_components(u, active, _TRICHOTOMY_EPS)
 
     n_pos1, n_zero1 = counts_on_ball(1.0)
     n_pos2, n_zero2 = counts_on_ball(2.0)

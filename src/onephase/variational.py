@@ -482,11 +482,12 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
 # minimization
 # ---------------------------------------------------------------------------
 
-#: annealing schedule ε = factor·h, Newton step cap per phase, the PCG
-#: relative tolerance and step cap of a Newton direction and of the
-#: cleanup, and the cell count in x below which the cascade stops halving
-#: the grid.
+#: annealing schedule ε = factor·h, the residual that ends a phase and
+#: the Newton step cap per phase, the PCG relative tolerance and step cap
+#: of a Newton direction and of the cleanup, and the cell count in x below
+#: which the cascade stops halving the grid.
 _EPS_FACTORS = (2.0, 1.0, 0.5)
+_DESCENT_TOL = 1e-3
 _MAX_NEWTON_STEPS = 200
 _PCG_RTOL = 0.1
 _PCG_STEPS = 10
@@ -791,8 +792,8 @@ def _relax(v, h, tol):
     return v, history, iterations, residual
 
 
-def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
-                tol: float = 1e-3) -> MinimizeResult:
+def minimize_ac(window: Window, h: float, boundary, init=None,
+                rng=None) -> MinimizeResult:
     """Minimize the smoothed discrete J over nonnegative grid fields with a
     Dirichlet trace on ∂W, coarse to fine.
 
@@ -805,9 +806,9 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     cells span the width.  `init` (an array through bilinear interpolation)
     seeds the coarsest level, and each level's cleaned field the next.  Each
     level anneals ε over 2h, h, h/2.  Each phase runs projected Newton steps
-    until the residual reaches `tol`, at most _MAX_NEWTON_STEPS of them:
-    interior nodes with v = 0 and an uphill gradient G > 0 are held, and
-    the others move along the solution of
+    until the residual reaches _DESCENT_TOL, at most _MAX_NEWTON_STEPS of
+    them: interior nodes with v = 0 and an uphill gradient G > 0 are held,
+    and the others move along the solution of
     (2K₅ + diag(h²·max(β″_ε(v), 0)))·d = G, solved to relative residual
     _PCG_RTOL by at most _PCG_STEPS conjugate-gradient steps, each
     preconditioned with one multigrid V(1,1) cycle.  The step
@@ -859,7 +860,7 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
         else:
             v = np.maximum(np.asarray(init(pts), dtype=float), 0.0)
         v[fixed] = bvals
-        v, hist, n_iter, residual = _relax(v, level_h, tol)
+        v, hist, n_iter, residual = _relax(v, level_h, _DESCENT_TOL)
         energy_history += hist
         history_h += [level_h] * len(hist)
         iterations += n_iter
@@ -869,4 +870,4 @@ def minimize_ac(window: Window, h: float, boundary, init=None, rng=None,
     return MinimizeResult(field=fld, energy=ac_energy(fld),
                           energy_history=energy_history, history_h=history_h,
                           residual=residual, iterations=iterations,
-                          converged=residual <= tol)
+                          converged=residual <= _DESCENT_TOL)

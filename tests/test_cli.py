@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from onephase.cli import WINDOW_LIMIT, build_parser, config_from_args, main
+from onephase.cli import (PARAMS, WINDOW_LIMIT, build_parser,
+                          config_from_args, main)
 from onephase.solutions import KINDS, HalfPlane, Window
 from onephase.variational import (ScalarField2D, minimize_ac,
                                   variational_residual)
@@ -128,15 +129,19 @@ class TestVerify:
         assert not by_name["slope_condition"]["passed"]
 
     def test_mesh_sweep_config(self, tmp_path):
+        # at resolution 32 max |H| (4.2e-3) misses the fixed 1e-3 bound
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "solution": {"family": "disk_complement", "params": {"R": 1.0}},
-            "params": {"mesh_resolutions": [16, 32], "n_polygons": 2,
-                       "curvature_tol": 5e-3},
+            "params": {"mesh_resolutions": [16, 32], "n_polygons": 2},
         }))
-        assert run("verify", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        assert run("verify", "--config", str(cfg), "--out", str(tmp_path)) == 1
         report = json.loads((tmp_path / "verify_report.json").read_text())
-        mesh = {c["name"]: c for c in report["checks"]}["mesh_minimality"]
+        by_name = {c["name"]: c for c in report["checks"]}
+        mesh = by_name.pop("mesh_minimality")
+        assert not mesh["passed"]
+        assert mesh["curvature_tol"] == 1e-3
+        assert all(c.get("passed", True) for c in by_name.values())
         assert mesh["resolutions"] == [16, 32]
         assert mesh["max_abs_H"][1] < mesh["max_abs_H"][0]
 
@@ -515,6 +520,21 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"n_polygons": 1.9}, {"mesh_resolutions": [16.7]},
+        {"mesh_resolutions": [16, 32.5]}])
+    def test_verify_fractional_count(self, tmp_path, capsys, params):
+        # not truncated to 1 or 16: rejected before any check runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "hairpin", "params": {}},
+            "params": params}))
+        assert run("verify", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {next(iter(params))} must be an integer")
+        assert not (tmp_path / "verify_report.json").exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "abc"])
     @pytest.mark.parametrize("key", ["slope_fd_offset", "flux_step"])
     def test_bad_verify_step(self, tmp_path, key, value):
@@ -530,6 +550,52 @@ class TestConfigHandling:
             "solution": {"family": "half_plane", "params": {}}, key: "abc"}))
         assert run("minimize", "--config", str(cfg),
                    "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("key, value", [("resolution", 16.9),
+                                            ("seed", 3.7)])
+    def test_fractional_config_value(self, tmp_path, capsys, key, value):
+        # not truncated to 16 or 3: rejected before anything runs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "half_plane", "params": {}}, key: value}))
+        assert run("minimize", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}")
+        assert not (tmp_path / "minimize_report.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--param", "a=0.5"],
+        ["verify", "--family", "half_plane", "--param", "curvature_tol=5e-3"],
+        ["minimize", "--family", "half_plane", "--param", "descent_tol=0.1"],
+        ["traizet", "--family", "hairpin", "--param", "A=2"],
+        ["classify", "--family", "half_plane", "--param", "eps=1e-6"]],
+        ids=lambda argv: argv[0])
+    def test_unknown_param(self, tmp_path, capsys, argv):
+        # the boundary dataset mode has no solution to give `a` to
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown {argv[0]} parameters")
+        assert f"(known: {sorted(PARAMS[argv[0]])})" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tol_flag_is_gone(self, tmp_path, capsys):
+        assert run("verify", "--family", "half_plane", "--tol", "1e-3",
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown arguments: --tol 1e-3")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", [{"tol": 1e-3},
+                                     {"params": {"flux_tol": 1e-3}}],
+                             ids=["tol", "flux_tol"])
+    def test_tolerance_in_config_is_rejected(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "solution": {"family": "half_plane", "params": {}}, **raw}))
+        assert run("verify", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEntryPoint:

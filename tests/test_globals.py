@@ -1,9 +1,11 @@
 """Static guards: every global name a function of `onephase` loads must
 exist, and so must every name a module exports; quadrature stays out of the
-chart and Traizet layers.  No module imports scipy: the minimizer solves its
-5-point systems by multigrid-preconditioned CG in numpy, so `import
-onephase` and every command, `minimize` included, load no scipy module.
-The tests keep scipy as an oracle.
+chart and Traizet layers; every error class is raised somewhere; each CLI
+command reads exactly the parameters `cli.PARAMS` declares for it, since
+the CLI rejects any other name.  No module imports scipy: the minimizer
+solves its 5-point systems by multigrid-preconditioned CG in numpy, so
+`import onephase` and every command, `minimize` included, load no scipy
+module.  The tests keep scipy as an oracle.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -25,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import onephase
+from onephase import cli, errors
+from onephase.errors import OnePhaseError
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(onephase.__path__,
                                                       "onephase."))
@@ -70,6 +74,65 @@ def test_every_export_resolves(module_name):
     assert [name for name in exports if not hasattr(module, name)] == []
 
 
+SRC = Path(onephase.__file__).resolve().parent.parent
+
+
+def test_every_error_class_is_raised():
+    raised = set()
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, OnePhaseError)
+               and obj is not OnePhaseError}
+    assert sorted(classes - raised) == []
+
+
+def _cfg(node, attr):
+    """Whether `node` is the expression `cfg.<attr>`."""
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg")
+
+
+def _params_read(fn):
+    """The names `fn` reads through cfg.number, cfg.numbers,
+    cfg.params.get, cfg.params[...] and `in cfg.params`.  A name that is
+    no string literal reads as None, and so does any other use of
+    cfg.params."""
+    names, uses, reads = set(), 0, 0
+    for node in ast.walk(fn):
+        uses += _cfg(node, "params")
+        func = node.func if isinstance(node, ast.Call) else None
+        if _cfg(func, "number") or _cfg(func, "numbers"):
+            key = node.args[0]
+        elif (isinstance(func, ast.Attribute) and func.attr == "get"
+              and _cfg(func.value, "params")):
+            key, reads = node.args[0], reads + 1
+        elif isinstance(node, ast.Subscript) and _cfg(node.value, "params"):
+            key, reads = node.slice, reads + 1
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+              and isinstance(node.ops[0], ast.In)
+              and _cfg(node.comparators[0], "params")):
+            key, reads = node.left, reads + 1
+        else:
+            continue
+        names.add(key.value if isinstance(key, ast.Constant) else None)
+    return names | ({None} if uses != reads else set())
+
+
+def test_each_command_reads_its_declared_params():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    commands = {node.name.removeprefix("cmd_"): node
+                for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("cmd_")}
+    assert set(commands) == set(cli.PARAMS) == set(cli.COMMANDS)
+    assert {name: _params_read(fn) for name, fn in commands.items()} \
+        == {name: set(names) for name, names in cli.PARAMS.items()}
+
+
 def _imported(module_name):
     """The absolute names of the modules the source imports, at any depth
     and in either spelling."""
@@ -111,9 +174,6 @@ def test_scipy_imported_inside_functions_only(module_name):
     # functions; now no module imports it at any depth
     assert sorted(m for m in _imported(module_name)
                   if m.split(".")[0] == "scipy") == []
-
-
-SRC = Path(onephase.__file__).resolve().parent.parent
 
 
 def _scipy_loaded_after(code):
