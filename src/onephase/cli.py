@@ -3,26 +3,27 @@
     onephase <command> [--config PATH] [--out DIR] [--resolution N]
                        [--family NAME] [--param k=v ...]
 
-Commands, with the parameters each reads in brackets (``--param k=v`` or
-the config's "params"; any other name is a config error)
+Commands, with the settings and then the parameters (``--param k=v`` or
+the config's "params") each reads in brackets; any other is a config error
 ------------------------------------------------------------------------
 boundary   Write free-boundary polylines as CSV.  Without a configured
            solution, emits the reference datasets: hairpin a ∈ {1/4, 1, 2}
-           and Scherk s ∈ {1/8, 1/2, 7/8}.  [step]
+           and Scherk s ∈ {1/8, 1/2, 7/8}.  [window; step]
 verify     Run the verification suite on one solution (inner-variation
            residual, slope condition, Weiss scaling, flux balance, circle
            maxima, mesh mean-curvature/orthogonality sweeps) and write a
            machine-readable pass/fail report; its bounds are fixed.
-           [mesh_resolutions, n_polygons, slope_fd_offset, flux_step]
+           [window, seed; mesh_resolutions, n_polygons, slope_fd_offset,
+           flux_step]
 minimize   Minimize the discrete functional with a Dirichlet trace taken
            from a named solution or a saved field; write the converged
            field, its extracted free boundary, and the energy log.
-           [h, boundary_field]
+           [window, resolution; h, boundary_field]
 traizet    Build the reflected minimal-surface mesh for a solution and
-           write it as OBJ plus a per-vertex mean-curvature CSV.  [none]
+           write it as OBJ plus a per-vertex curvature CSV.  [resolution; none]
 classify   Run the flat trichotomy (mode "trichotomy") or the annulus
            flatness probe (mode "annulus") and write a JSON report.
-           [mode, delta, scales, seed_point]
+           [none; mode, delta, scales, seed_point]
 
 A ``--param`` named after a parameter of the chosen family (a=, s=, R=)
 sets the solution instead.  resolution, seed, n_polygons and each of
@@ -216,7 +217,7 @@ def config_from_args(args) -> ExperimentConfig:
             raise InvalidInputError(f"--param needs k=v, got {kv!r}")
         k, v = kv.split("=", 1)
         try:
-            val = float(v)
+            val = v if k == "boundary_field" else float(v)  # a path stays text
         except ValueError:
             val = v
         if cfg.solution is not None and k in _family_param_names(
@@ -224,6 +225,10 @@ def config_from_args(args) -> ExperimentConfig:
             cfg.solution.setdefault("params", {})[k] = val
         else:
             cfg.params[k] = val
+    given = set(raw) if args.resolution is None else {*raw, "resolution"}
+    unread = given & ({"resolution", "window", "seed"} - SETTINGS[cfg.command])
+    if unread:
+        raise InvalidInputError(f"{cfg.command} reads no {sorted(unread)}")
     unknown = set(cfg.params) - set(PARAMS[cfg.command])
     if unknown:
         raise InvalidInputError(
@@ -544,6 +549,8 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
 
 
 def _load_field(path) -> ScalarField2D:
+    if not isinstance(path, str):
+        raise InvalidInputError(f"boundary_field must be a path, got {path!r}")
     try:
         return ScalarField2D.load(path)
     except OSError as e:
@@ -623,6 +630,10 @@ PARAMS = {"boundary": ("step",),
           "minimize": ("h", "boundary_field"),
           "traizet": (),
           "classify": ("mode", "delta", "scales", "seed_point")}
+#: the settings besides "params" (and --resolution) each command reads
+SETTINGS = {"boundary": {"window"}, "verify": {"window", "seed"},
+            "minimize": {"window", "resolution"}, "traizet": {"resolution"},
+            "classify": set()}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,8 +19,10 @@ Discretization (`ScalarField2D` on a uniform node grid of spacing h):
 `minimize_ac` relaxes the indicator to the cubic smoothstep
 β_ε(t) = 3(t/ε)² − 2(t/ε)³ on [0, ε] and anneals ε over a short schedule;
 the Euler–Lagrange system per phase is 2K₅v + h²β'_ε(v) = 0 at the free
-interior nodes with the given Dirichlet trace.  It runs coarse to fine, and
-K₅ is applied as a numpy stencil: no matrix is built.  Each phase takes
+interior nodes with the given Dirichlet trace.  It runs coarse to fine.  No
+matrix is built: each stencil op (K₅, the multigrid smoother and residual)
+runs on one flat contiguous run of the whole node array, and the junk this
+leaves on the boundary ring is cleared by a 0/1 multiply.  Each phase takes
 projected (v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982):
 nodes held at 0 by an uphill gradient take no step, and the others solve
 the convex model 2K₅ + diag(h²·max(β″_ε, 0)) inexactly, by a few
@@ -155,17 +157,21 @@ def _dirichlet(v: np.ndarray) -> float:
     dy = v[1:, :] - v[:-1, :]
     dx *= dx
     dy *= dy
-    return float(np.sum(dx[1:-1]) + np.sum(dy[:, 1:-1])
-                 + 0.5 * (np.sum(dx[0]) + np.sum(dx[-1]) + np.sum(dy[:, 0])
-                          + np.sum(dy[:, -1])))
+    return float(dx[1:-1].sum() + dy[:, 1:-1].sum()
+                 + 0.5 * (dx[0].sum() + dx[-1].sum() + dy[:, 0].sum()
+                          + dy[:, -1].sum()))
 
 
 def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = the sum of the four axis neighbours at each interior node of
-    the node array v; K₅v = 4v − out there."""
-    np.add(v[:-2, 1:-1], v[2:, 1:-1], out=out)
-    out += v[1:-1, :-2]
-    out += v[1:-1, 2:]
+    the C-contiguous node array v (K₅v = 4v − out there), in a node array.
+    One flat run, node (1, 1) to (−2, −2), with the row slices' operands and
+    order, keeps the interior's bits; the ring columns get wrapped junk."""
+    n, f = v.shape[1], v.ravel()
+    run = out.ravel()[n + 1:-n - 1]  # the same run shifted by −n, +n, −1, +1
+    np.add(f[1:-2 * n - 1], f[2 * n + 1:-1], out=run)
+    run += f[n:-n - 2]
+    run += f[n + 2:-n]
     return out
 
 
@@ -520,11 +526,20 @@ class MinimizeResult:
     converged: bool
 
 
-def _beta(v, eps):
-    """β_ε(v) = 3t² − 2t³ and β′_ε(v) = 6t(1 − t)/ε, with t = v/ε clipped
-    to [0, 1], so that β′ vanishes outside (0, ε)."""
+def _energy(v, eps, wh2):
+    """The smoothed energy `_dirichlet`(v) + Σ wh2·β_ε(v), with the
+    smoothstep β_ε(v) = 3t² − 2t³ and t = v/ε clipped to [0, 1]."""
     t = np.clip(v / eps, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t), (6.0 / eps) * t * (1.0 - t)
+    return _dirichlet(v) + float((wh2 * (t * t * (3.0 - 2.0 * t))).sum())
+
+
+def _gradient(v, eps, h2):
+    """`_energy`'s gradient 2K₅v + h²β′_ε(v), β′_ε = 6t(1 − t)/ε, at the
+    interior nodes, as a view of a whole node array."""
+    t = np.clip(v / eps, 0.0, 1.0)
+    g = v * 8.0 - 2.0 * _neighbour_sum(v, np.zeros_like(v))
+    g += h2 * ((6.0 / eps) * t * (1.0 - t))
+    return g[1:-1, 1:-1]
 
 
 def _beta_second_clipped(v, eps):
@@ -555,7 +570,10 @@ class _Multigrid:
     grid, restricted to the nodes of a mask (geometric multigrid: Brandt
     1977; Trottenberg, Oosterlee and Schüller, *Multigrid*, 2001).
 
-    Each level keeps its vectors in node arrays whose boundary ring is 0.
+    Each level's vectors are whole node arrays, so every stencil op runs on
+    flat runs, and `_operate` ends with `out *= keep`, 1.0 on the free nodes
+    and 0.0 on the ring (its junk) and the held ones, a bool mask's bits.
+
     A level with m interior rows coarsens to m // 2, coarse node I on fine
     node 2I + 1 (interior indices), and likewise in x.  Prolongation P is
     bilinear and restriction is Pᵀ.  An even count is embedded in the next
@@ -577,21 +595,19 @@ class _Multigrid:
         while len(shapes) == 1 or m * n > _MG_COARSEST:
             m, n = m // 2, n // 2
             shapes.append((m + 2, n + 2))
-        inner = [(a - 2, b - 2) for a, b in shapes]
-        # iterates and right-hand sides; `vcycle` brings the finest ones
+        # `vcycle` brings the finest iterate and right-hand side
         self.x = [None] + [np.zeros(s) for s in shapes[1:]]
-        self.b = [None] + [np.empty(s) for s in inner[1:]]
-        self.r = [np.zeros(s) for s in shapes]      # residuals, corrections
+        self.b = [None] + [np.zeros(s) for s in shapes[1:]]
+        self.r = [np.zeros(s) for s in shapes]
+        self.s = [np.zeros(s) for s in shapes]
         self.c = [np.full(s, _HELD) for s in shapes]
-        self.diag = [np.empty(s) for s in inner]    # 8 + c
-        self.dinv = [np.empty(s) for s in inner]    # ω / (8 + c)
-        self.s = [np.empty(s) for s in inner]       # stencil scratch
+        self.diag = [np.full(s, 8.0 + _HELD) for s in shapes]  # 8 + c
+        self.dinv = [np.zeros(s) for s in shapes]   # keep·ω / (8 + c)
+        self.keep = [np.pad(np.ones((a - 2, b - 2)), 1) for a, b in shapes]
         # restriction and prolongation pass through a half-coarsened array
         self.t = [np.zeros((c[0], f[1])) for f, c in zip(shapes, shapes[1:])]
         self.out = np.zeros(shape)
-        self.mask = None
-        self.inv = None
-        m, n = inner[-1]
+        m, n = shapes[-1][0] - 2, shapes[-1][1] - 2
         node = np.arange(m * n).reshape(m, n)
         self.offdiag = np.zeros((m * n, m * n))
         for p, q in ((node[1:], node[:-1]), (node[:, 1:], node[:, :-1])):
@@ -599,25 +615,25 @@ class _Multigrid:
 
     def setup(self, c, mask):
         """Use c (interior nodes) and the boolean mask of the free nodes."""
-        self.mask = mask
-        np.add(c, 8.0, out=self.diag[0])
+        self.keep[0][1:-1, 1:-1] = mask
+        np.add(c, 8.0, out=self.diag[0][1:-1, 1:-1])
         self.c[0][1:-1, 1:-1] = np.where(mask, c, _HELD)
         for k in range(1, len(self.c)):
             self._restrict(k - 1, self.c[k - 1], self.c[k][1:-1, 1:-1])
-            np.add(self.c[k][1:-1, 1:-1], 8.0, out=self.diag[k])
-        for diag, dinv in zip(self.diag, self.dinv):
+            np.add(self.c[k], 8.0, out=self.diag[k])
+        for diag, dinv, keep in zip(self.diag, self.dinv, self.keep):
             np.divide(_JACOBI_OMEGA, diag, out=dinv)
-        self.dinv[0] *= mask
-        self.inv = _spd_inverse(self.offdiag + np.diag(self.diag[-1].ravel()))
+            dinv *= keep
+        self.inv = _spd_inverse(self.offdiag
+                                + np.diag(self.diag[-1][1:-1, 1:-1].ravel()))
 
     def _operate(self, k, x, out):
-        """out = A x on level k's interior nodes, masked on the finest."""
+        """out = A x on level k, kept: 0 on the ring and the held nodes."""
         s = _neighbour_sum(x, self.s[k])
         s *= 2.0
-        np.multiply(self.diag[k], x[1:-1, 1:-1], out=out)
+        np.multiply(self.diag[k], x, out=out)
         out -= s
-        if k == 0:
-            out *= self.mask
+        out *= self.keep[k]
         return out
 
     def _restrict(self, k, fine, out):
@@ -649,28 +665,27 @@ class _Multigrid:
     def apply(self, x):
         """A x, masked, as a node array with a zero ring; the array is
         reused by the next call."""
-        self._operate(0, x, self.out[1:-1, 1:-1])
-        return self.out
+        return self._operate(0, x, self.out)
 
     def vcycle(self, b):
         """One V(1,1) cycle from 0 for A x = b; returns a new node array."""
-        xs = [np.zeros_like(b)] + self.x[1:]
-        bs = [b[1:-1, 1:-1]] + self.b[1:]
+        xs = [np.empty_like(b)] + self.x[1:]
+        bs = [b] + self.b[1:]
         last = len(xs) - 1
         for k in range(last):
-            x, r = xs[k][1:-1, 1:-1], self.r[k][1:-1, 1:-1]
+            x, r = xs[k], self.r[k]
             np.multiply(self.dinv[k], bs[k], out=x)
-            np.subtract(bs[k], self._operate(k, xs[k], r), out=r)
-            self._restrict(k, self.r[k], bs[k + 1])
-        xs[last][1:-1, 1:-1] = np.sum(self.inv * bs[last].ravel(),
-                                      axis=1).reshape(bs[last].shape)
+            np.subtract(bs[k], self._operate(k, x, r), out=r)
+            self._restrict(k, r, bs[k + 1][1:-1, 1:-1])
+        xs[last][1:-1, 1:-1].flat = np.sum(
+            self.inv * bs[last][1:-1, 1:-1].ravel(), axis=1)
         for k in reversed(range(last)):
-            x, r = xs[k][1:-1, 1:-1], self.r[k][1:-1, 1:-1]
-            self._prolong(k, xs[k + 1], r)
+            x, r = xs[k], self.r[k]
+            self._prolong(k, xs[k + 1], r[1:-1, 1:-1])
             if k == 0:
-                r *= self.mask
+                r *= self.keep[0]
             x += r
-            np.subtract(bs[k], self._operate(k, xs[k], r), out=r)
+            np.subtract(bs[k], self._operate(k, x, r), out=r)
             r *= self.dinv[k]
             x += r
         return xs[0]
@@ -680,82 +695,73 @@ def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS):
     """Preconditioned CG for apply(x) = b from x = 0, at most `steps`
     steps, stopping at relative residual `rtol`.  In `minimize_ac` the
     operator is a masked 2K₅ + diag(c) and `precond` one multigrid V-cycle
-    for it.  Returns the iterate and whether it reached the tolerance."""
+    for it, which returns a new array.  The products share one scratch
+    array laid out as b, so the sums keep their bits.  Returns the iterate
+    and whether it reached the tolerance."""
     x = np.zeros_like(b)
     r = b.copy()
-    stop = rtol * np.sqrt(np.sum(b * b))
+    t = b * b
+    stop = rtol * np.sqrt(t.sum())
     if stop == 0.0:
         return x, True
-    z = precond(r)
-    p = z
-    rz = np.sum(r * z)
+    p = z = precond(r)
+    rz = np.multiply(r, z, out=t).sum()
     for _ in range(steps):
         Ap = apply(p)
-        alpha = rz / np.sum(p * Ap)
-        x += alpha * p
-        r -= alpha * Ap
-        if np.sqrt(np.sum(r * r)) <= stop:
+        alpha = rz / np.multiply(p, Ap, out=t).sum()
+        x += np.multiply(p, alpha, out=t)
+        r -= np.multiply(Ap, alpha, out=t)
+        if np.sqrt(np.multiply(r, r, out=t).sum()) <= stop:
             return x, True
         z = precond(r)
-        rz, rz_old = np.sum(r * z), rz
-        p = z + (rz / rz_old) * p
+        rz, rz_old = np.multiply(r, z, out=t).sum(), rz
+        p *= rz / rz_old  # p = z + (rz/rz_old)·p, bit for bit
+        p += z
     return x, False
 
 
 def _relax(v, h, tol):
     """One cascade level of `minimize_ac`, the annealed projected Newton
-    descent and the cleanup, on the node array `v`, whose boundary ring
-    keeps its values.  Returns the field, one energy list per phase, the
-    step count and the last phase's free residual."""
+    descent and the cleanup, on the C-contiguous node array `v`, whose
+    boundary ring keeps its values.  Trial steps evaluate only the energy;
+    each phase start and each accepted step form one gradient.  Returns the
+    field, one energy list per phase, the step count and the last residual."""
     h2 = h * h
     wh2 = h2 * _node_weights(v.shape)
     mg = _Multigrid(v.shape)
-    nb = np.empty((v.shape[0] - 2, v.shape[1] - 2))
 
     # sums, not BLAS dot products: threaded ddot spins idle workers, and its
     # summation order, so the Newton path, depends on the thread count
-    def objective_and_grad(vv, eps):
-        beta, beta_prime = _beta(vv, eps)
-        E = _dirichlet(vv) + float(np.sum(wh2 * beta))
-        G = np.zeros_like(vv)  # 0 on the boundary ring, which is held
-        g = G[1:-1, 1:-1]
-        np.multiply(vv[1:-1, 1:-1], 8.0, out=g)  # 2K₅v + h²β′_ε(v)
-        g -= 2.0 * _neighbour_sum(vv, nb)
-        g += h2 * beta_prime[1:-1, 1:-1]
-        return E, G
-
-    def free_residual(vv, G):
-        g = G[1:-1, 1:-1]
+    def free_residual(vv, g):
         free = (vv[1:-1, 1:-1] > 0.0) | (g < 0.0)
-        n = int(np.sum(free))
-        return float(np.sqrt(np.sum(g[free] ** 2) / max(n, 1))) / h2
+        n = int(free.sum())
+        return float(np.sqrt((g[free] ** 2).sum() / max(n, 1))) / h2
 
-    def newton_direction(vv, G, eps):
+    def newton_direction(vv, g, eps):
         # nodes pinned at 0 by an uphill gradient take no step.  v = 0 with
-        # G = 0 stays in the solve: held there, the positive phase would
+        # g = 0 stays in the solve: held there, the positive phase would
         # spread into a zero region by one ring of nodes per step.
-        inner, g = vv[1:-1, 1:-1], G[1:-1, 1:-1]
-        inactive = (inner > 0.0) | (g <= 0.0)
-        mg.setup(h2 * _beta_second_clipped(inner, eps), inactive)
-        b = np.zeros_like(G)
+        inactive = (vv[1:-1, 1:-1] > 0.0) | (g <= 0.0)
+        mg.setup((h2 * _beta_second_clipped(vv, eps))[1:-1, 1:-1], inactive)
+        b = np.zeros_like(vv)
         b[1:-1, 1:-1] = np.where(inactive, g, 0.0)
         return _pcg(mg.apply, mg.vcycle, b)[0]
 
     history, iterations = [], 0
     for eps in np.multiply(_EPS_FACTORS, h):
-        E, G = objective_and_grad(v, eps)
+        E, g = _energy(v, eps, wh2), _gradient(v, eps, h2)
         phase = [E]
         for _it in range(_MAX_NEWTON_STEPS):
             iterations += 1
-            residual = free_residual(v, G)
+            residual = free_residual(v, g)
             if residual <= tol:
                 break
-            d = newton_direction(v, G, eps)
+            d = newton_direction(v, g, eps)
             # d vanishes on the boundary ring, so each trial step keeps it
             a = 1.0
             for _bt in range(40):
                 v_new = np.maximum(v - a * d, 0.0)
-                E_new, G_new = objective_and_grad(v_new, eps)
+                E_new = _energy(v_new, eps, wh2)
                 if E_new <= E + 1e-12 * max(1.0, abs(E)):
                     break
                 a *= 0.5
@@ -764,11 +770,12 @@ def _relax(v, h, tol):
             if a == 1.0:  # the full step passed: longer ones may too
                 for _dbl in range(40):
                     v_try = np.maximum(v - 2.0 * a * d, 0.0)
-                    E_try, G_try = objective_and_grad(v_try, eps)
+                    E_try = _energy(v_try, eps, wh2)
                     if not E_try < E_new:
                         break
-                    a, v_new, E_new, G_new = 2.0 * a, v_try, E_try, G_try
-            v, E, G = v_new, E_new, G_new
+                    a, v_new, E_new = 2.0 * a, v_try, E_try
+            v, E = v_new, E_new
+            g = _gradient(v, eps, h2)
             phase.append(E)
         history.append(phase)
 
@@ -780,7 +787,8 @@ def _relax(v, h, tol):
     if np.any(free):
         mg.setup(np.zeros(free.shape), free)
         b = np.zeros_like(v)  # −2K₅ of the boundary data, on the free nodes
-        b[1:-1, 1:-1] = np.where(free, 2.0 * _neighbour_sum(v, nb), 0.0)
+        s = _neighbour_sum(v, np.zeros_like(v))[1:-1, 1:-1]
+        b[1:-1, 1:-1] = np.where(free, 2.0 * s, 0.0)
         x, ok = _pcg(mg.apply, mg.vcycle, b, _CLEANUP_RTOL, _CLEANUP_STEPS)
         if not ok:
             r = b - mg.apply(x)

@@ -303,6 +303,25 @@ class TestMinimize:
         assert np.all(np.isfinite(out.values))
         assert out.values[0, 20] == fld.values[0, 20]
 
+    def test_boundary_field_that_is_no_path(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"resolution": 16,
+                                   "params": {"boundary_field": 1}}))
+        assert run("minimize", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: boundary_field must be a path, got 1")
+
+    def test_boundary_field_with_a_numeric_name(self, tmp_path,
+                                                monkeypatch):
+        # --param keeps a path as text, so a field saved as "1" loads
+        field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0),
+                            2.0 / 16).save(tmp_path / "1")
+        monkeypatch.chdir(tmp_path)
+        assert run("minimize", "--resolution", "16",
+                   "--param", "boundary_field=1", "--out", "out") == 0
+        assert (tmp_path / "out" / "minimize_report.json").exists()
+
     def test_zero_trace_gives_zero_field(self, tmp_path):
         h = 2.0 / 32
         w = Window(-1.0, -1.0, 1.0, 1.0)
@@ -562,6 +581,26 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}")
         assert not (tmp_path / "minimize_report.json").exists()
+
+    @pytest.mark.parametrize("command, raw, flags", [
+        ("verify", {}, ["--resolution", "16"]),
+        ("boundary", {"resolution": 16}, []),
+        ("traizet", {"window": [-1, -1, 1, 1]}, []),
+        ("minimize", {"seed": 3}, []),
+        ("classify", {"window": [5, 5, 6, 6], "seed": 9},
+         ["--resolution", "8"])],
+        ids=["verify", "boundary", "traizet", "minimize", "classify"])
+    def test_unread_setting(self, tmp_path, capsys, command, raw, flags):
+        # a setting the command does not read is rejected, not ignored
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"solution": {"family": "half_plane"}, **raw}))
+        assert run(command, "--config", str(cfg), *flags,
+                   "--out", str(tmp_path)) == 2
+        unread = sorted(set(raw) | ({"resolution"} if flags else set()))
+        assert capsys.readouterr().err == \
+            f"config error: {command} reads no {unread}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv", [
         ["boundary", "--param", "a=0.5"],

@@ -1,11 +1,12 @@
 """Static guards: every global name a function of `onephase` loads must
 exist, and so must every name a module exports; quadrature stays out of the
 chart and Traizet layers; every error class is raised somewhere; each CLI
-command reads exactly the parameters `cli.PARAMS` declares for it, since
-the CLI rejects any other name.  No module imports scipy: the minimizer
-solves its 5-point systems by multigrid-preconditioned CG in numpy, so
-`import onephase` and every command, `minimize` included, load no scipy
-module.  The tests keep scipy as an oracle.
+command reads exactly the parameters `cli.PARAMS` and the settings
+`cli.SETTINGS` declare for it, since the CLI rejects any other name.  No
+module imports scipy: the minimizer solves its 5-point systems by
+multigrid-preconditioned CG in numpy, so `import onephase` and every
+command, `minimize` included, load no scipy module.  The tests keep scipy
+as an oracle.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -131,6 +132,20 @@ def test_each_command_reads_its_declared_params():
     assert set(commands) == set(cli.PARAMS) == set(cli.COMMANDS)
     assert {name: _params_read(fn) for name, fn in commands.items()} \
         == {name: set(names) for name, names in cli.PARAMS.items()}
+
+
+def test_each_command_reads_its_declared_settings():
+    # cfg.resolution, cfg.seed, and cfg.window or cfg.get_window
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    reads = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            reads[fn.name.removeprefix("cmd_")] = {
+                {"get_window": "window"}.get(node.attr, node.attr)
+                for node in ast.walk(fn) if any(
+                    _cfg(node, a) for a in ("resolution", "seed", "window",
+                                            "get_window"))}
+    assert reads == cli.SETTINGS
 
 
 def _imported(module_name):

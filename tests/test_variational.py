@@ -342,10 +342,18 @@ def _stiffness(shape):
                               np.concatenate(cols))), shape=(n, n))
 
 
+def _slice_neighbour_sum(v):
+    """The four axis neighbours of each interior node, summed in the order
+    of the minimizer's stencil on 2-D row slices."""
+    return v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:]
+
+
 def _k5_interior(v):
     """K₅v at the interior nodes: 4v minus the four axis neighbours."""
-    return 4.0 * v[1:-1, 1:-1] - _neighbour_sum(v, np.empty(
-        (v.shape[0] - 2, v.shape[1] - 2)))
+    return 4.0 * v[1:-1, 1:-1] - _slice_neighbour_sum(v)
+
+
+_STENCIL_SHAPES = [(3, 9), (9, 3), (6, 40), (35, 66), (129, 129)]
 
 
 class TestStiffness:
@@ -363,6 +371,13 @@ class TestStiffness:
         # on the interior nodes the minimizer's stencil is K₅'s rows
         Kv = (K @ v.ravel()).reshape(shape)[1:-1, 1:-1]
         assert np.allclose(_k5_interior(v), Kv, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_neighbour_sum_runs_flat_with_the_slice_bits(self, shape):
+        v = np.random.default_rng(shape[0] * shape[1]).normal(size=shape)
+        out = _neighbour_sum(v, np.zeros(shape))
+        assert out.shape == shape
+        assert out[1:-1, 1:-1].tobytes() == _slice_neighbour_sum(v).tobytes()
 
     def test_checkerboard_costs_energy(self):
         # the 5-point term couples the two sublattices of the node grid
@@ -413,6 +428,25 @@ class TestMinimize:
         assert len(res.energy_history[0]) == 1
         for phase in res.energy_history:
             assert np.all(np.diff(phase) <= 1e-11 * max(1.0, abs(phase[0])))
+
+    def test_one_gradient_per_accepted_step_and_phase(self, monkeypatch):
+        """Trial steps evaluate the energy only: the gradient is formed at
+        the start of each phase and once per accepted Newton step."""
+        true_gradient = variational._gradient
+        calls = []
+
+        def gradient(*args):
+            calls.append(args[0].shape)
+            return true_gradient(*args)
+
+        monkeypatch.setattr(variational, "_gradient", gradient)
+        # the cascade runs h = 1/16 → 1/32
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 32,
+                          HalfPlane().eval_u)
+        assert res.converged
+        assert res.history_h == [1.0 / 16] * 3 + [1.0 / 32] * 3
+        assert len(calls) == sum(map(len, res.energy_history))
+        assert calls.count((65, 65)) == sum(map(len, res.energy_history[3:]))
 
     def test_positive_phase_is_discrete_harmonic(self):
         # non-square window whose cascade runs 32×24 → 64×48 cells
@@ -555,6 +589,28 @@ class TestMultigrid:
             assert np.all(Mu[1:-1, 1:-1][~mask] == 0.0)
             assert np.all(Mu[[0, -1]] == 0.0)
             assert np.all(Mu[:, [0, -1]] == 0.0)
+
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_apply_is_the_kept_stencil(self, shape):
+        """apply(x) = keep·((8 + c)·x − 2·(neighbour sum)) bit for bit,
+        where keep is 1.0 on the free nodes and 0.0 on the held ones and
+        on the ring, which apply leaves at 0."""
+        rng = np.random.default_rng(shape[0] + shape[1])
+        m, n = shape[0] - 2, shape[1] - 2
+        c = rng.uniform(0.0, 24.0, size=(m, n))
+        mask = rng.uniform(size=(m, n)) < 0.8
+        x = np.zeros(shape)
+        x[1:-1, 1:-1] = rng.normal(size=(m, n))
+        mg = _Multigrid(shape)
+        mg.setup(c, mask)
+        keep = mg.keep[0]
+        assert np.array_equal(keep[1:-1, 1:-1], mask.astype(float))
+        assert not keep[[0, -1]].any() and not keep[:, [0, -1]].any()
+        Ax = mg.apply(x)
+        expect = keep[1:-1, 1:-1] * ((8.0 + c) * x[1:-1, 1:-1]
+                                     - 2.0 * _slice_neighbour_sum(x))
+        assert Ax[1:-1, 1:-1].tobytes() == expect.tobytes()
+        assert np.all(Ax[[0, -1]] == 0.0) and np.all(Ax[:, [0, -1]] == 0.0)
 
     @pytest.mark.parametrize("shape", [(129, 129), (35, 66), (106, 106)])
     def test_pcg_reaches_round_off(self, shape):
