@@ -25,9 +25,8 @@ cli          batch front end (`onephase <command>`)
 from .common import Window
 from .errors import (ConvergenceError, DomainError, InvalidInputError,
                      NoSaddleError, OnePhaseError, TopologyError)
-from .solutions import (FAMILIES, DiskComplement, Hairpin, HalfPlane,
-                        RigidMotion, Scherk, Solution, TwoPlane, Wedge,
-                        solution_from_dict)
+from .solutions import (DiskComplement, Hairpin, HalfPlane, RigidMotion,
+                        Scherk, Solution, TwoPlane, Wedge, solution_from_dict)
 from .variational import (ScalarField2D, TestVectorField, ac_energy,
                           minimize_ac, variational_residual, viscosity_slope,
                           weiss_energy)
@@ -44,7 +43,7 @@ __all__ = [
     "OnePhaseError", "InvalidInputError", "DomainError",
     "NoSaddleError", "ConvergenceError", "TopologyError",
     "Solution", "RigidMotion", "HalfPlane", "TwoPlane", "Wedge", "Hairpin",
-    "DiskComplement", "Scherk", "FAMILIES", "solution_from_dict",
+    "DiskComplement", "Scherk", "solution_from_dict",
     "ScalarField2D", "TestVectorField", "ac_energy", "minimize_ac",
     "variational_residual", "weiss_energy", "viscosity_slope",
     "FreeBoundary", "extract_boundary", "hausdorff", "flux_balance",

@@ -12,18 +12,18 @@ boundary   Write free-boundary polylines as CSV.  Without a configured
 verify     Run the verification suite on one solution (inner-variation
            residual, slope condition, Weiss scaling, flux balance, circle
            maxima, mesh mean-curvature/orthogonality sweeps) and write a
-           machine-readable pass/fail report; its bounds are fixed.
-           [window, seed; mesh_resolutions, n_polygons, slope_fd_offset,
-           flux_step]
+           machine-readable pass/fail report; its bounds and steps are
+           fixed.  [window, seed; mesh_resolutions, n_polygons]
 minimize   Minimize the discrete functional with a Dirichlet trace taken
            from a named solution or a saved field; write the converged
-           field, its extracted free boundary, and the energy log.
-           [window, resolution; h, boundary_field]
+           field, its extracted free boundary, and the energy log; the
+           grid spacing is the window width / resolution.
+           [window, resolution; boundary_field]
 traizet    Build the reflected minimal-surface mesh for a solution and
            write it as OBJ plus a per-vertex curvature CSV.  [resolution; none]
 classify   Run the flat trichotomy (mode "trichotomy") or the annulus
            flatness probe (mode "annulus") and write a JSON report.
-           [none; mode, delta, scales, seed_point]
+           [none; mode, delta, scales]
 
 A ``--param`` named after a parameter of the chosen family (a=, s=, R=)
 sets the solution instead.  resolution, seed, n_polygons and each of
@@ -78,9 +78,9 @@ WINDOW_LIMIT = 1e6
 
 @dataclass
 class ExperimentConfig:
-    """One experiment record: command, solution descriptor, window,
-    resolution, output directory, seed, and the command's parameters
-    (names from `PARAMS`)."""
+    """One experiment record: the command (from the command line, never
+    the config file), solution descriptor, window, resolution, output
+    directory, seed, and the command's parameters (names from `PARAMS`)."""
 
     command: str = ""
     solution: dict | None = None
@@ -179,8 +179,7 @@ def _whole(name: str, v) -> int:
 def config_from_args(args) -> ExperimentConfig:
     """Merge (defaults ← config file ← flags) into a validated config."""
     raw = load_config(args.config) if args.config else {}
-    known = {"command", "solution", "window", "resolution", "out", "seed",
-             "params"}
+    known = {"solution", "window", "resolution", "out", "seed", "params"}
     unknown = set(raw) - known
     if unknown:
         raise InvalidInputError(
@@ -252,7 +251,10 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _emit(report: dict) -> None:
+def _emit(report: dict, path=None) -> None:
+    """Write the report as JSON to `path`, when given, then print it."""
+    if path is not None:
+        write_json_atomic(str(path), report)
     print(json.dumps(report, indent=2, sort_keys=True))
 
 
@@ -348,11 +350,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     n_poly = _whole("n_polygons", cfg.number("n_polygons", 5))
     if n_poly < 1:
         raise InvalidInputError(f"n_polygons must be >= 1, got {n_poly}")
-    fd_offset = cfg.number("slope_fd_offset", 1e-4)
-    flux_step = cfg.number("flux_step", 1e-3)
-    for name, v in (("slope_fd_offset", fd_offset), ("flux_step", flux_step)):
-        if not 0 < v < np.inf:
-            raise InvalidInputError(f"{name} must be finite and > 0, got {v}")
     checks = []
     # traced and clipped once, on first use; a failure is not kept, so each
     # check that samples the free boundary reports it
@@ -408,7 +405,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         pts = _fb_sample_points(fb_curves())
         g = sol.eval_grad(pts, boundary_limit=True)
         chart_dev = float(np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - 1.0)))
-        fd_dev = max(abs(viscosity_slope(sol, p, r=fd_offset) - 1.0)
+        fd_dev = max(abs(viscosity_slope(sol, p, r=1e-4) - 1.0)
                      for p in pts)
         return {"passed": bool(chart_dev <= tol_chart and fd_dev <= tol_fd),
                 "chart_deviation": chart_dev, "chart_tol": tol_chart,
@@ -434,7 +431,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
         lemma = True
         for _ in range(n_poly):
             poly = random_polygon_in_phase(sol, window, rng)
-            rep = flux_balance(sol, poly, step=flux_step)
+            rep = flux_balance(sol, poly, step=1e-3)
             worst = max(worst, abs(rep.net_flux))
             lemma = lemma and rep.lemma_holds
         return {"passed": bool(worst <= tol and lemma),
@@ -492,8 +489,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     report = {"command": "verify", "solution": sol.to_dict(),
               "window": list(window.as_tuple()),
               "checks": checks, "all_passed": all_passed}
-    write_json_atomic(str(out / "verify_report.json"), report)
-    _emit(report)
+    _emit(report, out / "verify_report.json")
     return 0 if all_passed else 1
 
 
@@ -504,7 +500,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 def cmd_minimize(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
     window = cfg.get_window(default=(-1.0, -1.0, 1.0, 1.0))
-    h = cfg.number("h", window.width / cfg.resolution)
+    h = window.width / cfg.resolution
 
     if "boundary_field" in cfg.params:
         fld = _load_field(cfg.params["boundary_field"])
@@ -543,8 +539,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
               "converged": bool(result.converged),
               "written": [str(field_path), str(field_path) + ".json",
                           str(fb_path), str(energy_path)]}
-    write_json_atomic(str(out / "minimize_report.json"), report)
-    _emit(report)
+    _emit(report, out / "minimize_report.json")
     return 0 if result.converged else 1
 
 
@@ -580,8 +575,7 @@ def cmd_traizet(cfg: ExperimentConfig) -> int:
               "max_orthogonality_defect":
                   float(np.max(defects)) if len(defects) else 0.0,
               "written": [str(obj_path), str(csv_path)]}
-    write_json_atomic(str(out / f"traizet_{sol.kind}_report.json"), report)
-    _emit(report)
+    _emit(report, out / f"traizet_{sol.kind}_report.json")
     return 0
 
 
@@ -600,9 +594,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     elif mode == "annulus":
         delta = cfg.number("delta", 0.01)
         scales = cfg.numbers("scales", [0.05, 0.1, 0.2, 0.4])
-        seed_point = cfg.params.get("seed_point")
-        reports = annulus_flat_check(sol, delta, scales,
-                                     seed_point=seed_point)
+        reports = annulus_flat_check(sol, delta, scales)
         body = {"scales": [r.to_dict() for r in reports],
                 "max_graph_slope":
                     max(r.max_graph_slope for r in reports)}
@@ -611,8 +603,7 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
             f"classify mode must be 'trichotomy' or 'annulus', got {mode!r}")
     report = {"command": "classify", "mode": mode,
               "solution": sol.to_dict(), **body}
-    write_json_atomic(str(out / "classify_report.json"), report)
-    _emit(report)
+    _emit(report, out / "classify_report.json")
     return 0
 
 
@@ -625,11 +616,10 @@ COMMANDS = {"boundary": cmd_boundary, "verify": cmd_verify,
             "classify": cmd_classify}
 #: the names in "params" (or --param) that each command reads
 PARAMS = {"boundary": ("step",),
-          "verify": ("mesh_resolutions", "n_polygons", "slope_fd_offset",
-                     "flux_step"),
-          "minimize": ("h", "boundary_field"),
+          "verify": ("mesh_resolutions", "n_polygons"),
+          "minimize": ("boundary_field",),
           "traizet": (),
-          "classify": ("mode", "delta", "scales", "seed_point")}
+          "classify": ("mode", "delta", "scales")}
 #: the settings besides "params" (and --resolution) each command reads
 SETTINGS = {"boundary": {"window"}, "verify": {"window", "seed"},
             "minimize": {"window", "resolution"}, "traizet": {"resolution"},

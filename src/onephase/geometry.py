@@ -20,8 +20,9 @@ Contents:
 * `annulus_flat_check` — the removable-singularity flatness probe: on an
   annulus whose free boundary consists of two strands joining the inner
   and outer circles, find per scale r the rotation making the chosen
-  positive-phase component closest to the half-plane profile and report
-  the best-fit boundary graph with its maximal slope.
+  positive-phase component closest to the half-plane profile (a coarse
+  angle search, then least-squares steps that zero the strand's tilt) and
+  report the best-fit boundary graph with its maximal slope.
 
 The layer runs on numpy alone: `_label4` counts 4-connected components
 and `_nearest_distance` answers nearest-point queries, so no command that
@@ -701,23 +702,6 @@ class AnnulusScaleReport:
                 "max_graph_slope": self.max_graph_slope}
 
 
-def _golden_min(f, a, b, tol):
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 #: polar grid of the annulus search (angles × radii) and its coarse
 #: rotations; every coarse rotation is a whole number of grid angles.
 _ANNULUS_ANGLES = 720
@@ -807,7 +791,7 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     For each scale r, finds the rotation ρ minimizing the sup distance of
     u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}
     (360-angle coarse search, read off one evaluation of u·1_T on the polar
-    grid, then golden-section refinement to 1e−4 rad),
+    grid, then up to three least-squares steps zeroing the strand's tilt),
     where T is the positive-phase component containing `seed_point`, a
     point of [−1, 1]² (or the largest one touching the inner region when
     omitted).  Reports per scale the rotation, the flatness sup, and the
@@ -909,14 +893,8 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
         base = _annulus_grid(r_in, r)
         Pref = np.maximum(base[..., 0], 0.0)
 
-        def flat(theta):
-            return float(np.max(np.abs(u_T(_rotate(base, theta)) - Pref)))
-
         coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
-        k = int(np.argmin(_coarse_flatness(u_T(base), Pref)))
-        width = 2.0 * np.pi / _COARSE_ANGLES
-        theta_best = _golden_min(flat, coarse[k] - width, coarse[k] + width,
-                                 1e-4)
+        theta_best = coarse[np.argmin(_coarse_flatness(u_T(base), Pref))]
 
         # graph of the strand in the rotated frame: x ↦ ρ(θ)x aligns u with
         # P, so the strand maps into graph position by the inverse rotation;
@@ -936,7 +914,8 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
                 break
             beta = float(np.polyfit(gy, gx, 1)[0])
             theta_best -= float(np.arctan(beta))
-        flat_best = flat(theta_best)
+        flat_best = float(np.max(np.abs(u_T(_rotate(base, theta_best))
+                                        - Pref)))
 
         gy, gx = strand_graph(theta_best)
         if len(gy) >= 3:

@@ -17,8 +17,7 @@ F(u) = ∂Ω⁺(u), up to a rigid motion and a dilation carried by the instance:
 
 ``OneSidedPlane(s)``, u = s·x₁⁺, is the competitor that is not a solution for
 s ≠ 1: harmonic where positive, but |∇u| = s on F.  It sits in the registry
-`KINDS` so it serializes like the families, but not in `FAMILIES`, the exact
-solutions.
+`KINDS` so it serializes like the families; its `exact_solution` is False.
 
 Conventions
 -----------
@@ -64,7 +63,6 @@ __all__ = [
     "Scherk",
     "OneSidedPlane",
     "KINDS",
-    "FAMILIES",
     "solution_from_dict",
 ]
 
@@ -747,10 +745,9 @@ class Scherk(Solution):
 # registry and serialization
 # ---------------------------------------------------------------------------
 
-#: every serializable kind; `FAMILIES` keeps the exact solutions among them
+#: every serializable kind; `exact_solution` marks the exact solutions
 KINDS = {cls.kind: cls for cls in (HalfPlane, TwoPlane, Wedge, Hairpin,
                                    DiskComplement, Scherk, OneSidedPlane)}
-FAMILIES = {k: cls for k, cls in KINDS.items() if cls.exact_solution}
 
 
 def solution_from_dict(d: dict) -> Solution:

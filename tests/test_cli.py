@@ -251,7 +251,7 @@ class TestMinimize:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window": [-1.0, -1.0, 1.0, 0.03125]}))
         assert run("minimize", "--config", str(cfg), "--family", "half_plane",
-                   "--param", "h=0.03125", "--out", str(tmp_path)) == 0
+                   "--resolution", "64", "--out", str(tmp_path)) == 0
         out = ScalarField2D.load(tmp_path / "minimize_field.csv")
         assert out.shape == (34, 65)
 
@@ -447,10 +447,6 @@ class TestConfigHandling:
                    "--param", "mode=annulus", "--param", "delta=abc",
                    "--out", str(tmp_path)) == 2
 
-    def test_non_numeric_minimize_param(self, tmp_path):
-        assert run("minimize", "--family", "half_plane", "--param", "h=abc",
-                   "--out", str(tmp_path)) == 2
-
     def test_list_param_given_as_one_number(self, tmp_path):
         assert run("classify", "--family", "half_plane",
                    "--param", "mode=annulus", "--param", "scales=0.4",
@@ -520,10 +516,6 @@ class TestConfigHandling:
     def test_bad_boundary_step(self, tmp_path, step):
         assert run("boundary", "--family", "half_plane",
                    "--param", f"step={step}", "--out", str(tmp_path)) == 2
-
-    def test_zero_minimize_spacing(self, tmp_path):
-        assert run("minimize", "--family", "half_plane", "--param", "h=0",
-                   "--out", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("params", [
         {"n_polygons": 0}, {"n_polygons": -2},
@@ -603,12 +595,26 @@ class TestConfigHandling:
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("argv", [
-        ["boundary", "--param", "a=0.5"],
-        ["verify", "--family", "half_plane", "--param", "curvature_tol=5e-3"],
-        ["minimize", "--family", "half_plane", "--param", "descent_tol=0.1"],
-        ["traizet", "--family", "hairpin", "--param", "A=2"],
-        ["classify", "--family", "half_plane", "--param", "eps=1e-6"]],
-        ids=lambda argv: argv[0])
+        pytest.param(argv, id=name) for name, argv in [
+            ("boundary", ["boundary", "--param", "a=0.5"]),
+            ("verify", ["verify", "--family", "half_plane",
+                        "--param", "curvature_tol=5e-3"]),
+            ("minimize", ["minimize", "--family", "half_plane",
+                          "--param", "descent_tol=0.1"]),
+            ("traizet", ["traizet", "--family", "hairpin", "--param", "A=2"]),
+            ("classify", ["classify", "--family", "half_plane",
+                          "--param", "eps=1e-6"]),
+            # settable once; the grid spacing is width / resolution, and
+            # the verify steps are fixed
+            ("minimize_h", ["minimize", "--family", "half_plane",
+                            "--param", "h=0.03125"]),
+            ("verify_slope_fd_offset", ["verify", "--family", "half_plane",
+                                        "--param", "slope_fd_offset=1e-4"]),
+            ("verify_flux_step", ["verify", "--family", "half_plane",
+                                  "--param", "flux_step=1e-3"]),
+            ("classify_seed_point", ["classify", "--family", "half_plane",
+                                     "--param", "mode=annulus",
+                                     "--param", "seed_point=0.5"])]])
     def test_unknown_param(self, tmp_path, capsys, argv):
         # the boundary dataset mode has no solution to give `a` to
         assert run(*argv, "--out", str(tmp_path)) == 2
@@ -616,6 +622,18 @@ class TestConfigHandling:
         assert err.startswith(f"config error: unknown {argv[0]} parameters")
         assert f"(known: {sorted(PARAMS[argv[0]])})" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_command_in_config_is_rejected(self, tmp_path, capsys):
+        # the command comes from the command line only
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "command": "verify", "solution": {"family": "half_plane"},
+            "resolution": 16}))
+        assert run("minimize", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown config keys: ['command']")
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_tol_flag_is_gone(self, tmp_path, capsys):
         assert run("verify", "--family", "half_plane", "--tol", "1e-3",

@@ -787,6 +787,22 @@ class TestAnnulusFlatCheck:
                   for t in coarse]
         assert np.max(np.abs(rolled - direct)) <= 1e-12
 
+    def test_one_labelling_and_two_grid_evaluations_per_scale(
+            self, monkeypatch):
+        # the labelling grid, then per scale the coarse search's grid and
+        # the flatness at the polished rotation
+        calls = []
+        eval_u = HalfPlane.eval_u
+
+        def counting(self, pts):
+            calls.append(1)
+            return eval_u(self, pts)
+
+        monkeypatch.setattr(HalfPlane, "eval_u", counting)
+        scales = [0.05, 0.1, 0.2, 0.4]
+        annulus_flat_check(HalfPlane(), delta=0.01, scales=scales)
+        assert 0 < len(calls) <= 1 + 2 * len(scales)
+
     def test_precondition_violated(self):
         with pytest.raises(TopologyError):
             annulus_flat_check(TwoPlane(a=0.5), delta=0.01, scales=[0.1])

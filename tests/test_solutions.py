@@ -13,10 +13,9 @@ from hypothesis import strategies as st
 
 from onephase.common import Window
 from onephase.errors import InvalidInputError, NoSaddleError
-from onephase.solutions import (FAMILIES, KINDS, DiskComplement, Hairpin,
-                                HalfPlane, OneSidedPlane, RigidMotion, Scherk,
-                                TwoPlane, Wedge, _padded,
-                                solution_from_dict)
+from onephase.solutions import (KINDS, DiskComplement, Hairpin, HalfPlane,
+                                OneSidedPlane, RigidMotion, Scherk, TwoPlane,
+                                Wedge, _padded, solution_from_dict)
 
 from helpers import traced_peak
 
@@ -388,8 +387,9 @@ class TestSerialization:
             solution_from_dict(d)
 
     def test_registry_complete(self):
-        assert set(FAMILIES) == {"half_plane", "two_plane", "wedge",
-                                 "hairpin", "disk_complement", "scherk"}
+        assert {k for k, cls in KINDS.items() if cls.exact_solution} == {
+            "half_plane", "two_plane", "wedge", "hairpin", "disk_complement",
+            "scherk"}
 
     def test_one_sided_plane_round_trip(self, tmp_path):
         # `verify` writes this descriptor into its report
@@ -399,7 +399,8 @@ class TestSerialization:
         assert type(back) is OneSidedPlane and back.s == 0.5
 
     def test_registry_flags(self):
-        assert set(KINDS) - set(FAMILIES) == {"one_sided_plane"}
+        assert {k for k, cls in KINDS.items() if not cls.exact_solution} \
+            == {"one_sided_plane"}
         assert not OneSidedPlane.exact_solution
         assert {k for k, cls in KINDS.items() if cls.homogeneous} == {
             "half_plane", "wedge", "one_sided_plane"}
