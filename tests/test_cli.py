@@ -447,6 +447,11 @@ class TestConfigHandling:
                    "--param", "mode=annulus", "--param", "delta=abc",
                    "--out", str(tmp_path)) == 2
 
+    def test_non_numeric_minimize_param(self, tmp_path):
+        # minimize has no `h` parameter; any value of it is rejected
+        assert run("minimize", "--family", "half_plane", "--param", "h=abc",
+                   "--out", str(tmp_path)) == 2
+
     def test_list_param_given_as_one_number(self, tmp_path):
         assert run("classify", "--family", "half_plane",
                    "--param", "mode=annulus", "--param", "scales=0.4",
@@ -516,6 +521,11 @@ class TestConfigHandling:
     def test_bad_boundary_step(self, tmp_path, step):
         assert run("boundary", "--family", "half_plane",
                    "--param", f"step={step}", "--out", str(tmp_path)) == 2
+
+    def test_zero_minimize_spacing(self, tmp_path):
+        # the spacing is width / resolution; `h` cannot be given
+        assert run("minimize", "--family", "half_plane", "--param", "h=0",
+                   "--out", str(tmp_path)) == 2
 
     @pytest.mark.parametrize("params", [
         {"n_polygons": 0}, {"n_polygons": -2},
