@@ -189,19 +189,36 @@ def polyline_length(poly) -> float:
 
 def densify_polyline(poly, step: float) -> np.ndarray:
     """Resample a polyline so consecutive points are at most `step` apart
-    (original vertices are kept)."""
+    (original vertices are kept).
+
+    A segment of length ℓ gets n = max(1, ⌈ℓ/step⌉) points: t_k = k·(1/n)
+    for k < n and its end vertex at t = 1, as np.linspace(0, 1, n + 1)[1:]
+    places them, built for all segments in one array pass.  ℓ is taken by
+    the BLAS dot that np.linalg.norm uses (`np.vecdot`), so a step that
+    divides a segment gives the same n as a per-segment norm would.
+    """
     poly = np.asarray(poly, dtype=float)
-    if step <= 0:
-        raise InvalidInputError("densify step must be positive")
+    if not step > 0:
+        raise InvalidInputError(f"densify step must be positive, got {step}")
     if len(poly) < 2:
         return poly.copy()
-    out = [poly[:1]]
-    for a, b in zip(poly[:-1], poly[1:]):
-        seg = np.linalg.norm(b - a)
-        n = max(1, int(np.ceil(seg / step)))
-        ts = np.linspace(0.0, 1.0, n + 1)[1:, None]
-        out.append(a[None, :] * (1 - ts) + b[None, :] * ts)
-    return np.concatenate(out, axis=0)
+    a, b = poly[:-1], poly[1:]
+    d = b - a
+    with np.errstate(over="ignore"):
+        q = np.ceil(np.sqrt(np.vecdot(d, d)) / step)
+    if not np.all(np.isfinite(q)):
+        raise InvalidInputError("densify_polyline: segment length / step "
+                                "is not finite")
+    n = np.maximum(q, 1.0).astype(np.intp)
+    ends = np.cumsum(n)
+    seg = np.repeat(np.arange(len(n)), n)
+    t = (np.arange(1, ends[-1] + 1) - (ends - n)[seg]) * (1.0 / n)[seg]
+    t[ends - 1] = 1.0
+    t = t[:, None]
+    out = np.empty((ends[-1] + 1,) + poly.shape[1:])
+    out[0] = poly[0]
+    out[1:] = a[seg] * (1 - t) + b[seg] * t
+    return out
 
 
 def clip_polyline_to_window(poly, window: Window):

@@ -21,8 +21,9 @@ Contents:
   annulus whose free boundary consists of two strands joining the inner
   and outer circles, find per scale r the rotation making the chosen
   positive-phase component closest to the half-plane profile (a coarse
-  angle search, then least-squares steps that zero the strand's tilt) and
-  report the best-fit boundary graph with its maximal slope.
+  angle search pruned by exact lower bounds, then least-squares steps that
+  zero the strand's tilt) and report the best-fit boundary graph with its
+  maximal slope.
 
 The layer runs on numpy alone: `_label4` counts 4-connected components
 and `_nearest_distance` answers nearest-point queries, so no command that
@@ -707,6 +708,8 @@ class AnnulusScaleReport:
 _ANNULUS_ANGLES = 720
 _ANNULUS_RADII = 24
 _COARSE_ANGLES = 360
+#: `_ring_bounds` bounds each rotation's sup on every this-many outer angles
+_BOUND_STRIDE = 8
 #: the probe's grid over [−1, 1]² (nodes per side) on which the positive
 #: components are labelled, at threshold u > _ANNULUS_EPS; the flatness is
 #: measured outside B_{_ANNULUS_INNER·δ}
@@ -772,15 +775,44 @@ def _rotate(pts, theta):
                      st * pts[..., 0] + ct * pts[..., 1]], axis=-1)
 
 
-def _coarse_flatness(U0, Pref):
-    """max |U(ρ_θ ·) − Pref| over the grid at each coarse rotation
-    θ_k = 2πk/_COARSE_ANGLES, from U0, the values on the unrotated grid:
-    θ_k moves grid angle j onto angle j + k·step, so the rotated values are
-    U0 rolled back by k·step rows, a window of U0 stacked on itself."""
+def _sup_at(twice, Pref, k):
+    """max |U(ρ_θ ·) − Pref| over the grid at the coarse rotation
+    θ_k = 2πk/_COARSE_ANGLES, from `twice`, the values U0 on the unrotated
+    grid stacked on themselves: θ_k moves grid angle j onto angle j + k·step,
+    so the rotated values are U0 rolled back by k·step rows."""
+    start = _ANNULUS_ANGLES // _COARSE_ANGLES * k
+    return np.max(np.abs(twice[start:start + len(Pref)] - Pref))
+
+
+def _ring_bounds(U0, Pref):
+    """A lower bound of `_sup_at` at every coarse rotation, from U0, the
+    values on the unrotated grid: the max of the same |U − Pref| terms on
+    every _BOUND_STRIDE-th angle of the outer ring, so the bound is exact."""
     step = _ANNULUS_ANGLES // _COARSE_ANGLES
+    ring = np.concatenate([U0[:, -1], U0[:, -1]])
+    js = np.arange(0, _ANNULUS_ANGLES, _BOUND_STRIDE)
+    rows = step * np.arange(_COARSE_ANGLES)[:, None] + js
+    return np.max(np.abs(ring[rows] - Pref[js, -1]), axis=1)
+
+
+def _coarse_best(U0, Pref):
+    """The first k minimizing `_sup_at` over the coarse rotations, from U0,
+    the values on the unrotated grid (no NaN).
+
+    Full sups are taken in `_ring_bounds` order (ties by k) until the next
+    bound exceeds the best sup found: no rotation left can reach it, nor tie
+    it.
+    """
+    bound = _ring_bounds(U0, Pref)
     twice = np.concatenate([U0, U0])
-    return np.array([np.max(np.abs(twice[step * k:step * k + len(U0)] - Pref))
-                     for k in range(_COARSE_ANGLES)])
+    best, k_best = np.inf, _COARSE_ANGLES
+    for k in np.argsort(bound, kind="stable"):
+        if bound[k] > best:
+            break
+        sup = _sup_at(twice, Pref, k)
+        if sup < best or (sup == best and k < k_best):
+            best, k_best = sup, k
+    return int(k_best)
 
 
 def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
@@ -788,13 +820,17 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
 
     Precondition (A): the free boundary inside the annulus consists of
     exactly two strands, each connecting the inner circle to the outer one.
+    T is the positive-phase component containing `seed_point`, a point of
+    [−1, 1]² (or the largest one touching the inner region when omitted).
     For each scale r, finds the rotation ρ minimizing the sup distance of
-    u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}
-    (360-angle coarse search, read off one evaluation of u·1_T on the polar
-    grid, then up to three least-squares steps zeroing the strand's tilt),
-    where T is the positive-phase component containing `seed_point`, a
-    point of [−1, 1]² (or the largest one touching the inner region when
-    omitted).  Reports per scale the rotation, the flatness sup, and the
+    u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}: a coarse
+    search over 360 angles, then up to three least-squares steps zeroing
+    the strand's tilt.  The coarse search reads one evaluation of u·1_T on
+    the polar grid and prunes by bounds: a max over a subset of the outer
+    ring bounds each angle's sup from below, and full sups are taken in
+    bound order until the next bound exceeds the best sup (one full sup per
+    scale on a half-plane), so it returns the full sweep's first argmin.
+    Reports per scale the rotation, the flatness sup, and the
     max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
     if not 0 < delta < 1:
@@ -894,7 +930,7 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
         Pref = np.maximum(base[..., 0], 0.0)
 
         coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
-        theta_best = coarse[np.argmin(_coarse_flatness(u_T(base), Pref))]
+        theta_best = coarse[_coarse_best(u_T(base), Pref)]
 
         # graph of the strand in the rotated frame: x ↦ ρ(θ)x aligns u with
         # P, so the strand maps into graph position by the inverse rotation;

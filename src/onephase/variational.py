@@ -206,6 +206,12 @@ class TestVectorField:
     func: callable  # (...,2) -> (...,2)
     div: callable   # (...,2) -> (...)
     jac: callable   # (...,2) -> (...,2,2)
+    #: the bump fields' cutoff (center, r0, r1), with div and jac as
+    #: functions of `_bump`'s arrays (d, ρ, η, η′): `variational_residual`
+    #: evaluates `_bump` once for all fields with one cutoff
+    cutoff: tuple = None
+    div_of_bump: callable = None
+    jac_of_bump: callable = None
 
     @staticmethod
     def radial_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0
@@ -213,24 +219,20 @@ class TestVectorField:
         """ψ(x) = η(|x−c|)(x−c): identity-like inside r0, zero outside r1."""
         if not 0.0 < r0 < r1:
             raise InvalidInputError("radial_bump requires 0 < r0 < r1")
-        c = np.asarray(center, dtype=float)
 
-        def func(p):
-            d, _, eta, _ = _bump(p, c, r0, r1)
+        def func(d, rho, eta, eta_p):
             return eta[..., None] * d
 
-        def div(p):
-            _, rho, eta, eta_p = _bump(p, c, r0, r1)
+        def div(d, rho, eta, eta_p):
             return 2.0 * eta + rho * eta_p
 
-        def jac(p):
-            d, rho, eta, eta_p = _bump(p, c, r0, r1)
+        def jac(d, rho, eta, eta_p):
             k = (eta_p / np.maximum(rho, 1e-300))[..., None, None]
             outer = d[..., :, None] * d[..., None, :]
             eye = np.eye(2).reshape((1,) * (d.ndim - 1) + (2, 2))
             return eta[..., None, None] * eye + k * outer
 
-        return TestVectorField(func=func, div=div, jac=jac)
+        return _bump_field(center, r0, r1, func, div, jac)
 
     @staticmethod
     def directional_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0,
@@ -238,25 +240,21 @@ class TestVectorField:
         """ψ(x) = η(|x−c|)·d for a fixed direction d."""
         if not 0.0 < r0 < r1:
             raise InvalidInputError("directional_bump requires 0 < r0 < r1")
-        c = np.asarray(center, dtype=float)
         dvec = np.asarray(direction, dtype=float)
 
-        def func(p):
-            _, _, eta, _ = _bump(p, c, r0, r1)
+        def func(d, rho, eta, eta_p):
             return eta[..., None] * dvec
 
-        def grad_eta(p):
-            d, rho, _, eta_p = _bump(p, c, r0, r1)
+        def grad_eta(d, rho, eta_p):
             return (eta_p / np.maximum(rho, 1e-300))[..., None] * d
 
-        def div(p):
-            return np.einsum("...k,k->...", grad_eta(p), dvec)
+        def div(d, rho, eta, eta_p):
+            return np.einsum("...k,k->...", grad_eta(d, rho, eta_p), dvec)
 
-        def jac(p):
-            g = grad_eta(p)
-            return dvec[:, None] * g[..., None, :]
+        def jac(d, rho, eta, eta_p):
+            return dvec[:, None] * grad_eta(d, rho, eta_p)[..., None, :]
 
-        return TestVectorField(func=func, div=div, jac=jac)
+        return _bump_field(center, r0, r1, func, div, jac)
 
 
 def _bump(p, center, r0, r1):
@@ -269,6 +267,19 @@ def _bump(p, center, r0, r1):
     return d, rho, 1.0 - smoothstep5(t), eta_p
 
 
+def _bump_field(center, r0, r1, func, div, jac):
+    """The field whose func, div and jac are the given functions of
+    `_bump`'s arrays at the cutoff (center, r0, r1)."""
+    c = np.asarray(center, dtype=float)
+
+    def at(f):
+        return lambda p: f(*_bump(p, c, r0, r1))
+
+    return TestVectorField(func=at(func), div=at(div), jac=at(jac),
+                           cutoff=(c, r0, r1), div_of_bump=div,
+                           jac_of_bump=jac)
+
+
 def variational_residual(sol, psi, window: Window, h: float):
     """Midpoint-rule inner variation
     δJ(u)[ψ] = ∫_W (|∇u|² + 1_{u>0}) div ψ − 2 ∇uᵀ Dψ ∇u dx.
@@ -279,7 +290,8 @@ def variational_residual(sol, psi, window: Window, h: float):
 
     ``psi`` may be a single :class:`TestVectorField` (returns a float) or a
     sequence of them (returns an array): the solution grid — the expensive
-    part for chart-inverted families — is sampled once and shared.
+    part for chart-inverted families — is sampled once and shared, and so
+    is `_bump` for the fields with one cutoff, one cutoff at a time.
     """
     single = isinstance(psi, TestVectorField)
     psis = [psi] if single else list(psi)
@@ -291,12 +303,22 @@ def variational_residual(sol, psi, window: Window, h: float):
     g = sol.eval_grad(pts)
     ind = sol.in_positive_phase(pts).astype(float)
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2
-    out = np.empty(len(psis))
+    groups = {}
     for k, p in enumerate(psis):
-        dv = p.div(pts)
-        J = p.jac(pts)
-        gJg = np.einsum("...i,...ij,...j->...", g, J, g)
-        out[k] = np.sum((g2 + ind) * dv - 2.0 * gJg) * h * h
+        cut = p.cutoff
+        key = k if cut is None else (cut[0].tobytes(), cut[1], cut[2])
+        groups.setdefault(key, []).append(k)
+    out = np.empty(len(psis))
+    for ks in groups.values():
+        cut = psis[ks[0]].cutoff
+        bump = None if cut is None else _bump(pts, *cut)
+        for k in ks:
+            p = psis[k]
+            dv = p.div(pts) if bump is None else p.div_of_bump(*bump)
+            J = p.jac(pts) if bump is None else p.jac_of_bump(*bump)
+            gJg = np.einsum("...i,...ij,...j->...", g, J, g)
+            out[k] = np.sum((g2 + ind) * dv - 2.0 * gJg) * h * h
+        del bump  # before the next cutoff's arrays are made
     return float(out[0]) if single else out
 
 

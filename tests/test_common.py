@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onephase.common import (Window, clip_polyline_to_window,
@@ -176,6 +176,46 @@ class TestPointsInPolygon:
         assert not points_in_polygon(np.array([[2.0, 2.0]]), L)[0]
 
 
+def _densify_oracle(poly, step):
+    """One np.linalg.norm and one np.linspace per segment: the loop that
+    `densify_polyline` replaces by one array pass."""
+    poly = np.asarray(poly, dtype=float)
+    out = [poly[:1]]
+    for a, b in zip(poly[:-1], poly[1:]):
+        seg = np.linalg.norm(b - a)
+        n = max(1, int(np.ceil(seg / step)))
+        ts = np.linspace(0.0, 1.0, n + 1)[1:, None]
+        out.append(a[None, :] * (1 - ts) + b[None, :] * ts)
+    return np.concatenate(out, axis=0)
+
+
+@st.composite
+def _densify_cases(draw):
+    """Polylines of 2 to 8 vertices, some repeated (zero-length segments),
+    on integer or general coordinates, with a free step, a dyadic one
+    (dividing the axis-parallel and 3-4-5 integer segments) or a segment's
+    length over a whole number."""
+    coord = st.one_of(st.integers(-4, 4).map(float),
+                      st.floats(-10.0, 10.0, allow_subnormal=False))
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=8))
+    repeat = draw(st.lists(st.integers(0, len(pts) - 1), max_size=2))
+    poly = np.array(pts)
+    poly = np.insert(poly, repeat, poly[repeat], axis=0)
+    lengths = np.hypot(*np.diff(poly, axis=0).T)
+    kind = draw(st.sampled_from(["free", "dyadic", "divides"]))
+    if kind == "divides" and lengths.max() > 0.0:
+        # a segment not much shorter than the longest, so that no segment
+        # gets more than 12,000 points
+        long = np.flatnonzero(lengths >= 1e-3 * lengths.max())
+        seg = draw(st.sampled_from(long.tolist()))
+        step = float(lengths[seg]) / draw(st.integers(1, 12))
+    elif kind == "dyadic":
+        step = 2.0 ** draw(st.integers(-4, 2))
+    else:
+        step = draw(st.floats(1e-2, 20.0))
+    return poly, step
+
+
 class TestPolylines:
     def test_length(self):
         tri = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
@@ -188,6 +228,40 @@ class TestPolylines:
         assert polyline_length(d) == pytest.approx(1.0)
         steps = np.hypot(*np.diff(d, axis=0).T)
         assert np.max(steps) <= 0.09 + 1e-12
+
+    @given(case=_densify_cases())
+    @example(case=(np.array([[0.0, 0.0], [3.0, 4.0]]), 0.5))
+    @example(case=(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.25))
+    @settings(max_examples=300, deadline=None)
+    def test_densify_bit_equal_to_per_segment_loop(self, case):
+        poly, step = case
+        got = densify_polyline(poly, step)
+        assert got.tobytes() == _densify_oracle(poly, step).tobytes()
+        # the original vertices appear in order, the last one last
+        assert np.array_equal(got[0], poly[0])
+        at = 0
+        for v in poly[1:]:
+            at += 1
+            while not np.array_equal(got[at], v):
+                at += 1
+        assert at == len(got) - 1
+
+    @pytest.mark.parametrize("step", [float("nan"), 0.0, -1.0])
+    def test_densify_bad_step(self, step):
+        with pytest.raises(InvalidInputError):
+            densify_polyline(np.array([[0.0, 0.0], [1.0, 1.0]]), step)
+
+    @pytest.mark.parametrize("poly, step", [
+        ([[0.0, 0.0], [float("nan"), 1.0]], 0.1),
+        ([[0.0, 0.0], [float("inf"), 1.0]], 0.1),
+        ([[0.0, 0.0], [1e300, 1.0]], 1e-300)])
+    def test_densify_non_finite_counts(self, poly, step):
+        with pytest.raises(InvalidInputError):
+            densify_polyline(np.array(poly), step)
+
+    def test_densify_infinite_step_keeps_the_polyline(self):
+        poly = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [3.0, -2.0]])
+        assert np.array_equal(densify_polyline(poly, float("inf")), poly)
 
     def test_clip_to_window(self):
         w = Window(0.0, -1.0, 1.0, 1.0)

@@ -8,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from onephase import geometry
 from onephase.common import densify_polyline, points_in_polygon
 from onephase.errors import (DomainError, InvalidInputError, TopologyError)
-from onephase.geometry import (_ANNULUS_EPS, _ANNULUS_NODES,
-                               _COARSE_ANGLES, FreeBoundary, PolyCurve,
-                               _annulus_grid, _coarse_flatness,
-                               _component_member, _dist_to_polygon_edges,
-                               _label4, _nearest_distance, _rotate,
-                               _self_intersects,
+from onephase.geometry import (_ANNULUS_ANGLES, _ANNULUS_EPS, _ANNULUS_NODES,
+                               _ANNULUS_RADII, _BOUND_STRIDE, _COARSE_ANGLES,
+                               FreeBoundary, PolyCurve, _annulus_grid,
+                               _coarse_best, _component_member,
+                               _dist_to_polygon_edges,
+                               _label4, _nearest_distance, _ring_bounds,
+                               _rotate, _self_intersects, _sup_at,
                                annulus_flat_check, circle_max, classify_flat,
                                extract_boundary, flux_balance, hausdorff,
                                random_polygon_in_phase)
@@ -327,6 +329,10 @@ class TestHausdorff:
     def test_empty_raises(self):
         with pytest.raises(InvalidInputError):
             hausdorff([], _circle())
+
+    def test_nan_step_raises(self):
+        with pytest.raises(InvalidInputError):
+            hausdorff(_circle(), _circle(R=2.0), densify_step=float("nan"))
 
 
 @st.composite
@@ -721,6 +727,20 @@ def _membership_points(rng):
     return np.vstack([rand, polar, _aligned_points(rng, n, 2000)])
 
 
+def _rolled_gaps(U0, Pref):
+    """|U(ρ_θ ·) − Pref| on the grid at every coarse rotation
+    θ_k = 2πk/_COARSE_ANGLES, from U0 rolled back by k·step rows."""
+    step = _ANNULUS_ANGLES // _COARSE_ANGLES
+    return (np.abs(np.roll(U0, -step * k, axis=0) - Pref)
+            for k in range(_COARSE_ANGLES))
+
+
+def _coarse_sweep(U0, Pref):
+    """The full sweep that `_coarse_best` prunes: each coarse rotation's
+    sup over the grid."""
+    return np.array([np.max(gap) for gap in _rolled_gaps(U0, Pref)])
+
+
 class TestAnnulusFlatCheck:
     @pytest.mark.parametrize("sol", [
         HalfPlane(motion=RigidMotion(angle=0.3)), TwoPlane(a=0.5),
@@ -781,11 +801,61 @@ class TestAnnulusFlatCheck:
         sol = DiskComplement(0.1, motion=RigidMotion(shift=(0.15, -0.1)))
         base = _annulus_grid(0.02, 0.4)
         pref = np.maximum(base[..., 0], 0.0)
-        rolled = _coarse_flatness(sol.eval_u(base), pref)
+        U0 = sol.eval_u(base)
+        twice = np.concatenate([U0, U0])
+        rolled = [_sup_at(twice, pref, k) for k in range(_COARSE_ANGLES)]
         coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
         direct = [np.max(np.abs(sol.eval_u(_rotate(base, t)) - pref))
                   for t in coarse]
-        assert np.max(np.abs(rolled - direct)) <= 1e-12
+        assert np.max(np.abs(np.subtract(rolled, direct))) <= 1e-12
+        assert _coarse_best(U0, pref) == int(np.argmin(direct))
+
+    @given(angle=st.floats(0.0, 2.0 * np.pi, exclude_max=True)
+           | st.sampled_from(np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES,
+                                         endpoint=False)[::37].tolist()),
+           shift=st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+           family=st.sampled_from(["half_plane", "wedge_1", "wedge_half",
+                                   "disk"]),
+           r=st.sampled_from([0.05, 0.1, 0.4, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_coarse_best_is_the_full_sweeps_first_argmin(self, angle, shift,
+                                                         family, r):
+        motion = RigidMotion(angle=angle, shift=shift)
+        sol = {"half_plane": HalfPlane(motion=motion),
+               "wedge_1": Wedge(s=1.0, motion=motion),
+               "wedge_half": Wedge(s=0.5, motion=motion),
+               "disk": DiskComplement(0.1, motion=motion)}[family]
+        base = _annulus_grid(0.02, r)
+        pref = np.maximum(base[..., 0], 0.0)
+        U0 = sol.eval_u(base)
+        assert _coarse_best(U0, pref) == int(np.argmin(
+            _coarse_sweep(U0, pref)))
+        # each bound is the max of the same terms on the sampled outer angles
+        assert np.array_equal(_ring_bounds(U0, pref), [
+            np.max(gap[::_BOUND_STRIDE, -1])
+            for gap in _rolled_gaps(U0, pref)])
+
+    def test_coarse_best_takes_the_first_of_tied_rotations(self):
+        # U0 constant along angles: every rotation has the same sup
+        base = _annulus_grid(0.02, 0.4)
+        pref = np.maximum(base[..., 0], 0.0)
+        U0 = np.tile(np.linspace(0.0, 0.3, _ANNULUS_RADII),
+                     (_ANNULUS_ANGLES, 1))
+        assert np.all(_coarse_sweep(U0, pref) == _coarse_sweep(U0, pref)[0])
+        assert _coarse_best(U0, pref) == 0
+
+    def test_one_full_sup_per_scale_on_the_half_plane(self, monkeypatch):
+        # the outer-ring bounds leave only the best rotation to sweep
+        calls = []
+
+        def counting(twice, pref, k):
+            calls.append(k)
+            return _sup_at(twice, pref, k)
+
+        monkeypatch.setattr(geometry, "_sup_at", counting)
+        scales = [0.05, 0.1, 0.2, 0.4]
+        annulus_flat_check(HalfPlane(), delta=0.01, scales=scales)
+        assert len(calls) == len(scales)
 
     def test_one_labelling_and_two_grid_evaluations_per_scale(
             self, monkeypatch):

@@ -7,6 +7,7 @@ cleanup solve."""
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from onephase import variational
+from onephase.cli import _bump_fields
 from onephase.common import format_float
 from onephase.errors import ConvergenceError, DomainError, InvalidInputError
 from onephase.geometry import _label4
@@ -194,6 +196,30 @@ class TestResidual:
             expect = (s**2 - 1.0) * (r0 + r1)
             got = variational_residual(OneSidedPlane(s=s), psi, w, 1.0 / 256)
             assert got == pytest.approx(expect, rel=0.02)
+
+    def test_bump_fields_share_one_bump(self, monkeypatch):
+        # the CLI's radial, e1 and e2 fields at two centres: one `_bump`
+        # per centre, freed on return, and the bits of one call per field
+        # that evaluates `_bump` in its own div and jac
+        fields = [psi for c in ((0.1, -0.05), (-0.3, 0.2))
+                  for _, psi in _bump_fields(c, 0.8)]
+        sol, w, h = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 64
+        alone = [variational_residual(
+            sol, TestVectorField(psi.func, psi.div, psi.jac), w, h)
+            for psi in fields]
+        refs = []
+        bump = variational._bump
+
+        def spy(*args):
+            out = bump(*args)
+            refs.extend(weakref.ref(a) for a in out)
+            return out
+
+        monkeypatch.setattr(variational, "_bump", spy)
+        got = variational_residual(sol, fields, w, h)
+        assert len(refs) == 2 * 4
+        assert all(r() is None for r in refs)
+        assert got.tobytes() == np.array(alone).tobytes()
 
     def test_slope_one_is_exact(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
