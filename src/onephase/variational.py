@@ -53,7 +53,7 @@ The module runs on numpy alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -206,12 +206,12 @@ class TestVectorField:
     func: callable  # (...,2) -> (...,2)
     div: callable   # (...,2) -> (...)
     jac: callable   # (...,2) -> (...,2,2)
-    #: the bump fields' cutoff (center, r0, r1), with div and jac as
-    #: functions of `_bump`'s arrays (d, ρ, η, η′): `variational_residual`
-    #: evaluates `_bump` once for all fields with one cutoff
-    cutoff: tuple = None
-    div_of_bump: callable = None
-    jac_of_bump: callable = None
+    #: set by `_bump_field` only: the cutoff (center, r0, r1), with div and
+    #: jac as functions of `_bump`'s arrays (d, ρ, η, η′), so that
+    #: `variational_residual` evaluates `_bump` once for all fields with one
+    #: cutoff; not a constructor argument, and `dataclasses.replace` drops it
+    _shared_bump: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
 
     @staticmethod
     def radial_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0
@@ -275,9 +275,9 @@ def _bump_field(center, r0, r1, func, div, jac):
     def at(f):
         return lambda p: f(*_bump(p, c, r0, r1))
 
-    return TestVectorField(func=at(func), div=at(div), jac=at(jac),
-                           cutoff=(c, r0, r1), div_of_bump=div,
-                           jac_of_bump=jac)
+    psi = TestVectorField(func=at(func), div=at(div), jac=at(jac))
+    psi._shared_bump = (c, r0, r1, div, jac)
+    return psi
 
 
 def variational_residual(sol, psi, window: Window, h: float):
@@ -305,17 +305,17 @@ def variational_residual(sol, psi, window: Window, h: float):
     g2 = g[..., 0] ** 2 + g[..., 1] ** 2
     groups = {}
     for k, p in enumerate(psis):
-        cut = p.cutoff
-        key = k if cut is None else (cut[0].tobytes(), cut[1], cut[2])
+        sb = p._shared_bump
+        key = k if sb is None else (sb[0].tobytes(), sb[1], sb[2])
         groups.setdefault(key, []).append(k)
     out = np.empty(len(psis))
     for ks in groups.values():
-        cut = psis[ks[0]].cutoff
-        bump = None if cut is None else _bump(pts, *cut)
+        sb = psis[ks[0]]._shared_bump
+        bump = None if sb is None else _bump(pts, *sb[:3])
         for k in ks:
             p = psis[k]
-            dv = p.div(pts) if bump is None else p.div_of_bump(*bump)
-            J = p.jac(pts) if bump is None else p.jac_of_bump(*bump)
+            dv = p.div(pts) if bump is None else p._shared_bump[3](*bump)
+            J = p.jac(pts) if bump is None else p._shared_bump[4](*bump)
             gJg = np.einsum("...i,...ij,...j->...", g, J, g)
             out[k] = np.sum((g2 + ind) * dv - 2.0 * gJg) * h * h
         del bump  # before the next cutoff's arrays are made

@@ -4,6 +4,7 @@ slopes, the multigrid preconditioner, and minimizer runs.  scipy's sparse
 matrices and `splu` are the oracle for the 5-point stiffness and for the
 cleanup solve."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -220,6 +221,18 @@ class TestResidual:
         assert len(refs) == 2 * 4
         assert all(r() is None for r in refs)
         assert got.tobytes() == np.array(alone).tobytes()
+
+    def test_replaced_div_is_used(self):
+        # the shared bump is not a constructor argument, and a field made
+        # by `dataclasses.replace` runs on its own div and jac
+        psi = TestVectorField.radial_bump(center=(0.1, 0.0), r0=0.4, r1=0.9)
+        with pytest.raises(TypeError):
+            TestVectorField(psi.func, psi.div, psi.jac, _shared_bump=None)
+        sol, w, h = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 32
+        zero = dataclasses.replace(psi, div=lambda p: np.zeros(p.shape[:-1]),
+                                   jac=lambda p: np.zeros(p.shape + (2,)))
+        assert variational_residual(sol, zero, w, h) == 0.0
+        assert variational_residual(sol, psi, w, h) != 0.0
 
     def test_slope_one_is_exact(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
