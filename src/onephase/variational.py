@@ -291,7 +291,12 @@ def variational_residual(sol, psi, window: Window, h: float):
     ``psi`` may be a single :class:`TestVectorField` (returns a float) or a
     sequence of them (returns an array): the solution grid — the expensive
     part for chart-inverted families — is sampled once and shared, and so
-    is `_bump` for the fields with one cutoff, one cutoff at a time.
+    is `_bump` for the fields with one cutoff, one cutoff at a time.  A
+    bump field runs only on the cells whose centres lie in its cutoff's box
+    [c − r1, c + r1]²; the integrand is written into a full-size zero
+    array and summed over the whole grid, so the sum adds the same terms
+    in the same order as a full-grid pass would, whose terms outside
+    B_{r1}(c) are exact zeros wherever ∇u is finite.
     """
     single = isinstance(psi, TestVectorField)
     psis = [psi] if single else list(psi)
@@ -309,15 +314,27 @@ def variational_residual(sol, psi, window: Window, h: float):
         key = k if sb is None else (sb[0].tobytes(), sb[1], sb[2])
         groups.setdefault(key, []).append(k)
     out = np.empty(len(psis))
+    full = np.zeros_like(g2)
     for ks in groups.values():
         sb = psis[ks[0]]._shared_bump
-        bump = None if sb is None else _bump(pts, *sb[:3])
+        if sb is None:
+            box = (slice(None), slice(None))
+        else:
+            (c0, c1), r1 = sb[0], sb[2]
+            box = (slice(np.searchsorted(cy, c1 - r1, "left"),
+                         np.searchsorted(cy, c1 + r1, "right")),
+                   slice(np.searchsorted(cx, c0 - r1, "left"),
+                         np.searchsorted(cx, c0 + r1, "right")))
+        P, G, S = pts[box], g[box], g2[box] + ind[box]
+        bump = None if sb is None else _bump(P, *sb[:3])
         for k in ks:
             p = psis[k]
-            dv = p.div(pts) if bump is None else p._shared_bump[3](*bump)
-            J = p.jac(pts) if bump is None else p._shared_bump[4](*bump)
-            gJg = np.einsum("...i,...ij,...j->...", g, J, g)
-            out[k] = np.sum((g2 + ind) * dv - 2.0 * gJg) * h * h
+            dv = p.div(P) if bump is None else p._shared_bump[3](*bump)
+            J = p.jac(P) if bump is None else p._shared_bump[4](*bump)
+            gJg = np.einsum("...i,...ij,...j->...", G, J, G)
+            full[box] = S * dv - 2.0 * gJg
+            out[k] = np.sum(full) * h * h
+        full[box] = 0.0
         del bump  # before the next cutoff's arrays are made
     return float(out[0]) if single else out
 
