@@ -39,7 +39,9 @@ Diagnostics:
 * `variational_residual` — δJ(u)[ψ] = ∫ (|∇u|² + 1_{u>0}) div ψ
   − 2 ∇uᵀ Dψ ∇u, the inner (domain-variation) first variation; it vanishes
   for exact solutions and equals (s²−1)·∫ψ₁(0, x₂)dx₂ for the one-sided
-  slope-s half-plane profile.
+  slope-s half-plane profile.  ψ is a radial or directional bump
+  (`TestVectorField`); its div ψ and ∇uᵀDψ∇u are closed forms, evaluated
+  on the box [c − r1, c + r1]² around the support B_{r1}(c) only.
 * `weiss_energy` — W(u, x₀, r) = r⁻²∫_{B_r}(|∇u|²+1_{u>0}) − r⁻³∫_{∂B_r}u²,
   computed scale-covariantly (fixed Gauss nodes in ρ/r, an exact arc rule
   on each circle) so that homogeneous solutions give exactly constant W.
@@ -53,7 +55,7 @@ The module runs on numpy alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,88 +198,83 @@ def ac_energy(fld: ScalarField2D) -> float:
 # inner-variation residual
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TestVectorField:
-    """A C¹ vector field ψ with its divergence and Jacobian, the test object
-    of the inner variation δJ(u)[ψ]."""
+    """The bump field ψ, the test object of the inner variation δJ(u)[ψ]:
+    with d = x − c, ρ = |d| and η(ρ) = 1 − smoothstep5((ρ − r0)/(r1 − r0)),
+    ψ = η·d (radial, ``direction`` None) or η·e along a fixed e, zero
+    outside B_{r1}(c).  `func`, `div` and `jac` give ψ, div ψ and Dψ (row i
+    the gradient of ψᵢ) at points (..., 2).  With q = η′/ρ, the residual
+    uses the closed forms (`_terms`) div ψ = 2η + ρη′, gᵀDψg = η|g|² +
+    q(g·d)² (radial) and div ψ = q(d·e), gᵀDψg = (g·e)·q·(g·d) (along e);
+    `jac` is the reference they are tested against."""
 
     __test__ = False  # not a pytest class despite the Test* name
 
-    func: callable  # (...,2) -> (...,2)
-    div: callable   # (...,2) -> (...)
-    jac: callable   # (...,2) -> (...,2,2)
-    #: set by `_bump_field` only: the cutoff (center, r0, r1), with div and
-    #: jac as functions of `_bump`'s arrays (d, ρ, η, η′), so that
-    #: `variational_residual` evaluates `_bump` once for all fields with one
-    #: cutoff; not a constructor argument, and `dataclasses.replace` drops it
-    _shared_bump: tuple = field(default=None, init=False, repr=False,
-                                compare=False)
+    center: tuple
+    r0: float
+    r1: float
+    direction: tuple | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.r0 < self.r1:
+            raise InvalidInputError(
+                f"a bump field requires 0 < r0 < r1, got {self.r0}, {self.r1}")
+        # float pairs, so that fields with one cutoff share one dict key
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        if self.direction is not None:
+            object.__setattr__(self, "direction",
+                               tuple(map(float, self.direction)))
 
     @staticmethod
     def radial_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0
                     ) -> "TestVectorField":
         """ψ(x) = η(|x−c|)(x−c): identity-like inside r0, zero outside r1."""
-        if not 0.0 < r0 < r1:
-            raise InvalidInputError("radial_bump requires 0 < r0 < r1")
-
-        def func(d, rho, eta, eta_p):
-            return eta[..., None] * d
-
-        def div(d, rho, eta, eta_p):
-            return 2.0 * eta + rho * eta_p
-
-        def jac(d, rho, eta, eta_p):
-            k = (eta_p / np.maximum(rho, 1e-300))[..., None, None]
-            outer = d[..., :, None] * d[..., None, :]
-            eye = np.eye(2).reshape((1,) * (d.ndim - 1) + (2, 2))
-            return eta[..., None, None] * eye + k * outer
-
-        return _bump_field(center, r0, r1, func, div, jac)
+        return TestVectorField(center, r0, r1)
 
     @staticmethod
     def directional_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0,
                          direction=(1.0, 0.0)) -> "TestVectorField":
-        """ψ(x) = η(|x−c|)·d for a fixed direction d."""
-        if not 0.0 < r0 < r1:
-            raise InvalidInputError("directional_bump requires 0 < r0 < r1")
-        dvec = np.asarray(direction, dtype=float)
+        """ψ(x) = η(|x−c|)·e for a fixed direction e."""
+        return TestVectorField(center, r0, r1, direction)
 
-        def func(d, rho, eta, eta_p):
-            return eta[..., None] * dvec
+    def func(self, p):
+        d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
+        e = self.direction
+        return eta[..., None] * (d if e is None else np.asarray(e))
 
-        def grad_eta(d, rho, eta_p):
-            return (eta_p / np.maximum(rho, 1e-300))[..., None] * d
+    def div(self, p):
+        bump = _bump(p, self.center, self.r0, self.r1)
+        return self._terms(np.zeros(2), *bump)[0]  # g = 0: div ψ only
 
-        def div(d, rho, eta, eta_p):
-            return np.einsum("...k,k->...", grad_eta(d, rho, eta_p), dvec)
+    def jac(self, p):
+        d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
+        qd = (eta_p / np.maximum(rho, 1e-300))[..., None] * d
+        if self.direction is None:
+            return (eta[..., None, None] * np.eye(2)
+                    + qd[..., :, None] * d[..., None, :])
+        return np.asarray(self.direction)[:, None] * qd[..., None, :]
 
-        def jac(d, rho, eta, eta_p):
-            return dvec[:, None] * grad_eta(d, rho, eta_p)[..., None, :]
-
-        return _bump_field(center, r0, r1, func, div, jac)
+    def _terms(self, g, d, rho, eta, eta_p):
+        """div ψ and gᵀDψg from g and `_bump`'s arrays."""
+        q = eta_p / np.maximum(rho, 1e-300)
+        gd = g[..., 0] * d[..., 0] + g[..., 1] * d[..., 1]
+        if self.direction is None:
+            return (2.0 * eta + rho * eta_p,
+                    eta * (g[..., 0] ** 2 + g[..., 1] ** 2) + q * gd * gd)
+        e0, e1 = self.direction
+        return (q * (d[..., 0] * e0 + d[..., 1] * e1),
+                (g[..., 0] * e0 + g[..., 1] * e1) * q * gd)
 
 
 def _bump(p, center, r0, r1):
     """d = p − c, ρ = |d|, the cutoff η(ρ) = 1 − smoothstep5((ρ−r0)/(r1−r0))
-    and η′(ρ), shared by the bump fields."""
+    and η′(ρ), shared by the fields with one cutoff."""
     d = np.asarray(p, float) - center
     rho = np.hypot(d[..., 0], d[..., 1])
     t = np.clip((rho - r0) / (r1 - r0), 0.0, 1.0)
     eta_p = -(30.0 * t**2 - 60.0 * t**3 + 30.0 * t**4) / (r1 - r0)
     return d, rho, 1.0 - smoothstep5(t), eta_p
-
-
-def _bump_field(center, r0, r1, func, div, jac):
-    """The field whose func, div and jac are the given functions of
-    `_bump`'s arrays at the cutoff (center, r0, r1)."""
-    c = np.asarray(center, dtype=float)
-
-    def at(f):
-        return lambda p: f(*_bump(p, c, r0, r1))
-
-    psi = TestVectorField(func=at(func), div=at(div), jac=at(jac))
-    psi._shared_bump = (c, r0, r1, div, jac)
-    return psi
 
 
 def variational_residual(sol, psi, window: Window, h: float):
@@ -289,50 +286,34 @@ def variational_residual(sol, psi, window: Window, h: float):
     (s²−1)·∫ ψ₁(0, x₂) dx₂ in the limit.
 
     ``psi`` may be a single :class:`TestVectorField` (returns a float) or a
-    sequence of them (returns an array): the solution grid — the expensive
-    part for chart-inverted families — is sampled once and shared, and so
-    is `_bump` for the fields with one cutoff, one cutoff at a time.  A
-    bump field runs only on the cells whose centres lie in its cutoff's box
-    [c − r1, c + r1]²; the integrand is written into a full-size zero
-    array and summed over the whole grid, so the sum adds the same terms
-    in the same order as a full-grid pass would, whose terms outside
-    B_{r1}(c) are exact zeros wherever ∇u is finite.
+    sequence of them (returns an array).  The solution grid is sampled once,
+    and `_bump` once per cutoff (center, r0, r1), on the cells whose centres
+    lie in [c − r1, c + r1]² only.  The integrand goes into a full-size zero
+    array summed over the whole grid: a full-grid pass adds the same terms
+    in the same order, and exact zeros outside B_{r1}(c) where ∇u is finite.
     """
     single = isinstance(psi, TestVectorField)
     psis = [psi] if single else list(psi)
     xs, ys = window.grid(h)
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
-    X, Y = np.meshgrid(cx, cy)
-    pts = np.stack([X, Y], axis=-1)
+    pts = np.stack(np.meshgrid(cx, cy), axis=-1)
     g = sol.eval_grad(pts)
-    ind = sol.in_positive_phase(pts).astype(float)
-    g2 = g[..., 0] ** 2 + g[..., 1] ** 2
+    g2_ind = g[..., 0] ** 2 + g[..., 1] ** 2  # |∇u|² + 1_{u>0}
+    g2_ind += sol.in_positive_phase(pts)
     groups = {}
     for k, p in enumerate(psis):
-        sb = p._shared_bump
-        key = k if sb is None else (sb[0].tobytes(), sb[1], sb[2])
-        groups.setdefault(key, []).append(k)
+        groups.setdefault((p.center, p.r0, p.r1), []).append(k)
     out = np.empty(len(psis))
-    full = np.zeros_like(g2)
-    for ks in groups.values():
-        sb = psis[ks[0]]._shared_bump
-        if sb is None:
-            box = (slice(None), slice(None))
-        else:
-            (c0, c1), r1 = sb[0], sb[2]
-            box = (slice(np.searchsorted(cy, c1 - r1, "left"),
-                         np.searchsorted(cy, c1 + r1, "right")),
-                   slice(np.searchsorted(cx, c0 - r1, "left"),
-                         np.searchsorted(cx, c0 + r1, "right")))
-        P, G, S = pts[box], g[box], g2[box] + ind[box]
-        bump = None if sb is None else _bump(P, *sb[:3])
+    full = np.zeros_like(g2_ind)
+    for (c, r0, r1), ks in groups.items():
+        box = tuple(slice(np.searchsorted(cs, a - r1),
+                          np.searchsorted(cs, a + r1, "right"))
+                    for cs, a in ((cy, c[1]), (cx, c[0])))
+        bump = _bump(pts[box], c, r0, r1)
         for k in ks:
-            p = psis[k]
-            dv = p.div(P) if bump is None else p._shared_bump[3](*bump)
-            J = p.jac(P) if bump is None else p._shared_bump[4](*bump)
-            gJg = np.einsum("...i,...ij,...j->...", G, J, G)
-            full[box] = S * dv - 2.0 * gJg
+            dv, gdg = psis[k]._terms(g[box], *bump)
+            full[box] = g2_ind[box] * dv - 2.0 * gdg
             out[k] = np.sum(full) * h * h
         full[box] = 0.0
         del bump  # before the next cutoff's arrays are made

@@ -4,7 +4,6 @@ slopes, the multigrid preconditioner, and minimizer runs.  scipy's sparse
 matrices and `splu` are the oracle for the 5-point stiffness and for the
 cleanup solve."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -30,7 +29,7 @@ from onephase.variational import (ScalarField2D, TestVectorField, _Multigrid,
                                   variational_residual, viscosity_slope,
                                   weiss_energy)
 
-from helpers import field_from_solution
+from helpers import field_from_solution, traced_peak
 
 
 class TestScalarField:
@@ -201,13 +200,10 @@ class TestResidual:
     def test_bump_fields_share_one_bump(self, monkeypatch):
         # the CLI's radial, e1 and e2 fields at two centres: one `_bump`
         # per centre, freed on return, and the bits of one call per field
-        # that evaluates `_bump` in its own div and jac
         fields = [psi for c in ((0.1, -0.05), (-0.3, 0.2))
                   for _, psi in _bump_fields(c, 0.8)]
         sol, w, h = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 64
-        alone = [variational_residual(
-            sol, TestVectorField(psi.func, psi.div, psi.jac), w, h)
-            for psi in fields]
+        alone = [variational_residual(sol, psi, w, h) for psi in fields]
         refs = []
         bump = variational._bump
 
@@ -222,17 +218,63 @@ class TestResidual:
         assert all(r() is None for r in refs)
         assert got.tobytes() == np.array(alone).tobytes()
 
-    def test_replaced_div_is_used(self):
-        # the shared bump is not a constructor argument, and a field made
-        # by `dataclasses.replace` runs on its own div and jac
-        psi = TestVectorField.radial_bump(center=(0.1, 0.0), r0=0.4, r1=0.9)
-        with pytest.raises(TypeError):
-            TestVectorField(psi.func, psi.div, psi.jac, _shared_bump=None)
-        sol, w, h = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 32
-        zero = dataclasses.replace(psi, div=lambda p: np.zeros(p.shape[:-1]),
-                                   jac=lambda p: np.zeros(p.shape + (2,)))
-        assert variational_residual(sol, zero, w, h) == 0.0
-        assert variational_residual(sol, psi, w, h) != 0.0
+    @given(x=st.floats(-1.5, 1.5), y=st.floats(-1.5, 1.5),
+           gx=st.floats(-10.0, 10.0), gy=st.floats(-10.0, 10.0),
+           theta=st.floats(0.0, 2.0 * np.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_forms_match_jacobian(self, x, y, gx, gy, theta):
+        # the residual's div ψ and gᵀDψg against the trace and the
+        # quadratic form of `jac`, at a drawn point, at ρ = 0 and beyond r1
+        c, r0, r1 = (0.1, -0.2), 0.3, 0.8
+        p = np.array([[x, y], c, [c[0] + 1.2 * r1, c[1]]])
+        g = np.array([gx, gy])
+        for psi in (TestVectorField.radial_bump(c, r0, r1),
+                    TestVectorField.directional_bump(
+                        c, r0, r1, (np.cos(theta), np.sin(theta)))):
+            div, gdg = psi._terms(g, *variational._bump(p, c, r0, r1))
+            J = psi.jac(p)
+            tol = 1e-12 * (1.0 + g @ g)
+            np.testing.assert_allclose(div, np.trace(J, axis1=-2, axis2=-1),
+                                       rtol=0, atol=tol)
+            np.testing.assert_allclose(gdg, np.einsum("i,kij,j->k", g, J, g),
+                                       rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("center", [(0.1, -0.05), (0.3, -0.9),
+                                        (2.5, 0.3)],
+                             ids=["inside", "across_edge", "outside"])
+    def test_support_box_matches_full_grid(self, center):
+        # the full-grid sum of (|∇u|² + 1_{u>0})·div ψ − 2 gᵀ(jac ψ)g over
+        # every cell, against the residual on the cutoff's box only; the
+        # slope-½ plane puts an O(1) residual on its line {x₁ = 0}
+        sol = OneSidedPlane(s=0.5)
+        w, h = Window(-1.0, -0.75, 1.0, 1.0), 1.0 / 64
+        fields = [psi for _, psi in _bump_fields(center, 0.8)]
+        xs, ys = w.grid(h)
+        pts = np.stack(np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
+                                   0.5 * (ys[:-1] + ys[1:])), axis=-1)
+        g = sol.eval_grad(pts)
+        ind = sol.in_positive_phase(pts).astype(float)
+        g2 = np.sum(g * g, axis=-1)
+        oracle = [np.sum((g2 + ind) * psi.div(pts) - 2.0 * np.einsum(
+            "...i,...ij,...j->...", g, psi.jac(pts), g)) * h * h
+            for psi in fields]
+        got = variational_residual(sol, fields, w, h)
+        if center == (2.5, 0.3):
+            assert np.all(got == 0.0) and np.all(np.array(oracle) == 0.0)
+        else:
+            assert np.max(np.abs(oracle)) > 0.1
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
+
+    def test_residual_memory_is_bounded(self):
+        # the CLI's three fields on 128² cells: the arrays over the whole
+        # grid are the points, ∇u, |∇u|² + 1_{u>0} and one integrand
+        sol, w = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0)
+        fields = [psi for _, psi in _bump_fields((0.1, -0.05), 0.8)]
+
+        def run():
+            variational_residual(sol, fields, w, w.width / 128)
+
+        assert traced_peak(run, warm=run) <= 2.5e6
 
     def test_slope_one_is_exact(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
