@@ -243,9 +243,9 @@ class TestResidual:
                                         (2.5, 0.3)],
                              ids=["inside", "across_edge", "outside"])
     def test_support_box_matches_full_grid(self, center):
-        # the full-grid sum of (|∇u|² + 1_{u>0})·div ψ − 2 gᵀ(jac ψ)g over
-        # every cell, against the residual on the cutoff's box only; the
-        # slope-½ plane puts an O(1) residual on its line {x₁ = 0}
+        # the full-grid sum of (|∇u|² + 1_{u>0})·tr(jac ψ) − 2 gᵀ(jac ψ)g
+        # over every cell, against the residual on the cutoff's box only;
+        # the slope-½ plane puts an O(1) residual on its line {x₁ = 0}
         sol = OneSidedPlane(s=0.5)
         w, h = Window(-1.0, -0.75, 1.0, 1.0), 1.0 / 64
         fields = [psi for _, psi in _bump_fields(center, 0.8)]
@@ -255,9 +255,12 @@ class TestResidual:
         g = sol.eval_grad(pts)
         ind = sol.in_positive_phase(pts).astype(float)
         g2 = np.sum(g * g, axis=-1)
-        oracle = [np.sum((g2 + ind) * psi.div(pts) - 2.0 * np.einsum(
-            "...i,...ij,...j->...", g, psi.jac(pts), g)) * h * h
-            for psi in fields]
+        oracle = []
+        for psi in fields:
+            J = psi.jac(pts)
+            oracle.append(np.sum((g2 + ind) * np.trace(J, axis1=-2, axis2=-1)
+                                 - 2.0 * np.einsum("...i,...ij,...j->...",
+                                                   g, J, g)) * h * h)
         got = variational_residual(sol, fields, w, h)
         if center == (2.5, 0.3):
             assert np.all(got == 0.0) and np.all(np.array(oracle) == 0.0)
