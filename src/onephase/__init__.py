@@ -15,9 +15,9 @@ conformal    the conformal charts behind hairpin and Scherk-type solutions
 variational  the functional: discrete energy, minimizer, inner-variation
              residual, Weiss energy, viscosity slopes
 geometry     free-boundary extraction and quantitative checks: Hausdorff,
-             curvature, flux balance, flat trichotomy, annulus flatness
+             flux balance, circle maxima, flat trichotomy, annulus flatness
 traizet      the correspondence with minimal surfaces: the immersion from
-             each family's closed-form primitive, reflected meshes,
+             each family's closed-form primitive, reflected meshes, their
              discrete mean curvature
 cli          batch front end (`onephase <command>`)
 """

@@ -46,12 +46,12 @@ import functools
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .common import Window, format_float, write_csv_atomic, write_json_atomic
+from .common import Window, json_text, write_csv_atomic, write_text_atomic
 from .errors import DomainError, InvalidInputError, OnePhaseError
 from .geometry import (FreeBoundary, classify_flat, annulus_flat_check,
                        circle_max, extract_boundary, flux_balance,
@@ -107,7 +107,7 @@ class ExperimentConfig:
             self.window = tuple(w)
         return self
 
-    def get_window(self, default=(-2.0, -2.0, 2.0, 2.0)) -> Window:
+    def get_window(self, default) -> Window:
         return Window(*(self.window if self.window is not None else default))
 
     def get_solution(self) -> Solution:
@@ -252,10 +252,12 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 
 def _emit(report: dict, path=None) -> None:
-    """Write the report as JSON to `path`, when given, then print it."""
+    """Write the report's JSON text to `path`, when given, then print the
+    same text."""
+    text = json_text(report)
     if path is not None:
-        write_json_atomic(str(path), report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+        write_text_atomic(str(path), text)
+    print(text, end="")
 
 
 def _slug(x: float) -> str:
@@ -339,7 +341,7 @@ def _check(name, fn):
 def cmd_verify(cfg: ExperimentConfig) -> int:
     sol = cfg.get_solution()
     out = _outdir(cfg)
-    window = cfg.get_window(default=sol.verify_window())
+    window = cfg.get_window(sol.verify_window())
     rng = np.random.default_rng(cfg.seed)
     # read before any check runs, so that a bad value is a config error
     res_list = [_whole("mesh_resolutions", r) for r in
@@ -357,10 +359,6 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
     def check_residual():
         hc = window.width / 32.0
-        if abs(round(window.height / hc) * hc - window.height) > 1e-9:
-            raise InvalidInputError(
-                "variational_residual needs a window whose sides are "
-                "commensurable (use a square window)")
         fb = _fb_sample_points(fb_curves())
         center = np.array([0.5 * (window.x0 + window.x1),
                            0.5 * (window.y0 + window.y1)])
@@ -499,7 +497,7 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 def cmd_minimize(cfg: ExperimentConfig) -> int:
     out = _outdir(cfg)
-    window = cfg.get_window(default=(-1.0, -1.0, 1.0, 1.0))
+    window = cfg.get_window((-1.0, -1.0, 1.0, 1.0))
     h = window.width / cfg.resolution
 
     if "boundary_field" in cfg.params:
@@ -521,7 +519,7 @@ def cmd_minimize(cfg: ExperimentConfig) -> int:
     for k, (level_h, energies) in enumerate(zip(result.history_h,
                                                  result.energy_history)):
         phase = result.history_h[:k].count(level_h)
-        history_rows += [[format_float(level_h), phase, it, e]
+        history_rows += [[level_h, phase, it, e]
                          for it, e in enumerate(energies)]
 
     field_path = out / "minimize_field.csv"
@@ -589,13 +587,12 @@ def cmd_classify(cfg: ExperimentConfig) -> int:
     mode = cfg.params.get("mode", "trichotomy")
     if mode == "trichotomy":
         delta = cfg.number("delta", 0.1)
-        rep = classify_flat(sol, delta)
-        body = rep.to_dict()
+        body = asdict(classify_flat(sol, delta))
     elif mode == "annulus":
         delta = cfg.number("delta", 0.01)
         scales = cfg.numbers("scales", [0.05, 0.1, 0.2, 0.4])
         reports = annulus_flat_check(sol, delta, scales)
-        body = {"scales": [r.to_dict() for r in reports],
+        body = {"scales": [asdict(r) for r in reports],
                 "max_graph_slope":
                     max(r.max_graph_slope for r in reports)}
     else:

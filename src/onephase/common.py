@@ -25,6 +25,7 @@ __all__ = [
     "Window",
     "format_float",
     "write_text_atomic",
+    "json_text",
     "write_json_atomic",
     "write_csv_atomic",
     "points_in_polygon",
@@ -132,9 +133,14 @@ class _FloatEncoder(json.JSONEncoder):
         return super().default(o)
 
 
+def json_text(obj) -> str:
+    """`obj` as the package's JSON text: sorted keys, indent 2, numpy
+    values as Python numbers and lists, one final newline."""
+    return json.dumps(obj, cls=_FloatEncoder, indent=2, sort_keys=True) + "\n"
+
+
 def write_json_atomic(path: str, obj):
-    text = json.dumps(obj, cls=_FloatEncoder, indent=2, sort_keys=True)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, json_text(obj))
 
 
 def write_csv_atomic(path: str, header, rows):

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import (Window, densify_polyline, format_float, points_in_polygon,
+from .common import (Window, densify_polyline, points_in_polygon,
                      polyline_length, write_csv_atomic)
 from .errors import DomainError, InvalidInputError, TopologyError
 from .variational import ScalarField2D
@@ -100,10 +100,8 @@ class FreeBoundary:
         return len(self.components)
 
     def save(self, path) -> None:
-        rows = []
-        for ci, comp in enumerate(self.components):
-            for vi, (x, y) in enumerate(comp.vertices):
-                rows.append([ci, vi, format_float(x), format_float(y)])
+        rows = [[ci, vi, x, y] for ci, comp in enumerate(self.components)
+                for vi, (x, y) in enumerate(comp.vertices)]
         write_csv_atomic(str(path), ["component", "vertex", "x", "y"], rows)
 
     @staticmethod
@@ -292,12 +290,6 @@ class FluxReport:
     lipschitz_bound: float
     lemma_holds: bool
 
-    def to_dict(self):
-        return {"net_flux": self.net_flux, "fb_measure": self.fb_measure,
-                "rest_measure": self.rest_measure,
-                "lipschitz_bound": self.lipschitz_bound,
-                "lemma_holds": self.lemma_holds}
-
 
 _GAUSS2 = (np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)]),
            np.array([0.5, 0.5]))
@@ -411,8 +403,11 @@ def _dist_to_polygon_edges(points, polygon) -> np.ndarray:
     return np.min(np.hypot(off[..., 0], off[..., 1]), axis=1)
 
 
-def random_polygon_in_phase(sol, window: Window, rng,
-                            max_tries: int = 500) -> np.ndarray:
+#: candidate polygons `random_polygon_in_phase` draws before it gives up
+_POLYGON_TRIES = 500
+
+
+def random_polygon_in_phase(sol, window: Window, rng) -> np.ndarray:
     """Random simple polygon whose closure lies in the positive phase ∩ window.
 
     Star-shaped about a sampled center (monotone jittered angles, so always
@@ -425,7 +420,7 @@ def random_polygon_in_phase(sol, window: Window, rng,
     `flux_balance` free of free-boundary clipping error, so the net flux is
     pure quadrature.  Deterministic given `rng`."""
     half = 0.5 * min(window.width, window.height)
-    for _ in range(max_tries):
+    for _ in range(_POLYGON_TRIES):
         c = np.array([rng.uniform(window.x0, window.x1),
                       rng.uniform(window.y0, window.y1)])
         if not sol.in_positive_phase(c[None, :])[0]:
@@ -468,7 +463,7 @@ def random_polygon_in_phase(sol, window: Window, rng,
         return verts
     raise DomainError(
         "random_polygon_in_phase: could not place a polygon in the positive "
-        f"phase within {max_tries} tries — window may miss the phase")
+        f"phase within {_POLYGON_TRIES} tries — window may miss the phase")
 
 
 # ---------------------------------------------------------------------------
@@ -552,19 +547,6 @@ class FlatnessReport:
     zero_components_b2: int
     graphs: dict
     arc_attachment_ok: bool
-
-    def to_dict(self):
-        graphs = {k: {kk: (vv.tolist() if isinstance(vv, np.ndarray) else vv)
-                      for kk, vv in g.items()}
-                  for k, g in self.graphs.items()}
-        return {"case": self.case, "delta": self.delta,
-                "hausdorff_measured": self.hausdorff_measured,
-                "pos_components_b1": self.pos_components_b1,
-                "zero_components_b1": self.zero_components_b1,
-                "pos_components_b2": self.pos_components_b2,
-                "zero_components_b2": self.zero_components_b2,
-                "graphs": graphs,
-                "arc_attachment_ok": self.arc_attachment_ok}
 
 
 def _graph_from_strand(poly, lo, hi, n=101):
@@ -697,11 +679,6 @@ class AnnulusScaleReport:
     flatness: float
     max_graph_slope: float
 
-    def to_dict(self):
-        return {"r": self.r, "rotation": self.rotation,
-                "flatness": self.flatness,
-                "max_graph_slope": self.max_graph_slope}
-
 
 #: polar grid of the annulus search (angles × radii) and its coarse
 #: rotations; every coarse rotation is a whole number of grid angles.
@@ -815,13 +792,14 @@ def _coarse_best(U0, Pref):
     return int(k_best)
 
 
-def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
+def annulus_flat_check(sol, delta: float, scales) -> list:
     """Removable-singularity flatness probe on the annulus B₁ ∖ B_δ.
 
     Precondition (A): the free boundary inside the annulus consists of
     exactly two strands, each connecting the inner circle to the outer one.
-    T is the positive-phase component containing `seed_point`, a point of
-    [−1, 1]² (or the largest one touching the inner region when omitted).
+    T is always the positive-phase component with the most nodes on the
+    labelling grid among those with a node in B_{4δ} ∖ B_δ, the inner
+    region; no caller chooses it.
     For each scale r, finds the rotation ρ minimizing the sup distance of
     u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}: a coarse
     search over 360 angles, then up to three least-squares steps zeroing
@@ -841,13 +819,6 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
         raise InvalidInputError(
             "annulus_flat_check: scales must lie in "
             f"({_ANNULUS_INNER:g}·delta, 1]")
-    try:
-        sp = None if seed_point is None else np.asarray(seed_point, float)
-    except (TypeError, ValueError):
-        sp = np.empty(0)
-    if sp is not None and (sp.shape != (2,) or not np.all(np.abs(sp) <= 1.0)):
-        raise InvalidInputError("annulus_flat_check: seed_point must be a "
-                                f"point of [-1, 1]², got {seed_point!r}")
 
     step = 2.0 / (_ANNULUS_NODES - 1) / 2.0
     # topology precondition (A)
@@ -886,25 +857,18 @@ def annulus_flat_check(sol, delta: float, scales, seed_point=None) -> list:
     labels, n_comp = _label4((U > _ANNULUS_EPS) & active)
     if n_comp == 0:
         raise TopologyError("annulus_flat_check: no positive phase on annulus")
-    if sp is not None:
-        i, j = np.rint((sp + 1.0) / grid_h).astype(int)
-        t_label = int(labels[j, i])
-        if t_label == 0:
-            raise InvalidInputError("annulus_flat_check: seed_point not in "
-                                    "the positive phase")
-    else:
-        # largest component with nodes near the inner circle
-        inner_band = active & (R2 <= 4.0 * r_in**2)
-        best, t_label = -1, 0
-        for lab in range(1, n_comp + 1):
-            if not np.any((labels == lab) & inner_band):
-                continue
-            size = int(np.sum(labels == lab))
-            if size > best:
-                best, t_label = size, lab
-        if t_label == 0:
-            raise TopologyError("annulus_flat_check: no positive component "
-                                "touches the inner region")
+    # T: the largest component with nodes near the inner circle
+    inner_band = active & (R2 <= 4.0 * r_in**2)
+    best, t_label = -1, 0
+    for lab in range(1, n_comp + 1):
+        if not np.any((labels == lab) & inner_band):
+            continue
+        size = int(np.sum(labels == lab))
+        if size > best:
+            best, t_label = size, lab
+    if t_label == 0:
+        raise TopologyError("annulus_flat_check: no positive component "
+                            "touches the inner region")
 
     code = (labels > 0).astype(np.int8) + (labels == t_label)
 

@@ -269,8 +269,8 @@ class Solution(ABC):
     # ---- default windows of the CLI commands ------------------------------
     def boundary_window(self) -> tuple:
         """Default `boundary` window, wide enough to show the family's
-        shape."""
-        return (-2.0, -2.0, 2.0, 2.0)
+        shape; the `verify` window unless the family widens it."""
+        return self.verify_window()
 
     def verify_window(self) -> tuple:
         """Default `verify` window, sized so the free boundary passes through
@@ -577,10 +577,6 @@ class DiskComplement(Solution):
         n = max(int(np.ceil(2.0 * np.pi * self.R / step)), 16)
         t = np.linspace(0.0, 2.0 * np.pi, n + 1)
         return [self.R * np.stack([np.cos(t), np.sin(t)], axis=-1)[::-1]]
-
-    def boundary_window(self):
-        R = self.R
-        return (-2.0 * R, -2.0 * R, 2.0 * R, 2.0 * R)
 
     def verify_window(self):
         L = 2.0 * self.R

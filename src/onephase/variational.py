@@ -740,7 +740,7 @@ def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS):
     return x, False
 
 
-def _relax(v, h, tol):
+def _relax(v, h):
     """One cascade level of `minimize_ac`, the annealed projected Newton
     descent and the cleanup, on the C-contiguous node array `v`, whose
     boundary ring keeps its values.  Trial steps evaluate only the energy;
@@ -774,7 +774,7 @@ def _relax(v, h, tol):
         for _it in range(_MAX_NEWTON_STEPS):
             iterations += 1
             residual = free_residual(v, g)
-            if residual <= tol:
+            if residual <= _DESCENT_TOL:
                 break
             d = newton_direction(v, g, eps)
             # d vanishes on the boundary ring, so each trial step keeps it
@@ -888,7 +888,7 @@ def minimize_ac(window: Window, h: float, boundary, init=None,
         else:
             v = np.maximum(np.asarray(init(pts), dtype=float), 0.0)
         v[fixed] = bvals
-        v, hist, n_iter, residual = _relax(v, level_h, _DESCENT_TOL)
+        v, hist, n_iter, residual = _relax(v, level_h)
         energy_history += hist
         history_h += [level_h] * len(hist)
         iterations += n_iter

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from onephase.cli import (PARAMS, WINDOW_LIMIT, build_parser,
+from onephase.cli import (PARAMS, WINDOW_LIMIT, _emit, build_parser,
                           config_from_args, main)
 from onephase.solutions import KINDS, HalfPlane, Window
 from onephase.variational import (ScalarField2D, minimize_ac,
@@ -447,11 +447,6 @@ class TestConfigHandling:
                    "--param", "mode=annulus", "--param", "delta=abc",
                    "--out", str(tmp_path)) == 2
 
-    def test_non_numeric_minimize_param(self, tmp_path):
-        # minimize has no `h` parameter; any value of it is rejected
-        assert run("minimize", "--family", "half_plane", "--param", "h=abc",
-                   "--out", str(tmp_path)) == 2
-
     def test_list_param_given_as_one_number(self, tmp_path):
         assert run("classify", "--family", "half_plane",
                    "--param", "mode=annulus", "--param", "scales=0.4",
@@ -522,11 +517,6 @@ class TestConfigHandling:
         assert run("boundary", "--family", "half_plane",
                    "--param", f"step={step}", "--out", str(tmp_path)) == 2
 
-    def test_zero_minimize_spacing(self, tmp_path):
-        # the spacing is width / resolution; `h` cannot be given
-        assert run("minimize", "--family", "half_plane", "--param", "h=0",
-                   "--out", str(tmp_path)) == 2
-
     @pytest.mark.parametrize("params", [
         {"n_polygons": 0}, {"n_polygons": -2},
         {"mesh_resolutions": [0]}, {"mesh_resolutions": [-8]},
@@ -554,14 +544,6 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err.startswith(
             f"config error: {next(iter(params))} must be an integer")
-        assert not (tmp_path / "verify_report.json").exists()
-
-    @pytest.mark.parametrize("value", ["0", "-1", "abc"])
-    @pytest.mark.parametrize("key", ["slope_fd_offset", "flux_step"])
-    def test_bad_verify_step(self, tmp_path, key, value):
-        # rejected before any check runs: no report is written
-        assert run("verify", "--family", "half_plane",
-                   "--param", f"{key}={value}", "--out", str(tmp_path)) == 2
         assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize("key", ["resolution", "seed"])
@@ -663,6 +645,30 @@ class TestConfigHandling:
                    "--out", str(tmp_path / "out")) == 2
         assert capsys.readouterr().err.startswith("config error: unknown")
         assert not (tmp_path / "out").exists()
+
+
+class TestReportOutput:
+    def test_numpy_values_print_as_written(self, tmp_path, capsys):
+        # the printed text comes from the encoder that writes the file
+        path = tmp_path / "report.json"
+        _emit({"x": np.float64(0.1), "n": np.int64(3),
+               "v": np.array([1.0, 2.5])}, path)
+        text = path.read_text()
+        assert capsys.readouterr().out == text
+        assert json.loads(text) == {"x": 0.1, "n": 3, "v": [1.0, 2.5]}
+
+    @pytest.mark.parametrize("argv, report", [
+        (["verify", "--family", "two_plane", "--param", "a=0.5"],
+         "verify_report.json"),
+        (["minimize", "--family", "half_plane", "--resolution", "32"],
+         "minimize_report.json"),
+        (["traizet", "--family", "half_plane", "--resolution", "32"],
+         "traizet_half_plane_report.json"),
+        (["classify", "--family", "half_plane"], "classify_report.json")],
+        ids=["verify", "minimize", "traizet", "classify"])
+    def test_stdout_is_the_report(self, tmp_path, capsys, argv, report):
+        assert run(*argv, "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out == (tmp_path / report).read_text()
 
 
 class TestEntryPoint:

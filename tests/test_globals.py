@@ -2,11 +2,11 @@
 exist, and so must every name a module exports; quadrature stays out of the
 chart and Traizet layers; every error class is raised somewhere; each CLI
 command reads exactly the parameters `cli.PARAMS` and the settings
-`cli.SETTINGS` declare for it, since the CLI rejects any other name.  No
-module imports scipy: the minimizer solves its 5-point systems by
-multigrid-preconditioned CG in numpy, so `import onephase` and every
-command, `minimize` included, load no scipy module.  The tests keep scipy
-as an oracle.
+`cli.SETTINGS` declare for it, since the CLI rejects any other name;
+only `onephase.common` encodes JSON.  No module imports scipy: the
+minimizer solves its 5-point systems by multigrid-preconditioned CG in
+numpy, so `import onephase` and every command, `minimize` included, load
+no scipy module.  The tests keep scipy as an oracle.
 
 A call to a helper that was never defined only fails when its branch runs,
 which a seeded test may never reach.  This compiles each module, walks all
@@ -170,6 +170,28 @@ def test_only_the_variational_layer_uses_quadrature():
     # quadrature routes that check them
     assert [m for m in MODULES
             if "onephase.quad" in _imported(m)] == ["onephase.variational"]
+
+
+def _encodes_json(module_name):
+    """Whether the module's source names `json.dump` or `json.dumps`, as an
+    attribute or in an import."""
+    path = Path(importlib.import_module(module_name).__file__)
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"):
+            return True
+        if (isinstance(node, ast.ImportFrom) and node.module == "json"
+                and any(a.name in ("dump", "dumps") for a in node.names)):
+            return True
+    return False
+
+
+def test_only_the_common_layer_encodes_json():
+    # every report, sidecar and printed copy goes through common.json_text,
+    # so numpy values and key order are handled in one place
+    assert [m for m in ["onephase"] + MODULES
+            if _encodes_json(m)] == ["onephase.common"]
 
 
 @pytest.mark.parametrize("module_name", ["onephase.common",
