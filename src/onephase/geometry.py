@@ -310,6 +310,8 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
 
     The polygon is given by its vertices (auto-closed) and must be simple;
     edge quadrature is composite 2-point Gauss with pieces of length ≤ step.
+    The phase is read at the Gauss nodes of every edge in one call, and ∇u
+    at the positive ones in one more.
     """
     P = np.asarray(polygon, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2 or len(P) < 3:
@@ -330,9 +332,10 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
     if area2 < 0:
         P = P[::-1]
 
-    # the positive-phase Gauss nodes of every edge, for one gradient call
+    # the Gauss nodes of every edge, for one phase call and one gradient
+    # call on the positive ones
     gt, gw = _GAUSS2
-    edges = []
+    nodes = []
     for i in range(n):
         a, b = P[i], P[(i + 1) % n]
         d = b - a
@@ -341,8 +344,13 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
         edges_t = (np.arange(pieces)[:, None] + gt[None, :]) / pieces
         ts = edges_t.ravel()
         ws = np.tile(gw / pieces, pieces) * elen
-        pts = a[None, :] + ts[:, None] * d[None, :]
-        pos = sol.in_positive_phase(pts)
+        nodes.append((d, elen, ws, a[None, :] + ts[:, None] * d[None, :]))
+    in_phase = sol.in_positive_phase(np.vstack([p for *_, p in nodes]))
+    edges = []
+    start = 0
+    for d, elen, ws, pts in nodes:
+        pos = in_phase[start:start + len(ws)]
+        start += len(ws)
         if np.any(pos):
             edges.append((np.array([d[1], -d[0]]) / elen, ws[pos], pts[pos]))
     flux = 0.0
@@ -576,7 +584,8 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
 
     Classification is by 4-connected component counting of
     {u > `_TRICHOTOMY_EPS`} and {u ≤ `_TRICHOTOMY_EPS`} on
-    `_TRICHOTOMY_NODES`² node grids over B₁ and B₂; the δ-precondition is
+    `_TRICHOTOMY_NODES`² node grids over B₁ and B₂, with u evaluated at the
+    nodes inside each disk only; the δ-precondition is
     checked against the measured Hausdorff distance with 10% slack.  A
     `ScalarField2D` is read by bilinear interpolation, and its free
     boundary by `extract_boundary`.
@@ -610,7 +619,8 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
         xs = np.linspace(-R, R, _TRICHOTOMY_NODES)
         X, Y = np.meshgrid(xs, xs)
         active = X**2 + Y**2 <= R * R
-        u = u_at(np.stack([X, Y], axis=-1))
+        u = np.zeros(active.shape)
+        u[active] = u_at(np.stack([X[active], Y[active]], axis=-1))
         return _phase_components(u, active, _TRICHOTOMY_EPS)
 
     n_pos1, n_zero1 = counts_on_ball(1.0)
@@ -799,7 +809,8 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
     exactly two strands, each connecting the inner circle to the outer one.
     T is always the positive-phase component with the most nodes on the
     labelling grid among those with a node in B_{4δ} ∖ B_δ, the inner
-    region; no caller chooses it.
+    region; no caller chooses it.  u is evaluated at the labelling grid's
+    nodes in B₁ ∖ B_δ only.
     For each scale r, finds the rotation ρ minimizing the sup distance of
     u·1_T(ρ·) to the half-plane profile P over B_r ∖ B_{2δ}: a coarse
     search over 360 angles, then up to three least-squares steps zeroing
@@ -853,8 +864,10 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
     X, Y = np.meshgrid(xs, xs)
     R2 = X**2 + Y**2
     active = (R2 <= 1.0) & (R2 >= delta * delta)
-    U = sol.eval_u(np.stack([X, Y], axis=-1))
-    labels, n_comp = _label4((U > _ANNULUS_EPS) & active)
+    pos = np.zeros(active.shape, dtype=bool)
+    pos[active] = sol.eval_u(np.stack([X[active], Y[active]], axis=-1)) \
+        > _ANNULUS_EPS
+    labels, n_comp = _label4(pos)
     if n_comp == 0:
         raise TopologyError("annulus_flat_check: no positive phase on annulus")
     # T: the largest component with nodes near the inner circle

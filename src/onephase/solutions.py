@@ -76,6 +76,11 @@ def _as_points(points):
     return p
 
 
+def _sup_norm(p):
+    """max(|x₁|, |x₂|) of points (..., 2), a coordinate at a time."""
+    return np.maximum(np.abs(p[..., 0]), np.abs(p[..., 1]))
+
+
 @dataclass(frozen=True)
 class RigidMotion:
     """Rotation by `angle` followed by translation by `shift`:
@@ -85,23 +90,42 @@ class RigidMotion:
     angle: float = 0.0
     shift: tuple = (0.0, 0.0)
 
-    def _rotate(self, p, sign: float):
-        """R_{sign·θ}·p elementwise, so a point rounds alone as in a batch."""
+    def _rotate(self, x, y, sign: float, out, spare=None):
+        """out = R_{sign·θ}·(x, y) for coordinate arrays x and y, one
+        coordinate at a time into the (..., 2) array `out`, so a point
+        rounds alone as in a batch.  c·y goes into `spare`, a new array
+        if None (y itself where the caller no longer needs it)."""
         c, s = np.cos(sign * self.angle), np.sin(sign * self.angle)
-        x, y = p[..., 0], p[..., 1]
-        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
+        o0, o1 = out[..., 0], out[..., 1]
+        np.multiply(c, x, out=o0)
+        np.multiply(s, y, out=o1)
+        o0 -= o1
+        np.multiply(s, x, out=o1)
+        o1 += np.multiply(c, y, out=spare)
+        return out
 
     def to_body(self, points):
-        p = _as_points(points) - np.asarray(self.shift, dtype=float)
-        return self._rotate(p, -1.0)
+        """R_{−θ}(x − t), a coordinate at a time: its only arrays are the
+        two shifted coordinates and the result."""
+        p = _as_points(points)
+        x, y = np.empty(p.shape[:-1]), np.empty(p.shape[:-1])
+        np.subtract(p[..., 0], float(self.shift[0]), out=x)
+        np.subtract(p[..., 1], float(self.shift[1]), out=y)
+        return self._rotate(x, y, -1.0, np.empty(p.shape), spare=y)
 
     def to_world(self, points):
-        return (self._rotate(_as_points(points), 1.0)
-                + np.asarray(self.shift, dtype=float))
+        """R_θ·x + t, a coordinate at a time into the result."""
+        p = _as_points(points)
+        out = self._rotate(p[..., 0], p[..., 1], 1.0, np.empty(p.shape))
+        out[..., 0] += float(self.shift[0])
+        out[..., 1] += float(self.shift[1])
+        return out
 
     def vector_to_world(self, vectors):
-        """Push a body-frame vector field (gradient) to world frame."""
-        return self._rotate(np.asarray(vectors, dtype=float), 1.0)
+        """Push a body-frame vector field (gradient) to world frame: R_θ·v,
+        a coordinate at a time into the result."""
+        v = np.asarray(vectors, dtype=float)
+        return self._rotate(v[..., 0], v[..., 1], 1.0, np.empty(v.shape))
 
     def is_identity(self) -> bool:
         return self.angle == 0.0 and tuple(self.shift) == (0.0, 0.0)
@@ -199,7 +223,7 @@ class Solution(ABC):
 
     def _on_fb(self, p):
         """Body points within the boundary tolerance of F(u)."""
-        tol = BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
+        tol = BOUNDARY_TOL * (1.0 + _sup_norm(p))
         return self._fb_dist_body(p) <= tol
 
     def primitive(self, points):
@@ -474,7 +498,7 @@ class Hairpin(Solution):
         x2 = p[..., 1]
         if boundary_limit:
             # points on F up to rounding: clip vertically onto the catenary
-            scale = 1.0 + np.abs(p).max(axis=-1)
+            scale = 1.0 + _sup_norm(p)
             inside = np.abs(x2) <= bound + BOUNDARY_TOL * self.a * scale
             x2 = np.clip(x2, -bound, bound)
         else:
@@ -626,7 +650,7 @@ class Scherk(Solution):
         qf, sign1 = self._fold(p / self.a)
         inside = scherk_loop_implicit(self.s, qf) > 0.0
         if boundary_limit:
-            scale = 1.0 + np.abs(qf).max(axis=-1)
+            scale = 1.0 + _sup_norm(qf)
             near = ~inside & (self._fb_dist_body(p)
                               <= BOUNDARY_TOL * self.a * scale)
             if np.any(near):

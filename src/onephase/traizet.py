@@ -372,16 +372,14 @@ def _dot3(u, v):
     return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
 
 
-def _triangle_terms(x, tris, fn, cot, contrib):
-    """One block of a `mean_curvature` pass: the area-weighted face normal
-    fn[c] per coordinate c, and the cotangent cot[k] and Meyer mixed area
-    contrib[k] per corner k; fn or contrib None skips it.  x[c] holds
+def _triangle_terms(x, tris, cot, contrib):
+    """One block of `mean_curvature`'s first pass: the cotangent cot[k]
+    and the Meyer mixed area contrib[k] per corner k.  x[c] holds
     coordinate c of every vertex."""
     # E[k] runs from corner k to corner k+1 (indices mod 3).  At corner k
     # the edges to the next two corners are e1 = E[k] and e2 = −E[k+2], and
     # the opposite edge is E[k+1].  Negating a difference is exact, so the
-    # terms in e2 below are those in E[k+2] with their signs flipped, and
-    # the face normal (p₁ − p₀) × (p₂ − p₀) is −E[0] × E[2].
+    # terms in e2 below are those in E[k+2] with their signs flipped.
     E = [[], [], []]
     for c in range(3):
         p = [x[c].take(t) for t in tris.T]
@@ -395,15 +393,11 @@ def _triangle_terms(x, tris, fn, cot, contrib):
         u, v = E[k], E[(k + 2) % 3]
         w = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
              u[0] * v[1] - u[1] * v[0]]
-        if k == 0 and fn is not None:
-            np.negative(w, out=fn)
         cross.append(np.sqrt((w[0] * w[0] + w[1] * w[1]) + w[2] * w[2]))
         dot.append(-_dot3(u, v))
         del w
     for k in range(3):
         np.divide(dot[k], np.where(cross[k] > 0, cross[k], 1.0), out=cot[k])
-    if contrib is None:
-        return
     sq = [_dot3(e, e) for e in E]        # sq[k] = |E[k]|²
     del E
     # Meyer mixed area at corner k, from its own |e1 × e2|
@@ -420,6 +414,18 @@ def _triangle_terms(x, tris, fn, cot, contrib):
                               voronoi)
 
 
+def _face_normal(x, tris, c, out):
+    """Coordinate c of the area-weighted face normal (p₁ − p₀) × (p₂ − p₀)
+    of a block of triangles, into `out`: −(E[0] × E[2])_c with E[k] from
+    corner k to corner k+1, as the cross product of `_triangle_terms`
+    rounds it."""
+    p, q = ([x[j].take(t) for t in tris.T] for j in ((c + 1) % 3,
+                                                     (c + 2) % 3))
+    np.subtract((p[1] - p[0]) * (q[0] - q[2]), (q[1] - q[0]) * (p[0] - p[2]),
+                out=out)
+    np.negative(out, out=out)
+
+
 def mean_curvature(mesh: SurfaceMesh):
     """Signed discrete mean curvature at interior vertices: the cotangent
     Laplacian of position dotted with the (area-weighted) vertex normal over
@@ -427,52 +433,55 @@ def mean_curvature(mesh: SurfaceMesh):
     Boundary vertices get NaN.  Returns (H, interior_mask).
 
     Its temporary memory is 48 bytes per triangle, a few arrays per vertex
-    and a fixed amount per block.  Two passes over blocks of `_CHUNK`
-    triangles, with coordinates first, each keep what their sums need: the
-    first the face normals and the Meyer areas, freed once the normal and
-    area sums are taken, the second the cotangents, recomputed by the same
-    arithmetic; every other temporary lives for one block.  np.add.at then
-    adds the terms of each per-vertex sum in a fixed order, corner 0 of
-    every triangle, then corner 1, then corner 2, the triangles in order.
-    The cross products, lengths and dot products round as np.cross,
-    np.linalg.norm and np.einsum do on rows of three (the tests' oracle
-    uses them), so H does not depend on the block length."""
+    and a fixed amount per block.  A pass over blocks of `_CHUNK`
+    triangles, with coordinates first, keeps the cotangents and the Meyer
+    areas, freed once the area sums are taken; then each coordinate of the
+    face normals, and then each Laplacian weight, is formed in one
+    triangle-length buffer; every other temporary lives for one block.
+    np.add.at then adds the terms of each per-vertex sum in a fixed order,
+    corner 0 of every triangle, then corner 1, then corner 2, the triangles
+    in order.  The cross products, lengths and dot products round as
+    np.cross, np.linalg.norm and np.einsum do on rows of three (the tests'
+    oracle uses them), so H does not depend on the block length."""
     tris = mesh.triangles
     n, m = len(mesh.vertices), len(tris)
     # before the per-triangle arrays exist, to keep the peak memory down
     interior = ~mesh.boundary_vertices()
     x = np.ascontiguousarray(mesh.vertices.T)
     blocks = [slice(lo, lo + _CHUNK) for lo in range(0, m, _CHUNK)]
-    fn, contrib = np.empty((3, m)), np.empty((3, m))
+    cot, contrib = np.empty((3, m)), np.empty((3, m))
     for b in blocks:
-        _triangle_terms(x, tris[b], fn[:, b], np.empty_like(fn[:, b]),
-                        contrib[:, b])
+        _triangle_terms(x, tris[b], cot[:, b], contrib[:, b])
 
     # each per-triangle array goes as soon as its sums are taken
     area = np.zeros(n)
     for k, b in itertools.product(range(3), blocks):
         np.add.at(area, tris[b, k], contrib[k, b])
     del contrib
+    w = np.empty(m)
     normals = np.zeros((3, n))
-    for k, b, c in itertools.product(range(3), blocks, range(3)):
-        np.add.at(normals[c], tris[b, k], fn[c, b])
-    del fn
+    for c in range(3):
+        for b in blocks:
+            _face_normal(x, tris[b], c, w[b])
+        for k, b in itertools.product(range(3), blocks):
+            np.add.at(normals[c], tris[b, k], w[b])
     norm = np.linalg.norm(normals, axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
         normals /= np.where(norm > 0, norm, 1.0)
-    cot = np.empty((3, m))
-    for b in blocks:
-        _triangle_terms(x, tris[b], None, cot[:, b], None)
     # cot of the angle at corner k weights the opposite edge (i1, i2):
-    # +cot·E[k+1] at i1 = tris[:, k+1], then −cot·E[k+1] at i2 = tris[:, k+2]
+    # +cot·E[k+1] at i1 = tris[:, k+1], then −cot·E[k+1] at i2 = tris[:, k+2],
+    # each weight formed once into `w`; a coordinate's sum sees the same
+    # scatters in the same order whichever coordinate goes first
     lap = np.zeros((3, n))
-    for k in range(3):
+    for k, c in itertools.product(range(3), range(3)):
         i1, i2 = tris[:, (k + 1) % 3], tris[:, (k + 2) % 3]
+        for b in blocks:
+            np.subtract(x[c].take(i2[b]), x[c].take(i1[b]), out=w[b])
+            w[b] *= cot[k, b]
         for scatter, at in ((np.add.at, i1), (np.subtract.at, i2)):
-            for b, c in itertools.product(blocks, range(3)):
-                scatter(lap[c], at[b],
-                        cot[k, b] * (x[c].take(i2[b]) - x[c].take(i1[b])))
-    del cot, x
+            for b in blocks:
+                scatter(lap[c], at[b], w[b])
+    del cot, x, w
 
     H = np.full(n, np.nan)
     safe = interior & (area > 0)

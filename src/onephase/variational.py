@@ -286,34 +286,47 @@ def variational_residual(sol, psi, window: Window, h: float):
     (s²−1)·∫ ψ₁(0, x₂) dx₂ in the limit.
 
     ``psi`` may be a single :class:`TestVectorField` (returns a float) or a
-    sequence of them (returns an array).  The solution grid is sampled once,
-    and `_bump` once per cutoff (center, r0, r1), on the cells whose centres
-    lie in [c − r1, c + r1]² only.  The integrand goes into a full-size zero
-    array summed over the whole grid: a full-grid pass adds the same terms
-    in the same order, and exact zeros outside B_{r1}(c) where ∇u is finite.
+    sequence of them (returns an array).  ∇u and the phase are sampled once,
+    on the hull of the cutoffs' boxes, the cells whose centres lie in
+    [c − r1, c + r1]² for some cutoff (center, r0, r1), and nowhere else;
+    `_bump` runs once per cutoff, on its box only.  The integrand goes into
+    a full-size zero array summed over the whole grid: a full-grid pass adds
+    the same terms in the same order, and exact zeros outside B_{r1}(c)
+    where ∇u is finite.
     """
     single = isinstance(psi, TestVectorField)
     psis = [psi] if single else list(psi)
     xs, ys = window.grid(h)
     cx = 0.5 * (xs[:-1] + xs[1:])
     cy = 0.5 * (ys[:-1] + ys[1:])
-    pts = np.stack(np.meshgrid(cx, cy), axis=-1)
-    g = sol.eval_grad(pts)
-    g2_ind = g[..., 0] ** 2 + g[..., 1] ** 2  # |∇u|² + 1_{u>0}
-    g2_ind += sol.in_positive_phase(pts)
     groups = {}
     for k, p in enumerate(psis):
         groups.setdefault((p.center, p.r0, p.r1), []).append(k)
-    out = np.empty(len(psis))
-    full = np.zeros_like(g2_ind)
-    for (c, r0, r1), ks in groups.items():
-        box = tuple(slice(np.searchsorted(cs, a - r1),
-                          np.searchsorted(cs, a + r1, "right"))
+    # each cutoff's box as (first, end) rows and columns; an empty box is
+    # ((0, 0), (0, 0)), empty at any offset
+    boxes = {}
+    for c, r0, r1 in groups:
+        box = tuple((int(np.searchsorted(cs, a - r1)),
+                     int(np.searchsorted(cs, a + r1, "right")))
                     for cs, a in ((cy, c[1]), (cx, c[0])))
-        bump = _bump(pts[box], c, r0, r1)
+        boxes[c, r0, r1] = box if all(a < b for a, b in box) \
+            else ((0, 0), (0, 0))
+    used = [b for b in boxes.values() if b[0][0] < b[0][1]]
+    lo = [min((b[i][0] for b in used), default=0) for i in (0, 1)]
+    hi = [max((b[i][1] for b in used), default=0) for i in (0, 1)]
+    pts = np.stack(np.meshgrid(cx[lo[1]:hi[1]], cy[lo[0]:hi[0]]), axis=-1)
+    g = sol.eval_grad(pts)
+    g2_ind = g[..., 0] ** 2 + g[..., 1] ** 2  # |∇u|² + 1_{u>0}
+    g2_ind += sol.in_positive_phase(pts)
+    out = np.empty(len(psis))
+    full = np.zeros((len(cy), len(cx)))
+    for key, ks in groups.items():
+        box = tuple(slice(a, b) for a, b in boxes[key])
+        local = tuple(slice(a - o, b - o) for (a, b), o in zip(boxes[key], lo))
+        bump = _bump(pts[local], *key)
         for k in ks:
-            dv, gdg = psis[k]._terms(g[box], *bump)
-            full[box] = g2_ind[box] * dv - 2.0 * gdg
+            dv, gdg = psis[k]._terms(g[local], *bump)
+            full[box] = g2_ind[local] * dv - 2.0 * gdg
             out[k] = np.sum(full) * h * h
         full[box] = 0.0
         del bump  # before the next cutoff's arrays are made

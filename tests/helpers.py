@@ -1,4 +1,5 @@
-"""Helpers that only the tests call: a solution sampled on a window's grid,
+"""Helpers that only the tests call: one member of each family, a solution
+sampled on a window's grid, a count of the points a solution is handed,
 the Scherk chart's upper strip boundary line, the Menger curvature of a
 polyline, and the traced memory peak of a call."""
 
@@ -8,7 +9,16 @@ import numpy as np
 
 from onephase.errors import DomainError, InvalidInputError
 from onephase.geometry import PolyCurve
+from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
+                                OneSidedPlane, RigidMotion, Scherk, TwoPlane,
+                                Wedge)
 from onephase.variational import ScalarField2D
+
+#: one member of each family, two of them moved
+FAMILY_MEMBERS = [
+    HalfPlane(), TwoPlane(0.5, motion=RigidMotion(0.3, (0.1, 0.0))),
+    Wedge(0.7), Hairpin(0.5), DiskComplement(0.6, motion=RigidMotion(
+        0.0, (0.2, -0.1))), Scherk(0.5, 0.3), OneSidedPlane(0.5)]
 
 
 def field_from_solution(sol, window, h):
@@ -17,6 +27,14 @@ def field_from_solution(sol, window, h):
     X, Y = np.meshgrid(xs, ys)
     vals = sol.eval_u(np.stack([X, Y], axis=-1))
     return ScalarField2D(window=window, h=h, values=vals)
+
+
+def count_points(monkeypatch, sol, name):
+    """The list of point counts of every later `sol.<name>` call."""
+    f, sizes = getattr(sol, name), []
+    monkeypatch.setattr(sol, name, lambda p, *args: sizes.append(
+        int(np.prod(np.shape(p)[:-1]))) or f(p, *args))
+    return sizes
 
 
 def upper_line_x2(chart, u):

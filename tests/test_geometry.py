@@ -24,10 +24,12 @@ from onephase.geometry import (_ANNULUS_ANGLES, _ANNULUS_EPS, _ANNULUS_NODES,
                                extract_boundary, flux_balance, hausdorff,
                                random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
-                                RigidMotion, Scherk, TwoPlane, Wedge, Window)
+                                OneSidedPlane, RigidMotion, Scherk, TwoPlane,
+                                Wedge, Window)
 from onephase.variational import ScalarField2D
 
-from helpers import curve_curvature, field_from_solution
+from helpers import (FAMILY_MEMBERS, count_points, curve_curvature,
+                     field_from_solution)
 
 
 def _circle(R=1.0, n=64, ccw=True, center=(0.0, 0.0)):
@@ -415,7 +417,50 @@ class TestCircleMax:
             circle_max(halfplane, (0.0, 0.0), -1.0)
 
 
+def _edge_flux_oracle(sol, P, step):
+    """flux, rest measure and Lipschitz bound of `flux_balance` on the open
+    counterclockwise polygon P, with one phase call per edge."""
+    gt, gw = geometry._GAUSS2
+    edges = []
+    for i in range(len(P)):
+        a, d = P[i], P[(i + 1) % len(P)] - P[i]
+        elen = float(np.hypot(d[0], d[1]))
+        pieces = max(1, int(np.ceil(elen / step)))
+        ts = ((np.arange(pieces)[:, None] + gt[None, :]) / pieces).ravel()
+        ws = np.tile(gw / pieces, pieces) * elen
+        pts = a[None, :] + ts[:, None] * d[None, :]
+        pos = sol.in_positive_phase(pts)
+        if np.any(pos):
+            edges.append((np.array([d[1], -d[0]]) / elen, ws[pos], pts[pos]))
+    flux = rest = lip = 0.0
+    if edges:
+        grads = sol.eval_grad(np.vstack([p for _, _, p in edges]))
+        start = 0
+        for nu, ws, _ in edges:
+            g = grads[start:start + len(ws)]
+            start += len(ws)
+            flux += float(np.sum(ws * (g @ nu)))
+            rest += float(np.sum(ws))
+            lip = max(lip, float(np.max(np.hypot(g[:, 0], g[:, 1]))))
+    return flux, rest, lip
+
+
 class TestFluxBalance:
+    @pytest.mark.parametrize("sol", FAMILY_MEMBERS,
+                             ids=lambda sol: sol.kind)
+    @pytest.mark.parametrize("poly", [
+        [[-0.5, -3.0], [3.0, -3.0], [3.0, 3.0], [-0.5, 3.0]],
+        [[0.6, -0.4], [1.2, -0.2], [1.3, 0.9], [0.4, 0.5]],
+        [[-2.0, -2.0], [-1.5, -2.0], [-1.5, -1.5]]],
+        ids=["straddling", "inside", "far_left"])
+    def test_one_phase_call_matches_per_edge_calls(self, sol, poly):
+        P = np.array(poly)
+        rep = flux_balance(sol, P, step=1e-2)
+        flux, rest, lip = _edge_flux_oracle(sol, P, 1e-2)
+        assert rep.rest_measure.hex() == rest.hex()
+        assert rep.lipschitz_bound.hex() == lip.hex()
+        assert rep.net_flux.hex() == (flux - rep.fb_measure).hex()
+
     def test_half_plane_straddling_square(self, halfplane):
         square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
         rep = flux_balance(halfplane, square, step=1e-3)
@@ -632,7 +677,67 @@ class TestLabel4:
         assert labels[0, 0] == 1
 
 
+#: half the width of the Scherk s = ½ oval at x₂ = 0, at scale a = 1
+_SCHERK_HALF_WIDTH = 0.75 * np.arccosh(1.25 / 0.75)
+
+#: per family, a member and a δ whose free boundary is δ-flat in B₃
+_FLAT_IN_B3 = {
+    "half_plane": (HalfPlane(), 0.1),
+    "two_plane": (TwoPlane(0.1, motion=RigidMotion(shift=(0.05, 0.0))), 0.1),
+    "wedge": (Wedge(1.0), 0.1),
+    "hairpin": (Hairpin(0.05), 0.25),
+    "disk_complement": (DiskComplement(
+        100.0, motion=RigidMotion(shift=(-100.0, 0.0))), 0.1),
+    "scherk": (Scherk(0.5, 50.0, motion=RigidMotion(
+        shift=(-50.0 * _SCHERK_HALF_WIDTH, 0.0))), 0.2),
+    "one_sided_plane": (OneSidedPlane(0.5), 0.1),
+}
+
+
+def _ball_nodes(R):
+    """The trichotomy's node grid over [−R, R]² and its mask of B_R."""
+    xs = np.linspace(-R, R, geometry._TRICHOTOMY_NODES)
+    X, Y = np.meshgrid(xs, xs)
+    return np.stack([X, Y], axis=-1), X**2 + Y**2 <= R * R
+
+
 class TestClassifyFlat:
+    @pytest.mark.parametrize("kind", sorted(_FLAT_IN_B3) + ["field"])
+    def test_phases_match_whole_grid(self, kind, monkeypatch):
+        """The phases counted on B₁ and B₂ from u at the disks' nodes are
+        those of u on the whole grid; the wedge's match no case."""
+        if kind == "field":
+            sol = field_from_solution(TwoPlane(0.5), Window(-3.5, -3.5, 3.5,
+                                                            3.5), 1.0 / 40)
+            delta, u_at = 0.6, sol.interpolate
+        else:
+            sol, delta = _FLAT_IN_B3[kind]
+            u_at = sol.eval_u
+        seen, count = [], geometry._phase_components
+        monkeypatch.setattr(geometry, "_phase_components",
+                            lambda u, active, eps: seen.append((u, active))
+                            or count(u, active, eps))
+        try:
+            classify_flat(sol, delta)
+        except TopologyError:
+            assert kind == "wedge"
+        eps = geometry._TRICHOTOMY_EPS
+        assert len(seen) == 2
+        for (u, active), R in zip(seen, (1.0, 2.0)):
+            nodes, want_active = _ball_nodes(R)
+            U = u_at(nodes)
+            assert np.array_equal(active, want_active)
+            assert np.array_equal((u > eps) & active, (U > eps) & active)
+            assert np.array_equal((u <= eps) & active, (U <= eps) & active)
+
+    def test_evaluates_the_disks_only(self, monkeypatch):
+        """u at the nodes of B₁ and of B₂, not all 161² nodes per ball."""
+        sol = HalfPlane()
+        sizes = count_points(monkeypatch, sol, "eval_u")
+        classify_flat(sol, 0.1)
+        assert sizes == [int(_ball_nodes(R)[1].sum()) for R in (1.0, 2.0)]
+        assert max(sizes) < 0.8 * geometry._TRICHOTOMY_NODES ** 2
+
     def test_case_a_half_plane(self, halfplane):
         rep = classify_flat(halfplane, delta=0.1)
         assert rep.case == "A"
@@ -697,15 +802,23 @@ def _member_oracle(labels, t_label, fi, fj):
     return member
 
 
-def _annulus_labels(sol, delta=0.01):
-    from scipy import ndimage
+def _annulus_active(delta):
+    """The labelling grid's nodes and its annulus mask B₁ ∖ B_δ."""
     xs = np.linspace(-1.0, 1.0, _ANNULUS_NODES)
     X, Y = np.meshgrid(xs, xs)
     R2 = X**2 + Y**2
-    active = (R2 <= 1.0) & (R2 >= delta * delta)
-    U = sol.eval_u(np.stack([X, Y], axis=-1))
-    labels, n_comp = ndimage.label((U > _ANNULUS_EPS) & active)
-    return labels, n_comp
+    return np.stack([X, Y], axis=-1), (R2 <= 1.0) & (R2 >= delta * delta)
+
+
+def _annulus_phase(sol, delta):
+    """{u > _ANNULUS_EPS} on the annulus nodes from u on the whole grid."""
+    nodes, active = _annulus_active(delta)
+    return (sol.eval_u(nodes) > _ANNULUS_EPS) & active
+
+
+def _annulus_labels(sol, delta=0.01):
+    from scipy import ndimage
+    return ndimage.label(_annulus_phase(sol, delta))
 
 
 def _aligned_points(rng, n, count):
@@ -741,6 +854,43 @@ def _coarse_sweep(U0, Pref):
     """The full sweep that `_coarse_best` prunes: each coarse rotation's
     sup over the grid."""
     return np.array([np.max(gap) for gap in _rolled_gaps(U0, Pref)])
+
+
+#: per family, a member whose free boundary crosses B₁ ∖ B_{0.05} in two
+#: strands
+_FLAT_IN_B1 = {
+    "half_plane": HalfPlane(motion=RigidMotion(angle=0.3)),
+    "two_plane": TwoPlane(2.0, motion=RigidMotion(angle=0.2)),
+    "wedge": Wedge(1.0),
+    "hairpin": Hairpin(10.0, motion=RigidMotion(
+        angle=np.pi / 2, shift=(10.0 * (np.pi / 2 + 1.0), 0.0))),
+    "disk_complement": DiskComplement(20.0, motion=RigidMotion(
+        shift=(-20.0, 0.0))),
+    "scherk": Scherk(0.5, 20.0, motion=RigidMotion(
+        shift=(-20.0 * _SCHERK_HALF_WIDTH, 0.0))),
+    "one_sided_plane": OneSidedPlane(0.5),
+}
+
+
+class TestAnnulusSampling:
+    @pytest.mark.parametrize("kind", sorted(_FLAT_IN_B1))
+    def test_labels_the_whole_grid_phase(self, kind, monkeypatch):
+        """The phase labelled from u at the annulus nodes is the one u on
+        the whole grid gives."""
+        sol, masks, label = _FLAT_IN_B1[kind], [], geometry._label4
+        monkeypatch.setattr(geometry, "_label4",
+                            lambda m: masks.append(m) or label(m))
+        annulus_flat_check(sol, 0.05, [0.2, 0.5])
+        assert np.array_equal(masks[0], _annulus_phase(sol, 0.05))
+
+    def test_evaluates_the_annulus_nodes_only(self, monkeypatch):
+        """The labelling grid's u call gets the nodes of B₁ ∖ B_δ, not all
+        241² nodes."""
+        sol = HalfPlane()
+        sizes = count_points(monkeypatch, sol, "eval_u")
+        annulus_flat_check(sol, 0.05, [0.5])
+        assert sizes[0] == int(_annulus_active(0.05)[1].sum())
+        assert sizes[0] < 0.8 * _ANNULUS_NODES ** 2
 
 
 class TestAnnulusFlatCheck:

@@ -16,6 +16,7 @@ from onephase.errors import InvalidInputError, NoSaddleError
 from onephase.solutions import (KINDS, DiskComplement, Hairpin, HalfPlane,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge, _padded, solution_from_dict)
+from onephase.solutions import BOUNDARY_TOL
 
 from helpers import traced_peak
 
@@ -339,6 +340,95 @@ class TestMotions:
     def test_rescale_validates(self, hairpin):
         with pytest.raises(InvalidInputError):
             hairpin.rescale(0.0)
+
+
+def _stacked_map(name, angle, shift, p):
+    """The point maps as one pair broadcast and one np.stack, kept as the
+    oracle of their bits: R_{−θ}(p − t), R_θ·p + t and R_θ·p."""
+    def rotate(q, sign):
+        c, s = np.cos(sign * angle), np.sin(sign * angle)
+        x, y = q[..., 0], q[..., 1]
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
+
+    t = np.asarray(shift, dtype=float)
+    if name == "to_body":
+        return rotate(p - t, -1.0)
+    return rotate(p, 1.0) + t if name == "to_world" else rotate(p, 1.0)
+
+
+#: coordinates that round or propagate apart: signed zeros, infinities,
+#: NaN, subnormals, and values whose products overflow
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e308, -1e308, 1.0, -0.5]
+_coords = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_shapes = st.sampled_from([(2,), (0, 2), (1, 2), (5, 2), (2, 3, 2),
+                           (3, 1, 2)])
+
+
+@st.composite
+def _point_arrays(draw):
+    shape = draw(_shapes)
+    flat = draw(st.lists(_coords, min_size=int(np.prod(shape)),
+                         max_size=int(np.prod(shape))))
+    return np.array(flat, dtype=float).reshape(shape)
+
+
+class TestPointMaps:
+    """The rigid-motion maps work a coordinate at a time into one result;
+    their bits are those of the stacked formula, at a bounded memory."""
+
+    @given(angle=st.one_of(st.sampled_from([0.0, -0.0, np.pi / 2, np.pi]),
+                           st.floats(-1e3, 1e3)),
+           shift=st.tuples(_coords.filter(np.isfinite),
+                           _coords.filter(np.isfinite)),
+           p=_point_arrays())
+    @settings(max_examples=300, deadline=None)
+    @example(angle=0.0, shift=(0.0, 0.0), p=np.array([-0.0, np.inf]))
+    @example(angle=0.3, shift=(-0.0, 5e-324),
+             p=np.array([[np.nan, -0.0], [1e308, -1e308]]))
+    def test_bits_match_stacked_formula(self, angle, shift, p):
+        m = RigidMotion(angle=angle, shift=shift)
+        for name in ("to_body", "to_world", "vector_to_world"):
+            with np.errstate(all="ignore"):
+                got = getattr(m, name)(p)
+                want = _stacked_map(name, angle, shift, p)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+
+    @given(p=_point_arrays())
+    @settings(max_examples=200, deadline=None)
+    @example(p=np.array([[np.nan, 0.0], [0.0, np.nan], [-0.0, -5e-324]]))
+    def test_boundary_tolerance_bits(self, p):
+        """The tolerance `_on_fb` compares the distance with, read by a
+        distance whose `<=` keeps its right operand, has the bits of the
+        reduction np.abs(p).max(axis=-1) but for a NaN's payload: the
+        reduction drops the payload of a NaN in x₁, np.maximum keeps it.
+        `<=` gives False on any NaN, so no result can see it."""
+        class Probe:
+            def __le__(self, tol):
+                self.tol = tol
+                return np.zeros(np.shape(tol), dtype=bool)
+
+        sol, probe = HalfPlane(), Probe()
+        sol._fb_dist_body = lambda q: probe
+        with np.errstate(all="ignore"):
+            sol._on_fb(p)
+            want = BOUNDARY_TOL * (1.0 + np.abs(p).max(axis=-1))
+        got, want = np.asarray(probe.tol), np.asarray(want)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("name", ["to_body", "to_world",
+                                      "vector_to_world"])
+    def test_traced_peak_is_bounded(self, name):
+        """At most 2.25 result sizes traced on 40,000 points: the result and
+        two half-size coordinate buffers (3.0 for a pair broadcast `p − t`
+        and a stacked rotation)."""
+        f = getattr(RigidMotion(angle=0.7, shift=(0.3, -1.2)), name)
+        p = np.random.default_rng(0).normal(size=(40_000, 2))
+        assert traced_peak(lambda: f(p), warm=lambda: f(p)) \
+            <= 2.25 * p.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from onephase.variational import (ScalarField2D, TestVectorField, _Multigrid,
                                   variational_residual, viscosity_slope,
                                   weiss_energy)
 
-from helpers import field_from_solution, traced_peak
+from helpers import (FAMILY_MEMBERS, count_points, field_from_solution,
+                     traced_peak)
 
 
 class TestScalarField:
@@ -176,6 +177,31 @@ class TestTestVectorField:
             TestVectorField.radial_bump(r0=1.0, r1=0.5)
 
 
+def _residual_whole_grid(sol, psis, window, h):
+    """`variational_residual` sampling ∇u and the phase on every cell of
+    the grid, kept as the oracle of the hull sampling's bits."""
+    xs, ys = window.grid(h)
+    cx = 0.5 * (xs[:-1] + xs[1:])
+    cy = 0.5 * (ys[:-1] + ys[1:])
+    pts = np.stack(np.meshgrid(cx, cy), axis=-1)
+    g = sol.eval_grad(pts)
+    g2_ind = g[..., 0] ** 2 + g[..., 1] ** 2
+    g2_ind += sol.in_positive_phase(pts)
+    out = np.empty(len(psis))
+    full = np.zeros_like(g2_ind)
+    for k, psi in enumerate(psis):
+        c, r1 = psi.center, psi.r1
+        box = tuple(slice(np.searchsorted(cs, a - r1),
+                          np.searchsorted(cs, a + r1, "right"))
+                    for cs, a in ((cy, c[1]), (cx, c[0])))
+        bump = variational._bump(pts[box], c, psi.r0, r1)
+        dv, gdg = psi._terms(g[box], *bump)
+        full[box] = g2_ind[box] * dv - 2.0 * gdg
+        out[k] = np.sum(full) * h * h
+        full[box] = 0.0
+    return out
+
+
 class TestResidual:
     def test_exact_solutions_decay(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
@@ -267,6 +293,41 @@ class TestResidual:
         else:
             assert np.max(np.abs(oracle)) > 0.1
             np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("sol", FAMILY_MEMBERS,
+                             ids=lambda sol: sol.kind)
+    @pytest.mark.parametrize("centers, r1", [
+        ([(0.1, -0.05), (-0.3, 0.2)], 0.8),   # two boxes, partly overlapping
+        ([(0.1, -0.05), (3.0, 0.2)], 0.5),    # the second box is empty
+        ([(3.0, 0.2), (-3.0, 3.0)], 0.5),     # every box is empty
+        ([(0.1, -0.05)], 5.0)],               # one box is the whole grid
+        ids=["two", "one_empty", "all_empty", "whole_grid"])
+    def test_hull_sampling_matches_whole_grid(self, sol, centers, r1):
+        fields = [psi for c in centers for _, psi in _bump_fields(c, r1)]
+        w, h = Window(-1.0, -0.75, 1.0, 1.0), 1.0 / 32
+        got = variational_residual(sol, fields, w, h)
+        assert got.tobytes() == _residual_whole_grid(sol, fields, w,
+                                                     h).tobytes()
+
+    def test_samples_only_the_hull(self, monkeypatch):
+        """∇u and the phase are sampled once each, on the cells whose
+        centres lie in the hull of the boxes [c − r1, c + r1]²; the whole
+        grid has 128² cells."""
+        sol, w, h = Hairpin(a=0.5), Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 64
+        fields = [TestVectorField.radial_bump((0.1, -0.05), 0.1, 0.2),
+                  TestVectorField.directional_bump((-0.3, 0.25), 0.1, 0.15),
+                  TestVectorField.radial_bump((4.0, 0.0), 0.1, 0.2)]
+        sizes = {name: count_points(monkeypatch, sol, name)
+                 for name in ("eval_grad", "in_positive_phase")}
+        variational_residual(sol, fields, w, h)
+        centres = -1.0 + h * (np.arange(128) + 0.5)
+        rows = np.count_nonzero((centres >= -0.05 - 0.2)
+                                & (centres <= 0.25 + 0.15))
+        cols = np.count_nonzero((centres >= -0.3 - 0.15)
+                                & (centres <= 0.1 + 0.2))
+        assert sizes == {"eval_grad": [rows * cols],
+                         "in_positive_phase": [rows * cols]}
+        assert rows * cols < 128 * 128 / 8
 
     def test_residual_memory_is_bounded(self):
         # the CLI's three fields on 128² cells: the arrays over the whole
