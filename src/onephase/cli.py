@@ -23,7 +23,7 @@ traizet    Build the reflected minimal-surface mesh for a solution and
            write it as OBJ plus a per-vertex curvature CSV.  [resolution; none]
 classify   Run the flat trichotomy (mode "trichotomy") or the annulus
            flatness probe (mode "annulus") and write a JSON report.
-           [none; mode, delta, scales]
+           [none; mode, delta, scales (annulus mode only)]
 
 A ``--param`` named after a parameter of the chosen family (a=, s=, R=)
 sets the solution instead.  resolution, seed, n_polygons and each of
@@ -582,9 +582,11 @@ def cmd_traizet(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(cfg: ExperimentConfig) -> int:
+    mode = cfg.params.get("mode", "trichotomy")
+    if mode == "trichotomy" and "scales" in cfg.params:
+        raise InvalidInputError("classify mode trichotomy reads no ['scales']")
     sol = cfg.get_solution()
     out = _outdir(cfg)
-    mode = cfg.params.get("mode", "trichotomy")
     if mode == "trichotomy":
         delta = cfg.number("delta", 0.1)
         body = asdict(classify_flat(sol, delta))

@@ -22,11 +22,12 @@ s ≠ 1: harmonic where positive, but |∇u| = s on F.  It sits in the registry
 Conventions
 -----------
 * Points are real arrays of shape (..., 2); values have shape (...).
-* ``eval_grad`` is the a.e. gradient: the classical gradient in the open
-  positive phase and 0 in the open zero phase.  Points within
-  ``boundary_tol`` of F(u) get 0 by default; with ``boundary_limit=True``
-  they get the limit of ∇u from the positive phase (for the two-sided wedge,
-  the limit from {x₁ > 0}).
+* A point is on F(u) when its body-frame distance to F is at most
+  ``BOUNDARY_TOL``·(1 + max|xᵢ|) (`Solution._on_fb`), for ``eval_grad`` and
+  ``primitive`` alike.  ``eval_grad`` is the a.e. gradient: the classical
+  one in the open positive phase, 0 in the open zero phase and on F(u), or
+  on F with ``boundary_limit=True`` the limit of ∇u from the adjacent
+  positive side (for the two-sided wedge, from {x₁ > 0}).
 * ``eval_u`` and ``eval_grad`` at the same points share one chart solve.
 * ``primitive`` is the closed-form F(z) with F′ = (2u_z)² on the closure of
   the positive phase, and ``component`` labels that phase's components; the
@@ -74,11 +75,6 @@ def _as_points(points):
     if p.shape[-1] != 2:
         raise InvalidInputError("points must have shape (..., 2)")
     return p
-
-
-def _sup_norm(p):
-    """max(|x₁|, |x₂|) of points (..., 2), a coordinate at a time."""
-    return np.maximum(np.abs(p[..., 0]), np.abs(p[..., 1]))
 
 
 @dataclass(frozen=True)
@@ -168,7 +164,7 @@ class Solution(ABC):
     #: 1-homogeneous about the origin, so the Weiss energy is scale-invariant
     #: there.  Not TwoPlane: its gap width is a fixed length scale.
     homogeneous = False
-    #: body-frame F(p) with F′ = (2u_z)², or None
+    #: body-frame F(p, on) with F′ = (2u_z)², or None; `on` as in _grad_body
     _primitive_body = None
     #: the parameter a dilation divides, checked > 0; None if scale-free
     _length = None
@@ -189,7 +185,9 @@ class Solution(ABC):
         ...
 
     @abstractmethod
-    def _grad_body(self, p, boundary_limit: bool):
+    def _grad_body(self, p, on):
+        """∇u in the open positive phase, 0 in the open zero phase, and at the
+        points `on` F (`_on_fb`) its limit from the adjacent positive side."""
         ...
 
     @abstractmethod
@@ -215,29 +213,33 @@ class Solution(ABC):
         return self._u_body(p)
 
     def eval_grad(self, points, boundary_limit: bool = False):
+        """∇u at world points; on F(u) (`_on_fb`) 0, or with `boundary_limit`
+        the limit from the adjacent positive side ({x₁ > 0} for the wedge)."""
         p = self.motion.to_body(_as_points(points))
-        g = self._grad_body(p, boundary_limit)
+        on = self._on_fb(p)
+        g = self._grad_body(p, on)
         if not boundary_limit:
-            g = np.where(self._on_fb(p)[..., None], 0.0, g)
+            g[on] = 0.0
         return self.motion.vector_to_world(g)
 
     def _on_fb(self, p):
-        """Body points within the boundary tolerance of F(u)."""
-        tol = BOUNDARY_TOL * (1.0 + _sup_norm(p))
-        return self._fb_dist_body(p) <= tol
+        """Body points on F(u): within BOUNDARY_TOL·(1 + max|xᵢ|) of it."""
+        scale = np.maximum(np.abs(p[..., 0]), np.abs(p[..., 1]))
+        return self._fb_dist_body(p) <= BOUNDARY_TOL * (1.0 + scale)
 
     def primitive(self, points):
         """F(z), z = x₁ + ix₂, with F′ = (2u_z)² on the closure of the
         positive phase; the motion z = e^{iθ}ζ + c gives F = e^{−iθ}F_body(ζ).
-        Raises DomainError at a zero-phase point off the boundary tolerance,
-        and InvalidInputError for a kind without a primitive."""
+        Raises DomainError at a point of the open zero phase not on F
+        (`_on_fb`), and InvalidInputError for a kind without a primitive."""
         if self._primitive_body is None:
             raise InvalidInputError(
                 f"no Traizet primitive for family {type(self).__name__}")
         p = self.motion.to_body(_as_points(points))
-        if not np.all(self._positive_body(p) | self._on_fb(p)):
+        on = self._on_fb(p)
+        if not np.all(self._positive_body(p) | on):
             raise DomainError("primitive: point in the open zero phase")
-        F = self._primitive_body(p)
+        F = self._primitive_body(p, on)
         angle = self.motion.angle
         return F * np.exp(-1j * angle) if angle else F
 
@@ -340,10 +342,9 @@ class HalfPlane(Solution):
     def _u_body(self, p):
         return np.maximum(p[..., 0], 0.0)
 
-    def _grad_body(self, p, boundary_limit):
+    def _grad_body(self, p, on):
         g = np.zeros_like(p)
-        mask = (p[..., 0] >= 0.0) if boundary_limit else (p[..., 0] > 0.0)
-        g[..., 0] = np.where(mask, 1.0, 0.0)
+        g[..., 0] = np.where((p[..., 0] > 0.0) | on, 1.0, 0.0)
         return g
 
     def _fb_dist_body(self, p):
@@ -352,7 +353,7 @@ class HalfPlane(Solution):
     def _positive_body(self, p):
         return p[..., 0] > 0.0
 
-    def _primitive_body(self, p):
+    def _primitive_body(self, p, on):
         # (2u_z)² ≡ 1
         return p[..., 0] + 1j * p[..., 1]
 
@@ -378,8 +379,8 @@ class OneSidedPlane(HalfPlane):
     def _u_body(self, p):
         return self.s * super()._u_body(p)
 
-    def _grad_body(self, p, boundary_limit):
-        return self.s * super()._grad_body(p, boundary_limit)
+    def _grad_body(self, p, on):
+        return self.s * super()._grad_body(p, on)
 
 
 @dataclass
@@ -395,13 +396,13 @@ class TwoPlane(Solution):
         x = p[..., 0]
         return np.maximum(x, 0.0) + np.maximum(-x - self.a, 0.0)
 
-    def _grad_body(self, p, boundary_limit):
+    def _grad_body(self, p, on):
+        # on F, the front nearer the point: its side of the gap's middle
         x = p[..., 0]
         g = np.zeros_like(p)
-        if boundary_limit:
-            g[..., 0] = np.where(x >= 0.0, 1.0, np.where(x <= -self.a, -1.0, 0.0))
-        else:
-            g[..., 0] = np.where(x > 0.0, 1.0, np.where(x < -self.a, -1.0, 0.0))
+        right = x > -0.5 * self.a
+        g[..., 0] = np.where((x > 0.0) | (on & right), 1.0,
+                             np.where((x < -self.a) | on, -1.0, 0.0))
         return g
 
     def _fb_dist_body(self, p):
@@ -441,14 +442,12 @@ class Wedge(Solution):
     def _u_body(self, p):
         return self.s * np.abs(p[..., 0])
 
-    def _grad_body(self, p, boundary_limit):
+    def _grad_body(self, p, on):
+        # two-sided boundary: on F, the limit from {x₁ > 0}
         x = p[..., 0]
         g = np.zeros_like(p)
-        if boundary_limit:
-            # two-sided boundary: report the limit from {x₁ > 0}
-            g[..., 0] = np.where(x >= 0.0, self.s, -self.s)
-        else:
-            g[..., 0] = np.where(x > 0.0, self.s, np.where(x < 0.0, -self.s, 0.0))
+        g[..., 0] = np.where((x > 0.0) | on, self.s,
+                             np.where(x < 0.0, -self.s, 0.0))
         return g
 
     def _fb_dist_body(self, p):
@@ -484,26 +483,24 @@ class Hairpin(Solution):
         t = np.clip(np.abs(x1) / self.a, 0.0, 700.0)
         return self.a * (np.pi / 2.0 + np.cosh(t))
 
+    def _chart_targets(self, p, on):
+        """(z, inside): z = (x₁ + ix₂)/a with x₂ clipped vertically onto the
+        catenary, so the points `on` F outside the closed phase land on it,
+        and the mask of the points in the closed phase or on F."""
+        bound = self._bound(p[..., 0])
+        z = (p[..., 0] + 1j * np.clip(p[..., 1], -bound, bound)) / self.a
+        return z, (np.abs(p[..., 1]) <= bound) | on
+
     def _u_body(self, p):
-        z = (p[..., 0] + 1j * p[..., 1]) / self.a
-        inside = np.abs(p[..., 1]) <= self._bound(p[..., 0])
+        z, inside = self._chart_targets(p, False)
         u = np.zeros(p.shape[:-1])
         if np.any(inside):
             w = self._chart.inverse(z[inside])
             u[inside] = self.a * np.cosh(w).real
         return u
 
-    def _grad_body(self, p, boundary_limit):
-        bound = self._bound(p[..., 0])
-        x2 = p[..., 1]
-        if boundary_limit:
-            # points on F up to rounding: clip vertically onto the catenary
-            scale = 1.0 + _sup_norm(p)
-            inside = np.abs(x2) <= bound + BOUNDARY_TOL * self.a * scale
-            x2 = np.clip(x2, -bound, bound)
-        else:
-            inside = np.abs(x2) <= bound
-        z = (p[..., 0] + 1j * x2) / self.a
+    def _grad_body(self, p, on):
+        z, inside = self._chart_targets(p, on)
         g = np.zeros_like(p)
         if np.any(inside):
             w = self._chart.inverse(z[inside])
@@ -525,20 +522,22 @@ class Hairpin(Solution):
         """F at the chart point w = φ⁻¹(z/a): (2u_z)² dz = a(cosh w − 1) dw."""
         return self.a * (np.sinh(w) - w)
 
-    def _primitive_body(self, p):
-        # points on F up to rounding: clip vertically onto the catenary
-        bound = self._bound(p[..., 0])
-        z = (p[..., 0] + 1j * np.clip(p[..., 1], -bound, bound)) / self.a
-        return self.primitive_in_chart(self._chart.inverse(z))
+    def _primitive_body(self, p, on):
+        return self.primitive_in_chart(
+            self._chart.inverse(self._chart_targets(p, on)[0]))
 
     def _fb_polylines_body(self, bbox, step):
-        # the catenaries meet the bbox only for cosh(x₁/a) ≤ ymax; sample
-        # them a little past that, by at most a, so that no chord spans
+        def reach(b):  # the catenaries meet bbox b only for cosh(x₁/a) ≤ ymax
+            return self.a * np.arccosh(max(
+                max(abs(b[1]), abs(b[3])) / self.a - np.pi / 2.0, 1.0))
+        # at least 16 chords across that x₁-extent, however wide the window
+        xvis = reach(bbox)
+        step = min(step, xvis / 8.0) if xvis > 0.0 else step
+        # sample them a little past it, by at most a, so that no chord spans
         # more than a factor e·ymax in x₂ (a chord from a·cosh(700) to the
         # window would round its near end away when clipped)
         bbox = _padded(bbox, step)
-        ymax = max(abs(bbox[1]), abs(bbox[3])) / self.a - np.pi / 2.0
-        xlim = self.a * np.arccosh(max(ymax, 1.0)) + min(2.0 * step, self.a)
+        xlim = reach(bbox) + min(2.0 * step, self.a)
         xlim = min(xlim, max(abs(bbox[0]), abs(bbox[2])) + 2.0 * step)
         n = max(int(np.ceil(2.0 * xlim / step)), 8)
         x = np.linspace(-xlim, xlim, n + 1)
@@ -580,11 +579,11 @@ class DiskComplement(Solution):
         out[mask] = self.R * np.log(r[mask] / self.R)
         return out
 
-    def _grad_body(self, p, boundary_limit):
+    def _grad_body(self, p, on):
         r = np.hypot(p[..., 0], p[..., 1])
-        mask = (r >= self.R) if boundary_limit else (r > self.R)
         with np.errstate(invalid="ignore", divide="ignore"):
-            scale = np.where(mask, self.R / np.maximum(r, 1e-300) ** 2, 0.0)
+            scale = np.where((r > self.R) | on,
+                             self.R / np.maximum(r, 1e-300) ** 2, 0.0)
         return scale[..., None] * p
 
     def _fb_dist_body(self, p):
@@ -593,7 +592,7 @@ class DiskComplement(Solution):
     def _positive_body(self, p):
         return np.hypot(p[..., 0], p[..., 1]) > self.R
 
-    def _primitive_body(self, p):
+    def _primitive_body(self, p, on):
         # (2u_z)² = R²/z² has no residue
         return -self.R * self.R / (p[..., 0] + 1j * p[..., 1])
 
@@ -641,44 +640,40 @@ class Scherk(Solution):
         x2 = np.clip(x2, -np.pi, np.pi)  # guard the seam against fp overshoot
         return np.stack([x1, x2], axis=-1), np.sign(q[..., 0])
 
-    def _chart_targets(self, p, boundary_limit=False):
-        """(z, inside, sign): the chart targets z = x₁ + ix₂ of the folded
-        model points of p that lie in the positive phase, that mask, and the
-        sign of x₁ there (+ on the axis).  With `boundary_limit`, points of F
-        up to the boundary tolerance count as inside, projected onto it.
-        Only these leave, so the folded points are freed before a solve."""
+    def _model_points(self, p, on):
+        """(qf, sign1, inside): the folded model points of p, with those
+        `on` F outside the open phase moved onto the loop by one Newton
+        step, the sign of x₁, and the mask of the open phase or F."""
         qf, sign1 = self._fold(p / self.a)
-        inside = scherk_loop_implicit(self.s, qf) > 0.0
-        if boundary_limit:
-            scale = 1.0 + _sup_norm(qf)
-            near = ~inside & (self._fb_dist_body(p)
-                              <= BOUNDARY_TOL * self.a * scale)
-            if np.any(near):
-                qf = np.where(near[..., None], self._model_fb_project(qf), qf)
-                inside = inside | near
+        G = scherk_loop_implicit(self.s, qf)
+        inside = G > 0.0
+        near = on & ~inside
+        if np.any(near):
+            dG = scherk_loop_gradient(self.s, qf)
+            n2 = np.maximum(dG[..., 0]**2 + dG[..., 1]**2, 1e-30)
+            onto = qf - (G / n2)[..., None] * dG
+            onto[..., 0] = np.abs(onto[..., 0])
+            qf = np.where(near[..., None], onto, qf)
+        return qf, sign1, inside | near
+
+    def _chart_targets(self, p, on):
+        """(z, inside, sign): z = x₁ + ix₂ of `_model_points` in the open
+        phase or `on` F, that mask, and the sign of x₁ there (+ on the axis).
+        Only these leave, so the folded points are freed before a solve."""
+        qf, sign1, inside = self._model_points(p, on)
         sign = sign1[inside]
         return (qf[..., 0][inside] + 1j * qf[..., 1][inside], inside,
                 np.where(sign == 0.0, 1.0, sign))
 
     def _u_body(self, p):
-        z, inside, _ = self._chart_targets(p)
+        z, inside, _ = self._chart_targets(p, False)
         u = np.zeros(p.shape[:-1])
         if z.size:
             u[inside] = self.a * self._chart.inverse(z).real
         return u
 
-    def _model_fb_project(self, qf):
-        """One Newton projection step onto the oval {G = 0} (for points
-        already within rounding of it)."""
-        G = scherk_loop_implicit(self.s, qf)
-        dG = scherk_loop_gradient(self.s, qf)
-        n2 = np.maximum(dG[..., 0]**2 + dG[..., 1]**2, 1e-30)
-        out = qf - (G / n2)[..., None] * dG
-        out[..., 0] = np.abs(out[..., 0])
-        return out
-
-    def _grad_body(self, p, boundary_limit):
-        z, inside, sign = self._chart_targets(p, boundary_limit)
+    def _grad_body(self, p, on):
+        z, inside, sign = self._chart_targets(p, on)
         g = np.zeros_like(p)
         if z.size:
             fp = self._chart.dual_derivative(self._chart.inverse(z))
@@ -704,19 +699,14 @@ class Scherk(Solution):
         psi = self.a * self._chart.dual_primitive(zeta)
         return np.where(right, psi, -np.conj(psi))
 
-    def _primitive_body(self, p):
-        q = p / self.a
-        qf, sign1 = self._fold(q)
-        # points on F up to rounding: project onto the loop
-        off = scherk_loop_implicit(self.s, qf) <= 0.0
-        if np.any(off):
-            qf = np.where(off[..., None], self._model_fb_project(qf), qf)
+    def _primitive_body(self, p, on):
+        qf, sign1, _ = self._model_points(p, on)
         chart = self._chart
         zeta = chart.inverse(qf[..., 0] + 1j * qf[..., 1])
         # cell k = round(x₂/2πa) adds k seam jumps 2i·a·Im Ψ_s(ζ*), as Im F
         # is constant along the seam
         jump = 2j * self.a * chart.dual_primitive(chart.zeta_c).imag
-        k = np.round(q[..., 1] / (2.0 * np.pi))
+        k = np.round(p[..., 1] / self.a / (2.0 * np.pi))
         return self.primitive_in_chart(zeta, sign1 >= 0.0) + k * jump
 
     def _fb_polylines_body(self, bbox, step):

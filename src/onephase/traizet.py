@@ -25,10 +25,10 @@ Contents:
   welded along the free boundary; `canonical_mesh` picks a standard patch
   by family;
 * `mean_curvature` — cotangent Laplacian dotted with the vertex normal over
-  Voronoi mixed areas (barycentric fallback for obtuse triangles), in two
-  passes over fixed-size blocks of triangles, the second recomputing the
-  cotangents, so its memory grows by 48 bytes per triangle; every sum and
-  rounding order is pinned, so H is reproducible bit for bit;
+  Voronoi mixed areas (barycentric fallback for obtuse triangles), from one
+  pass over fixed-size blocks of triangles that keeps the cotangents and
+  the mixed areas, so its memory grows by 48 bytes per triangle; every sum
+  and rounding order is pinned, so H is reproducible bit for bit;
 * `orthogonality_check` — |angle − π/2| between the upper-sheet tangent
   plane and {X₃ = 0} at free-boundary vertices.
 

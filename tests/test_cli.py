@@ -119,6 +119,20 @@ class TestVerify:
         assert by_name["variational_residual"]["passed"]
         assert by_name["flux_balance"]["passed"]
 
+    def test_moved_two_plane_passes_slope(self, tmp_path):
+        # vertices of the moved fronts fall on either side of F by rounding;
+        # each gets the limit gradient, so each has a growth direction
+        cfg = tmp_path / "cfg.json"
+        motion = {"angle": -2.785918327358423,
+                  "shift": [0.014888820271370284, -0.0337939746747109]}
+        cfg.write_text(json.dumps({"solution": {
+            "family": "two_plane", "params": {"a": 0.5}, "motion": motion}}))
+        assert run("verify", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        slope = {c["name"]: c for c in report["checks"]}["slope_condition"]
+        assert slope["passed"] and slope["chart_deviation"] <= 1e-12
+
     def test_one_sided_plane_fails_by_design(self, tmp_path):
         assert run("verify", "--family", "one_sided_plane",
                    "--param", "s=0.5", "--out", str(tmp_path)) == 1
@@ -399,6 +413,14 @@ class TestClassify:
     def test_bad_mode(self, tmp_path):
         assert run("classify", "--family", "half_plane",
                    "--param", "mode=nonsense", "--out", str(tmp_path)) == 2
+
+    def test_trichotomy_reads_no_scales(self, tmp_path, capsys):
+        assert run("classify", "--family", "half_plane",
+                   "--param", "scales=[0.1]",
+                   "--out", str(tmp_path / "out")) == 2
+        assert capsys.readouterr().err == \
+            "config error: classify mode trichotomy reads no ['scales']\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigHandling:

@@ -445,6 +445,29 @@ def _edge_flux_oracle(sol, P, step):
     return flux, rest, lip
 
 
+def _fb_measure_oracle(sol, P, step):
+    """`flux_balance`'s free-boundary measure on the counterclockwise
+    polygon P, with two phase calls per free-boundary curve."""
+    pad = 10.0 * step
+    win = Window(P[:, 0].min() - pad, P[:, 1].min() - pad,
+                 P[:, 0].max() + pad, P[:, 1].max() + pad)
+    total = 0.0
+    for curve in sol.free_boundary_curves(win, step=step / 2.0):
+        dense = densify_polyline(curve, step / 2.0)
+        mids = 0.5 * (dense[:-1] + dense[1:])
+        seg = np.diff(dense, axis=0)
+        seglen = np.hypot(seg[:, 0], seg[:, 1])
+        inside = points_in_polygon(mids, P) & (seglen > 0)
+        if not np.any(inside):
+            continue
+        tang = seg[inside] / seglen[inside, None]
+        off = 0.5 * step * np.stack([tang[:, 1], -tang[:, 0]], axis=-1)
+        mult = (sol.in_positive_phase(mids[inside] + off).astype(float)
+                + sol.in_positive_phase(mids[inside] - off).astype(float))
+        total += float(np.sum(seglen[inside] * mult))
+    return total
+
+
 class TestFluxBalance:
     @pytest.mark.parametrize("sol", FAMILY_MEMBERS,
                              ids=lambda sol: sol.kind)
@@ -460,6 +483,27 @@ class TestFluxBalance:
         assert rep.rest_measure.hex() == rest.hex()
         assert rep.lipschitz_bound.hex() == lip.hex()
         assert rep.net_flux.hex() == (flux - rep.fb_measure).hex()
+
+    @pytest.mark.parametrize("sol", FAMILY_MEMBERS,
+                             ids=lambda sol: sol.kind)
+    @pytest.mark.parametrize("poly", [
+        [[-0.5, -3.0], [3.0, -3.0], [3.0, 3.0], [-0.5, 3.0]],
+        [[0.6, -0.4], [1.2, -0.2], [1.3, 0.9], [0.4, 0.5]],
+        [[-2.0, -2.0], [-1.5, -2.0], [-1.5, -1.5]]],
+        ids=["straddling", "inside", "far_left"])
+    def test_one_side_call_matches_per_curve_calls(self, sol, poly):
+        P = np.array(poly)
+        rep = flux_balance(sol, P, step=1e-2)
+        assert rep.fb_measure.hex() == _fb_measure_oracle(sol, P, 1e-2).hex()
+
+    def test_two_phase_calls(self, monkeypatch):
+        # one for the edges' Gauss nodes, one for both sides of the three
+        # ovals' segments (7 with two calls per curve)
+        sol = Scherk(0.5, 0.3)
+        sizes = count_points(monkeypatch, sol, "in_positive_phase")
+        rect = np.array([[-0.5, -3.0], [3.0, -3.0], [3.0, 3.0], [-0.5, 3.0]])
+        rep = flux_balance(sol, rect, step=1e-2)
+        assert len(sizes) == 2 and rep.fb_measure > 0.0
 
     def test_half_plane_straddling_square(self, halfplane):
         square = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])

@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onephase.common import Window
+from onephase.conformal import scherk_loop_gradient, scherk_loop_point
 from onephase.errors import InvalidInputError, NoSaddleError
 from onephase.solutions import (KINDS, DiskComplement, Hairpin, HalfPlane,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge, _padded, solution_from_dict)
 from onephase.solutions import BOUNDARY_TOL
 
-from helpers import traced_peak
+from helpers import FAMILY_MEMBERS, traced_peak
 
 
 def load_solution(path):
@@ -221,6 +222,65 @@ class TestConsistency:
                                    tenth)
 
 
+# ---------------------------------------------------------------------------
+# the one rule for points on the free boundary
+# ---------------------------------------------------------------------------
+
+def _moved_curves(sol, angle, x, y):
+    """`sol` moved by (angle, (x, y)), and the vertices of its free-boundary
+    polylines in its verify window but the clip-generated piece ends."""
+    moved = replace(sol, motion=RigidMotion(angle=angle, shift=(x, y)))
+    curves = moved.free_boundary_curves(Window(*moved.verify_window()))
+    return moved, np.vstack([poly[1:-1] for poly in curves])
+
+
+class TestOnFreeBoundary:
+    """`Solution._on_fb` decides which points are on F for every family:
+    there the limit gradient from the positive side, or 0; elsewhere one
+    gradient in both modes."""
+
+    @pytest.mark.parametrize("sol", FAMILY_MEMBERS, ids=lambda s: s.kind)
+    @given(angle=angles, x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
+    @settings(max_examples=15, deadline=None)
+    def test_limit_gradient_on_own_curves(self, sol, angle, x, y):
+        moved, verts = _moved_curves(sol, angle, x, y)
+        g = moved.eval_grad(verts, boundary_limit=True)
+        slope = sol.s if sol.kind in ("wedge", "one_sided_plane") else 1.0
+        assert np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - slope)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "sol", FAMILY_MEMBERS + [Scherk(0.5, 3.0)],
+        ids=[sol.kind for sol in FAMILY_MEMBERS] + ["scherk_a3"])
+    @given(angle=angles, x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
+    @settings(max_examples=10, deadline=None)
+    def test_modes_differ_only_on_fb(self, sol, angle, x, y):
+        moved, verts = _moved_curves(sol, angle, x, y)
+        rng = np.random.default_rng(5)
+        # each vertex moved up to three boundary tolerances off F, and
+        # points anywhere in the window
+        scale = BOUNDARY_TOL * (1.0 + np.abs(verts).max(axis=-1))
+        near = verts + scale[:, None] * rng.uniform(-3.0, 3.0, verts.shape)
+        x0, y0, x1, y1 = moved.verify_window()
+        pts = np.vstack([verts, near,
+                         rng.uniform((x0, y0), (x1, y1), size=(400, 2))])
+        on = moved._on_fb(moved.motion.to_body(pts))
+        g = moved.eval_grad(pts)
+        limit = moved.eval_grad(pts, boundary_limit=True)
+        assert g[~on].tobytes() == limit[~on].tobytes()
+        assert np.all(g[on] == 0.0)
+
+    def test_scherk_point_off_the_rule_gets_zero(self):
+        # 5e-9 inside the loop at a = 3: farther from F than the rule's
+        # 1e-9·(1 + max|xᵢ|), so in the open zero phase
+        sol = Scherk(0.5, 3.0)
+        q = scherk_loop_point(0.5, np.array([0.0]))
+        n = scherk_loop_gradient(0.5, q)
+        p = 3.0 * q - 5e-9 * n / np.hypot(n[:, 0], n[:, 1])[:, None]
+        assert sol.fb_distance(p)[0] == pytest.approx(5e-9, rel=1e-3)
+        assert not sol._on_fb(p)[0] and not sol.in_positive_phase(p)[0]
+        assert np.all(sol.eval_grad(p, boundary_limit=True) == 0.0)
+
+
 class _EveryLoop(Scherk):
     """Scherk with the loops of every period across the window's body
     bbox grown by 2·step and the rounding margin, as Scherk built them
@@ -274,6 +334,22 @@ class TestScherkLoops:
                                             a):
         sol = Scherk(0.5, a, motion=RigidMotion(angle=angle, shift=(x, y)))
         self._assert_same_pieces(sol, Window(x0, y0, x0 + w, y0 + h))
+
+
+class TestHairpinPolylines:
+    def test_narrow_catenary_in_wide_window(self):
+        # the window sets a step of 10; the catenaries cross x₂ = ±1 at
+        # |x₁| = a·arccosh(1/a − π/2) = 0.1803
+        sol = Hairpin(0.05)
+        pieces = sol.free_boundary_curves(Window(-1.0, -1.0, 1e4, 1.0))
+        cross = 0.05 * np.arccosh(1.0 / 0.05 - np.pi / 2.0)
+        assert len(pieces) == 2
+        for piece in pieces:
+            assert len(piece) >= 16
+            assert np.abs(piece[[0, -1], 0]) == pytest.approx(cross, abs=1e-3)
+            inner = piece[1:-1]
+            assert np.allclose(np.abs(inner[:, 1]), sol._bound(inner[:, 0]),
+                               rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
