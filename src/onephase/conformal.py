@@ -199,20 +199,16 @@ class HHPStrip:
         """(φ, φ′) at Newton iterates w."""
         return w + np.sinh(w), 1.0 + np.cosh(w)
 
-    @staticmethod
-    def contains_image(z, tol: float = 0.0):
-        """Membership of z in (a tol-neighborhood of) Ω₁ = {|x₂| < π/2 + cosh x₁}."""
-        z = _as_complex(z)
-        x = np.clip(np.abs(z.real), 0.0, 700.0)
-        return np.abs(z.imag) <= _HALF_PI + np.cosh(x) + tol
-
     def inverse(self, z):
         """φ⁻¹(z) for z in the closure of Ω₁ (vectorized); a repeat of the
         last targets' shape and bits returns a copy of their ζ."""
         return _remembered(self, _as_complex(z), self._inverse)
 
     def _inverse(self, z):
-        if not np.all(self.contains_image(z, tol=1e-9 * (1.0 + np.abs(z)))):
+        # z in the closure of Ω₁, up to 1e-9·(1 + |z|)
+        x = np.clip(np.abs(z.real), 0.0, 700.0)
+        if not np.all(np.abs(z.imag)
+                      <= _HALF_PI + np.cosh(x) + 1e-9 * (1.0 + np.abs(z))):
             raise DomainError("hhp_inverse: z outside the hairpin phase closure")
         # z/2 near the neck, where φ(ζ) ≈ 2ζ, and arcsinh z far out; both
         # lie in the strip

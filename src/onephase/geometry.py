@@ -269,8 +269,8 @@ _CIRCLE_SAMPLES = 720
 def circle_max(sol, center, r: float):
     """Max of u over `_CIRCLE_SAMPLES` equally spaced points of
     ∂B_r(center); returns (max_value, max_value / r)."""
-    if not r > 0:
-        raise InvalidInputError("circle_max requires r > 0")
+    if not 0 < r < np.inf:
+        raise InvalidInputError("circle_max requires 0 < r < inf")
     c = np.asarray(center, dtype=float)
     th = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_SAMPLES, endpoint=False)
     pts = c[None, :] + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -313,6 +313,8 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
     The phase at every edge's Gauss nodes, ∇u at the positive ones and the
     phase beside the free boundary are each read in one call.
     """
+    if not 0 < step < np.inf:
+        raise InvalidInputError("flux_balance requires 0 < step < inf")
     P = np.asarray(polygon, dtype=float)
     if P.ndim != 2 or P.shape[1] != 2 or len(P) < 3:
         raise InvalidInputError("flux_balance: polygon needs ≥ 3 vertices")
@@ -833,7 +835,7 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
         raise InvalidInputError("annulus_flat_check requires 0 < delta < 1")
     scales = [float(r) for r in scales]
     r_in = _ANNULUS_INNER * delta
-    if not scales or min(scales) <= r_in or max(scales) > 1.0:
+    if not scales or not all(r_in < r <= 1.0 for r in scales):
         raise InvalidInputError(
             "annulus_flat_check: scales must lie in "
             f"({_ANNULUS_INNER:g}·delta, 1]")
@@ -877,18 +879,16 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
     labels, n_comp = _label4(pos)
     if n_comp == 0:
         raise TopologyError("annulus_flat_check: no positive phase on annulus")
-    # T: the largest component with nodes near the inner circle
+    # T: the largest component with nodes near the inner circle, the
+    # lowest label of a tie
     inner_band = active & (R2 <= 4.0 * r_in**2)
-    best, t_label = -1, 0
-    for lab in range(1, n_comp + 1):
-        if not np.any((labels == lab) & inner_band):
-            continue
-        size = int(np.sum(labels == lab))
-        if size > best:
-            best, t_label = size, lab
-    if t_label == 0:
+    sizes = np.bincount(labels.ravel(), minlength=n_comp + 1)
+    near = np.bincount(labels[inner_band], minlength=n_comp + 1) > 0
+    near[0] = False
+    if not near.any():
         raise TopologyError("annulus_flat_check: no positive component "
                             "touches the inner region")
+    t_label = int(np.argmax(np.where(near, sizes, -1)))
 
     code = (labels > 0).astype(np.int8) + (labels == t_label)
 

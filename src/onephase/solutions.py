@@ -24,10 +24,10 @@ Conventions
 * Points are real arrays of shape (..., 2); values have shape (...).
 * A point is on F(u) when its body-frame distance to F is at most
   ``BOUNDARY_TOL``·(1 + max|xᵢ|) (`Solution._on_fb`), for ``eval_grad`` and
-  ``primitive`` alike.  ``eval_grad`` is the a.e. gradient: the classical
-  one in the open positive phase, 0 in the open zero phase and on F(u), or
-  on F with ``boundary_limit=True`` the limit of ∇u from the adjacent
-  positive side (for the two-sided wedge, from {x₁ > 0}).
+  ``primitive`` alike.  ``eval_grad`` is the classical gradient in the open
+  positive phase, 0 in the open zero phase, and on F(u) the limit of ∇u
+  from the adjacent positive side (for the two-sided wedge, from {x₁ > 0}),
+  the side the free-boundary condition is read from.
 * ``eval_u`` and ``eval_grad`` at the same points share one chart solve.
 * ``primitive`` is the closed-form F(z) with F′ = (2u_z)² on the closure of
   the positive phase, and ``component`` labels that phase's components; the
@@ -212,15 +212,11 @@ class Solution(ABC):
         p = self.motion.to_body(_as_points(points))
         return self._u_body(p)
 
-    def eval_grad(self, points, boundary_limit: bool = False):
-        """∇u at world points; on F(u) (`_on_fb`) 0, or with `boundary_limit`
-        the limit from the adjacent positive side ({x₁ > 0} for the wedge)."""
+    def eval_grad(self, points):
+        """∇u at world points; on F(u) (`_on_fb`) its limit from the adjacent
+        positive side ({x₁ > 0} for the wedge)."""
         p = self.motion.to_body(_as_points(points))
-        on = self._on_fb(p)
-        g = self._grad_body(p, on)
-        if not boundary_limit:
-            g[on] = 0.0
-        return self.motion.vector_to_world(g)
+        return self.motion.vector_to_world(self._grad_body(p, self._on_fb(p)))
 
     def _on_fb(self, p):
         """Body points on F(u): within BOUNDARY_TOL·(1 + max|xᵢ|) of it."""

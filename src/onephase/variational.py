@@ -226,18 +226,6 @@ class TestVectorField:
             object.__setattr__(self, "direction",
                                tuple(map(float, self.direction)))
 
-    @staticmethod
-    def radial_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0
-                    ) -> "TestVectorField":
-        """ψ(x) = η(|x−c|)(x−c): identity-like inside r0, zero outside r1."""
-        return TestVectorField(center, r0, r1)
-
-    @staticmethod
-    def directional_bump(center=(0.0, 0.0), r0: float = 0.5, r1: float = 1.0,
-                         direction=(1.0, 0.0)) -> "TestVectorField":
-        """ψ(x) = η(|x−c|)·e for a fixed direction e."""
-        return TestVectorField(center, r0, r1, direction)
-
     def func(self, p):
         d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
         e = self.direction
@@ -441,7 +429,7 @@ def _circle_integrals(sol, center, radii):
     s, w = gauss_nodes(_ARC_NODES)
     theta = (lo[idx] + k * width)[:, None] + width[:, None] * s
     pts = _circle_points(c, radii[arc[idx]][:, None], theta)
-    g = sol.eval_grad(pts, boundary_limit=True)
+    g = sol.eval_grad(pts)
     u = sol.eval_u(pts)
     bulk = width * ((g[..., 0] ** 2 + g[..., 1] ** 2 + 1.0) @ w)
     boundary = width * ((u * u) @ w)
@@ -470,8 +458,8 @@ def weiss_energy(sol, center, r: float) -> float:
     `HalfPlane`, x₀ = (−0.7, 0), r = 1, the circle of radius 0.7 touches F,
     and W comes out 0.517296 against the exact 0.515808, 0.29% high.
     """
-    if not r > 0:
-        raise InvalidInputError("weiss_energy requires r > 0")
+    if not 0 < r < np.inf:
+        raise InvalidInputError("weiss_energy requires 0 < r < inf")
     t, tw = gauss_nodes(_WEISS_RADIAL_NODES)
     bulk, boundary = _circle_integrals(sol, center, r * np.append(t, 1.0))
     return float(np.dot(tw * t, bulk[:-1])) - float(boundary[-1]) / r**2
@@ -486,11 +474,14 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
 
     `sol` may be a `Solution` or any object with `eval_u`/`interpolate`
     (e.g. a `ScalarField2D` minimizer; there pick r of a few grid spacings
-    and pass `direction` explicitly).  ν defaults to the boundary-limit
-    gradient direction (the inward normal for exact solutions).  Three
-    dyadic radii and quadratic Richardson remove the O(τ) and O(τ²)
-    expansion terms.
+    and pass `direction` explicitly).  ν is `direction` normalized, which
+    must be finite and nonzero, or else the direction of `eval_grad` at x₀,
+    the limit of ∇u from the positive side (the inward normal for exact
+    solutions).  Requires 0 < r < inf.  Three dyadic radii and quadratic
+    Richardson remove the O(τ) and O(τ²) expansion terms.
     """
+    if not 0 < r < np.inf:
+        raise InvalidInputError("viscosity_slope requires 0 < r < inf")
     u_of = sol.eval_u if hasattr(sol, "eval_u") else sol.interpolate
     x0 = np.asarray(x0, dtype=float)
     u0 = float(u_of(x0))
@@ -502,14 +493,18 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
         if not hasattr(sol, "eval_grad"):
             raise InvalidInputError(
                 "viscosity_slope: `direction` is required for sampled fields")
-        g = sol.eval_grad(x0[None, :], boundary_limit=True)[0]
+        g = sol.eval_grad(x0[None, :])[0]
         n = np.hypot(g[0], g[1])
         if n < 1e-14:
             raise DomainError("viscosity_slope: no growth direction at x0 "
                               "(zero boundary gradient); pass `direction`")
         direction = g / n
     nu = np.asarray(direction, dtype=float)
-    nu = nu / np.hypot(nu[0], nu[1])
+    length = np.hypot(nu[0], nu[1])
+    if not 0 < length < np.inf:
+        raise InvalidInputError(
+            "viscosity_slope requires a finite nonzero direction")
+    nu = nu / length
     taus = np.array([r, r / 2.0, r / 4.0])
     pts = x0[None, :] + taus[:, None] * nu[None, :]
     f = (u_of(pts) - u0) / taus
@@ -833,19 +828,17 @@ def _relax(v, h):
     return v, history, iterations, residual
 
 
-def minimize_ac(window: Window, h: float, boundary, init=None,
-                rng=None) -> MinimizeResult:
+def minimize_ac(window: Window, h: float, boundary) -> MinimizeResult:
     """Minimize the smoothed discrete J over nonnegative grid fields with a
     Dirichlet trace on ∂W, coarse to fine.
 
     boundary: callable(points (n, 2)) → the n trace values, finite and ≥ 0;
     it is called once per level, on that level's boundary nodes only.
-    init: optional initializer — an array on the (window, h) grid, a
-    callable, or None for seeded uniform noise (`rng`, default seed 0).
 
     The grid is halved while both cell counts are even and more than 32
-    cells span the width.  `init` (an array through bilinear interpolation)
-    seeds the coarsest level, and each level's cleaned field the next.  Each
+    cells span the width.  The coarsest level starts from uniform noise on
+    [0, max(trace max, its h)] (`default_rng(0)`), and each level's cleaned
+    field, through bilinear interpolation, seeds the next.  Each
     level anneals ε over 2h, h, h/2.  Each phase runs projected Newton steps
     until the residual reaches _DESCENT_TOL, at most _MAX_NEWTON_STEPS of
     them: interior nodes with v = 0 and an uphill gradient G > 0 are held,
@@ -875,11 +868,7 @@ def minimize_ac(window: Window, h: float, boundary, init=None,
     while nx % 2 == 0 and ny % 2 == 0 and nx > _COARSEST_CELLS:
         nx, ny = nx // 2, ny // 2
         levels.insert(0, 2.0 * levels[0])
-    if init is not None and not callable(init):
-        init = ScalarField2D(window=window, h=h, values=init).interpolate
-    rng = np.random.default_rng(0) if rng is None else rng
-
-    energy_history, history_h, iterations = [], [], 0
+    energy_history, history_h, iterations, fld = [], [], 0, None
     for level_h in levels:
         pts = np.stack(np.meshgrid(*window.grid(level_h)), axis=-1)
         fixed = np.ones(pts.shape[:2], dtype=bool)
@@ -895,18 +884,17 @@ def minimize_ac(window: Window, h: float, boundary, init=None,
                                     "finite")
         if np.any(bvals < 0.0):
             raise InvalidInputError("minimize_ac: boundary trace must be ≥ 0")
-        if init is None:
-            v = rng.uniform(0.0, max(float(bvals.max()), level_h),
-                            size=fixed.shape)
+        if fld is None:
+            v = np.random.default_rng(0).uniform(
+                0.0, max(float(bvals.max()), level_h), size=fixed.shape)
         else:
-            v = np.maximum(np.asarray(init(pts), dtype=float), 0.0)
+            v = np.maximum(fld.interpolate(pts), 0.0)
         v[fixed] = bvals
         v, hist, n_iter, residual = _relax(v, level_h)
         energy_history += hist
         history_h += [level_h] * len(hist)
         iterations += n_iter
         fld = ScalarField2D(window=window, h=level_h, values=v)
-        init = fld.interpolate
 
     return MinimizeResult(field=fld, energy=ac_energy(fld),
                           energy_history=energy_history, history_h=history_h,

@@ -92,7 +92,7 @@ def test_criterion_03_slope_condition(stopwatch):
         cases = [(Hairpin(1.0), _hairpin_fb_points()),
                  (Scherk(0.5, 1.0), _scherk_fb_points())]
         for sol, pts in cases:
-            g = sol.eval_grad(pts, boundary_limit=True)
+            g = sol.eval_grad(pts)
             speed = np.hypot(g[:, 0], g[:, 1])
             assert np.max(np.abs(speed - 1.0)) < 1e-6, sol.kind
             fd = np.array([viscosity_slope(sol, p, r=1e-4) for p in pts])
@@ -137,9 +137,9 @@ def _fb_bump_family(centers, r0, r1):
     out = []
     for c in centers:
         c = tuple(c)
-        out.append(TestVectorField.radial_bump(c, r0, r1))
-        out.append(TestVectorField.directional_bump(c, r0, r1, (1.0, 0.0)))
-        out.append(TestVectorField.directional_bump(c, r0, r1, (0.0, 1.0)))
+        out.append(TestVectorField(c, r0, r1))
+        out.append(TestVectorField(c, r0, r1, (1.0, 0.0)))
+        out.append(TestVectorField(c, r0, r1, (0.0, 1.0)))
     return out
 
 
@@ -186,11 +186,9 @@ def test_criterion_05_variational_discrimination(stopwatch):
         sol = OneSidedPlane(s=s)
         window = Window(-1.0, -1.0, 1.0, 1.0)
         fields = [
-            TestVectorField.directional_bump((0.0, 0.0), 0.3, 0.8,
-                                             (1.0, 0.0)),
-            TestVectorField.directional_bump((0.1, 0.25), 0.25, 0.7,
-                                             (1.0, 0.0)),
-            TestVectorField.radial_bump((0.2, -0.2), 0.3, 0.75),
+            TestVectorField((0.0, 0.0), 0.3, 0.8, (1.0, 0.0)),
+            TestVectorField((0.1, 0.25), 0.25, 0.7, (1.0, 0.0)),
+            TestVectorField((0.2, -0.2), 0.3, 0.75),
         ]
         for psi in fields:
             target = (s**2 - 1.0) * quad(

@@ -579,7 +579,7 @@ class TestDampedNewton:
             sol.eval_u(_scherk_points(1000, 3))
             # its own cloud: at eval_u's points the chart's memo would
             # answer without a solve
-            sol.eval_grad(_scherk_points(1000, 4), boundary_limit=True)
+            sol.eval_grad(_scherk_points(1000, 4))
         # hhp, two slit calls, and a bulk and a corner call per evaluation
         assert len(newton_spy) >= 15
 
@@ -1114,7 +1114,7 @@ class TestScherkPhiRoute:
         pts = _scherk_points(3000, 5)
         pts = pts[np.hypot(pts[:, 0], np.abs(pts[:, 1]) - np.pi) >= 1e-2]
         sol = Scherk(s, 1.0)
-        u, g = sol.eval_u(pts), sol.eval_grad(pts, boundary_limit=True)
+        u, g = sol.eval_u(pts), sol.eval_grad(pts)
         monkeypatch.setattr(
             conformal, "_damped_newton",
             lambda targets, z0, fdf, project: _damped_newton_oracle(
@@ -1126,5 +1126,4 @@ class TestScherkPhiRoute:
                             lambda self, zeta: np.exp(-self.phi(zeta)))
         sol = Scherk(s, 1.0)
         assert np.max(np.abs(u - sol.eval_u(pts))) <= 1e-13
-        assert np.max(np.abs(g - sol.eval_grad(pts, boundary_limit=True))) \
-            <= 1e-13
+        assert np.max(np.abs(g - sol.eval_grad(pts))) <= 1e-13

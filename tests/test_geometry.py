@@ -26,7 +26,7 @@ from onephase.geometry import (_ANNULUS_ANGLES, _ANNULUS_EPS, _ANNULUS_NODES,
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge, Window)
-from onephase.variational import ScalarField2D
+from onephase.variational import ScalarField2D, viscosity_slope, weiss_energy
 
 from helpers import (FAMILY_MEMBERS, count_points, curve_curvature,
                      field_from_solution)
@@ -1078,3 +1078,33 @@ class TestAnnulusFlatCheck:
             annulus_flat_check(halfplane, delta=0.01, scales=[0.015])
         with pytest.raises(InvalidInputError):
             annulus_flat_check(halfplane, delta=2.0, scales=[0.5])
+
+
+
+_SQUARE = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+
+
+@pytest.mark.parametrize("call, names", [
+    *[pytest.param(lambda step=step: flux_balance(HalfPlane(), _SQUARE,
+                                                  step=step),
+                   "step", id=f"flux_balance_step_{step}")
+      for step in (0.0, -1.0, np.nan, np.inf)],
+    pytest.param(lambda: annulus_flat_check(HalfPlane(), delta=0.01,
+                                            scales=[0.5, np.nan]),
+                 "scales", id="annulus_scale_nan"),
+    pytest.param(lambda: weiss_energy(HalfPlane(), (0.0, 0.0), np.inf),
+                 "r < inf", id="weiss_energy_r_inf"),
+    pytest.param(lambda: circle_max(HalfPlane(), (0.0, 0.0), np.inf),
+                 "r < inf", id="circle_max_r_inf"),
+    pytest.param(lambda: viscosity_slope(HalfPlane(), (0.0, 0.0), r=np.inf),
+                 "r < inf", id="viscosity_slope_r_inf"),
+    *[pytest.param(lambda d=d: viscosity_slope(HalfPlane(), (0.0, 0.0), d),
+                   "direction", id=f"viscosity_slope_direction_{d}")
+      for d in ((0.0, 0.0), (np.inf, 0.0), (np.nan, 1.0))],
+])
+def test_out_of_range_size_rejected(call, names):
+    """A step, scale, radius or direction that is not finite and in range
+    is an InvalidInputError that names it, not a NaN or an error from deep
+    inside."""
+    with pytest.raises(InvalidInputError, match=names):
+        call()

@@ -236,38 +236,16 @@ def _moved_curves(sol, angle, x, y):
 
 class TestOnFreeBoundary:
     """`Solution._on_fb` decides which points are on F for every family:
-    there the limit gradient from the positive side, or 0; elsewhere one
-    gradient in both modes."""
+    there `eval_grad` is the limit gradient from the positive side."""
 
     @pytest.mark.parametrize("sol", FAMILY_MEMBERS, ids=lambda s: s.kind)
     @given(angle=angles, x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
     @settings(max_examples=15, deadline=None)
     def test_limit_gradient_on_own_curves(self, sol, angle, x, y):
         moved, verts = _moved_curves(sol, angle, x, y)
-        g = moved.eval_grad(verts, boundary_limit=True)
+        g = moved.eval_grad(verts)
         slope = sol.s if sol.kind in ("wedge", "one_sided_plane") else 1.0
         assert np.max(np.abs(np.hypot(g[:, 0], g[:, 1]) - slope)) <= 1e-9
-
-    @pytest.mark.parametrize(
-        "sol", FAMILY_MEMBERS + [Scherk(0.5, 3.0)],
-        ids=[sol.kind for sol in FAMILY_MEMBERS] + ["scherk_a3"])
-    @given(angle=angles, x=st.floats(-0.5, 0.5), y=st.floats(-0.5, 0.5))
-    @settings(max_examples=10, deadline=None)
-    def test_modes_differ_only_on_fb(self, sol, angle, x, y):
-        moved, verts = _moved_curves(sol, angle, x, y)
-        rng = np.random.default_rng(5)
-        # each vertex moved up to three boundary tolerances off F, and
-        # points anywhere in the window
-        scale = BOUNDARY_TOL * (1.0 + np.abs(verts).max(axis=-1))
-        near = verts + scale[:, None] * rng.uniform(-3.0, 3.0, verts.shape)
-        x0, y0, x1, y1 = moved.verify_window()
-        pts = np.vstack([verts, near,
-                         rng.uniform((x0, y0), (x1, y1), size=(400, 2))])
-        on = moved._on_fb(moved.motion.to_body(pts))
-        g = moved.eval_grad(pts)
-        limit = moved.eval_grad(pts, boundary_limit=True)
-        assert g[~on].tobytes() == limit[~on].tobytes()
-        assert np.all(g[on] == 0.0)
 
     def test_scherk_point_off_the_rule_gets_zero(self):
         # 5e-9 inside the loop at a = 3: farther from F than the rule's
@@ -278,7 +256,7 @@ class TestOnFreeBoundary:
         p = 3.0 * q - 5e-9 * n / np.hypot(n[:, 0], n[:, 1])[:, None]
         assert sol.fb_distance(p)[0] == pytest.approx(5e-9, rel=1e-3)
         assert not sol._on_fb(p)[0] and not sol.in_positive_phase(p)[0]
-        assert np.all(sol.eval_grad(p, boundary_limit=True) == 0.0)
+        assert np.all(sol.eval_grad(p) == 0.0)
 
 
 class _EveryLoop(Scherk):
