@@ -7,7 +7,10 @@ Conventions used throughout the package:
 * a *window* is an axis-aligned rectangle [x0, x1] x [y0, y1];
 * floats round-trip IEEE double exactly: CSV cells are written with
   '%.17g' and JSON numbers by Python's repr; files are written atomically
-  (temp file + rename) so re-runs are byte-identical.
+  (temp file + rename) so re-runs are byte-identical;
+* lengths, points and directions are checked by `finite_positive` (0 < x <
+  inf, a direction by its norm) and `finite_points` only; bounded ranges such
+  as Wedge's 0 < s ≤ 1 stay chained comparisons, which reject NaN and ±inf.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Window",
+    "finite_positive",
+    "finite_points",
     "format_float",
     "write_text_atomic",
     "json_text",
@@ -79,9 +84,7 @@ class Window:
         extents to within 1e-9 relative, otherwise the grid would silently
         misrepresent the window.
         """
-        if not 0 < h < np.inf:
-            raise InvalidInputError(
-                f"grid spacing h must be finite and > 0, got {h}")
+        finite_positive("Window.grid", "h", h)
         nx = round(self.width / h)
         ny = round(self.height / h)
         if abs(nx * h - self.width) > 1e-9 * max(1.0, self.width) or nx < 1:
@@ -94,6 +97,23 @@ class Window:
 
     def as_tuple(self):
         return (self.x0, self.y0, self.x1, self.y1)
+
+
+def finite_positive(where: str, name: str, value) -> float:
+    """`value` as a float; an InvalidInputError unless 0 < value < inf."""
+    if not 0 < (value := float(value)) < np.inf:
+        raise InvalidInputError(
+            f"{where} requires 0 < {name} < inf, got {value}")
+    return value
+
+
+def finite_points(where: str, name: str, value) -> np.ndarray:
+    """`value` as a float array; an InvalidInputError unless all finite."""
+    p = np.asarray(value, dtype=float)
+    if (bad := p[~np.isfinite(p)]).size:
+        raise InvalidInputError(
+            f"{where} requires a finite {name}, got {bad[0]}")
+    return p
 
 
 def format_float(x) -> str:
@@ -194,8 +214,8 @@ def polyline_length(poly) -> float:
 
 
 def densify_polyline(poly, step: float) -> np.ndarray:
-    """Resample a polyline so consecutive points are at most `step` apart
-    (original vertices are kept).
+    """Resample a polyline so consecutive points are at most `step` > 0 apart
+    (original vertices are kept; step = inf keeps only them, not an error).
 
     A segment of length ℓ gets n = max(1, ⌈ℓ/step⌉) points: t_k = k·(1/n)
     for k < n and its end vertex at t = 1, as np.linspace(0, 1, n + 1)[1:]

@@ -37,9 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import (Window, densify_polyline, points_in_polygon,
-                     polyline_length, write_csv_atomic)
+from .common import (Window, densify_polyline, finite_points, finite_positive,
+                     points_in_polygon, polyline_length, write_csv_atomic)
 from .errors import DomainError, InvalidInputError, TopologyError
+from .solutions import RigidMotion
 from .variational import ScalarField2D
 
 __all__ = [
@@ -269,9 +270,8 @@ _CIRCLE_SAMPLES = 720
 def circle_max(sol, center, r: float):
     """Max of u over `_CIRCLE_SAMPLES` equally spaced points of
     ∂B_r(center); returns (max_value, max_value / r)."""
-    if not 0 < r < np.inf:
-        raise InvalidInputError("circle_max requires 0 < r < inf")
-    c = np.asarray(center, dtype=float)
+    finite_positive("circle_max", "r", r)
+    c = finite_points("circle_max", "center", center)
     th = np.linspace(0.0, 2.0 * np.pi, _CIRCLE_SAMPLES, endpoint=False)
     pts = c[None, :] + r * np.stack([np.cos(th), np.sin(th)], axis=-1)
     m = float(np.max(sol.eval_u(pts)))
@@ -313,9 +313,8 @@ def flux_balance(sol, polygon, step: float = 1e-3) -> FluxReport:
     The phase at every edge's Gauss nodes, ∇u at the positive ones and the
     phase beside the free boundary are each read in one call.
     """
-    if not 0 < step < np.inf:
-        raise InvalidInputError("flux_balance requires 0 < step < inf")
-    P = np.asarray(polygon, dtype=float)
+    finite_positive("flux_balance", "step", step)
+    P = finite_points("flux_balance", "polygon", polygon)
     if P.ndim != 2 or P.shape[1] != 2 or len(P) < 3:
         raise InvalidInputError("flux_balance: polygon needs ≥ 3 vertices")
     if np.allclose(P[0], P[-1]):
@@ -599,8 +598,7 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
     `ScalarField2D` is read by bilinear interpolation, and its free
     boundary by `extract_boundary`.
     """
-    if not delta > 0:
-        raise InvalidInputError("classify_flat requires delta > 0")
+    finite_positive("classify_flat", "delta", delta)
     step = 6.0 / (_TRICHOTOMY_NODES - 1) / 2.0
     if isinstance(sol_or_field, ScalarField2D):
         fb = [c.vertices for c in extract_boundary(sol_or_field).components]
@@ -765,12 +763,6 @@ def _annulus_grid(r_in, r):
     return np.stack([Rg * np.cos(Tg), Rg * np.sin(Tg)], axis=-1)
 
 
-def _rotate(pts, theta):
-    ct, st = np.cos(theta), np.sin(theta)
-    return np.stack([ct * pts[..., 0] - st * pts[..., 1],
-                     st * pts[..., 0] + ct * pts[..., 1]], axis=-1)
-
-
 def _sup_at(twice, Pref, k):
     """max |U(ρ_θ ·) − Pref| over the grid at the coarse rotation
     θ_k = 2πk/_COARSE_ANGLES, from `twice`, the values U0 on the unrotated
@@ -920,9 +912,7 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
         # P, so the strand maps into graph position by the inverse rotation;
         # polish θ by zeroing the least-squares tilt of the graph samples
         def strand_graph(theta):
-            ct, st = np.cos(theta), np.sin(theta)
-            sx = ct * strand_pts[:, 0] + st * strand_pts[:, 1]
-            sy = -st * strand_pts[:, 0] + ct * strand_pts[:, 1]
+            sx, sy = RigidMotion(angle=theta).to_body(strand_pts).T
             rr = np.hypot(sx, sy)
             sel = (rr <= r) & (rr >= r_in)
             order = np.argsort(sy[sel])
@@ -934,8 +924,8 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
                 break
             beta = float(np.polyfit(gy, gx, 1)[0])
             theta_best -= float(np.arctan(beta))
-        flat_best = float(np.max(np.abs(u_T(_rotate(base, theta_best))
-                                        - Pref)))
+        rotated = RigidMotion(angle=theta_best).to_world(base)
+        flat_best = float(np.max(np.abs(u_T(rotated) - Pref)))
 
         gy, gx = strand_graph(theta_best)
         if len(gy) >= 3:

@@ -37,8 +37,10 @@ Conventions
   repeat their first vertex when unclipped.
 * A family's parameters are its dataclass fields but ``motion``
   (``param_names()``).  ``_length`` names the one that carries the length
-  scale, or is None: the base class checks it is > 0, and ``rescale(lam)``,
+  scale, or is None: the base class checks 0 < it < inf and ``rescale(lam)``,
   the member representing u_λ(x) = u(λx)/λ, divides it by λ.
+* Evaluation points are not checked for finiteness: that would be one more
+  pass over every array on the hot path.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .common import Window, clip_polyline_to_window, write_json_atomic
+from .common import (Window, clip_polyline_to_window, finite_positive,
+                     write_json_atomic)
 from .conformal import (HHPStrip, ScherkStrip, scherk_loop_gradient,
                         scherk_loop_implicit, scherk_loop_point)
 from .errors import DomainError, InvalidInputError, NoSaddleError
@@ -166,13 +169,13 @@ class Solution(ABC):
     homogeneous = False
     #: body-frame F(p, on) with F′ = (2u_z)², or None; `on` as in _grad_body
     _primitive_body = None
-    #: the parameter a dilation divides, checked > 0; None if scale-free
+    #: the parameter a dilation divides (0 < it < inf); None if scale-free
     _length = None
 
     def __post_init__(self):
-        if self._length is not None and not getattr(self, self._length) > 0:
-            raise InvalidInputError(
-                f"{type(self).__name__} requires {self._length} > 0")
+        if self._length is not None:
+            finite_positive(type(self).__name__, self._length,
+                            getattr(self, self._length))
 
     @classmethod
     def param_names(cls) -> tuple:
@@ -256,9 +259,7 @@ class Solution(ABC):
         """World-frame F(u) polylines in `window`, positive phase left."""
         if step is None:
             step = max(window.width, window.height) / 1000.0
-        if not 0 < step < np.inf:
-            raise InvalidInputError(
-                f"boundary step must be finite and > 0, got {step}")
+        finite_positive("free_boundary_curves", "step", step)
         corners = np.array([[window.x0, window.y0], [window.x1, window.y0],
                             [window.x1, window.y1], [window.x0, window.y1]])
         bc = self.motion.to_body(corners)
@@ -277,8 +278,7 @@ class Solution(ABC):
 
     def rescale(self, lam: float) -> "Solution":
         """The family member representing u_λ(x) = u(λx)/λ."""
-        if not lam > 0:
-            raise InvalidInputError("rescale requires λ > 0")
+        finite_positive("rescale", "λ", lam)
         length = ({} if self._length is None
                   else {self._length: getattr(self, self._length) / lam})
         shift = (self.motion.shift[0] / lam, self.motion.shift[1] / lam)
@@ -369,8 +369,7 @@ class OneSidedPlane(HalfPlane):
     _primitive_body = None  # no solution: not the half-plane's z
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise InvalidInputError("OneSidedPlane requires s > 0")
+        finite_positive("OneSidedPlane", "s", self.s)
 
     def _u_body(self, p):
         return self.s * super()._u_body(p)

@@ -60,7 +60,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import Window, smoothstep5, write_json_atomic, write_text_atomic
+from .common import (Window, finite_points, finite_positive, smoothstep5,
+                     write_json_atomic, write_text_atomic)
 from .errors import ConvergenceError, DomainError, InvalidInputError
 from .quad import gauss_nodes
 from .solutions import BOUNDARY_TOL
@@ -217,14 +218,18 @@ class TestVectorField:
     direction: tuple | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.r0 < self.r1:
+        for name in ("r0", "r1"):
+            finite_positive("TestVectorField", name, getattr(self, name))
+        if not self.r0 < self.r1:
             raise InvalidInputError(
                 f"a bump field requires 0 < r0 < r1, got {self.r0}, {self.r1}")
         # float pairs, so that fields with one cutoff share one dict key
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        center = finite_points("TestVectorField", "center", self.center)
+        object.__setattr__(self, "center", tuple(map(float, center)))
         if self.direction is not None:
-            object.__setattr__(self, "direction",
-                               tuple(map(float, self.direction)))
+            e = tuple(map(float, self.direction))
+            finite_positive("TestVectorField", "|direction|", np.hypot(*e))
+            object.__setattr__(self, "direction", e)
 
     def func(self, p):
         d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
@@ -458,8 +463,8 @@ def weiss_energy(sol, center, r: float) -> float:
     `HalfPlane`, x₀ = (−0.7, 0), r = 1, the circle of radius 0.7 touches F,
     and W comes out 0.517296 against the exact 0.515808, 0.29% high.
     """
-    if not 0 < r < np.inf:
-        raise InvalidInputError("weiss_energy requires 0 < r < inf")
+    finite_positive("weiss_energy", "r", r)
+    center = finite_points("weiss_energy", "center", center)
     t, tw = gauss_nodes(_WEISS_RADIAL_NODES)
     bulk, boundary = _circle_integrals(sol, center, r * np.append(t, 1.0))
     return float(np.dot(tw * t, bulk[:-1])) - float(boundary[-1]) / r**2
@@ -480,10 +485,9 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
     solutions).  Requires 0 < r < inf.  Three dyadic radii and quadratic
     Richardson remove the O(τ) and O(τ²) expansion terms.
     """
-    if not 0 < r < np.inf:
-        raise InvalidInputError("viscosity_slope requires 0 < r < inf")
+    finite_positive("viscosity_slope", "r", r)
     u_of = sol.eval_u if hasattr(sol, "eval_u") else sol.interpolate
-    x0 = np.asarray(x0, dtype=float)
+    x0 = finite_points("viscosity_slope", "x0", x0)
     u0 = float(u_of(x0))
     if abs(u0) > 1e-3 * r:
         raise DomainError(
@@ -500,11 +504,7 @@ def viscosity_slope(sol, x0, direction=None, r: float = 1e-3) -> float:
                               "(zero boundary gradient); pass `direction`")
         direction = g / n
     nu = np.asarray(direction, dtype=float)
-    length = np.hypot(nu[0], nu[1])
-    if not 0 < length < np.inf:
-        raise InvalidInputError(
-            "viscosity_slope requires a finite nonzero direction")
-    nu = nu / length
+    nu = nu / finite_positive("viscosity_slope", "|direction|", np.hypot(*nu))
     taus = np.array([r, r / 2.0, r / 4.0])
     pts = x0[None, :] + taus[:, None] * nu[None, :]
     f = (u_of(pts) - u0) / taus

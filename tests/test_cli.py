@@ -534,6 +534,18 @@ class TestConfigHandling:
                    "--out", str(tmp_path)) == 2
         assert not (tmp_path / "verify_report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["traizet", "--family", "hairpin", "--param", "a=inf"],
+        ["classify", "--family", "hairpin", "--param", "a=0.05",
+         "--param", "mode=trichotomy", "--param", "delta=inf"],
+        ["boundary", "--family", "two_plane", "--param", "a=inf"]],
+        ids=["traizet_hairpin_a", "classify_delta", "boundary_two_plane_a"])
+    def test_infinite_length(self, tmp_path, capsys, argv):
+        # not a NaN mesh or an "Infinity" JSON report: no file is written
+        assert run(*argv, "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("step", ["abc", "0", "-1"])
     def test_bad_boundary_step(self, tmp_path, step):
         assert run("boundary", "--family", "half_plane",

@@ -3,6 +3,7 @@ flux balance, the 4-connected labeler, the flat trichotomy classifier, the
 annulus probe, and circle maxima.  scipy (`cKDTree`, `ndimage.label`) is the
 reference for the numpy nearest-distance query and labeler."""
 
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -19,14 +20,15 @@ from onephase.geometry import (_ANNULUS_ANGLES, _ANNULUS_EPS, _ANNULUS_NODES,
                                _coarse_best, _component_member,
                                _dist_to_polygon_edges,
                                _label4, _nearest_distance, _ring_bounds,
-                               _rotate, _self_intersects, _sup_at,
+                               _self_intersects, _sup_at,
                                annulus_flat_check, circle_max, classify_flat,
                                extract_boundary, flux_balance, hausdorff,
                                random_polygon_in_phase)
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge, Window)
-from onephase.variational import ScalarField2D, viscosity_slope, weiss_energy
+from onephase.variational import (ScalarField2D, TestVectorField,
+                                  viscosity_slope, weiss_energy)
 
 from helpers import (FAMILY_MEMBERS, count_points, curve_curvature,
                      field_from_solution)
@@ -880,7 +882,7 @@ def _membership_points(rng):
     n = _ANNULUS_NODES - 1
     rand = rng.uniform(-3.0, n + 3.0, (4000, 2))
     polar = np.concatenate([
-        _rotate(_annulus_grid(0.02, r), t).reshape(-1, 2)
+        RigidMotion(angle=t).to_world(_annulus_grid(0.02, r)).reshape(-1, 2)
         for r in (0.1, 0.4, 1.0) for t in np.linspace(0.0, 6.0, 7)])
     polar = (polar + 1.0) * (n / 2.0)
     return np.vstack([rand, polar, _aligned_points(rng, n, 2000)])
@@ -1001,8 +1003,9 @@ class TestAnnulusFlatCheck:
         twice = np.concatenate([U0, U0])
         rolled = [_sup_at(twice, pref, k) for k in range(_COARSE_ANGLES)]
         coarse = np.linspace(0.0, 2.0 * np.pi, _COARSE_ANGLES, endpoint=False)
-        direct = [np.max(np.abs(sol.eval_u(_rotate(base, t)) - pref))
-                  for t in coarse]
+        direct = [np.max(np.abs(
+            sol.eval_u(RigidMotion(angle=t).to_world(base)) - pref))
+            for t in coarse]
         assert np.max(np.abs(np.subtract(rolled, direct))) <= 1e-12
         assert _coarse_best(U0, pref) == int(np.argmin(direct))
 
@@ -1082,6 +1085,26 @@ class TestAnnulusFlatCheck:
 
 
 _SQUARE = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+_BAD = (np.nan, np.inf, -np.inf, 0.0)
+
+
+def _bad_lengths(where, name, call, values=_BAD):
+    """One case per value: `call(value)` must name the length and value."""
+    return [pytest.param(
+        lambda v=v: call(v),
+        re.escape(f"{where} requires 0 < {name} < inf, got {v}"),
+        id=f"{where}_{name}_{v}") for v in values]
+
+
+def _bad_points(where, name, call):
+    """One case per non-finite coordinate: `call(point)` must name the
+    point and the coordinate."""
+    return [pytest.param(
+        lambda p=p: call(p),
+        re.escape(f"{where} requires a finite {name}, got {bad}"),
+        id=f"{where}_{name}_{p}")
+        for p, bad in (((np.nan, 0.0), np.nan), ((np.inf, 0.0), np.inf),
+                       ((0.0, -np.inf), -np.inf))]
 
 
 @pytest.mark.parametrize("call, names", [
@@ -1101,9 +1124,53 @@ _SQUARE = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
     *[pytest.param(lambda d=d: viscosity_slope(HalfPlane(), (0.0, 0.0), d),
                    "direction", id=f"viscosity_slope_direction_{d}")
       for d in ((0.0, 0.0), (np.inf, 0.0), (np.nan, 1.0))],
+    *_bad_lengths("Window.grid", "h", Window(-1.0, -1.0, 1.0, 1.0).grid),
+    *_bad_lengths("free_boundary_curves", "step",
+                  lambda v: HalfPlane().free_boundary_curves(
+                      Window(-1.0, -1.0, 1.0, 1.0), step=v)),
+    *_bad_lengths("rescale", "λ", HalfPlane().rescale),
+    *_bad_lengths("OneSidedPlane", "s", lambda v: OneSidedPlane(s=v)),
+    *_bad_lengths("TestVectorField", "r0",
+                  lambda v: TestVectorField((0.0, 0.0), v, 0.2)),
+    *_bad_lengths("TestVectorField", "r1",
+                  lambda v: TestVectorField((0.0, 0.0), 0.1, v)),
+    *_bad_points("TestVectorField", "center",
+                 lambda p: TestVectorField(p, 0.1, 0.2)),
+    *[pytest.param(lambda d=d: TestVectorField((0.0, 0.0), 0.1, 0.2, d),
+                   re.escape(f"requires 0 < |direction| < inf, got {n}"),
+                   id=f"TestVectorField_direction_{d}")
+      for d, n in (((0.0, 0.0), 0.0), ((np.nan, 1.0), np.nan),
+                   ((np.inf, 0.0), np.inf), ((0.0, -np.inf), np.inf))],
+    *_bad_lengths("weiss_energy", "r",
+                  lambda v: weiss_energy(HalfPlane(), (0.0, 0.0), v),
+                  (np.nan, -np.inf, 0.0)),
+    *_bad_points("weiss_energy", "center",
+                 lambda p: weiss_energy(HalfPlane(), p, 1.0)),
+    *_bad_lengths("circle_max", "r",
+                  lambda v: circle_max(HalfPlane(), (0.0, 0.0), v),
+                  (np.nan, -np.inf, 0.0)),
+    *_bad_points("circle_max", "center",
+                 lambda p: circle_max(HalfPlane(), p, 1.0)),
+    *_bad_lengths("viscosity_slope", "r",
+                  lambda v: viscosity_slope(HalfPlane(), (0.0, 0.0), r=v),
+                  (np.nan, -np.inf, 0.0)),
+    *_bad_points("viscosity_slope", "x0",
+                 lambda p: viscosity_slope(HalfPlane(), p)),
+    pytest.param(lambda: viscosity_slope(HalfPlane(), (0.0, 0.0),
+                                         (0.0, -np.inf)),
+                 re.escape("viscosity_slope requires 0 < |direction| < inf, "
+                           "got inf"),
+                 id="viscosity_slope_direction_(0.0, -inf)"),
+    *_bad_lengths("flux_balance", "step",
+                  lambda v: flux_balance(HalfPlane(), _SQUARE, step=v),
+                  (-np.inf,)),
+    *_bad_points("flux_balance", "polygon",
+                 lambda p: flux_balance(HalfPlane(), np.vstack([_SQUARE, p]))),
+    *_bad_lengths("classify_flat", "delta",
+                  lambda v: classify_flat(HalfPlane(), v)),
 ])
 def test_out_of_range_size_rejected(call, names):
-    """A step, scale, radius or direction that is not finite and in range
+    """A length, scale, point or direction that is not finite and in range
     is an InvalidInputError that names it, not a NaN or an error from deep
     inside."""
     with pytest.raises(InvalidInputError, match=names):

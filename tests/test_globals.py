@@ -3,7 +3,7 @@ exist, and so must every name a module exports; quadrature stays out of the
 chart and Traizet layers; every error class is raised somewhere; each CLI
 command reads exactly the parameters `cli.PARAMS` and the settings
 `cli.SETTINGS` declare for it, since the CLI rejects any other name;
-only `onephase.common` encodes JSON.  No module imports scipy: the
+only `onephase.common` encodes JSON and compares with `np.inf`.  No module imports scipy: the
 minimizer solves its 5-point systems by multigrid-preconditioned CG in
 numpy, so `import onephase` and every command, `minimize` included, load
 no scipy module.  The tests keep scipy as an oracle.
@@ -192,6 +192,25 @@ def test_only_the_common_layer_encodes_json():
     # so numpy values and key order are handled in one place
     assert [m for m in ["onephase"] + MODULES
             if _encodes_json(m)] == ["onephase.common"]
+
+
+def _compares_with_inf(module_name):
+    """The lines on which the module's source compares with `np.inf`."""
+    path = Path(importlib.import_module(module_name).__file__)
+    return [node.lineno
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Attribute) and x.attr == "inf"
+                and isinstance(x.value, ast.Name) and x.value.id == "np"
+                for x in [node.left, *node.comparators])]
+
+
+def test_only_the_common_layer_checks_finite_lengths():
+    # a length is valid by common.finite_positive's one rule, so no other
+    # module writes its own 0 < x < np.inf, the check that forgot NaN or
+    # inf in some of its copies
+    assert [m for m in MODULES if _compares_with_inf(m)] \
+        == ["onephase.common"]
 
 
 @pytest.mark.parametrize("module_name", ["onephase.common",

@@ -386,9 +386,11 @@ class TestMotions:
 
     @pytest.mark.parametrize("cls", [TwoPlane, Hairpin, DiskComplement,
                                      Scherk], ids=lambda c: c.kind)
-    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("length", [0.0, -1.0, float("nan"),
+                                        float("inf")])
     def test_length_must_be_positive(self, cls, length):
-        with pytest.raises(InvalidInputError, match=f"{cls._length} > 0"):
+        with pytest.raises(InvalidInputError,
+                           match=f"0 < {cls._length} < inf"):
             cls(**{cls._length: length})
 
     def test_rescale_validates(self, hairpin):
