@@ -172,7 +172,8 @@ def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
     """Marching-squares contour of {v > level}, oriented with the positive
     set on the left of travel.  Saddle cells (two opposite corners inside)
     are split according to the cell-center average.  Returns an empty
-    FreeBoundary when the field has no sign change of (v − level).
+    FreeBoundary when the field has no sign change of (v − level); the
+    level must be finite.
 
     Every grid edge has an integer id: the horizontal edges (j, i)–(j, i+1)
     row-major first, then the vertical edges (j, i)–(j+1, i).  `_CASES`
@@ -180,6 +181,7 @@ def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
     cell leaves a crossing and the other enters it, so the pairs form one
     successor array.  Chains start at the ids no pair enters, then loops at
     their lowest id, both in id order."""
+    finite_points("extract_boundary", "level", level)
     v, w, h = fld.values, fld.window, fld.h
     inside = v > level
     ny, nx = v.shape
@@ -234,11 +236,13 @@ def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
 def hausdorff(a, b, densify_step: float = None) -> float:
     """Symmetric Hausdorff distance between two polyline sets, computed on
     vertices after densification (default step: 1/2 of the coarsest mean
-    segment length)."""
+    segment length).  Every vertex must be finite."""
     A = _as_polyline_list(a)
     B = _as_polyline_list(b)
     if not A or not B:
         raise InvalidInputError("hausdorff: empty polyline set")
+    for ps in A + B:
+        finite_points("hausdorff", "vertex", ps)
     if densify_step is None:
         seglens = []
         for ps in A + B:

@@ -45,6 +45,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, replace
 
@@ -84,10 +85,18 @@ def _as_points(points):
 class RigidMotion:
     """Rotation by `angle` followed by translation by `shift`:
     world = R_θ · body + t, so a solution evaluates as
-    u(x) = u_body(R_{−θ}(x − t))."""
+    u(x) = u_body(R_{−θ}(x − t)).  The angle and the shift must be finite."""
 
     angle: float = 0.0
     shift: tuple = (0.0, 0.0)
+
+    def __post_init__(self):
+        # scalar checks: the annulus polish builds a few motions per scale
+        for name, values in (("angle", (self.angle,)), ("shift", self.shift)):
+            for v in values:
+                if not math.isfinite(v):
+                    raise InvalidInputError(
+                        f"RigidMotion requires a finite {name}, got {float(v)}")
 
     def _rotate(self, x, y, sign: float, out, spare=None):
         """out = R_{sign·θ}·(x, y) for coordinate arrays x and y, one
@@ -136,8 +145,8 @@ class RigidMotion:
     @staticmethod
     def from_dict(d: dict) -> "RigidMotion":
         """The motion of a {"angle": θ, "shift": [t₁, t₂]} object; anything
-        but a finite angle and exactly two finite shift numbers is an
-        InvalidInputError."""
+        but an angle number and exactly two shift numbers is an
+        InvalidInputError (the constructor rejects non-finite ones)."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"motion must be an object, got {d!r}")
         angle, shift = d.get("angle", 0.0), d.get("shift", (0.0, 0.0))
@@ -145,7 +154,7 @@ class RigidMotion:
             if isinstance(shift, (str, bytes)):
                 raise TypeError
             angle, shift = float(angle), tuple(float(v) for v in shift)
-            ok = len(shift) == 2 and np.all(np.isfinite((angle, *shift)))
+            ok = len(shift) == 2
         except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:

@@ -22,7 +22,12 @@ the Euler–Lagrange system per phase is 2K₅v + h²β'_ε(v) = 0 at the free
 interior nodes with the given Dirichlet trace.  It runs coarse to fine.  No
 matrix is built: each stencil op (K₅, the multigrid smoother and residual)
 runs on one flat contiguous run of the whole node array, and the junk this
-leaves on the boundary ring is cleared by a 0/1 multiply.  Each phase takes
+leaves on the boundary ring is cleared by a 0/1 multiply.  Each cascade
+level makes its node arrays once, when it starts (`_Work`, `_Multigrid`),
+and every intermediate is written into them: the Newton loop's one new
+node-sized array is the gather its residual sums.  The multigrid builds
+the flat runs and slices of its own arrays once, and its V-cycle writes
+into a given `out`.  Each phase takes
 projected (v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982):
 nodes held at 0 by an uphill gradient take no step, and the others solve
 the convex model 2K₅ + diag(h²·max(β″_ε, 0)) inexactly, by a few
@@ -151,13 +156,15 @@ class ScalarField2D:
                              values=vals)
 
 
-def _dirichlet(v: np.ndarray) -> float:
+def _dirichlet(v: np.ndarray, dx=None, dy=None) -> float:
     """Σ over the grid's axis edges of w_e·(v_a − v_b)², with w_e = ½ on
     edges along the window boundary and 1 elsewhere: the P1 Dirichlet
     energy averaged over both diagonal triangulations, which is ½ Σ_cells
-    of the squared differences on the cell's four edges."""
-    dx = v[:, 1:] - v[:, :-1]
-    dy = v[1:, :] - v[:-1, :]
+    of the squared differences on the cell's four edges.  The differences
+    go into the C-contiguous arrays dx (m, n − 1) and dy (m − 1, n) when
+    given, and into new ones otherwise."""
+    dx = np.subtract(v[:, 1:], v[:, :-1], out=dx)
+    dy = np.subtract(v[1:, :], v[:-1, :], out=dy)
     dx *= dx
     dy *= dy
     return float(dx[1:-1].sum() + dy[:, 1:-1].sum()
@@ -165,16 +172,24 @@ def _dirichlet(v: np.ndarray) -> float:
                           + dy[:, -1].sum()))
 
 
-def _neighbour_sum(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _neighbour_runs(v: np.ndarray, out: np.ndarray) -> tuple:
+    """The flat runs `_neighbour_sum` writes of out and reads of v: node
+    (1, 1) to (−2, −2), and the same run of v shifted by −n, +n, −1, +1."""
+    n, f = v.shape[1], v.ravel()
+    return (out.ravel()[n + 1:-n - 1], f[1:-2 * n - 1], f[2 * n + 1:-1],
+            f[n:-n - 2], f[n + 2:-n])
+
+
+def _neighbour_sum(v: np.ndarray, out: np.ndarray, runs=None) -> np.ndarray:
     """out = the sum of the four axis neighbours at each interior node of
     the C-contiguous node array v (K₅v = 4v − out there), in a node array.
     One flat run, node (1, 1) to (−2, −2), with the row slices' operands and
-    order, keeps the interior's bits; the ring columns get wrapped junk."""
-    n, f = v.shape[1], v.ravel()
-    run = out.ravel()[n + 1:-n - 1]  # the same run shifted by −n, +n, −1, +1
-    np.add(f[1:-2 * n - 1], f[2 * n + 1:-1], out=run)
-    run += f[n:-n - 2]
-    run += f[n + 2:-n]
+    order, keeps the interior's bits; the ring columns get wrapped junk.
+    `runs`, when given, is `_neighbour_runs(v, out)`, built once."""
+    run, up, down, left, right = runs or _neighbour_runs(v, out)
+    np.add(up, down, out=run)
+    run += left
+    run += right
     return out
 
 
@@ -554,28 +569,81 @@ class MinimizeResult:
     converged: bool
 
 
-def _energy(v, eps, wh2):
+class _Work:
+    """A cascade level's node arrays, made once when the level starts.
+    The Newton loop's one new node-sized array is then the residual's
+    gather of the free nodes' gradient, whose sum fixes the residual's
+    bits.  Buffers whose contents never live at the same time are shared:
+
+    * t and q are the scratch of `_energy`, `_gradient` and
+      `_beta_second_clipped`, and PCG's t and z; `_dirichlet`'s dx and dy
+      are C-contiguous views of their leading entries;
+    * g holds the gradient, b the Newton right-hand side (its ring stays
+      0), and x, r and p PCG's iterate, residual and search direction;
+    * trial and spare hold the line search's trial fields;
+    * mask (interior nodes) and flags (two node arrays) are bool scratch."""
+
+    def __init__(self, shape):
+        m, n = shape
+        self.t, self.q, self.g, self.b, self.x, self.r, self.p, \
+            self.trial, self.spare = (np.zeros(shape) for _ in range(9))
+        self.dx = self.t.ravel()[:m * (n - 1)].reshape(m, n - 1)
+        self.dy = self.q.ravel()[:(m - 1) * n].reshape(m - 1, n)
+        self.pcg = (self.x, self.r, self.t, self.p, self.q)
+        self.mask = np.zeros((m - 2, n - 2), dtype=bool)
+        self.flags = (np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool))
+
+
+def _energy(v, eps, wh2, work):
     """The smoothed energy `_dirichlet`(v) + Σ wh2·β_ε(v), with the
     smoothstep β_ε(v) = 3t² − 2t³ and t = v/ε clipped to [0, 1]."""
-    t = np.clip(v / eps, 0.0, 1.0)
-    return _dirichlet(v) + float((wh2 * (t * t * (3.0 - 2.0 * t))).sum())
+    e = _dirichlet(v, work.dx, work.dy)
+    t = np.divide(v, eps, out=work.t)
+    np.clip(t, 0.0, 1.0, out=t)
+    q = np.multiply(t, 2.0, out=work.q)
+    np.subtract(3.0, q, out=q)
+    t *= t
+    t *= q  # t·t·(3 − 2t)
+    t *= wh2
+    return e + float(t.sum())
 
 
-def _gradient(v, eps, h2):
+def _gradient(v, eps, h2, work):
     """`_energy`'s gradient 2K₅v + h²β′_ε(v), β′_ε = 6t(1 − t)/ε, at the
-    interior nodes, as a view of a whole node array."""
-    t = np.clip(v / eps, 0.0, 1.0)
-    g = v * 8.0 - 2.0 * _neighbour_sum(v, np.zeros_like(v))
-    g += h2 * ((6.0 / eps) * t * (1.0 - t))
+    interior nodes, as a view of the node array work.g."""
+    g = _neighbour_sum(v, work.g)
+    g *= 2.0
+    np.subtract(np.multiply(v, 8.0, out=work.q), g, out=g)
+    t = np.divide(v, eps, out=work.t)
+    np.clip(t, 0.0, 1.0, out=t)
+    q = np.subtract(1.0, t, out=work.q)
+    t *= 6.0 / eps
+    t *= q
+    t *= h2
+    g += t
     return g[1:-1, 1:-1]
 
 
-def _beta_second_clipped(v, eps):
-    """max(β″_ε(v), 0), the convex part of the smoothstep's curvature; at
-    v = 0 it is the limit from the right, the side a feasible step takes."""
-    t = v / eps
-    inside = (t >= 0.0) & (t < 0.5)
-    return np.where(inside, (6.0 - 12.0 * t) / (eps * eps), 0.0)
+def _beta_second_clipped(v, eps, work):
+    """max(β″_ε(v), 0), the convex part of the smoothstep's curvature, in
+    the node array work.t; at v = 0 it is the limit from the right, the
+    side a feasible step takes."""
+    t = np.divide(v, eps, out=work.t)
+    inside, below = work.flags
+    np.greater_equal(t, 0.0, out=inside)
+    inside &= np.less(t, 0.5, out=below)
+    t *= 12.0
+    np.subtract(6.0, t, out=t)
+    t /= eps * eps
+    np.copyto(t, 0.0, where=np.logical_not(inside, out=inside))
+    return t
+
+
+def _trial(v, a, d, out):
+    """out = max(v − a·d, 0), the projected step."""
+    np.multiply(d, a, out=out)
+    np.subtract(v, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def _spd_inverse(a):
@@ -591,6 +659,51 @@ def _spd_inverse(a):
         a[:, k] = col
         a[k, k] = -1.0 / d
     return -0.5 * (a + a.T)  # the sweeps leave −a⁻¹, symmetric to round-off
+
+
+def _restrict_views(fine, t, out):
+    """The slices `_restrict` reads and writes, for the fine node array,
+    the half-coarsened array t and the coarse interior out."""
+    mc, nc = out.shape
+    t = t[1:-1]
+    return (fine[1:2 * mc:2], fine[3:2 * mc + 2:2], fine[2:2 * mc + 1:2], t,
+            t[:, 1:2 * nc:2], t[:, 3:2 * nc + 2:2], t[:, 2:2 * nc + 1:2], out)
+
+
+def _restrict(views):
+    """out = Pᵀ fine, from a level's node array to the next coarser
+    level's interior, through `_restrict_views`: the rows, then the
+    columns, each weighted ½, 1, ½."""
+    lo, hi, mid, t, t_lo, t_hi, t_mid, out = views
+    np.add(lo, hi, out=t)
+    t *= 0.5
+    t += mid
+    np.add(t_lo, t_hi, out=out)
+    out *= 0.5
+    out += t_mid
+
+
+def _prolong_views(coarse, t, out):
+    """The slices `_prolong` reads and writes, for the coarse node array,
+    the half-coarsened array t and the fine interior out."""
+    t = t[:, 1:-1]  # its first and last rows stay 0
+    m, n = out.shape
+    q, p = (n + 1) // 2, (m + 1) // 2
+    return (coarse[1:-1, 1:-1], coarse[1:-1, :q], coarse[1:-1, 1:q + 1],
+            t[1:-1, 1::2], t[1:-1, 0::2], t[1:-1], t[:p], t[1:p + 1],
+            out[1::2], out[0::2])
+
+
+def _prolong(views):
+    """out = P coarse, from a level's node array to the next finer level's
+    interior, through `_prolong_views`: bilinear, the columns first."""
+    c_mid, c_lo, c_hi, t_odd, t_even, t_mid, t_lo, t_hi, odd, even = views
+    np.copyto(t_odd, c_mid)
+    np.add(c_lo, c_hi, out=t_even)
+    t_even *= 0.5
+    np.copyto(odd, t_mid)
+    np.add(t_lo, t_hi, out=even)
+    even *= 0.5
 
 
 class _Multigrid:
@@ -614,8 +727,12 @@ class _Multigrid:
     sweep smooths before the coarse correction and one after, so the cycle
     is a symmetric positive definite preconditioner on the mask.
 
-    `setup` builds every level's diagonal for one operator; `apply` and
-    `vcycle` then take node arrays with a zero ring."""
+    Every array but the finest iterate and right-hand side is made once,
+    here, and so are the flat runs and slices the stencils and transfers
+    take of them; those of any other array are taken per call.  `setup`
+    builds every level's diagonal for one operator; `apply` and `vcycle`
+    then take node arrays with a zero ring, and `vcycle` writes into `out`
+    when it is given."""
 
     def __init__(self, shape):
         shapes = [shape]
@@ -635,6 +752,14 @@ class _Multigrid:
         # restriction and prolongation pass through a half-coarsened array
         self.t = [np.zeros((c[0], f[1])) for f, c in zip(shapes, shapes[1:])]
         self.out = np.zeros(shape)
+        self.runs = [None] + [_neighbour_runs(x, s)
+                              for x, s in zip(self.x[1:], self.s[1:])]
+        self.down = [_restrict_views(r, t, b[1:-1, 1:-1])
+                     for r, t, b in zip(self.r, self.t, self.b[1:])]
+        self.c_down = [_restrict_views(c, t, cc[1:-1, 1:-1])
+                       for c, t, cc in zip(self.c, self.t, self.c[1:])]
+        self.up = [_prolong_views(x, t, r[1:-1, 1:-1])
+                   for x, t, r in zip(self.x[1:], self.t, self.r)]
         m, n = shapes[-1][0] - 2, shapes[-1][1] - 2
         node = np.arange(m * n).reshape(m, n)
         self.offdiag = np.zeros((m * n, m * n))
@@ -645,9 +770,11 @@ class _Multigrid:
         """Use c (interior nodes) and the boolean mask of the free nodes."""
         self.keep[0][1:-1, 1:-1] = mask
         np.add(c, 8.0, out=self.diag[0][1:-1, 1:-1])
-        self.c[0][1:-1, 1:-1] = np.where(mask, c, _HELD)
+        held = self.c[0][1:-1, 1:-1]
+        held.fill(_HELD)
+        np.copyto(held, c, where=mask)
         for k in range(1, len(self.c)):
-            self._restrict(k - 1, self.c[k - 1], self.c[k][1:-1, 1:-1])
+            _restrict(self.c_down[k - 1])
             np.add(self.c[k], 8.0, out=self.diag[k])
         for diag, dinv, keep in zip(self.diag, self.dinv, self.keep):
             np.divide(_JACOBI_OMEGA, diag, out=dinv)
@@ -657,59 +784,35 @@ class _Multigrid:
 
     def _operate(self, k, x, out):
         """out = A x on level k, kept: 0 on the ring and the held nodes."""
-        s = _neighbour_sum(x, self.s[k])
+        runs = self.runs[k] if x is self.x[k] else None
+        s = _neighbour_sum(x, self.s[k], runs)
         s *= 2.0
         np.multiply(self.diag[k], x, out=out)
         out -= s
         out *= self.keep[k]
         return out
 
-    def _restrict(self, k, fine, out):
-        """out = Pᵀ fine, from level k's node array to level k + 1's
-        interior."""
-        mc, nc = out.shape
-        t = self.t[k][1:-1]
-        np.add(fine[1:2 * mc:2], fine[3:2 * mc + 2:2], out=t)
-        t *= 0.5
-        t += fine[2:2 * mc + 1:2]
-        np.add(t[:, 1:2 * nc:2], t[:, 3:2 * nc + 2:2], out=out)
-        out *= 0.5
-        out += t[:, 2:2 * nc + 1:2]
-
-    def _prolong(self, k, coarse, out):
-        """out = P coarse, from level k + 1's node array to level k's
-        interior."""
-        t = self.t[k][:, 1:-1]  # its first and last rows stay 0
-        m, n = out.shape
-        q = (n + 1) // 2
-        np.copyto(t[1:-1, 1::2], coarse[1:-1, 1:-1])
-        np.add(coarse[1:-1, :q], coarse[1:-1, 1:q + 1], out=t[1:-1, 0::2])
-        t[1:-1, 0::2] *= 0.5
-        q = (m + 1) // 2
-        np.copyto(out[1::2], t[1:-1])
-        np.add(t[:q], t[1:q + 1], out=out[0::2])
-        out[0::2] *= 0.5
-
     def apply(self, x):
         """A x, masked, as a node array with a zero ring; the array is
         reused by the next call."""
         return self._operate(0, x, self.out)
 
-    def vcycle(self, b):
-        """One V(1,1) cycle from 0 for A x = b; returns a new node array."""
-        xs = [np.empty_like(b)] + self.x[1:]
+    def vcycle(self, b, out=None):
+        """One V(1,1) cycle from 0 for A x = b; returns out, or a new node
+        array when out is None."""
+        xs = [np.empty_like(b) if out is None else out] + self.x[1:]
         bs = [b] + self.b[1:]
         last = len(xs) - 1
         for k in range(last):
             x, r = xs[k], self.r[k]
             np.multiply(self.dinv[k], bs[k], out=x)
             np.subtract(bs[k], self._operate(k, x, r), out=r)
-            self._restrict(k, r, bs[k + 1][1:-1, 1:-1])
+            _restrict(self.down[k])
         xs[last][1:-1, 1:-1].flat = np.sum(
             self.inv * bs[last][1:-1, 1:-1].ravel(), axis=1)
         for k in reversed(range(last)):
             x, r = xs[k], self.r[k]
-            self._prolong(k, xs[k + 1], r[1:-1, 1:-1])
+            _prolong(self.up[k])
             if k == 0:
                 r *= self.keep[0]
             x += r
@@ -719,21 +822,23 @@ class _Multigrid:
         return xs[0]
 
 
-def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS):
+def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS, *, work=None):
     """Preconditioned CG for apply(x) = b from x = 0, at most `steps`
     steps, stopping at relative residual `rtol`.  In `minimize_ac` the
-    operator is a masked 2K₅ + diag(c) and `precond` one multigrid V-cycle
-    for it, which returns a new array.  The products share one scratch
-    array laid out as b, so the sums keep their bits.  Returns the iterate
-    and whether it reached the tolerance."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    t = b * b
-    stop = rtol * np.sqrt(t.sum())
+    operator is a masked 2K₅ + diag(c) and `precond(r, out=z)` one
+    multigrid V-cycle for it, written into z.  `work` holds the iterate x,
+    the residual r, the scratch t of the products, the direction p and z,
+    five arrays laid out as b (new ones when it is None), so the sums keep
+    their bits.  Returns the iterate, work's x, and whether it reached the
+    tolerance."""
+    x, r, t, p, z = work or [np.empty_like(b) for _ in range(5)]
+    x.fill(0.0)
+    np.copyto(r, b)
+    stop = rtol * np.sqrt(np.multiply(b, b, out=t).sum())
     if stop == 0.0:
         return x, True
-    p = z = precond(r)
-    rz = np.multiply(r, z, out=t).sum()
+    precond(r, out=p)  # the first direction is the first z
+    rz = np.multiply(r, p, out=t).sum()
     for _ in range(steps):
         Ap = apply(p)
         alpha = rz / np.multiply(p, Ap, out=t).sum()
@@ -741,7 +846,7 @@ def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS):
         r -= np.multiply(Ap, alpha, out=t)
         if np.sqrt(np.multiply(r, r, out=t).sum()) <= stop:
             return x, True
-        z = precond(r)
+        precond(r, out=z)
         rz, rz_old = np.multiply(r, z, out=t).sum(), rz
         p *= rz / rz_old  # p = z + (rz/rz_old)·p, bit for bit
         p += z
@@ -752,32 +857,44 @@ def _relax(v, h):
     """One cascade level of `minimize_ac`, the annealed projected Newton
     descent and the cleanup, on the C-contiguous node array `v`, whose
     boundary ring keeps its values.  Trial steps evaluate only the energy;
-    each phase start and each accepted step form one gradient.  Returns the
-    field, one energy list per phase, the step count and the last residual."""
+    each phase start and each accepted step form one gradient.  The
+    descent's node arrays are made here, once (`_Work`); the field moves
+    between v and the two trial arrays, and the one it ends in is returned.
+    Returns the field, one energy list per phase, the step count and the
+    last residual."""
     h2 = h * h
     wh2 = h2 * _node_weights(v.shape)
     mg = _Multigrid(v.shape)
+    w = _Work(v.shape)
+    new, spare = w.trial, w.spare
+    b_inner = w.b[1:-1, 1:-1]
 
     # sums, not BLAS dot products: threaded ddot spins idle workers, and its
     # summation order, so the Newton path, depends on the thread count
     def free_residual(vv, g):
-        free = (vv[1:-1, 1:-1] > 0.0) | (g < 0.0)
+        free = np.greater(vv[1:-1, 1:-1], 0.0, out=w.mask)
+        free |= np.less(g, 0.0, out=w.flags[0][1:-1, 1:-1])
         n = int(free.sum())
-        return float(np.sqrt((g[free] ** 2).sum() / max(n, 1))) / h2
+        gf = g[free]
+        gf *= gf
+        return float(np.sqrt(gf.sum() / max(n, 1))) / h2
 
     def newton_direction(vv, g, eps):
         # nodes pinned at 0 by an uphill gradient take no step.  v = 0 with
         # g = 0 stays in the solve: held there, the positive phase would
         # spread into a zero region by one ring of nodes per step.
-        inactive = (vv[1:-1, 1:-1] > 0.0) | (g <= 0.0)
-        mg.setup((h2 * _beta_second_clipped(vv, eps))[1:-1, 1:-1], inactive)
-        b = np.zeros_like(vv)
-        b[1:-1, 1:-1] = np.where(inactive, g, 0.0)
-        return _pcg(mg.apply, mg.vcycle, b)[0]
+        inactive = np.greater(vv[1:-1, 1:-1], 0.0, out=w.mask)
+        inactive |= np.less_equal(g, 0.0, out=w.flags[0][1:-1, 1:-1])
+        c = _beta_second_clipped(vv, eps, w)
+        c *= h2
+        mg.setup(c[1:-1, 1:-1], inactive)
+        b_inner.fill(0.0)
+        np.copyto(b_inner, g, where=inactive)
+        return _pcg(mg.apply, mg.vcycle, w.b, work=w.pcg)[0]
 
     history, iterations = [], 0
     for eps in np.multiply(_EPS_FACTORS, h):
-        E, g = _energy(v, eps, wh2), _gradient(v, eps, h2)
+        E, g = _energy(v, eps, wh2, w), _gradient(v, eps, h2, w)
         phase = [E]
         for _it in range(_MAX_NEWTON_STEPS):
             iterations += 1
@@ -788,8 +905,7 @@ def _relax(v, h):
             # d vanishes on the boundary ring, so each trial step keeps it
             a = 1.0
             for _bt in range(40):
-                v_new = np.maximum(v - a * d, 0.0)
-                E_new = _energy(v_new, eps, wh2)
+                E_new = _energy(_trial(v, a, d, new), eps, wh2, w)
                 if E_new <= E + 1e-12 * max(1.0, abs(E)):
                     break
                 a *= 0.5
@@ -797,34 +913,35 @@ def _relax(v, h):
                 break  # line search exhausted: stationary to round-off
             if a == 1.0:  # the full step passed: longer ones may too
                 for _dbl in range(40):
-                    v_try = np.maximum(v - 2.0 * a * d, 0.0)
-                    E_try = _energy(v_try, eps, wh2)
+                    E_try = _energy(_trial(v, 2.0 * a, d, spare), eps, wh2, w)
                     if not E_try < E_new:
                         break
-                    a, v_new, E_new = 2.0 * a, v_try, E_try
-            v, E = v_new, E_new
-            g = _gradient(v, eps, h2)
+                    a, new, spare, E_new = 2.0 * a, spare, new, E_try
+            v, new, E = new, v, E_new
+            g = _gradient(v, eps, h2, w)
             phase.append(E)
         history.append(phase)
 
     # the cleanup: K₅v = 0 on the nodes at or above ε/2, which start from 0,
     # so that the answer depends on the Newton path only through that set
-    free = v[1:-1, 1:-1] >= 0.5 * eps
-    v = v.copy()
+    free = np.greater_equal(v[1:-1, 1:-1], 0.5 * eps, out=w.mask)
     v[1:-1, 1:-1] = 0.0
     if np.any(free):
         mg.setup(np.zeros(free.shape), free)
-        b = np.zeros_like(v)  # −2K₅ of the boundary data, on the free nodes
-        s = _neighbour_sum(v, np.zeros_like(v))[1:-1, 1:-1]
-        b[1:-1, 1:-1] = np.where(free, 2.0 * s, 0.0)
-        x, ok = _pcg(mg.apply, mg.vcycle, b, _CLEANUP_RTOL, _CLEANUP_STEPS)
+        # −2K₅ of the boundary data, on the free nodes
+        s = _neighbour_sum(v, w.g)[1:-1, 1:-1]
+        s *= 2.0
+        b_inner.fill(0.0)
+        np.copyto(b_inner, s, where=free)
+        x, ok = _pcg(mg.apply, mg.vcycle, w.b, _CLEANUP_RTOL, _CLEANUP_STEPS,
+                     work=w.pcg)
         if not ok:
-            r = b - mg.apply(x)
+            r = w.b - mg.apply(x)
             raise ConvergenceError(
                 "minimize_ac: the cleanup's CG stopped at relative residual "
-                f"{np.sqrt(np.sum(r * r) / np.sum(b * b)):.3e} after "
+                f"{np.sqrt(np.sum(r * r) / np.sum(w.b * w.b)):.3e} after "
                 f"{_CLEANUP_STEPS} steps", last_iterate=x)
-        v[1:-1, 1:-1] = np.maximum(x[1:-1, 1:-1], 0.0)  # ≥ 0 up to round-off
+        np.maximum(x[1:-1, 1:-1], 0.0, out=v[1:-1, 1:-1])  # ≥ 0 to round-off
     return v, history, iterations, residual
 
 

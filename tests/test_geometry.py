@@ -1168,6 +1168,16 @@ def _bad_points(where, name, call):
                  lambda p: flux_balance(HalfPlane(), np.vstack([_SQUARE, p]))),
     *_bad_lengths("classify_flat", "delta",
                   lambda v: classify_flat(HalfPlane(), v)),
+    # a vertex of either set, before the default step is formed from them
+    *_bad_points("hausdorff", "vertex",
+                 lambda p: hausdorff([np.array([[0.0, 0.0], p])], _SQUARE)),
+    *_bad_points("hausdorff", "vertex",
+                 lambda p: hausdorff(_SQUARE, [np.array([[0.0, 0.0], p])])),
+    *[pytest.param(lambda v=v: extract_boundary(
+        field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0), 0.25),
+        level=v),
+        re.escape(f"extract_boundary requires a finite level, got {v}"),
+        id=f"extract_boundary_level_{v}") for v in (np.nan, np.inf, -np.inf)],
 ])
 def test_out_of_range_size_rejected(call, names):
     """A length, scale, point or direction that is not finite and in range

@@ -2,6 +2,7 @@
 serialization round-trips."""
 
 import json
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -335,6 +336,23 @@ class TestHairpinPolylines:
 # ---------------------------------------------------------------------------
 
 class TestMotions:
+    @pytest.mark.parametrize("kw, name, bad", [
+        ({"angle": np.inf}, "angle", np.inf),
+        ({"angle": np.nan}, "angle", np.nan),
+        ({"shift": (np.nan, 0.0)}, "shift", np.nan),
+        ({"shift": (0.0, -np.inf)}, "shift", -np.inf)],
+        ids=["angle_inf", "angle_nan", "shift_nan", "shift_minus_inf"])
+    def test_non_finite_motion_rejected(self, kw, name, bad):
+        """Built directly, as through `from_dict`, a non-finite angle or
+        shift is an InvalidInputError that names it."""
+        message = re.escape(f"RigidMotion requires a finite {name}, got {bad}")
+        with pytest.raises(InvalidInputError, match=message):
+            RigidMotion(**kw)
+        with pytest.raises(InvalidInputError, match=message):
+            HalfPlane(motion=RigidMotion(**kw))
+        with pytest.raises(InvalidInputError, match=message):
+            RigidMotion.from_dict(kw)
+
     @given(angle=angles, sx=shifts, sy=shifts)
     @settings(max_examples=25, deadline=None)
     def test_halfplane_equivariance(self, angle, sx, sy):

@@ -4,6 +4,7 @@ slopes, the multigrid preconditioner, and minimizer runs.  scipy's sparse
 matrices and `splu` are the oracle for the 5-point stiffness and for the
 cleanup solve."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from onephase.solutions import (DiskComplement, HalfPlane, Hairpin,
                                 Wedge, Window)
 from onephase.variational import (ScalarField2D, TestVectorField, _Multigrid,
                                   _circle_integrals, _neighbour_sum, _pcg,
-                                  ac_energy, minimize_ac,
+                                  _prolong, _restrict, ac_energy, minimize_ac,
                                   variational_residual, viscosity_slope,
                                   weiss_energy)
 
@@ -498,6 +499,30 @@ def _k5_interior(v):
     return 4.0 * v[1:-1, 1:-1] - _slice_neighbour_sum(v)
 
 
+def _slice_restrict(fine, mc, nc):
+    """Pᵀ fine at the mc × nc interior nodes of the coarser level, in the
+    minimizer's operand order on 2-D slices: the rows, then the columns,
+    each weighted ½, 1, ½."""
+    t = 0.5 * (fine[1:2 * mc:2] + fine[3:2 * mc + 2:2]) + fine[2:2 * mc + 1:2]
+    return (0.5 * (t[:, 1:2 * nc:2] + t[:, 3:2 * nc + 2:2])
+            + t[:, 2:2 * nc + 1:2])
+
+
+def _slice_prolong(coarse, m, n):
+    """P coarse at the m × n interior nodes of the finer level, bilinear, in
+    the minimizer's operand order on 2-D slices: the columns, then the
+    rows."""
+    t = np.zeros((coarse.shape[0], n))
+    q = (n + 1) // 2
+    t[1:-1, 1::2] = coarse[1:-1, 1:-1]
+    t[1:-1, 0::2] = 0.5 * (coarse[1:-1, :q] + coarse[1:-1, 1:q + 1])
+    out = np.empty((m, n))
+    q = (m + 1) // 2
+    out[1::2] = t[1:-1]
+    out[0::2] = 0.5 * (t[:q] + t[1:q + 1])
+    return out
+
+
 _STENCIL_SHAPES = [(3, 9), (9, 3), (6, 40), (35, 66), (129, 129)]
 
 
@@ -560,8 +585,8 @@ class TestMinimize:
         true = variational._pcg
         calls = []
 
-        def pcg(*args):
-            d, ok = true(*args)
+        def pcg(*args, **kw):
+            d, ok = true(*args, **kw)
             calls.append(d)
             return (-1e6 if len(calls) == 1 else 4.0) * d, ok
 
@@ -645,6 +670,27 @@ class TestMinimize:
                                capture_output=True, text=True).stdout
                 for n in ("1", "2")]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("sol, values, iterations, residual, history", [
+        (HalfPlane(),
+         "fd9d5bdacf587c1dba6207274a73fe80a96b5e7375ab915f3ad22ec803bc090c",
+         36, "0x1.f929ce38c7c1ep-12",
+         "792dbd7ead738ea6e9da13d6c353c2d1926dbd38118287f507b6bda0a5f2caff"),
+        (Hairpin(0.25),
+         "c246b0164057258bb4ebcf7c918e42c7b8a3bab53e4d0c53c3e64d87e2e05f1a",
+         106, "0x1.4239a35be09d6p-13",
+         "027140a0f547f49364b967488d17becea369cb1e1f4c277aebccc8872f64cf06")],
+        ids=["half_plane", "hairpin_0.25"])
+    def test_pinned_bits(self, sol, values, iterations, residual, history):
+        """The field's bytes, the step count, the residual and every energy
+        of the cascade h = 1/16 → 1/32, as recorded: a rewrite of the
+        descent's storage keeps its arithmetic and its order."""
+        res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 32, sol.eval_u)
+        energies = repr([[e.hex() for e in p] for p in res.energy_history])
+        assert hashlib.sha256(res.field.values.tobytes()).hexdigest() == values
+        assert res.iterations == iterations
+        assert res.residual.hex() == residual
+        assert hashlib.sha256(energies.encode()).hexdigest() == history
 
     def test_negative_trace_rejected(self):
         w = Window(-1.0, -1.0, 1.0, 1.0)
@@ -751,6 +797,56 @@ class TestMultigrid:
         assert Ax[1:-1, 1:-1].tobytes() == expect.tobytes()
         assert np.all(Ax[[0, -1]] == 0.0) and np.all(Ax[:, [0, -1]] == 0.0)
 
+    @pytest.mark.parametrize("shape", [(33, 33), (35, 66), (6, 40)])
+    def test_vcycle_into_out_keeps_the_bits(self, shape):
+        rng = np.random.default_rng(shape[0] + 3 * shape[1])
+        c, mask, vector = self._system(shape, rng)
+        mg = _Multigrid(shape)
+        mg.setup(c, mask)
+        for _ in range(2):
+            b = vector()
+            expect = mg.vcycle(b)
+            out = np.full(shape, np.nan)
+            assert mg.vcycle(b, out) is out
+            assert out.tobytes() == expect.tobytes()
+            assert mg.vcycle(b) is not expect
+
+    @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
+    def test_transfers_and_stencils_through_built_views(self, shape):
+        """Through the views built once, on the multigrid's own arrays, the
+        restrictions (of the residual and of c), the prolongation and the
+        coarse levels' operator equal the 2-D slice references bit for bit,
+        at odd and even node counts."""
+        rng = np.random.default_rng(shape[0] * shape[1] + 1)
+        m, n = shape[0] - 2, shape[1] - 2
+        mg = _Multigrid(shape)
+        mg.setup(rng.uniform(0.0, 24.0, size=(m, n)),
+                 rng.uniform(size=(m, n)) < 0.8)
+        for k in range(len(mg.r) - 1):
+            (mf, nf), (mc, nc) = (a.shape for a in (mg.r[k], mg.r[k + 1]))
+            for fine, coarse, views in ((mg.r[k], mg.b[k + 1], mg.down[k]),
+                                        (mg.c[k], mg.c[k + 1], mg.c_down[k])):
+                fine[...] = rng.normal(size=fine.shape)
+                _restrict(views)
+                assert coarse[1:-1, 1:-1].tobytes() == \
+                    _slice_restrict(fine, mc - 2, nc - 2).tobytes()
+            mg.x[k + 1][...] = rng.normal(size=(mc, nc))
+            _prolong(mg.up[k])
+            assert mg.r[k][1:-1, 1:-1].tobytes() == \
+                _slice_prolong(mg.x[k + 1], mf - 2, nf - 2).tobytes()
+        for k in range(1, len(mg.x)):
+            x = mg.x[k]
+            x[...] = 0.0
+            x[1:-1, 1:-1] = rng.normal(size=(x.shape[0] - 2, x.shape[1] - 2))
+            out = np.empty_like(x)
+            mg._operate(k, x, out)
+            expect = mg.keep[k][1:-1, 1:-1] * (
+                mg.diag[k][1:-1, 1:-1] * x[1:-1, 1:-1]
+                - 2.0 * _slice_neighbour_sum(x))
+            assert out[1:-1, 1:-1].tobytes() == expect.tobytes()
+            run = mg.runs[k][1]  # empty on a level with no interior row
+            assert run.size == 0 or np.shares_memory(run, x)
+
     @pytest.mark.parametrize("shape", [(129, 129), (35, 66), (106, 106)])
     def test_pcg_reaches_round_off(self, shape):
         rng = np.random.default_rng(7)
@@ -771,14 +867,14 @@ class TestMultigrid:
         true_pcg = variational._pcg
         steps = {}
 
-        def pcg(apply, precond, b, *tol):
+        def pcg(apply, precond, b, *tol, **kw):
             def counted(x):
                 if not tol:  # a Newton direction, not the cleanup
                     counts[-1] += 1
                 return apply(x)
             counts = steps.setdefault(2.0 / (b.shape[1] - 1), [])
             counts.append(0)
-            return true_pcg(counted, precond, b, *tol)
+            return true_pcg(counted, precond, b, *tol, **kw)
 
         monkeypatch.setattr(variational, "_pcg", pcg)
         res = minimize_ac(Window(-1.0, -1.0, 1.0, 1.0), 1.0 / 128,
