@@ -101,15 +101,27 @@ class RigidMotion:
     def _rotate(self, x, y, sign: float, out, spare=None):
         """out = R_{sign·θ}·(x, y) for coordinate arrays x and y, one
         coordinate at a time into the (..., 2) array `out`, so a point
-        rounds alone as in a batch.  c·y goes into `spare`, a new array
-        if None (y itself where the caller no longer needs it)."""
+        rounds alone as in a batch.  s·x goes into `spare`, a new array
+        if None (y itself where the caller no longer needs it).
+
+        Where both terms of the sum s·x + c·y are NaN, the result's NaN
+        is the one numpy's own formula gives.  Its array sum keeps the
+        first operand's, so the sum writes over its second: one written
+        over its first takes the reduction loop on a batch of one, which
+        keeps the second's.  For a lone point (0-d coordinates) the
+        formula sums numpy scalars, which keep the second's, and so does
+        this."""
         c, s = np.cos(sign * self.angle), np.sin(sign * self.angle)
         o0, o1 = out[..., 0], out[..., 1]
         np.multiply(c, x, out=o0)
         np.multiply(s, y, out=o1)
         o0 -= o1
-        np.multiply(s, x, out=o1)
-        o1 += np.multiply(c, y, out=spare)
+        np.multiply(c, y, out=o1)
+        sx = np.multiply(s, x, out=spare)
+        if o1.ndim:
+            np.add(sx, o1, out=o1)
+        else:
+            o1[()] = sx[()] + o1[()]
         return out
 
     def to_body(self, points):

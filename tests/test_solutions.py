@@ -460,6 +460,8 @@ class TestPointMaps:
     @example(angle=0.0, shift=(0.0, 0.0), p=np.array([-0.0, np.inf]))
     @example(angle=0.3, shift=(-0.0, 5e-324),
              p=np.array([[np.nan, -0.0], [1e308, -1e308]]))
+    @example(angle=0.0, shift=(0.0, 0.0), p=np.array([[np.inf, np.nan]]))
+    @example(angle=0.0, shift=(1e308, -1e308), p=np.array([-1e308, np.nan]))
     def test_bits_match_stacked_formula(self, angle, shift, p):
         m = RigidMotion(angle=angle, shift=shift)
         for name in ("to_body", "to_world", "vector_to_world"):
