@@ -35,7 +35,6 @@ __all__ = [
     "write_csv_atomic",
     "points_in_polygon",
     "clip_polyline_to_window",
-    "polyline_length",
     "densify_polyline",
     "smoothstep5",
 ]
@@ -204,13 +203,6 @@ def smoothstep5(t):
     vanishing derivatives at both ends."""
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-
-
-def polyline_length(poly) -> float:
-    poly = np.asarray(poly, dtype=float)
-    if len(poly) < 2:
-        return 0.0
-    return float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
 
 
 def densify_polyline(poly, step: float) -> np.ndarray:

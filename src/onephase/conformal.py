@@ -254,7 +254,8 @@ class ScherkStrip:
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
-            raise InvalidInputError("ScherkStrip requires 0 < s < 1")
+            raise InvalidInputError(
+                f"ScherkStrip requires 0 < s < 1, got {float(self.s)}")
         s = self.s
         self.l = 2.0 * np.pi * s
         self.b = 2.0 * s * np.log(1.0 / s)

@@ -2,11 +2,13 @@
 
 Contents:
 
-* `extract_boundary` — oriented marching squares (positive phase on the
-  left of travel) on integer edge ids: one case table, with saddle cells
-  split by the cell-center value, and one successor array of crossings;
-* `hausdorff` — symmetric Hausdorff distance between polyline sets over
-  densified vertices;
+* `extract_boundary` — oriented marching squares of {v > 0} (positive
+  phase on the left of travel) on integer edge ids: one case table, with
+  saddle cells split by the cell-center value, and one successor array of
+  crossings;
+* `hausdorff` — symmetric Hausdorff distance between polyline sets (an
+  (n, 2) array, a `FreeBoundary`, or lists of these) over densified
+  vertices;
 * `flux_balance` — the divergence-theorem identity on a polygonal region:
   ∮ ν·∇u vanishes, and the free boundary length inside is at most the
   Lipschitz constant times the remaining boundary length;
@@ -33,12 +35,11 @@ classifies or measures imports SciPy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .common import (Window, densify_polyline, finite_points, finite_positive,
-                     points_in_polygon, polyline_length, write_csv_atomic)
+                     points_in_polygon, write_csv_atomic)
 from .errors import DomainError, InvalidInputError, TopologyError
 from .solutions import RigidMotion
 from .variational import ScalarField2D
@@ -85,9 +86,6 @@ class PolyCurve:
     def __len__(self):
         return len(self.vertices)
 
-    def length(self) -> float:
-        return polyline_length(self.vertices)
-
 
 @dataclass
 class FreeBoundary:
@@ -104,17 +102,6 @@ class FreeBoundary:
         rows = [[ci, vi, x, y] for ci, comp in enumerate(self.components)
                 for vi, (x, y) in enumerate(comp.vertices)]
         write_csv_atomic(str(path), ["component", "vertex", "x", "y"], rows)
-
-    @staticmethod
-    def load(path) -> "FreeBoundary":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        comps = []
-        if data.size:
-            for ci in np.unique(data[:, 0]):
-                verts = data[data[:, 0] == ci][:, 2:4]
-                closed = len(verts) > 2 and np.allclose(verts[0], verts[-1])
-                comps.append(PolyCurve(verts, closed=closed))
-        return FreeBoundary(comps)
 
 
 def _segments_intersect(a, b, c, d, tol):
@@ -142,8 +129,6 @@ def _self_intersects(v, closed, tol) -> bool:
 def _as_polyline_list(obj):
     if isinstance(obj, FreeBoundary):
         return [c.vertices for c in obj.components]
-    if isinstance(obj, PolyCurve):
-        return [obj.vertices]
     if isinstance(obj, np.ndarray) and obj.ndim == 2:
         return [obj]
     out = []
@@ -157,10 +142,10 @@ def _as_polyline_list(obj):
 # ---------------------------------------------------------------------------
 
 #: oriented marching-squares segments per cell case (bit 1: bottom-left,
-#: 2: bottom-right, 4: top-right, 8: top-left node above the level): up to
+#: 2: bottom-right, 4: top-right, 8: top-left node above 0): up to
 #: two "FT" pairs, each running from side F to side T (Bottom, Right, Top,
 #: Left; "-" for none, −1) with the positive set on its left.  Rows 16 and
-#: 17 are the saddles 5 and 10 with the cell center above the level.
+#: 17 are the saddles 5 and 10 with the cell center above 0.
 _CASES = np.array([[["BRTL".find(side) for side in seg] for seg in row.split()]
                    for row in ("-- --", "BL --", "RB --", "RL --", "TR --",
                                "BL TR", "TB --", "TL --", "LT --", "BT --",
@@ -168,12 +153,11 @@ _CASES = np.array([[["BRTL".find(side) for side in seg] for seg in row.split()]
                                "-- --", "TL BR", "LB RT")])
 
 
-def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
-    """Marching-squares contour of {v > level}, oriented with the positive
-    set on the left of travel.  Saddle cells (two opposite corners inside)
-    are split according to the cell-center average.  Returns an empty
-    FreeBoundary when the field has no sign change of (v − level); the
-    level must be finite.
+def extract_boundary(fld: ScalarField2D) -> FreeBoundary:
+    """Marching-squares contour of {v > 0}, oriented with the positive set
+    on the left of travel.  Saddle cells (two opposite corners inside) are
+    split according to the cell-center average.  Returns an empty
+    FreeBoundary when the field has no sign change.
 
     Every grid edge has an integer id: the horizontal edges (j, i)–(j, i+1)
     row-major first, then the vertical edges (j, i)–(j+1, i).  `_CASES`
@@ -181,17 +165,16 @@ def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
     cell leaves a crossing and the other enters it, so the pairs form one
     successor array.  Chains start at the ids no pair enters, then loops at
     their lowest id, both in id order."""
-    finite_points("extract_boundary", "level", level)
     v, w, h = fld.values, fld.window, fld.h
-    inside = v > level
+    inside = v > 0.0
     ny, nx = v.shape
     nh = ny * (nx - 1)
     pts = np.empty((nh + (ny - 1) * nx, 2))
     j, i = np.nonzero(inside[:, :-1] != inside[:, 1:])
-    t = (level - v[j, i]) / (v[j, i + 1] - v[j, i])
+    t = (0.0 - v[j, i]) / (v[j, i + 1] - v[j, i])
     pts[j * (nx - 1) + i] = np.stack([w.x0 + (i + t) * h, w.y0 + j * h], -1)
     j, i = np.nonzero(inside[:-1, :] != inside[1:, :])
-    t = (level - v[j, i]) / (v[j + 1, i] - v[j, i])
+    t = (0.0 - v[j, i]) / (v[j + 1, i] - v[j, i])
     pts[nh + j * nx + i] = np.stack([w.x0 + i * h, w.y0 + (j + t) * h], -1)
 
     case = (inside[:-1, :-1] + 2 * inside[:-1, 1:] + 4 * inside[1:, 1:]
@@ -199,7 +182,7 @@ def extract_boundary(fld: ScalarField2D, level: float = 0.0) -> FreeBoundary:
     j, i = np.nonzero((case > 0) & (case < 15))
     case = case[j, i]
     center = 0.25 * (v[j, i] + v[j, i + 1] + v[j + 1, i] + v[j + 1, i + 1])
-    saddle = ((case == 5) | (case == 10)) & (center > level)
+    saddle = ((case == 5) | (case == 10)) & (center > 0.0)
     case[saddle] = 16 + (case[saddle] == 10)
     pairs = _CASES[case]
     cell, k = np.nonzero(pairs[..., 0] >= 0)
@@ -569,12 +552,12 @@ class FlatnessReport:
     arc_attachment_ok: bool
 
 
-def _graph_from_strand(poly, lo, hi, n=101):
-    """Sample x₁ = g(x₂) from a strand's vertices over [lo, hi]."""
+def _graph_from_strand(poly):
+    """Sample x₁ = g(x₂) from a strand's vertices at 101 points of [−1, 1]."""
     order = np.argsort(poly[:, 1])
     ys = poly[order, 1]
     xs = poly[order, 0]
-    samp = np.linspace(lo, hi, n)
+    samp = np.linspace(-1.0, 1.0, 101)
     return samp, np.interp(samp, ys, xs)
 
 
@@ -643,7 +626,7 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
         case = "A"
         strands = [p for poly in fb_in_b3 for p in _clip_to_disk(poly, 1.0, step)]
         allpts = np.vstack(strands) if strands else pts
-        ys, g = _graph_from_strand(allpts, -1.0, 1.0)
+        ys, g = _graph_from_strand(allpts)
         graphs["g"] = {"x2": ys, "x1": g}
     elif n_pos1 == 2 and n_zero1 == 1:
         case = "B"
@@ -652,8 +635,8 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
             raise TopologyError("classify_flat: case B but fewer than two "
                                 "strands found in B_1")
         strands.sort(key=lambda p: float(np.mean(p[:, 0])))
-        ys1, g1 = _graph_from_strand(strands[0], -1.0, 1.0)
-        ys2, g2 = _graph_from_strand(np.vstack(strands[1:]), -1.0, 1.0)
+        ys1, g1 = _graph_from_strand(strands[0])
+        ys2, g2 = _graph_from_strand(np.vstack(strands[1:]))
         graphs["g1"] = {"x2": ys1, "x1": g1}
         graphs["g2"] = {"x2": ys2, "x1": g2}
     elif n_pos2 == 1 and n_zero2 == 2:
@@ -828,13 +811,14 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
     max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
     if not 0 < delta < 1:
-        raise InvalidInputError("annulus_flat_check requires 0 < delta < 1")
+        raise InvalidInputError(
+            f"annulus_flat_check requires 0 < delta < 1, got {float(delta)}")
     scales = [float(r) for r in scales]
     r_in = _ANNULUS_INNER * delta
     if not scales or not all(r_in < r <= 1.0 for r in scales):
         raise InvalidInputError(
-            "annulus_flat_check: scales must lie in "
-            f"({_ANNULUS_INNER:g}·delta, 1]")
+            "annulus_flat_check requires scales in "
+            f"({_ANNULUS_INNER:g}·delta, 1], got {scales}")
 
     step = 2.0 / (_ANNULUS_NODES - 1) / 2.0
     # topology precondition (A)

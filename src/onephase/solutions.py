@@ -85,12 +85,16 @@ def _as_points(points):
 class RigidMotion:
     """Rotation by `angle` followed by translation by `shift`:
     world = R_θ · body + t, so a solution evaluates as
-    u(x) = u_body(R_{−θ}(x − t)).  The angle and the shift must be finite."""
+    u(x) = u_body(R_{−θ}(x − t)).  The angle must be finite and the
+    shift two finite numbers."""
 
     angle: float = 0.0
     shift: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        if np.shape(self.shift) != (2,):
+            raise InvalidInputError("RigidMotion requires a shift of two "
+                                    f"finite numbers, got {self.shift!r}")
         # scalar checks: the annulus polish builds a few motions per scale
         for name, values in (("angle", (self.angle,)), ("shift", self.shift)):
             for v in values:
@@ -157,8 +161,8 @@ class RigidMotion:
     @staticmethod
     def from_dict(d: dict) -> "RigidMotion":
         """The motion of a {"angle": θ, "shift": [t₁, t₂]} object; anything
-        but an angle number and exactly two shift numbers is an
-        InvalidInputError (the constructor rejects non-finite ones)."""
+        but an angle number and a sequence of shift numbers is an
+        InvalidInputError (the constructor checks they are two, finite)."""
         if not isinstance(d, dict):
             raise InvalidInputError(f"motion must be an object, got {d!r}")
         angle, shift = d.get("angle", 0.0), d.get("shift", (0.0, 0.0))
@@ -166,13 +170,10 @@ class RigidMotion:
             if isinstance(shift, (str, bytes)):
                 raise TypeError
             angle, shift = float(angle), tuple(float(v) for v in shift)
-            ok = len(shift) == 2
         except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
             raise InvalidInputError(
                 "motion needs a finite angle and a shift of two finite "
-                f"numbers, got {d!r}")
+                f"numbers, got {d!r}") from None
         return RigidMotion(angle=angle, shift=shift)
 
 
@@ -453,7 +454,8 @@ class Wedge(Solution):
 
     def __post_init__(self):
         if not 0.0 < self.s <= 1.0:
-            raise InvalidInputError("Wedge requires slope 0 < s ≤ 1")
+            raise InvalidInputError(
+                f"Wedge requires 0 < s ≤ 1, got {float(self.s)}")
 
     def _u_body(self, p):
         return self.s * np.abs(p[..., 0])
@@ -644,7 +646,8 @@ class Scherk(Solution):
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
-            raise InvalidInputError("Scherk requires slope 0 < s < 1")
+            raise InvalidInputError(
+                f"Scherk requires 0 < s < 1, got {float(self.s)}")
         super().__post_init__()
         self._chart = ScherkStrip(s=self.s)
 

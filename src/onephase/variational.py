@@ -27,7 +27,7 @@ level makes its node arrays once, when it starts (`_Work`, `_Multigrid`),
 and every intermediate is written into them: the Newton loop's one new
 node-sized array is the gather its residual sums.  The multigrid builds
 the flat runs and slices of its own arrays once, and its V-cycle writes
-into a given `out`.  Each phase takes
+into the PCG array it is given.  Each phase takes
 projected (v ≥ 0) Newton steps in the two-metric form of Bertsekas (1982):
 nodes held at 0 by an uphill gradient take no step, and the others solve
 the convex model 2K₅ + diag(h²·max(β″_ε, 0)) inexactly, by a few
@@ -103,14 +103,6 @@ class ScalarField2D:
             raise InvalidInputError(
                 f"values shape {self.values.shape} does not match grid "
                 f"{(len(ys), len(xs))}")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def nodes(self):
-        xs, ys = self.window.grid(self.h)
-        return np.meshgrid(xs, ys)
 
     def interpolate(self, points):
         """Bilinear interpolation at points of shape (..., 2).  A corner
@@ -219,11 +211,11 @@ class TestVectorField:
     """The bump field ψ, the test object of the inner variation δJ(u)[ψ]:
     with d = x − c, ρ = |d| and η(ρ) = 1 − smoothstep5((ρ − r0)/(r1 − r0)),
     ψ = η·d (radial, ``direction`` None) or η·e along a fixed e, zero
-    outside B_{r1}(c).  `func`, `div` and `jac` give ψ, div ψ and Dψ (row i
-    the gradient of ψᵢ) at points (..., 2).  With q = η′/ρ, the residual
-    uses the closed forms (`_terms`) div ψ = 2η + ρη′, gᵀDψg = η|g|² +
-    q(g·d)² (radial) and div ψ = q(d·e), gᵀDψg = (g·e)·q·(g·d) (along e);
-    `jac` is the reference they are tested against."""
+    outside B_{r1}(c).  `func` and `jac` give ψ and Dψ (row i the gradient
+    of ψᵢ) at points (..., 2).  With q = η′/ρ, the residual uses the closed
+    forms (`_terms`) div ψ = 2η + ρη′, gᵀDψg = η|g|² + q(g·d)² (radial) and
+    div ψ = q(d·e), gᵀDψg = (g·e)·q·(g·d) (along e); `jac` and its trace
+    are the references they are tested against."""
 
     __test__ = False  # not a pytest class despite the Test* name
 
@@ -250,10 +242,6 @@ class TestVectorField:
         d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
         e = self.direction
         return eta[..., None] * (d if e is None else np.asarray(e))
-
-    def div(self, p):
-        bump = _bump(p, self.center, self.r0, self.r1)
-        return self._terms(np.zeros(2), *bump)[0]  # g = 0: div ψ only
 
     def jac(self, p):
         d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
@@ -731,8 +719,8 @@ class _Multigrid:
     here, and so are the flat runs and slices the stencils and transfers
     take of them; those of any other array are taken per call.  `setup`
     builds every level's diagonal for one operator; `apply` and `vcycle`
-    then take node arrays with a zero ring, and `vcycle` writes into `out`
-    when it is given."""
+    then take node arrays with a zero ring, and `vcycle` writes into the
+    `out` it is given."""
 
     def __init__(self, shape):
         shapes = [shape]
@@ -797,10 +785,10 @@ class _Multigrid:
         reused by the next call."""
         return self._operate(0, x, self.out)
 
-    def vcycle(self, b, out=None):
-        """One V(1,1) cycle from 0 for A x = b; returns out, or a new node
-        array when out is None."""
-        xs = [np.empty_like(b) if out is None else out] + self.x[1:]
+    def vcycle(self, b, out):
+        """One V(1,1) cycle from 0 for A x = b, into the node array out;
+        returns out."""
+        xs = [out] + self.x[1:]
         bs = [b] + self.b[1:]
         last = len(xs) - 1
         for k in range(last):
@@ -822,16 +810,15 @@ class _Multigrid:
         return xs[0]
 
 
-def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS, *, work=None):
+def _pcg(apply, precond, b, rtol=_PCG_RTOL, steps=_PCG_STEPS, *, work):
     """Preconditioned CG for apply(x) = b from x = 0, at most `steps`
     steps, stopping at relative residual `rtol`.  In `minimize_ac` the
     operator is a masked 2K₅ + diag(c) and `precond(r, out=z)` one
     multigrid V-cycle for it, written into z.  `work` holds the iterate x,
     the residual r, the scratch t of the products, the direction p and z,
-    five arrays laid out as b (new ones when it is None), so the sums keep
-    their bits.  Returns the iterate, work's x, and whether it reached the
-    tolerance."""
-    x, r, t, p, z = work or [np.empty_like(b) for _ in range(5)]
+    five arrays laid out as b, so the sums keep their bits.  Returns the
+    iterate, work's x, and whether it reached the tolerance."""
+    x, r, t, p, z = work
     x.fill(0.0)
     np.copyto(r, b)
     stop = rtol * np.sqrt(np.multiply(b, b, out=t).sum())

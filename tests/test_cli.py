@@ -267,7 +267,7 @@ class TestMinimize:
         assert run("minimize", "--config", str(cfg), "--family", "half_plane",
                    "--resolution", "64", "--out", str(tmp_path)) == 0
         out = ScalarField2D.load(tmp_path / "minimize_field.csv")
-        assert out.shape == (34, 65)
+        assert out.values.shape == (34, 65)
 
     def test_boundary_field_header_mismatch(self, tmp_path):
         fld = field_from_solution(HalfPlane(), Window(-2.0, -2.0, 2.0, 2.0),

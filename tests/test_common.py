@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from onephase.common import (Window, clip_polyline_to_window,
                              densify_polyline, format_float,
-                             points_in_polygon, polyline_length,
-                             smoothstep5, write_csv_atomic,
-                             write_json_atomic, write_text_atomic)
+                             points_in_polygon, smoothstep5,
+                             write_csv_atomic, write_json_atomic,
+                             write_text_atomic)
 from onephase.errors import InvalidInputError
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
@@ -217,15 +217,12 @@ def _densify_cases(draw):
 
 
 class TestPolylines:
-    def test_length(self):
-        tri = np.array([[0.0, 0.0], [3.0, 0.0], [3.0, 4.0]])
-        assert polyline_length(tri) == pytest.approx(7.0)
-
     def test_densify_preserves_endpoints_and_length(self):
         seg = np.array([[0.0, 0.0], [1.0, 0.0]])
         d = densify_polyline(seg, 0.09)
         assert np.allclose(d[0], seg[0]) and np.allclose(d[-1], seg[1])
-        assert polyline_length(d) == pytest.approx(1.0)
+        assert np.linalg.norm(np.diff(d, axis=0), axis=1).sum() == \
+            pytest.approx(1.0)
         steps = np.hypot(*np.diff(d, axis=0).T)
         assert np.max(steps) <= 0.09 + 1e-12
 
@@ -271,7 +268,8 @@ class TestPolylines:
         piece = pieces[0]
         assert piece[:, 0].min() >= -1e-12
         assert piece[:, 0].max() <= 1.0 + 1e-12
-        assert polyline_length(piece) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(np.diff(piece, axis=0), axis=1).sum() == \
+            pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("x0, dx, expect", [
         (-1.0, 5e-324, [[[0.0, -1.0], [0.0, 1.0]]]),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from onephase import geometry
 from onephase.common import densify_polyline, points_in_polygon
+from onephase.conformal import ScherkStrip
 from onephase.errors import (DomainError, InvalidInputError, TopologyError)
 from onephase.geometry import (_ANNULUS_ANGLES, _ANNULUS_EPS, _ANNULUS_NODES,
                                _ANNULUS_RADII, _BOUND_STRIDE, _COARSE_ANGLES,
@@ -54,7 +55,6 @@ class TestPolyCurve:
     def test_length_and_simplicity(self):
         square = PolyCurve(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
                                      [0.0, 1.0], [0.0, 0.0]]), closed=True)
-        assert square.length() == pytest.approx(4.0)
         assert not _self_intersects(square.vertices, True, 1e-12)
         bow = PolyCurve(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0],
                                   [0.0, 1.0], [0.0, 0.0]]), closed=True)
@@ -64,12 +64,11 @@ class TestPolyCurve:
         fb = FreeBoundary([_circle(n=16), np.array([[0.0, 0.0], [1.0, 2.0]])])
         path = tmp_path / "fb.csv"
         fb.save(path)
-        back = FreeBoundary.load(path)
-        assert len(back) == 2
-        assert back.components[0].closed
-        assert not back.components[1].closed
-        assert np.allclose(back.components[0].vertices,
-                           fb.components[0].vertices)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], np.repeat([0.0, 1.0], [17, 2]))
+        assert np.array_equal(rows[:, 1], np.r_[np.arange(17), np.arange(2)])
+        assert np.array_equal(rows[:, 2:], np.vstack([c.vertices for c in
+                                                      fb.components]))
 
 
 def _extract_boundary_oracle(fld, level=0.0):
@@ -224,9 +223,9 @@ def _assert_same_boundary(got, want):
 
 @st.composite
 def _contour_fields(draw):
-    """Node values on a 2×2 to 24×24 grid: integers (ties at the levels 0
-    and 1, and checkerboard saddles), Gaussians rounded to one decimal (ties
-    at 0.3 and −0.5), plain Gaussians, or Gaussians with half the nodes 0."""
+    """Node values on a 2×2 to 24×24 grid: integers (ties at 0, and
+    checkerboard saddles), Gaussians rounded to one decimal (ties at 0),
+    plain Gaussians, or Gaussians with half the nodes 0."""
     shape = (draw(st.integers(2, 24)), draw(st.integers(2, 24)))
     kind = draw(st.sampled_from(["integer", "rounded", "normal", "half_zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -261,13 +260,6 @@ class TestExtractBoundary:
         r = np.hypot(*fb.components[0].vertices.T)
         assert np.max(np.abs(r - 1.0)) < 2.0 / 32
 
-    def test_level_offset(self, halfplane):
-        w = Window(-1.0, -1.0, 1.0, 1.0)
-        fld = field_from_solution(halfplane, w, 1.0 / 64)
-        fb = extract_boundary(fld, level=0.3)
-        verts = np.vstack([c.vertices for c in fb.components])
-        assert np.allclose(verts[:, 0], 0.3, atol=1e-9)
-
     def test_positive_left_orientation(self, disk):
         w = Window(-2.0, -2.0, 2.0, 2.0)
         fld = field_from_solution(disk, w, 1.0 / 32)
@@ -286,24 +278,23 @@ class TestExtractBoundary:
                             values=np.ones((len(ys), len(xs))))
         assert len(extract_boundary(fld)) == 0
 
-    @given(values=_contour_fields(),
-           level=st.sampled_from([0.0, 0.3, -0.5, 1.0]))
-    # saddle cases 5 and 10 with the cell center below and above the level
-    @example(values=np.array([[1.0, -1.0], [-1.0, 1.0]]), level=0.0)
-    @example(values=np.array([[2.0, -1.0], [-1.0, 2.0]]), level=0.0)
-    @example(values=np.array([[-1.0, 1.0], [1.0, -1.0]]), level=0.0)
-    @example(values=np.array([[-1.0, 2.0], [2.0, -1.0]]), level=0.0)
-    # loops and open chains through a grid of saddles, with nodes on the level
+    @given(values=_contour_fields())
+    # saddle cases 5 and 10 with the cell center below and above 0
+    @example(values=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    @example(values=np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    @example(values=np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    @example(values=np.array([[-1.0, 2.0], [2.0, -1.0]]))
+    # loops and open chains through a grid of saddles, with nodes at 0
     @example(values=np.array([[0.0, 1.0, 0.0, 1.0], [1.0, -1.0, 2.0, 0.0],
-                              [0.0, 2.0, -1.0, 1.0]]), level=0.0)
+                              [0.0, 2.0, -1.0, 1.0]]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_oracle_on_random_fields(self, values, level):
+    def test_matches_oracle_on_random_fields(self, values):
         ny, nx = values.shape
         h = 0.1
         w = Window(-0.3, 0.2, -0.3 + (nx - 1) * h, 0.2 + (ny - 1) * h)
         fld = ScalarField2D(window=w, h=h, values=values)
-        _assert_same_boundary(extract_boundary(fld, level),
-                              _extract_boundary_oracle(fld, level))
+        _assert_same_boundary(extract_boundary(fld),
+                              _extract_boundary_oracle(fld))
 
     @pytest.mark.parametrize("sol", [
         HalfPlane(), TwoPlane(0.5), Wedge(1.0), DiskComplement(0.5),
@@ -1096,6 +1087,15 @@ def _bad_lengths(where, name, call, values=_BAD):
         id=f"{where}_{name}_{v}") for v in values]
 
 
+def _out_of_range(where, name, rule, call, got="{}"):
+    """One case per value 0, 1.5, NaN and inf outside a bounded range:
+    the whole message of `call(value)` gives the range and the value."""
+    return [pytest.param(
+        lambda v=v: call(v),
+        "^" + re.escape(f"{where} requires {rule}, got {got.format(v)}") + "$",
+        id=f"{where}_{name}_{v}") for v in (0.0, 1.5, np.nan, np.inf)]
+
+
 def _bad_points(where, name, call):
     """One case per non-finite coordinate: `call(point)` must name the
     point and the coordinate."""
@@ -1173,11 +1173,14 @@ def _bad_points(where, name, call):
                  lambda p: hausdorff([np.array([[0.0, 0.0], p])], _SQUARE)),
     *_bad_points("hausdorff", "vertex",
                  lambda p: hausdorff(_SQUARE, [np.array([[0.0, 0.0], p])])),
-    *[pytest.param(lambda v=v: extract_boundary(
-        field_from_solution(HalfPlane(), Window(-1.0, -1.0, 1.0, 1.0), 0.25),
-        level=v),
-        re.escape(f"extract_boundary requires a finite level, got {v}"),
-        id=f"extract_boundary_level_{v}") for v in (np.nan, np.inf, -np.inf)],
+    *_out_of_range("Wedge", "s", "0 < s ≤ 1", Wedge),
+    *_out_of_range("Scherk", "s", "0 < s < 1", Scherk),
+    *_out_of_range("ScherkStrip", "s", "0 < s < 1", ScherkStrip),
+    *_out_of_range("annulus_flat_check", "delta", "0 < delta < 1",
+                   lambda v: annulus_flat_check(HalfPlane(), v, [0.5])),
+    *_out_of_range("annulus_flat_check", "scale", "scales in (2·delta, 1]",
+                   lambda v: annulus_flat_check(HalfPlane(), 0.01, [v]),
+                   got="[{}]"),
 ])
 def test_out_of_range_size_rejected(call, names):
     """A length, scale, point or direction that is not finite and in range

@@ -3,7 +3,9 @@ exist, and so must every name a module exports; quadrature stays out of the
 chart and Traizet layers; every error class is raised somewhere; each CLI
 command reads exactly the parameters `cli.PARAMS` and the settings
 `cli.SETTINGS` declare for it, since the CLI rejects any other name;
-only `onephase.common` encodes JSON and compares with `np.inf`.  No module imports scipy: the
+only `onephase.common` encodes JSON and compares with `np.inf`; every
+public function and method has a caller in `src/` or `perfbench/`, or a
+reason to stay on `UNCALLED_KEPT`.  No module imports scipy: the
 minimizer solves its 5-point systems by multigrid-preconditioned CG in
 numpy, so `import onephase` and every command, `minimize` included, load
 no scipy module.  The tests keep scipy as an oracle.
@@ -90,6 +92,64 @@ def test_every_error_class_is_raised():
                if isinstance(obj, type) and issubclass(obj, OnePhaseError)
                and obj is not OnePhaseError}
     assert sorted(classes - raised) == []
+
+
+#: public functions and methods that no module of `src/` or `perfbench/`
+#: references, with the reason each stays
+UNCALLED_KEPT = {
+    "traizet.traizet_map": "the correspondence itself",
+    "solutions.Solution.rescale": "ROADMAP item 16 builds on the dilation",
+    "solutions.Solution.saddle_value": "criterion 4 reads it",
+    "solutions.Hairpin.saddle_value": "criterion 4 reads it",
+    "solutions.Scherk.saddle_value": "criterion 4 reads it",
+    "variational.TestVectorField.func": "ψ itself, criterion 5's target",
+    "variational.TestVectorField.jac": "the reference of the closed forms",
+    "conformal.HHPStrip.derivative":
+        "the reference for f′ in the chart tests and `_assert_one_start`",
+    "conformal.ScherkStrip.derivative":
+        "the reference for f′ in the chart tests and `_assert_one_start`",
+}
+
+
+def _uncalled_public_defs():
+    """The qualified names of the public module functions and methods in
+    `src/onephase` that nothing in `src/` or `perfbench/` references.
+
+    The match is by name alone: a method counts as referenced by any
+    attribute `x.name`, or by the exact string constant "name" in
+    `perfbench/` (its tracer names methods by string), and a module
+    function by any name or attribute reference.  So a member whose name
+    another object's member shares, such as `FreeBoundary.load` beside
+    `ScalarField2D.load`, passes without a caller of its own."""
+    names, attrs, strings = set(), set(), set()
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    for path in [*SRC.glob("onephase/*.py"), *bench.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif (isinstance(node, ast.Constant) and path.parent == bench
+                  and isinstance(node.value, str)):
+                strings.add(node.value)
+    uncalled = []
+    for path in sorted(SRC.glob("onephase/*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            if (isinstance(node, ast.FunctionDef) and node.name[0] != "_"
+                    and node.name not in names | attrs):
+                uncalled.append(f"{path.stem}.{node.name}")
+            uncalled += [f"{path.stem}.{node.name}.{m.name}" for m in members
+                         if isinstance(m, ast.FunctionDef)
+                         and m.name[0] != "_"
+                         and m.name not in attrs | strings]
+    return uncalled
+
+
+def test_every_public_function_has_a_caller():
+    # tests alone do not justify an entry point: each one is called by the
+    # package, the CLI or the benchmark, or kept for its named reason
+    assert sorted(_uncalled_public_defs()) == sorted(UNCALLED_KEPT)
 
 
 def _cfg(node, attr):

@@ -353,6 +353,22 @@ class TestMotions:
         with pytest.raises(InvalidInputError, match=message):
             RigidMotion.from_dict(kw)
 
+    @pytest.mark.parametrize("shift", [(1.0,), (1.0, 0.0, 5.0), 1.0],
+                             ids=["one", "three", "scalar"])
+    def test_shift_of_two_numbers(self, shift):
+        """Built directly, through a solution, or from a descriptor with a
+        shift list, a shift that is not two numbers is an
+        InvalidInputError that shows it."""
+        message = re.escape("RigidMotion requires a shift of two finite "
+                            f"numbers, got {shift!r}")
+        with pytest.raises(InvalidInputError, match=message):
+            RigidMotion(shift=shift)
+        with pytest.raises(InvalidInputError, match=message):
+            HalfPlane(motion=RigidMotion(shift=shift))
+        if isinstance(shift, tuple):
+            with pytest.raises(InvalidInputError, match=message):
+                RigidMotion.from_dict({"shift": list(shift)})
+
     @given(angle=angles, sx=shifts, sy=shifts)
     @settings(max_examples=25, deadline=None)
     def test_halfplane_equivariance(self, angle, sx, sy):

@@ -38,7 +38,7 @@ class TestScalarField:
     def test_from_solution_matches_eval(self, halfplane):
         w = Window(-1.0, -1.0, 1.0, 1.0)
         fld = field_from_solution(halfplane, w, h=0.25)
-        X, Y = fld.nodes()
+        X, Y = np.meshgrid(*fld.window.grid(fld.h))
         assert np.allclose(fld.values,
                            halfplane.eval_u(np.stack([X, Y], axis=-1)))
 
@@ -57,7 +57,7 @@ class TestScalarField:
         # (0, 20) or the bottom edge beside it through a zero weight
         w = Window(-1.0, -1.0, 1.0, 1.0)
         fld = field_from_solution(HalfPlane(), w, 1.0 / 16)
-        X, Y = fld.nodes()
+        X, Y = np.meshgrid(*fld.window.grid(fld.h))
         fld.values[1, 20] = np.nan
         fld.values[1, 22] = np.inf
         pts = np.array([[X[0, 20], Y[0, 20]],
@@ -72,7 +72,7 @@ class TestScalarField:
         w = Window(-1.0, -1.0, 1.0, 1.0)
         fld = ScalarField2D(window=w, h=0.125, values=np.random.default_rng(
             2).normal(size=(17, 17)))
-        X, Y = fld.nodes()
+        X, Y = np.meshgrid(*fld.window.grid(fld.h))
         pts = np.concatenate([
             np.random.default_rng(3).uniform(-1.2, 1.2, (500, 2)),
             np.stack([X, Y], axis=-1).reshape(-1, 2)])
@@ -158,19 +158,13 @@ class TestTestVectorField:
                 fd[:, j] = (psi.func(p + h * e) - psi.func(p - h * e)) / (2 * h)
             assert np.max(np.abs(J - fd)) < 5e-6
 
-    @given(x=st.floats(-1.2, 1.2), y=st.floats(-1.2, 1.2))
-    @settings(max_examples=60, deadline=None)
-    def test_div_is_trace_of_jac(self, x, y):
-        p = np.array([x, y])
-        for psi in self._fields():
-            assert psi.div(p) == pytest.approx(np.trace(psi.jac(p)),
-                                               abs=1e-12)
-
     def test_compact_support(self):
         psi = TestVectorField(center=(0.0, 0.0), r0=0.3, r1=0.6)
         far = np.array([[0.7, 0.0], [0.0, -2.0], [0.61, 0.0]])
         assert np.all(psi.func(far) == 0.0)
-        assert np.all(psi.div(far) == 0.0)
+        div = psi._terms(np.zeros(2), *variational._bump(
+            far, psi.center, psi.r0, psi.r1))[0]
+        assert np.all(div == 0.0)
         assert np.all(psi.jac(far) == 0.0)
 
     def test_validation(self):
@@ -767,7 +761,8 @@ class TestMultigrid:
         mg.setup(c, mask)
         for _ in range(3):
             u, w = vector(), vector()
-            Mu, Mw = mg.vcycle(u), mg.vcycle(w)
+            Mu = mg.vcycle(u, np.empty(shape))
+            Mw = mg.vcycle(w, np.empty(shape))
             assert abs(np.sum(w * Mu) - np.sum(u * Mw)) <= \
                 1e-14 * abs(np.sum(w * Mu))
             assert np.sum(u * Mu) > 0.0
@@ -805,11 +800,10 @@ class TestMultigrid:
         mg.setup(c, mask)
         for _ in range(2):
             b = vector()
-            expect = mg.vcycle(b)
-            out = np.full(shape, np.nan)
-            assert mg.vcycle(b, out) is out
-            assert out.tobytes() == expect.tobytes()
-            assert mg.vcycle(b) is not expect
+            zeros, nans = np.zeros(shape), np.full(shape, np.nan)
+            assert mg.vcycle(b, zeros) is zeros
+            assert mg.vcycle(b, nans) is nans
+            assert nans.tobytes() == zeros.tobytes()
 
     @pytest.mark.parametrize("shape", _STENCIL_SHAPES)
     def test_transfers_and_stencils_through_built_views(self, shape):
@@ -854,7 +848,8 @@ class TestMultigrid:
         mg = _Multigrid(shape)
         mg.setup(c, mask)
         b = vector()
-        x, ok = _pcg(mg.apply, mg.vcycle, b, 1e-12, 40)
+        x, ok = _pcg(mg.apply, mg.vcycle, b, 1e-12, 40,
+                     work=[np.empty(shape) for _ in range(5)])
         assert ok
         r = b - mg.apply(x)
         assert np.sqrt(np.sum(r * r)) <= 1e-12 * np.sqrt(np.sum(b * b))
