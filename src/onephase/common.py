@@ -10,7 +10,8 @@ Conventions used throughout the package:
   (temp file + rename) so re-runs are byte-identical;
 * lengths, points and directions are checked by `finite_positive` (0 < x <
   inf, a direction by its norm) and `finite_points` only; bounded ranges such
-  as Wedge's 0 < s ≤ 1 stay chained comparisons, which reject NaN and ±inf.
+  as Wedge's 0 < s ≤ 1 stay chained comparisons, which reject NaN and ±inf,
+  on `as_number`'s float; all three reject a value that is no number.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Window",
+    "as_number",
     "finite_positive",
     "finite_points",
     "format_float",
@@ -98,9 +100,19 @@ class Window:
         return (self.x0, self.y0, self.x1, self.y1)
 
 
+def as_number(where: str, name: str, value, convert=float):
+    """convert(value), a float by default; an InvalidInputError when the
+    value is no number (or, for an array conversion, no array of them)."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"{where} requires a number {name}, got {value!r}") from None
+
+
 def finite_positive(where: str, name: str, value) -> float:
     """`value` as a float; an InvalidInputError unless 0 < value < inf."""
-    if not 0 < (value := float(value)) < np.inf:
+    if not 0 < (value := as_number(where, name, value)) < np.inf:
         raise InvalidInputError(
             f"{where} requires 0 < {name} < inf, got {value}")
     return value
@@ -108,7 +120,7 @@ def finite_positive(where: str, name: str, value) -> float:
 
 def finite_points(where: str, name: str, value) -> np.ndarray:
     """`value` as a float array; an InvalidInputError unless all finite."""
-    p = np.asarray(value, dtype=float)
+    p = as_number(where, name, value, lambda v: np.asarray(v, dtype=float))
     if (bad := p[~np.isfinite(p)]).size:
         raise InvalidInputError(
             f"{where} requires a finite {name}, got {bad[0]}")

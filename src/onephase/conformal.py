@@ -48,6 +48,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass
 
+from .common import as_number
 from .errors import ConvergenceError, DomainError, InvalidInputError
 
 __all__ = [
@@ -253,10 +254,8 @@ class ScherkStrip:
     s: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise InvalidInputError(
-                f"ScherkStrip requires 0 < s < 1, got {float(self.s)}")
-        s = self.s
+        if not 0.0 < (s := as_number("ScherkStrip", "s", self.s)) < 1.0:
+            raise InvalidInputError(f"ScherkStrip requires 0 < s < 1, got {s}")
         self.l = 2.0 * np.pi * s
         self.b = 2.0 * s * np.log(1.0 / s)
         # Φ_s(ζ) = ζ/s + c_inf + O(e^{−Re ζ/s})

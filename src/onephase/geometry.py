@@ -6,9 +6,9 @@ Contents:
   phase on the left of travel) on integer edge ids: one case table, with
   saddle cells split by the cell-center value, and one successor array of
   crossings;
-* `hausdorff` — symmetric Hausdorff distance between polyline sets (an
-  (n, 2) array, a `FreeBoundary`, or lists of these) over densified
-  vertices;
+* `hausdorff` — symmetric Hausdorff distance between polyline sets (one
+  (n, 2) array-like, or a sequence of them) over vertices densified to a
+  given step;
 * `flux_balance` — the divergence-theorem identity on a polygonal region:
   ∮ ν·∇u vanishes, and the free boundary length inside is at most the
   Lipschitz constant times the remaining boundary length;
@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import (Window, densify_polyline, finite_points, finite_positive,
-                     points_in_polygon, write_csv_atomic)
+from .common import (Window, as_number, densify_polyline, finite_points,
+                     finite_positive, points_in_polygon, write_csv_atomic)
 from .errors import DomainError, InvalidInputError, TopologyError
 from .solutions import RigidMotion
-from .variational import ScalarField2D
 
 __all__ = [
     "PolyCurve",
@@ -127,14 +126,14 @@ def _self_intersects(v, closed, tol) -> bool:
 
 
 def _as_polyline_list(obj):
-    if isinstance(obj, FreeBoundary):
-        return [c.vertices for c in obj.components]
-    if isinstance(obj, np.ndarray) and obj.ndim == 2:
-        return [obj]
-    out = []
-    for item in obj:
-        out.extend(_as_polyline_list(item))
-    return out
+    """A 2-D array-like as one polyline; anything else, ragged lists
+    included, as a sequence of polylines."""
+    try:
+        if np.ndim(obj) == 2:
+            return [np.asarray(obj, dtype=float)]
+    except ValueError:  # ragged
+        pass
+    return [np.asarray(p, dtype=float) for p in obj]
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +215,17 @@ def extract_boundary(fld: ScalarField2D) -> FreeBoundary:
 # metric diagnostics
 # ---------------------------------------------------------------------------
 
-def hausdorff(a, b, densify_step: float = None) -> float:
+def hausdorff(a, b, densify_step: float) -> float:
     """Symmetric Hausdorff distance between two polyline sets, computed on
-    vertices after densification (default step: 1/2 of the coarsest mean
-    segment length).  Every vertex must be finite."""
+    their vertices after densification to `densify_step`.  Each set is one
+    polyline (a 2-D array-like) or a sequence of them; every vertex must be
+    finite."""
     A = _as_polyline_list(a)
     B = _as_polyline_list(b)
     if not A or not B:
         raise InvalidInputError("hausdorff: empty polyline set")
     for ps in A + B:
         finite_points("hausdorff", "vertex", ps)
-    if densify_step is None:
-        seglens = []
-        for ps in A + B:
-            d = np.diff(ps, axis=0)
-            seglens.append(np.mean(np.hypot(d[:, 0], d[:, 1])))
-        densify_step = 0.5 * max(seglens)
     PA = np.vstack([densify_polyline(ps, densify_step) for ps in A])
     PB = np.vstack([densify_polyline(ps, densify_step) for ps in B])
     return float(max(_nearest_distance(PA, PB).max(),
@@ -567,9 +561,10 @@ _TRICHOTOMY_NODES = 161
 _TRICHOTOMY_EPS = 1e-9
 
 
-def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
-    """Flat trichotomy on B₃ under the hypothesis that F(u) is δ-close in
-    Hausdorff distance to the vertical segment {(0, x₂): |x₂| < 3}.
+def classify_flat(sol, delta: float) -> FlatnessReport:
+    """Flat trichotomy of the solution `sol` on B₃ under the hypothesis
+    that F(u) is δ-close in Hausdorff distance to the vertical segment
+    {(0, x₂): |x₂| < 3}.
 
     Case A — one strand, positive and zero phase both connected in B₁;
     returns graph samples g with x₁ = g(x₂).
@@ -581,19 +576,11 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
     {u > `_TRICHOTOMY_EPS`} and {u ≤ `_TRICHOTOMY_EPS`} on
     `_TRICHOTOMY_NODES`² node grids over B₁ and B₂, with u evaluated at the
     nodes inside each disk only; the δ-precondition is
-    checked against the measured Hausdorff distance with 10% slack.  A
-    `ScalarField2D` is read by bilinear interpolation, and its free
-    boundary by `extract_boundary`.
+    checked against the measured Hausdorff distance with 10% slack.
     """
     finite_positive("classify_flat", "delta", delta)
     step = 6.0 / (_TRICHOTOMY_NODES - 1) / 2.0
-    if isinstance(sol_or_field, ScalarField2D):
-        fb = [c.vertices for c in extract_boundary(sol_or_field).components]
-        u_at = sol_or_field.interpolate
-    else:
-        fb = sol_or_field.free_boundary_curves(Window(-3.0, -3.0, 3.0, 3.0),
-                                               step=step)
-        u_at = sol_or_field.eval_u
+    fb = sol.free_boundary_curves(Window(-3.0, -3.0, 3.0, 3.0), step=step)
     fb_in_b3 = []
     for poly in fb:
         fb_in_b3.extend(_clip_to_disk(poly, 3.0, step))
@@ -614,7 +601,7 @@ def classify_flat(sol_or_field, delta: float) -> FlatnessReport:
         X, Y = np.meshgrid(xs, xs)
         active = X**2 + Y**2 <= R * R
         u = np.zeros(active.shape)
-        u[active] = u_at(np.stack([X[active], Y[active]], axis=-1))
+        u[active] = sol.eval_u(np.stack([X[active], Y[active]], axis=-1))
         return _phase_components(u, active, _TRICHOTOMY_EPS)
 
     n_pos1, n_zero1 = counts_on_ball(1.0)
@@ -810,10 +797,11 @@ def annulus_flat_check(sol, delta: float, scales) -> list:
     Reports per scale the rotation, the flatness sup, and the
     max slope of the strand graph x₁ = g(x₂) in the rotated frame.
     """
+    delta = as_number("annulus_flat_check", "delta", delta)
     if not 0 < delta < 1:
         raise InvalidInputError(
-            f"annulus_flat_check requires 0 < delta < 1, got {float(delta)}")
-    scales = [float(r) for r in scales]
+            f"annulus_flat_check requires 0 < delta < 1, got {delta}")
+    scales = [as_number("annulus_flat_check", "scale", r) for r in scales]
     r_in = _ANNULUS_INNER * delta
     if not scales or not all(r_in < r <= 1.0 for r in scales):
         raise InvalidInputError(

@@ -45,14 +45,13 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .common import (Window, clip_polyline_to_window, finite_positive,
-                     write_json_atomic)
+from .common import (Window, as_number, clip_polyline_to_window,
+                     finite_points, finite_positive)
 from .conformal import (HHPStrip, ScherkStrip, scherk_loop_gradient,
                         scherk_loop_implicit, scherk_loop_point)
 from .errors import DomainError, InvalidInputError, NoSaddleError
@@ -95,12 +94,9 @@ class RigidMotion:
         if np.shape(self.shift) != (2,):
             raise InvalidInputError("RigidMotion requires a shift of two "
                                     f"finite numbers, got {self.shift!r}")
-        # scalar checks: the annulus polish builds a few motions per scale
-        for name, values in (("angle", (self.angle,)), ("shift", self.shift)):
-            for v in values:
-                if not math.isfinite(v):
-                    raise InvalidInputError(
-                        f"RigidMotion requires a finite {name}, got {float(v)}")
+        angle = as_number("RigidMotion", "angle", self.angle)
+        finite_points("RigidMotion", "angle", angle)
+        finite_points("RigidMotion", "shift", self.shift)
 
     def _rotate(self, x, y, sign: float, out, spare=None):
         """out = R_{sign·θ}·(x, y) for coordinate arrays x and y, one
@@ -327,9 +323,6 @@ class Solution(ABC):
         return {"family": self.kind, "params": params,
                 "motion": self.motion.to_dict()}
 
-    def save(self, path) -> None:
-        write_json_atomic(path, self.to_dict())
-
 
 # ---------------------------------------------------------------------------
 # piecewise-linear families
@@ -453,9 +446,8 @@ class Wedge(Solution):
     homogeneous = True
 
     def __post_init__(self):
-        if not 0.0 < self.s <= 1.0:
-            raise InvalidInputError(
-                f"Wedge requires 0 < s ≤ 1, got {float(self.s)}")
+        if not 0.0 < (s := as_number("Wedge", "s", self.s)) <= 1.0:
+            raise InvalidInputError(f"Wedge requires 0 < s ≤ 1, got {s}")
 
     def _u_body(self, p):
         return self.s * np.abs(p[..., 0])
@@ -645,9 +637,8 @@ class Scherk(Solution):
     _length = "a"
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise InvalidInputError(
-                f"Scherk requires 0 < s < 1, got {float(self.s)}")
+        if not 0.0 < (s := as_number("Scherk", "s", self.s)) < 1.0:
+            raise InvalidInputError(f"Scherk requires 0 < s < 1, got {s}")
         super().__post_init__()
         self._chart = ScherkStrip(s=self.s)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import smoothstep5, write_text_atomic
-from .conformal import (scherk_loop_gradient, scherk_loop_point,
+from .conformal import (HHPStrip, scherk_loop_gradient, scherk_loop_point,
                         scherk_loop_x2_extent)
 from .errors import InvalidInputError, TopologyError
 from .solutions import DiskComplement, Hairpin, HalfPlane, Scherk
@@ -145,7 +145,6 @@ def patch_diskcomplement(R: float, resolution: int = 64) -> Patch:
     Z = RHO * np.exp(1j * TH)
     pts = np.stack([Z.real, Z.imag], axis=-1)
     u = R * np.log(RHO / R)
-    u[:, 0] = 0.0
     return Patch(points=pts, u_vals=u,
                  primitive=DiskComplement(R).primitive(pts),
                  base=(0, 0), weld_rows=True,
@@ -162,11 +161,9 @@ def patch_hairpin(a: float, resolution: int = 64) -> Patch:
     eta = np.linspace(-np.pi / 2.0, np.pi / 2.0, nt)
     XI, ETA = np.meshgrid(xi, eta)
     W = XI + 1j * ETA
-    Z = a * (W + np.sinh(W))
+    Z = a * HHPStrip.forward(W)
     pts = np.stack([Z.real, Z.imag], axis=-1)
     u = a * np.real(np.cosh(W))
-    u[0, :] = 0.0
-    u[-1, :] = 0.0
     vid = np.arange(nt * ns).reshape(nt, ns).T
     probes = np.vstack([_probes(vid, 0, 1), _probes(vid, nt - 1, -1)])
     return Patch(points=pts, u_vals=u,

@@ -211,11 +211,10 @@ class TestVectorField:
     """The bump field ψ, the test object of the inner variation δJ(u)[ψ]:
     with d = x − c, ρ = |d| and η(ρ) = 1 − smoothstep5((ρ − r0)/(r1 − r0)),
     ψ = η·d (radial, ``direction`` None) or η·e along a fixed e, zero
-    outside B_{r1}(c).  `func` and `jac` give ψ and Dψ (row i the gradient
-    of ψᵢ) at points (..., 2).  With q = η′/ρ, the residual uses the closed
-    forms (`_terms`) div ψ = 2η + ρη′, gᵀDψg = η|g|² + q(g·d)² (radial) and
-    div ψ = q(d·e), gᵀDψg = (g·e)·q·(g·d) (along e); `jac` and its trace
-    are the references they are tested against."""
+    outside B_{r1}(c).  With q = η′/ρ, the residual uses the closed forms
+    (`_terms`) div ψ = 2η + ρη′, gᵀDψg = η|g|² + q(g·d)² (radial) and
+    div ψ = q(d·e), gᵀDψg = (g·e)·q·(g·d) (along e).  The tests hold ψ and
+    its Jacobian Dψ, the references these are tested against."""
 
     __test__ = False  # not a pytest class despite the Test* name
 
@@ -237,19 +236,6 @@ class TestVectorField:
             e = tuple(map(float, self.direction))
             finite_positive("TestVectorField", "|direction|", np.hypot(*e))
             object.__setattr__(self, "direction", e)
-
-    def func(self, p):
-        d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
-        e = self.direction
-        return eta[..., None] * (d if e is None else np.asarray(e))
-
-    def jac(self, p):
-        d, rho, eta, eta_p = _bump(p, self.center, self.r0, self.r1)
-        qd = (eta_p / np.maximum(rho, 1e-300))[..., None] * d
-        if self.direction is None:
-            return (eta[..., None, None] * np.eye(2)
-                    + qd[..., :, None] * d[..., None, :])
-        return np.asarray(self.direction)[:, None] * qd[..., None, :]
 
     def _terms(self, g, d, rho, eta, eta_p):
         """div ψ and gᵀDψg from g and `_bump`'s arrays."""

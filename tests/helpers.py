@@ -1,7 +1,8 @@
 """Helpers that only the tests call: one member of each family, a solution
 sampled on a window's grid, a count of the points a solution is handed,
 the Scherk chart's upper strip boundary line, the Menger curvature of a
-polyline, and the traced memory peak of a call."""
+polyline, the traced memory peak of a call, and a `TestVectorField`'s ψ
+and Dψ."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ from onephase.geometry import PolyCurve
 from onephase.solutions import (DiskComplement, Hairpin, HalfPlane,
                                 OneSidedPlane, RigidMotion, Scherk, TwoPlane,
                                 Wedge)
-from onephase.variational import ScalarField2D
+from onephase.variational import ScalarField2D, _bump
 
 #: one member of each family, two of them moved
 FAMILY_MEMBERS = [
@@ -91,3 +92,21 @@ def traced_peak(fn, warm=None) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def vector_field_func(psi, p):
+    """ψ of the bump field `psi` (a `TestVectorField`) at points (..., 2)."""
+    d, rho, eta, eta_p = _bump(p, psi.center, psi.r0, psi.r1)
+    e = psi.direction
+    return eta[..., None] * (d if e is None else np.asarray(e))
+
+
+def vector_field_jac(psi, p):
+    """Dψ of the bump field `psi` at points (..., 2), row i the gradient
+    of ψᵢ: the reference of the residual's closed forms."""
+    d, rho, eta, eta_p = _bump(p, psi.center, psi.r0, psi.r1)
+    qd = (eta_p / np.maximum(rho, 1e-300))[..., None] * d
+    if psi.direction is None:
+        return (eta[..., None, None] * np.eye(2)
+                + qd[..., :, None] * d[..., None, :])
+    return np.asarray(psi.direction)[:, None] * qd[..., None, :]

@@ -22,6 +22,7 @@ from onephase.variational import (ScalarField2D, TestVectorField,
                                   minimize_ac, variational_residual,
                                   viscosity_slope, weiss_energy)
 
+from helpers import vector_field_func
 from slit_chart import SlitHalfPlane, eval_u_slit
 
 
@@ -192,8 +193,8 @@ def test_criterion_05_variational_discrimination(stopwatch):
         ]
         for psi in fields:
             target = (s**2 - 1.0) * quad(
-                lambda t: psi.func(np.array([0.0, t]))[0], -1.0, 1.0,
-                epsabs=1e-12)[0]
+                lambda t: vector_field_func(psi, np.array([0.0, t]))[0],
+                -1.0, 1.0, epsabs=1e-12)[0]
             got = variational_residual(sol, psi, window, 1.0 / 128)
             assert abs(got - target) <= 0.1 * abs(target), \
                 f"got {got:.5f}, target {target:.5f}"

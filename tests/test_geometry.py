@@ -249,7 +249,8 @@ class TestExtractBoundary:
         verts = fb.components[0].vertices
         assert np.max(np.abs(verts[:, 0])) < h
         exact = np.array([[0.0, -1.0], [0.0, 1.0]])
-        assert hausdorff(fb, exact, densify_step=h / 2.0) < h
+        assert hausdorff([c.vertices for c in fb.components], exact,
+                         densify_step=h / 2.0) < h
 
     def test_circle_contour(self, disk):
         w = Window(-2.0, -2.0, 2.0, 2.0)
@@ -310,12 +311,14 @@ class TestExtractBoundary:
 class TestHausdorff:
     def test_identical_zero(self):
         c = _circle(n=32)
-        assert hausdorff(c, c) == 0.0
+        # half the chord, the step the mean segment length gives
+        assert hausdorff(c, c, densify_step=np.sin(np.pi / 32)) == 0.0
 
     def test_translation(self):
         seg = np.array([[0.0, 0.0], [0.0, 1.0]])
         moved = seg + np.array([0.25, 0.0])
-        assert hausdorff(seg, moved) == pytest.approx(0.25, abs=1e-12)
+        assert hausdorff(seg, moved, densify_step=0.5) == pytest.approx(
+            0.25, abs=1e-12)
 
     def test_symmetry(self, rng):
         a = rng.uniform(-1, 1, (10, 2))
@@ -325,7 +328,17 @@ class TestHausdorff:
 
     def test_empty_raises(self):
         with pytest.raises(InvalidInputError):
-            hausdorff([], _circle())
+            hausdorff([], _circle(), densify_step=0.1)
+
+    def test_nested_lists(self):
+        # a 2-D list is one polyline, as a 2-D array is; a ragged list is a
+        # sequence of polylines
+        seg = np.array([[0.0, 0.0], [1.0, 1.0]])
+        assert hausdorff([[0.0, 1.0]], seg, densify_step=0.1) == 1.0
+        ragged = [[[0.0, 1.0], [1.0, 1.0]],
+                  [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]]
+        assert hausdorff(ragged, [np.array(p) for p in ragged],
+                         densify_step=0.1) == 0.0
 
     def test_nan_step_raises(self):
         with pytest.raises(InvalidInputError):
@@ -739,17 +752,11 @@ def _ball_nodes(R):
 
 
 class TestClassifyFlat:
-    @pytest.mark.parametrize("kind", sorted(_FLAT_IN_B3) + ["field"])
+    @pytest.mark.parametrize("kind", sorted(_FLAT_IN_B3))
     def test_phases_match_whole_grid(self, kind, monkeypatch):
         """The phases counted on B₁ and B₂ from u at the disks' nodes are
         those of u on the whole grid; the wedge's match no case."""
-        if kind == "field":
-            sol = field_from_solution(TwoPlane(0.5), Window(-3.5, -3.5, 3.5,
-                                                            3.5), 1.0 / 40)
-            delta, u_at = 0.6, sol.interpolate
-        else:
-            sol, delta = _FLAT_IN_B3[kind]
-            u_at = sol.eval_u
+        sol, delta = _FLAT_IN_B3[kind]
         seen, count = [], geometry._phase_components
         monkeypatch.setattr(geometry, "_phase_components",
                             lambda u, active, eps: seen.append((u, active))
@@ -762,7 +769,7 @@ class TestClassifyFlat:
         assert len(seen) == 2
         for (u, active), R in zip(seen, (1.0, 2.0)):
             nodes, want_active = _ball_nodes(R)
-            U = u_at(nodes)
+            U = sol.eval_u(nodes)
             assert np.array_equal(active, want_active)
             assert np.array_equal((u > eps) & active, (U > eps) & active)
             assert np.array_equal((u <= eps) & active, (U <= eps) & active)
@@ -807,16 +814,6 @@ class TestClassifyFlat:
     def test_invalid_delta(self, halfplane):
         with pytest.raises(InvalidInputError):
             classify_flat(halfplane, delta=0.0)
-
-    def test_case_a_half_plane_field(self, halfplane):
-        w = Window(-3.5, -3.5, 3.5, 3.5)
-        fld = field_from_solution(halfplane, w, 1.0 / 40)
-        assert classify_flat(fld, delta=0.1).case == "A"
-
-    def test_case_b_two_plane_field(self, twoplane):
-        w = Window(-3.5, -3.5, 3.5, 3.5)
-        fld = field_from_solution(twoplane, w, 1.0 / 40)
-        assert classify_flat(fld, delta=0.6).case == "B"
 
 
 def _member_oracle(labels, t_label, fi, fj):
@@ -1096,6 +1093,15 @@ def _out_of_range(where, name, rule, call, got="{}"):
         id=f"{where}_{name}_{v}") for v in (0.0, 1.5, np.nan, np.inf)]
 
 
+def _no_number(where, name, value, call):
+    """One case: `call(value)`, value no number, must name it and the
+    value's repr."""
+    return pytest.param(
+        lambda: call(value),
+        "^" + re.escape(f"{where} requires a number {name}, got {value!r}")
+        + "$", id=f"{where}_{name}_no_number")
+
+
 def _bad_points(where, name, call):
     """One case per non-finite coordinate: `call(point)` must name the
     point and the coordinate."""
@@ -1168,11 +1174,13 @@ def _bad_points(where, name, call):
                  lambda p: flux_balance(HalfPlane(), np.vstack([_SQUARE, p]))),
     *_bad_lengths("classify_flat", "delta",
                   lambda v: classify_flat(HalfPlane(), v)),
-    # a vertex of either set, before the default step is formed from them
+    # a vertex of either set
     *_bad_points("hausdorff", "vertex",
-                 lambda p: hausdorff([np.array([[0.0, 0.0], p])], _SQUARE)),
+                 lambda p: hausdorff([np.array([[0.0, 0.0], p])], _SQUARE,
+                                     0.1)),
     *_bad_points("hausdorff", "vertex",
-                 lambda p: hausdorff(_SQUARE, [np.array([[0.0, 0.0], p])])),
+                 lambda p: hausdorff(_SQUARE, [np.array([[0.0, 0.0], p])],
+                                     0.1)),
     *_out_of_range("Wedge", "s", "0 < s ≤ 1", Wedge),
     *_out_of_range("Scherk", "s", "0 < s < 1", Scherk),
     *_out_of_range("ScherkStrip", "s", "0 < s < 1", ScherkStrip),
@@ -1181,10 +1189,33 @@ def _bad_points(where, name, call):
     *_out_of_range("annulus_flat_check", "scale", "scales in (2·delta, 1]",
                    lambda v: annulus_flat_check(HalfPlane(), 0.01, [v]),
                    got="[{}]"),
+    # no number: an InvalidInputError, not a TypeError or ValueError from
+    # a comparison or a conversion
+    _no_number("RigidMotion", "angle", "x", lambda v: RigidMotion(angle=v)),
+    # a list is no angle, though it is an array of finite numbers
+    pytest.param(lambda: RigidMotion(angle=[1.0, 2.0]), re.escape(
+        "RigidMotion requires a number angle, got [1.0, 2.0]"),
+        id="RigidMotion_angle_two_numbers"),
+    _no_number("RigidMotion", "shift", ("a", 0.0),
+               lambda v: RigidMotion(shift=v)),
+    _no_number("Wedge", "s", "x", Wedge),
+    _no_number("Scherk", "s", "x", Scherk),
+    _no_number("ScherkStrip", "s", "x", ScherkStrip),
+    _no_number("annulus_flat_check", "delta", "x",
+               lambda v: annulus_flat_check(HalfPlane(), v, [0.1])),
+    _no_number("annulus_flat_check", "scale", "x",
+               lambda v: annulus_flat_check(HalfPlane(), 0.01, [v])),
+    _no_number("TwoPlane", "a", "x", TwoPlane),
+    _no_number("OneSidedPlane", "s", "x", OneSidedPlane),
+    _no_number("Hairpin", "a", None, Hairpin),
+    _no_number("weiss_energy", "r", "x",
+               lambda v: weiss_energy(HalfPlane(), (0.0, 0.0), v)),
+    _no_number("circle_max", "center", "ab",
+               lambda v: circle_max(HalfPlane(), v, 1.0)),
 ])
 def test_out_of_range_size_rejected(call, names):
-    """A length, scale, point or direction that is not finite and in range
-    is an InvalidInputError that names it, not a NaN or an error from deep
-    inside."""
+    """A length, scale, point or direction that is no number, or not
+    finite and in range, is an InvalidInputError that names it, not a NaN
+    or an error from deep inside."""
     with pytest.raises(InvalidInputError, match=names):
         call()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onephase.common import Window
+from onephase.common import Window, write_json_atomic
 from onephase.conformal import scherk_loop_gradient, scherk_loop_point
 from onephase.errors import InvalidInputError, NoSaddleError
 from onephase.solutions import (KINDS, DiskComplement, Hairpin, HalfPlane,
@@ -536,7 +536,7 @@ class TestSerialization:
         moved = type(sol)(**params,
                           motion=RigidMotion(angle=0.3, shift=(1.0, -2.0)))
         path = tmp_path / "sol.json"
-        moved.save(path)
+        write_json_atomic(path, moved.to_dict())
         back = solution_from_dict(json.loads(path.read_text()))
         assert type(back) is type(moved)
         pts = np.array([[0.1, 0.2], [1.5, -0.5]])
@@ -576,7 +576,7 @@ class TestSerialization:
     def test_one_sided_plane_round_trip(self, tmp_path):
         # `verify` writes this descriptor into its report
         path = tmp_path / "sol.json"
-        OneSidedPlane(s=0.5).save(path)
+        write_json_atomic(path, OneSidedPlane(s=0.5).to_dict())
         back = load_solution(path)
         assert type(back) is OneSidedPlane and back.s == 0.5
 
